@@ -46,9 +46,10 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.bench_function("batched_weight_stationary", |b| {
         b.iter(|| {
             for request in &requests {
-                warm.submit(black_box(request.clone()));
+                warm.try_submit(black_box(request.clone()))
+                    .expect("valid request");
             }
-            black_box(warm.drain());
+            black_box(warm.drain_traced());
         });
     });
 
@@ -59,9 +60,11 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.bench_function("single_dispatch_warm", |b| {
         b.iter(|| {
             for request in &requests {
-                single.submit(black_box(request.clone()));
+                single
+                    .try_submit(black_box(request.clone()))
+                    .expect("valid request");
             }
-            black_box(single.drain());
+            black_box(single.drain_traced());
         });
     });
 
@@ -71,9 +74,10 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.bench_function("single_dispatch_cold", |b| {
         b.iter(|| {
             for request in &requests {
-                cold.submit(black_box(request.clone()));
+                cold.try_submit(black_box(request.clone()))
+                    .expect("valid request");
             }
-            black_box(cold.drain());
+            black_box(cold.drain_traced());
         });
     });
 

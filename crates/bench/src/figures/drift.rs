@@ -171,15 +171,8 @@ pub fn generate() -> DriftAgingResult {
     // Recalibrate every tile at the oldest age, then replay: the
     // re-derived programming stream is a pure function of the seed, so
     // the outputs must return to the fresh readouts exactly.
-    let mut tiles: Vec<(usize, usize)> = executor
-        .tile_ages()
-        .iter()
-        .map(|info| (info.layer, info.tile))
-        .collect();
-    tiles.sort_unstable();
-    tiles.dedup();
-    for (layer, tile) in tiles {
-        executor.recalibrate_tile(layer, tile);
+    for info in executor.tile_ages() {
+        executor.recalibrate_tile(info.layer, info.tile);
     }
     let recalibrated = grade_age(
         &executor,

@@ -70,7 +70,7 @@ pub fn generate() -> LlmBlockReport {
     let seq = engine
         .begin_sequence(llm, prompt, steps, 0, 1)
         .expect("sequence begins");
-    engine.drain();
+    engine.drain_traced();
     let device_matches_oracle = engine.sequence_tokens(seq) == &tokens[..];
     let stats = engine.stats();
 

@@ -22,6 +22,7 @@
 //! hardware-level IPS in one artifact.
 
 use oxbar_core::{Chip, ChipConfig};
+use oxbar_nn::reference::Tensor3;
 use oxbar_serve::loadgen::{replay_latencies, MixEntry, OpenLoop};
 use oxbar_serve::protocol::{Client, ClientFrame, ServerFrame};
 use oxbar_serve::request::request_seed;
@@ -415,7 +416,7 @@ fn run_case(
     let mut engine = engine_with(policy, budget, prewarm, chips);
     let load = workload(requests);
     for request in load.trace(|m| engine.input_shape(m)) {
-        engine.submit(request);
+        engine.try_submit(request).expect("valid request");
     }
     let drain_start = std::time::Instant::now();
     let trace = engine.drain_traced();
@@ -626,7 +627,7 @@ fn run_fault_trace(
         engine.admit(spec).expect("catalog models admit");
     }
     for request in workload(requests).trace(|m| engine.input_shape(m)) {
-        engine.submit(request);
+        engine.try_submit(request).expect("valid request");
     }
     let trace = engine.drain_traced();
     let wall_ms: f64 = trace.batch_ms.iter().sum();
@@ -750,7 +751,7 @@ fn run_drift_trace(
     let mut traces = Vec::new();
     for chunk in all.chunks(per_wave) {
         for request in chunk {
-            engine.submit(request.clone());
+            engine.try_submit(request.clone()).expect("valid request");
         }
         traces.push(engine.drain_traced());
     }
@@ -952,12 +953,14 @@ fn run_llm(quick: bool) -> LlmReport {
             })
             .collect();
         for i in 0..8u64 {
-            engine.submit(InferRequest {
-                model: lenet,
-                input: oxbar_nn::synthetic::activations(engine.input_shape(lenet), 6, i),
-                arrival: i,
-                deadline: None,
-            });
+            engine
+                .try_submit(InferRequest {
+                    model: lenet,
+                    input: oxbar_nn::synthetic::activations(engine.input_shape(lenet), 6, i),
+                    arrival: i,
+                    deadline: None,
+                })
+                .expect("valid request");
         }
         let trace = engine.drain_traced();
         let tokens: Vec<Vec<u32>> = seqs
@@ -1002,6 +1005,17 @@ fn run_llm(quick: bool) -> LlmReport {
     }
 }
 
+/// Queues a deadline-free request at tick 0.
+fn submit_at_zero(engine: &mut ServeEngine, model: ModelId, input: Tensor3) {
+    let request = InferRequest {
+        model,
+        input,
+        arrival: 0,
+        deadline: None,
+    };
+    engine.try_submit(request).expect("valid request");
+}
+
 /// Heap allocations of one warm serving round: a 4-request same-model
 /// batch through a fully resident pipelined engine. Requires the
 /// `bench_serve` binary's counting allocator; returns `None` elsewhere.
@@ -1018,15 +1032,15 @@ fn warm_round_allocations() -> Option<u64> {
     // Two rounds to program the tiles and settle the executor arena pool.
     for _ in 0..2 {
         for input in &inputs {
-            engine.submit_simple(oxbar_serve::ModelId(0), input.clone());
+            submit_at_zero(&mut engine, oxbar_serve::ModelId(0), input.clone());
         }
-        engine.drain();
+        engine.drain_traced();
     }
     for input in &inputs {
-        engine.submit_simple(oxbar_serve::ModelId(0), input.clone());
+        submit_at_zero(&mut engine, oxbar_serve::ModelId(0), input.clone());
     }
     let before = crate::alloc_counter::count();
-    engine.drain();
+    engine.drain_traced();
     Some(crate::alloc_counter::count() - before)
 }
 
@@ -1041,8 +1055,8 @@ fn model_reports() -> Vec<ModelReport> {
         .map(|(index, spec)| {
             let id = oxbar_serve::ModelId(index);
             let input = oxbar_nn::synthetic::activations(engine.input_shape(id), 6, 1);
-            engine.submit_simple(id, input);
-            engine.drain();
+            submit_at_zero(&mut engine, id, input);
+            engine.drain_traced();
             ModelReport {
                 analytic_ips: chip.evaluate(&spec.network).ips,
                 name: spec.name,

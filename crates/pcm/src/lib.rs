@@ -20,18 +20,12 @@
 //!
 //! # Non-volatility is the system-level contract
 //!
-//! Two higher layers lean on the fact that a GST patch holds its state
-//! with zero standby power:
-//!
-//! * **Wavelength sharing** — the patch attenuates every wavelength
-//!   riding its waveguide, so one programmed array serves all K WDM
-//!   channels of `oxbar_photonics`'s `WdmCrossbar`; only the residual
-//!   phase landscape differs per λ, never the stored codes.
-//! * **State as durable data** — a chip is fully described by its INT6
-//!   codes plus noise seeds, so `oxbar-sim` serializes and restores
-//!   programmed chips bit-exactly (`ChipSnapshot`), and `oxbar-serve`
-//!   migrates whole models between chips instead of paying the ~100 pJ /
-//!   ~100 ns-per-cell reprogramming cost modeled here.
+//! Higher layers lean on the fact that a GST patch holds its state with
+//! zero standby power: a chip is fully described by its INT6 codes plus
+//! noise seeds, so `oxbar-sim` serializes and restores programmed chips
+//! bit-exactly (`ChipSnapshot`), and `oxbar-serve` migrates whole models
+//! between chips instead of paying the ~100 pJ / ~100 ns-per-cell
+//! reprogramming cost modeled here.
 //!
 //! # Examples
 //!

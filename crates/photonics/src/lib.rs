@@ -56,7 +56,7 @@ pub mod waveguide;
 
 pub use complex::Complex;
 pub use field::{Field, FieldOp};
-pub use transfer::{BatchScratch, CompiledCrossbar, WdmCrossbar};
+pub use transfer::{BatchScratch, CompiledCrossbar};
 
 #[cfg(test)]
 mod proptests;

@@ -494,141 +494,6 @@ impl CompiledCrossbar {
     }
 }
 
-/// K wavelength channels sharing one programmed crossbar array.
-///
-/// Wavelength-division multiplexing reuses the PCM weight array for K
-/// simultaneous MVMs: every channel sees the *same* programmed
-/// transmissions (the cells are wavelength-broadband over the WDM grid)
-/// but its own residual phase landscape (coupler splitting ratios and
-/// trimmed phase errors are wavelength-dependent), so each channel
-/// compiles to an independent gain matrix with its own readout chain.
-/// K is therefore mostly a batching dimension: one electrical drive
-/// vector enters the modulators once and produces K column-output
-/// vectors, one per wavelength.
-///
-/// The type is a pure composition over [`CompiledCrossbar`] — channel `k`
-/// holds exactly the gain planes an independent single-channel compile of
-/// the same `(simulator, weights)` pair produces, and execution delegates
-/// to the same quad-blocked real/complex kernels. Consequently a K=1 WDM
-/// crossbar is bit-identical to a plain [`CompiledCrossbar`], and a K>1
-/// crossbar is bit-identical to K independent single-channel compiles —
-/// the property the tests in this module pin.
-#[derive(Debug, Clone)]
-pub struct WdmCrossbar {
-    /// Per-wavelength compiled operators, channel-major.
-    channels: Vec<CompiledCrossbar>,
-}
-
-impl WdmCrossbar {
-    /// Compiles one channel per simulator against a shared weight
-    /// (transmission) matrix — the simulators model the per-wavelength
-    /// phase/loss landscapes of one physical array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sims` is empty, the simulators disagree on the array
-    /// geometry, or `weights` violates the [`CompiledCrossbar::new`]
-    /// contract.
-    #[must_use]
-    pub fn new(sims: &[CrossbarSimulator], weights: &[Vec<f64>]) -> Self {
-        assert!(
-            !sims.is_empty(),
-            "a WDM crossbar needs at least one channel"
-        );
-        Self::from_channels(
-            sims.iter()
-                .map(|sim| CompiledCrossbar::new(sim, weights))
-                .collect(),
-        )
-    }
-
-    /// Wraps independently compiled per-channel operators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels` is empty or the channels disagree on the
-    /// array geometry.
-    #[must_use]
-    pub fn from_channels(channels: Vec<CompiledCrossbar>) -> Self {
-        assert!(
-            !channels.is_empty(),
-            "a WDM crossbar needs at least one channel"
-        );
-        let (rows, cols) = (channels[0].rows(), channels[0].cols());
-        assert!(
-            channels
-                .iter()
-                .all(|c| c.rows() == rows && c.cols() == cols),
-            "every channel must share the array geometry"
-        );
-        Self { channels }
-    }
-
-    /// Number of wavelength channels (K).
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// The compiled operator of channel `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    #[must_use]
-    pub fn channel(&self, k: usize) -> &CompiledCrossbar {
-        &self.channels[k]
-    }
-
-    /// Number of rows (N) of the shared array.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.channels[0].rows()
-    }
-
-    /// Number of columns (M) of the shared array.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.channels[0].cols()
-    }
-
-    /// Batched normalized MVM across every channel: one shared flat drive
-    /// matrix (`batch × rows`, the electrical input is
-    /// wavelength-independent) produces a channel-major output matrix
-    /// (`channels × batch × cols`). Channel `k`'s output block is
-    /// bit-identical to
-    /// `self.channel(k).run_normalized_batch_with(drives, …)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drives` is not a whole number of drive vectors, `out`
-    /// does not hold `channels × batch × cols` values, or any drive is
-    /// out of range.
-    pub fn run_normalized_batch_all(
-        &self,
-        drives: &[f64],
-        out: &mut [f64],
-        scratch: &mut BatchScratch,
-    ) {
-        let batch = drives.len() / self.rows();
-        assert_eq!(
-            out.len(),
-            self.channels.len() * batch * self.cols(),
-            "expected {} × {} × {} outputs",
-            self.channels.len(),
-            batch,
-            self.cols()
-        );
-        for (channel, block) in self
-            .channels
-            .iter()
-            .zip(out.chunks_exact_mut(batch * self.cols()))
-        {
-            channel.run_normalized_batch_with(drives, block, scratch);
-        }
-    }
-}
-
 /// `acc[j] += Σ_i g[i][j] · v[i]` over row-major real gains, skipping dark
 /// rows (`v = 0`), which im2col padding and ReLU sparsity make common.
 fn accumulate_real(gains: &[f64], cols: usize, inputs: &[f64], acc: &mut [f64]) {
@@ -778,100 +643,6 @@ mod tests {
         let weights = vec![vec![0.7; 4]; 4];
         let compiled = CompiledCrossbar::new(&sim, &weights);
         assert_eq!(compiled.run_normalized(&[0.0; 4]), vec![0.0; 4]);
-    }
-
-    /// Per-channel crossbar simulators modelling the wavelength-dependent
-    /// phase landscapes of one shared array: distinct phase-error seeds
-    /// per channel, identical geometry and losses.
-    fn wdm_sims(k: usize) -> Vec<CrossbarSimulator> {
-        (0..k)
-            .map(|c| {
-                CrossbarSimulator::new(
-                    CrossbarConfig::new(8, 8)
-                        .with_phase_error_sigma(0.1)
-                        .with_phase_error_seed(40 + c as u64)
-                        .with_trim_resolution(0.01)
-                        .with_losses(true)
-                        .with_path_loss_compensation(true),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn wdm_single_channel_is_bit_identical_to_compiled() {
-        for sim in [
-            CrossbarSimulator::ideal(CrossbarConfig::new(8, 8)),
-            wdm_sims(1).remove(0),
-        ] {
-            let (_, weights) = random_case(8, 8, 17);
-            let single = CompiledCrossbar::new(&sim, &weights);
-            let wdm = WdmCrossbar::new(std::slice::from_ref(&sim), &weights);
-            assert_eq!(wdm.channels(), 1);
-            assert_eq!((wdm.rows(), wdm.cols()), (8, 8));
-            for i in 0..8 {
-                for j in 0..8 {
-                    let (a, b) = (single.gain(i, j), wdm.channel(0).gain(i, j));
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "({i},{j}) re");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "({i},{j}) im");
-                }
-            }
-            let drives: Vec<f64> = (0..5 * 8).map(|k| (k % 9) as f64 / 9.0).collect();
-            let mut expect = vec![0.0; 5 * 8];
-            single.run_normalized_batch(&drives, &mut expect);
-            let mut got = vec![0.0; 5 * 8];
-            wdm.run_normalized_batch_all(&drives, &mut got, &mut BatchScratch::default());
-            assert_eq!(expect, got, "K=1 must be bit-identical to the plain kernel");
-        }
-    }
-
-    #[test]
-    fn wdm_channels_match_independent_single_channel_compiles() {
-        let sims = wdm_sims(3);
-        let (_, weights) = random_case(8, 8, 23);
-        let wdm = WdmCrossbar::new(&sims, &weights);
-        assert_eq!(wdm.channels(), 3);
-        // Batch sizes exercising both the quad-blocked kernel and the
-        // remainder path, with dark drives sprinkled in.
-        for batch in [1, 4, 6] {
-            let drives: Vec<f64> = (0..batch * 8).map(|k| (k % 5) as f64 / 5.0).collect();
-            let mut all = vec![0.0; 3 * batch * 8];
-            let mut scratch = BatchScratch::default();
-            wdm.run_normalized_batch_all(&drives, &mut all, &mut scratch);
-            // A second pass through the warm scratch is identical.
-            let mut again = vec![0.0; 3 * batch * 8];
-            wdm.run_normalized_batch_all(&drives, &mut again, &mut scratch);
-            assert_eq!(all, again, "batch {batch}: warm scratch");
-            for (k, sim) in sims.iter().enumerate() {
-                let independent = CompiledCrossbar::new(sim, &weights);
-                let mut expect = vec![0.0; batch * 8];
-                independent.run_normalized_batch(&drives, &mut expect);
-                assert_eq!(
-                    &all[k * batch * 8..(k + 1) * batch * 8],
-                    expect.as_slice(),
-                    "batch {batch} channel {k}: must equal an independent compile"
-                );
-            }
-        }
-        // Channels genuinely differ (per-wavelength phase landscapes).
-        let probe: Vec<f64> = (0..8).map(|k| k as f64 / 8.0).collect();
-        let a = wdm.channel(0).run_normalized(&probe);
-        let b = wdm.channel(1).run_normalized(&probe);
-        assert_ne!(a, b, "distinct channels see distinct residual phases");
-    }
-
-    #[test]
-    #[should_panic(expected = "share the array geometry")]
-    fn wdm_mismatched_channels_panic() {
-        let a = CompiledCrossbar::new(
-            &CrossbarSimulator::ideal(CrossbarConfig::new(4, 4)),
-            &vec![vec![0.5; 4]; 4],
-        );
-        let b = CompiledCrossbar::new(
-            &CrossbarSimulator::ideal(CrossbarConfig::new(4, 2)),
-            &vec![vec![0.5; 2]; 4],
-        );
-        let _ = WdmCrossbar::from_channels(vec![a, b]);
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //!   its programmed tile state bit-exactly, so migration changes *where*
 //!   a model serves from, never *what* it answers.
 //!
-//! A 1-chip cluster is byte-identical to the pre-cluster
-//! [`crate::registry::ModelRegistry`] — same outputs, same eviction
-//! sequence — which is how the single-chip serving suites stay green
-//! unchanged (`tests/cluster_equivalence.rs` pins it).
+//! A 1-chip cluster is the classic single-registry engine — same
+//! outputs, same eviction sequence (`tests/cluster_equivalence.rs` pins
+//! it).
 
 use crate::registry::{AdmitError, ModelCacheStats, ModelSpec};
 use crate::request::ModelId;
@@ -300,13 +299,6 @@ impl Cluster {
             recoveries: 0,
             recovery_ms: 0.0,
         }
-    }
-
-    /// A single-chip cluster — the configuration that reproduces the
-    /// pre-cluster [`crate::registry::ModelRegistry`] exactly.
-    #[must_use]
-    pub fn single(base: SimConfig, budget: usize) -> Self {
-        Self::new(base, &[budget], PlacementPolicy::FirstFit)
     }
 
     /// Validates a spec (residual layers, filter coverage) without
@@ -981,7 +973,7 @@ impl fmt::Debug for Cluster {
 mod tests {
     use super::*;
     use oxbar_nn::synthetic;
-    use oxbar_nn::zoo::lenet5;
+    use oxbar_nn::zoo::{lenet5, resnet18};
 
     fn lenet_spec(seed: u64) -> ModelSpec {
         let network = lenet5();
@@ -1246,19 +1238,70 @@ mod tests {
     }
 
     #[test]
-    fn single_chip_cluster_evicts_like_the_registry() {
-        let mut cluster = Cluster::single(SimConfig::ideal(128, 128), 100_000);
+    fn admission_assigns_sequential_ids_and_distinct_seeds() {
+        let mut cluster = Cluster::new(
+            SimConfig::ideal(64, 64),
+            &[1_000_000],
+            PlacementPolicy::FirstFit,
+        );
+        let a = cluster.admit(lenet_spec(1)).unwrap();
+        let b = cluster.admit(lenet_spec(2)).unwrap();
+        assert_eq!((a, b), (ModelId(0), ModelId(1)));
+        assert_ne!(
+            cluster.executor(a).config().seed,
+            cluster.executor(b).config().seed,
+            "each model draws its own programming-noise stream"
+        );
+    }
+
+    #[test]
+    fn residual_and_underfiltered_models_are_refused() {
+        let mut cluster = Cluster::new(
+            SimConfig::ideal(64, 64),
+            &[1_000_000],
+            PlacementPolicy::FirstFit,
+        );
+        let residual = ModelSpec {
+            name: "resnet18".into(),
+            filters: synthetic::filter_banks(&resnet18(), 6, 3),
+            network: resnet18(),
+            lm: None,
+        };
+        assert!(matches!(
+            cluster.admit(residual),
+            Err(AdmitError::Residual(_))
+        ));
+        let mut short = lenet_spec(4);
+        short.filters.pop();
+        assert!(matches!(
+            cluster.admit(short),
+            Err(AdmitError::FilterCount {
+                expected: 5,
+                got: 4
+            })
+        ));
+        assert!(cluster.is_empty());
+    }
+
+    #[test]
+    fn single_chip_cluster_evicts_lru_first() {
+        // One LeNet-5 on a 128×128 array compiles to ~61k cells, so a
+        // 100k chip holds one resident model but not two.
+        let mut cluster = Cluster::new(
+            SimConfig::ideal(128, 128),
+            &[100_000],
+            PlacementPolicy::FirstFit,
+        );
         let a = cluster.admit(lenet_spec(1)).unwrap();
         let b = cluster.admit(lenet_spec(2)).unwrap();
         make_resident(&mut cluster, a);
         make_resident(&mut cluster, b);
         assert!(cluster.occupancy() > cluster.budget());
         let evicted = cluster.enforce_budget();
-        assert_eq!(
-            evicted, 1,
-            "no sibling: eviction, exactly like the registry"
-        );
+        assert_eq!(evicted, 1, "no sibling: eviction, not migration");
+        assert_eq!(cluster.evictions(), 1);
         assert_eq!(cluster.migrations(), 0);
+        assert!(cluster.occupancy() <= cluster.budget());
         let stats = cluster.cache_stats();
         assert_eq!(stats[a.0].cache.cells, 0, "model A was least recently used");
         assert!(stats[b.0].cache.cells > 0, "model B survives");

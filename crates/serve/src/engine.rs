@@ -241,8 +241,8 @@ pub struct EngineStats {
     /// Degraded→Healthy transitions made by the drift heal pass once a
     /// chip's resident tiles were all recalibrated back under budget.
     pub drift_heals: u64,
-    /// Prewarm/recalibration stage threads that panicked. A panicked
-    /// stage is skipped — its work was advisory — and serving continues.
+    /// Prewarm/recalibration stage jobs that panicked. A panicked stage
+    /// is skipped — its work was advisory — and serving continues.
     pub stage_panics: u64,
 }
 
@@ -450,59 +450,72 @@ struct Executed {
     outcome: Option<(u64, StepOutcome)>,
 }
 
-/// Where a batch executes, as resolved by the drain-start fault walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FateChip {
-    /// Execute on this cluster chip.
-    Fixed(usize),
-    /// Execute wherever the model currently resides — used after a
-    /// snapshot recovery, whose destination chip is picked at run time.
-    Primary,
-    /// Every member is shed; nothing executes.
-    Shed,
-}
-
-/// The fault plan's verdict for one batch.
-///
-/// Fates are computed in global dispatch-sequence order before any round
-/// runs, from the fault plan alone — so which chip serves a batch, which
-/// members are shed, and where recoveries happen are pure functions of
-/// the trace and the plan, identical for every worker count.
-#[derive(Debug, Clone)]
-/// One drain's planned recalibration work for one chip: the tiles whose
-/// programming age the drain boundary already reset, still awaiting
-/// their eager reprogram in a stage slot.
-struct RecalPlan {
-    chip: usize,
-    tiles: Vec<(ModelId, usize, usize)>,
-}
-
-/// One round's slice of a chip's recalibration plan: `(chip, tiles)`.
-type RecalChunk = (usize, Vec<(ModelId, usize, usize)>);
-
-struct BatchFate {
-    chip: FateChip,
-    /// Queue slots (batch members) shed by the deadline rule, ascending.
+/// Where one batch runs, resolved at the start of its step.
+struct Fate {
+    /// The chip that executes the batch; `None` when no chip is left to
+    /// run on and every member is shed.
+    chip: Option<usize>,
+    /// Queue slots (batch members) shed instead of served, ascending.
     shed: Vec<usize>,
     /// The failed chip this batch was re-routed away from, if any.
     failed_from: Option<usize>,
     /// The batch absorbs one armed transient tile fault: its first
     /// execute fails once and retries in place, byte-identically.
     transient: bool,
-    /// Snapshot-recover the model before this batch runs.
-    recover: bool,
+}
+
+/// One drain's planned recalibration work for one chip: the tiles whose
+/// programming age the drain boundary already reset, still awaiting
+/// their eager reprogram in a stage job.
+struct RecalPlan {
+    chip: usize,
+    tiles: Vec<(ModelId, usize, usize)>,
+}
+
+/// One step's slice of a chip's recalibration plan: `(chip, tiles)`.
+type RecalChunk = (usize, Vec<(ModelId, usize, usize)>);
+
+/// One step of a drain pass (see [`ServeEngine::drain_traced`]).
+enum Step<'a> {
+    /// Pipeline fill: program the first models' tiles before the first
+    /// round dispatches, so not even batch 0 stalls on programming.
+    Fill,
+    /// One dispatch round: the indices of its batches, ascending.
+    Round(&'a [usize]),
+    /// Recal flush: reprogram the planned recal tiles the rounds did not
+    /// reach and catch up fault state at the tail of the drain.
+    Flush,
+}
+
+/// One unit of step work handed to the pool.
+enum Job<'a> {
+    /// Execute a batch per its fate.
+    Batch(&'a Batch, &'a Fate),
+    /// Program a model's missing tiles off the critical path.
+    Prewarm(ModelId),
+    /// Reprogram a chunk of tiles the recalibration plan marked.
+    Recal(RecalChunk),
+}
+
+/// What one [`Job`] produced.
+enum Done {
+    /// The batch's executions (or the error its executor refused with)
+    /// and its wall-clock execution time in ms.
+    Batch(Result<Vec<Executed>, ExecError>, f64),
+    /// Tiles a stage job programmed, or `None` if it panicked.
+    Stage(Option<usize>),
 }
 
 /// A deterministic, multi-model, batched inference engine over the
 /// device-level simulator.
 ///
-/// The life of a request: [`ServeEngine::submit`] appends it to the
-/// queue; [`ServeEngine::drain`] coalesces the queue into same-model
-/// batches ([`form_batches`]), dispatches batch rounds across workers
-/// with the order-preserving [`parallel_map`], executes every request on
-/// its model's weight-stationary [`oxbar_sim::DeviceExecutor`], and
-/// enforces the global cell budget between rounds (LRU whole-model
-/// eviction).
+/// The life of a request: [`ServeEngine::try_submit`] appends it to the
+/// queue; [`ServeEngine::drain_traced`] coalesces the queue into
+/// same-model batches ([`form_batches`]), dispatches batch rounds across
+/// workers with the order-preserving [`parallel_map`], executes every
+/// request on its model's weight-stationary [`oxbar_sim::DeviceExecutor`],
+/// and enforces the per-chip cell budgets between rounds (snapshot
+/// migration, then LRU whole-model eviction).
 ///
 /// # Determinism
 ///
@@ -519,15 +532,17 @@ struct BatchFate {
 /// # Examples
 ///
 /// ```
-/// use oxbar_serve::{catalog, ServeConfig, ServeEngine};
+/// use oxbar_serve::{catalog, InferRequest, ServeConfig, ServeEngine};
 /// use oxbar_sim::SimConfig;
 /// use oxbar_nn::synthetic;
 ///
 /// let mut engine = ServeEngine::new(ServeConfig::new(SimConfig::ideal(64, 64)));
 /// let model = engine.admit(catalog::lenet5_model()).unwrap();
 /// let input = synthetic::activations(engine.input_shape(model), 6, 1);
-/// engine.submit_simple(model, input);
-/// let done = engine.drain();
+/// engine
+///     .try_submit(InferRequest { model, input, arrival: 0, deadline: None })
+///     .unwrap();
+/// let done = engine.drain_traced().completions;
 /// assert_eq!(done.len(), 1);
 /// assert_eq!(done[0].output.shape().elements(), 10);
 /// ```
@@ -537,17 +552,17 @@ pub struct ServeEngine {
     queue: Vec<Queued>,
     next_id: u64,
     requests: u64,
+    /// Batches dispatched across all drains — also the global dispatch
+    /// sequence number the next batch gets, which keys the fault plan.
     batches: u64,
     prewarms: u64,
     prewarmed_tiles: u64,
     retries: u64,
     sheds: u64,
-    /// Next fault-plan round (global dispatch sequence number) the fate
-    /// walk has not consumed yet.
-    fault_cursor: u64,
     /// Transient tile faults armed on each chip but not yet absorbed by
-    /// a batch (events can outpace a chip's traffic within one drain).
-    pending_transients: Vec<u64>,
+    /// a batch (events can outpace a chip's traffic within one drain):
+    /// per chip, the fault-plan rounds that armed them.
+    pending_transients: Vec<Vec<u64>>,
     /// Every sequence ever begun, indexed by [`SequenceId`].
     sequences: Vec<Sequence>,
     /// Decode steps completed across all sequences.
@@ -560,7 +575,7 @@ pub struct ServeEngine {
     drift_budget_breaches: u64,
     /// Degraded→Healthy transitions by the drift heal pass.
     drift_heals: u64,
-    /// Stage threads (prewarm or recal) that panicked and were skipped.
+    /// Stage jobs (prewarm or recal) that panicked and were skipped.
     stage_panics: u64,
     /// The accuracy budget in dispatch ticks, fixed by the device
     /// config at construction (`None` = aging inactive or unbounded —
@@ -586,8 +601,7 @@ impl ServeEngine {
             prewarmed_tiles: 0,
             retries: 0,
             sheds: 0,
-            fault_cursor: 0,
-            pending_transients: vec![0; budgets.len()],
+            pending_transients: vec![Vec::new(); budgets.len()],
             sequences: Vec::new(),
             tokens: 0,
             recalibrations: 0,
@@ -639,8 +653,7 @@ impl ServeEngine {
     }
 
     /// The model cluster (for reports and catalog introspection). On a
-    /// default configuration this is a single-chip cluster, behaviorally
-    /// identical to the pre-cluster registry.
+    /// default configuration this is a single-chip cluster.
     #[must_use]
     pub fn registry(&self) -> &Cluster {
         &self.registry
@@ -653,9 +666,9 @@ impl ServeEngine {
     /// tick precedes already-queued ones is *inserted in order* (after
     /// every queued request with an equal-or-earlier tick, so equal ticks
     /// keep submission order). Concurrent connections routinely deliver
-    /// non-monotonic ticks — ordered insertion makes that a non-event
-    /// instead of the panic it used to be, and the batcher's
-    /// non-decreasing-arrival precondition holds by construction.
+    /// non-monotonic ticks — ordered insertion makes that a non-event,
+    /// and the batcher's non-decreasing-arrival precondition holds by
+    /// construction.
     ///
     /// # Errors
     ///
@@ -805,41 +818,6 @@ impl ServeEngine {
         self.sequences[usize::try_from(id.0).expect("sequence id fits usize")].shed
     }
 
-    /// Enqueues a request, returning its [`RequestId`].
-    ///
-    /// Infallible wrapper over [`Self::try_submit`] for in-process
-    /// callers that construct requests from their own admitted ids.
-    /// Out-of-order arrival ticks are fine — they insert in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model id is unknown or the input shape does not
-    /// match the model (a caller bug; network edges use
-    /// [`Self::try_submit`] and report [`SubmitError`] on the wire).
-    pub fn submit(&mut self, request: InferRequest) -> RequestId {
-        match self.try_submit(request) {
-            Ok(id) => id,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Enqueues a request with no deadline, arriving at the same tick as
-    /// the last queued request (tick 0 on an empty queue) — handy when
-    /// the caller drives the engine round by round.
-    pub fn submit_simple(
-        &mut self,
-        model: ModelId,
-        input: oxbar_nn::reference::Tensor3,
-    ) -> RequestId {
-        let arrival = self.queue.last().map_or(0, |q| q.request.arrival);
-        self.submit(InferRequest {
-            model,
-            input,
-            arrival,
-            deadline: None,
-        })
-    }
-
     /// Requests currently queued (submitted but not yet drained).
     #[must_use]
     pub fn queued(&self) -> usize {
@@ -847,45 +825,26 @@ impl ServeEngine {
     }
 
     /// Processes the whole queue: forms batches, dispatches them in
-    /// rounds of `workers`, enforces the cache budget between rounds, and
-    /// returns one [`Completion`] per request in dispatch order (batch by
-    /// batch; ascending [`RequestId`] within a batch).
+    /// rounds of `workers`, enforces the cell budgets between rounds, and
+    /// returns everything the drain observed — one [`Completion`] per
+    /// request in dispatch order (batch by batch; ascending [`RequestId`]
+    /// within a batch), each batch's measured wall time in ms indexed by
+    /// `batch_seq`, and the dispatch rounds the scheduler ran.
     ///
     /// Dispatch order is a pure function of the queue and the policy;
     /// outputs are byte-identical for any worker count.
-    pub fn drain(&mut self) -> Vec<Completion> {
-        self.drain_timed().0
-    }
-
-    /// Like [`Self::drain`], additionally returning each batch's measured
-    /// wall-clock execution time in milliseconds, indexed by `batch_seq`.
     ///
-    /// The timings are observational only — nothing in the engine branches
-    /// on them, so outputs stay deterministic. Feed them to
+    /// The timings are observational only — nothing in the engine
+    /// branches on them. A batch's time measures its *execution* (window
+    /// dedupe, batched MVMs, readout, accumulation); with the pipelined
+    /// scheduler on ([`ServeConfig::prewarm`]) PCM programming for
+    /// upcoming models runs in stage jobs and is deliberately not part of
+    /// any batch's time, so callers that want the end-to-end figure
+    /// should time the whole call. Batches in one round run *in
+    /// parallel*, so a serial sum of their times overstates the
+    /// pipeline's occupancy: feed `batch_ms` and `rounds` to
     /// [`crate::loadgen::replay_latencies`] to recover per-request
     /// latencies under a tick schedule.
-    ///
-    /// A batch's time measures its *execution* — window dedupe, batched
-    /// MVMs, readout, accumulation. With the pipelined scheduler on
-    /// ([`ServeConfig::prewarm`]), PCM programming for upcoming models
-    /// runs on a concurrent prewarm stage and is deliberately not part of
-    /// any batch's execution time (that is the point of the pipeline:
-    /// programming leaves the serving critical path). Callers that want
-    /// the end-to-end figure including off-path programming should time
-    /// the whole drain call.
-    pub fn drain_timed(&mut self) -> (Vec<Completion>, Vec<f64>) {
-        let trace = self.drain_traced();
-        (trace.completions, trace.batch_ms)
-    }
-
-    /// Like [`Self::drain_timed`], additionally returning the dispatch
-    /// rounds the scheduler ran — which batches executed concurrently.
-    ///
-    /// The rounds are what make a latency replay honest: batches in one
-    /// round run *in parallel* (via [`parallel_map`] across the worker
-    /// pool), so a serial sum of their wall times overstates the
-    /// pipeline's occupancy. Feed `rounds` to
-    /// [`crate::loadgen::replay_latencies`].
     ///
     /// A drain runs **to idle**: completing one decode step of a
     /// sequence submits the next, so the scheduler keeps making passes
@@ -913,10 +872,15 @@ impl ServeEngine {
         trace
     }
 
-    /// One scheduler pass over the current queue (the pre-sequence
-    /// `drain_traced` body): batch, route, execute, enforce budgets.
-    /// Token-step completions may submit follow-up requests — the
-    /// [`Self::drain_traced`] loop picks those up in the next pass.
+    /// One scheduler pass over the current queue: a loop over steps — a
+    /// pipeline fill, one step per dispatch round, and a recal flush.
+    /// Each step (1) applies its fault marks and injections, (2) resolves
+    /// its batches' fates in dispatch order against where each model
+    /// lives now, (3) runs its batches and stage jobs (prewarm, recal)
+    /// through one pool, and (4) absorbs the results and enforces the
+    /// cell budgets. Token-step completions may submit follow-up
+    /// requests — the [`Self::drain_traced`] loop picks those up in the
+    /// next pass.
     fn drain_pass(&mut self) -> DrainTrace {
         let queue = std::mem::take(&mut self.queue);
         let keys: Vec<(ModelId, u64)> = queue
@@ -925,11 +889,8 @@ impl ServeEngine {
             .collect();
         let batches = form_batches(&keys, self.config.policy);
         let workers = effective_workers(self.config.workers);
-        let mut completions = Vec::with_capacity(queue.len());
-        let mut timings = vec![0.0; batches.len()];
-        let mut shed_notices: Vec<ShedNotice> = Vec::new();
-        let round_size = workers.max(1);
         let seq_base = self.batches;
+        let seq_end = seq_base + batches.len() as u64;
         // Drift bookkeeping at the drain boundary (single-threaded):
         // the virtual tile clock advances to the global dispatch
         // counter — a pure function of the trace, identical for every
@@ -938,228 +899,130 @@ impl ServeEngine {
         // degrade, and the drain's recalibration plan is fixed. The
         // plan marks its tiles immediately (resetting their programming
         // age), so the compiled state every later readout derives is
-        // decided here; the stage work riding the rounds below only
-        // moves the reprogramming off the critical path. With aging
-        // disabled all four calls are structurally inert.
+        // decided here; the stage jobs riding the steps below only move
+        // the reprogramming off the critical path. With aging disabled
+        // all three calls are structurally inert.
         self.registry.set_clocks(seq_base);
-        self.drift_heal_pass();
-        self.drift_monitor_pass();
+        self.drift_health_pass();
         let mut recal_plans = self.plan_recalibration();
-        // Resolve the fault plan into one fate per batch, in global
-        // dispatch-sequence order: which chip serves it, whether it
-        // absorbs a transient, which members are shed. Doing this before
-        // any round runs makes every fault decision a pure function of
-        // the trace and the plan — identical for every worker count.
-        let (fates, leftover_transients) = self.plan_fates(&batches, &queue, seq_base);
+        // Every fate reads chip health at its batch's own dispatch
+        // sequence: this boundary's health plus the fault plan up to
+        // that sequence (`health_at`), whichever step carries the batch.
+        let boundary: Vec<ChipHealth> = (0..self.registry.chip_count())
+            .map(|c| self.registry.chip_health(ChipId(c)))
+            .collect();
         // Batches route into rounds chip-aware: each round prefers
         // batches on distinct chips, so concurrent workers drive
         // different arrays. Replicated models spread successive batches
-        // across their replicas (the fate's chip); on one chip this is
-        // exactly `batches.chunks(round_size)`.
-        let rounds = route_rounds(&batches, round_size, |b: &Batch| match fates[b.seq].chip {
-            FateChip::Fixed(c) => c,
-            FateChip::Primary | FateChip::Shed => self.registry.chip_of(b.model).0,
+        // across their replicas; on one chip this is exactly
+        // `batches.chunks(workers)`.
+        let rounds = route_rounds(&batches, workers, |b| {
+            let seq = seq_base + b.seq as u64;
+            let homes = self.registry.residencies(b.model);
+            pick_replica(&homes, seq, |c| self.health_at(&boundary, seq_base, seq, c))
+                .1
+                .unwrap_or_else(|| self.registry.chip_of(b.model).0)
         });
-        let mut pending = vec![true; batches.len()];
-        // Pipeline fill: program the first models' tiles before the first
-        // round dispatches, so not even batch 0 stalls on programming.
-        if self.config.prewarm {
-            for target in self.prewarm_targets(&batches, &pending, &[]) {
-                self.run_prewarm_stage(target);
+        // Transient faults this drain can absorb: those still armed from
+        // earlier drains plus this drain's planned ones.
+        let mut armed = std::mem::take(&mut self.pending_transients);
+        for event in self.config.fault_plan.events() {
+            if matches!(event, FaultEvent::TileTransient { .. })
+                && (seq_base..seq_end).contains(&event.round())
+                && event.chip() < armed.len()
+            {
+                armed[event.chip()].push(event.round());
             }
         }
-        // A chip kill is staged across two single-threaded round
-        // boundaries: routing, recovery, and stats see the failure as
-        // soon as the first post-kill batch's round arrives (`marks`),
-        // but its executors die only once every pre-kill batch has
-        // drained (`injections`) — round minimum sequence numbers are
-        // strictly increasing, so a pre-kill batch can never trail the
-        // injection point.
-        let mut mark_cursor = self.fault_cursor;
-        let mut inject_cursor = self.fault_cursor;
-        for round_indices in &rounds {
-            for &i in round_indices {
+        let mut pending = vec![true; batches.len()];
+        let mut completions = Vec::with_capacity(queue.len());
+        let mut timings = vec![0.0; batches.len()];
+        let mut shed_notices: Vec<ShedNotice> = Vec::new();
+        let (mut marked, mut injected) = (seq_base, seq_base);
+        let steps = std::iter::once(Step::Fill)
+            .chain(rounds.iter().map(|round| Step::Round(round)))
+            .chain(std::iter::once(Step::Flush));
+        for step in steps {
+            // 1. Faults. A chip kill is staged across two boundaries:
+            // health marks land once the step's *last* batch reaches the
+            // kill, so recovery destinations and stats see the failure;
+            // executors die only once its *first* batch does. Round
+            // minimum sequence numbers strictly increase, so every batch
+            // dispatched before the kill has drained by then.
+            let (round, marks_to, injections_to, recal_tiles) = match step {
+                Step::Fill => (&[][..], seq_base, seq_base, 0),
+                Step::Round(round) => (
+                    round,
+                    seq_base + round[round.len() - 1] as u64 + 1,
+                    seq_base + round[0] as u64 + 1,
+                    MAX_RECAL_TILES_PER_ROUND,
+                ),
+                Step::Flush => (&[][..], seq_end, seq_end, usize::MAX),
+            };
+            self.apply_faults(&mut marked, marks_to, false);
+            self.apply_faults(&mut injected, injections_to, true);
+            // 2. Fates, in dispatch order. A fate only ever picks a chip
+            // that is healthy at its batch's sequence, so no dispatched
+            // batch meets a dead executor.
+            let mut fates = Vec::with_capacity(round.len());
+            for &i in round {
                 pending[i] = false;
+                fates.push(self.resolve_fate(&batches[i], &queue, seq_base, &boundary, &mut armed));
             }
-            let min_seq = seq_base + *round_indices.first().expect("rounds are non-empty") as u64;
-            let max_seq = seq_base + *round_indices.last().expect("rounds are non-empty") as u64;
-            self.apply_fault_marks(&mut mark_cursor, max_seq);
-            self.apply_fault_injections(&mut inject_cursor, min_seq);
-            // Recoveries and transient arming, in dispatch-sequence
-            // order at this single-threaded boundary.
-            for &i in round_indices {
-                let fate = &fates[i];
-                if fate.recover
-                    && self
-                        .registry
-                        .serving_residencies(batches[i].model)
-                        .is_empty()
-                {
-                    self.registry.recover(batches[i].model);
-                }
-                if fate.transient {
-                    if let FateChip::Fixed(chip) = fate.chip {
-                        if let Some(exec) =
-                            self.registry.executor_on(batches[i].model, ChipId(chip))
-                        {
-                            exec.inject_fault(InjectedFault::TileTransient { layer: 0, tile: 0 });
-                        }
-                    }
-                }
-            }
-            let round: Vec<&Batch> = round_indices.iter().map(|&i| &batches[i]).collect();
+            // 3. One pool runs the step's batches, then its stage jobs:
+            // prewarms for upcoming models (at most one per chip) and
+            // the next slice of planned recal work (at most one chunk per
+            // chip; a chip that failed since the plan was fixed has its
+            // recals dropped). With one worker the pool is the calling
+            // thread, running them in that order; otherwise every job
+            // gets its own thread, so stages overlap the round. Either
+            // way every stage completes before the budget-enforcement
+            // point, and the per-chip guard in `prewarm_targets` means a
+            // stage never forces an eviction lazy compilation would not.
             let targets = if self.config.prewarm {
-                self.prewarm_targets(&batches, &pending, &round)
+                self.prewarm_targets(&batches, &pending, round)
             } else {
                 Vec::new()
             };
-            // The next slice of planned recalibration work (at most one
-            // stage per chip per round). A chip that failed since the
-            // plan was fixed has its pending recals dropped structurally
-            // here — never dispatched, never retried.
-            let recal_chunks = self.take_recal_chunks(&mut recal_plans);
-            // The prewarm stages program upcoming models' tiles (at most
-            // one stage per chip) while this round executes — concurrent
-            // threads when the dispatch pool has more than one worker; on
-            // a serial configuration the scheduler interleaves the stages
-            // between rounds instead of oversubscribing the core. Either
-            // way every stage completes before the round's
-            // budget-enforcement point, so the cache state every eviction
-            // decision sees is deterministic, and the per-chip budget
-            // guard in `prewarm_targets` guarantees a stage can never
-            // force an eviction that lazy compilation would not have.
-            let concurrent = workers > 1;
-            let registry = &self.registry;
-            let fates_ref = &fates;
-            let (executed, stage_results, recal_panics) = std::thread::scope(|scope| {
-                let stages: Vec<_> = if concurrent {
-                    targets
-                        .iter()
-                        .map(|&model| scope.spawn(move || registry.prewarm(model)))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let recals: Vec<_> = if concurrent {
-                    recal_chunks
-                        .iter()
-                        .map(|&(chip, ref tiles)| {
-                            scope.spawn(move || Self::run_recal_chunk(registry, chip, tiles))
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let executed = parallel_map(&round, workers, |_, batch| {
-                    let start = std::time::Instant::now();
-                    let done = self.execute_fated(batch, &queue, &fates_ref[batch.seq]);
-                    (done, start.elapsed().as_secs_f64() * 1e3)
-                });
-                // A panicked stage is contained at its join: stage work
-                // is advisory (a skipped prewarm or recal only costs
-                // latency, never correctness), so the scheduler counts
-                // the panic and keeps serving instead of unwinding.
-                let stage_results: Vec<Option<usize>> =
-                    stages.into_iter().map(|h| h.join().ok()).collect();
-                let recal_panics: u64 = recals
-                    .into_iter()
-                    .map(|h| u64::from(h.join().is_err()))
-                    .sum();
-                (executed, stage_results, recal_panics)
-            });
-            self.stage_panics += recal_panics;
-            if concurrent {
-                for prewarmed in stage_results {
-                    match prewarmed {
-                        Some(prewarmed) => {
-                            self.prewarms += 1;
-                            self.prewarmed_tiles += prewarmed as u64;
-                        }
-                        None => self.stage_panics += 1,
-                    }
-                }
-            } else {
-                for target in targets {
-                    self.run_prewarm_stage(target);
-                }
-                for (chip, tiles) in &recal_chunks {
-                    Self::run_recal_chunk(&self.registry, *chip, tiles);
-                }
-            }
-            for (batch, (result, ms)) in round.iter().zip(executed) {
-                self.registry.touch(batch.model);
-                timings[batch.seq] = ms;
-                let fate = &fates[batch.seq];
-                // Planned fault bookkeeping: a re-route charges one
-                // retry to the failed chip; planned sheds complete with
-                // a structured notice.
-                if fate.transient {
-                    if let FateChip::Fixed(chip) = fate.chip {
-                        self.retries += 1;
-                        self.registry.note_retry(ChipId(chip));
-                    }
-                }
-                if let Some(from) = fate.failed_from {
-                    // A re-route only counts as a retry if something
-                    // actually re-executes.
-                    if !matches!(fate.chip, FateChip::Shed) && fate.shed.len() < batch.members.len()
-                    {
-                        self.retries += 1;
-                        self.registry.note_retry(ChipId(from));
-                    }
-                }
-                if !fate.shed.is_empty() {
-                    let chip = fate
-                        .failed_from
-                        .unwrap_or_else(|| self.registry.chip_of(batch.model).0);
-                    let detail = if matches!(fate.chip, FateChip::Shed) {
-                        format!("no healthy chip left after chip {chip} failed")
-                    } else {
-                        format!(
-                            "deadline unreachable after chip {chip} failed \
-                             (failover penalty {} ticks)",
-                            self.config.failover_penalty
-                        )
-                    };
-                    self.shed_members(batch, &queue, &fate.shed, chip, &detail, &mut shed_notices);
-                }
-                match result {
-                    Ok(done) => self.absorb_executions(done, &mut completions),
-                    Err(failed_chip) => {
-                        // The planned chip refused execution — a kill
-                        // landed ahead of the plan (e.g. on a recovery
-                        // destination). Re-resolve serially: surviving
-                        // replicas, then snapshot recovery, then shed.
-                        let (done, extra_ms) = self.execute_with_failover(
+            let chunks = self.take_recal_chunks(&mut recal_plans, recal_tiles);
+            let jobs: Vec<Job> = round
+                .iter()
+                .zip(&fates)
+                .map(|(&i, fate)| Job::Batch(&batches[i], fate))
+                .chain(targets.into_iter().map(Job::Prewarm))
+                .chain(chunks.into_iter().map(Job::Recal))
+                .collect();
+            let lanes = if workers > 1 { jobs.len() } else { 1 };
+            let done = parallel_map(&jobs, lanes, |_, job| self.run_job(job, &queue));
+            // 4. Absorb in dispatch order, then enforce the budgets.
+            for (job, done) in jobs.iter().zip(done) {
+                match (job, done) {
+                    (Job::Batch(batch, fate), Done::Batch(result, ms)) => {
+                        timings[batch.seq] = ms;
+                        self.absorb_batch(
                             batch,
-                            &queue,
                             fate,
-                            failed_chip,
+                            result,
+                            &queue,
+                            &mut completions,
                             &mut shed_notices,
                         );
-                        timings[batch.seq] += extra_ms;
-                        self.absorb_executions(done, &mut completions);
                     }
+                    (Job::Prewarm(_), Done::Stage(Some(tiles))) => {
+                        self.prewarms += 1;
+                        self.prewarmed_tiles += tiles as u64;
+                    }
+                    (_, Done::Stage(None)) => self.stage_panics += 1,
+                    _ => {}
                 }
             }
-            self.registry.enforce_budget();
+            if !round.is_empty() {
+                self.registry.enforce_budget();
+            }
         }
-        // Recal work the rounds did not reach (short drains) flushes
-        // here, so every tile the plan marked is reprogrammed within its
-        // drain — the eager/lazy split never changes the cache counters.
-        self.flush_recal_plans(&recal_plans);
-        // Catch up fault state the round walk did not reach (events at
-        // the tail of the drain), so stats read between drains agree
-        // with the plan.
-        if let Some(last) = batches.len().checked_sub(1) {
-            let last_seq = seq_base + last as u64;
-            self.apply_fault_marks(&mut mark_cursor, last_seq);
-            self.apply_fault_injections(&mut inject_cursor, last_seq);
-            self.fault_cursor = last_seq + 1;
-        }
-        self.pending_transients = leftover_transients;
+        self.pending_transients = armed;
         self.requests += completions.len() as u64;
-        self.batches += batches.len() as u64;
+        self.batches = seq_end;
         DrainTrace {
             completions,
             batch_ms: timings,
@@ -1168,202 +1031,206 @@ impl ServeEngine {
         }
     }
 
-    /// Resolves the fault plan into one [`BatchFate`] per batch, walking
-    /// batches in global dispatch-sequence order. Returns the fates and
-    /// the per-chip transient faults still armed after the walk.
-    ///
-    /// The walk is pure: it reads cluster state but mutates nothing, so
-    /// the plan every round later executes is fixed before the first
-    /// round runs.
-    fn plan_fates(
-        &self,
-        batches: &[Batch],
+    /// The health `chip` has at dispatch sequence `seq`: its drain
+    /// boundary health plus every planned kill or drift with a round in
+    /// `from..=seq`. A failed chip stays failed.
+    fn health_at(&self, boundary: &[ChipHealth], from: u64, seq: u64, chip: usize) -> ChipHealth {
+        self.config
+            .fault_plan
+            .events()
+            .iter()
+            .filter(|e| e.chip() == chip && (from..=seq).contains(&e.round()))
+            .fold(boundary[chip], |health, event| match event {
+                FaultEvent::ChipKill { .. } => ChipHealth::Failed,
+                FaultEvent::Drift { .. } if health != ChipHealth::Failed => ChipHealth::Degraded,
+                _ => health,
+            })
+    }
+
+    /// Resolves one batch's [`Fate`] at the start of its step, against
+    /// where its model lives *now* — recoveries and migrations earlier in
+    /// the drain are visible — and each chip's health at the batch's
+    /// dispatch sequence. A batch whose nominal replica failed re-routes
+    /// to the best surviving replica, else recovers the model from its
+    /// PCM snapshot right here, else sheds. Members whose deadline cannot
+    /// absorb the failover penalty shed too — the only path that ever
+    /// sheds. A batch that runs absorbs one transient fault armed on its
+    /// chip, injected into the executor here.
+    fn resolve_fate(
+        &mut self,
+        batch: &Batch,
         queue: &[Queued],
         seq_base: u64,
-    ) -> (Vec<BatchFate>, Vec<u64>) {
-        let chips = self.registry.chip_count();
-        let mut failed: Vec<bool> = (0..chips)
-            .map(|c| self.registry.chip_health(ChipId(c)) == ChipHealth::Failed)
-            .collect();
-        let mut degraded: Vec<bool> = (0..chips)
-            .map(|c| self.registry.chip_health(ChipId(c)) == ChipHealth::Degraded)
-            .collect();
-        let mut armed = self.pending_transients.clone();
-        // Per-model residency chips; `None` marks "wherever the snapshot
-        // recovery lands" (a non-failed chip by construction).
-        let mut homes: Vec<Option<Vec<Option<usize>>>> = vec![None; self.registry.len()];
-        let mut cursor = self.fault_cursor;
-        let mut fates = Vec::with_capacity(batches.len());
-        for (idx, batch) in batches.iter().enumerate() {
-            let seq = seq_base + idx as u64;
-            for event in self.config.fault_plan.events() {
-                if event.round() < cursor || event.round() > seq || event.chip() >= chips {
-                    continue;
-                }
-                match event {
-                    FaultEvent::ChipKill { .. } => failed[event.chip()] = true,
-                    FaultEvent::Drift { .. } => degraded[event.chip()] = true,
-                    FaultEvent::TileTransient { .. } => armed[event.chip()] += 1,
-                }
-            }
-            cursor = seq + 1;
-            let home = homes[batch.model.0].get_or_insert_with(|| {
-                self.registry
-                    .residencies(batch.model)
+        boundary: &[ChipHealth],
+        armed: &mut [Vec<u64>],
+    ) -> Fate {
+        let seq = seq_base + batch.seq as u64;
+        let homes = self.registry.residencies(batch.model);
+        let (nominal, serving) =
+            pick_replica(&homes, seq, |c| self.health_at(boundary, seq_base, seq, c));
+        let mut fate = Fate {
+            chip: serving,
+            shed: Vec::new(),
+            failed_from: None,
+            transient: false,
+        };
+        if serving != Some(nominal) {
+            fate.failed_from = Some(nominal);
+            fate.chip = serving.or_else(|| self.registry.recover(batch.model).map(|c| c.0));
+            fate.shed = if fate.chip.is_some() {
+                let max_arrival = batch
+                    .members
                     .iter()
-                    .map(|c| Some(c.0))
+                    .map(|&s| queue[s].request.arrival)
+                    .max()
+                    .unwrap_or(0);
+                let horizon = max_arrival.saturating_add(self.config.failover_penalty);
+                batch
+                    .members
+                    .iter()
+                    .copied()
+                    .filter(|&s| queue[s].request.deadline.is_some_and(|d| d < horizon))
                     .collect()
-            });
-            // Serving preference: healthy replicas first, then degraded,
-            // then failed; slot order within a class. A recovered home
-            // (`None`) counts healthy. Requests load-balance across the
-            // whole list by dispatch sequence, so replicas share traffic
-            // and a failure only re-routes the failed chip's share.
-            let rank = |h: &Option<usize>| match *h {
-                None => 0,
-                Some(c) if failed[c] => 2,
-                Some(c) if degraded[c] => 1,
-                Some(_) => 0,
+            } else {
+                batch.members.clone()
             };
-            let mut order: Vec<Option<usize>> = Vec::with_capacity(home.len());
-            for class in 0..3 {
-                order.extend(home.iter().filter(|h| rank(h) == class).copied());
+        }
+        if let Some(chip) = fate.chip.filter(|_| fate.shed.len() < batch.members.len()) {
+            // Steps walk batches out of dispatch order when rounds
+            // interleave, so take the *latest* fault armed at or before
+            // this batch: that leaves earlier faults to earlier batches,
+            // and every chip absorbs as many as a walk in dispatch order.
+            let slots = &mut armed[chip];
+            if let Some(k) = (0..slots.len())
+                .filter(|&k| slots[k] <= seq)
+                .max_by_key(|&k| slots[k])
+            {
+                slots.swap_remove(k);
+                fate.transient = true;
+                if let Some(exec) = self.registry.executor_on(batch.model, ChipId(chip)) {
+                    exec.inject_fault(InjectedFault::TileTransient { layer: 0, tile: 0 });
+                }
             }
-            let nominal = order[seq as usize % order.len()];
-            let mut fate = match nominal {
-                None => BatchFate {
-                    chip: FateChip::Primary,
-                    shed: Vec::new(),
-                    failed_from: None,
-                    transient: false,
-                    recover: false,
-                },
-                Some(chip) if !failed[chip] => BatchFate {
-                    chip: FateChip::Fixed(chip),
-                    shed: Vec::new(),
-                    failed_from: None,
-                    transient: false,
-                    recover: false,
-                },
-                Some(chip) => {
-                    // Failover: re-route to the best surviving replica.
-                    // Members whose deadline cannot absorb the re-route
-                    // penalty are shed — the only path that ever sheds.
-                    let target = order.iter().copied().find(|o| o.is_none_or(|t| !failed[t]));
-                    let max_arrival = batch
-                        .members
-                        .iter()
-                        .map(|&s| queue[s].request.arrival)
-                        .max()
-                        .unwrap_or(0);
-                    let horizon = max_arrival.saturating_add(self.config.failover_penalty);
-                    let shed: Vec<usize> = batch
-                        .members
-                        .iter()
-                        .copied()
-                        .filter(|&s| queue[s].request.deadline.is_some_and(|d| d < horizon))
-                        .collect();
-                    match target {
-                        Some(t) => BatchFate {
-                            chip: t.map_or(FateChip::Primary, FateChip::Fixed),
-                            shed,
-                            failed_from: Some(chip),
-                            transient: false,
-                            recover: false,
-                        },
-                        None if failed.iter().all(|&f| f) => BatchFate {
-                            chip: FateChip::Shed,
-                            shed: batch.members.clone(),
-                            failed_from: Some(chip),
-                            transient: false,
-                            recover: false,
-                        },
-                        None => {
-                            *home = vec![None];
-                            BatchFate {
-                                chip: FateChip::Primary,
-                                shed,
-                                failed_from: Some(chip),
-                                transient: false,
-                                recover: true,
-                            }
-                        }
+        }
+        fate
+    }
+
+    /// Applies one half of the planned kill and drift events with rounds
+    /// in `*cursor..to`, advancing the cursor: the mark half sets chip
+    /// health; the injection half kills the chip's executors.
+    fn apply_faults(&mut self, cursor: &mut u64, to: u64, inject: bool) {
+        let chips = self.registry.chip_count();
+        for event in self.config.fault_plan.events() {
+            if !(*cursor..to).contains(&event.round()) || event.chip() >= chips {
+                continue;
+            }
+            let chip = ChipId(event.chip());
+            match (event, inject) {
+                (FaultEvent::ChipKill { .. }, false) => self.registry.mark_chip_failed(chip),
+                (FaultEvent::ChipKill { .. }, true) => self.registry.inject_chip_failure(chip),
+                (FaultEvent::Drift { .. }, false) => self.registry.degrade_chip(chip),
+                _ => {}
+            }
+        }
+        *cursor = (*cursor).max(to);
+    }
+
+    /// Runs one pool job. Stage work is advisory — a skipped prewarm or
+    /// recal only costs latency, never correctness — so a stage job
+    /// contains its own panic and reports it instead of unwinding the
+    /// drain.
+    fn run_job(&self, job: &Job<'_>, queue: &[Queued]) -> Done {
+        let stage = |work: &dyn Fn() -> usize| {
+            Done::Stage(std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).ok())
+        };
+        match job {
+            Job::Batch(batch, fate) => {
+                let start = std::time::Instant::now();
+                let result = fate.chip.map_or(Ok(Vec::new()), |chip| {
+                    // A recovery later in this step may have moved the
+                    // model off `chip`; its restored copy answers
+                    // identically.
+                    let executor = self
+                        .registry
+                        .executor_on(batch.model, ChipId(chip))
+                        .unwrap_or_else(|| self.registry.executor(batch.model));
+                    self.execute_on(batch, queue, executor, &fate.shed)
+                });
+                Done::Batch(result, start.elapsed().as_secs_f64() * 1e3)
+            }
+            Job::Prewarm(model) => stage(&|| self.registry.prewarm(*model)),
+            Job::Recal((chip, tiles)) => stage(&|| {
+                tiles
+                    .iter()
+                    .filter_map(|&(model, layer, tile)| {
+                        let exec = self.registry.executor_on(model, ChipId(*chip))?;
+                        Some(exec.rederive_tile(layer, tile))
+                    })
+                    .sum()
+            }),
+        }
+    }
+
+    /// Folds one executed batch into the drain: the LRU touch, the fault
+    /// accounting its fate planned (a transient retry charges the chip
+    /// that absorbed it, a re-route the chip it failed away from), the
+    /// shed notices, and its completions.
+    fn absorb_batch(
+        &mut self,
+        batch: &Batch,
+        fate: &Fate,
+        result: Result<Vec<Executed>, ExecError>,
+        queue: &[Queued],
+        completions: &mut Vec<Completion>,
+        notices: &mut Vec<ShedNotice>,
+    ) {
+        self.registry.touch(batch.model);
+        if let (true, Some(chip)) = (fate.transient, fate.chip) {
+            self.retries += 1;
+            self.registry.note_retry(ChipId(chip));
+        }
+        if let Some(from) = fate.failed_from {
+            // A re-route only counts as a retry if something actually
+            // re-executes.
+            if fate.shed.len() < batch.members.len() {
+                self.retries += 1;
+                self.registry.note_retry(ChipId(from));
+            }
+            if !fate.shed.is_empty() {
+                let detail = if fate.chip.is_some() {
+                    format!(
+                        "deadline unreachable after chip {from} failed \
+                         (failover penalty {} ticks)",
+                        self.config.failover_penalty
+                    )
+                } else {
+                    format!("no healthy chip left after chip {from} failed")
+                };
+                self.shed_members(batch, queue, &fate.shed, from, &detail, notices);
+            }
+        }
+        match result {
+            Ok(executed) => {
+                for e in executed {
+                    if let Some((seq_id, outcome)) = e.outcome {
+                        self.advance_sequence(seq_id, &outcome);
                     }
-                }
-            };
-            if let FateChip::Fixed(chip) = fate.chip {
-                if armed[chip] > 0 && fate.shed.len() < batch.members.len() {
-                    armed[chip] -= 1;
-                    fate.transient = true;
+                    completions.push(e.completion);
                 }
             }
-            fates.push(fate);
-        }
-        (fates, armed)
-    }
-
-    /// Applies the health-marking half of kill/degrade events with
-    /// rounds in `[*cursor, through]`, advancing the cursor. Routing,
-    /// recovery destinations, and stats see the failure from here on.
-    fn apply_fault_marks(&mut self, cursor: &mut u64, through: u64) {
-        if *cursor > through {
-            return;
-        }
-        let chips = self.registry.chip_count();
-        let events: Vec<FaultEvent> = self
-            .config
-            .fault_plan
-            .events()
-            .iter()
-            .filter(|e| e.round() >= *cursor && e.round() <= through && e.chip() < chips)
-            .copied()
-            .collect();
-        for event in events {
-            match event {
-                FaultEvent::ChipKill { chip, .. } => self.registry.mark_chip_failed(ChipId(chip)),
-                FaultEvent::Drift { chip, .. } => self.registry.degrade_chip(ChipId(chip)),
-                FaultEvent::TileTransient { .. } => {}
+            // Fates never pick a dead executor, so this is a defect
+            // guard: the members still complete structurally.
+            Err(e) => {
+                let chip = fate.chip.unwrap_or_default();
+                let survivors: Vec<usize> = batch
+                    .members
+                    .iter()
+                    .copied()
+                    .filter(|s| !fate.shed.contains(s))
+                    .collect();
+                let detail = format!("chip {chip} refused execution: {e}");
+                self.shed_members(batch, queue, &survivors, chip, &detail, notices);
             }
-        }
-        *cursor = through + 1;
-    }
-
-    /// Applies the executor-killing half of kill events with rounds in
-    /// `[*cursor, before]`, advancing the cursor. `before` is the
-    /// current round's minimum dispatch sequence: every batch planned
-    /// before the kill has already drained, so no in-flight execute can
-    /// be corrupted.
-    fn apply_fault_injections(&mut self, cursor: &mut u64, before: u64) {
-        if *cursor > before {
-            return;
-        }
-        let chips = self.registry.chip_count();
-        let events: Vec<FaultEvent> = self
-            .config
-            .fault_plan
-            .events()
-            .iter()
-            .filter(|e| e.round() >= *cursor && e.round() <= before && e.chip() < chips)
-            .copied()
-            .collect();
-        for event in events {
-            if let FaultEvent::ChipKill { chip, .. } = event {
-                self.registry.inject_chip_failure(ChipId(chip));
-            }
-        }
-        *cursor = before + 1;
-    }
-
-    /// Folds a batch's executions into the completion list, advancing
-    /// any sequences whose decode steps just finished. Runs serially at
-    /// the round boundary — sequence state never mutates inside the
-    /// parallel region.
-    fn absorb_executions(&mut self, executed: Vec<Executed>, completions: &mut Vec<Completion>) {
-        for e in executed {
-            if let Some((seq_id, outcome)) = e.outcome {
-                self.advance_sequence(seq_id, &outcome);
-            }
-            completions.push(e.completion);
         }
     }
 
@@ -1422,71 +1289,6 @@ impl ServeEngine {
         }
     }
 
-    /// Serial fallback when a batch's planned chip refused execution at
-    /// run time: walk the surviving replicas, then snapshot-recover,
-    /// then shed what remains. Returns the completions and the extra
-    /// wall time spent.
-    fn execute_with_failover(
-        &mut self,
-        batch: &Batch,
-        queue: &[Queued],
-        fate: &BatchFate,
-        failed_chip: usize,
-        notices: &mut Vec<ShedNotice>,
-    ) -> (Vec<Executed>, f64) {
-        let start = std::time::Instant::now();
-        self.retries += 1;
-        self.registry.note_retry(ChipId(failed_chip));
-        let mut avoid = vec![failed_chip];
-        let mut recovered = false;
-        loop {
-            let candidate = self
-                .registry
-                .serving_residencies(batch.model)
-                .into_iter()
-                .map(|c| c.0)
-                .find(|c| !avoid.contains(c));
-            let Some(chip) = candidate else {
-                if recovered || self.registry.recover(batch.model).is_none() {
-                    // Nothing left to run on: shed every surviving member.
-                    let remaining: Vec<usize> = batch
-                        .members
-                        .iter()
-                        .copied()
-                        .filter(|s| !fate.shed.contains(s))
-                        .collect();
-                    let detail = format!("no healthy chip left after chip {failed_chip} failed");
-                    self.shed_members(batch, queue, &remaining, failed_chip, &detail, notices);
-                    return (Vec::new(), start.elapsed().as_secs_f64() * 1e3);
-                }
-                // A fresh restore is healthy even on a chip whose old
-                // executors died, so retry the full serving list.
-                recovered = true;
-                avoid.clear();
-                continue;
-            };
-            let executor = self
-                .registry
-                .executor_on(batch.model, ChipId(chip))
-                .expect("serving residency has an executor");
-            match self.execute_on(batch, queue, executor, &fate.shed) {
-                Ok(done) => return (done, start.elapsed().as_secs_f64() * 1e3),
-                Err(_) => {
-                    avoid.push(chip);
-                    self.retries += 1;
-                    self.registry.note_retry(ChipId(chip));
-                }
-            }
-        }
-    }
-
-    /// Runs one prewarm stage synchronously, updating the stage counters.
-    fn run_prewarm_stage(&mut self, target: ModelId) {
-        let prewarmed = self.registry.prewarm(target);
-        self.prewarms += 1;
-        self.prewarmed_tiles += prewarmed as u64;
-    }
-
     /// Whether the device config ages resident tiles with a bounded
     /// accuracy budget — the master gate on the drift machinery. False
     /// keeps every drift pass structurally inert.
@@ -1509,39 +1311,29 @@ impl ServeEngine {
         })
     }
 
-    /// Heals drift-degraded chips whose resident tiles are all back
-    /// under the accuracy budget (recalibrated in an earlier drain).
-    /// Runs at the drain boundary *before* the monitor, so a heal and a
-    /// re-breach in the same drain resolve to Degraded, and the
-    /// Degraded→Healthy transition is visible between drains (the wire
-    /// server broadcasts it like any other health change).
-    fn drift_heal_pass(&mut self) {
+    /// The drift health pass at the drain boundary, per chip: heals a
+    /// [`ChipHealth::Degraded`] chip whose resident tiles are all back
+    /// under the accuracy budget (recalibrated in an earlier drain), and
+    /// promotes a healthy chip to Degraded when any resident tile's
+    /// projected error crossed it, counting one breach per promotion.
+    /// Both transitions are visible between drains (the wire server
+    /// broadcasts them like any other health change).
+    fn drift_health_pass(&mut self) {
         if !self.drift_aging_active() {
             return;
         }
         for chip in 0..self.registry.chip_count() {
-            if self.registry.chip_health(ChipId(chip)) == ChipHealth::Degraded
-                && !self.chip_over_budget(chip)
-            {
-                self.drift_heals += 1;
-                self.registry.heal_chip(ChipId(chip));
-            }
-        }
-    }
-
-    /// The drift health monitor: promotes a healthy chip to
-    /// [`ChipHealth::Degraded`] when any resident tile's projected error
-    /// crossed the accuracy budget, counting one breach per promotion.
-    fn drift_monitor_pass(&mut self) {
-        if !self.drift_aging_active() {
-            return;
-        }
-        for chip in 0..self.registry.chip_count() {
-            if self.registry.chip_health(ChipId(chip)) == ChipHealth::Healthy
-                && self.chip_over_budget(chip)
-            {
-                self.drift_budget_breaches += 1;
-                self.registry.degrade_chip(ChipId(chip));
+            let over = self.chip_over_budget(chip);
+            match self.registry.chip_health(ChipId(chip)) {
+                ChipHealth::Degraded if !over => {
+                    self.drift_heals += 1;
+                    self.registry.heal_chip(ChipId(chip));
+                }
+                ChipHealth::Healthy if over => {
+                    self.drift_budget_breaches += 1;
+                    self.registry.degrade_chip(ChipId(chip));
+                }
+                _ => {}
             }
         }
     }
@@ -1552,7 +1344,7 @@ impl ServeEngine {
     /// **marked** here — its programming age resets at this
     /// single-threaded boundary, so the state later readouts derive is
     /// decided by the plan alone; the returned plans only carry the
-    /// reprogramming work to the stage slots. Chips already failed are
+    /// reprogramming work to the stage jobs. Chips already failed are
     /// skipped structurally (a recal never targets a dead chip).
     fn plan_recalibration(&mut self) -> Vec<RecalPlan> {
         if !self.config.recalibration || !self.drift_aging_active() {
@@ -1564,19 +1356,14 @@ impl ServeEngine {
             if !self.registry.chip_health(ChipId(chip)).serves() {
                 continue;
             }
-            // (age, model, layer, tile) over-budget candidates; channel
-            // states collapse to one entry per tile.
+            // (age, model, layer, tile) over-budget candidates.
             let mut candidates: Vec<(u64, usize, usize, usize)> = Vec::new();
             for model in 0..self.registry.len() {
                 let Some(exec) = self.registry.executor_on(ModelId(model), ChipId(chip)) else {
                     continue;
                 };
                 for info in exec.tile_ages() {
-                    if info.age_ticks > budget
-                        && !candidates
-                            .iter()
-                            .any(|&(_, m, l, t)| m == model && l == info.layer && t == info.tile)
-                    {
+                    if info.age_ticks > budget {
                         candidates.push((info.age_ticks, model, info.layer, info.tile));
                     }
                 }
@@ -1606,53 +1393,29 @@ impl ServeEngine {
         plans
     }
 
-    /// Pops the next round's slice of recal work: up to
-    /// [`MAX_RECAL_TILES_PER_ROUND`] tiles per chip. Plans whose chip
-    /// failed since the drain boundary are dropped structurally — their
-    /// remaining tiles are cleared, never dispatched or retried.
-    fn take_recal_chunks(&self, plans: &mut [RecalPlan]) -> Vec<RecalChunk> {
+    /// Pops the next step's slice of recal work: up to `max_tiles` tiles
+    /// per chip. Plans whose chip failed since the drain boundary are
+    /// dropped structurally — their remaining tiles are cleared, never
+    /// dispatched or retried. Recal jobs re-derive tiles the plan already
+    /// marked: re-derivation is single-flight against the execution
+    /// path, and the resulting state is bit-identical whether a stage job
+    /// or a lazy read gets there first.
+    fn take_recal_chunks(&self, plans: &mut [RecalPlan], max_tiles: usize) -> Vec<RecalChunk> {
         let mut chunks = Vec::new();
         for plan in plans {
-            if plan.tiles.is_empty() {
-                continue;
-            }
             if !self.registry.chip_health(ChipId(plan.chip)).serves() {
                 plan.tiles.clear();
-                continue;
             }
-            let take = plan.tiles.len().min(MAX_RECAL_TILES_PER_ROUND);
-            chunks.push((plan.chip, plan.tiles.drain(..take).collect()));
+            let take = plan.tiles.len().min(max_tiles);
+            if take > 0 {
+                chunks.push((plan.chip, plan.tiles.drain(..take).collect()));
+            }
         }
         chunks
     }
 
-    /// Reprograms one chunk of recalibration work: the eager
-    /// re-derivation of tiles the drain's plan already marked. Safe to
-    /// run concurrently with the round — re-derivation is single-flight
-    /// against the execution path, and the resulting state is
-    /// bit-identical whether this stage or a lazy read gets there first.
-    fn run_recal_chunk(registry: &Cluster, chip: usize, tiles: &[(ModelId, usize, usize)]) {
-        for &(model, layer, tile) in tiles {
-            if let Some(exec) = registry.executor_on(model, ChipId(chip)) {
-                exec.rederive_tile(layer, tile);
-            }
-        }
-    }
-
-    /// Serially reprograms any planned recal work the rounds did not
-    /// reach, so a plan always completes within its drain (dead chips
-    /// excepted — their work is dropped).
-    fn flush_recal_plans(&self, plans: &[RecalPlan]) {
-        for plan in plans {
-            if plan.tiles.is_empty() || !self.registry.chip_health(ChipId(plan.chip)).serves() {
-                continue;
-            }
-            Self::run_recal_chunk(&self.registry, plan.chip, &plan.tiles);
-        }
-    }
-
-    /// Picks the prewarm-stage targets to run alongside the current
-    /// round: at most one model per chip, chosen as the first pending
+    /// Picks the prewarm targets to run alongside the current round: at
+    /// most one model per chip, chosen as the first pending
     /// (not-yet-dispatched) model in queue order that is not executing in
     /// the round, is not fully resident, and whose missing tiles are
     /// guaranteed to fit its *chip's* cell budget even after every round
@@ -1667,23 +1430,24 @@ impl ServeEngine {
         &self,
         batches: &[Batch],
         pending: &[bool],
-        round: &[&Batch],
+        round: &[usize],
     ) -> Vec<ModelId> {
         let chips = self.registry.chip_count();
-        let in_round = |m: ModelId| round.iter().any(|b| b.model == m);
+        let in_round = |m: ModelId| round.iter().any(|&i| batches[i].model == m);
         // Worst-case per-chip occupancy once this round's own lazy
         // compiles land.
         let mut projected: Vec<usize> = (0..chips)
             .map(|c| self.registry.chip_occupancy(ChipId(c)))
             .collect();
         let mut counted: Vec<ModelId> = Vec::new();
-        for batch in round {
-            if !counted.contains(&batch.model) {
-                counted.push(batch.model);
-                projected[self.registry.chip_of(batch.model).0] += self
+        for &i in round {
+            let model = batches[i].model;
+            if !counted.contains(&model) {
+                counted.push(model);
+                projected[self.registry.chip_of(model).0] += self
                     .registry
-                    .footprint_cells(batch.model)
-                    .saturating_sub(self.registry.resident_cells(batch.model));
+                    .footprint_cells(model)
+                    .saturating_sub(self.registry.resident_cells(model));
             }
         }
         let mut decided = vec![false; chips];
@@ -1715,38 +1479,6 @@ impl ServeEngine {
         targets
     }
 
-    /// Executes a batch per its fate. `Err(chip)` reports a chip that
-    /// refused execution at run time (handled by the serial failover
-    /// fallback at the round boundary — never inside the parallel
-    /// region, so recovery stays deterministic).
-    fn execute_fated(
-        &self,
-        batch: &Batch,
-        queue: &[Queued],
-        fate: &BatchFate,
-    ) -> Result<Vec<Executed>, usize> {
-        if matches!(fate.chip, FateChip::Shed) || fate.shed.len() >= batch.members.len() {
-            return Ok(Vec::new());
-        }
-        let (chip, executor) = match fate.chip {
-            FateChip::Fixed(c) => match self.registry.executor_on(batch.model, ChipId(c)) {
-                Some(exec) => (c, exec),
-                // The residency moved (migration) since planning; the
-                // primary executor is output-identical.
-                None => (
-                    self.registry.chip_of(batch.model).0,
-                    self.registry.executor(batch.model),
-                ),
-            },
-            FateChip::Primary | FateChip::Shed => (
-                self.registry.chip_of(batch.model).0,
-                self.registry.executor(batch.model),
-            ),
-        };
-        self.execute_on(batch, queue, executor, &fate.shed)
-            .map_err(|_| chip)
-    }
-
     /// Runs every non-shed member of a batch on one executor, retrying
     /// through transient tile faults (bounded at [`MAX_TILE_RETRIES`] per
     /// member — a one-shot transient needs exactly one). Members carrying
@@ -1770,70 +1502,60 @@ impl ServeEngine {
         let mut out = Vec::with_capacity(survivors.len());
         for &slot in &survivors {
             let q = &queue[slot];
-            if let Some(seq_id) = q.sequence {
-                let sequence = &self.sequences[usize::try_from(seq_id).expect("sequence id")];
-                let weights = spec.lm.as_ref().expect("sequence targets a language model");
-                let mut attempts = 0usize;
-                let step = loop {
-                    match lm_step(
+            let sequence = q.sequence.map(|id| {
+                (
+                    id,
+                    &self.sequences[usize::try_from(id).expect("sequence id")],
+                )
+            });
+            let mut attempts = 0usize;
+            let (output, outcome) = loop {
+                let attempt = match sequence {
+                    Some((id, seq)) => lm_step(
                         executor,
                         &spec.network,
                         &spec.filters,
-                        weights,
-                        &sequence.cache,
-                        sequence.next_token,
-                        sequence.pos,
-                    ) {
-                        Ok(step) => break step,
-                        Err(ExecError::TileFault { .. }) if attempts < MAX_TILE_RETRIES => {
-                            attempts += 1;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
-                let completion = Completion {
-                    id: q.id,
-                    model: batch.model,
-                    arrival: q.request.arrival,
-                    deadline: q.request.deadline,
-                    output: Tensor3::new(TensorShape::flat(step.logits.len()), step.logits.clone()),
-                    batch_seq: batch.seq,
-                    batch_size: survivors.len(),
-                    sequence: Some(TokenCompletion {
-                        sequence: SequenceId(seq_id),
-                        step: sequence.pos,
-                        token: step.next_token,
-                        done: sequence.pos + 1 >= sequence.steps,
+                        spec.lm.as_ref().expect("sequence targets a language model"),
+                        &seq.cache,
+                        seq.next_token,
+                        seq.pos,
+                    )
+                    .map(|step| {
+                        let logits = TensorShape::flat(step.logits.len());
+                        (Tensor3::new(logits, step.logits.clone()), Some((id, step)))
                     }),
+                    None => executor
+                        .try_forward(&spec.network, &q.request.input, &spec.filters)
+                        .map(|forward| (forward.output, None)),
                 };
-                out.push(Executed {
-                    completion,
-                    outcome: Some((seq_id, step)),
-                });
-                continue;
-            }
-            let mut attempts = 0usize;
-            let forward = loop {
-                match executor.try_forward(&spec.network, &q.request.input, &spec.filters) {
-                    Ok(forward) => break forward,
+                match attempt {
+                    Ok(done) => break done,
                     Err(ExecError::TileFault { .. }) if attempts < MAX_TILE_RETRIES => {
                         attempts += 1;
                     }
                     Err(e) => return Err(e),
                 }
             };
+            let token = sequence
+                .zip(outcome.as_ref())
+                .map(|((id, seq), (_, step))| TokenCompletion {
+                    sequence: SequenceId(id),
+                    step: seq.pos,
+                    token: step.next_token,
+                    done: seq.pos + 1 >= seq.steps,
+                });
             out.push(Executed {
                 completion: Completion {
                     id: q.id,
                     model: batch.model,
                     arrival: q.request.arrival,
                     deadline: q.request.deadline,
-                    output: forward.output,
+                    output,
                     batch_seq: batch.seq,
                     batch_size: survivors.len(),
-                    sequence: None,
+                    sequence: token,
                 },
-                outcome: None,
+                outcome,
             });
         }
         Ok(out)
@@ -1879,6 +1601,34 @@ impl std::fmt::Debug for ServeEngine {
     }
 }
 
+/// Picks the residency chip that serves dispatch `seq` of a model living
+/// on `homes`, given each chip's health at that point. Replicas rank
+/// healthy, then degraded, then failed (slot order within a class), and
+/// successive dispatches load-balance across the ranked list, so a
+/// failure only re-routes the failed chip's share. Returns the nominal
+/// chip and the one that serves: the nominal chip itself, or — when it
+/// failed — the best surviving replica (`None` if none survives).
+fn pick_replica(
+    homes: &[ChipId],
+    seq: u64,
+    health: impl Fn(usize) -> ChipHealth,
+) -> (usize, Option<usize>) {
+    let rank = |chip: usize| match health(chip) {
+        ChipHealth::Healthy => 0u8,
+        ChipHealth::Degraded => 1,
+        ChipHealth::Failed => 2,
+    };
+    let mut order: Vec<(u8, usize)> = homes.iter().map(|c| (rank(c.0), c.0)).collect();
+    order.sort_by_key(|&(rank, _)| rank);
+    let (rank, nominal) = order[seq as usize % order.len()];
+    let serving = if rank < 2 {
+        Some(nominal)
+    } else {
+        Some(order[0]).filter(|best| best.0 < 2).map(|best| best.1)
+    };
+    (nominal, serving)
+}
+
 /// Builds the queued request for one decode step of a sequence. The
 /// input tensor carries only the step's token — the engine keys the real
 /// state (the KV cache) off the sequence id — and the deadline is `None`:
@@ -1910,6 +1660,17 @@ mod tests {
     use crate::catalog;
     use oxbar_nn::synthetic;
 
+    /// Queues a deadline-free request at tick 0.
+    fn submit_at_zero(engine: &mut ServeEngine, model: ModelId, input: Tensor3) {
+        let request = InferRequest {
+            model,
+            input,
+            arrival: 0,
+            deadline: None,
+        };
+        engine.try_submit(request).expect("valid request");
+    }
+
     #[test]
     fn drain_completes_every_request_once() {
         let mut engine = ServeEngine::new(ServeConfig::new(SimConfig::ideal(64, 64)));
@@ -1918,15 +1679,17 @@ mod tests {
         for i in 0..6u64 {
             let model = if i % 2 == 0 { lenet } else { mobile };
             let input = synthetic::activations(engine.input_shape(model), 6, i);
-            engine.submit(InferRequest {
-                model,
-                input,
-                arrival: i,
-                deadline: Some(i + 100),
-            });
+            engine
+                .try_submit(InferRequest {
+                    model,
+                    input,
+                    arrival: i,
+                    deadline: Some(i + 100),
+                })
+                .unwrap();
         }
         assert_eq!(engine.queued(), 6);
-        let done = engine.drain();
+        let done = engine.drain_traced().completions;
         assert_eq!(engine.queued(), 0);
         let mut ids: Vec<u64> = done.iter().map(|c| c.id.0).collect();
         ids.sort_unstable();
@@ -1942,24 +1705,15 @@ mod tests {
         let mut engine = ServeEngine::new(ServeConfig::new(SimConfig::ideal(64, 64)));
         let lenet = engine.admit(catalog::lenet5_model()).unwrap();
         let input = synthetic::activations(engine.input_shape(lenet), 6, 0);
-        engine.submit_simple(lenet, input.clone());
-        engine.drain();
+        submit_at_zero(&mut engine, lenet, input.clone());
+        engine.drain_traced();
         let cold_misses = engine.stats().models[0].cache.misses;
-        engine.submit_simple(lenet, input);
-        engine.drain();
+        submit_at_zero(&mut engine, lenet, input);
+        engine.drain_traced();
         let stats = engine.stats();
         assert_eq!(stats.models[0].cache.misses, cold_misses, "no recompiles");
         assert!(stats.hit_rate() > 0.0);
         assert_eq!(stats.evictions, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "input shape must match")]
-    fn wrong_shape_is_rejected_at_submit() {
-        let mut engine = ServeEngine::new(ServeConfig::new(SimConfig::ideal(64, 64)));
-        let lenet = engine.admit(catalog::lenet5_model()).unwrap();
-        let wrong = synthetic::activations(oxbar_nn::TensorShape::new(4, 4, 1), 6, 0);
-        engine.submit_simple(lenet, wrong);
     }
 
     #[test]
@@ -2011,7 +1765,7 @@ mod tests {
                 })
                 .expect("out-of-order ticks are not an error");
         }
-        let done = engine.drain();
+        let done = engine.drain_traced().completions;
         let order: Vec<(u64, u64)> = done.iter().map(|c| (c.arrival, c.id.0)).collect();
         // Queue drains in arrival order; the two tick-2 requests keep
         // their submission order (id 1 before id 3).
@@ -2026,7 +1780,7 @@ mod tests {
         let weights = spec.lm.clone().expect("llm_tiny is a language model");
         let llm = engine.admit(spec).unwrap();
         let seq = engine.begin_sequence(llm, 3, 8, 0, 1).unwrap();
-        let done = engine.drain();
+        let done = engine.drain_traced().completions;
         assert!(engine.sequence_finished(seq));
         assert!(!engine.sequence_shed(seq));
 
@@ -2072,14 +1826,16 @@ mod tests {
             let b = engine.begin_sequence(llm, 9, 6, 0, 1).unwrap();
             for i in 0..4u64 {
                 let input = synthetic::activations(engine.input_shape(lenet), 6, i);
-                engine.submit(InferRequest {
-                    model: lenet,
-                    input,
-                    arrival: i,
-                    deadline: Some(i + 100),
-                });
+                engine
+                    .try_submit(InferRequest {
+                        model: lenet,
+                        input,
+                        arrival: i,
+                        deadline: Some(i + 100),
+                    })
+                    .unwrap();
             }
-            let done = engine.drain();
+            let done = engine.drain_traced().completions;
             let tokens = (
                 engine.sequence_tokens(a).to_vec(),
                 engine.sequence_tokens(b).to_vec(),

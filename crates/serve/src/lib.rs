@@ -10,13 +10,15 @@
 //!
 //! ```text
 //! clients        InferRequest { model, input, arrival, deadline }
-//!    │                    │ submit()
+//!    │                    │ try_submit()
 //! ServeEngine    submission queue (tick-ordered)
-//!    │                    │ drain()
+//!    │                    │ drain_traced()
 //! batcher        form_batches(): same-model coalescing, size + window caps
 //!    │                    │
-//! scheduler      route_rounds(): chip-aware rounds, order-preserving
-//!    │           parallel_map dispatch + pipelined per-chip prewarm
+//! scheduler      route_rounds(): chip-aware rounds; a step loop (fill,
+//!    │           one step per round, recal flush) runs each step's
+//!    │           batches and per-chip prewarm/recal jobs through one
+//!    │           order-preserving parallel_map pool
 //!    │                    │
 //! cluster        model→chip placement, per-chip cell budgets (LRU model
 //!    │           eviction; snapshot migration before evicting); a 1-chip
@@ -61,9 +63,9 @@
 //!     deadline_slack: None,
 //! };
 //! for request in load.trace(|m| engine.input_shape(m)) {
-//!     engine.submit(request);
+//!     engine.try_submit(request).unwrap();
 //! }
-//! let completions = engine.drain();
+//! let completions = engine.drain_traced().completions;
 //! assert_eq!(completions.len(), 8);
 //!
 //! let stats = engine.stats();
@@ -95,7 +97,7 @@ pub use protocol::{
     Client, ClientError, ClientFrame, DeadlineStream, ErrorCode, FrameError, ServerFrame,
     WireModel, WireToken,
 };
-pub use registry::{AdmitError, ModelCacheStats, ModelRegistry, ModelSpec};
+pub use registry::{AdmitError, ModelCacheStats, ModelSpec};
 pub use request::{Completion, InferRequest, ModelId, RequestId, SequenceId, TokenCompletion};
 pub use server::{Server, ServerConfig};
 

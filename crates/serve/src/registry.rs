@@ -1,17 +1,11 @@
-//! The single-chip model registry: admitted networks, their
-//! weight-stationary executors, and the tile-cell budget they share.
-//!
-//! Since the cluster refactor this is a thin facade over a 1-chip
-//! [`Cluster`] — same admission seeds, same LRU
-//! eviction, byte-identical behavior — kept for callers that think in
-//! terms of one chip and one budget. Multi-chip serving goes through the
-//! cluster directly.
+//! What admission deals in: a deployable [`ModelSpec`], why admission
+//! refuses one ([`AdmitError`]), and the per-model cache statistics
+//! serving reports carry. The admitted models themselves live in the
+//! multi-chip [`crate::cluster::Cluster`].
 
-use crate::cluster::Cluster;
-use crate::request::ModelId;
 use oxbar_nn::reference::FilterBank;
-use oxbar_nn::{Network, TensorShape};
-use oxbar_sim::{CacheStats, DeviceExecutor, SimConfig};
+use oxbar_nn::Network;
+use oxbar_sim::CacheStats;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -118,233 +112,9 @@ pub struct ModelCacheStats {
     pub cache: CacheStats,
 }
 
-/// Admitted models and their per-model [`DeviceExecutor`]s, kept jointly
-/// under one global weight-stationary cell budget.
-///
-/// Each model's executor derives its device seed from the registry's base
-/// configuration and the model's admission index, so a model's PCM
-/// programming noise is fixed at admission — exactly like hardware, where
-/// an array is programmed once and then serves every request. Requests
-/// therefore never perturb each other, which is what makes concurrent
-/// serving byte-identical to serial replay.
-///
-/// The budget is enforced at *model* granularity: when the summed cache
-/// occupancy exceeds it, whole least-recently-used models are evicted
-/// (their tile caches cleared) until the total fits. Eviction never
-/// changes results — a re-admitted tile is recompiled from the same seed
-/// to the same state — it only costs reprogramming work, which is the
-/// cache-thrash scenario the serving benchmarks measure.
-pub struct ModelRegistry {
-    cluster: Cluster,
-}
-
-impl ModelRegistry {
-    /// Creates a registry whose models share `budget` crossbar cells of
-    /// compiled weight-stationary state. Each admitted model's device
-    /// config is `base` with a model-specific seed.
-    #[must_use]
-    pub fn new(base: SimConfig, budget: usize) -> Self {
-        Self {
-            cluster: Cluster::single(base, budget),
-        }
-    }
-
-    /// Admits a model, assigning it the next [`ModelId`] and a dedicated
-    /// executor seeded from `(base seed, admission index)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdmitError`] if the network is residual or the filter
-    /// banks do not cover its conv-like layers.
-    pub fn admit(&mut self, spec: ModelSpec) -> Result<ModelId, AdmitError> {
-        self.cluster.admit(spec)
-    }
-
-    /// Number of admitted models.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cluster.len()
-    }
-
-    /// Whether no model has been admitted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cluster.is_empty()
-    }
-
-    /// The admitted spec behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this registry.
-    #[must_use]
-    pub fn spec(&self, id: ModelId) -> &ModelSpec {
-        self.cluster.spec(id)
-    }
-
-    /// The model's input tensor shape (what its requests must carry).
-    #[must_use]
-    pub fn input_shape(&self, id: ModelId) -> TensorShape {
-        self.cluster.input_shape(id)
-    }
-
-    /// The model's weight-stationary executor.
-    #[must_use]
-    pub fn executor(&self, id: ModelId) -> &DeviceExecutor {
-        self.cluster.executor(id)
-    }
-
-    /// Marks `id` as the most recently used model (LRU bookkeeping).
-    pub fn touch(&mut self, id: ModelId) {
-        self.cluster.touch(id);
-    }
-
-    /// The model's full weight-stationary footprint in crossbar cells
-    /// (from the fold plans; independent of what is currently cached).
-    #[must_use]
-    pub fn footprint_cells(&self, id: ModelId) -> usize {
-        self.cluster.footprint_cells(id)
-    }
-
-    /// The crossbar cells of `id` currently resident in its tile cache.
-    #[must_use]
-    pub fn resident_cells(&self, id: ModelId) -> usize {
-        self.cluster.resident_cells(id)
-    }
-
-    /// Eagerly programs + compiles the model's missing tiles
-    /// ([`DeviceExecutor::prewarm`]), returning how many were compiled.
-    /// Never evicts: callers budget-check with [`Self::footprint_cells`]
-    /// and [`Self::occupancy`] first, so prewarming cannot change the
-    /// eviction sequence.
-    pub fn prewarm(&self, id: ModelId) -> usize {
-        self.cluster.prewarm(id)
-    }
-
-    /// Evicts least-recently-used models until the summed cache occupancy
-    /// fits the global budget, returning how many models were evicted.
-    ///
-    /// Deterministic given the same sequence of [`Self::touch`] calls:
-    /// ties (never-used models) break toward the lowest admission index.
-    pub fn enforce_budget(&mut self) -> usize {
-        self.cluster.enforce_budget()
-    }
-
-    /// Total model evictions since the registry was created.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.cluster.evictions()
-    }
-
-    /// The shared weight-stationary cell budget.
-    #[must_use]
-    pub fn budget(&self) -> usize {
-        self.cluster.budget()
-    }
-
-    /// Summed cache occupancy across all models, in cells.
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.cluster.occupancy()
-    }
-
-    /// Per-model cache statistics, in admission order.
-    #[must_use]
-    pub fn cache_stats(&self) -> Vec<ModelCacheStats> {
-        self.cluster.cache_stats()
-    }
-}
-
-impl fmt::Debug for ModelRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ModelRegistry")
-            .field("models", &self.len())
-            .field("budget", &self.budget())
-            .field("occupancy", &self.occupancy())
-            .field("evictions", &self.evictions())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oxbar_nn::synthetic;
-    use oxbar_nn::zoo::{lenet5, resnet18};
-
-    fn lenet_spec(seed: u64) -> ModelSpec {
-        let network = lenet5();
-        let filters = synthetic::filter_banks(&network, 6, seed);
-        ModelSpec {
-            name: format!("lenet5_{seed}"),
-            network,
-            filters,
-            lm: None,
-        }
-    }
-
-    #[test]
-    fn admission_assigns_sequential_ids_and_distinct_seeds() {
-        let mut reg = ModelRegistry::new(SimConfig::ideal(64, 64), 1_000_000);
-        let a = reg.admit(lenet_spec(1)).unwrap();
-        let b = reg.admit(lenet_spec(2)).unwrap();
-        assert_eq!((a, b), (ModelId(0), ModelId(1)));
-        assert_ne!(
-            reg.executor(a).config().seed,
-            reg.executor(b).config().seed,
-            "each model draws its own programming-noise stream"
-        );
-    }
-
-    #[test]
-    fn residual_and_underfiltered_models_are_refused() {
-        let mut reg = ModelRegistry::new(SimConfig::ideal(64, 64), 1_000_000);
-        let residual = ModelSpec {
-            name: "resnet18".into(),
-            filters: synthetic::filter_banks(&resnet18(), 6, 3),
-            network: resnet18(),
-            lm: None,
-        };
-        assert!(matches!(reg.admit(residual), Err(AdmitError::Residual(_))));
-        let mut short = lenet_spec(4);
-        short.filters.pop();
-        assert!(matches!(
-            reg.admit(short),
-            Err(AdmitError::FilterCount {
-                expected: 5,
-                got: 4
-            })
-        ));
-    }
-
-    #[test]
-    fn budget_enforcement_evicts_lru_first() {
-        // One LeNet-5 on a 128×128 array compiles to ~61k cells, so a
-        // 100k budget admits one resident model but not two.
-        let mut reg = ModelRegistry::new(SimConfig::ideal(128, 128), 100_000);
-        let a = reg.admit(lenet_spec(1)).unwrap();
-        let b = reg.admit(lenet_spec(2)).unwrap();
-        for id in [a, b] {
-            let spec = reg.spec(id);
-            let input = synthetic::activations(spec.network.input(), 6, 9);
-            let (network, filters) = (spec.network.clone(), spec.filters.clone());
-            reg.executor(id)
-                .forward(&network, &input, &filters)
-                .unwrap();
-            reg.touch(id);
-        }
-        assert!(
-            reg.occupancy() > reg.budget(),
-            "two LeNets exceed 100k cells"
-        );
-        let evicted = reg.enforce_budget();
-        assert_eq!(evicted, 1, "one model must go");
-        assert_eq!(reg.evictions(), 1);
-        assert!(reg.occupancy() <= reg.budget());
-        let stats = reg.cache_stats();
-        assert_eq!(stats[a.0].cache.cells, 0, "model A was least recently used");
-        assert!(stats[b.0].cache.cells > 0, "model B survives");
-    }
 
     #[test]
     fn capacity_error_displays_footprint_and_candidates() {

@@ -4,8 +4,9 @@
 //! many rounds came before it (the arena pool, not the allocator, backs
 //! the per-tile execution).
 
+use oxbar_nn::reference::Tensor3;
 use oxbar_nn::synthetic;
-use oxbar_serve::{catalog, BatchPolicy, ServeConfig, ServeEngine};
+use oxbar_serve::{catalog, BatchPolicy, InferRequest, ModelId, ServeConfig, ServeEngine};
 use oxbar_sim::SimConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,6 +45,17 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Queues a deadline-free request at tick 0.
+fn submit_at_zero(engine: &mut ServeEngine, model: ModelId, input: Tensor3) {
+    let request = InferRequest {
+        model,
+        input,
+        arrival: 0,
+        deadline: None,
+    };
+    engine.try_submit(request).expect("valid request");
+}
+
 #[test]
 fn warm_batch_round_allocations_are_bounded() {
     let device = SimConfig::noisy(64, 64).with_threads(1);
@@ -60,9 +72,9 @@ fn warm_batch_round_allocations_are_bounded() {
     // Two rounds to program the tiles and settle the arena pool.
     for _ in 0..2 {
         for input in &inputs {
-            engine.submit_simple(lenet, input.clone());
+            submit_at_zero(&mut engine, lenet, input.clone());
         }
-        engine.drain();
+        engine.drain_traced();
     }
 
     // A warm round: 4 requests coalesced into one batch, every tile a
@@ -73,10 +85,10 @@ fn warm_batch_round_allocations_are_bounded() {
     let mut budget_checked = 0;
     for round in 0..3 {
         for input in &inputs {
-            engine.submit_simple(lenet, input.clone());
+            submit_at_zero(&mut engine, lenet, input.clone());
         }
         let allocs = allocations_in(|| {
-            let done = engine.drain();
+            let done = engine.drain_traced().completions;
             assert_eq!(done.len(), inputs.len());
         });
         let per_request = allocs / inputs.len() as u64;

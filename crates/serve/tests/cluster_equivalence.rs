@@ -14,6 +14,7 @@
 //!    serving — snapshot-based, bit-exact, no eviction — when a sibling
 //!    has occupancy room.
 
+use oxbar_nn::reference::Tensor3;
 use oxbar_nn::synthetic::{self, small_network};
 use oxbar_serve::request::request_seed;
 use oxbar_serve::{
@@ -22,6 +23,17 @@ use oxbar_serve::{
 };
 use oxbar_sim::SimConfig;
 use proptest::prelude::*;
+
+/// Queues a deadline-free request at tick 0.
+fn submit_at_zero(engine: &mut ServeEngine, model: ModelId, input: Tensor3) {
+    let request = InferRequest {
+        model,
+        input,
+        arrival: 0,
+        deadline: None,
+    };
+    engine.try_submit(request).expect("valid request");
+}
 
 /// Two random small sequential networks as the resident models.
 fn random_specs(seed: u64) -> [ModelSpec; 2] {
@@ -46,18 +58,20 @@ fn serve_trace(
         .collect();
     for i in 0..8u64 {
         let which = (request_seed(seed, i) % specs.len() as u64) as usize;
-        engine.submit(InferRequest {
-            model: ids[which],
-            input: synthetic::activations(
-                specs[which].network.input(),
-                6,
-                request_seed(seed ^ 0xBEEF, i),
-            ),
-            arrival: i / 2,
-            deadline: None,
-        });
+        engine
+            .try_submit(InferRequest {
+                model: ids[which],
+                input: synthetic::activations(
+                    specs[which].network.input(),
+                    6,
+                    request_seed(seed ^ 0xBEEF, i),
+                ),
+                arrival: i / 2,
+                deadline: None,
+            })
+            .expect("valid request");
     }
-    let mut done = engine.drain();
+    let mut done = engine.drain_traced().completions;
     done.sort_by_key(|c| c.id);
     (
         done.iter().map(|c| c.output.data().to_vec()).collect(),
@@ -176,9 +190,9 @@ fn overflow_hot_spot_migrates_between_chips_during_serving() {
 
     let shape = engine.input_shape(a);
     let input = move |seed| synthetic::activations(shape, 6, seed);
-    engine.submit_simple(a, input(1));
-    engine.submit_simple(c, input(2));
-    let done = engine.drain();
+    submit_at_zero(&mut engine, a, input(1));
+    submit_at_zero(&mut engine, c, input(2));
+    let done = engine.drain_traced().completions;
     assert_eq!(done.len(), 2);
 
     let stats = engine.stats();
@@ -206,8 +220,8 @@ fn overflow_hot_spot_migrates_between_chips_during_serving() {
     // never sharded (admission seeds are global, so model A is the same
     // device in both worlds).
     let misses_before = stats.models[a.0].cache.misses;
-    engine.submit_simple(a, input(1));
-    let replay = engine.drain();
+    submit_at_zero(&mut engine, a, input(1));
+    let replay = engine.drain_traced().completions;
     assert_eq!(
         engine.stats().models[a.0].cache.misses,
         misses_before,
@@ -218,8 +232,8 @@ fn overflow_hot_spot_migrates_between_chips_during_serving() {
     let oa = oracle.admit(catalog::lenet5_model()).unwrap();
     oracle.admit(catalog::lenet5_model()).unwrap();
     oracle.admit(catalog::lenet5_model()).unwrap();
-    oracle.submit_simple(oa, input(1));
-    let expect = oracle.drain();
+    submit_at_zero(&mut oracle, oa, input(1));
+    let expect = oracle.drain_traced().completions;
     assert_eq!(oa, a);
     assert_eq!(
         replay[0].output, expect[0].output,

@@ -37,9 +37,9 @@ fn run_trace(configure: impl FnOnce(ServeConfig) -> ServeConfig) -> Vec<Completi
         deadline_slack: Some(64),
     };
     for request in load.trace(|m| engine.input_shape(m)) {
-        engine.submit(request);
+        engine.try_submit(request).expect("valid request");
     }
-    let mut done = engine.drain();
+    let mut done = engine.drain_traced().completions;
     done.sort_by_key(|c| c.id);
     done
 }
@@ -138,9 +138,9 @@ fn prewarm_preserves_eviction_sequence() {
                 deadline_slack: None,
             };
             for request in load.trace(|m| engine.input_shape(m)) {
-                engine.submit(request);
+                engine.try_submit(request).expect("valid request");
             }
-            engine.drain();
+            engine.drain_traced();
             let stats = engine.stats();
             evictions.push(stats.evictions);
             occupancy.push(stats.occupancy_cells);

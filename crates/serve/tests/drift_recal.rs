@@ -63,16 +63,18 @@ fn drift_trace(
     for wave in 0..waves {
         for i in (wave * per_wave)..((wave + 1) * per_wave).min(n) {
             let which = (request_seed(seed, i) % specs.len() as u64) as usize;
-            engine.submit(InferRequest {
-                model: ids[which],
-                input: synthetic::activations(
-                    specs[which].network.input(),
-                    6,
-                    request_seed(seed ^ 0xBEEF, i),
-                ),
-                arrival: i,
-                deadline: None,
-            });
+            engine
+                .try_submit(InferRequest {
+                    model: ids[which],
+                    input: synthetic::activations(
+                        specs[which].network.input(),
+                        6,
+                        request_seed(seed ^ 0xBEEF, i),
+                    ),
+                    arrival: i,
+                    deadline: None,
+                })
+                .expect("valid request");
         }
         let trace = engine.drain_traced();
         for c in trace.completions {

@@ -1,9 +1,21 @@
 //! Eviction-policy behavior at the tile-budget boundary, and the
 //! cache-thrash vs weight-stationary serving scenario it creates.
 
+use oxbar_nn::reference::Tensor3;
 use oxbar_nn::synthetic;
-use oxbar_serve::{catalog, BatchPolicy, ModelId, ServeConfig, ServeEngine};
+use oxbar_serve::{catalog, BatchPolicy, InferRequest, ModelId, ServeConfig, ServeEngine};
 use oxbar_sim::SimConfig;
+
+/// Queues a deadline-free request at tick 0.
+fn submit_at_zero(engine: &mut ServeEngine, model: ModelId, input: Tensor3) {
+    let request = InferRequest {
+        model,
+        input,
+        arrival: 0,
+        deadline: None,
+    };
+    engine.try_submit(request).expect("valid request");
+}
 
 fn engine_with(budget: usize, policy: BatchPolicy) -> (ServeEngine, ModelId, ModelId) {
     let device = SimConfig::ideal(64, 64).with_threads(1);
@@ -20,8 +32,8 @@ fn engine_with(budget: usize, policy: BatchPolicy) -> (ServeEngine, ModelId, Mod
 /// Serves one request of the model and returns its cache footprint.
 fn footprint_of(engine: &mut ServeEngine, model: ModelId) -> usize {
     let input = synthetic::activations(engine.input_shape(model), 6, 0);
-    engine.submit_simple(model, input);
-    engine.drain();
+    submit_at_zero(engine, model, input);
+    engine.drain_traced();
     engine.stats().models[model.0].cache.cells
 }
 
@@ -30,9 +42,9 @@ fn serve_three_rounds(engine: &mut ServeEngine, a: ModelId, b: ModelId) {
     for seed in 0..3u64 {
         for model in [a, b] {
             let input = synthetic::activations(engine.input_shape(model), 6, seed);
-            engine.submit_simple(model, input);
+            submit_at_zero(engine, model, input);
         }
-        engine.drain();
+        engine.drain_traced();
     }
 }
 
@@ -110,9 +122,9 @@ fn batching_amortizes_reprogramming_under_a_tight_budget() {
         assert_eq!((a2, b2), (a, b));
         for &(model, seed) in &trace {
             let input = synthetic::activations(engine.input_shape(model), 6, seed);
-            engine.submit_simple(model, input);
+            submit_at_zero(&mut engine, model, input);
         }
-        let mut done = engine.drain();
+        let mut done = engine.drain_traced().completions;
         done.sort_by_key(|c| c.id);
         let outputs: Vec<Vec<i64>> = done.iter().map(|c| c.output.data().to_vec()).collect();
         (outputs, engine.stats())

@@ -2,8 +2,10 @@
 //!
 //! The contract under test: a [`FaultPlan`] keyed on the global batch
 //! dispatch counter makes every fault decision — failover target, retry
-//! count, shed set, recovery — a pure function of the trace and the
-//! plan, so it is invariant under the dispatch worker count; and because
+//! count, shed set, recovery — deterministic. The decisions match across
+//! worker counts for a fixed plan on replicated chips with roomy budgets
+//! and for a kill on a recovery destination; other mixes may differ by
+//! worker count in their counters, never in their answers. Because
 //! replicas share each model's admission seed (and recovery restores
 //! programmed state bit-exactly from the PCM snapshot), every request
 //! that survives answers byte-identically to a cluster that never
@@ -16,7 +18,7 @@ use oxbar_serve::{
     catalog, BatchPolicy, ChipHealth, FaultPlan, InferRequest, ModelId, ModelSpec, PlacementPolicy,
     RequestId, ServeConfig, ServeEngine, ShedNotice,
 };
-use oxbar_sim::SimConfig;
+use oxbar_sim::{DeviceExecutor, SimConfig};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::collections::BTreeMap;
@@ -38,34 +40,33 @@ struct FaultedRun {
     stats: oxbar_serve::EngineStats,
 }
 
-/// Runs an `n`-request trace (mixed across `specs`, arrivals `i / 2`,
-/// deadlines chosen by `deadline_of`) through an engine built from
-/// `config`, one drain.
-fn faulted_trace(
+/// Serves one drain of `(spec index, arrival, deadline)` requests on an
+/// engine built from `config`; request `i`'s input is seeded from
+/// `(seed, i)`.
+fn serve_trace(
     config: ServeConfig,
     specs: &[ModelSpec],
     seed: u64,
-    n: u64,
-    deadline_of: impl Fn(u64, u64) -> Option<u64>,
+    requests: impl IntoIterator<Item = (usize, u64, Option<u64>)>,
 ) -> FaultedRun {
     let mut engine = ServeEngine::new(config);
     let ids: Vec<ModelId> = specs
         .iter()
         .map(|s| engine.admit(s.clone()).expect("small models admit"))
         .collect();
-    for i in 0..n {
-        let which = (request_seed(seed, i) % specs.len() as u64) as usize;
-        let arrival = i / 2;
-        engine.submit(InferRequest {
-            model: ids[which],
-            input: synthetic::activations(
-                specs[which].network.input(),
-                6,
-                request_seed(seed ^ 0xBEEF, i),
-            ),
-            arrival,
-            deadline: deadline_of(i, arrival),
-        });
+    for (i, (which, arrival, deadline)) in (0u64..).zip(requests) {
+        engine
+            .try_submit(InferRequest {
+                model: ids[which],
+                input: synthetic::activations(
+                    specs[which].network.input(),
+                    6,
+                    request_seed(seed ^ 0xBEEF, i),
+                ),
+                arrival,
+                deadline,
+            })
+            .expect("trace requests are valid");
     }
     let trace = engine.drain_traced();
     let outputs = trace
@@ -80,6 +81,24 @@ fn faulted_trace(
         sheds,
         stats: engine.stats(),
     }
+}
+
+/// Runs an `n`-request trace (mixed across `specs`, arrivals `i / 2`,
+/// deadlines chosen by `deadline_of`) through an engine built from
+/// `config`, one drain.
+fn faulted_trace(
+    config: ServeConfig,
+    specs: &[ModelSpec],
+    seed: u64,
+    n: u64,
+    deadline_of: impl Fn(u64, u64) -> Option<u64>,
+) -> FaultedRun {
+    let requests = (0..n).map(|i| {
+        let which = (request_seed(seed, i) % specs.len() as u64) as usize;
+        let arrival = i / 2;
+        (which, arrival, deadline_of(i, arrival))
+    });
+    serve_trace(config, specs, seed, requests)
 }
 
 /// Body of the worker-count invariance property, kept outside the
@@ -143,6 +162,79 @@ fn check_worker_count_invariance(seed: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Body of the random fault-mix property: kills, transients and drift
+/// on 2–4 chips under every placement policy, with roomy budgets or
+/// budgets of one model each (so models migrate), at 1–4 workers.
+fn check_random_fault_mix(seed: u64) -> Result<(), TestCaseError> {
+    let draw = |k: u64| request_seed(seed ^ 0xFA17, k);
+    let device = SimConfig::ideal(32, 16).with_seed(seed).with_threads(1);
+    let network = small_network(seed);
+    let footprint = DeviceExecutor::new(device.clone()).model_footprint_cells(&network);
+    let specs: Vec<ModelSpec> = (0..2 + draw(1) % 3)
+        .map(|m| catalog::spec_from_network(network.clone(), 100 + m))
+        .collect();
+    let chips = 2 + (draw(2) % 3) as usize;
+    let n = 8 + draw(3) % 9;
+    let mut plan = FaultPlan::new();
+    for k in 0..1 + draw(4) % 3 {
+        plan = plan.kill_chip(draw(10 + k) % n, (draw(20 + k) % chips as u64) as usize);
+    }
+    for k in 0..draw(5) % 3 {
+        plan = plan.tile_transient(draw(30 + k) % n, (draw(40 + k) % chips as u64) as usize);
+    }
+    if draw(6).is_multiple_of(2) {
+        plan = plan.drift(draw(50) % n, (draw(51) % chips as u64) as usize);
+    }
+    let placement = [
+        PlacementPolicy::FirstFit,
+        PlacementPolicy::LeastLoaded,
+        PlacementPolicy::Replicated(2),
+    ][(draw(7) % 3) as usize];
+    let budget = if draw(8).is_multiple_of(2) {
+        footprint
+    } else {
+        200_000
+    };
+    let base = ServeConfig::new(device)
+        .with_policy(BatchPolicy::new(1 + (draw(9) % 3) as usize, draw(60) % 4))
+        .with_chips(vec![budget; chips])
+        .with_placement(placement)
+        .with_prewarm(draw(61).is_multiple_of(2))
+        .with_failover_penalty(draw(62) % 5);
+    let models = specs.len() as u64;
+    let requests = || {
+        (0..n).map(move |i| {
+            let arrival = i / 2;
+            let which = (draw(100 + i) % models) as usize;
+            (
+                which,
+                arrival,
+                draw(200 + i).is_multiple_of(4).then_some(arrival + 1),
+            )
+        })
+    };
+    let oracle = serve_trace(base.clone(), &specs, seed, requests());
+    for workers in 1..=4 {
+        let config = base.clone().with_workers(workers).with_faults(plan.clone());
+        let run = serve_trace(config, &specs, seed, requests());
+        prop_assert_eq!(run.outputs.len() + run.sheds.len(), n as usize);
+        for shed in &run.sheds {
+            prop_assert!(!run.outputs.contains_key(&shed.id));
+            // Fates never pick a chip whose executors are dead, so no
+            // batch is ever refused at run time.
+            prop_assert!(!shed.detail.contains("refused"), "{}", shed.detail);
+        }
+        for (id, output) in &run.outputs {
+            prop_assert_eq!(Some(output), oracle.outputs.get(id));
+        }
+        let chip_retries: u64 = run.stats.chips.iter().map(|c| c.retries).sum();
+        let chip_sheds: u64 = run.stats.chips.iter().map(|c| c.sheds).sum();
+        prop_assert_eq!(chip_retries, run.stats.retries);
+        prop_assert_eq!(chip_sheds, run.stats.sheds);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -153,6 +245,18 @@ proptest! {
     #[test]
     fn faulted_serving_is_worker_count_invariant_and_loses_nothing(seed in 0u64..10_000) {
         check_worker_count_invariance(seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Random fault mixes, placements, budgets and worker counts: nothing
+    // is lost, no batch meets a dead executor, every survivor answers
+    // like the never-faulted oracle, and per-chip counters reconcile.
+    #[test]
+    fn random_fault_mixes_lose_nothing_at_any_worker_count(seed in 0u64..10_000) {
+        check_random_fault_mix(seed)?;
     }
 }
 
@@ -211,12 +315,14 @@ fn unreplicated_model_recovers_from_its_snapshot_after_a_chip_kill() {
         let a = engine.admit(catalog::lenet5_model()).unwrap();
         let shape = engine.input_shape(a);
         for i in 0..6u64 {
-            engine.submit(InferRequest {
-                model: a,
-                input: synthetic::activations(shape, 6, i),
-                arrival: i,
-                deadline: None,
-            });
+            engine
+                .try_submit(InferRequest {
+                    model: a,
+                    input: synthetic::activations(shape, 6, i),
+                    arrival: i,
+                    deadline: None,
+                })
+                .expect("valid request");
         }
         let trace = engine.drain_traced();
         (trace, engine.stats())
@@ -374,4 +480,79 @@ fn drift_degrades_routing_preference_without_changing_answers() {
     assert_eq!(drifted.stats.retries, 0, "degraded is not failed");
     assert_eq!(drifted.stats.chips[0].health, ChipHealth::Degraded);
     assert_eq!(drifted.stats.chips[1].health, ChipHealth::Healthy);
+}
+
+#[test]
+fn a_kill_on_a_recovery_destination_recovers_again_for_any_worker_count() {
+    // One unreplicated model on three chips. Chip 0 dies at dispatch 1,
+    // so the model is restored onto chip 1; chip 1 — the recovery
+    // destination — dies at dispatch 4, so it is restored again, onto
+    // chip 2. Each kill re-routes exactly one batch and charges it to
+    // the chip that died, whatever the worker count.
+    let specs = &random_specs(7)[..1];
+    let device = SimConfig::ideal(32, 16).with_seed(7).with_threads(1);
+    let base = ServeConfig::new(device)
+        .with_policy(BatchPolicy::new(1, 0))
+        .with_chips(vec![200_000; 3])
+        .with_placement(PlacementPolicy::FirstFit);
+    let requests = || (0..8).map(|i| (0, i, None));
+    let oracle = serve_trace(base.clone(), specs, 7, requests());
+    for workers in [1, 3] {
+        let plan = FaultPlan::new().kill_chip(1, 0).kill_chip(4, 1);
+        let run = serve_trace(
+            base.clone().with_workers(workers).with_faults(plan),
+            specs,
+            7,
+            requests(),
+        );
+        assert_eq!(run.outputs, oracle.outputs, "{workers} workers: outputs");
+        assert!(run.sheds.is_empty(), "{workers} workers: nothing sheds");
+        assert_eq!(run.stats.recoveries, 2, "{workers} workers: recoveries");
+        assert_eq!(run.stats.retries, 2, "{workers} workers: retries");
+        let per_chip: Vec<u64> = run.stats.chips.iter().map(|c| c.retries).collect();
+        assert_eq!(per_chip, [1, 1, 0], "{workers} workers: per-chip retries");
+    }
+}
+
+#[test]
+fn a_kill_on_a_migration_destination_loses_nothing() {
+    // Three chips that each fit one model and four models: model 3
+    // overflows onto chip 0, so alternating traffic on models 0 and 3
+    // makes chip 0 migrate one of them to an idle sibling. A kill of
+    // chip 1 anywhere in the trace must find the models that live there
+    // now. Which model migrates depends on the worker count (budgets are
+    // enforced once per round), so worker invariance is not asserted.
+    let device = SimConfig::ideal(32, 16).with_seed(7).with_threads(1);
+    let network = small_network(7);
+    let footprint = DeviceExecutor::new(device.clone()).model_footprint_cells(&network);
+    let specs: Vec<ModelSpec> = (100..104)
+        .map(|seed| catalog::spec_from_network(network.clone(), seed))
+        .collect();
+    let base = ServeConfig::new(device)
+        .with_policy(BatchPolicy::new(1, 0))
+        .with_chips(vec![footprint; 3])
+        .with_placement(PlacementPolicy::FirstFit);
+    let requests = || (0..12).map(|i| (if i % 2 == 0 { 0 } else { 3 }, i, None));
+    let oracle = serve_trace(base.clone(), &specs, 7, requests());
+    assert_eq!(oracle.outputs.len(), 12);
+    for workers in [1, 3] {
+        for kill in 2..10 {
+            let config = base
+                .clone()
+                .with_workers(workers)
+                .with_faults(FaultPlan::new().kill_chip(kill, 1));
+            let run = serve_trace(config, &specs, 7, requests());
+            let case = format!("{workers} workers, kill at {kill}");
+            assert_eq!(
+                run.outputs.len() + run.sheds.len(),
+                12,
+                "{case}: conservation"
+            );
+            for (id, output) in &run.outputs {
+                assert_eq!(Some(output), oracle.outputs.get(id), "{case}: {id:?}");
+            }
+            let per_chip: u64 = run.stats.chips.iter().map(|c| c.retries).sum();
+            assert_eq!(per_chip, run.stats.retries, "{case}: retries reconcile");
+        }
+    }
 }

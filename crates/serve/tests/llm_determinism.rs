@@ -23,14 +23,16 @@ fn mixed_trace(config: ServeConfig) -> (Vec<Completion>, Vec<Vec<u32>>) {
     let a = engine.begin_sequence(llm, 5, 8, 0, 1).expect("sequence a");
     let b = engine.begin_sequence(llm, 20, 8, 1, 1).expect("sequence b");
     for i in 0..4u64 {
-        engine.submit(InferRequest {
-            model: lenet,
-            input: synthetic::activations(engine.input_shape(lenet), 6, i),
-            arrival: i,
-            deadline: Some(i + 200),
-        });
+        engine
+            .try_submit(InferRequest {
+                model: lenet,
+                input: synthetic::activations(engine.input_shape(lenet), 6, i),
+                arrival: i,
+                deadline: Some(i + 200),
+            })
+            .expect("valid request");
     }
-    let done = engine.drain();
+    let done = engine.drain_traced().completions;
     assert!(engine.sequence_finished(a) && engine.sequence_finished(b));
     assert!(!engine.sequence_shed(a) && !engine.sequence_shed(b));
     let tokens = vec![

@@ -32,7 +32,7 @@ fn oracle_tokens(prompt: u32, steps: usize) -> Vec<u32> {
     let seq = engine
         .begin_sequence(llm, prompt, steps, 0, 1)
         .expect("sequence");
-    engine.drain();
+    engine.drain_traced();
     engine.sequence_tokens(seq).to_vec()
 }
 

@@ -56,9 +56,9 @@ proptest! {
             })
             .collect();
         for request in &requests {
-            engine.submit(request.clone());
+            engine.try_submit(request.clone()).expect("valid request");
         }
-        let mut done = engine.drain();
+        let mut done = engine.drain_traced().completions;
         done.sort_by_key(|c| c.id);
         prop_assert_eq!(done.len(), requests.len());
 

@@ -119,7 +119,7 @@ fn concurrent_connections_match_the_in_process_engine() {
                 .expect("oracle submits");
         }
     }
-    let mut oracle_done = oracle_engine.drain();
+    let mut oracle_done = oracle_engine.drain_traced().completions;
     assert_eq!(oracle_done.len(), CONNECTIONS * WAVES);
     oracle_done.sort_by_key(|d| d.id);
     let by_submission: HashMap<(usize, usize), &Tensor3> = oracle_done

@@ -63,8 +63,8 @@ proptest! {
             oracle.try_submit(request.clone()).expect("sorted trace admits");
         }
 
-        let scrambled_done = scrambled.drain();
-        let oracle_done = oracle.drain();
+        let scrambled_done = scrambled.drain_traced().completions;
+        let oracle_done = oracle.drain_traced().completions;
         prop_assert_eq!(scrambled_done.len(), requests.len());
 
         // Identical dispatch schedule and bytes: same (arrival, output,
@@ -113,6 +113,6 @@ proptest! {
             deadline: None,
         };
         prop_assert!(e.try_submit(ok).is_ok());
-        prop_assert_eq!(e.drain().len(), 1);
+        prop_assert_eq!(e.drain_traced().completions.len(), 1);
     }
 }

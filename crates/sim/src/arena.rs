@@ -52,10 +52,6 @@ pub struct ExecArena {
     /// The execution's output: per-pixel signed partials
     /// (`pixels × logical cols`, row-major).
     pub(crate) partials: Vec<i64>,
-    /// Stacked per-channel partials of a WDM multi-channel execution
-    /// (`channels × pixels × logical cols`, channel-major; see
-    /// [`crate::tile::execute_channels_into`]).
-    pub(crate) channel_partials: Vec<i64>,
     /// Reusable im2col drive buffers (executor-level).
     pub(crate) drive: TileDrive,
     /// Reusable `(ky, kx, channel)` row-decode taps for im2col gathering
@@ -81,7 +77,6 @@ impl Default for ExecArena {
             raw: Vec::new(),
             recovered: Vec::new(),
             partials: Vec::new(),
-            channel_partials: Vec::new(),
             drive: TileDrive::empty(),
             taps: Vec::new(),
             lanes: Vec::new(),
@@ -101,13 +96,5 @@ impl ExecArena {
     /// Rows of [`Self::partials`], one `cols`-long slice per pixel.
     pub fn partial_rows(&self, cols: usize) -> impl Iterator<Item = &[i64]> {
         self.partials.chunks_exact(cols)
-    }
-
-    /// The stacked per-channel partials the last
-    /// [`crate::tile::execute_channels_into`] wrote, as a flat
-    /// channel-major `channels × pixels × cols` matrix.
-    #[must_use]
-    pub fn channel_partials(&self) -> &[i64] {
-        &self.channel_partials
     }
 }

@@ -242,38 +242,17 @@ struct ProgrammedTile {
     sim: CrossbarSimulator,
 }
 
-/// Maps the tile weights, programs the PCM array, and builds the seeded
-/// tile-sized crossbar simulator for wavelength channel 0.
-fn program_tile(values: &[Vec<i8>], config: &SimConfig, seed: u64) -> ProgrammedTile {
-    program_tile_channel(values, config, seed, 0)
-}
-
-/// [`program_tile`] for one WDM wavelength channel: the PCM programming
-/// stream (and drift) is shared — every channel reads the *same*
-/// non-volatile array state — while the crossbar's phase-error stream is
-/// per-channel ([`crate::config::channel_seed`]), because each wavelength
-/// sees its own residual phase landscape. Channel 0 is bit-identical to
-/// the single-wavelength pipeline.
-fn program_tile_channel(
+/// Maps the tile weights, programs the PCM array at drift elapsed time
+/// `elapsed`, and builds the seeded tile-sized crossbar simulator. This is
+/// also the aging/recalibration entry point: an aged readout re-derives
+/// the *same* programming stream (the RNG is a pure function of the seed,
+/// independent of elapsed) at a later drift time, and a recalibration
+/// re-derives it at the baseline — making a recalibrated tile bit-exact to
+/// a freshly programmed one.
+fn program_tile(
     values: &[Vec<i8>],
     config: &SimConfig,
     seed: u64,
-    channel: usize,
-) -> ProgrammedTile {
-    program_tile_channel_at(values, config, seed, channel, config.noise.drift_elapsed)
-}
-
-/// [`program_tile_channel`] at an explicit drift elapsed time, overriding
-/// the config's `drift_elapsed`. This is the aging/recalibration entry
-/// point: an aged readout re-derives the *same* programming stream (the
-/// RNG is a pure function of the seed, independent of elapsed) at a later
-/// drift time, and a recalibration re-derives it at the baseline — making
-/// a recalibrated tile bit-exact to a freshly programmed one.
-fn program_tile_channel_at(
-    values: &[Vec<i8>],
-    config: &SimConfig,
-    seed: u64,
-    channel: usize,
     elapsed: Time,
 ) -> ProgrammedTile {
     let rows = values.len();
@@ -319,7 +298,7 @@ fn program_tile_channel_at(
 
     let mut xbar = CrossbarConfig::new(rows, pcols)
         .with_phase_error_sigma(config.noise.phase_sigma_rad)
-        .with_phase_error_seed(crate::config::channel_seed(seed, channel))
+        .with_phase_error_seed(seed)
         .with_trim_resolution(config.noise.trim_resolution_rad);
     if config.noise.with_losses {
         xbar = xbar.with_losses(true).with_path_loss_compensation(true);
@@ -399,46 +378,23 @@ pub struct CompiledTile {
     values: Vec<i8>,
     /// Rows of the value matrix (`values.len() / rows` columns).
     value_rows: usize,
-    /// The WDM wavelength channel this state was compiled for (0 for the
-    /// single-wavelength pipeline). Channels share the programmed PCM
-    /// transmissions but carry channel-specific residual phases.
-    channel: usize,
     mapped: MappedWeights,
     program: ProgramReport,
     compiled: CompiledCrossbar,
 }
 
 impl CompiledTile {
-    /// Programs the tile and compiles its transfer matrix (wavelength
-    /// channel 0 — bit-identical to the pre-WDM pipeline).
+    /// Programs the tile and compiles its transfer matrix.
     ///
     /// # Panics
     ///
     /// Panics if the tile weights exceed the configured code range.
     #[must_use]
     pub fn compile(tile: &WeightTile, config: &SimConfig, seed: u64) -> Self {
-        Self::compile_channel(tile, config, seed, 0)
+        Self::compile_at(tile, config, seed, config.noise.drift_elapsed)
     }
 
-    /// [`Self::compile`] for one WDM wavelength channel of the shared
-    /// array: the PCM programming (codes, variation, drift) is identical
-    /// across channels, the residual phase landscape is per-channel
-    /// (seeded by [`crate::config::channel_seed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tile weights exceed the configured code range.
-    #[must_use]
-    pub fn compile_channel(
-        tile: &WeightTile,
-        config: &SimConfig,
-        seed: u64,
-        channel: usize,
-    ) -> Self {
-        Self::compile_channel_at(tile, config, seed, channel, config.noise.drift_elapsed)
-    }
-
-    /// [`Self::compile_channel`] at an explicit drift elapsed time. Aged
+    /// [`Self::compile`] at an explicit drift elapsed time. Aged
     /// readouts compile at `drift_elapsed + age · drift_tick`; a
     /// recalibration compiles at the baseline `drift_elapsed`, which is
     /// bit-exact to a fresh program because every stochastic draw is a
@@ -448,14 +404,8 @@ impl CompiledTile {
     ///
     /// Panics if the tile weights exceed the configured code range.
     #[must_use]
-    pub fn compile_channel_at(
-        tile: &WeightTile,
-        config: &SimConfig,
-        seed: u64,
-        channel: usize,
-        elapsed: Time,
-    ) -> Self {
-        let programmed = program_tile_channel_at(&tile.values, config, seed, channel, elapsed);
+    pub fn compile_at(tile: &WeightTile, config: &SimConfig, seed: u64, elapsed: Time) -> Self {
+        let programmed = program_tile(&tile.values, config, seed, elapsed);
         let (rows, cols) = (tile.rows(), tile.cols());
         let mut values = Vec::with_capacity(rows * cols);
         for c in 0..cols {
@@ -464,17 +414,10 @@ impl CompiledTile {
         Self {
             values,
             value_rows: rows,
-            channel,
             compiled: CompiledCrossbar::new(&programmed.sim, &programmed.transmissions),
             mapped: programmed.mapped,
             program: programmed.program,
         }
-    }
-
-    /// The WDM wavelength channel this state was compiled for.
-    #[must_use]
-    pub fn channel(&self) -> usize {
-        self.channel
     }
 
     /// The signed weight codes this state was compiled from, as a flat
@@ -695,48 +638,6 @@ impl CompiledTile {
     }
 }
 
-/// Executes every WDM wavelength channel of one programmed tile against a
-/// shared drive, stacking the per-channel signed partials into
-/// [`ExecArena::channel_partials`] as a flat channel-major
-/// `channels × pixels × logical cols` matrix.
-///
-/// The channels are the per-wavelength compiled states of **one**
-/// physical tile (same codes, same geometry, channel-specific residual
-/// phases — see [`CompiledTile::compile_channel`]); each channel's block
-/// is byte-identical to what [`CompiledTile::execute_into`] writes for
-/// that channel alone, so K = 1 is exactly the single-wavelength hot
-/// path. A warm arena is reused without touching the heap.
-///
-/// # Panics
-///
-/// Panics if `channels` is empty, if the channels disagree on geometry,
-/// or if the drive's window length disagrees with the tile rows.
-pub fn execute_channels_into(
-    channels: &[&CompiledTile],
-    drive: &TileDrive,
-    config: &SimConfig,
-    dedupe: bool,
-    arena: &mut ExecArena,
-) {
-    let first = *channels.first().expect("at least one wavelength channel");
-    let lcols = first.logical_cols();
-    let stride = drive.pixels() * lcols;
-    arena.channel_partials.resize(channels.len() * stride, 0);
-    for (k, tile) in channels.iter().enumerate() {
-        assert_eq!(
-            (tile.value_rows, tile.logical_cols()),
-            (first.value_rows, lcols),
-            "every channel must share the tile geometry"
-        );
-        debug_assert_eq!(
-            tile.values, first.values,
-            "channels of one tile must share the programmed codes"
-        );
-        tile.execute_into(drive, config, dedupe, arena);
-        arena.channel_partials[k * stride..][..stride].copy_from_slice(&arena.partials);
-    }
-}
-
 /// Executes one weight tile against its input windows on the default
 /// (compiled transfer-matrix) engine.
 ///
@@ -780,7 +681,7 @@ pub fn run_tile_with(
         MvmEngine::FieldWalk => {
             let rows = tile.rows();
             assert_eq!(drive.rows(), rows, "windows must match tile rows");
-            let programmed = program_tile(&tile.values, config, seed);
+            let programmed = program_tile(&tile.values, config, seed, config.noise.drift_elapsed);
             let pcols = programmed.mapped.physical_cols();
             let readout = ReadoutChain::new(config, rows);
             let v_max = config.v_max() as f64;
@@ -923,87 +824,5 @@ mod tests {
         for (got, want) in a.partials[0].iter().zip(&exact) {
             assert!(((got - want).abs() as f64) < 0.05 * full_scale);
         }
-    }
-
-    fn wdm_tile_and_drive() -> (WeightTile, TileDrive) {
-        let conv = Conv2d::new("c", TensorShape::new(1, 1, 64), 1, 1, 8, 1, 0);
-        let bank = synthetic::filter_bank(&conv, 6, 31);
-        let plan = FoldPlan::plan(&conv, 64, 8, 1);
-        let tile = WeightTiles::new(&conv, &bank.weights, &plan)
-            .next()
-            .unwrap();
-        let windows: Vec<Vec<u8>> = (0..3)
-            .map(|p| {
-                (0..tile.rows())
-                    .map(|r| ((r * 5 + p * 17) % 64) as u8)
-                    .collect()
-            })
-            .collect();
-        let drive = TileDrive::from_windows(&windows, None);
-        (tile, drive)
-    }
-
-    #[test]
-    fn channel_zero_compile_is_bit_identical() {
-        let (tile, drive) = wdm_tile_and_drive();
-        for config in [SimConfig::ideal(64, 8), SimConfig::noisy(64, 8)] {
-            let base = CompiledTile::compile(&tile, &config, 77);
-            let ch0 = CompiledTile::compile_channel(&tile, &config, 77, 0);
-            assert_eq!(ch0.channel(), 0);
-            assert_eq!(ch0.program(), base.program());
-            assert_eq!(
-                ch0.execute(&drive, &config, true).partials,
-                base.execute(&drive, &config, true).partials
-            );
-        }
-    }
-
-    #[test]
-    fn channels_share_codes_but_see_distinct_phases() {
-        let (tile, drive) = wdm_tile_and_drive();
-        // Untrimmed 0.1 rad phase error at exact readout: the coherent
-        // column amplitude is second-order insensitive to phase, so the
-        // paper-typical trimmed residual (≤ 0.005 rad) quantizes to the
-        // same integers on both channels; a free-running phase landscape
-        // makes the per-channel difference first-order visible.
-        let mut noise = crate::config::NoiseModel::paper_typical();
-        noise.phase_sigma_rad = 0.1;
-        noise.trim_resolution_rad = 0.0;
-        let config = SimConfig::noisy(64, 8)
-            .with_noise(noise)
-            .with_readout(Readout::Exact);
-        let ch0 = CompiledTile::compile_channel(&tile, &config, 77, 0);
-        let ch1 = CompiledTile::compile_channel(&tile, &config, 77, 1);
-        // One non-volatile array: identical programming across wavelengths.
-        assert_eq!(ch0.program(), ch1.program());
-        assert_eq!(ch0.values(), ch1.values());
-        // ... but a channel-specific residual phase landscape.
-        assert_ne!(
-            ch0.execute(&drive, &config, true).partials,
-            ch1.execute(&drive, &config, true).partials
-        );
-    }
-
-    #[test]
-    fn stacked_channel_execution_matches_per_channel_runs() {
-        let (tile, drive) = wdm_tile_and_drive();
-        let config = SimConfig::noisy(64, 8);
-        let compiled: Vec<CompiledTile> = (0..3)
-            .map(|k| CompiledTile::compile_channel(&tile, &config, 77, k))
-            .collect();
-        let refs: Vec<&CompiledTile> = compiled.iter().collect();
-        let mut arena = ExecArena::default();
-        execute_channels_into(&refs, &drive, &config, true, &mut arena);
-        let stacked = arena.channel_partials().to_vec();
-        let lcols = compiled[0].logical_cols();
-        let stride = drive.pixels() * lcols;
-        assert_eq!(stacked.len(), 3 * stride);
-        for (k, tile_k) in compiled.iter().enumerate() {
-            let alone: Vec<i64> = tile_k.execute(&drive, &config, true).partials.concat();
-            assert_eq!(&stacked[k * stride..][..stride], &alone[..], "channel {k}");
-        }
-        // Warm rerun: same arena, byte-identical stack.
-        execute_channels_into(&refs, &drive, &config, true, &mut arena);
-        assert_eq!(arena.channel_partials(), &stacked[..]);
     }
 }

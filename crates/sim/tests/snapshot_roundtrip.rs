@@ -87,7 +87,7 @@ fn check_snapshot_under_concurrent_prewarm(seed: u64) -> Result<(), TestCaseErro
         let mut keys = HashSet::new();
         for t in &snap.tiles {
             prop_assert!(
-                keys.insert((t.layer, t.tile, t.channel, t.seed)),
+                keys.insert((t.layer, t.tile, t.seed)),
                 "duplicate tile in a mid-prewarm snapshot"
             );
         }

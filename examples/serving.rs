@@ -40,10 +40,12 @@ fn main() {
         deadline_slack: Some(64),
     };
     for request in load.trace(|m| engine.input_shape(m)) {
-        engine.submit(request);
+        engine
+            .try_submit(request)
+            .expect("trace requests are valid");
     }
 
-    let completions = engine.drain();
+    let completions = engine.drain_traced().completions;
     println!("served {} requests", completions.len());
     for (model, name) in &models {
         let count = completions.iter().filter(|c| c.model == *model).count();

@@ -83,8 +83,8 @@ fn one_object_from_each_subcrate_via_facade() {
         arrival: 0,
         deadline: None,
     };
-    serve_engine.submit(request);
-    let completions = serve_engine.drain();
+    serve_engine.try_submit(request).expect("valid request");
+    let completions = serve_engine.drain_traced().completions;
     assert_eq!(completions.len(), 1);
     assert_eq!(serve_engine.stats().requests, 1);
 }
