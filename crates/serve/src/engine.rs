@@ -14,8 +14,9 @@ use oxbar_sim::{DeviceExecutor, ExecError, FaultEvent, FaultPlan, InjectedFault,
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// How many times one request's execute retries through transient tile
-/// faults before the batch escalates to failover.
+/// How many times one execute call (a batch's CNN forward, or one decode
+/// step) retries through transient tile faults before the batch
+/// escalates to failover.
 const MAX_TILE_RETRIES: usize = 3;
 
 /// Hard per-sequence cap on decode steps, so a hostile `Generate` cannot
@@ -247,7 +248,9 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Tile-level cache hit rate aggregated over every model.
+    /// Tile-level cache hit rate aggregated over every model. A batch
+    /// looks each tile up once, so larger batches lower it while cutting
+    /// the misses per request.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         let (hits, misses) = self.models.iter().fold((0u64, 0u64), |(h, m), s| {
@@ -442,6 +445,16 @@ struct Sequence {
     shed: bool,
 }
 
+impl Sequence {
+    /// Ends the sequence and frees its KV cache: no step of it will run
+    /// again, and only `tokens`, `finished` and `shed` stay readable.
+    fn finish(&mut self, shed: bool) {
+        self.finished = true;
+        self.shed = shed;
+        self.cache.blocks = Vec::new();
+    }
+}
+
 /// One executed batch member: the completion plus, for a token step, the
 /// device outcome the serial completion loop applies to the sequence
 /// (KV-cache append, next-token advance, next-step submission).
@@ -563,7 +576,8 @@ pub struct ServeEngine {
     /// a batch (events can outpace a chip's traffic within one drain):
     /// per chip, the fault-plan rounds that armed them.
     pending_transients: Vec<Vec<u64>>,
-    /// Every sequence ever begun, indexed by [`SequenceId`].
+    /// Every sequence ever begun, indexed by [`SequenceId`]; a finished
+    /// one keeps its tokens and flags but not its KV cache.
     sequences: Vec<Sequence>,
     /// Decode steps completed across all sequences.
     tokens: u64,
@@ -1252,7 +1266,7 @@ impl ServeEngine {
             let arrival = sequence.next_arrival;
             self.enqueue(token_request(model, token, arrival), Some(seq_id));
         } else {
-            sequence.finished = true;
+            sequence.finish(false);
         }
     }
 
@@ -1275,9 +1289,7 @@ impl ServeEngine {
                 // Shedding a decode step ends its whole sequence: no
                 // further token is enqueued, and the client is told via
                 // the notice (plus the `shed` accessor).
-                let sequence = &mut self.sequences[usize::try_from(seq_id).expect("sequence id")];
-                sequence.finished = true;
-                sequence.shed = true;
+                self.sequences[usize::try_from(seq_id).expect("sequence id")].finish(true);
             }
             notices.push(ShedNotice {
                 id: q.id,
@@ -1479,12 +1491,14 @@ impl ServeEngine {
         targets
     }
 
-    /// Runs every non-shed member of a batch on one executor, retrying
-    /// through transient tile faults (bounded at [`MAX_TILE_RETRIES`] per
-    /// member — a one-shot transient needs exactly one). Members carrying
-    /// a sequence id run one decode step via [`lm_step`] instead of a
-    /// CNN forward; reading `self.sequences` here is safe because a
-    /// sequence has at most one step in flight per pass.
+    /// Runs every non-shed member of a batch on one executor, each call
+    /// retrying through transient tile faults (bounded at
+    /// [`MAX_TILE_RETRIES`] — a one-shot transient needs exactly one). The
+    /// CNN members run as one batch-major
+    /// [`DeviceExecutor::try_forward_batch`], so each tile is programmed
+    /// at most once per batch; members carrying a sequence id run one
+    /// decode step each via [`lm_step`]. Reading `self.sequences` here is
+    /// safe because a sequence has at most one step in flight per pass.
     fn execute_on(
         &self,
         batch: &Batch,
@@ -1493,57 +1507,58 @@ impl ServeEngine {
         shed: &[usize],
     ) -> Result<Vec<Executed>, ExecError> {
         let spec = self.registry.spec(batch.model);
-        let survivors: Vec<usize> = batch
+        let survivors: Vec<&Queued> = batch
             .members
             .iter()
-            .copied()
             .filter(|s| !shed.contains(s))
+            .map(|&s| &queue[s])
             .collect();
+        let inputs: Vec<&Tensor3> = survivors
+            .iter()
+            .filter(|q| q.sequence.is_none())
+            .map(|q| &q.request.input)
+            .collect();
+        let mut forwards = if inputs.is_empty() {
+            Vec::new()
+        } else {
+            retry_transients(|| executor.try_forward_batch(&spec.network, &inputs, &spec.filters))?
+        }
+        .into_iter();
         let mut out = Vec::with_capacity(survivors.len());
-        for &slot in &survivors {
-            let q = &queue[slot];
-            let sequence = q.sequence.map(|id| {
-                (
-                    id,
-                    &self.sequences[usize::try_from(id).expect("sequence id")],
-                )
-            });
-            let mut attempts = 0usize;
-            let (output, outcome) = loop {
-                let attempt = match sequence {
-                    Some((id, seq)) => lm_step(
-                        executor,
-                        &spec.network,
-                        &spec.filters,
-                        spec.lm.as_ref().expect("sequence targets a language model"),
-                        &seq.cache,
-                        seq.next_token,
-                        seq.pos,
+        for q in &survivors {
+            let (output, token, outcome) = match q.sequence {
+                Some(id) => {
+                    let seq = &self.sequences[usize::try_from(id).expect("sequence id")];
+                    let lm = spec.lm.as_ref().expect("sequence targets a language model");
+                    let step = retry_transients(|| {
+                        lm_step(
+                            executor,
+                            &spec.network,
+                            &spec.filters,
+                            lm,
+                            &seq.cache,
+                            seq.next_token,
+                            seq.pos,
+                        )
+                    })?;
+                    let logits = TensorShape::flat(step.logits.len());
+                    let token = TokenCompletion {
+                        sequence: SequenceId(id),
+                        step: seq.pos,
+                        token: step.next_token,
+                        done: seq.pos + 1 >= seq.steps,
+                    };
+                    (
+                        Tensor3::new(logits, step.logits.clone()),
+                        Some(token),
+                        Some((id, step)),
                     )
-                    .map(|step| {
-                        let logits = TensorShape::flat(step.logits.len());
-                        (Tensor3::new(logits, step.logits.clone()), Some((id, step)))
-                    }),
-                    None => executor
-                        .try_forward(&spec.network, &q.request.input, &spec.filters)
-                        .map(|forward| (forward.output, None)),
-                };
-                match attempt {
-                    Ok(done) => break done,
-                    Err(ExecError::TileFault { .. }) if attempts < MAX_TILE_RETRIES => {
-                        attempts += 1;
-                    }
-                    Err(e) => return Err(e),
+                }
+                None => {
+                    let forward = forwards.next().expect("one forward per CNN member");
+                    (forward.output, None, None)
                 }
             };
-            let token = sequence
-                .zip(outcome.as_ref())
-                .map(|((id, seq), (_, step))| TokenCompletion {
-                    sequence: SequenceId(id),
-                    step: seq.pos,
-                    token: step.next_token,
-                    done: seq.pos + 1 >= seq.steps,
-                });
             out.push(Executed {
                 completion: Completion {
                     id: q.id,
@@ -1627,6 +1642,19 @@ fn pick_replica(
         Some(order[0]).filter(|best| best.0 < 2).map(|best| best.1)
     };
     (nominal, serving)
+}
+
+/// Runs one execute call, retrying it in place through transient tile
+/// faults (at most [`MAX_TILE_RETRIES`] times); any other error, or a
+/// transient past the bound, is returned.
+fn retry_transients<T>(mut call: impl FnMut() -> Result<T, ExecError>) -> Result<T, ExecError> {
+    let mut retries = 0;
+    loop {
+        match call() {
+            Err(ExecError::TileFault { .. }) if retries < MAX_TILE_RETRIES => retries += 1,
+            done => return done,
+        }
+    }
 }
 
 /// Builds the queued request for one decode step of a sequence. The
@@ -1851,6 +1879,40 @@ mod tests {
             4 + 12,
             "4 CNN requests + 2 sequences x 6 steps"
         );
+    }
+
+    #[test]
+    fn finished_and_shed_sequences_free_their_kv_cache() {
+        // One chip, killed mid-drain: the short sequence completes before
+        // the kill, the long ones have no chip left and shed.
+        let device = SimConfig::ideal(64, 64).with_threads(1);
+        let config = ServeConfig::new(device)
+            .with_chips(vec![600_000])
+            .with_faults(FaultPlan::new().kill_chip(4, 0));
+        let mut engine = ServeEngine::new(config);
+        let llm = engine.admit(catalog::llm_tiny()).unwrap();
+        let ids = [
+            engine.begin_sequence(llm, 1, 2, 0, 1).unwrap(),
+            engine.begin_sequence(llm, 5, 12, 0, 1).unwrap(),
+            engine.begin_sequence(llm, 9, 12, 0, 1).unwrap(),
+        ];
+        engine.drain_traced();
+        assert!(ids.iter().all(|&id| engine.sequence_finished(id)));
+        assert!(!engine.sequence_shed(ids[0]), "completes before the kill");
+        assert_eq!(engine.sequence_tokens(ids[0]).len(), 2);
+        assert!(ids[1..].iter().all(|&id| engine.sequence_shed(id)));
+        assert!(ids[1..]
+            .iter()
+            .all(|&id| !engine.sequence_tokens(id).is_empty()));
+        for (i, sequence) in engine.sequences.iter().enumerate() {
+            let rows: usize = sequence
+                .cache
+                .blocks
+                .iter()
+                .map(|b| b.k.len() + b.v.len())
+                .sum();
+            assert_eq!(rows, 0, "sequence {i} still holds KV cache rows");
+        }
     }
 
     #[test]

@@ -148,6 +148,43 @@ fn malformed_json_draws_an_error_and_the_session_continues() {
 }
 
 #[test]
+fn deeply_nested_json_draws_an_error_and_the_session_continues() {
+    // 10,000 nested arrays: a 10 KB frame, far under the frame cap, that
+    // would overflow a session thread's stack in an unbounded
+    // recursive-descent parser and abort the whole server.
+    let server = start_server(ServerConfig::default());
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let hello: ServerFrame = protocol::read_message(&mut stream).expect("hello");
+    let ServerFrame::Hello { models, .. } = hello else {
+        panic!("expected Hello");
+    };
+    let nested = "[".repeat(10_000) + &"]".repeat(10_000);
+    protocol::write_frame(&mut stream, nested.as_bytes()).expect("nested frame");
+    match protocol::read_message::<ServerFrame>(&mut stream).expect("error frame") {
+        ServerFrame::Error { code, .. } => assert_eq!(code, ErrorCode::MalformedFrame),
+        other => panic!("expected a malformed-frame error, got {other:?}"),
+    }
+    // The same session keeps serving.
+    let shape = oxbar_nn::TensorShape::new(models[0].input_h, models[0].input_w, models[0].input_c);
+    let frame = ClientFrame::Infer {
+        tag: 2,
+        model: 0,
+        arrival: 0,
+        deadline: None,
+        input: synthetic::activations(shape, 6, 2),
+    };
+    protocol::write_message(&mut stream, &frame).expect("valid infer");
+    match protocol::read_message::<ServerFrame>(&mut stream).expect("completion") {
+        ServerFrame::Completion { tag, .. } => assert_eq!(tag, 2),
+        other => panic!("expected a completion, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
 fn unknown_model_and_bad_tensors_are_wire_errors() {
     let server = start_server(ServerConfig::default());
     let mut client = connect(&server);

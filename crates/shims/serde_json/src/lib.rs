@@ -180,15 +180,23 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting the parser accepts (the limit the real
+/// `serde_json` uses). The parser recurses once per level, so without a
+/// bound a small hostile document could overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -232,8 +240,8 @@ impl Parser<'_> {
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -241,6 +249,21 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object one nesting level down, refusing to
+    /// open more than [`MAX_DEPTH`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     /// Reads the four hex digits of a `\uXXXX` escape starting at `at`.
@@ -459,6 +482,27 @@ mod tests {
         assert!(parse(r#""\ud83d""#).is_err()); // unpaired high surrogate
         assert!(parse(r#""\ud83dA""#).is_err()); // bad low surrogate
         assert!(parse(r#""\udc00""#).is_err()); // lone low surrogate
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let deepest = parse(&nest(MAX_DEPTH)).unwrap();
+        let mut value = &deepest;
+        for _ in 1..MAX_DEPTH {
+            match value {
+                Value::Array(items) => value = &items[0],
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(value, &Value::Array(Vec::new()));
+        assert!(parse(&nest(MAX_DEPTH + 1))
+            .unwrap_err()
+            .to_string()
+            .contains("nesting deeper than 128"));
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // Far deeper than any stack could recurse: a structured error.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

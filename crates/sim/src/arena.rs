@@ -58,7 +58,7 @@ pub struct ExecArena {
     /// (executor-level).
     pub(crate) taps: Vec<(u32, u32, u32)>,
     /// Raw accumulator lanes for the executor's hot-path partial-sum
-    /// reduction (`pixel_slots × out_channels`, saturated once at
+    /// reduction (`inputs × pixel_slots × out_channels`, saturated once at
     /// extraction; see
     /// [`oxbar_electronics::accumulator::Accumulator::saturation_limit`]).
     pub(crate) lanes: Vec<i64>,

@@ -17,6 +17,7 @@ use oxbar_pcm::drift::DriftModel;
 use oxbar_pcm::ProgramReport;
 use oxbar_units::{Energy, Time};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -107,11 +108,11 @@ pub struct DeviceExecutor {
     compile_done: Condvar,
     /// Cells of compiled state the cache may hold.
     cache_budget: usize,
-    /// Pool of reusable execution arenas: checked out per tile job (and
-    /// once per layer for accumulation), returned after the layer's
-    /// partials are accumulated. Arenas carry scratch space only, never
-    /// results, so pooling cannot change outputs — it removes the heap
-    /// allocator from the warm serving path.
+    /// Pool of reusable execution arenas: checked out per tile job, which
+    /// returns it once the tile's partials are in the accumulator lanes
+    /// (and once per layer for those lanes). Arenas carry scratch space
+    /// only, never results, so pooling cannot change outputs — it removes
+    /// the heap allocator from the warm serving path.
     arenas: Mutex<Vec<ExecArena>>,
     /// Injected fault state (see [`crate::fault`]). Faults gate *forward
     /// execution* only: a killed chip's non-volatile programmed state is
@@ -146,6 +147,15 @@ const TILE_CACHE_CELL_BUDGET: usize = 4_000_000;
 /// Adder width of the digital partial-sum accumulator (bits).
 const ACCUMULATOR_BITS: u8 = 48;
 
+/// Windows per execute call below which a batch's inputs share one call:
+/// the MVM kernel's block width
+/// ([`oxbar_photonics::transfer::CompiledCrossbar::run_normalized_batch_with`]
+/// loads each gain row once per four windows, and runs fewer one by one).
+const MERGE_BELOW_WINDOWS: usize = 4;
+
+/// Upper bound on the windows of one shared execute call.
+const MAX_MERGED_WINDOWS: usize = 64;
+
 /// Seed-index base for dynamic (uncached) MVM stages: a dynamic stage `s`
 /// seeds its tiles as layer `DYNAMIC_STAGE_BASE + s`, far above any real
 /// network's layer count, so dynamic-path device noise can never collide
@@ -154,17 +164,20 @@ const DYNAMIC_STAGE_BASE: usize = 1 << 20;
 
 /// A snapshot of the weight-stationary tile cache's performance counters.
 ///
-/// Hits are executions served from an already programmed + compiled tile
-/// (the weight-stationary fast path); misses had to program the PCM array
-/// and compile the transfer matrix. Counters accumulate from executor
-/// creation (or the last [`DeviceExecutor::clear_cache`], which resets
-/// occupancy but *not* the counters — eviction under a serving budget is
-/// itself a cache event worth measuring).
+/// Hits are tile lookups served from an already programmed + compiled
+/// tile (the weight-stationary fast path); misses had to program the PCM
+/// array and compile the transfer matrix. A forward looks each tile up
+/// once for its whole batch ([`DeviceExecutor::try_forward_batch`]), so a
+/// batch of *n* counts one hit or miss per tile, not *n*. Counters
+/// accumulate from executor creation (or the last
+/// [`DeviceExecutor::clear_cache`], which resets occupancy but *not* the
+/// counters — eviction under a serving budget is itself a cache event
+/// worth measuring).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Tile executions served from the cache.
+    /// Tile lookups served from the cache.
     pub hits: u64,
-    /// Tile executions that had to program + compile.
+    /// Tile lookups that had to program + compile.
     pub misses: u64,
     /// Compiled tiles currently held.
     pub entries: usize,
@@ -329,7 +342,32 @@ impl DeviceExecutor {
         self.fault.lock().expect("fault state").degraded
     }
 
-    /// [`Self::forward`] with the injected-fault surface: a killed chip
+    /// [`Self::try_forward_batch`] for one input.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::try_forward_batch`].
+    ///
+    /// # Panics
+    ///
+    /// See [`Self::try_forward_batch`].
+    pub fn try_forward(
+        &self,
+        network: &Network,
+        input: &Tensor3,
+        filters: &[FilterBank],
+    ) -> Result<DeviceForward, ExecError> {
+        self.try_forward_batch(network, &[input], filters).map(only)
+    }
+
+    /// Runs a batch of inputs through the network **batch-major**: layer
+    /// by layer, each tile is resolved once for the whole batch (one
+    /// cache lookup, so a tile that does not fit the cell budget is
+    /// programmed once per batch, not once per input) and every input's
+    /// windows are driven through it. Each result is byte-identical to a
+    /// [`Self::forward`] of that input alone, [`LayerStats`] included.
+    ///
+    /// The injected-fault surface applies once per call: a killed chip
     /// returns [`ExecError::ChipFailed`] (never executes), an armed
     /// one-shot transient is consumed and returned as
     /// [`ExecError::TileFault`] (an immediate retry succeeds,
@@ -344,14 +382,37 @@ impl DeviceExecutor {
     ///
     /// Panics under the same conditions as [`Self::forward`] (mismatched
     /// filters or input), and if the fault mutex was poisoned.
-    pub fn try_forward(
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use oxbar_nn::synthetic;
+    /// use oxbar_nn::zoo::lenet5;
+    /// use oxbar_sim::{DeviceExecutor, SimConfig};
+    ///
+    /// let net = lenet5();
+    /// let filters = synthetic::filter_banks(&net, 6, 2);
+    /// let images: Vec<_> = (0..3)
+    ///     .map(|seed| synthetic::activations(net.input(), 6, seed))
+    ///     .collect();
+    /// let exec = DeviceExecutor::new(SimConfig::noisy(128, 128)).with_cache_budget(0);
+    /// let batch: Vec<_> = images.iter().collect();
+    /// let forwards = exec.try_forward_batch(&net, &batch, &filters).unwrap();
+    /// // With no cell budget every tile is programmed, once for the batch.
+    /// let programmed = exec.cache_stats().misses;
+    /// for (image, forward) in images.iter().zip(&forwards) {
+    ///     assert_eq!(forward, &exec.forward(&net, image, &filters).unwrap());
+    /// }
+    /// assert_eq!(exec.cache_stats().misses, 4 * programmed);
+    /// ```
+    pub fn try_forward_batch(
         &self,
         network: &Network,
-        input: &Tensor3,
+        inputs: &[&Tensor3],
         filters: &[FilterBank],
-    ) -> Result<DeviceForward, ExecError> {
+    ) -> Result<Vec<DeviceForward>, ExecError> {
         self.fault_gate()?;
-        self.forward(network, input, filters)
+        self.forward_batch(network, inputs, filters)
             .map_err(ExecError::Unsupported)
     }
 
@@ -838,12 +899,25 @@ impl DeviceExecutor {
         input: &Tensor3,
         filters: &[FilterBank],
     ) -> Result<DeviceForward, UnsupportedLayer> {
-        let mut stats: Vec<LayerStats> = Vec::new();
+        self.forward_batch(network, &[input], filters).map(only)
+    }
+
+    /// The batch-major forward pass behind [`Self::forward`] and
+    /// [`Self::try_forward_batch`]: one [`walk_network`] over the batch,
+    /// each conv-like layer one [`Self::conv_pixels_batch`].
+    fn forward_batch(
+        &self,
+        network: &Network,
+        inputs: &[&Tensor3],
+        filters: &[FilterBank],
+    ) -> Result<Vec<DeviceForward>, UnsupportedLayer> {
+        // Per input, its mac layers' stats in execution order.
+        let mut stats: Vec<Vec<LayerStats>> = vec![Vec::new(); inputs.len()];
         let walked = walk_network(
             network,
-            input,
+            inputs,
             self.config.activation_bits,
-            |layer_idx, conv_idx, conv, conv_input| {
+            |layer_idx, conv_idx, conv, conv_inputs| {
                 assert!(
                     conv_idx < filters.len(),
                     "missing filter bank for `{}`",
@@ -851,35 +925,41 @@ impl DeviceExecutor {
                 );
                 let out = conv.output_shape();
                 let pixel_ids: Vec<usize> = (0..out.h * out.w).collect();
-                // With every pixel present in order, the flat slot-major
-                // values ARE the output tensor's data.
-                let (values, layer_stats) = self.conv_pixels_flat(
-                    conv,
-                    conv_input,
-                    &filters[conv_idx],
-                    layer_idx,
-                    &pixel_ids,
-                );
-                stats.push(layer_stats);
-                Tensor3::new(out, values)
+                // With every pixel present in order, each input's flat
+                // slot-major values ARE its output tensor's data.
+                self.conv_pixels_batch(conv, conv_inputs, &filters[conv_idx], layer_idx, &pixel_ids)
+                    .into_iter()
+                    .zip(&mut stats)
+                    .map(|((values, layer_stats), input_stats)| {
+                        input_stats.push(layer_stats);
+                        Tensor3::new(out, values)
+                    })
+                    .collect()
             },
         )?;
-        let mut stats = stats.into_iter();
-        let layers: Vec<LayerExecution> = walked
+        Ok(walked
             .into_iter()
-            .map(|w| LayerExecution {
-                stats: if w.is_mac { stats.next() } else { None },
-                name: w.name,
-                shift: w.shift,
-                output: w.output,
+            .zip(stats)
+            .zip(inputs)
+            .map(|((walked, stats), input)| {
+                let mut stats = stats.into_iter();
+                let layers: Vec<LayerExecution> = walked
+                    .into_iter()
+                    .map(|w| LayerExecution {
+                        stats: if w.is_mac { stats.next() } else { None },
+                        name: w.name,
+                        shift: w.shift,
+                        output: w.output,
+                    })
+                    .collect();
+                DeviceForward {
+                    output: layers
+                        .last()
+                        .map_or_else(|| (*input).clone(), |l| l.output.clone()),
+                    layers,
+                }
             })
-            .collect();
-        Ok(DeviceForward {
-            output: layers
-                .last()
-                .map_or_else(|| input.clone(), |l| l.output.clone()),
-            layers,
-        })
+            .collect())
     }
 
     /// Runs one conv-like layer at device level for a subset of output
@@ -927,16 +1007,38 @@ impl DeviceExecutor {
         layer_index: usize,
         pixel_ids: &[usize],
     ) -> (Vec<i64>, LayerStats) {
-        assert_eq!(input.shape(), conv.input, "input shape mismatch");
+        only(self.conv_pixels_batch(conv, &[input], bank, layer_index, pixel_ids))
+    }
+
+    /// [`Self::conv_pixels_flat`] for a batch of inputs, tile-major: each
+    /// tile job resolves its tile once ([`Self::compiled_tile`]) and
+    /// drives every input's windows through it before the next tile, so
+    /// at most one uncached compiled tile per worker is alive at a time.
+    /// Returns one `(values, stats)` per input, each byte-identical to a
+    /// lone [`Self::conv_pixels_flat`] of that input.
+    fn conv_pixels_batch(
+        &self,
+        conv: &Conv2d,
+        inputs: &[&Tensor3],
+        bank: &FilterBank,
+        layer_index: usize,
+        pixel_ids: &[usize],
+    ) -> Vec<(Vec<i64>, LayerStats)> {
         bank.check(conv);
-        assert!(
-            input.max_abs() <= self.config.v_max(),
-            "activations exceed the {}-bit range",
-            self.config.activation_bits
-        );
+        for input in inputs {
+            assert_eq!(input.shape(), conv.input, "input shape mismatch");
+            assert!(
+                input.max_abs() <= self.config.v_max(),
+                "activations exceed the {}-bit range",
+                self.config.activation_bits
+            );
+        }
         let out = conv.output_shape();
         for &pid in pixel_ids {
             assert!(pid < out.h * out.w, "pixel id {pid} out of range");
+        }
+        if inputs.is_empty() {
+            return Vec::new();
         }
         let plan = FoldPlan::plan(
             conv,
@@ -944,34 +1046,81 @@ impl DeviceExecutor {
             self.config.array_cols,
             self.config.mapping.columns_per_output(),
         );
-        let has_negative = input.data().iter().any(|&v| v < 0);
+        let signed: Vec<bool> = inputs
+            .iter()
+            .map(|input| input.data().iter().any(|&v| v < 0))
+            .collect();
         let tiles = WeightTiles::new(conv, &bank.weights, &plan);
         let geoms: Vec<TileGeometry> = tiles.geometries().collect();
-        // Each tile job checks an arena out of the pool, builds its
-        // im2col drive into the arena's reusable buffers, and executes
-        // into the arena's partials matrix. Tiles are handled by geometry
-        // — weights are only materialized on a cache miss — so a warm
-        // round touches the heap only for the job list itself.
-        let outcomes: Vec<(ExecArena, ProgramReport)> =
+        // Inputs per execute call: one, unless an input drives fewer
+        // windows than the MVM kernel's four-window block (dense layers:
+        // one pixel, one or two passes). Those inputs share a call, so
+        // the kernel blocks across the batch; capping the merged windows
+        // keeps the arenas' buffers at the size a conv layer's call
+        // already needs.
+        let pixels = pixel_ids.len();
+        let windows = pixels * if signed.contains(&true) { 2 } else { 1 };
+        let per_call = if windows < MERGE_BELOW_WINDOWS {
+            (MAX_MERGED_WINDOWS / windows.max(1)).max(1)
+        } else {
+            1
+        };
+
+        // Per-pixel partial sums reduce into raw i64 lanes (one
+        // `pixels × out_channels` block per input) and saturate once at
+        // extraction — identical to the per-add saturating `Accumulator`
+        // for any network whose running sums stay inside the 48-bit
+        // window, which the INT6 pipeline guarantees by construction
+        // (|sum| ≤ filter_rows · v_max · Q « 2⁴⁷), so the order tile jobs
+        // add in cannot matter. The operation count and energy are the
+        // per-add figures.
+        let mut acc_arena = self.checkout_arena();
+        acc_arena.lanes.clear();
+        acc_arena
+            .lanes
+            .resize(inputs.len() * pixels * conv.out_c, 0);
+        let lanes = Mutex::new(&mut acc_arena.lanes);
+        let out_per_group = conv.out_c_per_group();
+        // Each tile job checks an arena out of the pool, builds each
+        // call's im2col drive into the arena's reusable buffers, executes
+        // into the arena's partials matrix and adds them to the lanes.
+        // Tiles are handled by geometry — weights are only materialized
+        // on a cache miss — so a warm round touches the heap only for the
+        // job list itself.
+        let programs: Vec<ProgramReport> =
             parallel_map(&geoms, self.config.threads, |tile_index, geom| {
                 let seed = tile_seed(self.config.seed, layer_index, tile_index);
+                // The oracle engine stays cache-free: it is the baseline
+                // the compiled path is benchmarked and validated against.
+                let compiled = (self.engine != MvmEngine::FieldWalk)
+                    .then(|| self.compiled_tile(layer_index, tile_index, &tiles, geom, seed));
+                let mut program = compiled.as_ref().map(|c| c.program());
                 let mut arena = self.checkout_arena();
                 let mut drive = std::mem::replace(&mut arena.drive, TileDrive::empty());
                 let mut taps = std::mem::take(&mut arena.taps);
-                build_drive_into(
-                    geom,
-                    conv,
-                    input,
-                    pixel_ids,
-                    has_negative,
-                    &mut taps,
-                    &mut drive,
-                );
-                let program = match self.engine {
-                    // The oracle engine stays cache-free: it is the
-                    // baseline the compiled path is benchmarked and
-                    // validated against.
-                    MvmEngine::FieldWalk => {
+                let base = geom.group * out_per_group + geom.col_offset;
+                for (call, (group, group_signed)) in inputs
+                    .chunks(per_call)
+                    .zip(signed.chunks(per_call))
+                    .enumerate()
+                {
+                    build_drive_into(
+                        geom,
+                        conv,
+                        group,
+                        pixel_ids,
+                        group_signed.contains(&true),
+                        &mut taps,
+                        &mut drive,
+                    );
+                    if let Some(compiled) = &compiled {
+                        compiled.execute_into(
+                            &drive,
+                            &self.config,
+                            self.engine == MvmEngine::Compiled,
+                            &mut arena,
+                        );
+                    } else {
                         let tile = tiles.tile(tile_index);
                         let outcome =
                             run_tile_with(&tile, &drive, &self.config, seed, MvmEngine::FieldWalk);
@@ -979,47 +1128,27 @@ impl DeviceExecutor {
                         for per_col in &outcome.partials {
                             arena.partials.extend_from_slice(per_col);
                         }
-                        outcome.program
+                        program = Some(outcome.program);
                     }
-                    MvmEngine::Compiled | MvmEngine::CompiledNoCache => {
-                        let compiled =
-                            self.compiled_tile(layer_index, tile_index, &tiles, geom, seed);
-                        compiled.execute_into(
-                            &drive,
-                            &self.config,
-                            self.engine == MvmEngine::Compiled,
-                            &mut arena,
-                        );
-                        compiled.program()
+                    // Partial rows are input-major, so this call's rows
+                    // continue the lanes' slot numbering.
+                    let first_slot = call * per_call * pixels;
+                    let mut lanes = lanes.lock().expect("accumulator lanes");
+                    for (slot, per_col) in arena.partials.chunks_exact(geom.cols).enumerate() {
+                        let dst =
+                            &mut lanes[(first_slot + slot) * conv.out_c + base..][..geom.cols];
+                        for (lane, &v) in dst.iter_mut().zip(per_col) {
+                            *lane += v;
+                        }
                     }
-                };
+                }
                 arena.drive = drive;
                 arena.taps = taps;
-                (arena, program)
+                self.return_arenas([arena]);
+                program.expect("a non-empty batch drives every tile")
             });
 
-        // Per-pixel partial sums reduce into raw i64 lanes and saturate
-        // once at extraction — identical to the per-add saturating
-        // `Accumulator` for any network whose running sums stay inside
-        // the 48-bit window, which the INT6 pipeline guarantees by
-        // construction (|sum| ≤ filter_rows · v_max · Q « 2⁴⁷). The
-        // operation count and energy are the per-add figures.
-        let mut acc_arena = self.checkout_arena();
-        let lane_count = pixel_ids.len() * conv.out_c;
-        acc_arena.lanes.clear();
-        acc_arena.lanes.resize(lane_count, 0);
-        let out_per_group = conv.out_c_per_group();
-        let mut acc_ops: u64 = 0;
-        for (geom, (arena, _)) in geoms.iter().zip(&outcomes) {
-            let base = geom.group * out_per_group + geom.col_offset;
-            for (slot, per_col) in arena.partials.chunks_exact(geom.cols).enumerate() {
-                let lanes = &mut acc_arena.lanes[slot * conv.out_c + base..][..geom.cols];
-                for (lane, &v) in lanes.iter_mut().zip(per_col) {
-                    *lane += v;
-                }
-            }
-            acc_ops += arena.partials.len() as u64;
-        }
+        let acc_ops: u64 = geoms.iter().map(|g| (pixels * g.cols) as u64).sum();
         let mut stats = LayerStats {
             tiles: 0,
             cells_programmed: 0,
@@ -1028,17 +1157,22 @@ impl DeviceExecutor {
             accumulator_ops: acc_ops,
             accumulator_energy: Accumulator::energy_for(ACCUMULATOR_BITS, acc_ops),
         };
-        for (_, program) in &outcomes {
+        for program in &programs {
             stats.absorb(program);
         }
         let limit = Accumulator::saturation_limit(ACCUMULATOR_BITS);
-        let mut values = vec![0i64; lane_count];
-        for (v, &lane) in values.iter_mut().zip(&acc_arena.lanes) {
-            *v = lane.clamp(-limit - 1, limit);
-        }
-        self.return_arenas(outcomes.into_iter().map(|(arena, _)| arena));
+        let lane_count = pixels * conv.out_c;
+        let results = (0..inputs.len())
+            .map(|i| {
+                let values = acc_arena.lanes[i * lane_count..][..lane_count]
+                    .iter()
+                    .map(|&lane| lane.clamp(-limit - 1, limit))
+                    .collect();
+                (values, stats.clone())
+            })
+            .collect();
         self.return_arenas([acc_arena]);
-        (values, stats)
+        results
     }
 
     /// One **uncached** dynamic MVM: `rows` (signed weight codes, one row
@@ -1369,28 +1503,33 @@ pub struct WalkedLayer {
     pub is_mac: bool,
 }
 
-/// Walks a sequential network, delegating each conv-like layer's raw MVM
-/// to `conv_op(layer_index, conv_index, conv, input) -> raw accumulators`
-/// and applying the shared digital semantics around it: residual-`Add`
+/// Walks a sequential network over a batch of inputs, layer by layer,
+/// delegating each conv-like layer's raw MVM to `conv_op(layer_index,
+/// conv_index, conv, inputs) -> raw accumulators per input` and applying
+/// the shared digital semantics around it, per input: residual-`Add`
 /// rejection, the dense flatten-reshape rule, pooling, and the
-/// activate-then-requantize sequence.
+/// activate-then-requantize sequence. Returns each input's walk.
 ///
-/// Both the device pipeline ([`DeviceExecutor::forward`]) and the
-/// exact-reference comparison walk in [`crate::fidelity`] run through this
-/// one function, so the two sides can never diverge on anything but the
-/// MVM itself.
+/// Both the device pipeline ([`DeviceExecutor::forward`] and
+/// [`DeviceExecutor::try_forward_batch`]) and the exact-reference
+/// comparison walk in [`crate::fidelity`] run through this one function,
+/// so the two sides can never diverge on anything but the MVM itself.
 ///
 /// # Errors
 ///
 /// Returns [`UnsupportedLayer`] for networks with residual `Add` layers.
+///
+/// # Panics
+///
+/// Panics if `conv_op` does not return one tensor per input.
 pub fn walk_network<F>(
     network: &Network,
-    input: &Tensor3,
+    inputs: &[&Tensor3],
     activation_bits: u8,
     mut conv_op: F,
-) -> Result<Vec<WalkedLayer>, UnsupportedLayer>
+) -> Result<Vec<Vec<WalkedLayer>>, UnsupportedLayer>
 where
-    F: FnMut(usize, usize, &Conv2d, &Tensor3) -> Tensor3,
+    F: FnMut(usize, usize, &Conv2d, &[&Tensor3]) -> Vec<Tensor3>,
 {
     // Reject residual networks up front: the flattened list does not carry
     // the skip wiring needed to execute them.
@@ -1401,21 +1540,25 @@ where
         return Err(UnsupportedLayer { layer: add });
     }
     let mut conv_idx = 0;
-    let mut walked: Vec<WalkedLayer> = Vec::new();
+    let mut walked: Vec<Vec<WalkedLayer>> = inputs.iter().map(|_| Vec::new()).collect();
+    // Each input's previous layer output is read in place from its walk
+    // record (no per-layer tensor clone).
+    fn current<'a>(walk: &'a [WalkedLayer], input: &'a Tensor3) -> &'a Tensor3 {
+        walk.last().map_or(input, |w| &w.output)
+    }
     for (layer_idx, layer) in network.layers().iter().enumerate() {
-        // The previous layer's output is read in place from the walk record
-        // (no per-layer tensor clone).
-        let current = walked.last().map_or(input, |w| &w.output);
         match layer {
             Layer::Add(_) => unreachable!("Add layers rejected by the pre-scan"),
             Layer::Pool(p) => {
-                let output = pool_exact(current, p);
-                walked.push(WalkedLayer {
-                    name: p.name.clone(),
-                    shift: 0,
-                    output,
-                    is_mac: false,
-                });
+                for (walk, &input) in walked.iter_mut().zip(inputs) {
+                    let output = pool_exact(current(walk, input), p);
+                    walk.push(WalkedLayer {
+                        name: p.name.clone(),
+                        shift: 0,
+                        output,
+                        is_mac: false,
+                    });
+                }
             }
             Layer::Conv2d(_) | Layer::Dense(_) => {
                 let dense_conv;
@@ -1427,38 +1570,59 @@ where
                     }
                     _ => unreachable!(),
                 };
-                // A dense layer consumes the flattened previous tensor.
-                let reshaped;
-                let conv_input: &Tensor3 = if current.shape() != conv.input
-                    && current.shape().elements() == conv.input.elements()
-                {
-                    reshaped = Tensor3::new(conv.input, current.data().to_vec());
-                    &reshaped
-                } else {
-                    current
+                let raw = {
+                    // A dense layer consumes the flattened previous tensor.
+                    let conv_inputs: Vec<Cow<'_, Tensor3>> = walked
+                        .iter()
+                        .zip(inputs)
+                        .map(|(walk, &input)| {
+                            let current = current(walk, input);
+                            if current.shape() != conv.input
+                                && current.shape().elements() == conv.input.elements()
+                            {
+                                Cow::Owned(Tensor3::new(conv.input, current.data().to_vec()))
+                            } else {
+                                Cow::Borrowed(current)
+                            }
+                        })
+                        .collect();
+                    let conv_inputs: Vec<&Tensor3> =
+                        conv_inputs.iter().map(AsRef::as_ref).collect();
+                    conv_op(layer_idx, conv_idx, conv, &conv_inputs)
                 };
-                let raw = conv_op(layer_idx, conv_idx, conv, conv_input);
+                assert_eq!(raw.len(), inputs.len(), "one raw tensor per input");
                 conv_idx += 1;
-                let activated = activate(&raw, conv.activation);
-                let (requant, shift) = requantize(&activated, activation_bits);
-                walked.push(WalkedLayer {
-                    name: conv.name.clone(),
-                    shift,
-                    output: requant,
-                    is_mac: true,
-                });
+                for (walk, raw) in walked.iter_mut().zip(&raw) {
+                    let activated = activate(raw, conv.activation);
+                    let (requant, shift) = requantize(&activated, activation_bits);
+                    walk.push(WalkedLayer {
+                        name: conv.name.clone(),
+                        shift,
+                        output: requant,
+                        is_mac: true,
+                    });
+                }
             }
         }
     }
     Ok(walked)
 }
 
+/// The one result of a batch call made with one input.
+fn only<T>(mut batch: Vec<T>) -> T {
+    batch.pop().expect("one input gives one result")
+}
+
 /// Builds one tile's per-pixel im2col drive (positive/negative passes)
-/// into reusable buffers — warm buffers make the gather allocation-free.
+/// for a group of inputs into reusable buffers — warm buffers make the
+/// gather allocation-free. Windows are input-major: every pixel of the
+/// first input, then of the next. An input without negative values
+/// contributes all-dark negative windows when `has_negative` is set,
+/// which recover to exactly zero.
 fn build_drive_into(
     geom: &TileGeometry,
     conv: &Conv2d,
-    input: &Tensor3,
+    inputs: &[&Tensor3],
     pixel_ids: &[usize],
     has_negative: bool,
     taps: &mut Vec<(u32, u32, u32)>,
@@ -1483,23 +1647,25 @@ fn build_drive_into(
         )
     }));
     drive.rows = rows;
-    drive.pixels = pixel_ids.len();
+    drive.pixels = inputs.len() * pixel_ids.len();
     drive.positive.clear();
     // The negative buffer keeps its capacity even on unsigned layers, so
     // an arena bouncing between signed and unsigned layers never churns
     // the allocator.
     drive.negative.clear();
     drive.has_negative = has_negative;
-    for &pid in pixel_ids {
-        let oy = pid / out.w;
-        let ox = pid % out.w;
-        for &(ky, kx, c) in taps.iter() {
-            let iy = (oy * conv.stride + ky as usize) as isize - conv.padding as isize;
-            let ix = (ox * conv.stride + kx as usize) as isize - conv.padding as isize;
-            let v = input.at_padded(iy, ix, c as usize);
-            drive.positive.push(v.max(0) as u8);
-            if has_negative {
-                drive.negative.push((-v).max(0) as u8);
+    for input in inputs {
+        for &pid in pixel_ids {
+            let oy = pid / out.w;
+            let ox = pid % out.w;
+            for &(ky, kx, c) in taps.iter() {
+                let iy = (oy * conv.stride + ky as usize) as isize - conv.padding as isize;
+                let ix = (ox * conv.stride + kx as usize) as isize - conv.padding as isize;
+                let v = input.at_padded(iy, ix, c as usize);
+                drive.positive.push(v.max(0) as u8);
+                if has_negative {
+                    drive.negative.push((-v).max(0) as u8);
+                }
             }
         }
     }

@@ -170,9 +170,13 @@ fn reference_layers(
     filters: &[FilterBank],
     bits: u8,
 ) -> Result<Vec<Tensor3>, UnsupportedLayer> {
-    let walked = walk_network(network, input, bits, |_, conv_idx, conv, conv_input| {
-        conv2d_exact(conv_input, &filters[conv_idx], conv)
+    let mut walked = walk_network(network, &[input], bits, |_, conv_idx, conv, conv_inputs| {
+        conv_inputs
+            .iter()
+            .map(|conv_input| conv2d_exact(conv_input, &filters[conv_idx], conv))
+            .collect()
     })?;
+    let walked = walked.pop().expect("one input gives one walk");
     Ok(walked.into_iter().map(|w| w.output).collect())
 }
 

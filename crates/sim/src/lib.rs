@@ -37,9 +37,13 @@
 //! drives as batched dense MVMs behind a duplicate-window cache. The
 //! executor keeps compiled tiles across pixel batches and images
 //! (weight-stationary, like the PCM hardware itself), validating every
-//! cache hit against the tile's exact weights. The cell-by-cell field walk
-//! remains available as the validation oracle via [`MvmEngine::FieldWalk`]
-//! (see the `device_mvm` bench for the measured speedup).
+//! cache hit against the tile's exact weights, and
+//! [`DeviceExecutor::try_forward_batch`] runs a batch of images
+//! batch-major: each tile is resolved once per batch and drives every
+//! image's windows, byte-identical to one forward per image. The
+//! cell-by-cell field walk remains available as the validation oracle via
+//! [`MvmEngine::FieldWalk`] (see the `device_mvm` bench for the measured
+//! speedup).
 //!
 //! The warm path is **allocation-free**: every per-execution buffer lives
 //! in a pooled [`ExecArena`] (see [`arena`]), and serving layers can move

@@ -2,7 +2,7 @@
 //! [`CompiledTile::execute_into`] round performs **zero** heap
 //! allocations, and a warm whole-network forward performs a small,
 //! bounded number (job lists, output tensors — never per-pixel or
-//! per-window buffers).
+//! per-window buffers), also per request of a warm batch.
 //!
 //! The whole file is one sequential test body behind a counting global
 //! allocator, so no concurrent test can contaminate the counters.
@@ -150,4 +150,19 @@ fn warm_rounds_do_not_touch_the_allocator() {
             "warm allocation count climbed from {warm} to {next} in round {round}"
         );
     }
+
+    // --- The same budget per request for a warm batch of 4. ---
+    let inputs: Vec<_> = (0..4)
+        .map(|seed| synthetic::activations(net.input(), 6, 100 + seed))
+        .collect();
+    let batch: Vec<_> = inputs.iter().collect();
+    exec.try_forward_batch(&net, &batch, &filters).unwrap(); // grow for 4
+    exec.try_forward_batch(&net, &batch, &filters).unwrap();
+    let warm_batch = allocations_in(|| {
+        exec.try_forward_batch(&net, &batch, &filters).unwrap();
+    });
+    assert!(
+        warm_batch <= 4 * 400,
+        "warm batch of 4 allocated {warm_batch} times (budget 400 per request)"
+    );
 }
