@@ -168,11 +168,12 @@ pub fn generate() -> DriftAgingResult {
         })
         .collect();
 
-    // Recalibrate every tile at the oldest age, then replay: the
-    // re-derived programming stream is a pure function of the seed, so
-    // the outputs must return to the fresh readouts exactly.
+    // Recalibrate every tile at the oldest age, then replay: the replay
+    // re-derives each marked tile's programming stream, a pure function
+    // of the seed, so the outputs must return to the fresh readouts
+    // exactly.
     for info in executor.tile_ages() {
-        executor.recalibrate_tile(info.layer, info.tile);
+        executor.mark_recalibrated(info.layer, info.tile);
     }
     let recalibrated = grade_age(
         &executor,

@@ -9,7 +9,7 @@
 //!   deterministic [`PlacementPolicy`] over *committed* footprints (the
 //!   cells each chip's placed models would occupy fully resident), so the
 //!   same admission sequence always produces the same layout;
-//! - **budgets** — each [`ChipRegistry`] enforces its own cell budget
+//! - **budgets** — each chip enforces its own cell budget
 //!   with the same LRU whole-model eviction the single-chip registry
 //!   used;
 //! - **migration** — before evicting, an over-budget chip offers its LRU
@@ -102,10 +102,9 @@ pub enum PlacementPolicy {
 }
 
 /// Per-chip bookkeeping of a [`Cluster`]: the chip's cell budget, the
-/// footprint committed to it by placement, and its eviction/migration
-/// counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChipRegistry {
+/// footprint committed to it by placement, and its health and counters
+/// (reported through [`ChipStats`]).
+struct ChipRegistry {
     budget: usize,
     /// Summed full footprints of the models placed on this chip (what
     /// placement has promised, independent of current residency).
@@ -134,54 +133,6 @@ impl ChipRegistry {
             retries: 0,
             sheds: 0,
         }
-    }
-
-    /// The chip's weight-stationary cell budget.
-    #[must_use]
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Summed full footprints of the models placed here.
-    #[must_use]
-    pub fn committed_cells(&self) -> usize {
-        self.committed_cells
-    }
-
-    /// Whole-model evictions this chip's budget has forced.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Models migrated onto this chip.
-    #[must_use]
-    pub fn migrations_in(&self) -> u64 {
-        self.migrations_in
-    }
-
-    /// Models migrated off this chip.
-    #[must_use]
-    pub fn migrations_out(&self) -> u64 {
-        self.migrations_out
-    }
-
-    /// The chip's scheduler-visible health.
-    #[must_use]
-    pub fn health(&self) -> ChipHealth {
-        self.health
-    }
-
-    /// Batches retried because of faults on this chip.
-    #[must_use]
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Requests shed while failing over away from this chip.
-    #[must_use]
-    pub fn sheds(&self) -> u64 {
-        self.sheds
     }
 }
 
@@ -255,8 +206,8 @@ impl ModelEntry {
     }
 }
 
-/// Admitted models sharded across a fleet of chips, each chip a
-/// [`ChipRegistry`] with its own weight-stationary cell budget.
+/// Admitted models sharded across a fleet of chips, each chip with its
+/// own weight-stationary cell budget.
 ///
 /// Admission pins each model to one chip (see [`PlacementPolicy`]) and
 /// seeds its executor from `(base seed, admission index)` — the *global*
@@ -278,9 +229,9 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Creates a cluster with one [`ChipRegistry`] per entry of
-    /// `chip_budgets`. Each admitted model's device config is `base` with
-    /// a model-specific seed.
+    /// Creates a cluster with one chip per entry of `chip_budgets`. Each
+    /// admitted model's device config is `base` with a model-specific
+    /// seed.
     ///
     /// # Panics
     ///
@@ -400,12 +351,8 @@ impl Cluster {
             None => Err(AdmitError::Capacity {
                 footprint_cells: footprint,
                 replicas: self.replica_count(),
-                chip_budgets: self.chips.iter().map(ChipRegistry::budget).collect(),
-                committed_cells: self
-                    .chips
-                    .iter()
-                    .map(ChipRegistry::committed_cells)
-                    .collect(),
+                chip_budgets: self.chips.iter().map(|c| c.budget).collect(),
+                committed_cells: self.chips.iter().map(|c| c.committed_cells).collect(),
             }),
         }
     }
@@ -463,14 +410,14 @@ impl Cluster {
         self.chips.len()
     }
 
-    /// The chip registry behind `chip`.
+    /// The weight-stationary cell budget of `chip`.
     ///
     /// # Panics
     ///
     /// Panics if the chip index is out of range.
     #[must_use]
-    pub fn chip(&self, chip: ChipId) -> &ChipRegistry {
-        &self.chips[chip.0]
+    pub fn chip_budget(&self, chip: ChipId) -> usize {
+        self.chips[chip.0].budget
     }
 
     /// The chip `id`'s *primary* residency is currently placed on.
@@ -487,25 +434,6 @@ impl Cluster {
             .iter()
             .map(|r| ChipId(r.chip))
             .collect()
-    }
-
-    /// The chips that can *serve* `id` right now: non-failed residencies,
-    /// healthy before degraded, slot order within each class. Empty when
-    /// every residency's chip is down (the recovery trigger).
-    #[must_use]
-    pub fn serving_residencies(&self, id: ModelId) -> Vec<ChipId> {
-        let entry = &self.entries[id.0];
-        let mut healthy = Vec::new();
-        let mut degraded = Vec::new();
-        for r in &entry.residencies {
-            match self.chips[r.chip].health {
-                ChipHealth::Healthy => healthy.push(ChipId(r.chip)),
-                ChipHealth::Degraded => degraded.push(ChipId(r.chip)),
-                ChipHealth::Failed => {}
-            }
-        }
-        healthy.extend(degraded);
-        healthy
     }
 
     /// The admitted spec behind `id`.
@@ -773,30 +701,19 @@ impl Cluster {
         if self.chips[chip.0].health != ChipHealth::Failed {
             self.chips[chip.0].health = ChipHealth::Degraded;
         }
-        for entry in &self.entries {
-            for r in entry.residencies.iter().filter(|r| r.chip == chip.0) {
-                r.executor.inject_fault(InjectedFault::Drift);
-            }
-        }
     }
 
-    /// Heals a drift-degraded chip back to [`ChipHealth::Healthy`] and
-    /// clears the drift mark on every residency executor — the scheduler
-    /// calls this after recalibration brings all of the chip's resident
-    /// tiles back under the accuracy budget. A failed chip stays failed.
+    /// Heals a drift-degraded chip back to [`ChipHealth::Healthy`] — the
+    /// scheduler calls this after recalibration brings all of the chip's
+    /// resident tiles back under the accuracy budget. A failed chip stays
+    /// failed.
     ///
     /// # Panics
     ///
     /// Panics if the chip index is out of range.
     pub fn heal_chip(&mut self, chip: ChipId) {
-        if self.chips[chip.0].health != ChipHealth::Degraded {
-            return;
-        }
-        self.chips[chip.0].health = ChipHealth::Healthy;
-        for entry in &self.entries {
-            for r in entry.residencies.iter().filter(|r| r.chip == chip.0) {
-                r.executor.clear_drift();
-            }
+        if self.chips[chip.0].health == ChipHealth::Degraded {
+            self.chips[chip.0].health = ChipHealth::Healthy;
         }
     }
 
@@ -1170,11 +1087,6 @@ mod tests {
         cluster.kill_chip(ChipId(0));
         assert_eq!(cluster.chip_health(ChipId(0)), ChipHealth::Failed);
         assert!(cluster.executor_on(a, ChipId(0)).unwrap().is_failed());
-        assert_eq!(
-            cluster.serving_residencies(a),
-            vec![ChipId(1)],
-            "routing skips the dead chip"
-        );
         let after = cluster
             .executor_on(a, ChipId(1))
             .unwrap()
@@ -1198,7 +1110,7 @@ mod tests {
         let before = cluster.executor(a).forward(&net, &input, &filt).unwrap();
 
         cluster.kill_chip(ChipId(0));
-        assert!(cluster.serving_residencies(a).is_empty());
+        assert!(!cluster.chip_health(cluster.chip_of(a)).serves());
         let dest = cluster.recover(a).expect("a healthy chip remains");
         assert_eq!(dest, ChipId(1));
         assert_eq!(cluster.chip_of(a), ChipId(1));
@@ -1210,31 +1122,29 @@ mod tests {
         let after = cluster.executor(a).forward(&net, &input, &filt).unwrap();
         assert_eq!(after, before, "recovery is byte-exact");
         // Committed bookkeeping followed the model off the dead chip.
-        assert_eq!(cluster.chip(ChipId(0)).committed_cells(), 0);
-        assert_eq!(
-            cluster.chip(ChipId(1)).committed_cells(),
-            cluster.footprint_cells(a)
-        );
+        assert_eq!(cluster.chips[0].committed_cells, 0);
+        assert_eq!(cluster.chips[1].committed_cells, cluster.footprint_cells(a));
     }
 
     #[test]
-    fn degraded_chips_serve_but_rank_behind_healthy_replicas() {
+    fn degrade_and_heal_move_health_but_never_revive_a_failed_chip() {
         let mut cluster = Cluster::new(
             SimConfig::ideal(128, 128),
             &[100_000, 100_000],
             PlacementPolicy::Replicated(2),
         );
-        let a = cluster.admit_strict(lenet_spec(1)).unwrap();
+        cluster.admit_strict(lenet_spec(1)).unwrap();
         cluster.degrade_chip(ChipId(0));
         assert_eq!(cluster.chip_health(ChipId(0)), ChipHealth::Degraded);
-        assert_eq!(
-            cluster.serving_residencies(a),
-            vec![ChipId(1), ChipId(0)],
-            "healthy replica ranks first; degraded still serves"
-        );
         let stats = cluster.chip_stats();
         assert_eq!(stats[0].health, ChipHealth::Degraded);
         assert_eq!(stats[1].health, ChipHealth::Healthy);
+        cluster.heal_chip(ChipId(0));
+        assert_eq!(cluster.chip_health(ChipId(0)), ChipHealth::Healthy);
+        cluster.kill_chip(ChipId(1));
+        cluster.degrade_chip(ChipId(1));
+        cluster.heal_chip(ChipId(1));
+        assert_eq!(cluster.chip_health(ChipId(1)), ChipHealth::Failed);
     }
 
     #[test]

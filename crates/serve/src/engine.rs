@@ -1484,7 +1484,7 @@ impl ServeEngine {
                 continue;
             }
             decided[chip] = true;
-            if projected[chip] + missing <= self.registry.chip(ChipId(chip)).budget() {
+            if projected[chip] + missing <= self.registry.chip_budget(ChipId(chip)) {
                 targets.push(model);
             }
         }
@@ -1697,6 +1697,24 @@ mod tests {
             deadline: None,
         };
         engine.try_submit(request).expect("valid request");
+    }
+
+    #[test]
+    fn pick_replica_ranks_healthy_then_degraded_and_skips_failed() {
+        let homes = [ChipId(0), ChipId(1)];
+        let degraded_0 = |c: usize| [ChipHealth::Degraded, ChipHealth::Healthy][c];
+        // Healthy replica ranks first; the degraded one still serves its
+        // share of the dispatches.
+        assert_eq!(pick_replica(&homes, 0, degraded_0), (1, Some(1)));
+        assert_eq!(pick_replica(&homes, 1, degraded_0), (0, Some(0)));
+        // A failed replica's share re-routes to the best survivor.
+        let failed_0 = |c: usize| [ChipHealth::Failed, ChipHealth::Degraded][c];
+        assert_eq!(pick_replica(&homes, 1, failed_0), (0, Some(1)));
+        assert_eq!(
+            pick_replica(&homes, 0, |_| ChipHealth::Failed),
+            (0, None),
+            "no survivor: the recovery trigger"
+        );
     }
 
     #[test]

@@ -88,11 +88,11 @@ pub mod server;
 mod session;
 
 pub use batcher::{form_batches, route_rounds, Batch, BatchPolicy};
-pub use cluster::{ChipHealth, ChipId, ChipRegistry, ChipStats, Cluster, PlacementPolicy};
+pub use cluster::{ChipHealth, ChipId, ChipStats, Cluster, PlacementPolicy};
 pub use engine::{
     DrainTrace, EngineStats, ServeConfig, ServeEngine, ShedNotice, SubmitError, MAX_SEQUENCE_STEPS,
 };
-pub use loadgen::{ClosedLoop, LatencySummary, MixEntry, OpenLoop};
+pub use loadgen::{LatencySummary, MixEntry, OpenLoop};
 pub use protocol::{
     Client, ClientError, ClientFrame, DeadlineStream, ErrorCode, FrameError, ServerFrame,
     WireModel, WireToken,

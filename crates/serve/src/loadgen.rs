@@ -1,20 +1,12 @@
 //! Load generation and latency accounting for the serving engine.
 //!
-//! Two disciplines, mirroring standard serving benchmarks:
-//!
-//! * **Open loop** ([`OpenLoop`]): requests arrive on a fixed schedule
-//!   (every `interarrival` ticks) regardless of how fast the server
-//!   drains them — the discipline that exposes queueing delay under
-//!   offered load.
-//! * **Closed loop** ([`ClosedLoop`]): a fixed population of
-//!   `concurrency` clients, each submitting its next request only when
-//!   the previous one completes — the discipline that measures saturated
-//!   service throughput.
-//!
-//! Both synthesize every request's input from [`request_seed`], so a
-//! trace is a pure
-//! function of its parameters: replaying it through any engine
-//! configuration yields byte-identical outputs.
+//! [`OpenLoop`] is the open-loop discipline: requests arrive on a fixed
+//! schedule (every `interarrival` ticks) regardless of how fast the
+//! server drains them, which exposes queueing delay under offered load.
+//! (Closed-loop load is driven over real sockets by the benchmarks.)
+//! Every request's input is synthesized from [`request_seed`], so a
+//! trace is a pure function of its parameters: replaying it through any
+//! engine configuration yields byte-identical outputs.
 //!
 //! Wall-clock time exists only in the caller: the engine is deterministic
 //! and tick-based, so a benchmark measures the wall time of each
@@ -86,50 +78,6 @@ impl OpenLoop {
                     arrival,
                     deadline: self.deadline_slack.map(|s| arrival + s),
                 }
-            })
-            .collect()
-    }
-}
-
-/// A closed-loop workload: `rounds` waves of `concurrency` simultaneous
-/// requests, each wave submitted when the previous one has fully drained.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClosedLoop {
-    /// The traffic mix over admitted models.
-    pub mix: Vec<MixEntry>,
-    /// In-flight requests per wave.
-    pub concurrency: usize,
-    /// Number of waves.
-    pub rounds: usize,
-    /// Trace seed.
-    pub seed: u64,
-}
-
-impl ClosedLoop {
-    /// Generates the per-round request traces; round `r` arrives wholly
-    /// at tick `r` (the round boundary is the completion barrier).
-    pub fn rounds(
-        &self,
-        mut input_shape: impl FnMut(ModelId) -> TensorShape,
-    ) -> Vec<Vec<InferRequest>> {
-        (0..self.rounds)
-            .map(|r| {
-                (0..self.concurrency)
-                    .map(|c| {
-                        let i = (r * self.concurrency + c) as u64;
-                        let model = pick(&self.mix, self.seed, i);
-                        InferRequest {
-                            model,
-                            input: synthetic::activations(
-                                input_shape(model),
-                                6,
-                                request_seed(self.seed ^ 0xc105, i),
-                            ),
-                            arrival: r as u64,
-                            deadline: None,
-                        }
-                    })
-                    .collect()
             })
             .collect()
     }
@@ -249,13 +197,6 @@ pub fn replay_latencies(
     (latencies, misses)
 }
 
-/// The serial dispatch schedule — one batch per round — for replaying a
-/// `workers = 1` drain whose rounds were not recorded.
-#[must_use]
-pub fn serial_rounds(batches: usize) -> Vec<Vec<usize>> {
-    (0..batches).map(|b| vec![b]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,25 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_rounds_have_fixed_population() {
-        let load = ClosedLoop {
-            mix: vec![MixEntry {
-                model: ModelId(0),
-                weight: 1,
-            }],
-            concurrency: 4,
-            rounds: 3,
-            seed: 1,
-        };
-        let rounds = load.rounds(|_| TensorShape::new(2, 2, 1));
-        assert_eq!(rounds.len(), 3);
-        for (r, wave) in rounds.iter().enumerate() {
-            assert_eq!(wave.len(), 4);
-            assert!(wave.iter().all(|q| q.arrival == r as u64));
-        }
-    }
-
-    #[test]
     fn latency_summary_percentiles() {
         let samples: Vec<f64> = (1..=100).map(f64::from).collect();
         let s = LatencySummary::of(&samples);
@@ -340,7 +262,7 @@ mod tests {
         // Two batches of 10 ms each; requests arrive at ticks 0 and 1
         // (1 tick = 1 ms). The second batch queues behind the first.
         let completions = vec![completion(0, 0, Some(15), 0), completion(1, 1, Some(15), 1)];
-        let (lat, misses) = replay_latencies(&completions, &[10.0, 10.0], &serial_rounds(2), 1.0);
+        let (lat, misses) = replay_latencies(&completions, &[10.0, 10.0], &[vec![0], vec![1]], 1.0);
         assert_eq!(lat, vec![10.0, 19.0]);
         assert_eq!(misses, 1, "request 1 finishes at 20 ms > deadline 15 ms");
     }
@@ -350,7 +272,7 @@ mod tests {
         // One batch whose last member arrives at tick 5 (5 ms): dispatch
         // cannot start before then.
         let completions = vec![completion(0, 0, None, 0), completion(1, 5, None, 0)];
-        let (lat, misses) = replay_latencies(&completions, &[2.0], &serial_rounds(1), 1.0);
+        let (lat, misses) = replay_latencies(&completions, &[2.0], &[vec![0]], 1.0);
         assert_eq!(lat, vec![7.0, 2.0]);
         assert_eq!(misses, 0);
     }
@@ -395,7 +317,8 @@ mod tests {
             completion(2, 30, None, 2),
         ];
         let walls = [10.0, 5.0, 2.0];
-        let (lat, _) = replay_latencies(&completions, &walls, &serial_rounds(3), 1.0);
+        let serial = [vec![0], vec![1], vec![2]];
+        let (lat, _) = replay_latencies(&completions, &walls, &serial, 1.0);
         // Serial: f0 = 10, f1 = max(10, 3) + 5 = 15, f2 = max(15, 30) + 2 = 32.
         assert_eq!(lat, vec![10.0, 12.0, 2.0]);
     }

@@ -2,14 +2,18 @@
 //! the server or wedge a session. Truncated prefixes, oversized frames,
 //! malformed payloads, unknown models, inconsistent tensors, hostile
 //! activation values, and mid-request disconnects all end in a wire
-//! error or a clean close — and the server keeps serving afterwards.
+//! error or a clean close — and the server keeps serving afterwards. The
+//! frame decoder itself is fuzzed with random and mutated byte streams.
 
 use oxbar_nn::synthetic::{self, small_network};
 use oxbar_serve::protocol::{
     self, Client, ClientError, ClientFrame, ErrorCode, FrameError, ServerFrame,
 };
-use oxbar_serve::{catalog, ServeConfig, ServeEngine, Server, ServerConfig};
+use oxbar_serve::{catalog, ServeConfig, ServeEngine, Server, ServerConfig, WireModel, WireToken};
 use oxbar_sim::SimConfig;
+use proptest::prelude::*;
+use proptest::{SeedableRng, TestRng};
+use rand::Rng;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -340,4 +344,165 @@ fn goodbye_flushes_and_acknowledges() {
     assert!(saw_completion, "Goodbye must flush in-flight completions");
     assert!(saw_bye, "Goodbye is acknowledged with Bye");
     server.shutdown();
+}
+
+/// Every kind of frame both sides send, each encoded with its length
+/// prefix: the valid inputs the decoder fuzz mutates.
+fn encoded_frames() -> Vec<Vec<u8>> {
+    let tensor = synthetic::activations(oxbar_nn::TensorShape::new(2, 3, 1), 6, 5);
+    let client = [
+        ClientFrame::Infer {
+            tag: 1,
+            model: 0,
+            arrival: 3,
+            deadline: Some(9),
+            input: tensor.clone(),
+        },
+        ClientFrame::Generate {
+            tag: 2,
+            model: 1,
+            prompt: 7,
+            steps: 4,
+            arrival: 0,
+            interval: 2,
+        },
+        ClientFrame::Admit {
+            name: "lenet5".into(),
+        },
+        ClientFrame::Stats,
+        ClientFrame::Goodbye,
+    ];
+    let server = [
+        ServerFrame::Hello {
+            models: vec![WireModel {
+                model: 0,
+                name: "lenet5".into(),
+                input_h: 32,
+                input_w: 32,
+                input_c: 1,
+            }],
+            max_frame: 1 << 23,
+            queue_capacity: 64,
+        },
+        ServerFrame::Completion {
+            tag: 1,
+            batch_seq: 4,
+            batch_size: 2,
+            output: tensor,
+            sequence: Some(WireToken {
+                step: 0,
+                token: 3,
+                done: false,
+            }),
+        },
+        ServerFrame::Admitted {
+            name: "lenet5".into(),
+            model: 1,
+        },
+        ServerFrame::Stats {
+            requests: 1,
+            batches: 1,
+            queued: 0,
+            occupancy_cells: 10,
+            budget_cells: 20,
+            retries: 0,
+            sheds: 0,
+            recoveries: 0,
+            degraded_chips: 1,
+            failed_chips: 0,
+        },
+        ServerFrame::Shed {
+            tag: 5,
+            detail: "chip 0 failed".into(),
+        },
+        ServerFrame::Degraded {
+            chip: 0,
+            health: "degraded".into(),
+        },
+        ServerFrame::Error {
+            tag: None,
+            code: ErrorCode::MalformedFrame,
+            detail: "bad \"json\" \u{e9}".into(),
+        },
+        ServerFrame::Bye,
+    ];
+    let mut frames = Vec::new();
+    for frame in &client {
+        let mut bytes = Vec::new();
+        protocol::write_message(&mut bytes, frame).expect("encode");
+        frames.push(bytes);
+    }
+    for frame in &server {
+        let mut bytes = Vec::new();
+        protocol::write_message(&mut bytes, frame).expect("encode");
+        frames.push(bytes);
+    }
+    frames
+}
+
+/// One fuzz input from `seed`: random bytes, a random payload under a
+/// consistent length prefix, a valid frame with random flips,
+/// insertions, deletions and truncations under a consistent prefix, or a
+/// valid frame's byte stream cut short.
+fn fuzz_stream(seed: u64, frames: &[Vec<u8>]) -> Vec<u8> {
+    let mut rng = TestRng::seed_from_u64(seed);
+    let framed = |payload: Vec<u8>| {
+        let len = u32::try_from(payload.len()).expect("small payload");
+        let mut bytes = len.to_be_bytes().to_vec();
+        bytes.extend(payload);
+        bytes
+    };
+    // Bytes that steer a mutation into the JSON grammar half the time.
+    let grammar = b"{}[]\":,\\-+.0123456789eEnulltruefalse\x80\xc3\xff";
+    let byte = |rng: &mut TestRng| -> u8 {
+        if rng.random_bool(0.5) {
+            grammar[rng.random_range(0..grammar.len())]
+        } else {
+            rng.random()
+        }
+    };
+    let frame = &frames[rng.random_range(0..frames.len())];
+    match rng.random_range(0..4u8) {
+        0 => (0..rng.random_range(0..64)).map(|_| rng.random()).collect(),
+        1 => framed(
+            (0..rng.random_range(0..256))
+                .map(|_| byte(&mut rng))
+                .collect(),
+        ),
+        2 => {
+            let mut payload = frame[4..].to_vec();
+            for _ in 0..rng.random_range(1..=4) {
+                let at = rng.random_range(0..=payload.len());
+                match rng.random_range(0..4u8) {
+                    0 if at < payload.len() => payload[at] ^= 1u8 << rng.random_range(0..8u32),
+                    1 => payload.insert(at, byte(&mut rng)),
+                    2 if at < payload.len() => {
+                        payload.remove(at);
+                    }
+                    _ => payload.truncate(at),
+                }
+            }
+            framed(payload)
+        }
+        _ => frame[..rng.random_range(0..frame.len())].to_vec(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn frame_decoder_never_panics(seed in 0u64..u64::MAX) {
+        let frames = encoded_frames();
+        let bytes = fuzz_stream(seed, &frames);
+        // The shim does not shrink, so the seed is the repro.
+        let decoded = std::panic::catch_unwind(|| {
+            let _ = protocol::read_message::<ClientFrame>(&mut bytes.as_slice());
+            let _ = protocol::read_message::<ServerFrame>(&mut bytes.as_slice());
+        });
+        prop_assert!(
+            decoded.is_ok(),
+            "read_message panicked; replay with fuzz_stream({seed}, ..): {bytes:?}"
+        );
+    }
 }

@@ -338,13 +338,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char.
+                    // Copy the run up to the next quote or backslash in
+                    // one step: both are ASCII, so the run ends on a char
+                    // boundary and checking it alone keeps parsing linear.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| Error("invalid UTF-8".to_string()))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -503,6 +508,25 @@ mod tests {
         assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
         // Far deeper than any stack could recurse: a structured error.
         assert!(parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Multi-byte chars and escapes spread through a 1 MiB string: a
+        // parser that re-checks the rest of the input per char takes
+        // minutes here.
+        let chunk = "plain ascii, é, €, 😀 and an escaped \\\" quote\\n";
+        let decoded = "plain ascii, é, €, 😀 and an escaped \" quote\n";
+        let repeats = (1 << 20) / chunk.len();
+        let text = format!("\"{}\"", chunk.repeat(repeats));
+        let started = std::time::Instant::now();
+        let value = parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(value, Value::Str(decoded.repeat(repeats)));
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "1 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::fault::{ExecError, InjectedFault};
 use crate::snapshot::{ChipSnapshot, TileSnapshot};
 use crate::tile::{run_tile_with, CompiledTile, MvmEngine, TileDrive};
 use oxbar_core::dse::parallel_map;
-use oxbar_dataflow::tiles::{TileGeometry, WeightTiles};
+use oxbar_dataflow::tiles::{TileGeometry, WeightTile, WeightTiles};
 use oxbar_dataflow::FoldPlan;
 use oxbar_electronics::accumulator::Accumulator;
 use oxbar_nn::reference::{
@@ -103,8 +103,8 @@ pub struct DeviceExecutor {
     /// are deterministic functions of `(config, seed, layer, tile,
     /// weights)`, so caching never changes results — only work.
     cache: Mutex<TileCache>,
-    /// Signaled whenever an in-flight tile compile finishes, waking any
-    /// worker blocked on the same key in [`Self::compiled_tile`].
+    /// Signaled whenever a claimed tile compile finishes, waking any
+    /// worker blocked on the same key in [`Self::resolve_tile`].
     compile_done: Condvar,
     /// Cells of compiled state the cache may hold.
     cache_budget: usize,
@@ -132,9 +132,6 @@ struct FaultState {
     /// Control plane down: every `try_forward` returns
     /// [`ExecError::ChipFailed`].
     killed: bool,
-    /// Drift-degraded: execution still succeeds; schedulers read this
-    /// through [`DeviceExecutor::is_degraded`].
-    degraded: bool,
     /// Armed one-shot transient `(layer, tile)`: consumed by the next
     /// `try_forward`, which fails once with [`ExecError::TileFault`].
     transient: Option<(usize, usize)>,
@@ -216,16 +213,15 @@ pub struct TileDriftInfo {
     pub projected_slip: f64,
 }
 
-/// Rebuilds a geometry-less [`oxbar_dataflow::tiles::WeightTile`] from
-/// stored column-major codes
+/// Rebuilds a geometry-less [`WeightTile`] from stored column-major codes
 /// — only the codes matter for recompilation (snapshot restore and
-/// in-place recalibration both re-derive compiled state this way).
-fn weight_tile_from_codes(values: &[i8], rows: usize) -> oxbar_dataflow::tiles::WeightTile {
+/// in-place re-derivation both re-derive compiled state this way).
+fn weight_tile_from_codes(values: &[i8], rows: usize) -> WeightTile {
     let cols = values.len().checked_div(rows).unwrap_or(0);
     let values: Vec<Vec<i8>> = (0..rows)
         .map(|r| (0..cols).map(|c| values[c * rows + r]).collect())
         .collect();
-    oxbar_dataflow::tiles::WeightTile {
+    WeightTile {
         group: 0,
         row_fold: 0,
         col_fold: 0,
@@ -239,11 +235,12 @@ fn weight_tile_from_codes(values: &[i8], rows: usize) -> oxbar_dataflow::tiles::
 struct TileCache {
     /// Keyed by `(layer index, tile index)`.
     tiles: HashMap<(usize, usize), Arc<CompiledTile>>,
-    /// Keys some thread is compiling right now. Concurrent executions of
-    /// the same network single-flight their compiles through this set:
-    /// the first thread to miss programs the tile, everyone else waits on
-    /// [`DeviceExecutor::compile_done`] and then takes the hit path. One
-    /// missing tile is exactly one miss however many workers want it.
+    /// Keys some thread has claimed and is compiling right now. Every
+    /// writer single-flights through this set
+    /// ([`DeviceExecutor::resolve_tile`]): the first claim programs the
+    /// tile, later claimants wait on [`DeviceExecutor::compile_done`] and
+    /// then judge the installed entry. One missing tile is exactly one
+    /// miss however many workers want it.
     in_flight: HashSet<(usize, usize)>,
     /// Programming-age records for resident tiles, maintained in lockstep
     /// with `tiles` (only populated while aging is active). A tile whose
@@ -263,6 +260,42 @@ struct TileAge {
     /// The age the cached compiled state's transmissions were derived at;
     /// lags `clock − programmed_at` until the next aged re-derivation.
     derived_age: u64,
+}
+
+/// A resident cache entry, as a claim rule in
+/// [`DeviceExecutor::resolve_tile`] sees it.
+struct Resident<'a> {
+    tile: &'a Arc<CompiledTile>,
+    /// The tile's current age when its compiled state was derived at
+    /// another one (aging active only): the age a re-derivation targets.
+    stale: Option<u64>,
+}
+
+/// A claim rule's verdict on one key.
+enum Claim {
+    /// Serve the resident entry (counts a hit).
+    Hit(Arc<CompiledTile>),
+    /// Program the tile at this age in ticks (counts a miss).
+    Program(u64),
+    /// Leave the key as it is (counts nothing).
+    Skip,
+}
+
+/// A key this thread claimed for programming. Dropping it — after the
+/// install, or while a panicking compile unwinds — releases the key and
+/// wakes its waiters, so a failed compile never wedges them.
+struct Claimed<'a> {
+    exec: &'a DeviceExecutor,
+    key: (usize, usize),
+}
+
+impl Drop for Claimed<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut cache) = self.exec.cache.lock() {
+            cache.in_flight.remove(&self.key);
+        }
+        self.exec.compile_done.notify_all();
+    }
 }
 
 impl Clone for DeviceExecutor {
@@ -301,9 +334,8 @@ impl DeviceExecutor {
     }
 
     /// Applies one injected fault (see [`crate::fault`]): `Kill` refuses
-    /// all further forward execution, `TileTransient` arms a one-shot
-    /// failure consumed by the next [`Self::try_forward`], and `Drift`
-    /// marks the chip degraded without changing results.
+    /// all further forward execution, and `TileTransient` arms a one-shot
+    /// failure consumed by the next [`Self::try_forward`].
     ///
     /// # Panics
     ///
@@ -315,7 +347,6 @@ impl DeviceExecutor {
             InjectedFault::TileTransient { layer, tile } => {
                 state.transient = Some((layer, tile));
             }
-            InjectedFault::Drift => state.degraded = true,
         }
     }
 
@@ -329,17 +360,6 @@ impl DeviceExecutor {
     #[must_use]
     pub fn is_failed(&self) -> bool {
         self.fault.lock().expect("fault state").killed
-    }
-
-    /// Whether the chip is marked drift-degraded (results unchanged;
-    /// schedulers should prefer healthy replicas).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault mutex was poisoned.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.fault.lock().expect("fault state").degraded
     }
 
     /// [`Self::try_forward_batch`] for one input.
@@ -456,101 +476,114 @@ impl DeviceExecutor {
         self.arenas.lock().expect("arena pool").extend(arenas);
     }
 
-    /// The compiled state for one tile: a validated cache hit (a straight
-    /// slice compare against the filter bank, no tile materialization),
-    /// or a fresh compile (inserted while the cell budget allows).
+    /// The one path that programs a tile or writes the tile cache.
     ///
-    /// Compiles are **single-flight**: when several workers execute the
-    /// same network concurrently and miss on the same tile, exactly one
-    /// programs it while the rest block on [`Self::compile_done`] and
-    /// then hit — so the hit/miss counters are a deterministic function
-    /// of the workload, not of thread timing, and no compile ever runs
-    /// twice. (A zero-budget cache cannot retain the compiled entry; its
-    /// waiters re-miss by design, matching the serial cold path.)
+    /// **Claim:** under the cache lock, wait out any in-flight compile of
+    /// `key`, then let `rule` judge what is resident. A
+    /// [`Claim::Program`] marks the key in flight and counts the miss, so
+    /// concurrent callers single-flight: exactly one programs the key,
+    /// the rest wait and judge the installed entry, and the counters are
+    /// a deterministic function of the workload, not of thread timing.
+    /// **Compile:** program the codes `codes` builds (handed the resident
+    /// entry, if any) with the tile's seed at the claimed age.
+    /// **Install:** replace the resident entry, admit the new one while
+    /// the cell budget allows, stamp its age, and wake the waiters.
+    ///
+    /// Returns the hit or the fresh compile (admitted or not), or `None`
+    /// when the rule skips the key.
+    fn resolve_tile(
+        &self,
+        key: (usize, usize),
+        rule: impl FnOnce(Option<Resident<'_>>) -> Claim,
+        codes: impl FnOnce(Option<&CompiledTile>) -> WeightTile,
+    ) -> Option<Arc<CompiledTile>> {
+        let aging = self.aging_active();
+        let clock = self.clock.load(Ordering::Relaxed);
+        let (age, resident) = {
+            let mut cache = self.cache.lock().expect("tile cache");
+            while cache.in_flight.contains(&key) {
+                cache = self.compile_done.wait(cache).expect("tile cache");
+            }
+            // The INT6 codes cannot reveal a stale drift derivation — the
+            // array state is unchanged — so staleness is tracked per key,
+            // as a pure function of the round clock.
+            let resident = cache.tiles.get(&key).map(|tile| Resident {
+                tile,
+                stale: cache
+                    .ages
+                    .get(&key)
+                    .map(|a| (a.derived_age, clock.saturating_sub(a.programmed_at)))
+                    .filter(|&(derived, current)| aging && derived != current)
+                    .map(|(_, current)| current),
+            });
+            match rule(resident) {
+                Claim::Hit(hit) => {
+                    cache.hits += 1;
+                    return Some(hit);
+                }
+                Claim::Skip => return None,
+                Claim::Program(age) => {
+                    cache.in_flight.insert(key);
+                    cache.misses += 1;
+                    (age, cache.tiles.get(&key).cloned())
+                }
+            }
+        };
+        let claimed = Claimed { exec: self, key };
+        let compiled = Arc::new(CompiledTile::compile_at(
+            &codes(resident.as_deref()),
+            &self.config,
+            tile_seed(self.config.seed, key.0, key.1),
+            self.aged_elapsed(age),
+        ));
+        let mut cache = self.cache.lock().expect("tile cache");
+        if let Some(replaced) = cache.tiles.remove(&key) {
+            cache.cells -= replaced.cells();
+        }
+        cache.ages.remove(&key);
+        if cache.cells + compiled.cells() <= self.cache_budget {
+            cache.tiles.insert(key, Arc::clone(&compiled));
+            cache.cells += compiled.cells();
+            if aging {
+                cache.ages.insert(
+                    key,
+                    TileAge {
+                        programmed_at: clock.saturating_sub(age),
+                        derived_age: age,
+                    },
+                );
+            }
+        }
+        drop(cache);
+        drop(claimed);
+        Some(compiled)
+    }
+
+    /// The compiled state a forward pass drives one tile through: a
+    /// validated cache hit (a straight slice compare against the filter
+    /// bank, no tile materialization), a re-derivation of a stale
+    /// resident tile at its current age, or a fresh program of an absent
+    /// (or differently weighted) tile. A zero-budget cache cannot retain
+    /// the compiled entry; its waiters re-miss by design, matching the
+    /// serial cold path.
     fn compiled_tile(
         &self,
         layer_index: usize,
         tile_index: usize,
         tiles: &WeightTiles<'_>,
         geom: &TileGeometry,
-        seed: u64,
     ) -> Arc<CompiledTile> {
-        let key = (layer_index, tile_index);
-        let aging = self.aging_active();
-        let clock = self.clock.load(Ordering::Relaxed);
-        // `None` compiles a fresh program at the baseline elapsed;
-        // `Some(age)` re-derives a resident tile's drifted transmissions
-        // at its current age (same codes, same seed streams).
-        let mut rederive_age: Option<u64> = None;
-        {
-            let mut cache = self.cache.lock().expect("tile cache");
-            loop {
-                if cache.in_flight.contains(&key) {
-                    cache = self.compile_done.wait(cache).expect("tile cache");
-                    continue;
-                }
-                if let Some(hit) = cache.tiles.get(&key) {
-                    if hit.matches_bank(tiles, geom) {
-                        // The INT6 codes cannot reveal a stale drift
-                        // derivation — the array state is unchanged — so
-                        // staleness is tracked explicitly per key. Age is
-                        // a pure function of the round clock, keeping the
-                        // re-derivation (and the counters) byte-identical
-                        // across worker counts.
-                        let current_age = cache
-                            .ages
-                            .get(&key)
-                            .map(|a| clock.saturating_sub(a.programmed_at));
-                        let stale = aging
-                            && cache
-                                .ages
-                                .get(&key)
-                                .zip(current_age)
-                                .is_some_and(|(a, current)| a.derived_age != current);
-                        if !stale {
-                            let hit = Arc::clone(hit);
-                            cache.hits += 1;
-                            return hit;
-                        }
-                        rederive_age = current_age;
-                    }
-                }
-                cache.in_flight.insert(key);
-                cache.misses += 1;
-                break;
-            }
-        }
-        let tile = tiles.tile(tile_index);
-        let elapsed = self.aged_elapsed(rederive_age.unwrap_or(0));
-        let compiled = Arc::new(CompiledTile::compile_at(&tile, &self.config, seed, elapsed));
-        let cells = compiled.cells();
-        let mut cache = self.cache.lock().expect("tile cache");
-        cache.in_flight.remove(&key);
-        if let Some(stale) = cache.tiles.remove(&key) {
-            cache.cells -= stale.cells();
-        }
-        cache.ages.remove(&key);
-        if cache.cells + cells <= self.cache_budget {
-            cache.tiles.insert(key, Arc::clone(&compiled));
-            cache.cells += cells;
-            if aging {
-                cache.ages.insert(
-                    key,
-                    match rederive_age {
-                        Some(age) => TileAge {
-                            programmed_at: clock.saturating_sub(age),
-                            derived_age: age,
-                        },
-                        None => TileAge {
-                            programmed_at: clock,
-                            derived_age: 0,
-                        },
-                    },
-                );
-            }
-        }
-        self.compile_done.notify_all();
-        compiled
+        self.resolve_tile(
+            (layer_index, tile_index),
+            |resident| match resident {
+                Some(r) if r.tile.matches_bank(tiles, geom) => r
+                    .stale
+                    .map_or_else(|| Claim::Hit(Arc::clone(r.tile)), Claim::Program),
+                _ => Claim::Program(0),
+            },
+            |_| tiles.tile(tile_index),
+        )
+        .expect("the forward rule never skips")
     }
 
     /// Overrides the weight-stationary cache's cell budget (the default is
@@ -565,9 +598,11 @@ impl DeviceExecutor {
     /// A snapshot of the tile cache's counters and occupancy.
     ///
     /// Hit/miss counts are exact under serial *and* parallel execution:
-    /// compiles are single-flight (see [`Self::prewarm`] and the tile
-    /// path), so a missing tile is one miss however many workers race to
-    /// it, and the counters are a deterministic function of the workload.
+    /// every writer — forward passes, [`Self::prewarm`],
+    /// [`Self::rederive_tile`] and [`Self::restore_at`] — claims tiles
+    /// through one single-flight path, so a missing tile is one miss
+    /// however many workers race to it, and the counters are a
+    /// deterministic function of the workload.
     ///
     /// # Panics
     ///
@@ -709,47 +744,6 @@ impl DeviceExecutor {
         out
     }
 
-    /// Reprograms a resident tile's PCM array in place at the baseline
-    /// drift elapsed, resetting its programming age. Every stochastic
-    /// draw (programming variation, phase errors) is a pure function of
-    /// the tile seed, so the recalibrated compiled state is **bit-exact to
-    /// a fresh program** — readouts return to fresh-program accuracy.
-    /// Counts one cache miss (recalibration is programming work, like a
-    /// prewarm). Returns 1 if the tile was reprogrammed, 0 when it is not
-    /// resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned.
-    pub fn recalibrate_tile(&self, layer: usize, tile: usize) -> usize {
-        let key = (layer, tile);
-        let clock = self.clock.load(Ordering::Relaxed);
-        let mut cache = self.cache.lock().expect("tile cache");
-        // A key mid-compile belongs to the thread compiling it; the fresh
-        // compile it is producing is already at baseline age.
-        if cache.in_flight.contains(&key) {
-            return 0;
-        }
-        let Some(resident) = cache.tiles.get(&key) else {
-            return 0;
-        };
-        let weight_tile = weight_tile_from_codes(resident.values(), resident.value_rows());
-        let seed = tile_seed(self.config.seed, layer, tile);
-        let compiled = CompiledTile::compile(&weight_tile, &self.config, seed);
-        cache.tiles.insert(key, Arc::new(compiled));
-        cache.misses += 1;
-        if self.aging_active() {
-            cache.ages.insert(
-                key,
-                TileAge {
-                    programmed_at: clock,
-                    derived_age: 0,
-                },
-            );
-        }
-        1
-    }
-
     /// The oldest resident tile's programming age, in dispatch ticks.
     /// `None` when aging is inactive or nothing is resident — the cheap
     /// probe a drift health monitor polls every round without paying for
@@ -775,7 +769,8 @@ impl DeviceExecutor {
     /// The deterministic half of online recalibration: resets a resident
     /// tile's programming age to the current clock without touching its
     /// compiled state. The next readout re-derives the age-0 (baseline)
-    /// transmissions lazily — bit-exact to [`Self::recalibrate_tile`] — so
+    /// transmissions lazily — every stochastic draw is a pure function of
+    /// the tile seed, so the result is bit-exact to a fresh program — and
     /// a scheduler can commit the decision at a single-threaded boundary
     /// and hand the reprogramming work ([`Self::rederive_tile`]) to a
     /// concurrent stage without the outcome depending on when (or
@@ -798,67 +793,31 @@ impl DeviceExecutor {
     }
 
     /// The work half of online recalibration: eagerly re-derives a
-    /// resident tile at its current age, exactly as the next readout
-    /// would lazily. Compiles run single-flight against the execution
-    /// path (a key mid-compile or already current is skipped), so a stale
-    /// key is re-derived exactly once — eagerly here or lazily at first
-    /// read — and the cache counters stay a deterministic function of the
+    /// resident tile at its current age from its stored codes, exactly as
+    /// the next readout would lazily. The claim waits out a compile of
+    /// the key in flight and skips a key already current, so a stale key
+    /// is re-derived exactly once — eagerly here or lazily at first read
+    /// — and the cache counters stay a deterministic function of the
     /// workload. Returns 1 if the tile was re-derived, else 0.
     ///
     /// # Panics
     ///
     /// Panics if the cache mutex was poisoned.
     pub fn rederive_tile(&self, layer: usize, tile: usize) -> usize {
-        if !self.aging_active() {
-            return 0;
-        }
-        let key = (layer, tile);
-        let clock = self.clock.load(Ordering::Relaxed);
-        let mut cache = self.cache.lock().expect("tile cache");
-        if cache.in_flight.contains(&key) {
-            return 0;
-        }
-        let (Some(resident), Some(record)) = (cache.tiles.get(&key), cache.ages.get(&key)) else {
-            return 0;
-        };
-        let age = clock.saturating_sub(record.programmed_at);
-        if record.derived_age == age {
-            return 0;
-        }
-        let resident = Arc::clone(resident);
-        cache.in_flight.insert(key);
-        drop(cache);
-        let weight_tile = weight_tile_from_codes(resident.values(), resident.value_rows());
-        let seed = tile_seed(self.config.seed, layer, tile);
-        let compiled =
-            CompiledTile::compile_at(&weight_tile, &self.config, seed, self.aged_elapsed(age));
-        let mut cache = self.cache.lock().expect("tile cache");
-        cache.in_flight.remove(&key);
-        // Re-check residency: an eviction may have raced the compile
-        // (never in the serving engine, which re-derives only at stage
-        // points ordered against budget enforcement).
-        let mut rederived = 0;
-        if let Some(slot) = cache.tiles.get_mut(&key) {
-            *slot = Arc::new(compiled);
-            cache.misses += 1;
-            if let Some(entry) = cache.ages.get_mut(&key) {
-                entry.derived_age = age;
-            }
-            rederived = 1;
-        }
-        self.compile_done.notify_all();
-        rederived
-    }
-
-    /// Clears a drift-degraded mark (see [`InjectedFault::Drift`]) —
-    /// the healing half of the fault surface, taken after recalibration
-    /// brings every resident tile back under the accuracy budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault mutex was poisoned.
-    pub fn clear_drift(&self) {
-        self.fault.lock().expect("fault state").degraded = false;
+        let rederived = self.resolve_tile(
+            (layer, tile),
+            |resident| match resident {
+                Some(Resident {
+                    stale: Some(age), ..
+                }) => Claim::Program(age),
+                _ => Claim::Skip,
+            },
+            |resident| {
+                let resident = resident.expect("a stale key is resident");
+                weight_tile_from_codes(resident.values(), resident.value_rows())
+            },
+        );
+        usize::from(rederived.is_some())
     }
 
     /// Overrides the crossbar MVM engine (e.g. [`MvmEngine::FieldWalk`]
@@ -1093,7 +1052,7 @@ impl DeviceExecutor {
                 // The oracle engine stays cache-free: it is the baseline
                 // the compiled path is benchmarked and validated against.
                 let compiled = (self.engine != MvmEngine::FieldWalk)
-                    .then(|| self.compiled_tile(layer_index, tile_index, &tiles, geom, seed));
+                    .then(|| self.compiled_tile(layer_index, tile_index, &tiles, geom));
                 let mut program = compiled.as_ref().map(|c| c.program());
                 let mut arena = self.checkout_arena();
                 let mut drive = std::mem::replace(&mut arena.drive, TileDrive::empty());
@@ -1283,13 +1242,15 @@ impl DeviceExecutor {
 
     /// Eagerly programs and compiles a model's full tile set into the
     /// weight-stationary cache — the programming work a cold forward pass
-    /// would otherwise pay on its blocking path. Missing tiles compile in
-    /// parallel across the config's worker threads
-    /// ([`oxbar_core::dse::parallel_map`]; per-tile seeds make this
-    /// determinism-safe) and insert in tile order under the same cell
-    /// budget as the lazy path, so a prewarmed executor holds exactly the
-    /// cache state a forward pass would have built. Returns the number of
-    /// tiles compiled (zero when the model is already resident).
+    /// would otherwise pay on its blocking path. Each layer's tiles are
+    /// claimed across the config's worker threads
+    /// ([`oxbar_core::dse::parallel_map`]) through the same single-flight
+    /// path and cell budget as a forward pass, so a prewarm racing a
+    /// forward still programs each tile once. A tile is programmed only
+    /// when it is absent or holds other weights; a resident tile, stale
+    /// or not, is left to the forward path and not counted. Returns the
+    /// number of tiles compiled (zero when the model is already
+    /// resident).
     ///
     /// Serving engines call this for the *next* model in the queue while
     /// the current batch executes, which moves PCM programming off the
@@ -1298,8 +1259,8 @@ impl DeviceExecutor {
     /// # Panics
     ///
     /// Panics if `filters` does not cover every conv-like layer.
-    pub fn prewarm(&self, network: &Network, filters: &[oxbar_nn::reference::FilterBank]) -> usize {
-        let mut compiled_total = 0;
+    pub fn prewarm(&self, network: &Network, filters: &[FilterBank]) -> usize {
+        let mut compiled = 0;
         let mut conv_idx = 0;
         for (layer_idx, layer) in network.layers().iter().enumerate() {
             let dense_conv;
@@ -1323,63 +1284,23 @@ impl DeviceExecutor {
                 self.config.mapping.columns_per_output(),
             );
             let tiles = WeightTiles::new(conv, &filters[conv_idx].weights, &plan);
-            let geoms: Vec<(usize, TileGeometry)> = tiles.geometries().enumerate().collect();
             conv_idx += 1;
-            // Snapshot which tiles are missing (or stale) under the lock,
-            // compile them in parallel, then insert in tile order with
-            // the lazy path's budget rule.
-            let missing: Vec<&(usize, TileGeometry)> = {
-                let cache = self.cache.lock().expect("tile cache");
-                geoms
-                    .iter()
-                    .filter(|(tile_index, geom)| {
-                        // A key mid-compile on another thread is about to
-                        // become resident; a skipped prewarm only costs
-                        // speed, so leave it to the thread that owns it.
-                        !cache.in_flight.contains(&(layer_idx, *tile_index))
-                            && cache
-                                .tiles
-                                .get(&(layer_idx, *tile_index))
-                                .is_none_or(|hit| !hit.matches_bank(&tiles, geom))
-                    })
-                    .collect()
-            };
-            let compiled = parallel_map(&missing, self.config.threads, |_, (tile_index, _)| {
-                let seed = tile_seed(self.config.seed, layer_idx, *tile_index);
-                Arc::new(CompiledTile::compile(
-                    &tiles.tile(*tile_index),
-                    &self.config,
-                    seed,
-                ))
-            });
-            let aging = self.aging_active();
-            let clock = self.clock.load(Ordering::Relaxed);
-            let mut cache = self.cache.lock().expect("tile cache");
-            for ((tile_index, _), compiled) in missing.iter().zip(compiled) {
-                let key = (layer_idx, *tile_index);
-                let cells = compiled.cells();
-                cache.misses += 1;
-                if let Some(stale) = cache.tiles.remove(&key) {
-                    cache.cells -= stale.cells();
-                }
-                cache.ages.remove(&key);
-                if cache.cells + cells <= self.cache_budget {
-                    cache.tiles.insert(key, compiled);
-                    cache.cells += cells;
-                    if aging {
-                        cache.ages.insert(
-                            key,
-                            TileAge {
-                                programmed_at: clock,
-                                derived_age: 0,
-                            },
-                        );
-                    }
-                }
-                compiled_total += 1;
-            }
+            let geoms: Vec<TileGeometry> = tiles.geometries().collect();
+            compiled += parallel_map(&geoms, self.config.threads, |tile_index, geom| {
+                self.resolve_tile(
+                    (layer_idx, tile_index),
+                    |resident| match resident {
+                        Some(r) if r.tile.matches_bank(&tiles, geom) => Claim::Skip,
+                        _ => Claim::Program(0),
+                    },
+                    |_| tiles.tile(tile_index),
+                )
+            })
+            .iter()
+            .flatten()
+            .count();
         }
-        compiled_total
+        compiled
     }
 
     /// Captures the executor's programmed tile state as a serializable
@@ -1420,13 +1341,19 @@ impl DeviceExecutor {
         }
     }
 
-    /// Reconstructs an executor from a [`ChipSnapshot`]: every recorded
-    /// tile is recompiled from its codes with its original seed,
-    /// producing a chip whose forward passes are **byte-identical** to the
-    /// source chip's (programming variation, drift, and phase streams all
-    /// re-derive from the stored seeds). The restored cache carries the
-    /// snapshot's hit/miss counters; tiles are admitted in snapshot order
-    /// under the snapshot's cell budget.
+    /// Reconstructs an executor from a [`ChipSnapshot`] onto a running
+    /// cluster: every recorded tile is recompiled from its codes with its
+    /// original seed, producing a chip whose forward passes are
+    /// **byte-identical** to the source chip's (programming variation,
+    /// drift, and phase streams all re-derive from the stored seeds).
+    /// Tiles are installed in snapshot order under the snapshot's cell
+    /// budget, through the same path a forward pass programs them by,
+    /// and the restored cache then carries the snapshot's hit/miss
+    /// counters. The executor's virtual clock starts at `clock`, and every
+    /// restored tile's programming age is stamped there — restoration
+    /// reprograms the destination's PCM arrays, so the tiles are fresh at
+    /// the moment of recovery, not as old as the source chip's copies
+    /// were.
     ///
     /// This is the migration primitive of multi-chip serving: a hot model
     /// moves between chips by snapshotting its executor and restoring it
@@ -1434,58 +1361,35 @@ impl DeviceExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if a recompiled tile's programming report disagrees with
-    /// the snapshot record (a corrupted or cross-version snapshot).
-    #[must_use]
-    pub fn restore(snapshot: &ChipSnapshot) -> Self {
-        Self::restore_at(snapshot, 0)
-    }
-
-    /// [`Self::restore`] onto a running cluster: the restored executor's
-    /// virtual clock starts at `clock`, and every restored tile's
-    /// programming age is stamped there — restoration reprograms the
-    /// destination's PCM arrays, so the tiles are fresh at the moment of
-    /// recovery, not as old as the source chip's copies were.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Self::restore`].
+    /// Panics if a tile's recorded seed or programming report disagrees
+    /// with its recompile (a corrupted or cross-version snapshot).
     #[must_use]
     pub fn restore_at(snapshot: &ChipSnapshot, clock: u64) -> Self {
         let exec = Self::new(snapshot.config.clone()).with_cache_budget(snapshot.cache_budget);
         exec.set_clock(clock);
-        let aging = exec.aging_active();
-        {
-            let mut cache = exec.cache.lock().expect("tile cache");
-            cache.hits = snapshot.hits;
-            cache.misses = snapshot.misses;
-            for snap in &snapshot.tiles {
-                let tile = weight_tile_from_codes(&snap.values, snap.rows);
-                let compiled = CompiledTile::compile(&tile, &exec.config, snap.seed);
-                assert_eq!(
-                    compiled.program(),
-                    snap.program,
-                    "restored tile ({}, {}) must recompile to its recorded state",
-                    snap.layer,
-                    snap.tile
-                );
-                let cells = compiled.cells();
-                if cache.cells + cells <= snapshot.cache_budget {
-                    let key = (snap.layer, snap.tile);
-                    cache.tiles.insert(key, Arc::new(compiled));
-                    cache.cells += cells;
-                    if aging {
-                        cache.ages.insert(
-                            key,
-                            TileAge {
-                                programmed_at: clock,
-                                derived_age: 0,
-                            },
-                        );
-                    }
-                }
-            }
+        for snap in &snapshot.tiles {
+            let compiled = exec
+                .resolve_tile(
+                    (snap.layer, snap.tile),
+                    |_| Claim::Program(0),
+                    |_| weight_tile_from_codes(&snap.values, snap.rows),
+                )
+                .expect("every snapshot tile is programmed");
+            assert_eq!(
+                (snap.seed, snap.program),
+                (
+                    tile_seed(exec.config.seed, snap.layer, snap.tile),
+                    compiled.program()
+                ),
+                "restored tile ({}, {}) must recompile to its recorded state",
+                snap.layer,
+                snap.tile
+            );
         }
+        let mut cache = exec.cache.lock().expect("tile cache");
+        cache.hits = snapshot.hits;
+        cache.misses = snapshot.misses;
+        drop(cache);
         exec
     }
 }
@@ -1845,26 +1749,25 @@ mod tests {
         assert!(infos.iter().all(|i| i.projected_slip > 0.0));
         let mut recalibrated = 0;
         for info in &infos {
-            recalibrated += exec.recalibrate_tile(info.layer, info.tile);
+            recalibrated += exec.mark_recalibrated(info.layer, info.tile);
         }
         assert_eq!(recalibrated, infos.len());
-        // Reprogramming re-derives the same seed streams at the baseline
-        // elapsed: readouts return to fresh-program accuracy, bit-exact.
+        // The next read reprograms each marked tile, re-deriving the same
+        // seed streams at the baseline elapsed: readouts return to
+        // fresh-program accuracy, bit-exact.
         assert_eq!(probe_conv_forward(&exec), fresh);
         assert!(exec.tile_ages().iter().all(|i| i.age_ticks == 0));
     }
 
     #[test]
     fn split_recalibration_matches_the_one_shot_path() {
-        // mark + eager rederive, mark + lazy read, and recalibrate_tile
-        // all converge to the same compiled state and the same counters.
+        // mark + eager rederive and mark + lazy read converge to the same
+        // compiled state and the same counters.
         let eager = DeviceExecutor::new(aging_config(1e8));
         let lazy = DeviceExecutor::new(aging_config(1e8));
-        let oneshot = DeviceExecutor::new(aging_config(1e8));
         let fresh = probe_conv_forward(&eager);
         assert_eq!(probe_conv_forward(&lazy), fresh);
-        assert_eq!(probe_conv_forward(&oneshot), fresh);
-        for exec in [&eager, &lazy, &oneshot] {
+        for exec in [&eager, &lazy] {
             exec.set_clock(1000);
             // Derive the aged state so there is something to reset.
             assert_ne!(probe_conv_forward(exec), fresh);
@@ -1878,15 +1781,12 @@ mod tests {
             // Re-deriving again is a no-op: the state is current.
             assert_eq!(eager.rederive_tile(info.layer, info.tile), 0);
             lazy.mark_recalibrated(info.layer, info.tile);
-            oneshot.recalibrate_tile(info.layer, info.tile);
         }
         assert_eq!(probe_conv_forward(&eager), fresh);
         assert_eq!(probe_conv_forward(&lazy), fresh);
-        assert_eq!(probe_conv_forward(&oneshot), fresh);
         // Every path pays exactly one re-derivation miss per tile,
         // whether eager or lazy.
         assert_eq!(eager.cache_stats().misses, lazy.cache_stats().misses);
-        assert_eq!(eager.cache_stats().misses, oneshot.cache_stats().misses);
     }
 
     #[test]

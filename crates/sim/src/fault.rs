@@ -23,7 +23,7 @@
 //! array state survives (only forward execution is refused), so
 //! [`crate::DeviceExecutor::snapshot`] still works on a dead chip and a
 //! serving layer can recover its resident models onto healthy hardware
-//! via [`crate::DeviceExecutor::restore`].
+//! via [`crate::DeviceExecutor::restore_at`].
 
 use serde::{Deserialize, Serialize};
 
@@ -85,9 +85,6 @@ pub enum InjectedFault {
         /// Fold-tile index reported by the fault.
         tile: usize,
     },
-    /// Mark the chip drift-degraded: executes still succeed (and stay
-    /// deterministic), but the scheduler should prefer healthy replicas.
-    Drift,
 }
 
 /// One scheduled fault: what happens, to which chip, at which dispatch

@@ -10,7 +10,7 @@
 //! configuration — without touching the original filter banks.
 //!
 //! [`crate::DeviceExecutor::snapshot`] captures a chip;
-//! [`crate::DeviceExecutor::restore`] rebuilds one. Because every tile is
+//! [`crate::DeviceExecutor::restore_at`] rebuilds one. Because every tile is
 //! a deterministic function of `(codes, config, seed)`, the
 //! restored chip's forward passes are byte-identical to the source chip's
 //! — the property multi-chip serving uses to *migrate* a hot model
@@ -44,7 +44,7 @@ pub struct TileSnapshot {
 /// A full serializable image of one executor's programmed tile state.
 ///
 /// Produced by [`crate::DeviceExecutor::snapshot`], consumed by
-/// [`crate::DeviceExecutor::restore`]. Round-trips through the workspace
+/// [`crate::DeviceExecutor::restore_at`]. Round-trips through the workspace
 /// serde shim (`serde_json`), so chips can be persisted, shipped between
 /// processes, or migrated between cluster slots.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

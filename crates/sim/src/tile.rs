@@ -434,24 +434,11 @@ impl CompiledTile {
         self.value_rows
     }
 
-    /// Whether this compiled state was built from exactly these weights
-    /// (cache-hit validation).
-    #[must_use]
-    pub fn matches(&self, tile: &WeightTile) -> bool {
-        let (rows, cols) = (tile.rows(), tile.cols());
-        rows == self.value_rows
-            && cols * rows == self.values.len()
-            && self
-                .values
-                .chunks_exact(rows.max(1))
-                .enumerate()
-                .all(|(c, col)| col.iter().enumerate().all(|(r, &v)| tile.values[r][c] == v))
-    }
-
-    /// [`Self::matches`] against the filter bank directly: column `c` of
-    /// the compiled values must equal the contiguous filter slice
-    /// [`WeightTiles::filter_column`] returns for `geom` — the
-    /// zero-materialization validation the serving hot path runs on every
+    /// Whether this compiled state was built from exactly the weights of
+    /// the tile at `geom` (cache-hit validation): column `c` of the
+    /// compiled values must equal the contiguous filter slice
+    /// [`WeightTiles::filter_column`] returns for `geom` — a
+    /// zero-materialization check the serving hot path runs on every
     /// cache hit.
     #[must_use]
     pub fn matches_bank(&self, tiles: &WeightTiles<'_>, geom: &TileGeometry) -> bool {
@@ -638,29 +625,14 @@ impl CompiledTile {
     }
 }
 
-/// Executes one weight tile against its input windows on the default
-/// (compiled transfer-matrix) engine.
+/// Executes one weight tile against its input windows on `engine`,
+/// without caching anything.
 ///
 /// The tile's signed weights are mapped to unipolar codes, programmed into
 /// a PCM array (with the config's variation/drift), propagated through a
 /// tile-sized crossbar (with the config's phase errors/losses, seeded from
 /// `seed`), read out per column, and recovered to signed integer partial
 /// sums.
-///
-/// # Panics
-///
-/// Panics if the drive's window lengths disagree with the tile geometry.
-#[must_use]
-pub fn run_tile(
-    tile: &WeightTile,
-    drive: &TileDrive,
-    config: &SimConfig,
-    seed: u64,
-) -> TileOutcome {
-    run_tile_with(tile, drive, config, seed, MvmEngine::Compiled)
-}
-
-/// [`run_tile`] with an explicit [`MvmEngine`].
 ///
 /// # Panics
 ///
@@ -747,7 +719,7 @@ mod tests {
         for (t, tile) in tiles.iter().enumerate() {
             let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 7 % 64) as u8).collect();
             let drive = TileDrive::from_windows(std::slice::from_ref(&window), None);
-            let out = run_tile(tile, &drive, &config, 99 + t as u64);
+            let out = run_tile_with(tile, &drive, &config, 99 + t as u64, MvmEngine::Compiled);
             let expected = signed_mac(
                 tile,
                 &window.iter().map(|&v| i64::from(v)).collect::<Vec<_>>(),
@@ -774,7 +746,13 @@ mod tests {
             &[window.iter().map(|&v| v.max(0) as u8).collect()],
             Some(&[window.iter().map(|&v| (-v).max(0) as u8).collect()]),
         );
-        let out = run_tile(&tile, &drive, &SimConfig::ideal(32, 8), 5);
+        let out = run_tile_with(
+            &tile,
+            &drive,
+            &SimConfig::ideal(32, 8),
+            5,
+            MvmEngine::Compiled,
+        );
         assert_eq!(out.partials[0], signed_mac(&tile, &window));
     }
 
@@ -790,7 +768,7 @@ mod tests {
         let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 11 % 64) as u8).collect();
         let drive = TileDrive::from_windows(std::slice::from_ref(&window), None);
         let config = SimConfig::ideal(32, 16).with_mapping(WeightMapping::Differential);
-        let out = run_tile(&tile, &drive, &config, 1);
+        let out = run_tile_with(&tile, &drive, &config, 1, MvmEngine::Compiled);
         let expected = signed_mac(
             &tile,
             &window.iter().map(|&v| i64::from(v)).collect::<Vec<_>>(),
@@ -809,10 +787,10 @@ mod tests {
         let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 5 % 64) as u8).collect();
         let drive = TileDrive::from_windows(std::slice::from_ref(&window), None);
         let config = SimConfig::noisy(64, 8);
-        let a = run_tile(&tile, &drive, &config, 77);
-        let b = run_tile(&tile, &drive, &config, 77);
+        let a = run_tile_with(&tile, &drive, &config, 77, MvmEngine::Compiled);
+        let b = run_tile_with(&tile, &drive, &config, 77, MvmEngine::Compiled);
         assert_eq!(a.partials, b.partials, "same seed, same result");
-        let c = run_tile(&tile, &drive, &config, 78);
+        let c = run_tile_with(&tile, &drive, &config, 78, MvmEngine::Compiled);
         assert_ne!(a.partials, c.partials, "different seed perturbs");
         let exact = signed_mac(
             &tile,

@@ -31,7 +31,7 @@ fn snapshot_restore_forward_is_bit_exact_under_noise() {
     let decoded: ChipSnapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(decoded, snap, "snapshot round-trips the serde shim");
 
-    let restored = DeviceExecutor::restore(&decoded);
+    let restored = DeviceExecutor::restore_at(&decoded, 0);
     let replay = restored.forward(&net, &input, &filters).unwrap();
     assert_eq!(replay, original, "restored chip must replay bit-exactly");
 
@@ -92,7 +92,7 @@ fn check_snapshot_under_concurrent_prewarm(seed: u64) -> Result<(), TestCaseErro
             );
         }
         // The snapshot's own cell accounting is what a restore admits.
-        let restored = DeviceExecutor::restore(snap);
+        let restored = DeviceExecutor::restore_at(snap, 0);
         prop_assert_eq!(restored.cache_stats().cells, snap.cells());
         prop_assert_eq!(restored.cache_stats().entries, snap.tiles.len());
         // Model A was resident before the race: every capture replays it
@@ -102,7 +102,7 @@ fn check_snapshot_under_concurrent_prewarm(seed: u64) -> Result<(), TestCaseErro
         prop_assert_eq!(&replay_a, &out_a);
     }
     let out_b = exec.forward(&net_b, &input_b, &filters_b).unwrap();
-    let last = DeviceExecutor::restore(snaps.last().expect("at least one capture"));
+    let last = DeviceExecutor::restore_at(snaps.last().expect("at least one capture"), 0);
     let replay_b = last.forward(&net_b, &input_b, &filters_b).unwrap();
     prop_assert_eq!(&replay_b, &out_b);
     Ok(())
@@ -124,7 +124,7 @@ fn snapshot_of_cold_executor_restores_empty() {
     let snap = exec.snapshot();
     assert!(snap.tiles.is_empty());
     assert_eq!(snap.cells(), 0);
-    let restored = DeviceExecutor::restore(&snap);
+    let restored = DeviceExecutor::restore_at(&snap, 0);
     assert_eq!(restored.cache_stats().entries, 0);
     assert_eq!(restored.cache_stats().budget, 0);
 }
