@@ -891,6 +891,7 @@ mod tests {
     use super::*;
     use oxbar_nn::synthetic;
     use oxbar_nn::zoo::{lenet5, resnet18};
+    use oxbar_sim::ExecError;
 
     fn lenet_spec(seed: u64) -> ModelSpec {
         let network = lenet5();
@@ -1086,7 +1087,13 @@ mod tests {
 
         cluster.kill_chip(ChipId(0));
         assert_eq!(cluster.chip_health(ChipId(0)), ChipHealth::Failed);
-        assert!(cluster.executor_on(a, ChipId(0)).unwrap().is_failed());
+        assert_eq!(
+            cluster
+                .executor_on(a, ChipId(0))
+                .unwrap()
+                .try_forward_batch(&net, &[&input], &filt),
+            Err(ExecError::ChipFailed)
+        );
         let after = cluster
             .executor_on(a, ChipId(1))
             .unwrap()

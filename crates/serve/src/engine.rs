@@ -168,13 +168,6 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the failover deadline penalty, in ticks.
-    #[must_use]
-    pub fn with_failover_penalty(mut self, ticks: u64) -> Self {
-        self.failover_penalty = ticks;
-        self
-    }
-
     /// The effective per-chip budgets: `chip_budgets`, or one chip of
     /// `cache_budget_cells` when empty.
     #[must_use]
@@ -389,6 +382,8 @@ pub struct DrainTrace {
 /// A request the engine shed instead of served: its batch was re-routed
 /// off a failed chip and the member either could not meet its deadline
 /// under the failover penalty or had no healthy chip left to run on.
+/// Shedding a decode step ends its whole sequence, which `sequence`
+/// names.
 ///
 /// The notice carries everything the serving edge needs to answer the
 /// client explicitly — shedding is a structured completion, never a
@@ -397,6 +392,9 @@ pub struct DrainTrace {
 pub struct ShedNotice {
     /// The request that was shed.
     pub id: RequestId,
+    /// The sequence the shed step ended, when the request was a decode
+    /// step; `None` for an ordinary inference.
+    pub sequence: Option<SequenceId>,
     /// The model it targeted.
     pub model: ModelId,
     /// Its arrival tick.
@@ -438,19 +436,13 @@ struct Sequence {
     /// Every token emitted so far, in order — the sequence's output
     /// stream.
     tokens: Vec<u32>,
-    /// No further steps will run (completed or shed).
-    finished: bool,
-    /// The fault handler shed a step mid-sequence (terminates the
-    /// sequence: later steps would decode against a hole in the cache).
-    shed: bool,
 }
 
 impl Sequence {
-    /// Ends the sequence and frees its KV cache: no step of it will run
-    /// again, and only `tokens`, `finished` and `shed` stay readable.
-    fn finish(&mut self, shed: bool) {
-        self.finished = true;
-        self.shed = shed;
+    /// Ends the sequence (completed, or shed: later steps would decode
+    /// against a hole in the cache) and frees its KV cache: no step of it
+    /// will run again, and only `tokens` stays readable.
+    fn finish(&mut self) {
         self.cache.blocks = Vec::new();
     }
 }
@@ -577,7 +569,7 @@ pub struct ServeEngine {
     /// per chip, the fault-plan rounds that armed them.
     pending_transients: Vec<Vec<u64>>,
     /// Every sequence ever begun, indexed by [`SequenceId`]; a finished
-    /// one keeps its tokens and flags but not its KV cache.
+    /// one keeps its tokens but not its KV cache.
     sequences: Vec<Sequence>,
     /// Decode steps completed across all sequences.
     tokens: u64,
@@ -793,8 +785,6 @@ impl ServeEngine {
             interval,
             next_arrival: arrival,
             tokens: Vec::new(),
-            finished: false,
-            shed: false,
         });
         self.enqueue(token_request(model, prompt, arrival), Some(seq_id));
         Ok(SequenceId(seq_id))
@@ -808,28 +798,6 @@ impl ServeEngine {
     #[must_use]
     pub fn sequence_tokens(&self, id: SequenceId) -> &[u32] {
         &self.sequences[usize::try_from(id.0).expect("sequence id fits usize")].tokens
-    }
-
-    /// Whether sequence `id` has finished (completed every step, or was
-    /// terminated by the fault handler — see [`Self::sequence_shed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this engine.
-    #[must_use]
-    pub fn sequence_finished(&self, id: SequenceId) -> bool {
-        self.sequences[usize::try_from(id.0).expect("sequence id fits usize")].finished
-    }
-
-    /// Whether the fault handler shed a step of sequence `id`,
-    /// terminating it early.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this engine.
-    #[must_use]
-    pub fn sequence_shed(&self, id: SequenceId) -> bool {
-        self.sequences[usize::try_from(id.0).expect("sequence id fits usize")].shed
     }
 
     /// Requests currently queued (submitted but not yet drained).
@@ -1266,7 +1234,7 @@ impl ServeEngine {
             let arrival = sequence.next_arrival;
             self.enqueue(token_request(model, token, arrival), Some(seq_id));
         } else {
-            sequence.finish(false);
+            sequence.finish();
         }
     }
 
@@ -1287,12 +1255,13 @@ impl ServeEngine {
             self.registry.note_shed(ChipId(chip));
             if let Some(seq_id) = q.sequence {
                 // Shedding a decode step ends its whole sequence: no
-                // further token is enqueued, and the client is told via
-                // the notice (plus the `shed` accessor).
-                self.sequences[usize::try_from(seq_id).expect("sequence id")].finish(true);
+                // further token is enqueued, and the notice names the
+                // sequence so the client is told.
+                self.sequences[usize::try_from(seq_id).expect("sequence id")].finish();
             }
             notices.push(ShedNotice {
                 id: q.id,
+                sequence: q.sequence.map(SequenceId),
                 model: batch.model,
                 arrival: q.request.arrival,
                 deadline: q.request.deadline,
@@ -1826,9 +1795,10 @@ mod tests {
         let weights = spec.lm.clone().expect("llm_tiny is a language model");
         let llm = engine.admit(spec).unwrap();
         let seq = engine.begin_sequence(llm, 3, 8, 0, 1).unwrap();
-        let done = engine.drain_traced().completions;
-        assert!(engine.sequence_finished(seq));
-        assert!(!engine.sequence_shed(seq));
+        let trace = engine.drain_traced();
+        assert!(trace.sheds.is_empty(), "no step is shed");
+        let done = trace.completions;
+        assert_eq!(engine.sequence_tokens(seq).len(), 8, "every step ran");
 
         let mut oracle = OracleEngine::new(&weights);
         let want: Vec<u32> = generate(&weights, &mut oracle, 3, 8)
@@ -1914,11 +1884,19 @@ mod tests {
             engine.begin_sequence(llm, 5, 12, 0, 1).unwrap(),
             engine.begin_sequence(llm, 9, 12, 0, 1).unwrap(),
         ];
-        engine.drain_traced();
-        assert!(ids.iter().all(|&id| engine.sequence_finished(id)));
-        assert!(!engine.sequence_shed(ids[0]), "completes before the kill");
-        assert_eq!(engine.sequence_tokens(ids[0]).len(), 2);
-        assert!(ids[1..].iter().all(|&id| engine.sequence_shed(id)));
+        let mut shed: Vec<SequenceId> = engine
+            .drain_traced()
+            .sheds
+            .iter()
+            .filter_map(|notice| notice.sequence)
+            .collect();
+        shed.sort_unstable();
+        assert_eq!(shed, ids[1..], "the long sequences shed");
+        assert_eq!(
+            engine.sequence_tokens(ids[0]).len(),
+            2,
+            "completes before the kill"
+        );
         assert!(ids[1..]
             .iter()
             .all(|&id| !engine.sequence_tokens(id).is_empty()));

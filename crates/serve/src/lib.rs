@@ -94,8 +94,7 @@ pub use engine::{
 };
 pub use loadgen::{LatencySummary, MixEntry, OpenLoop};
 pub use protocol::{
-    Client, ClientError, ClientFrame, DeadlineStream, ErrorCode, FrameError, ServerFrame,
-    WireModel, WireToken,
+    Client, ClientError, ClientFrame, ErrorCode, FrameError, ServerFrame, WireModel, WireToken,
 };
 pub use registry::{AdmitError, ModelCacheStats, ModelSpec};
 pub use request::{Completion, InferRequest, ModelId, RequestId, SequenceId, TokenCompletion};

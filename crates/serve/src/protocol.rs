@@ -34,6 +34,8 @@ use oxbar_nn::reference::Tensor3;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// Hard ceiling on one frame's payload, in bytes. Large enough for any
 /// catalog model's input tensor with room to spare; small enough that a
@@ -411,7 +413,8 @@ pub enum ClientError {
     /// A configured read or write deadline expired — the peer accepted
     /// the connection but stopped participating (dead server, half-open
     /// socket, network partition). Without deadlines this condition
-    /// hangs the calling thread forever; see [`Client::set_timeouts`].
+    /// hangs the calling thread forever; see
+    /// [`Client::connect_with_timeouts`].
     Timeout,
     /// A wire-level framing or decoding failure.
     Frame(FrameError),
@@ -450,36 +453,6 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// Byte streams that support wall-clock read/write deadlines.
-///
-/// `TcpStream` is the production implementation; in-memory test streams
-/// need not implement this (deadline configuration is only reachable
-/// through [`Client::set_timeouts`], which requires it).
-pub trait DeadlineStream {
-    /// Applies the deadlines to every subsequent blocking read/write.
-    /// `None` disables the respective deadline (block forever).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying socket-option failure.
-    fn set_deadlines(
-        &mut self,
-        read: Option<std::time::Duration>,
-        write: Option<std::time::Duration>,
-    ) -> io::Result<()>;
-}
-
-impl DeadlineStream for std::net::TcpStream {
-    fn set_deadlines(
-        &mut self,
-        read: Option<std::time::Duration>,
-        write: Option<std::time::Duration>,
-    ) -> io::Result<()> {
-        self.set_read_timeout(read)?;
-        self.set_write_timeout(write)
-    }
-}
-
 /// A synchronous client for the serving protocol, generic over the byte
 /// stream (a `TcpStream` in production, an in-memory cursor in tests).
 ///
@@ -492,8 +465,8 @@ impl DeadlineStream for std::net::TcpStream {
 ///
 /// Blocking calls hang forever if the server holds the connection open
 /// but never answers; production callers should connect through
-/// [`Client::connect_with_timeouts`] (or call [`Client::set_timeouts`])
-/// so a dead peer surfaces as [`ClientError::Timeout`] instead.
+/// [`Client::connect_with_timeouts`] so a dead peer surfaces as
+/// [`ClientError::Timeout`] instead.
 pub struct Client<S: Read + Write> {
     stream: S,
     models: Vec<WireModel>,
@@ -525,45 +498,6 @@ impl<S: Read + Write> Client<S> {
                 "expected Hello, got {other:?}"
             )))),
         }
-    }
-
-    /// [`Client::connect`] with read/write deadlines applied *before*
-    /// the greeting is read, so even a server that accepts the TCP
-    /// connection and then goes silent surfaces as
-    /// [`ClientError::Timeout`] instead of hanging the handshake.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Client::connect`] returns, plus any socket-option
-    /// failure from applying the deadlines.
-    pub fn connect_with_timeouts(
-        mut stream: S,
-        read: Option<std::time::Duration>,
-        write: Option<std::time::Duration>,
-    ) -> Result<Self, ClientError>
-    where
-        S: DeadlineStream,
-    {
-        stream.set_deadlines(read, write)?;
-        Self::connect(stream)
-    }
-
-    /// Reconfigures the stream's read/write deadlines mid-session.
-    /// `None` disables the respective deadline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying socket-option failure.
-    pub fn set_timeouts(
-        &mut self,
-        read: Option<std::time::Duration>,
-        write: Option<std::time::Duration>,
-    ) -> Result<(), ClientError>
-    where
-        S: DeadlineStream,
-    {
-        self.stream.set_deadlines(read, write)?;
-        Ok(())
     }
 
     /// The catalog the server advertised at connect time.
@@ -642,31 +576,40 @@ impl<S: Read + Write> Client<S> {
     pub fn wait_sequence(&mut self, tag: u64) -> Result<Vec<ServerFrame>, ClientError> {
         let mut frames = Vec::new();
         loop {
-            // Drain matching buffered frames first so earlier reads for
-            // other tags cannot reorder the stream.
-            let frame =
-                if let Some(pos) = self.buffered.iter().position(|f| frame_tag(f) == Some(tag)) {
-                    self.buffered.remove(pos)
-                } else {
-                    let frame = read_message::<ServerFrame>(&mut self.stream)?;
-                    if frame_tag(&frame) != Some(tag) {
-                        self.buffered.push(frame);
-                        continue;
-                    }
-                    frame
-                };
+            let frame = self.wait_completion(tag)?;
+            // `wait_completion` yields only tag-addressed frames: a
+            // completion, a shed, or an attributed error.
             let terminal = match &frame {
-                ServerFrame::Completion { sequence, .. } => {
-                    sequence.as_ref().is_some_and(|t| t.done)
-                }
-                ServerFrame::Shed { .. } | ServerFrame::Error { .. } => true,
-                _ => false,
+                ServerFrame::Completion { sequence, .. } => sequence.is_some_and(|t| t.done),
+                _ => true,
             };
             frames.push(frame);
             if terminal {
                 return Ok(frames);
             }
         }
+    }
+}
+
+impl Client<TcpStream> {
+    /// [`Client::connect`] with read/write deadlines applied *before*
+    /// the greeting is read, so even a server that accepts the TCP
+    /// connection and then goes silent surfaces as
+    /// [`ClientError::Timeout`] instead of hanging the handshake. `None`
+    /// disables the respective deadline.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Client::connect`] returns, plus any socket-option
+    /// failure from applying the deadlines.
+    pub fn connect_with_timeouts(
+        stream: TcpStream,
+        read: Option<Duration>,
+        write: Option<Duration>,
+    ) -> Result<Self, ClientError> {
+        stream.set_read_timeout(read)?;
+        stream.set_write_timeout(write)?;
+        Self::connect(stream)
     }
 }
 
@@ -779,8 +722,8 @@ mod tests {
 
     #[test]
     fn half_open_socket_times_out_instead_of_hanging() {
-        use std::net::{TcpListener, TcpStream};
-        use std::time::{Duration, Instant};
+        use std::net::TcpListener;
+        use std::time::Instant;
 
         // A "server" that accepts the connection and then goes silent —
         // the half-open condition that used to hang the handshake (and

@@ -5,10 +5,10 @@
 //!
 //! ```text
 //! clients ──TCP──▶ accept loop ──▶ session threads (session.rs)
-//!                                   │ validate, try_submit under the
-//!                                   │ core lock, record (conn, tag)
+//!                                   │ validate, submit under the core
+//!                                   │ lock, route (conn, tag)
 //!                                   ▼
-//!                        ┌── Core { ServeEngine, pending } ──┐
+//!                        ┌── Core { ServeEngine, routes } ───┐
 //!                        │    one mutex; submission and      │
 //!                        │    drain serialize through it     │
 //!                        └──────────────┬────────────────────┘
@@ -16,8 +16,21 @@
 //!                                       │ coalescing window, then
 //!                                       │ drain_traced()
 //!                                       ▼
-//!                        completions routed back per (conn, tag)
+//!                  completions and sheds routed back per (conn, tag)
 //! ```
+//!
+//! Every client tag has one entry in `Core::routes`: an `Infer`'s
+//! request id, or a `Generate`'s sequence id for its whole token
+//! stream. The dispatcher answers completions and shed notices through
+//! that one table, and drops the entry with the tag's last frame.
+//!
+//! # Slow and vanished peers
+//!
+//! Every accepted socket carries a write deadline. A peer that stops
+//! reading holds the dispatcher for at most one deadline: the failed
+//! write shuts its socket down, so every later send to it fails at once.
+//! Finished sessions' threads are reaped at each accept, so a
+//! connection's thread stack is released when its session ends.
 //!
 //! The engine stays the pure deterministic core the rest of the
 //! workspace pins: the server adds *no* scheduling of its own — it only
@@ -55,6 +68,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// How long one frame write to a peer may block. A peer that stops
+/// reading stalls the dispatcher for at most this long, once: the failed
+/// write closes its connection.
+const WRITE_DEADLINE: Duration = Duration::from_millis(250);
+
 /// Tuning knobs of the network front end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -74,7 +92,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// Where a finished request's completion goes.
+/// A client tag's key in the route table: one `Infer`, or one
+/// `Generate` sequence's whole token stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Route {
+    Request(RequestId),
+    Sequence(SequenceId),
+}
+
+/// Where a route's frames go.
 struct Pending {
     conn: Arc<Conn>,
     tag: u64,
@@ -84,12 +110,10 @@ struct Pending {
 /// core mutex.
 pub(crate) struct Core {
     pub(crate) engine: ServeEngine,
-    pending: HashMap<RequestId, Pending>,
-    /// Routes for live `Generate` sequences, keyed by sequence id. A
-    /// route persists across the sequence's whole token stream (every
-    /// step's completion goes to the same `(conn, tag)`) and is dropped
-    /// on the `done` frame or a shed.
-    seq_routes: HashMap<u64, Pending>,
+    /// One entry per in-flight client tag, removed with the tag's last
+    /// frame: an `Infer`'s completion or shed, a sequence's `done` step
+    /// or shed.
+    routes: HashMap<Route, Pending>,
     /// Batches dispatched before the current drain: per-drain `batch_seq`
     /// restarts at 0, and this offset makes the wire-visible sequence
     /// monotone across the server's lifetime.
@@ -97,21 +121,14 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    /// Records where `id`'s completion should be delivered.
-    pub(crate) fn note_pending(&mut self, id: RequestId, conn: Arc<Conn>, tag: u64) {
-        self.pending.insert(id, Pending { conn, tag });
+    /// Records where `route`'s frames should be delivered.
+    pub(crate) fn note_route(&mut self, route: Route, conn: Arc<Conn>, tag: u64) {
+        self.routes.insert(route, Pending { conn, tag });
     }
 
-    /// Records where sequence `id`'s token stream should be delivered.
-    pub(crate) fn note_sequence(&mut self, id: SequenceId, conn: Arc<Conn>, tag: u64) {
-        self.seq_routes.insert(id.0, Pending { conn, tag });
-    }
-
-    /// Whether any in-flight request — single inference or live
-    /// sequence — belongs to session `conn_id`.
+    /// Whether any in-flight tag belongs to session `conn_id`.
     pub(crate) fn has_pending_for(&self, conn_id: u64) -> bool {
-        self.pending.values().any(|p| p.conn.id == conn_id)
-            || self.seq_routes.values().any(|p| p.conn.id == conn_id)
+        self.routes.values().any(|p| p.conn.id == conn_id)
     }
 }
 
@@ -169,8 +186,7 @@ impl Server {
         let shared = Arc::new(Shared {
             core: Mutex::new(Core {
                 engine,
-                pending: HashMap::new(),
-                seq_routes: HashMap::new(),
+                routes: HashMap::new(),
                 batch_base: 0,
             }),
             work: Condvar::new(),
@@ -259,26 +275,41 @@ fn accept_loop(
             return;
         }
         let Ok(stream) = stream else { continue };
+        if stream.set_write_timeout(Some(WRITE_DEADLINE)).is_err() {
+            continue;
+        }
         let Ok(writer) = stream.try_clone() else {
             continue;
         };
         let conn = Arc::new(Conn::new(next_id, writer));
         next_id += 1;
+        let id = conn.id;
         conns.lock().expect("conns lock").push(Arc::clone(&conn));
-        let shared = Arc::clone(shared);
-        let conns = Arc::clone(conns);
-        let handle = std::thread::spawn(move || {
-            session::run(stream, &conn, &shared);
-            // Close the socket for real (the write half lives on in
-            // `conns` and any pending replies) and drop the registry
-            // entry, so a finished session's peer sees end-of-stream.
-            conn.shutdown();
-            conns
-                .lock()
-                .expect("conns lock")
-                .retain(|c| c.id != conn.id);
-        });
-        sessions.lock().expect("sessions lock").push(handle);
+        let spawned = {
+            let shared = Arc::clone(shared);
+            let conns = Arc::clone(conns);
+            std::thread::Builder::new().spawn(move || {
+                session::run(stream, &conn, &shared);
+                // Close the socket for real (the write half lives on in
+                // `conns` and any pending replies) and drop the registry
+                // entry, so a finished session's peer sees end-of-stream.
+                conn.shutdown();
+                conns
+                    .lock()
+                    .expect("conns lock")
+                    .retain(|c| c.id != conn.id);
+            })
+        };
+        let mut sessions = sessions.lock().expect("sessions lock");
+        // Dropping a finished session's handle releases its thread stack.
+        sessions.retain(|h| !h.is_finished());
+        match spawned {
+            Ok(handle) => sessions.push(handle),
+            // The OS refused a thread: refuse this connection and keep
+            // accepting. The failed spawn dropped the session's handles on
+            // the socket; dropping the registry entry closes it.
+            Err(_) => conns.lock().expect("conns lock").retain(|c| c.id != id),
+        }
     }
 }
 
@@ -310,66 +341,42 @@ fn dispatch_loop(shared: &Arc<Shared>, conns: &Arc<Mutex<Vec<Arc<Conn>>>>) {
             core.batch_base += trace.batch_ms.len() as u64;
             let mut replies: Vec<(Arc<Conn>, ServerFrame)> = Vec::new();
             for c in trace.completions {
-                if let Some(tc) = c.sequence {
-                    // Token steps stream through the sequence route:
-                    // every step of a sequence answers the same tag, in
-                    // dispatch (= step) order; the route dies with the
-                    // `done` frame.
-                    let Some(p) = core.seq_routes.get(&tc.sequence.0) else {
-                        continue;
-                    };
-                    let frame = ServerFrame::Completion {
-                        tag: p.tag,
-                        batch_seq: base + c.batch_seq as u64,
-                        batch_size: c.batch_size as u64,
-                        output: c.output,
-                        sequence: Some(WireToken {
-                            step: tc.step as u64,
-                            token: u64::from(tc.token),
-                            done: tc.done,
-                        }),
-                    };
-                    replies.push((Arc::clone(&p.conn), frame));
-                    if tc.done {
-                        core.seq_routes.remove(&tc.sequence.0);
-                    }
-                } else if let Some(p) = core.pending.remove(&c.id) {
-                    let frame = ServerFrame::Completion {
-                        tag: p.tag,
-                        batch_seq: base + c.batch_seq as u64,
-                        batch_size: c.batch_size as u64,
-                        output: c.output,
-                        sequence: None,
-                    };
-                    replies.push((p.conn, frame));
+                // Every step of a sequence answers the sequence's tag, in
+                // dispatch (= step) order; its `done` step ends the route.
+                let (route, last) = match c.sequence {
+                    Some(t) => (Route::Sequence(t.sequence), t.done),
+                    None => (Route::Request(c.id), true),
+                };
+                let Some(p) = core.routes.get(&route) else {
+                    continue;
+                };
+                let frame = ServerFrame::Completion {
+                    tag: p.tag,
+                    batch_seq: base + c.batch_seq as u64,
+                    batch_size: c.batch_size as u64,
+                    output: c.output,
+                    sequence: c.sequence.map(|t| WireToken {
+                        step: t.step as u64,
+                        token: u64::from(t.token),
+                        done: t.done,
+                    }),
+                };
+                replies.push((Arc::clone(&p.conn), frame));
+                if last {
+                    core.routes.remove(&route);
                 }
             }
-            // Shed requests answer through the same pending table, so a
-            // session waiting on its tag (or a Goodbye flush) always
-            // terminates — a shed is a completion, not a hang.
+            // A shed is the terminal answer for its tag — a request, or a
+            // sequence the fault handler ended — so a client waiting on
+            // the tag (or a Goodbye flush) always terminates.
             for shed in trace.sheds {
-                if let Some(p) = core.pending.remove(&shed.id) {
+                let route = shed
+                    .sequence
+                    .map_or(Route::Request(shed.id), Route::Sequence);
+                if let Some(p) = core.routes.remove(&route) {
                     let frame = ServerFrame::Shed {
                         tag: p.tag,
                         detail: shed.detail,
-                    };
-                    replies.push((p.conn, frame));
-                }
-            }
-            // A sequence the fault handler terminated answers its tag
-            // with a Shed — the terminal frame, so `wait_sequence`
-            // never hangs on a killed sequence.
-            let shed_seqs: Vec<u64> = core
-                .seq_routes
-                .keys()
-                .copied()
-                .filter(|&s| core.engine.sequence_shed(SequenceId(s)))
-                .collect();
-            for s in shed_seqs {
-                if let Some(p) = core.seq_routes.remove(&s) {
-                    let frame = ServerFrame::Shed {
-                        tag: p.tag,
-                        detail: format!("sequence {s} terminated by the fault handler"),
                     };
                     replies.push((p.conn, frame));
                 }
@@ -392,7 +399,8 @@ fn dispatch_loop(shared: &Arc<Shared>, conns: &Arc<Mutex<Vec<Arc<Conn>>>>) {
             last_health = health;
             replies
         };
-        // Write outside the lock; a dead peer just drops its replies.
+        // Write outside the lock; a dead or stalled peer just drops its
+        // replies (a failed send closes its socket).
         for (conn, frame) in &replies {
             let _ = conn.send(frame);
         }

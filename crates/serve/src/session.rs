@@ -16,19 +16,25 @@
 //!    because the byte stream cannot be resynchronized after it.
 //! 4. A mid-request disconnect is a non-event for the engine: the
 //!    request still executes, and its completion is dropped when the
-//!    write to the dead peer fails.
+//!    write to the dead peer fails. So is a peer that stops reading: a
+//!    write blocked past the socket's write deadline fails, and any
+//!    failed write shuts the socket down, which ends the session too.
+//!
+//! `Infer` and `Generate` differ only in their edge validation; both then
+//! go through one submit path (backpressure, engine call, route insert,
+//! refusal mapping, dispatcher wake-up).
 //!
 //! Completions are written by the server's dispatcher thread (not this
 //! one); both serialize frames through the connection's writer lock, so
 //! frames never interleave mid-bytes.
 
 use crate::cluster::ChipHealth;
-use crate::engine::SubmitError;
+use crate::engine::{ServeEngine, SubmitError};
 use crate::protocol::{
     self, ClientFrame, ErrorCode, FrameError, ServerFrame, WireModel, MAX_FRAME_BYTES,
 };
 use crate::request::{InferRequest, ModelId};
-use crate::server::Shared;
+use crate::server::{Route, Shared};
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -52,11 +58,17 @@ impl Conn {
         }
     }
 
-    /// Writes one frame; an error means the peer is gone, which every
-    /// caller treats as "drop the reply".
+    /// Writes one frame; an error means the peer is gone or stopped
+    /// reading, which every caller treats as "drop the reply". A failed
+    /// write may have left half a frame on the wire, so it shuts the
+    /// socket down: every later send fails at once.
     pub(crate) fn send(&self, frame: &ServerFrame) -> io::Result<()> {
         let mut writer = self.writer.lock().expect("writer lock");
-        protocol::write_message(&mut *writer, frame)
+        let sent = protocol::write_message(&mut *writer, frame);
+        if sent.is_err() {
+            let _ = writer.shutdown(std::net::Shutdown::Both);
+        }
+        sent
     }
 
     /// Shuts the socket down (both halves), unblocking the session
@@ -159,17 +171,11 @@ fn handle(frame: ClientFrame, conn: &Arc<Conn>, shared: &Arc<Shared>) -> Flow {
             // Device range check on the untrusted activations: values a
             // debug build would overflow on must never reach execution.
             if let Some(&bad) = input.data().iter().find(|v| **v < 0 || **v > shared.v_max) {
-                return reply(
-                    conn,
-                    &ServerFrame::Error {
-                        tag: Some(tag),
-                        code: ErrorCode::BadInput,
-                        detail: format!(
-                            "activation {bad} outside the device range 0..={}",
-                            shared.v_max
-                        ),
-                    },
+                let detail = format!(
+                    "activation {bad} outside the device range 0..={}",
+                    shared.v_max
                 );
+                return refuse(conn, tag, ErrorCode::BadInput, detail);
             }
             let request = InferRequest {
                 model: ModelId(model),
@@ -177,51 +183,9 @@ fn handle(frame: ClientFrame, conn: &Arc<Conn>, shared: &Arc<Shared>) -> Flow {
                 arrival,
                 deadline,
             };
-            let verdict = {
-                let mut core = shared.core.lock().expect("core lock");
-                // Backpressure: refuse before the queue grows past the
-                // configured depth. Checked under the same lock as the
-                // submit so the bound is exact.
-                if core.engine.queued() >= shared.queue_capacity {
-                    Err(ServerFrame::Error {
-                        tag: Some(tag),
-                        code: ErrorCode::Backpressure,
-                        detail: format!(
-                            "queue at capacity ({}); retry after completions drain",
-                            shared.queue_capacity
-                        ),
-                    })
-                } else {
-                    match core.engine.try_submit(request) {
-                        Ok(id) => {
-                            core.note_pending(id, Arc::clone(conn), tag);
-                            Ok(())
-                        }
-                        Err(e) => {
-                            let code = match e {
-                                SubmitError::UnknownModel(_) => ErrorCode::UnknownModel,
-                                SubmitError::NotLanguageModel(_) => ErrorCode::Unsupported,
-                                SubmitError::ShapeMismatch { .. }
-                                | SubmitError::MalformedTensor { .. }
-                                | SubmitError::BadToken { .. }
-                                | SubmitError::BadSteps { .. } => ErrorCode::BadInput,
-                            };
-                            Err(ServerFrame::Error {
-                                tag: Some(tag),
-                                code,
-                                detail: e.to_string(),
-                            })
-                        }
-                    }
-                }
-            };
-            match verdict {
-                Ok(()) => {
-                    shared.work.notify_one();
-                    Flow::Continue
-                }
-                Err(error) => reply(conn, &error),
-            }
+            submit(conn, shared, tag, |engine| {
+                engine.try_submit(request).map(Route::Request)
+            })
         }
         ClientFrame::Generate {
             tag,
@@ -234,62 +198,16 @@ fn handle(frame: ClientFrame, conn: &Arc<Conn>, shared: &Arc<Shared>) -> Flow {
             // Narrow the wire-width fields before they reach the engine;
             // out-of-range values are client errors, not panics.
             let (Ok(prompt), Ok(steps)) = (u32::try_from(prompt), usize::try_from(steps)) else {
-                return reply(
-                    conn,
-                    &ServerFrame::Error {
-                        tag: Some(tag),
-                        code: ErrorCode::BadInput,
-                        detail: "prompt or steps exceeds the supported range".to_string(),
-                    },
-                );
+                let detail = "prompt or steps exceeds the supported range".to_string();
+                return refuse(conn, tag, ErrorCode::BadInput, detail);
             };
-            let verdict = {
-                let mut core = shared.core.lock().expect("core lock");
-                // Same exact backpressure bound as Infer: the sequence's
-                // first token step enters the queue on begin.
-                if core.engine.queued() >= shared.queue_capacity {
-                    Err(ServerFrame::Error {
-                        tag: Some(tag),
-                        code: ErrorCode::Backpressure,
-                        detail: format!(
-                            "queue at capacity ({}); retry after completions drain",
-                            shared.queue_capacity
-                        ),
-                    })
-                } else {
-                    match core.engine.begin_sequence(
-                        ModelId(model),
-                        prompt,
-                        steps,
-                        arrival,
-                        interval,
-                    ) {
-                        Ok(seq) => {
-                            core.note_sequence(seq, Arc::clone(conn), tag);
-                            Ok(())
-                        }
-                        Err(e) => {
-                            let code = match e {
-                                SubmitError::UnknownModel(_) => ErrorCode::UnknownModel,
-                                SubmitError::NotLanguageModel(_) => ErrorCode::Unsupported,
-                                _ => ErrorCode::BadInput,
-                            };
-                            Err(ServerFrame::Error {
-                                tag: Some(tag),
-                                code,
-                                detail: e.to_string(),
-                            })
-                        }
-                    }
-                }
-            };
-            match verdict {
-                Ok(()) => {
-                    shared.work.notify_one();
-                    Flow::Continue
-                }
-                Err(error) => reply(conn, &error),
-            }
+            // The sequence's first token step enters the queue on begin,
+            // so the same backpressure bound as `Infer` applies.
+            submit(conn, shared, tag, |engine| {
+                engine
+                    .begin_sequence(ModelId(model), prompt, steps, arrival, interval)
+                    .map(Route::Sequence)
+            })
         }
         ClientFrame::Admit { name } => {
             let response = {
@@ -370,6 +288,64 @@ fn handle(frame: ClientFrame, conn: &Arc<Conn>, shared: &Arc<Shared>) -> Flow {
             Flow::Close
         }
     }
+}
+
+/// The one submit path: under the core lock, refuse with `Backpressure`
+/// once the queue holds `queue_capacity` undrained requests (so the bound
+/// is exact), else run `begin` against the engine and route its frames to
+/// `(conn, tag)`; a refusal answers the tag, a submit wakes the
+/// dispatcher.
+fn submit(
+    conn: &Arc<Conn>,
+    shared: &Arc<Shared>,
+    tag: u64,
+    begin: impl FnOnce(&mut ServeEngine) -> Result<Route, SubmitError>,
+) -> Flow {
+    let refusal = {
+        let mut core = shared.core.lock().expect("core lock");
+        if core.engine.queued() >= shared.queue_capacity {
+            let detail = format!(
+                "queue at capacity ({}); retry after completions drain",
+                shared.queue_capacity
+            );
+            Some((ErrorCode::Backpressure, detail))
+        } else {
+            match begin(&mut core.engine) {
+                Ok(route) => {
+                    core.note_route(route, Arc::clone(conn), tag);
+                    None
+                }
+                Err(e) => {
+                    let code = match e {
+                        SubmitError::UnknownModel(_) => ErrorCode::UnknownModel,
+                        SubmitError::NotLanguageModel(_) => ErrorCode::Unsupported,
+                        SubmitError::ShapeMismatch { .. }
+                        | SubmitError::MalformedTensor { .. }
+                        | SubmitError::BadToken { .. }
+                        | SubmitError::BadSteps { .. } => ErrorCode::BadInput,
+                    };
+                    Some((code, e.to_string()))
+                }
+            }
+        }
+    };
+    match refusal {
+        None => {
+            shared.work.notify_one();
+            Flow::Continue
+        }
+        Some((code, detail)) => refuse(conn, tag, code, detail),
+    }
+}
+
+/// Answers `tag` with a refusal; a dead peer closes the session.
+fn refuse(conn: &Arc<Conn>, tag: u64, code: ErrorCode, detail: String) -> Flow {
+    let error = ServerFrame::Error {
+        tag: Some(tag),
+        code,
+        detail,
+    };
+    reply(conn, &error)
 }
 
 /// Sends a reply; a dead peer closes the session.

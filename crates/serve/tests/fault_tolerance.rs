@@ -112,12 +112,14 @@ fn check_worker_count_invariance(seed: u64) -> Result<(), TestCaseError> {
         .kill_chip(seed % 6, (seed % 3) as usize)
         .tile_transient((seed / 7) % 8, ((seed / 3) % 3) as usize)
         .drift((seed / 11) % 8, ((seed / 5) % 3) as usize);
-    let base = ServeConfig::new(device)
-        .with_policy(BatchPolicy::new(1 + (seed % 3) as usize, seed % 5))
-        .with_chips(vec![200_000; 3])
-        .with_placement(PlacementPolicy::Replicated(2))
-        .with_failover_penalty(seed % 8)
-        .with_faults(plan);
+    let base = ServeConfig {
+        failover_penalty: seed % 8,
+        ..ServeConfig::new(device)
+            .with_policy(BatchPolicy::new(1 + (seed % 3) as usize, seed % 5))
+            .with_chips(vec![200_000; 3])
+            .with_placement(PlacementPolicy::Replicated(2))
+            .with_faults(plan)
+    };
     // Tight deadlines on a third of the trace so the deadline-shed rule
     // gets exercised when the kill lands mid-trace.
     let deadline_of = |i: u64, arrival: u64| {
@@ -195,12 +197,14 @@ fn check_random_fault_mix(seed: u64) -> Result<(), TestCaseError> {
     } else {
         200_000
     };
-    let base = ServeConfig::new(device)
-        .with_policy(BatchPolicy::new(1 + (draw(9) % 3) as usize, draw(60) % 4))
-        .with_chips(vec![budget; chips])
-        .with_placement(placement)
-        .with_prewarm(draw(61).is_multiple_of(2))
-        .with_failover_penalty(draw(62) % 5);
+    let base = ServeConfig {
+        failover_penalty: draw(62) % 5,
+        ..ServeConfig::new(device)
+            .with_policy(BatchPolicy::new(1 + (draw(9) % 3) as usize, draw(60) % 4))
+            .with_chips(vec![budget; chips])
+            .with_placement(placement)
+            .with_prewarm(draw(61).is_multiple_of(2))
+    };
     let models = specs.len() as u64;
     let requests = || {
         (0..n).map(move |i| {
@@ -362,11 +366,13 @@ fn failover_sheds_only_requests_whose_deadline_became_unreachable() {
     let specs = random_specs(7);
     let device = SimConfig::ideal(32, 16).with_seed(7).with_threads(1);
     let spec = &specs[..1];
-    let base = ServeConfig::new(device)
-        .with_policy(BatchPolicy::new(1, 0))
-        .with_chips(vec![200_000, 200_000])
-        .with_placement(PlacementPolicy::FirstFit)
-        .with_failover_penalty(100);
+    let base = ServeConfig {
+        failover_penalty: 100,
+        ..ServeConfig::new(device)
+            .with_policy(BatchPolicy::new(1, 0))
+            .with_chips(vec![200_000, 200_000])
+            .with_placement(PlacementPolicy::FirstFit)
+    };
     let deadline_of = |i: u64, arrival: u64| {
         if i == 3 {
             Some(arrival + 1) // unreachable once the 100-tick penalty lands

@@ -1,17 +1,23 @@
 //! Wire-protocol behavior of autoregressive generation: per-token
 //! completion streaming on one tag, Goodbye draining an in-flight
-//! sequence before `Bye`, and malformed `Generate` requests answered
+//! sequence before `Bye`, a sequence the fault handler sheds ending its
+//! tag with a `Shed` frame, and malformed `Generate` requests answered
 //! with structured errors that never kill the connection.
 
 use oxbar_nn::synthetic;
 use oxbar_serve::protocol::{Client, ClientFrame, ErrorCode, ServerFrame};
-use oxbar_serve::{catalog, ServeConfig, ServeEngine, Server, ServerConfig};
+use oxbar_serve::{catalog, FaultPlan, ServeConfig, ServeEngine, Server, ServerConfig};
 use oxbar_sim::SimConfig;
 use std::net::TcpStream;
 use std::time::Duration;
 
 fn engine() -> ServeEngine {
-    let mut engine = ServeEngine::new(ServeConfig::new(SimConfig::ideal(64, 64).with_threads(1)));
+    engine_with(FaultPlan::new())
+}
+
+fn engine_with(faults: FaultPlan) -> ServeEngine {
+    let config = ServeConfig::new(SimConfig::ideal(64, 64).with_threads(1)).with_faults(faults);
+    let mut engine = ServeEngine::new(config);
     engine.admit(catalog::lenet5_model()).expect("lenet admits");
     engine.admit(catalog::llm_tiny()).expect("llm_tiny admits");
     engine
@@ -144,6 +150,61 @@ fn goodbye_mid_sequence_drains_every_token_before_bye() {
         assert_eq!(*step as usize, i);
         assert_eq!(*token, u64::from(want[i]));
         assert_eq!(*done, i == 4);
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_shed_sequence_ends_its_tag_with_a_shed_frame() {
+    // One chip, killed before the fourth dispatched batch: steps 0-2
+    // decode, step 3 has no healthy chip left, and the whole sequence
+    // sheds.
+    let engine = engine_with(FaultPlan::new().kill_chip(3, 0));
+    let server = Server::start(engine, ServerConfig::default()).expect("server starts");
+    let mut client = connect(&server);
+    let llm = client.models()[1].model;
+    client
+        .send(&ClientFrame::Generate {
+            tag: 8,
+            model: llm,
+            prompt: 5,
+            steps: 8,
+            arrival: 0,
+            interval: 1,
+        })
+        .expect("send generate");
+
+    let frames = client.wait_sequence(8).expect("sequence stream");
+    assert_eq!(frames.len(), 4, "three tokens, then the shed: {frames:?}");
+    let want = oracle_tokens(5, 8);
+    for (i, frame) in frames[..3].iter().enumerate() {
+        let ServerFrame::Completion {
+            tag,
+            sequence: Some(token),
+            ..
+        } = frame
+        else {
+            panic!("expected a token completion, got {frame:?}");
+        };
+        assert_eq!(*tag, 8, "every step answers the Generate tag");
+        assert_eq!(token.step as usize, i, "steps stream in order");
+        assert_eq!(token.token, u64::from(want[i]), "wire == in-process");
+        assert!(!token.done, "the shed sequence never reaches its last step");
+    }
+    assert!(
+        matches!(frames[3], ServerFrame::Shed { tag: 8, .. }),
+        "the shed is the tag's terminal frame: {:?}",
+        frames[3]
+    );
+
+    // Nothing is left in flight: Goodbye drains straight to Bye.
+    client.send(&ClientFrame::Goodbye).expect("send goodbye");
+    loop {
+        match client.recv().expect("frame before close") {
+            ServerFrame::Bye => break,
+            ServerFrame::Degraded { .. } => {}
+            other => panic!("unexpected frame {other:?}"),
+        }
     }
     server.shutdown();
 }

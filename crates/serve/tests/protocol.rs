@@ -16,7 +16,7 @@ use proptest::{SeedableRng, TestRng};
 use rand::Rng;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small, fast server: two synthetic models on an ideal device.
 fn start_server(config: ServerConfig) -> Server {
@@ -313,6 +313,54 @@ fn deep_queue_draws_backpressure() {
         client.wait_completion(1).expect("reply"),
         ServerFrame::Completion { .. }
     ));
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_never_reads_does_not_stall_the_others() {
+    let server = start_server(ServerConfig::default());
+    // The flooder sends Infer frames and never reads a reply, until its
+    // own write fails: the server either stopped reading from it or cut
+    // it off. It stays connected while the probes run.
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut flooder = Client::connect_with_timeouts(stream, None, Some(Duration::from_secs(3)))
+        .expect("handshake");
+    let flood = infer_frame(&flooder, 1, 0);
+    while flooder.send(&flood).is_ok() {}
+
+    // Every fresh client is still answered within a second; a
+    // Backpressure refusal may be retried inside that second.
+    let second = Duration::from_secs(1);
+    for round in 0..5u64 {
+        let started = Instant::now();
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut probe = Client::connect_with_timeouts(stream, Some(second), Some(second))
+            .expect("probe handshake");
+        let tag = 100 + round;
+        let frame = infer_frame(&probe, tag, 0);
+        let answer = loop {
+            probe.send(&frame).expect("probe send");
+            match probe.wait_completion(tag) {
+                Ok(ServerFrame::Error {
+                    code: ErrorCode::Backpressure,
+                    ..
+                }) if started.elapsed() < second => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                answer => break answer,
+            }
+        };
+        assert!(
+            matches!(answer, Ok(ServerFrame::Completion { tag: t, .. }) if t == tag),
+            "probe {round}: expected a completion, got {answer:?}"
+        );
+        assert!(
+            started.elapsed() < second,
+            "probe {round} answered after {:?}",
+            started.elapsed()
+        );
+    }
+    drop(flooder);
     server.shutdown();
 }
 

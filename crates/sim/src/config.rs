@@ -87,12 +87,6 @@ impl NoiseModel {
             realistic_device: true,
         }
     }
-
-    /// Whether every knob is at its ideal setting.
-    #[must_use]
-    pub fn is_ideal(&self) -> bool {
-        *self == Self::NONE
-    }
 }
 
 impl Default for NoiseModel {
@@ -172,20 +166,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_mapping(mut self, mapping: WeightMapping) -> Self {
         self.mapping = mapping;
-        self
-    }
-
-    /// Overrides the readout model.
-    #[must_use]
-    pub fn with_readout(mut self, readout: Readout) -> Self {
-        self.readout = readout;
-        self
-    }
-
-    /// Overrides the noise model.
-    #[must_use]
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
         self
     }
 
@@ -269,7 +249,7 @@ mod tests {
     #[test]
     fn ideal_preset_is_ideal() {
         let cfg = SimConfig::ideal(64, 64);
-        assert!(cfg.noise.is_ideal());
+        assert_eq!(cfg.noise, NoiseModel::NONE);
         assert_eq!(cfg.readout, Readout::Exact);
         assert_eq!(cfg.table_max(), 63);
     }
@@ -277,7 +257,7 @@ mod tests {
     #[test]
     fn noisy_preset_turns_everything_on() {
         let cfg = SimConfig::noisy(64, 64);
-        assert!(!cfg.noise.is_ideal());
+        assert_ne!(cfg.noise, NoiseModel::NONE);
         assert!(cfg.noise.realistic_device);
         assert_eq!(cfg.readout, Readout::Adc { bits: 12 });
     }

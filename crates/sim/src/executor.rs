@@ -129,11 +129,11 @@ pub struct DeviceExecutor {
 /// The executor's current injected-fault condition.
 #[derive(Debug, Default)]
 struct FaultState {
-    /// Control plane down: every `try_forward` returns
+    /// Control plane down: every `try_forward_batch` returns
     /// [`ExecError::ChipFailed`].
     killed: bool,
     /// Armed one-shot transient `(layer, tile)`: consumed by the next
-    /// `try_forward`, which fails once with [`ExecError::TileFault`].
+    /// `try_forward_batch`, which fails once with [`ExecError::TileFault`].
     transient: Option<(usize, usize)>,
 }
 
@@ -335,7 +335,7 @@ impl DeviceExecutor {
 
     /// Applies one injected fault (see [`crate::fault`]): `Kill` refuses
     /// all further forward execution, and `TileTransient` arms a one-shot
-    /// failure consumed by the next [`Self::try_forward`].
+    /// failure consumed by the next [`Self::try_forward_batch`].
     ///
     /// # Panics
     ///
@@ -348,36 +348,6 @@ impl DeviceExecutor {
                 state.transient = Some((layer, tile));
             }
         }
-    }
-
-    /// Whether the chip's control plane has been killed (every
-    /// [`Self::try_forward`] returns [`ExecError::ChipFailed`]). The
-    /// programmed array state stays snapshot-readable regardless.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault mutex was poisoned.
-    #[must_use]
-    pub fn is_failed(&self) -> bool {
-        self.fault.lock().expect("fault state").killed
-    }
-
-    /// [`Self::try_forward_batch`] for one input.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_forward_batch`].
-    ///
-    /// # Panics
-    ///
-    /// See [`Self::try_forward_batch`].
-    pub fn try_forward(
-        &self,
-        network: &Network,
-        input: &Tensor3,
-        filters: &[FilterBank],
-    ) -> Result<DeviceForward, ExecError> {
-        self.try_forward_batch(network, &[input], filters).map(only)
     }
 
     /// Runs a batch of inputs through the network **batch-major**: layer

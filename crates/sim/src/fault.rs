@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 /// Structured failure of one device execute.
 ///
-/// Returned by [`crate::DeviceExecutor::try_forward`]; serving layers
+/// Returned by [`crate::DeviceExecutor::try_forward_batch`]; serving layers
 /// match on this to decide between retry (transient), failover
 /// (chip-level), and refusal (model-level).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,7 +157,7 @@ impl FaultEvent {
 ///     .tile_transient(5, 0)   // round 5: one execute on chip 0 glitches
 ///     .drift(7, 2);           // round 7: chip 2 marked degraded
 /// assert_eq!(plan.events().len(), 3);
-/// assert_eq!(plan.events_at(5).count(), 1);
+/// assert_eq!(plan.events()[1].round(), 5);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -207,14 +207,6 @@ impl FaultPlan {
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
-
-    /// The events that fire on dispatch round `round`, in insertion
-    /// order (kill/degrade/transient application order is up to the
-    /// scheduler, which applies them at a single-threaded round
-    /// boundary).
-    pub fn events_at(&self, round: u64) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter().filter(move |e| e.round() == round)
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +217,7 @@ mod tests {
     fn empty_plan_fires_nothing() {
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
-        assert_eq!(plan.events_at(0).count(), 0);
+        assert!(plan.events().is_empty());
     }
 
     #[test]
@@ -234,9 +226,10 @@ mod tests {
             .kill_chip(2, 0)
             .tile_transient(2, 1)
             .drift(4, 0);
-        assert_eq!(plan.events_at(2).count(), 2);
-        assert_eq!(plan.events_at(3).count(), 0);
-        assert_eq!(plan.events_at(4).count(), 1);
+        let at = |round| plan.events().iter().filter(|e| e.round() == round).count();
+        assert_eq!(at(2), 2);
+        assert_eq!(at(3), 0);
+        assert_eq!(at(4), 1);
         assert_eq!(plan.events().iter().map(FaultEvent::chip).max(), Some(1));
     }
 

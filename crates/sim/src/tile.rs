@@ -144,26 +144,6 @@ impl TileDrive {
         }
     }
 
-    /// Builds a drive from per-pixel windows (convenience for tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the windows are empty or ragged.
-    #[must_use]
-    pub fn from_windows(positive: &[Vec<u8>], negative: Option<&[Vec<u8>]>) -> Self {
-        let rows = positive.first().map_or(0, Vec::len);
-        let flatten = |windows: &[Vec<u8>]| {
-            windows
-                .iter()
-                .flat_map(|w| {
-                    assert_eq!(w.len(), rows, "ragged drive window");
-                    w.iter().copied()
-                })
-                .collect()
-        };
-        Self::new(rows, flatten(positive), negative.map(flatten))
-    }
-
     /// Window length (the tile's row count).
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -698,6 +678,15 @@ mod tests {
     use oxbar_nn::synthetic;
     use oxbar_nn::{Conv2d, TensorShape};
 
+    /// A one-pixel drive: `positive`, plus a negative pass if given.
+    fn one_window(positive: &[u8], negative: Option<&[u8]>) -> TileDrive {
+        TileDrive::new(
+            positive.len(),
+            positive.to_vec(),
+            negative.map(<[u8]>::to_vec),
+        )
+    }
+
     fn signed_mac(tile: &WeightTile, window: &[i64]) -> Vec<i64> {
         (0..tile.cols())
             .map(|c| {
@@ -718,7 +707,7 @@ mod tests {
         assert!(tiles.len() > 1, "fold coverage");
         for (t, tile) in tiles.iter().enumerate() {
             let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 7 % 64) as u8).collect();
-            let drive = TileDrive::from_windows(std::slice::from_ref(&window), None);
+            let drive = one_window(&window, None);
             let out = run_tile_with(tile, &drive, &config, 99 + t as u64, MvmEngine::Compiled);
             let expected = signed_mac(
                 tile,
@@ -742,10 +731,9 @@ mod tests {
             .next()
             .unwrap();
         let window: Vec<i64> = (0..tile.rows() as i64).map(|r| (r % 13) - 6).collect();
-        let drive = TileDrive::from_windows(
-            &[window.iter().map(|&v| v.max(0) as u8).collect()],
-            Some(&[window.iter().map(|&v| (-v).max(0) as u8).collect()]),
-        );
+        let positive: Vec<u8> = window.iter().map(|&v| v.max(0) as u8).collect();
+        let negative: Vec<u8> = window.iter().map(|&v| (-v).max(0) as u8).collect();
+        let drive = one_window(&positive, Some(&negative));
         let out = run_tile_with(
             &tile,
             &drive,
@@ -766,7 +754,7 @@ mod tests {
             .next()
             .unwrap();
         let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 11 % 64) as u8).collect();
-        let drive = TileDrive::from_windows(std::slice::from_ref(&window), None);
+        let drive = one_window(&window, None);
         let config = SimConfig::ideal(32, 16).with_mapping(WeightMapping::Differential);
         let out = run_tile_with(&tile, &drive, &config, 1, MvmEngine::Compiled);
         let expected = signed_mac(
@@ -785,7 +773,7 @@ mod tests {
             .next()
             .unwrap();
         let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 5 % 64) as u8).collect();
-        let drive = TileDrive::from_windows(std::slice::from_ref(&window), None);
+        let drive = one_window(&window, None);
         let config = SimConfig::noisy(64, 8);
         let a = run_tile_with(&tile, &drive, &config, 77, MvmEngine::Compiled);
         let b = run_tile_with(&tile, &drive, &config, 77, MvmEngine::Compiled);

@@ -98,7 +98,7 @@ fn warm_rounds_do_not_touch_the_allocator() {
                 .collect()
         })
         .collect();
-    let drive = TileDrive::from_windows(&windows, None);
+    let drive = TileDrive::new(tile.rows(), windows.concat(), None);
     let mut arena = ExecArena::default();
     // Cold round: the arena grows its buffers (allocates).
     compiled.execute_into(&drive, &config, true, &mut arena);
