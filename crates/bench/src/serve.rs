@@ -163,7 +163,7 @@ pub struct FaultCase {
     /// Requests that vanished without a completion *or* a shed notice.
     /// Anything but 0 is a correctness failure.
     pub lost: u64,
-    /// Batches re-executed after a fault (failover + transient retries).
+    /// Fault-charged retries (failover re-routes + absorbed transients).
     pub retried: u64,
     /// Snapshot-restore recoveries of unreplicated models.
     pub recoveries: u64,

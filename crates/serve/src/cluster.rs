@@ -25,7 +25,7 @@
 use crate::registry::{AdmitError, ModelCacheStats, ModelSpec};
 use crate::request::ModelId;
 use oxbar_nn::{Layer, TensorShape};
-use oxbar_sim::{DeviceExecutor, InjectedFault, SimConfig};
+use oxbar_sim::{DeviceExecutor, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -114,7 +114,8 @@ struct ChipRegistry {
     migrations_out: u64,
     /// Scheduler-visible health (see [`ChipHealth`]).
     health: ChipHealth,
-    /// Batches re-executed on (or off) this chip after a fault.
+    /// Fault-charged retries: transients this chip's batches absorbed,
+    /// plus batches re-routed off it.
     retries: u64,
     /// Requests shed because this chip failed and no replica could meet
     /// their deadline.
@@ -159,7 +160,8 @@ pub struct ChipStats {
     pub misses: u64,
     /// The chip's scheduler-visible health.
     pub health: ChipHealth,
-    /// Batches retried because of faults on this chip.
+    /// Fault-charged retries: transients this chip's batches absorbed,
+    /// plus batches re-routed off it.
     pub retries: u64,
     /// Requests shed while failing over away from this chip.
     pub sheds: u64,
@@ -220,8 +222,6 @@ pub struct Cluster {
     chips: Vec<ChipRegistry>,
     entries: Vec<ModelEntry>,
     clock: u64,
-    evictions: u64,
-    migrations: u64,
     recoveries: u64,
     /// Wall-clock milliseconds spent in snapshot/restore recoveries
     /// (observational only — never feeds back into scheduling).
@@ -245,8 +245,6 @@ impl Cluster {
             chips: chip_budgets.iter().map(|&b| ChipRegistry::new(b)).collect(),
             entries: Vec::new(),
             clock: 0,
-            evictions: 0,
-            migrations: 0,
             recoveries: 0,
             recovery_ms: 0.0,
         }
@@ -557,7 +555,6 @@ impl Cluster {
                 }
             }
         }
-        self.evictions += evicted as u64;
         evicted
     }
 
@@ -608,19 +605,20 @@ impl Cluster {
         self.chips[dest].committed_cells += footprint;
         self.chips[from].migrations_out += 1;
         self.chips[dest].migrations_in += 1;
-        self.migrations += 1;
     }
 
-    /// Total model evictions since the cluster was created.
+    /// Total model evictions since the cluster was created, summed over
+    /// the chips.
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.chips.iter().map(|c| c.evictions).sum()
     }
 
-    /// Total cross-chip model migrations since the cluster was created.
+    /// Total cross-chip model migrations since the cluster was created
+    /// (each counted once, on the chip it moved onto).
     #[must_use]
     pub fn migrations(&self) -> u64 {
-        self.migrations
+        self.chips.iter().map(|c| c.migrations_in).sum()
     }
 
     /// Total snapshot/restore recoveries since the cluster was created.
@@ -646,48 +644,16 @@ impl Cluster {
         self.chips[chip.0].health
     }
 
-    /// Kills `chip`: marks it [`ChipHealth::Failed`] and injects a
-    /// control-plane kill into every residency executor on it, so any
-    /// in-flight execute surfaces [`oxbar_sim::ExecError::ChipFailed`]
-    /// instead of producing output. The chip's programmed state stays
+    /// Marks `chip` [`ChipHealth::Failed`]: routing, migration and
+    /// recovery stop considering it. Its programmed state stays
     /// snapshot-readable (PCM non-volatility), which is what
     /// [`Self::recover`] relies on.
     ///
     /// # Panics
     ///
     /// Panics if the chip index is out of range.
-    pub fn kill_chip(&mut self, chip: ChipId) {
-        self.mark_chip_failed(chip);
-        self.inject_chip_failure(chip);
-    }
-
-    /// The health-marking half of [`Self::kill_chip`]: routing and
-    /// recovery stop considering the chip, but already-dispatched
-    /// executes on it still complete. The scheduler uses the split to
-    /// fail a chip *between* dispatch rounds without corrupting the
-    /// round in flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chip index is out of range.
     pub fn mark_chip_failed(&mut self, chip: ChipId) {
         self.chips[chip.0].health = ChipHealth::Failed;
-    }
-
-    /// The executor-injection half of [`Self::kill_chip`]: every
-    /// residency executor on the chip starts refusing execution with
-    /// [`oxbar_sim::ExecError::ChipFailed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chip index is out of range.
-    pub fn inject_chip_failure(&self, chip: ChipId) {
-        assert!(chip.0 < self.chips.len(), "chip {chip:?} out of range");
-        for entry in &self.entries {
-            for r in entry.residencies.iter().filter(|r| r.chip == chip.0) {
-                r.executor.inject_fault(InjectedFault::Kill);
-            }
-        }
     }
 
     /// Marks `chip` drift-degraded: it keeps serving (byte-identically),
@@ -880,8 +846,8 @@ impl fmt::Debug for Cluster {
             .field("models", &self.entries.len())
             .field("budget", &self.budget())
             .field("occupancy", &self.occupancy())
-            .field("evictions", &self.evictions)
-            .field("migrations", &self.migrations)
+            .field("evictions", &self.evictions())
+            .field("migrations", &self.migrations())
             .finish()
     }
 }
@@ -891,7 +857,6 @@ mod tests {
     use super::*;
     use oxbar_nn::synthetic;
     use oxbar_nn::zoo::{lenet5, resnet18};
-    use oxbar_sim::ExecError;
 
     fn lenet_spec(seed: u64) -> ModelSpec {
         let network = lenet5();
@@ -1085,15 +1050,8 @@ mod tests {
             .forward(&net, &input, &filt)
             .unwrap();
 
-        cluster.kill_chip(ChipId(0));
+        cluster.mark_chip_failed(ChipId(0));
         assert_eq!(cluster.chip_health(ChipId(0)), ChipHealth::Failed);
-        assert_eq!(
-            cluster
-                .executor_on(a, ChipId(0))
-                .unwrap()
-                .try_forward_batch(&net, &[&input], &filt),
-            Err(ExecError::ChipFailed)
-        );
         let after = cluster
             .executor_on(a, ChipId(1))
             .unwrap()
@@ -1116,7 +1074,7 @@ mod tests {
         let (net, filt) = (spec.network.clone(), spec.filters.clone());
         let before = cluster.executor(a).forward(&net, &input, &filt).unwrap();
 
-        cluster.kill_chip(ChipId(0));
+        cluster.mark_chip_failed(ChipId(0));
         assert!(!cluster.chip_health(cluster.chip_of(a)).serves());
         let dest = cluster.recover(a).expect("a healthy chip remains");
         assert_eq!(dest, ChipId(1));
@@ -1148,7 +1106,7 @@ mod tests {
         assert_eq!(stats[1].health, ChipHealth::Healthy);
         cluster.heal_chip(ChipId(0));
         assert_eq!(cluster.chip_health(ChipId(0)), ChipHealth::Healthy);
-        cluster.kill_chip(ChipId(1));
+        cluster.mark_chip_failed(ChipId(1));
         cluster.degrade_chip(ChipId(1));
         cluster.heal_chip(ChipId(1));
         assert_eq!(cluster.chip_health(ChipId(1)), ChipHealth::Failed);

@@ -10,14 +10,9 @@ use oxbar_nn::reference::Tensor3;
 use oxbar_nn::transformer::{KvCache, StepOutcome};
 use oxbar_nn::TensorShape;
 use oxbar_sim::llm::lm_step;
-use oxbar_sim::{DeviceExecutor, ExecError, FaultEvent, FaultPlan, InjectedFault, SimConfig};
+use oxbar_sim::{DeviceExecutor, ExecError, FaultEvent, FaultPlan, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// How many times one execute call (a batch's CNN forward, or one decode
-/// step) retries through transient tile faults before the batch
-/// escalates to failover.
-const MAX_TILE_RETRIES: usize = 3;
 
 /// Hard per-sequence cap on decode steps, so a hostile `Generate` cannot
 /// pin the engine in an unbounded token loop.
@@ -206,13 +201,14 @@ pub struct EngineStats {
     /// Per-chip statistics, in chip-index order (one entry on a
     /// single-chip engine).
     pub chips: Vec<ChipStats>,
-    /// Fault-driven re-executions: transient tile-fault retries plus
-    /// batches re-routed off a failed chip (each re-route counts once).
+    /// Fault-charged retries, summed over [`Self::chips`]: one per
+    /// transient tile fault a batch absorbs (a charge, not a
+    /// re-execution) plus one per batch re-routed off a failed chip.
     pub retries: u64,
     /// Requests shed instead of served — re-routed members whose
     /// deadline could not survive the failover penalty, or members with
-    /// no healthy chip left to run on. Shed requests complete with a
-    /// structured notice, never silently.
+    /// no healthy chip left to run on, summed over [`Self::chips`]. Shed
+    /// requests complete with a structured notice, never silently.
     pub sheds: u64,
     /// Models recovered by snapshot/restore after losing every serving
     /// residency (the PCM-non-volatility path).
@@ -464,8 +460,8 @@ struct Fate {
     shed: Vec<usize>,
     /// The failed chip this batch was re-routed away from, if any.
     failed_from: Option<usize>,
-    /// The batch absorbs one armed transient tile fault: its first
-    /// execute fails once and retries in place, byte-identically.
+    /// The batch absorbs one planned transient tile fault: one retry
+    /// charged to its chip, with unchanged outputs.
     transient: bool,
 }
 
@@ -562,8 +558,6 @@ pub struct ServeEngine {
     batches: u64,
     prewarms: u64,
     prewarmed_tiles: u64,
-    retries: u64,
-    sheds: u64,
     /// Transient tile faults armed on each chip but not yet absorbed by
     /// a batch (events can outpace a chip's traffic within one drain):
     /// per chip, the fault-plan rounds that armed them.
@@ -605,8 +599,6 @@ impl ServeEngine {
             batches: 0,
             prewarms: 0,
             prewarmed_tiles: 0,
-            retries: 0,
-            sheds: 0,
             pending_transients: vec![Vec::new(); budgets.len()],
             sequences: Vec::new(),
             tokens: 0,
@@ -729,8 +721,8 @@ impl ServeEngine {
     /// decode steps starting from `prompt`, the first arriving at
     /// `arrival` and each subsequent token `interval` ticks after the
     /// previous one completes. Token steps ride the ordinary queue — they
-    /// batch with CNN traffic, route across chips, retry through
-    /// transient faults, and fail over to replicas like any request — but
+    /// batch with CNN traffic, route across chips, absorb transient
+    /// faults, and fail over to replicas like any request — but
     /// step `t + 1` is submitted only when step `t` completes, so one
     /// sequence is a long-lived chain of requests rather than a burst.
     ///
@@ -856,7 +848,7 @@ impl ServeEngine {
 
     /// One scheduler pass over the current queue: a loop over steps — a
     /// pipeline fill, one step per dispatch round, and a recal flush.
-    /// Each step (1) applies its fault marks and injections, (2) resolves
+    /// Each step (1) applies its fault marks, (2) resolves
     /// its batches' fates in dispatch order against where each model
     /// lives now, (3) runs its batches and stage jobs (prewarm, recal)
     /// through one pool, and (4) absorbs the results and enforces the
@@ -920,32 +912,28 @@ impl ServeEngine {
         let mut completions = Vec::with_capacity(queue.len());
         let mut timings = vec![0.0; batches.len()];
         let mut shed_notices: Vec<ShedNotice> = Vec::new();
-        let (mut marked, mut injected) = (seq_base, seq_base);
+        let mut marked = seq_base;
         let steps = std::iter::once(Step::Fill)
             .chain(rounds.iter().map(|round| Step::Round(round)))
             .chain(std::iter::once(Step::Flush));
         for step in steps {
-            // 1. Faults. A chip kill is staged across two boundaries:
-            // health marks land once the step's *last* batch reaches the
-            // kill, so recovery destinations and stats see the failure;
-            // executors die only once its *first* batch does. Round
-            // minimum sequence numbers strictly increase, so every batch
-            // dispatched before the kill has drained by then.
-            let (round, marks_to, injections_to, recal_tiles) = match step {
-                Step::Fill => (&[][..], seq_base, seq_base, 0),
+            // 1. Faults. Kill and drift marks land once the step's *last*
+            // batch reaches them, so recovery destinations and stats see
+            // the failure; each fate still reads health at its own batch's
+            // sequence (`health_at`).
+            let (round, marks_to, recal_tiles) = match step {
+                Step::Fill => (&[][..], seq_base, 0),
                 Step::Round(round) => (
                     round,
                     seq_base + round[round.len() - 1] as u64 + 1,
-                    seq_base + round[0] as u64 + 1,
                     MAX_RECAL_TILES_PER_ROUND,
                 ),
-                Step::Flush => (&[][..], seq_end, seq_end, usize::MAX),
+                Step::Flush => (&[][..], seq_end, usize::MAX),
             };
-            self.apply_faults(&mut marked, marks_to, false);
-            self.apply_faults(&mut injected, injections_to, true);
+            self.apply_faults(&mut marked, marks_to);
             // 2. Fates, in dispatch order. A fate only ever picks a chip
-            // that is healthy at its batch's sequence, so no dispatched
-            // batch meets a dead executor.
+            // that is healthy at its batch's sequence, so no batch runs on
+            // a failed chip.
             let mut fates = Vec::with_capacity(round.len());
             for &i in round {
                 pending[i] = false;
@@ -1037,7 +1025,7 @@ impl ServeEngine {
     /// PCM snapshot right here, else sheds. Members whose deadline cannot
     /// absorb the failover penalty shed too — the only path that ever
     /// sheds. A batch that runs absorbs one transient fault armed on its
-    /// chip, injected into the executor here.
+    /// chip, which `absorb_batch` charges as a retry.
     fn resolve_fate(
         &mut self,
         batch: &Batch,
@@ -1089,29 +1077,24 @@ impl ServeEngine {
             {
                 slots.swap_remove(k);
                 fate.transient = true;
-                if let Some(exec) = self.registry.executor_on(batch.model, ChipId(chip)) {
-                    exec.inject_fault(InjectedFault::TileTransient { layer: 0, tile: 0 });
-                }
             }
         }
         fate
     }
 
-    /// Applies one half of the planned kill and drift events with rounds
-    /// in `*cursor..to`, advancing the cursor: the mark half sets chip
-    /// health; the injection half kills the chip's executors.
-    fn apply_faults(&mut self, cursor: &mut u64, to: u64, inject: bool) {
+    /// Marks the planned kill and drift events with rounds in
+    /// `*cursor..to` on chip health, advancing the cursor.
+    fn apply_faults(&mut self, cursor: &mut u64, to: u64) {
         let chips = self.registry.chip_count();
         for event in self.config.fault_plan.events() {
             if !(*cursor..to).contains(&event.round()) || event.chip() >= chips {
                 continue;
             }
             let chip = ChipId(event.chip());
-            match (event, inject) {
-                (FaultEvent::ChipKill { .. }, false) => self.registry.mark_chip_failed(chip),
-                (FaultEvent::ChipKill { .. }, true) => self.registry.inject_chip_failure(chip),
-                (FaultEvent::Drift { .. }, false) => self.registry.degrade_chip(chip),
-                _ => {}
+            match event {
+                FaultEvent::ChipKill { .. } => self.registry.mark_chip_failed(chip),
+                FaultEvent::Drift { .. } => self.registry.degrade_chip(chip),
+                FaultEvent::TileTransient { .. } => {}
             }
         }
         *cursor = (*cursor).max(to);
@@ -1168,14 +1151,12 @@ impl ServeEngine {
     ) {
         self.registry.touch(batch.model);
         if let (true, Some(chip)) = (fate.transient, fate.chip) {
-            self.retries += 1;
             self.registry.note_retry(ChipId(chip));
         }
         if let Some(from) = fate.failed_from {
             // A re-route only counts as a retry if something actually
             // re-executes.
             if fate.shed.len() < batch.members.len() {
-                self.retries += 1;
                 self.registry.note_retry(ChipId(from));
             }
             if !fate.shed.is_empty() {
@@ -1200,8 +1181,8 @@ impl ServeEngine {
                     completions.push(e.completion);
                 }
             }
-            // Fates never pick a dead executor, so this is a defect
-            // guard: the members still complete structurally.
+            // Only a model-level refusal (`ExecError::Unsupported`) lands
+            // here: the members still complete structurally, as sheds.
             Err(e) => {
                 let chip = fate.chip.unwrap_or_default();
                 let survivors: Vec<usize> = batch
@@ -1251,7 +1232,6 @@ impl ServeEngine {
     ) {
         for &slot in slots {
             let q = &queue[slot];
-            self.sheds += 1;
             self.registry.note_shed(ChipId(chip));
             if let Some(seq_id) = q.sequence {
                 // Shedding a decode step ends its whole sequence: no
@@ -1460,10 +1440,8 @@ impl ServeEngine {
         targets
     }
 
-    /// Runs every non-shed member of a batch on one executor, each call
-    /// retrying through transient tile faults (bounded at
-    /// [`MAX_TILE_RETRIES`] — a one-shot transient needs exactly one). The
-    /// CNN members run as one batch-major
+    /// Runs every non-shed member of a batch on one executor. The CNN
+    /// members run as one batch-major
     /// [`DeviceExecutor::try_forward_batch`], so each tile is programmed
     /// at most once per batch; members carrying a sequence id run one
     /// decode step each via [`lm_step`]. Reading `self.sequences` here is
@@ -1490,7 +1468,7 @@ impl ServeEngine {
         let mut forwards = if inputs.is_empty() {
             Vec::new()
         } else {
-            retry_transients(|| executor.try_forward_batch(&spec.network, &inputs, &spec.filters))?
+            executor.try_forward_batch(&spec.network, &inputs, &spec.filters)?
         }
         .into_iter();
         let mut out = Vec::with_capacity(survivors.len());
@@ -1499,17 +1477,15 @@ impl ServeEngine {
                 Some(id) => {
                     let seq = &self.sequences[usize::try_from(id).expect("sequence id")];
                     let lm = spec.lm.as_ref().expect("sequence targets a language model");
-                    let step = retry_transients(|| {
-                        lm_step(
-                            executor,
-                            &spec.network,
-                            &spec.filters,
-                            lm,
-                            &seq.cache,
-                            seq.next_token,
-                            seq.pos,
-                        )
-                    })?;
+                    let step = lm_step(
+                        executor,
+                        &spec.network,
+                        &spec.filters,
+                        lm,
+                        &seq.cache,
+                        seq.next_token,
+                        seq.pos,
+                    )?;
                     let logits = TensorShape::flat(step.logits.len());
                     let token = TokenCompletion {
                         sequence: SequenceId(id),
@@ -1548,6 +1524,7 @@ impl ServeEngine {
     /// Aggregate statistics since engine creation.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
+        let chips = self.registry.chip_stats();
         EngineStats {
             requests: self.requests,
             batches: self.batches,
@@ -1558,9 +1535,9 @@ impl ServeEngine {
             budget_cells: self.registry.budget(),
             models: self.registry.cache_stats(),
             migrations: self.registry.migrations(),
-            chips: self.registry.chip_stats(),
-            retries: self.retries,
-            sheds: self.sheds,
+            retries: chips.iter().map(|c| c.retries).sum(),
+            sheds: chips.iter().map(|c| c.sheds).sum(),
+            chips,
             recoveries: self.registry.recoveries(),
             recovery_ms: self.registry.recovery_ms(),
             sequences: self.sequences.len() as u64,
@@ -1611,19 +1588,6 @@ fn pick_replica(
         Some(order[0]).filter(|best| best.0 < 2).map(|best| best.1)
     };
     (nominal, serving)
-}
-
-/// Runs one execute call, retrying it in place through transient tile
-/// faults (at most [`MAX_TILE_RETRIES`] times); any other error, or a
-/// transient past the bound, is returned.
-fn retry_transients<T>(mut call: impl FnMut() -> Result<T, ExecError>) -> Result<T, ExecError> {
-    let mut retries = 0;
-    loop {
-        match call() {
-            Err(ExecError::TileFault { .. }) if retries < MAX_TILE_RETRIES => retries += 1,
-            done => return done,
-        }
-    }
 }
 
 /// Builds the queued request for one decode step of a sequence. The

@@ -48,16 +48,18 @@
 //!   cluster's cell budgets.
 //! * **Request admission** is bounded by `queue_capacity`: an `Infer`
 //!   arriving while the engine holds that many undrained requests draws
-//!   [`ErrorCode::Backpressure`](crate::protocol::ErrorCode::Backpressure)
-//!   instead of queueing, checked under the same lock as the submit so
-//!   the bound is exact.
+//!   [`ErrorCode::Backpressure`] instead of queueing, checked under the
+//!   same lock as the submit so the bound is exact.
+//! * **Session admission** is capped at 64 live sessions: a connection
+//!   past the cap gets one `Backpressure` error frame and is closed, with
+//!   no session thread.
 //! * Out-of-order arrival ticks across connections are routine and
 //!   handled by ordered insertion in [`ServeEngine::try_submit`] — a
 //!   misbehaving client can be *refused*, never crash the server.
 
 use crate::cluster::{ChipHealth, ChipId};
 use crate::engine::ServeEngine;
-use crate::protocol::{ServerFrame, WireToken};
+use crate::protocol::{self, ErrorCode, ServerFrame, WireToken};
 use crate::request::{RequestId, SequenceId};
 use crate::session::{self, Conn};
 use std::collections::HashMap;
@@ -72,6 +74,9 @@ use std::time::Duration;
 /// reading stalls the dispatcher for at most this long, once: the failed
 /// write closes its connection.
 const WRITE_DEADLINE: Duration = Duration::from_millis(250);
+
+/// Live sessions past which a new connection is refused.
+const MAX_SESSIONS: usize = 64;
 
 /// Tuning knobs of the network front end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,8 +279,24 @@ fn accept_loop(
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(mut stream) = stream else { continue };
         if stream.set_write_timeout(Some(WRITE_DEADLINE)).is_err() {
+            continue;
+        }
+        let live = {
+            let mut sessions = sessions.lock().expect("sessions lock");
+            // Dropping a finished session's handle releases its thread stack.
+            sessions.retain(|h| !h.is_finished());
+            sessions.len()
+        };
+        if live >= MAX_SESSIONS {
+            // Dropping the stream closes the refused connection.
+            let refusal = ServerFrame::Error {
+                tag: None,
+                code: ErrorCode::Backpressure,
+                detail: format!("server is at its cap of {MAX_SESSIONS} live sessions"),
+            };
+            let _ = protocol::write_message(&mut stream, &refusal);
             continue;
         }
         let Ok(writer) = stream.try_clone() else {
@@ -300,11 +321,8 @@ fn accept_loop(
                     .retain(|c| c.id != conn.id);
             })
         };
-        let mut sessions = sessions.lock().expect("sessions lock");
-        // Dropping a finished session's handle releases its thread stack.
-        sessions.retain(|h| !h.is_finished());
         match spawned {
-            Ok(handle) => sessions.push(handle),
+            Ok(handle) => sessions.lock().expect("sessions lock").push(handle),
             // The OS refused a thread: refuse this connection and keep
             // accepting. The failed spawn dropped the session's handles on
             // the socket; dropping the registry entry closes it.
@@ -413,5 +431,84 @@ fn dispatch_loop(shared: &Arc<Shared>, conns: &Arc<Mutex<Vec<Arc<Conn>>>>) {
             }
         }
         shared.drained.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog;
+    use crate::engine::ServeConfig;
+    use crate::protocol::{Client, ClientFrame, FrameError};
+    use oxbar_nn::synthetic;
+    use oxbar_sim::SimConfig;
+    use std::time::Instant;
+
+    /// A loopback connection whose reads give up after 10 s, so a wedged
+    /// server fails the test instead of hanging it.
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read deadline");
+        stream
+    }
+
+    #[test]
+    fn connections_past_the_session_cap_are_refused_until_a_session_ends() {
+        let mut engine = ServeEngine::new(ServeConfig::new(SimConfig::ideal(64, 64)));
+        let model = engine.admit(catalog::lenet5_model()).expect("lenet admits");
+        let input = synthetic::activations(engine.input_shape(model), 6, 1);
+        let server = Server::start(engine, ServerConfig::default()).expect("server starts");
+        let mut clients: Vec<Client<TcpStream>> = (0..MAX_SESSIONS)
+            .map(|_| Client::connect(connect(server.addr())).expect("under the cap: Hello"))
+            .collect();
+
+        // One past the cap: a Backpressure refusal, then end-of-stream.
+        let mut refused = connect(server.addr());
+        match protocol::read_message::<ServerFrame>(&mut refused) {
+            Ok(ServerFrame::Error {
+                tag: None,
+                code: ErrorCode::Backpressure,
+                ..
+            }) => {}
+            other => panic!("expected a Backpressure refusal, got {other:?}"),
+        }
+        assert!(matches!(
+            protocol::read_message::<ServerFrame>(&mut refused),
+            Err(FrameError::Closed)
+        ));
+
+        // An open session still serves.
+        clients[0]
+            .send(&ClientFrame::Infer {
+                tag: 7,
+                model: model.0,
+                arrival: 0,
+                deadline: None,
+                input,
+            })
+            .expect("send");
+        assert!(matches!(
+            clients[0].wait_completion(7),
+            Ok(ServerFrame::Completion { tag: 7, .. })
+        ));
+
+        // Once one session ends, a new connection is admitted.
+        let mut leaving = clients.pop().expect("a live client");
+        leaving.send(&ClientFrame::Goodbye).expect("goodbye");
+        while !matches!(leaving.recv().expect("Bye arrives"), ServerFrame::Bye) {}
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match protocol::read_message::<ServerFrame>(&mut connect(server.addr())) {
+                Ok(ServerFrame::Hello { .. }) => break,
+                Ok(ServerFrame::Error {
+                    code: ErrorCode::Backpressure,
+                    ..
+                }) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
+                other => panic!("no connection admitted after a Goodbye: {other:?}"),
+            }
+        }
+        server.shutdown();
     }
 }

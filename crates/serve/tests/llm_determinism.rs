@@ -9,14 +9,17 @@
 
 use oxbar_nn::synthetic;
 use oxbar_serve::{
-    catalog, Completion, FaultPlan, InferRequest, PlacementPolicy, ServeConfig, ServeEngine,
+    catalog, Completion, EngineStats, FaultPlan, InferRequest, PlacementPolicy, RequestId,
+    ServeConfig, ServeEngine,
 };
 use oxbar_sim::SimConfig;
+use std::collections::BTreeMap;
 
 /// Runs the canonical mixed CNN + LLM trace through `config`: two
 /// sequences against `llm_tiny` interleaved with four LeNet requests,
-/// drained to idle. Returns the completions and both token streams.
-fn mixed_trace(config: ServeConfig) -> (Vec<Completion>, Vec<Vec<u32>>) {
+/// drained to idle. Returns the completions, both token streams and the
+/// engine's statistics.
+fn mixed_trace(config: ServeConfig) -> (Vec<Completion>, Vec<Vec<u32>>, EngineStats) {
     let mut engine = ServeEngine::new(config);
     let lenet = engine.admit(catalog::lenet5_model()).expect("lenet admits");
     let llm = engine.admit(catalog::llm_tiny()).expect("llm_tiny admits");
@@ -40,7 +43,7 @@ fn mixed_trace(config: ServeConfig) -> (Vec<Completion>, Vec<Vec<u32>>) {
         engine.sequence_tokens(b).to_vec(),
     ];
     assert!(tokens.iter().all(|t| t.len() == 8), "both sequences finish");
-    (done, tokens)
+    (done, tokens, engine.stats())
 }
 
 #[test]
@@ -49,11 +52,11 @@ fn token_streams_are_invariant_across_workers_and_prewarm() {
     // model, not just the ideal integer path.
     let device = SimConfig::noisy(64, 64).with_seed(41).with_threads(1);
     let base = ServeConfig::new(device);
-    let (done_ref, tokens_ref) = mixed_trace(base.clone().with_workers(1));
+    let (done_ref, tokens_ref, _) = mixed_trace(base.clone().with_workers(1));
     for workers in [2usize, 4] {
         for prewarm in [true, false] {
             let config = base.clone().with_workers(workers).with_prewarm(prewarm);
-            let (done, tokens) = mixed_trace(config);
+            let (done, tokens, _) = mixed_trace(config);
             assert_eq!(
                 tokens, tokens_ref,
                 "token streams diverged at workers={workers} prewarm={prewarm}"
@@ -72,7 +75,7 @@ fn replicated_failover_mid_sequence_is_byte_identical() {
     let device = SimConfig::noisy(64, 64).with_seed(17).with_threads(1);
     // Reference: one healthy chip, no faults.
     let single = ServeConfig::new(device.clone()).with_chips(vec![600_000]);
-    let (_, tokens_ref) = mixed_trace(single);
+    let (_, tokens_ref, _) = mixed_trace(single);
 
     // Same trace on a two-chip replicated cluster whose chip 0 is killed
     // at global batch 3 — mid-sequence (each decode step is its own
@@ -81,11 +84,61 @@ fn replicated_failover_mid_sequence_is_byte_identical() {
         .with_chips(vec![600_000, 600_000])
         .with_placement(PlacementPolicy::Replicated(2))
         .with_faults(FaultPlan::new().kill_chip(3, 0));
-    let (_, tokens) = mixed_trace(replicated);
+    let (_, tokens, _) = mixed_trace(replicated);
     assert_eq!(
         tokens, tokens_ref,
         "mid-sequence chip kill must be invisible in the token stream"
     );
+}
+
+#[test]
+fn token_steps_under_a_fault_mix_are_invariant_across_workers() {
+    let device = SimConfig::noisy(64, 64).with_seed(17).with_threads(1);
+    let (done_ref, tokens_ref, _) =
+        mixed_trace(ServeConfig::new(device.clone()).with_chips(vec![600_000]));
+    let cnn_outputs = |done: &[Completion]| -> BTreeMap<RequestId, Vec<i64>> {
+        done.iter()
+            .filter(|c| c.sequence.is_none())
+            .map(|c| (c.id, c.output.data().to_vec()))
+            .collect()
+    };
+    // `Replicated(2)` on three chips puts LeNet on chips 0 and 1 and
+    // llm_tiny on chips 2 and 0. After the first pass every batch is one
+    // token step of both sequences (9 batches in all), so every event
+    // lands inside the trace: chip 2 — llm_tiny only — absorbs the
+    // transient in a token-only batch and then drifts, and chip 0, a
+    // replica of both models, dies mid-sequence.
+    let plan = FaultPlan::new()
+        .tile_transient(3, 2)
+        .drift(4, 2)
+        .kill_chip(6, 0);
+    let mut retries = Vec::new();
+    for workers in [1usize, 2, 4] {
+        let config = ServeConfig::new(device.clone())
+            .with_chips(vec![600_000; 3])
+            .with_placement(PlacementPolicy::Replicated(2))
+            .with_workers(workers)
+            .with_faults(plan.clone());
+        // `mixed_trace` also asserts that nothing is shed.
+        let (done, tokens, stats) = mixed_trace(config);
+        assert_eq!(
+            tokens, tokens_ref,
+            "token streams diverged at workers={workers}"
+        );
+        assert_eq!(
+            cnn_outputs(&done),
+            cnn_outputs(&done_ref),
+            "CNN outputs diverged at workers={workers}"
+        );
+        assert_eq!((stats.tokens, stats.requests), (16, 20));
+        retries.push(stats.chips.iter().map(|c| c.retries).collect::<Vec<_>>());
+    }
+    assert!(
+        retries.iter().all(|r| *r == retries[0]),
+        "per-chip retries vary with the worker count: {retries:?}"
+    );
+    // One transient charged to chip 2, one token step re-routed off chip 0.
+    assert_eq!(retries[0], [1, 0, 1]);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use crate::arena::ExecArena;
 use crate::config::{tile_seed, SimConfig};
-use crate::fault::{ExecError, InjectedFault};
+use crate::fault::ExecError;
 use crate::snapshot::{ChipSnapshot, TileSnapshot};
 use crate::tile::{run_tile_with, CompiledTile, MvmEngine, TileDrive};
 use oxbar_core::dse::parallel_map;
@@ -114,27 +114,12 @@ pub struct DeviceExecutor {
     /// only, never results, so pooling cannot change outputs — it removes
     /// the heap allocator from the warm serving path.
     arenas: Mutex<Vec<ExecArena>>,
-    /// Injected fault state (see [`crate::fault`]). Faults gate *forward
-    /// execution* only: a killed chip's non-volatile programmed state is
-    /// still snapshot-readable, which is what recovery relies on.
-    fault: Mutex<FaultState>,
     /// The executor's virtual clock, in scheduler dispatch ticks. Serving
     /// engines advance it at round boundaries (single-threaded, from the
     /// global dispatch counter — never wall clock), which makes tile age,
     /// drifted readouts, and recalibration decisions deterministic
     /// functions of the workload.
     clock: AtomicU64,
-}
-
-/// The executor's current injected-fault condition.
-#[derive(Debug, Default)]
-struct FaultState {
-    /// Control plane down: every `try_forward_batch` returns
-    /// [`ExecError::ChipFailed`].
-    killed: bool,
-    /// Armed one-shot transient `(layer, tile)`: consumed by the next
-    /// `try_forward_batch`, which fails once with [`ExecError::TileFault`].
-    transient: Option<(usize, usize)>,
 }
 
 /// Cells of compiled tile state the cache may hold (bounds memory on
@@ -309,8 +294,6 @@ impl Clone for DeviceExecutor {
             compile_done: Condvar::new(),
             cache_budget: self.cache_budget,
             arenas: Mutex::new(Vec::new()),
-            // A clone is fresh hardware: injected faults do not follow it.
-            fault: Mutex::new(FaultState::default()),
             clock: AtomicU64::new(0),
         }
     }
@@ -328,25 +311,7 @@ impl DeviceExecutor {
             compile_done: Condvar::new(),
             cache_budget: TILE_CACHE_CELL_BUDGET,
             arenas: Mutex::new(Vec::new()),
-            fault: Mutex::new(FaultState::default()),
             clock: AtomicU64::new(0),
-        }
-    }
-
-    /// Applies one injected fault (see [`crate::fault`]): `Kill` refuses
-    /// all further forward execution, and `TileTransient` arms a one-shot
-    /// failure consumed by the next [`Self::try_forward_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault mutex was poisoned.
-    pub fn inject_fault(&self, fault: InjectedFault) {
-        let mut state = self.fault.lock().expect("fault state");
-        match fault {
-            InjectedFault::Kill => state.killed = true,
-            InjectedFault::TileTransient { layer, tile } => {
-                state.transient = Some((layer, tile));
-            }
         }
     }
 
@@ -357,21 +322,15 @@ impl DeviceExecutor {
     /// windows are driven through it. Each result is byte-identical to a
     /// [`Self::forward`] of that input alone, [`LayerStats`] included.
     ///
-    /// The injected-fault surface applies once per call: a killed chip
-    /// returns [`ExecError::ChipFailed`] (never executes), an armed
-    /// one-shot transient is consumed and returned as
-    /// [`ExecError::TileFault`] (an immediate retry succeeds,
-    /// byte-identically), and model-level refusals surface as
-    /// [`ExecError::Unsupported`].
-    ///
     /// # Errors
     ///
-    /// See above — every failure mode is a structured [`ExecError`].
+    /// [`ExecError::Unsupported`] when the network cannot run on the
+    /// device.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Self::forward`] (mismatched
-    /// filters or input), and if the fault mutex was poisoned.
+    /// filters or input).
     ///
     /// # Examples
     ///
@@ -401,35 +360,8 @@ impl DeviceExecutor {
         inputs: &[&Tensor3],
         filters: &[FilterBank],
     ) -> Result<Vec<DeviceForward>, ExecError> {
-        self.fault_gate()?;
         self.forward_batch(network, inputs, filters)
             .map_err(ExecError::Unsupported)
-    }
-
-    /// The injected-fault gate every fallible execution entry point runs
-    /// through: a killed chip refuses with [`ExecError::ChipFailed`], and
-    /// an armed one-shot transient is consumed and surfaced as
-    /// [`ExecError::TileFault`] (an immediate retry succeeds). Exposed so
-    /// multi-MVM executions (the autoregressive transformer step in
-    /// `crate::llm`) can take the same fault surface between their inner
-    /// MVMs, not just at step entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected fault, if any is active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault mutex was poisoned.
-    pub fn fault_gate(&self) -> Result<(), ExecError> {
-        let mut state = self.fault.lock().expect("fault state");
-        if state.killed {
-            return Err(ExecError::ChipFailed);
-        }
-        if let Some((layer, tile)) = state.transient.take() {
-            return Err(ExecError::TileFault { layer, tile });
-        }
-        Ok(())
     }
 
     /// Checks one reusable arena out of the pool (or starts a fresh one).

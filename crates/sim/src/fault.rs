@@ -1,4 +1,4 @@
-//! Deterministic fault injection for device executors.
+//! Deterministic fault schedules for a serving fleet.
 //!
 //! Real PCM crossbar fleets run with partial failure as the steady
 //! state: a chip's control plane dies, a tile execute glitches
@@ -9,83 +9,36 @@
 //! produces the same failure sequence on every run, across worker
 //! counts, and in CI.
 //!
-//! The fault layer deliberately separates *what fails* from *when*:
-//!
-//! * [`FaultPlan`] is the schedule: a list of [`FaultEvent`]s, each
-//!   naming a dispatch round and a chip.
-//! * [`InjectedFault`] is the hardware-level effect a scheduler applies
-//!   to one [`crate::DeviceExecutor`] when an event's round arrives.
-//! * [`ExecError`] is the structured result surface: a faulted execute
-//!   returns an error instead of panicking or silently corrupting
-//!   output, so serving layers can retry, fail over, or shed.
+//! A [`FaultPlan`] is a schedule only: a list of [`FaultEvent`]s, each
+//! naming a dispatch round and a chip. Executors carry no fault state;
+//! the serving engine reads the plan to decide where each batch runs,
+//! which batch absorbs a transient, and what it sheds.
 //!
 //! PCM non-volatility matters here: a **killed** chip's programmed
-//! array state survives (only forward execution is refused), so
-//! [`crate::DeviceExecutor::snapshot`] still works on a dead chip and a
-//! serving layer can recover its resident models onto healthy hardware
-//! via [`crate::DeviceExecutor::restore_at`].
+//! array state survives, so [`crate::DeviceExecutor::snapshot`] still
+//! reads it and a serving layer can recover its resident models onto
+//! healthy hardware via [`crate::DeviceExecutor::restore_at`].
 
 use serde::{Deserialize, Serialize};
 
-/// Structured failure of one device execute.
-///
-/// Returned by [`crate::DeviceExecutor::try_forward_batch`]; serving layers
-/// match on this to decide between retry (transient), failover
-/// (chip-level), and refusal (model-level).
+/// Structured failure of one device execute, returned by
+/// [`crate::DeviceExecutor::try_forward_batch`] instead of a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// The chip's control plane is down: no execute can make progress.
-    /// The programmed (non-volatile) array state is still readable via
-    /// snapshot, so the model can be recovered elsewhere.
-    ChipFailed,
-    /// A single tile execute glitched transiently; an immediate retry
-    /// of the same execute on the same chip succeeds and is
-    /// byte-identical to an unfaulted run.
-    TileFault {
-        /// Network layer index of the faulted tile.
-        layer: usize,
-        /// Fold-tile index within the layer.
-        tile: usize,
-    },
-    /// The network itself cannot run on the device (pre-existing
-    /// model-level refusal, unrelated to injected faults).
+    /// The network itself cannot run on the device (a model-level
+    /// refusal).
     Unsupported(oxbar_nn::reference::UnsupportedLayer),
 }
 
 impl core::fmt::Display for ExecError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            Self::ChipFailed => write!(f, "chip control plane is down; execute refused"),
-            Self::TileFault { layer, tile } => {
-                write!(
-                    f,
-                    "transient fault executing tile (layer {layer}, tile {tile})"
-                )
-            }
             Self::Unsupported(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ExecError {}
-
-/// The hardware-level effect applied to one executor when a fault
-/// event's dispatch round arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFault {
-    /// Permanently refuse forward execution (control-plane death). The
-    /// non-volatile programmed state stays snapshot-readable.
-    Kill,
-    /// Arm a one-shot transient: the **next** execute on this chip
-    /// returns [`ExecError::TileFault`] once, then the chip behaves
-    /// normally again.
-    TileTransient {
-        /// Network layer index reported by the fault.
-        layer: usize,
-        /// Fold-tile index reported by the fault.
-        tile: usize,
-    },
-}
 
 /// One scheduled fault: what happens, to which chip, at which dispatch
 /// round. Rounds are the serving engine's global dispatch counter —
@@ -100,11 +53,11 @@ pub enum FaultEvent {
         /// Cluster chip index.
         chip: usize,
     },
-    /// Arm a one-shot transient tile fault on chip `chip` for round
-    /// `round`: the first execute of that round on the chip fails once
-    /// and succeeds on retry.
+    /// A one-shot transient tile fault on chip `chip` at round `round`:
+    /// the first batch the chip runs at or after that round absorbs it,
+    /// at the cost of one retry and with unchanged output.
     TileTransient {
-        /// Dispatch round the transient is armed for.
+        /// Dispatch round the transient lands on.
         round: u64,
         /// Cluster chip index.
         chip: usize,
@@ -143,7 +96,7 @@ impl FaultEvent {
 /// A deterministic fault schedule: the full list of failures a run will
 /// experience, keyed on dispatch rounds.
 ///
-/// An empty plan (the [`Default`]) injects nothing — engines built
+/// An empty plan (the [`Default`]) schedules nothing — engines built
 /// without faults behave byte-identically to engines that predate the
 /// fault layer.
 ///

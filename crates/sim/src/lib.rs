@@ -85,7 +85,7 @@ pub use config::{NoiseModel, Readout, SimConfig};
 pub use executor::{
     CacheStats, DeviceExecutor, DeviceForward, LayerExecution, LayerStats, TileDriftInfo,
 };
-pub use fault::{ExecError, FaultEvent, FaultPlan, InjectedFault};
+pub use fault::{ExecError, FaultEvent, FaultPlan};
 pub use fidelity::{device_forward, run_inference, InferenceFidelity, LayerFidelity};
 pub use llm::{lm_step, DeviceLmEngine};
 pub use probe::{probe_conv, LayerProbe};

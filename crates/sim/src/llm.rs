@@ -6,8 +6,8 @@
 //! generic over a [`MatmulEngine`]; this module provides the device
 //! backend. The six projections of each block plus the LM head run as
 //! **static** MVMs through [`DeviceExecutor::conv_pixels_flat`] — the
-//! same weight-stationary path CNN layers use, sharing the tile cache,
-//! prewarm, and fault injection. The per-head `QKᵀ` and `AV` products
+//! same weight-stationary path CNN layers use, sharing the tile cache
+//! and prewarm. The per-head `QKᵀ` and `AV` products
 //! run as **dynamic** MVMs through [`DeviceExecutor::dynamic_mv`]: their
 //! "weights" are the KV cache, different every token, so each tile is
 //! programmed, used once, and discarded without touching the cache.
@@ -17,11 +17,10 @@
 //! itself), mirroring how the CNN path keeps pooling and activation off
 //! the analog array.
 //!
-//! [`lm_step`] is the serving entry point: it takes the injected-fault
-//! gate first (so a killed chip refuses and an armed transient surfaces
-//! as a retryable [`ExecError::TileFault`]), then runs the step against
-//! a read-only KV cache — a failed step leaves the cache untouched, so
-//! retries and replica failover re-execute it bit-identically.
+//! [`lm_step`] is the serving entry point: it runs the step against a
+//! read-only KV cache and returns the rows to append, so the caller
+//! decides when the step is accepted and a step re-run on a replica
+//! decodes bit-identically.
 
 use crate::executor::DeviceExecutor;
 use crate::fault::ExecError;
@@ -81,9 +80,6 @@ impl MatmulEngine for DeviceLmEngine<'_> {
     type Error = ExecError;
 
     fn static_mv(&mut self, layer_index: usize, drive: &[i64]) -> Result<Vec<i64>, Self::Error> {
-        // The gate sits between inner MVMs too, so a transient armed
-        // mid-step aborts the step (retry-safe: the cache is read-only).
-        self.executor.fault_gate()?;
         let Layer::Dense(dense) = &self.network.layers()[layer_index] else {
             unreachable!("constructor enforces an all-dense stack");
         };
@@ -105,20 +101,19 @@ impl MatmulEngine for DeviceLmEngine<'_> {
         rows: &[Vec<i8>],
         drive: &[i64],
     ) -> Result<Vec<i64>, Self::Error> {
-        self.executor.fault_gate()?;
         Ok(self.executor.dynamic_mv(stage, rows, drive))
     }
 }
 
-/// One autoregressive decode step on the device: fault-gate, then embed
-/// `token` at `pos` and run the full block stack against the read-only
-/// `cache`. Apply the returned [`StepOutcome`] with [`KvCache::apply`]
-/// once the step is accepted (the split makes retries idempotent).
+/// One autoregressive decode step on the device: embed `token` at `pos`
+/// and run the full block stack against the read-only `cache`. Apply
+/// the returned [`StepOutcome`] with [`KvCache::apply`] once the step is
+/// accepted (the split makes a re-run idempotent).
 ///
 /// # Errors
 ///
-/// [`ExecError::ChipFailed`] on a killed chip, [`ExecError::TileFault`]
-/// for an injected transient (an immediate retry succeeds).
+/// None today: the device's static and dynamic MVMs cannot fail, and
+/// the `Result` is [`MatmulEngine`]'s contract.
 ///
 /// # Panics
 ///
@@ -133,7 +128,6 @@ pub fn lm_step(
     token: u32,
     pos: usize,
 ) -> Result<StepOutcome, ExecError> {
-    executor.fault_gate()?;
     let mut engine = DeviceLmEngine::new(executor, network, filters);
     generate_step(weights, &mut engine, cache, token, pos)
 }
@@ -142,7 +136,6 @@ pub fn lm_step(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::fault::InjectedFault;
     use oxbar_nn::transformer::{generate, LmConfig, OracleEngine};
 
     fn tiny_weights(seed: u64) -> LmWeights {
@@ -214,32 +207,6 @@ mod tests {
             assert_eq!(x.next_token, y.next_token);
             assert_eq!(x.logits, y.logits);
         }
-    }
-
-    #[test]
-    fn killed_chip_refuses_and_transient_retries() {
-        let weights = tiny_weights(7);
-        let executor = DeviceExecutor::new(SimConfig::ideal(128, 128));
-        let network = weights.network("lm");
-        let filters = weights.filters();
-        let cache = KvCache::new(&weights.config);
-
-        executor.inject_fault(InjectedFault::TileTransient { layer: 0, tile: 0 });
-        let err = lm_step(&executor, &network, &filters, &weights, &cache, 1, 0)
-            .expect_err("armed transient must surface");
-        assert!(matches!(err, ExecError::TileFault { .. }));
-        // The transient is one-shot: the retry succeeds and matches the
-        // oracle (the failed attempt left no state behind).
-        let retried = lm_step(&executor, &network, &filters, &weights, &cache, 1, 0)
-            .expect("transient is one-shot");
-        let mut oracle = OracleEngine::new(&weights);
-        let exact = generate(&weights, &mut oracle, 1, 1).expect("oracle is infallible");
-        assert_eq!(retried.next_token, exact[0].next_token);
-
-        executor.inject_fault(InjectedFault::Kill);
-        let err = lm_step(&executor, &network, &filters, &weights, &cache, 1, 0)
-            .expect_err("killed chip must refuse");
-        assert!(matches!(err, ExecError::ChipFailed));
     }
 
     #[test]
