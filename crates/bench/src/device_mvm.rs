@@ -6,13 +6,16 @@
 //! (the cell-by-cell propagation baseline, "before") and
 //! [`MvmEngine::Compiled`] (the transfer-matrix fast path, "after"); the
 //! headline case is the release-mode LeNet-5 device-level forward pass,
-//! whose target is a ≥10× speedup.
+//! whose target is a ≥10× speedup. The kernel cases time the batched
+//! complex-gain MVM alone at the tile shapes and window counts warm CNN
+//! serving drives. Every timing is the median and p10/p90 over repeated
+//! runs.
 
 use oxbar_nn::synthetic;
 use oxbar_nn::zoo::lenet5;
 use oxbar_nn::{Conv2d, TensorShape};
 use oxbar_photonics::crossbar::{CrossbarConfig, CrossbarSimulator};
-use oxbar_photonics::transfer::CompiledCrossbar;
+use oxbar_photonics::transfer::{BatchScratch, CompiledCrossbar};
 use oxbar_sim::{DeviceExecutor, MvmEngine, SimConfig};
 use serde::Serialize;
 use std::hint::black_box;
@@ -21,25 +24,72 @@ use std::time::Instant;
 /// The headline speedup target (from the issue's acceptance criteria).
 pub const TARGET_SPEEDUP: f64 = 10.0;
 
+/// Median and p10/p90 of one per-iteration time over repeated runs.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct Spread {
+    /// Median run.
+    pub median: f64,
+    /// 10th-percentile run (nearest rank).
+    pub p10: f64,
+    /// 90th-percentile run (nearest rank).
+    pub p90: f64,
+}
+
+impl Spread {
+    fn of(mut runs: Vec<f64>) -> Self {
+        runs.sort_by(f64::total_cmp);
+        let rank = |q: f64| runs[((runs.len() - 1) as f64 * q).round() as usize];
+        Self {
+            median: rank(0.5),
+            p10: rank(0.1),
+            p90: rank(0.9),
+        }
+    }
+}
+
 /// One timed workload, on both engines.
 #[derive(Debug, Clone, Serialize)]
 pub struct CaseResult {
     /// Workload name.
     pub name: String,
-    /// Timed iterations per engine (after one warm-up).
+    /// Timed iterations per run (after one warm-up).
     pub iterations: usize,
+    /// Timed runs per engine.
+    pub runs: usize,
     /// Per-iteration wall time on the field-walk baseline (ms).
-    pub field_walk_ms: f64,
+    pub field_walk_ms: Spread,
     /// Per-iteration wall time on the compiled path (ms). For forward
     /// workloads this is the weight-stationary steady state (programmed
     /// tiles reused across images, as the hardware runs).
-    pub compiled_ms: f64,
+    pub compiled_ms: Spread,
     /// Cold-start compiled time (fresh executor every run: PCM
     /// programming + transfer-matrix compile + MVM). Equals `compiled_ms`
     /// for workloads without a reuse dimension.
-    pub compiled_cold_ms: f64,
-    /// `field_walk_ms / compiled_ms`.
+    pub compiled_cold_ms: Spread,
+    /// `field_walk_ms / compiled_ms`, medians.
     pub speedup: f64,
+}
+
+/// One batched MVM shape, timed on the compiled kernel alone.
+#[derive(Debug, Clone, Serialize)]
+pub struct KernelCase {
+    /// `complex/<rows>x<cols>x<windows>`.
+    pub name: String,
+    /// Tile rows (N).
+    pub rows: usize,
+    /// Tile columns (M).
+    pub cols: usize,
+    /// Drive windows per call.
+    pub windows: usize,
+    /// Timed calls per run (after one warm-up).
+    pub calls: usize,
+    /// Timed runs.
+    pub runs: usize,
+    /// Per-call wall time of `run_normalized_batch_with` (µs).
+    pub call_us: Spread,
+    /// Median ns per complex multiply-accumulate (`rows · cols · windows`
+    /// per call).
+    pub ns_per_mac: f64,
 }
 
 /// The full machine-readable snapshot (`BENCH_device_mvm.json`).
@@ -58,21 +108,30 @@ pub struct DeviceMvmReport {
     pub achieved: Option<bool>,
     /// Per-workload results, headline first.
     pub cases: Vec<CaseResult>,
+    /// Batched complex-gain kernel shapes, narrowest tiles first.
+    pub kernels: Vec<KernelCase>,
 }
 
-/// Times `f` for `iterations` runs (after one warm-up), per-run ms.
-fn time_ms<F: FnMut()>(iterations: usize, mut f: F) -> f64 {
+/// Times `f` over `runs` runs of `iterations` calls (after one warm-up),
+/// per-call ms.
+fn time_ms<F: FnMut()>(runs: usize, iterations: usize, mut f: F) -> Spread {
     f();
-    let start = Instant::now();
-    for _ in 0..iterations {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e3 / iterations as f64
+    Spread::of(
+        (0..runs)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..iterations {
+                    f();
+                }
+                start.elapsed().as_secs_f64() * 1e3 / iterations as f64
+            })
+            .collect(),
+    )
 }
 
 fn case<F, G, H>(
     name: &str,
-    iterations: usize,
+    (runs, iterations): (usize, usize),
     mut field_walk: F,
     mut compiled_cold: G,
     compiled_warm: Option<H>,
@@ -82,19 +141,20 @@ where
     G: FnMut(),
     H: FnMut(),
 {
-    let field_walk_ms = time_ms(iterations, &mut field_walk);
-    let compiled_cold_ms = time_ms(iterations, &mut compiled_cold);
+    let field_walk_ms = time_ms(runs, iterations, &mut field_walk);
+    let compiled_cold_ms = time_ms(runs, iterations, &mut compiled_cold);
     let compiled_ms = match compiled_warm {
-        Some(mut warm) => time_ms(iterations, &mut warm),
+        Some(mut warm) => time_ms(runs, iterations, &mut warm),
         None => compiled_cold_ms,
     };
     CaseResult {
         name: name.to_string(),
         iterations,
+        runs,
         field_walk_ms,
         compiled_ms,
         compiled_cold_ms,
-        speedup: field_walk_ms / compiled_ms,
+        speedup: field_walk_ms.median / compiled_ms.median,
     }
 }
 
@@ -106,7 +166,7 @@ where
 /// `compiled_cold` rebuilds the executor every pass (programming +
 /// compile + MVM); the field-walk baseline is always cold because the
 /// oracle engine never caches.
-fn lenet_case(name: &str, iterations: usize, threads: usize) -> CaseResult {
+fn lenet_case(name: &str, timing: (usize, usize), threads: usize) -> CaseResult {
     let net = lenet5();
     let input = synthetic::activations(net.input(), 6, 77);
     let filters = synthetic::filter_banks(&net, 6, 78);
@@ -116,7 +176,7 @@ fn lenet_case(name: &str, iterations: usize, threads: usize) -> CaseResult {
     let cold_config = config.clone();
     case(
         name,
-        iterations,
+        timing,
         || {
             black_box(walk.forward(&net, &input, &filters).unwrap());
         },
@@ -131,7 +191,7 @@ fn lenet_case(name: &str, iterations: usize, threads: usize) -> CaseResult {
 }
 
 /// One padded conv layer (duplicate/dark windows) on a small array.
-fn conv_case(iterations: usize) -> CaseResult {
+fn conv_case(timing: (usize, usize)) -> CaseResult {
     let conv = Conv2d::new("probe", TensorShape::new(12, 12, 3), 3, 3, 8, 1, 1);
     let input = synthetic::activations(conv.input, 6, 31);
     let bank = synthetic::filter_bank(&conv, 6, 32);
@@ -143,7 +203,7 @@ fn conv_case(iterations: usize) -> CaseResult {
     let cold_config = config.clone();
     case(
         "conv3x3_12x12x3/64x32/serial",
-        iterations,
+        timing,
         || {
             black_box(walk.conv_pixels(&conv, &input, &bank, 0, &pixels));
         },
@@ -158,7 +218,7 @@ fn conv_case(iterations: usize) -> CaseResult {
 }
 
 /// The raw crossbar kernel: one `run_normalized` MVM, walk vs compiled.
-fn kernel_case(size: usize, iterations: usize) -> CaseResult {
+fn kernel_case(size: usize, timing: (usize, usize)) -> CaseResult {
     let sim = CrossbarSimulator::ideal(CrossbarConfig::new(size, size));
     let inputs: Vec<f64> = (0..size).map(|i| (i % 17) as f64 / 16.0).collect();
     let weights: Vec<Vec<f64>> = (0..size)
@@ -168,7 +228,7 @@ fn kernel_case(size: usize, iterations: usize) -> CaseResult {
     let mut out = vec![0.0; size];
     case::<_, _, fn()>(
         &format!("crossbar_mvm/{size}x{size}"),
-        iterations,
+        timing,
         || {
             black_box(sim.run_normalized(black_box(&inputs), black_box(&weights)));
         },
@@ -180,20 +240,96 @@ fn kernel_case(size: usize, iterations: usize) -> CaseResult {
     )
 }
 
+/// Batched complex-gain kernel shapes `(rows, cols, windows)` that warm
+/// CNN serving on 128×128 arrays drives: LeNet-5's conv1/conv2/fc tiles
+/// (25×6 × 784, 128×16 × 100, 128×10 × 3), the sampled VGG/AlexNet
+/// 128×128 and 128×64 tiles at one, a few and many windows, and a
+/// one-column depthwise tile (9×1 × 36).
+const KERNEL_SHAPES: [(usize, usize, usize); 8] = [
+    (9, 1, 36),
+    (25, 6, 784),
+    (128, 10, 3),
+    (128, 16, 100),
+    (128, 64, 36),
+    (128, 128, 1),
+    (128, 128, 3),
+    (128, 128, 64),
+];
+
+/// Times one batched complex-gain MVM shape: noisy-chip phase errors
+/// (complex gains), 6-bit drive codes with about a quarter of them dark.
+fn batched_kernel_case(
+    (rows, cols, windows): (usize, usize, usize),
+    runs: usize,
+    macs_per_run: usize,
+) -> KernelCase {
+    let sim = CrossbarSimulator::new(
+        CrossbarConfig::new(rows, cols)
+            .with_phase_error_sigma(0.05)
+            .with_phase_error_seed(7),
+    );
+    let weights: Vec<Vec<f64>> = (0..rows)
+        .map(|i| {
+            (0..cols)
+                .map(|j| ((i * 7 + j * 3) % 64) as f64 / 63.0)
+                .collect()
+        })
+        .collect();
+    let compiled = CompiledCrossbar::new(&sim, &weights);
+    assert!(!compiled.is_real(), "phase errors give complex gains");
+    let drives: Vec<f64> = (0..windows * rows)
+        .map(|k| {
+            let code = ((k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as u8;
+            if code < 16 {
+                0.0
+            } else {
+                f64::from(code) / 63.0
+            }
+        })
+        .collect();
+    let mut out = vec![0.0; windows * cols];
+    let mut scratch = BatchScratch::default();
+    let macs = rows * cols * windows;
+    let calls = (macs_per_run / macs).max(1);
+    let call_ms = time_ms(runs, calls, || {
+        compiled.run_normalized_batch_with(black_box(&drives), &mut out, &mut scratch);
+        black_box(&out);
+    });
+    KernelCase {
+        name: format!("complex/{rows}x{cols}x{windows}"),
+        rows,
+        cols,
+        windows,
+        calls,
+        runs,
+        call_us: Spread {
+            median: call_ms.median * 1e3,
+            p10: call_ms.p10 * 1e3,
+            p90: call_ms.p90 * 1e3,
+        },
+        ns_per_mac: call_ms.median * 1e6 / macs as f64,
+    }
+}
+
 /// Runs the snapshot. `quick` keeps the workloads small enough for a CI
 /// smoke step; the full mode times the LeNet-5 headline at 128×128.
 #[must_use]
 pub fn generate(quick: bool) -> DeviceMvmReport {
     let cases = if quick {
-        vec![conv_case(2), kernel_case(32, 20)]
+        vec![conv_case((3, 2)), kernel_case(32, (3, 20))]
     } else {
         vec![
-            lenet_case("lenet5_forward/128x128/serial", 3, 1),
-            lenet_case("lenet5_forward/128x128/parallel", 3, 0),
-            conv_case(10),
-            kernel_case(128, 200),
+            lenet_case("lenet5_forward/128x128/serial", (11, 3), 1),
+            lenet_case("lenet5_forward/128x128/parallel", (11, 3), 0),
+            conv_case((11, 10)),
+            kernel_case(128, (11, 200)),
         ]
     };
+    let (runs, macs_per_run) = if quick { (3, 100_000) } else { (31, 4_000_000) };
+    let kernels = KERNEL_SHAPES
+        .iter()
+        .map(|&shape| batched_kernel_case(shape, runs, macs_per_run))
+        .collect();
     let achieved = cases
         .iter()
         .find(|c| c.name.starts_with("lenet5_forward"))
@@ -205,24 +341,32 @@ pub fn generate(quick: bool) -> DeviceMvmReport {
         target_speedup: TARGET_SPEEDUP,
         achieved,
         cases,
+        kernels,
     }
 }
 
-/// Prints the before/after table.
+/// Prints the before/after table and the kernel table.
 pub fn render(report: &DeviceMvmReport) {
     println!(
         "# device_mvm — field walk (before) vs compiled transfer matrix (after), {} mode",
         report.mode
     );
-    println!("(compiled_ms = weight-stationary steady state; cold_ms = program+compile+MVM)");
+    println!("(compiled_ms = weight-stationary steady state; cold_ms = program+compile+MVM;");
+    println!(" medians over {{runs}} runs, [p10, p90] in brackets)");
     println!(
-        "{:<36} {:>6} {:>16} {:>14} {:>10} {:>9}",
-        "case", "iters", "field_walk_ms", "compiled_ms", "cold_ms", "speedup"
+        "{:<34} {:>11} {:>28} {:>28} {:>10} {:>9}",
+        "case", "runs×iters", "field_walk_ms", "compiled_ms", "cold_ms", "speedup"
     );
+    let spread = |s: Spread| format!("{:.4} [{:.4}, {:.4}]", s.median, s.p10, s.p90);
     for c in &report.cases {
         println!(
-            "{:<36} {:>6} {:>16.3} {:>14.3} {:>10.3} {:>8.1}x",
-            c.name, c.iterations, c.field_walk_ms, c.compiled_ms, c.compiled_cold_ms, c.speedup
+            "{:<34} {:>11} {:>28} {:>28} {:>10.3} {:>8.1}x",
+            c.name,
+            format!("{}×{}", c.runs, c.iterations),
+            spread(c.field_walk_ms),
+            spread(c.compiled_ms),
+            c.compiled_cold_ms.median,
+            c.speedup
         );
     }
     match report.achieved {
@@ -235,6 +379,23 @@ pub fn render(report: &DeviceMvmReport) {
             "target {:.0}x: headline not run in {} mode",
             report.target_speedup, report.mode
         ),
+    }
+    println!();
+    println!("# batched complex-gain kernel (run_normalized_batch_with), µs per call");
+    println!(
+        "{:<24} {:>11} {:>10} {:>10} {:>10} {:>10}",
+        "shape", "runs×calls", "median", "p10", "p90", "ns/MAC"
+    );
+    for k in &report.kernels {
+        println!(
+            "{:<24} {:>11} {:>10.2} {:>10.2} {:>10.2} {:>10.3}",
+            k.name,
+            format!("{}×{}", k.runs, k.calls),
+            k.call_us.median,
+            k.call_us.p10,
+            k.call_us.p90,
+            k.ns_per_mac
+        );
     }
 }
 
@@ -269,10 +430,19 @@ mod tests {
             "quick mode does not run the LeNet-5 headline"
         );
         assert!(!report.cases.is_empty());
+        let ordered = |s: Spread| 0.0 < s.p10 && s.p10 <= s.median && s.median <= s.p90;
         for c in &report.cases {
-            assert!(c.field_walk_ms > 0.0);
-            assert!(c.compiled_ms > 0.0);
-            assert!((c.speedup - c.field_walk_ms / c.compiled_ms).abs() < 1e-9);
+            assert!(ordered(c.field_walk_ms) && ordered(c.compiled_ms), "{c:?}");
+            assert!(ordered(c.compiled_cold_ms), "{c:?}");
+            let ratio = c.field_walk_ms.median / c.compiled_ms.median;
+            assert!((c.speedup - ratio).abs() < 1e-9);
+        }
+        assert_eq!(report.kernels.len(), KERNEL_SHAPES.len());
+        for k in &report.kernels {
+            assert!(
+                ordered(k.call_us) && k.calls > 0 && k.ns_per_mac > 0.0,
+                "{k:?}"
+            );
         }
     }
 }

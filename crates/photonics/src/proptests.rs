@@ -164,3 +164,79 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    // Each case is one shape. The panel tails follow `m % 8` and the
+    // window groups follow `windows % 4`, so the kernel needs more cases
+    // than the default count.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn batched_kernel_matches_row_order_reference(
+        n in 1usize..=130,
+        m in 1usize..=130,
+        windows in 1usize..=13,
+        seed in 0u64..10_000,
+        knobs in 0u64..4,
+    ) {
+        use crate::transfer::{BatchScratch, CompiledCrossbar};
+        use crate::Complex;
+        use rand::{Rng, SeedableRng};
+
+        // Bit 0: residual phases (complex gains); bit 1: compensated
+        // losses (a normalization scale other than 1).
+        let complex = knobs & 1 != 0;
+        let compensated = knobs & 2 != 0;
+        let sim = CrossbarSimulator::new(
+            CrossbarConfig::new(n, m)
+                .with_losses(compensated)
+                .with_path_loss_compensation(compensated)
+                .with_phase_error_sigma(if complex { 0.1 } else { 0.0 })
+                .with_phase_error_seed(seed),
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x6B65_726E);
+        let weights: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..m).map(|_| rng.random()).collect())
+            .collect();
+        // About 30% dark rows, and about one window in six dark throughout.
+        let mut drives = vec![0.0; windows * n];
+        for window in drives.chunks_exact_mut(n) {
+            if rng.random_range(0..6u32) == 0 {
+                continue;
+            }
+            for v in window.iter_mut() {
+                if rng.random::<f64>() >= 0.3 {
+                    *v = rng.random();
+                }
+            }
+        }
+        let compiled = CompiledCrossbar::new(&sim, &weights);
+        prop_assert_eq!(compiled.is_real(), !complex);
+        let mut out = vec![0.0; windows * m];
+        compiled.run_normalized_batch_with(&drives, &mut out, &mut BatchScratch::default());
+
+        let gains: Vec<Vec<Complex>> = (0..n)
+            .map(|i| (0..m).map(|j| compiled.gain(i, j)).collect())
+            .collect();
+        let (sqrt_m, scale) = ((m as f64).sqrt(), sim.normalization_scale());
+        for (w, drive) in drives.chunks_exact(n).enumerate() {
+            for j in 0..m {
+                let (mut re, mut im) = (0.0f64, 0.0f64);
+                for (i, &v) in drive.iter().enumerate() {
+                    if v == 0.0 {
+                        continue;
+                    }
+                    re += gains[i][j].re * v;
+                    im += gains[i][j].im * v;
+                }
+                let z = if complex { Complex::new(re, im).abs() } else { re.abs() };
+                let expected = z * sqrt_m / scale;
+                prop_assert!(
+                    out[w * m + j].to_bits() == expected.to_bits(),
+                    "{}x{} window {}/{} col {}: kernel {} vs reference {} (complex={})",
+                    n, m, w, windows, j, out[w * m + j], expected, complex
+                );
+            }
+        }
+    }
+}

@@ -43,6 +43,32 @@
 //! configurations) the gains are purely real and the MVM runs on `f64`
 //! accumulators; otherwise gains and accumulators are complex.
 //!
+//! # Kernel
+//!
+//! The gains are stored panel-major: full 8-column panels, then one 4-,
+//! 2- and 1-column tail panel as the column count needs, each panel's
+//! rows contiguous (complex gains pack their re and im planes alike). A
+//! call loops over the panels, then over groups of up to four windows,
+//! then over the rows in order, keeping every (window, column) sum of the
+//! group in registers. One 128-row panel is at most 16 KB of gains (both
+//! planes), so it stays in L1 across all of a call's groups and the call
+//! reads each gain once, however many windows it drives. A batched call
+//! first interleaves its drives four windows per row ([`BatchScratch`]);
+//! a group of one to three windows runs a pass compiled for its own
+//! window count. The re and im planes run as two separate passes, each
+//! compiled out of line so that its accumulators stay in registers.
+//!
+//! Outputs are bit-identical to a plain loop over each window's rows in
+//! order. Every (window, column) sum still starts at `+0.0` and adds
+//! `g[i][j] · v[i]` in row order, with a separate multiply and add: no
+//! FMA and no reassociation, which `.cargo/config.toml` relies on. A
+//! one-window group skips the rows its drive leaves dark; wider groups
+//! add every row, since a row is rarely dark in all of their windows and
+//! the test cost more than it saved. Either way a dark row only adds
+//! `±0.0`, which never moves an accumulator: a sum that starts at `+0.0`
+//! is never `−0.0`, since `x + (−x)` rounds to `+0.0`. Magnitudes are
+//! `|z|·√M / norm_scale`, with `|z| = |re|` for real gains.
+//!
 //! # Examples
 //!
 //! ```
@@ -64,6 +90,28 @@
 use crate::crossbar::CrossbarSimulator;
 use crate::{Complex, Field};
 
+/// Width of the full column panels the gains are packed into.
+const PANEL: usize = 8;
+
+/// Most windows one kernel pass keeps in registers.
+const GROUP: usize = 4;
+
+/// `(first column, width)` of each gain panel of a `cols`-wide tile, in
+/// column order: full [`PANEL`]-column panels, then one 4-, 2- and
+/// 1-column tail panel as the remainder needs.
+fn panels(cols: usize) -> impl Iterator<Item = (usize, usize)> {
+    let full = cols - cols % PANEL;
+    let tails = [4, 2, 1]
+        .into_iter()
+        .filter(move |&w| (cols % PANEL) & w != 0)
+        .scan(full, |c0, w| {
+            let panel = (*c0, w);
+            *c0 += w;
+            Some(panel)
+        });
+    (0..full).step_by(PANEL).map(|c0| (c0, PANEL)).chain(tails)
+}
+
 /// The precompiled per-cell gain matrix of a programmed crossbar tile.
 ///
 /// Plain immutable data (`Send + Sync`), so executors can compile once
@@ -82,7 +130,8 @@ pub struct CompiledCrossbar {
     norm_scale: f64,
 }
 
-/// Row-major per-cell gains (`gain[i * cols + j]`).
+/// Panel-major per-cell gains: the panel of width `w` starting at column
+/// `c0` holds `gain[i][c0 + j]` at `c0 · rows + i · w + j`.
 #[derive(Debug, Clone)]
 enum Gains {
     /// Every residual phase is zero: gains lie on the real axis, exactly
@@ -90,25 +139,26 @@ enum Gains {
     Real(Vec<f64>),
     /// At least one non-zero residual phase. Stored as separate re/im
     /// planes (structure-of-arrays): a drive vector is real, so the
-    /// complex MVM is two independent real accumulations that vectorize
-    /// like the real path, joined by one magnitude pass at the end.
+    /// complex MVM is two independent real accumulations, joined by one
+    /// magnitude per output.
     Complex {
-        /// Real parts, `gain[i * cols + j].re`.
+        /// Real parts.
         re: Vec<f64>,
-        /// Imaginary parts, `gain[i * cols + j].im`.
+        /// Imaginary parts.
         im: Vec<f64>,
     },
 }
 
-/// Reusable accumulator storage for [`CompiledCrossbar::run_normalized_batch_with`].
+/// Reusable drive storage for [`CompiledCrossbar::run_normalized_batch_with`].
 ///
-/// The complex-gain kernel needs `8 × cols` scratch lanes (four blocked
-/// windows × re/im planes); holding them in a caller-owned pool makes a
-/// warm batched MVM allocation-free. The buffer grows to the largest tile
-/// it has served and is reused verbatim afterwards.
+/// The kernel reads a call's drives interleaved four windows per row
+/// (each group of up to four windows stores row `i` of window `k` at
+/// `i · windows + k`); holding that copy in a caller-owned pool makes a
+/// warm batched MVM allocation-free. The buffer grows to the largest
+/// call it has served and is reused verbatim afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    acc: Vec<f64>,
+    lanes: Vec<f64>,
 }
 
 impl CompiledCrossbar {
@@ -153,29 +203,37 @@ impl CompiledCrossbar {
             suffix *= dc.through_amplitude() * crossing * segment;
         }
 
-        let gains = if sim.has_phase_errors() {
-            let mut re = Vec::with_capacity(n * m);
-            let mut im = Vec::with_capacity(n * m);
-            for (i, row) in weights.iter().enumerate() {
-                let pick = row_pick[i];
-                for (j, (&w, &tap)) in row.iter().zip(&col_tap).enumerate() {
-                    let mag = tap * pick * sim.effective_weight(i, j, w);
+        // One pass in row order; cell (i, j) lands at `slot[j].0 + i · slot[j].1`
+        // of the panel-major planes.
+        let mut slot = vec![(0, 0); m];
+        for (c0, w) in panels(m) {
+            for (j, s) in slot.iter_mut().enumerate().skip(c0).take(w) {
+                *s = (c0 * n + j - c0, w);
+            }
+        }
+        let complex = sim.has_phase_errors();
+        let mut re = vec![0.0; n * m];
+        let mut im = vec![0.0; if complex { n * m } else { 0 }];
+        for (i, row) in weights.iter().enumerate() {
+            let pick = row_pick[i];
+            for (j, ((&w, &tap), &(base, width))) in row.iter().zip(&col_tap).zip(&slot).enumerate()
+            {
+                let mag = tap * pick * sim.effective_weight(i, j, w);
+                let idx = base + i * width;
+                if complex {
                     // The two coupler `j`s give the 180° propagation phase.
                     let g = Complex::from_polar(mag, sim.residual_phase(i, j)).scale(-1.0);
-                    re.push(g.re);
-                    im.push(g.im);
+                    re[idx] = g.re;
+                    im[idx] = g.im;
+                } else {
+                    re[idx] = -mag;
                 }
             }
+        }
+        let gains = if complex {
             Gains::Complex { re, im }
         } else {
-            let mut g = Vec::with_capacity(n * m);
-            for (i, row) in weights.iter().enumerate() {
-                let pick = row_pick[i];
-                for (j, (&w, &tap)) in row.iter().zip(&col_tap).enumerate() {
-                    g.push(-(tap * pick * sim.effective_weight(i, j, w)));
-                }
-            }
-            Gains::Real(g)
+            Gains::Real(re)
         };
         Self {
             rows: n,
@@ -211,7 +269,16 @@ impl CompiledCrossbar {
     /// Panics if the indices are out of range.
     #[must_use]
     pub fn gain(&self, row: usize, col: usize) -> Complex {
-        let idx = row * self.cols + col;
+        assert!(
+            row < self.rows && col < self.cols,
+            "cell ({row}, {col}) outside the {}×{} tile",
+            self.rows,
+            self.cols
+        );
+        let (c0, w) = panels(self.cols)
+            .find(|&(c0, w)| col < c0 + w)
+            .expect("the panels cover every column");
+        let idx = c0 * self.rows + row * w + col - c0;
         match &self.gains {
             Gains::Real(g) => Complex::new(g[idx], 0.0),
             Gains::Complex { re, im } => Complex::new(re[idx], im[idx]),
@@ -237,26 +304,14 @@ impl CompiledCrossbar {
     #[must_use]
     pub fn mvm(&self, inputs: &[f64]) -> Vec<Field> {
         self.check_inputs(inputs);
-        match &self.gains {
-            Gains::Real(g) => {
-                let mut acc = vec![0.0f64; self.cols];
-                accumulate_real(g, self.cols, inputs, &mut acc);
-                acc.into_iter()
-                    .map(|re| Field::new(Complex::new(re, 0.0)))
-                    .collect()
+        let mut fields = vec![Field::DARK; self.cols];
+        // One window is its own interleaved layout.
+        self.kernel(inputs, |_, c0, re, im| {
+            for (j, (f, &re)) in fields[c0..].iter_mut().zip(re).enumerate() {
+                *f = Field::new(Complex::new(re, im.map_or(0.0, |im| im[j])));
             }
-            Gains::Complex { re, im } => {
-                let mut acc = vec![0.0f64; 2 * self.cols];
-                let (acc_re, acc_im) = acc.split_at_mut(self.cols);
-                accumulate_real(re, self.cols, inputs, acc_re);
-                accumulate_real(im, self.cols, inputs, acc_im);
-                acc_re
-                    .iter()
-                    .zip(acc_im.iter())
-                    .map(|(&r, &i)| Field::new(Complex::new(r, i)))
-                    .collect()
-            }
-        }
+        });
+        fields
     }
 
     /// Normalized MAC results for one drive vector, written into `out` —
@@ -269,24 +324,7 @@ impl CompiledCrossbar {
     pub fn run_normalized_into(&self, inputs: &[f64], out: &mut [f64]) {
         self.check_inputs(inputs);
         assert_eq!(out.len(), self.cols, "expected {} outputs", self.cols);
-        match &self.gains {
-            Gains::Real(g) => {
-                out.fill(0.0);
-                accumulate_real(g, self.cols, inputs, out);
-                for y in out.iter_mut() {
-                    *y = y.abs() * self.sqrt_cols / self.norm_scale;
-                }
-            }
-            Gains::Complex { re, im } => {
-                let mut acc = vec![0.0f64; 2 * self.cols];
-                let (acc_re, acc_im) = acc.split_at_mut(self.cols);
-                accumulate_real(re, self.cols, inputs, acc_re);
-                accumulate_real(im, self.cols, inputs, acc_im);
-                for (y, (&r, &i)) in out.iter_mut().zip(acc_re.iter().zip(acc_im.iter())) {
-                    *y = Complex::new(r, i).abs() * self.sqrt_cols / self.norm_scale;
-                }
-            }
-        }
+        self.normalized(inputs, out);
     }
 
     /// Normalized MAC results for one drive vector (allocating variant of
@@ -302,28 +340,12 @@ impl CompiledCrossbar {
         out
     }
 
-    /// Batched normalized MVM: `drives` is a flat row-major drive matrix
-    /// (`batch × rows`) and `out` the flat output matrix (`batch × cols`).
-    ///
-    /// Allocates a fresh [`BatchScratch`] per call; hot paths should hold
-    /// one and use [`Self::run_normalized_batch_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drives` is not a whole number of drive vectors, `out`
-    /// does not hold `batch × cols` values, or any drive is out of range.
-    pub fn run_normalized_batch(&self, drives: &[f64], out: &mut [f64]) {
-        self.run_normalized_batch_with(drives, out, &mut BatchScratch::default());
-    }
-
-    /// [`Self::run_normalized_batch`] with caller-owned scratch — the
-    /// allocation-free variant batched executors use.
-    ///
-    /// Both gain representations run four windows per pass so each gain
-    /// row is loaded once per four drives (the complex planes run as two
-    /// real accumulations); per-window results are bit-identical to
-    /// [`Self::run_normalized_into`] (each window keeps its own
-    /// accumulator and accumulation order).
+    /// Batched normalized MVM with caller-owned scratch: `drives` is a
+    /// flat row-major drive matrix (`batch × rows`) and `out` the flat
+    /// output matrix (`batch × cols`). A warm `scratch` makes the call
+    /// allocation-free, and every window's outputs are bit-identical to
+    /// [`Self::run_normalized_into`] on that window alone (see the
+    /// [module docs](self#kernel)).
     ///
     /// # Panics
     ///
@@ -335,13 +357,13 @@ impl CompiledCrossbar {
         out: &mut [f64],
         scratch: &mut BatchScratch,
     ) {
+        let rows = self.rows;
         assert_eq!(
-            drives.len() % self.rows,
+            drives.len() % rows,
             0,
-            "drive matrix must be batch × {} row-major",
-            self.rows
+            "drive matrix must be batch × {rows} row-major"
         );
-        let batch = drives.len() / self.rows;
+        let batch = drives.len() / rows;
         assert_eq!(
             out.len(),
             batch * self.cols,
@@ -349,162 +371,144 @@ impl CompiledCrossbar {
             batch,
             self.cols
         );
-        for drive in drives.chunks_exact(self.rows) {
+        for drive in drives.chunks_exact(rows) {
             self.check_inputs(drive);
         }
-        let quads = batch / 4;
-        let (block_in, rest_in) = drives.split_at(quads * 4 * self.rows);
-        let (block_out, rest_out) = out.split_at_mut(quads * 4 * self.cols);
-        match &self.gains {
-            Gains::Real(gains) => {
-                for (quad, ys) in block_in
-                    .chunks_exact(4 * self.rows)
-                    .zip(block_out.chunks_exact_mut(4 * self.cols))
-                {
-                    self.quad_real(gains, quad, ys);
-                    for o in ys.chunks_exact_mut(self.cols) {
-                        for y in o.iter_mut() {
-                            *y = y.abs() * self.sqrt_cols / self.norm_scale;
-                        }
+        let lanes = &mut scratch.lanes;
+        lanes.clear();
+        lanes.resize(drives.len(), 0.0);
+        for (group, dst) in drives
+            .chunks(GROUP * rows)
+            .zip(lanes.chunks_mut(GROUP * rows))
+        {
+            let windows = group.len() / rows;
+            for (k, drive) in group.chunks_exact(rows).enumerate() {
+                for (i, &v) in drive.iter().enumerate() {
+                    dst[i * windows + k] = v;
+                }
+            }
+        }
+        self.normalized(lanes, out);
+    }
+
+    /// Writes `|z|·√M / norm_scale` of every column sum of the kernel into
+    /// `out` (`windows × cols`).
+    fn normalized(&self, lanes: &[f64], out: &mut [f64]) {
+        let (cols, sqrt_cols, norm_scale) = (self.cols, self.sqrt_cols, self.norm_scale);
+        self.kernel(lanes, |window, c0, re, im| {
+            let ys = &mut out[window * cols + c0..][..re.len()];
+            match im {
+                None => {
+                    for (y, &re) in ys.iter_mut().zip(re) {
+                        *y = re.abs() * sqrt_cols / norm_scale;
                     }
                 }
-                for (drive, ys) in rest_in
-                    .chunks_exact(self.rows)
-                    .zip(rest_out.chunks_exact_mut(self.cols))
-                {
-                    ys.fill(0.0);
-                    accumulate_real(gains, self.cols, drive, ys);
-                    for y in ys.iter_mut() {
-                        *y = y.abs() * self.sqrt_cols / self.norm_scale;
+                Some(im) => {
+                    for (y, (&re, &im)) in ys.iter_mut().zip(re.iter().zip(im)) {
+                        *y = Complex::new(re, im).abs() * sqrt_cols / norm_scale;
                     }
                 }
             }
-            Gains::Complex { re, im } => {
-                // 4 windows × (re, im) accumulator planes.
-                scratch.acc.clear();
-                scratch.acc.resize(8 * self.cols, 0.0);
-                let (acc_re, acc_im) = scratch.acc.split_at_mut(4 * self.cols);
-                for (quad, ys) in block_in
-                    .chunks_exact(4 * self.rows)
-                    .zip(block_out.chunks_exact_mut(4 * self.cols))
-                {
-                    self.quad_complex(re, im, quad, acc_re, acc_im);
-                    for ((o, r), i) in ys
-                        .chunks_exact_mut(self.cols)
-                        .zip(acc_re.chunks_exact(self.cols))
-                        .zip(acc_im.chunks_exact(self.cols))
-                    {
-                        for (y, (&r, &i)) in o.iter_mut().zip(r.iter().zip(i)) {
-                            *y = Complex::new(r, i).abs() * self.sqrt_cols / self.norm_scale;
-                        }
-                    }
-                }
-                for (drive, ys) in rest_in
-                    .chunks_exact(self.rows)
-                    .zip(rest_out.chunks_exact_mut(self.cols))
-                {
-                    let (r, i) = (&mut acc_re[..self.cols], &mut acc_im[..self.cols]);
-                    r.fill(0.0);
-                    i.fill(0.0);
-                    accumulate_real(re, self.cols, drive, r);
-                    accumulate_real(im, self.cols, drive, i);
-                    for (y, (&r, &i)) in ys.iter_mut().zip(r.iter().zip(i.iter())) {
-                        *y = Complex::new(r, i).abs() * self.sqrt_cols / self.norm_scale;
-                    }
-                }
+        });
+    }
+
+    /// The MVM kernel: every column sum `Σ_i gain[i][col] · v[i]` of the
+    /// windows whose drives `lanes` holds interleaved (see
+    /// [`BatchScratch`]), handed to `emit` one window and panel at a time
+    /// as `(window, first col, re sums, im sums)`; the im sums are `None`
+    /// for real gains. Loops panel by panel, then over groups of up to
+    /// four windows, then over the rows in order.
+    fn kernel<F>(&self, lanes: &[f64], mut emit: F)
+    where
+        F: FnMut(usize, usize, &[f64], Option<&[f64]>),
+    {
+        let (re, im) = match &self.gains {
+            Gains::Real(g) => (g.as_slice(), None),
+            Gains::Complex { re, im } => (re.as_slice(), Some(im.as_slice())),
+        };
+        for (c0, w) in panels(self.cols) {
+            let span = c0 * self.rows..(c0 + w) * self.rows;
+            let (re, im) = (&re[span.clone()], im.map(|im| &im[span]));
+            match w {
+                8 => self.panel::<8, F>(re, im, c0, lanes, &mut emit),
+                4 => self.panel::<4, F>(re, im, c0, lanes, &mut emit),
+                2 => self.panel::<2, F>(re, im, c0, lanes, &mut emit),
+                _ => self.panel::<1, F>(re, im, c0, lanes, &mut emit),
             }
         }
     }
 
-    /// Accumulates four windows against a real gain plane: `ys` holds the
-    /// four raw accumulator rows (`4 × cols`, zeroed here). Each window
-    /// keeps its own accumulator and row order, so per-window sums are
-    /// bit-identical to [`accumulate_real`] (a skipped `v = 0` row adds
-    /// exactly `±0.0`, which never moves an accumulator).
-    fn quad_real(&self, gains: &[f64], quad: &[f64], ys: &mut [f64]) {
-        ys.fill(0.0);
-        let (d0, d123) = quad.split_at(self.rows);
-        let (d1, d23) = d123.split_at(self.rows);
-        let (d2, d3) = d23.split_at(self.rows);
-        let (o0, o123) = ys.split_at_mut(self.cols);
-        let (o1, o23) = o123.split_at_mut(self.cols);
-        let (o2, o3) = o23.split_at_mut(self.cols);
-        for (i, row) in gains.chunks_exact(self.cols).enumerate() {
-            let (v0, v1, v2, v3) = (d0[i], d1[i], d2[i], d3[i]);
-            if v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0 {
-                continue;
-            }
-            for ((((&g, o0), o1), o2), o3) in row
-                .iter()
-                .zip(o0.iter_mut())
-                .zip(o1.iter_mut())
-                .zip(o2.iter_mut())
-                .zip(o3.iter_mut())
-            {
-                *o0 += g * v0;
-                *o1 += g * v1;
-                *o2 += g * v2;
-                *o3 += g * v3;
-            }
-        }
-    }
-
-    /// Complex-plane variant of [`Self::quad_real`]: one pass over both
-    /// gain planes feeds the re/im accumulators of all four windows, so
-    /// each complex gain row is loaded once per four drives.
-    fn quad_complex(
+    /// One `W`-column panel against every window group of the call.
+    fn panel<const W: usize, F>(
         &self,
         re: &[f64],
-        im: &[f64],
-        quad: &[f64],
-        acc_re: &mut [f64],
-        acc_im: &mut [f64],
-    ) {
-        acc_re.fill(0.0);
-        acc_im.fill(0.0);
-        let (d0, d123) = quad.split_at(self.rows);
-        let (d1, d23) = d123.split_at(self.rows);
-        let (d2, d3) = d23.split_at(self.rows);
-        let (r0, r123) = acc_re.split_at_mut(self.cols);
-        let (r1, r23) = r123.split_at_mut(self.cols);
-        let (r2, r3) = r23.split_at_mut(self.cols);
-        let (i0, i123) = acc_im.split_at_mut(self.cols);
-        let (i1, i23) = i123.split_at_mut(self.cols);
-        let (i2, i3) = i23.split_at_mut(self.cols);
-        for (i, (row_re, row_im)) in re
-            .chunks_exact(self.cols)
-            .zip(im.chunks_exact(self.cols))
-            .enumerate()
-        {
-            let (v0, v1, v2, v3) = (d0[i], d1[i], d2[i], d3[i]);
-            if v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0 {
-                continue;
-            }
-            for (j, (&gr, &gi)) in row_re.iter().zip(row_im).enumerate() {
-                r0[j] += gr * v0;
-                i0[j] += gi * v0;
-                r1[j] += gr * v1;
-                i1[j] += gi * v1;
-                r2[j] += gr * v2;
-                i2[j] += gi * v2;
-                r3[j] += gr * v3;
-                i3[j] += gi * v3;
+        im: Option<&[f64]>,
+        c0: usize,
+        lanes: &[f64],
+        emit: &mut F,
+    ) where
+        F: FnMut(usize, usize, &[f64], Option<&[f64]>),
+    {
+        for (g, group) in lanes.chunks(GROUP * self.rows).enumerate() {
+            let first = g * GROUP;
+            match group.len() / self.rows {
+                4 => emit_group::<W, 4, F>(re, im, group, first, c0, emit),
+                3 => emit_group::<W, 3, F>(re, im, group, first, c0, emit),
+                2 => emit_group::<W, 2, F>(re, im, group, first, c0, emit),
+                _ => emit_group::<W, 1, F>(re, im, group, first, c0, emit),
             }
         }
     }
 }
 
-/// `acc[j] += Σ_i g[i][j] · v[i]` over row-major real gains, skipping dark
-/// rows (`v = 0`), which im2col padding and ReLU sparsity make common.
-fn accumulate_real(gains: &[f64], cols: usize, inputs: &[f64], acc: &mut [f64]) {
-    for (row, &v) in gains.chunks_exact(cols).zip(inputs) {
-        if v == 0.0 {
+/// Sums one group of `K` windows over a `W`-column panel, one pass per
+/// gain plane, and emits the `K × W` results.
+#[inline(always)]
+fn emit_group<const W: usize, const K: usize, F>(
+    re: &[f64],
+    im: Option<&[f64]>,
+    lanes: &[f64],
+    first: usize,
+    c0: usize,
+    emit: &mut F,
+) where
+    F: FnMut(usize, usize, &[f64], Option<&[f64]>),
+{
+    let sums_re = panel_sums::<W, K>(re, lanes);
+    let sums_im = im.map(|im| panel_sums::<W, K>(im, lanes));
+    for k in 0..K {
+        emit(
+            first + k,
+            c0,
+            &sums_re[k],
+            sums_im.as_ref().map(|s| &s[k][..]),
+        );
+    }
+}
+
+/// `acc[k][j] = Σ_i panel[i][j] · lanes[i][k]`, added in row order, one
+/// multiply and one add per term; a lone window skips its dark rows.
+///
+/// Kept out of line: inlined next to the other plane's pass, LLVM merges
+/// the two and spills the `K × W` accumulators it otherwise keeps in
+/// registers (three- and four-window groups on 8-column panels ran 2–4×
+/// slower).
+#[inline(never)]
+fn panel_sums<const W: usize, const K: usize>(panel: &[f64], lanes: &[f64]) -> [[f64; W]; K] {
+    let mut acc = [[0.0; W]; K];
+    let (gains, _) = panel.as_chunks::<W>();
+    let (drives, _) = lanes.as_chunks::<K>();
+    for (g, v) in gains.iter().zip(drives) {
+        if K == 1 && v[0] == 0.0 {
             continue;
         }
-        for (a, &g) in acc.iter_mut().zip(row) {
-            *a += g * v;
+        for k in 0..K {
+            for j in 0..W {
+                acc[k][j] += g[j] * v[k];
+            }
         }
     }
+    acc
 }
 
 #[cfg(test)]
@@ -600,9 +604,8 @@ mod tests {
 
     #[test]
     fn batch_equals_per_vector() {
-        // Real and complex gains, batch sizes that exercise both the
-        // 4-window blocked kernel and the remainder path, with zero rows
-        // sprinkled in (k % 7 == 0 drives).
+        // Real and complex gains, batch sizes that end on every group
+        // length, with zero rows sprinkled in (k % 7 == 0 drives).
         let real = CrossbarSimulator::new(CrossbarConfig::new(8, 8).with_losses(true));
         let complex = CrossbarSimulator::new(
             CrossbarConfig::new(8, 8)
@@ -617,14 +620,12 @@ mod tests {
             for batch in [1, 3, 4, 7, 12] {
                 let drives: Vec<f64> = (0..batch * 8).map(|k| (k % 7) as f64 / 7.0).collect();
                 let mut batched = vec![0.0; batch * 8];
-                compiled.run_normalized_batch(&drives, &mut batched);
-                let mut scratched = vec![0.0; batch * 8];
                 let mut scratch = BatchScratch::default();
-                compiled.run_normalized_batch_with(&drives, &mut scratched, &mut scratch);
-                assert_eq!(batched, scratched, "{name} batch {batch}: scratch reuse");
+                compiled.run_normalized_batch_with(&drives, &mut batched, &mut scratch);
                 // A second pass through the same warm scratch is identical.
-                compiled.run_normalized_batch_with(&drives, &mut scratched, &mut scratch);
-                assert_eq!(batched, scratched, "{name} batch {batch}: warm scratch");
+                let mut warm = vec![0.0; batch * 8];
+                compiled.run_normalized_batch_with(&drives, &mut warm, &mut scratch);
+                assert_eq!(batched, warm, "{name} batch {batch}: warm scratch");
                 for (b, drive) in drives.chunks_exact(8).enumerate() {
                     let single = compiled.run_normalized(drive);
                     assert_eq!(

@@ -16,6 +16,7 @@
 //! by the execution that borrows it, so pooling can never change results
 //! — only where the bytes live.
 
+use crate::executor::Tap;
 use crate::tile::TileDrive;
 use oxbar_photonics::transfer::BatchScratch;
 
@@ -42,7 +43,7 @@ pub struct ExecArena {
     pub(crate) dark: Vec<bool>,
     /// Flat normalized column outputs (`uniques × physical cols`).
     pub(crate) ys: Vec<f64>,
-    /// Accumulator planes for the blocked complex MVM kernel.
+    /// The MVM kernel's interleaved copy of `drives`.
     pub(crate) scratch: BatchScratch,
     /// One window's digitized physical-column outputs.
     pub(crate) raw: Vec<i64>,
@@ -54,9 +55,8 @@ pub struct ExecArena {
     pub(crate) partials: Vec<i64>,
     /// Reusable im2col drive buffers (executor-level).
     pub(crate) drive: TileDrive,
-    /// Reusable `(ky, kx, channel)` row-decode taps for im2col gathering
-    /// (executor-level).
-    pub(crate) taps: Vec<(u32, u32, u32)>,
+    /// Reusable per-row im2col taps (executor-level).
+    pub(crate) taps: Vec<Tap>,
     /// Raw accumulator lanes for the executor's hot-path partial-sum
     /// reduction (`inputs × pixel_slots × out_channels`, saturated once at
     /// extraction; see

@@ -130,9 +130,10 @@ const TILE_CACHE_CELL_BUDGET: usize = 4_000_000;
 const ACCUMULATOR_BITS: u8 = 48;
 
 /// Windows per execute call below which a batch's inputs share one call:
-/// the MVM kernel's block width
+/// the MVM kernel's group width
 /// ([`oxbar_photonics::transfer::CompiledCrossbar::run_normalized_batch_with`]
-/// loads each gain row once per four windows, and runs fewer one by one).
+/// reads each gain panel once per call and sums up to four windows per
+/// pass over it, so a call of fewer windows leaves most of a pass idle).
 const MERGE_BELOW_WINDOWS: usize = 4;
 
 /// Upper bound on the windows of one shared execute call.
@@ -914,9 +915,9 @@ impl DeviceExecutor {
         let tiles = WeightTiles::new(conv, &bank.weights, &plan);
         let geoms: Vec<TileGeometry> = tiles.geometries().collect();
         // Inputs per execute call: one, unless an input drives fewer
-        // windows than the MVM kernel's four-window block (dense layers:
+        // windows than the MVM kernel's four-window group (dense layers:
         // one pixel, one or two passes). Those inputs share a call, so
-        // the kernel blocks across the batch; capping the merged windows
+        // the kernel's groups span the batch; capping the merged windows
         // keeps the arenas' buffers at the size a conv layer's call
         // already needs.
         let pixels = pixel_ids.len();
@@ -1419,6 +1420,19 @@ fn only<T>(mut batch: Vec<T>) -> T {
     batch.pop().expect("one input gives one result")
 }
 
+/// One tile row's im2col source: the `(ky, kx, channel)` it reads in a
+/// window, and that tap's flat HWC offset from the window's origin.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tap {
+    ky: usize,
+    kx: usize,
+    c: usize,
+    offset: usize,
+    /// How many rows, this one first, read consecutive offsets: the
+    /// stretch an interior window copies as one slice.
+    run: usize,
+}
+
 /// Builds one tile's per-pixel im2col drive (positive/negative passes)
 /// for a group of inputs into reusable buffers — warm buffers make the
 /// gather allocation-free. Windows are input-major: every pixel of the
@@ -1431,10 +1445,10 @@ fn build_drive_into(
     inputs: &[&Tensor3],
     pixel_ids: &[usize],
     has_negative: bool,
-    taps: &mut Vec<(u32, u32, u32)>,
+    taps: &mut Vec<Tap>,
     drive: &mut TileDrive,
 ) {
-    let out = conv.output_shape();
+    let (shape, out, pad) = (conv.input, conv.output_shape(), conv.padding);
     let in_per_group = conv.in_c_per_group();
     let window_w = conv.k_w * in_per_group;
     let c_base = geom.group * in_per_group;
@@ -1444,34 +1458,81 @@ fn build_drive_into(
     taps.clear();
     taps.extend((0..rows).map(|r| {
         let widx = geom.row_offset + r;
-        let ky = widx / window_w;
-        let rem = widx % window_w;
-        (
-            ky as u32,
-            (rem / in_per_group) as u32,
-            (c_base + rem % in_per_group) as u32,
-        )
+        let (ky, rem) = (widx / window_w, widx % window_w);
+        let (kx, c) = (rem / in_per_group, c_base + rem % in_per_group);
+        let offset = (ky * shape.w + kx) * shape.c + c;
+        Tap {
+            ky,
+            kx,
+            c,
+            offset,
+            run: 1,
+        }
     }));
+    for r in (1..rows).rev() {
+        if taps[r].offset == taps[r - 1].offset + 1 {
+            taps[r - 1].run = taps[r].run + 1;
+        }
+    }
+    let windows = inputs.len() * pixel_ids.len();
     drive.rows = rows;
-    drive.pixels = inputs.len() * pixel_ids.len();
+    drive.pixels = windows;
+    drive.has_negative = has_negative;
     drive.positive.clear();
+    drive.positive.resize(windows * rows, 0);
     // The negative buffer keeps its capacity even on unsigned layers, so
     // an arena bouncing between signed and unsigned layers never churns
     // the allocator.
     drive.negative.clear();
-    drive.has_negative = has_negative;
-    for input in inputs {
-        for &pid in pixel_ids {
-            let oy = pid / out.w;
-            let ox = pid % out.w;
-            for &(ky, kx, c) in taps.iter() {
-                let iy = (oy * conv.stride + ky as usize) as isize - conv.padding as isize;
-                let ix = (ox * conv.stride + kx as usize) as isize - conv.padding as isize;
-                let v = input.at_padded(iy, ix, c as usize);
-                drive.positive.push(v.max(0) as u8);
-                if has_negative {
-                    drive.negative.push((-v).max(0) as u8);
-                }
+    if has_negative {
+        drive.negative.resize(windows * rows, 0);
+    }
+    let slots = inputs
+        .iter()
+        .flat_map(|&input| pixel_ids.iter().map(move |&pid| (input, pid)));
+    for (slot, (input, pid)) in slots.enumerate() {
+        let pos = &mut drive.positive[slot * rows..][..rows];
+        let mut neg = has_negative.then(|| &mut drive.negative[slot * rows..][..rows]);
+        // The window's top-left tap in padded input coordinates.
+        let (y0, x0) = (pid / out.w * conv.stride, pid % out.w * conv.stride);
+        if y0 >= pad
+            && x0 >= pad
+            && y0 + conv.k_h <= shape.h + pad
+            && x0 + conv.k_w <= shape.w + pad
+        {
+            // Wholly inside the input: every tap is a fixed offset away,
+            // so each run of taps is one slice of the input.
+            let window = &input.data()[((y0 - pad) * shape.w + x0 - pad) * shape.c..];
+            let mut r = 0;
+            while let Some(tap) = taps.get(r) {
+                let values = window[tap.offset..][..tap.run].iter().copied();
+                let neg = neg.as_deref_mut().map(|neg| &mut neg[r..][..tap.run]);
+                split_signs(values, &mut pos[r..][..tap.run], neg);
+                r += tap.run;
+            }
+        } else {
+            let (y0, x0) = (y0 as isize - pad as isize, x0 as isize - pad as isize);
+            let values = taps
+                .iter()
+                .map(|t| input.at_padded(y0 + t.ky as isize, x0 + t.kx as isize, t.c));
+            split_signs(values, pos, neg);
+        }
+    }
+}
+
+/// Writes each value's positive part into `pos` and, for a signed
+/// drive, its negative part into `neg`.
+fn split_signs(values: impl Iterator<Item = i64>, pos: &mut [u8], neg: Option<&mut [u8]>) {
+    match neg {
+        None => {
+            for (p, v) in pos.iter_mut().zip(values) {
+                *p = v.max(0) as u8;
+            }
+        }
+        Some(neg) => {
+            for ((p, n), v) in pos.iter_mut().zip(neg).zip(values) {
+                *p = v.max(0) as u8;
+                *n = (-v).max(0) as u8;
             }
         }
     }
