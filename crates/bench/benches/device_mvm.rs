@@ -9,7 +9,7 @@ use oxbar_nn::synthetic;
 use oxbar_nn::{Conv2d, TensorShape};
 use oxbar_photonics::crossbar::{CrossbarConfig, CrossbarSimulator};
 use oxbar_photonics::transfer::CompiledCrossbar;
-use oxbar_sim::tile::{run_tile_with, MvmEngine, TileDrive};
+use oxbar_sim::tile::{run_tile_with, CompiledTile, TileDrive};
 use oxbar_sim::SimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,13 +65,14 @@ fn bench_full_tile(c: &mut Criterion) {
     let config = SimConfig::noisy(32, 8);
     let mut group = c.benchmark_group("device_mvm/tile_noisy");
     group.sample_size(10);
-    for (label, engine) in [
-        ("field_walk", MvmEngine::FieldWalk),
-        ("compiled", MvmEngine::Compiled),
-        ("compiled_no_cache", MvmEngine::CompiledNoCache),
-    ] {
+    group.bench_function(BenchmarkId::from_parameter("field_walk"), |b| {
+        b.iter(|| black_box(run_tile_with(&tile, &drive, &config, 9)));
+    });
+    for (label, dedupe) in [("compiled", true), ("compiled_no_cache", false)] {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| black_box(run_tile_with(&tile, &drive, &config, 9, engine)));
+            b.iter(|| {
+                black_box(CompiledTile::compile(&tile, &config, 9).execute(&drive, &config, dedupe))
+            });
         });
     }
     group.finish();

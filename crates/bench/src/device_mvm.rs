@@ -8,8 +8,10 @@
 //! headline case is the release-mode LeNet-5 device-level forward pass,
 //! whose target is a ≥10× speedup. The kernel cases time the batched
 //! complex-gain MVM alone at the tile shapes and window counts warm CNN
-//! serving drives. Every timing is the median and p10/p90 over repeated
-//! runs.
+//! serving drives. The dynamic cases time one attention MVM
+//! ([`DeviceExecutor::dynamic_mv`]: `QKᵀ` and `AV` of one `llm_tiny`
+//! head) on a warm noisy 128×128 executor. Every timing is the median
+//! and p10/p90 over repeated runs.
 
 use oxbar_nn::synthetic;
 use oxbar_nn::zoo::lenet5;
@@ -92,6 +94,26 @@ pub struct KernelCase {
     pub ns_per_mac: f64,
 }
 
+/// One dynamic attention MVM shape, timed through
+/// [`DeviceExecutor::dynamic_mv`] on a warm noisy 128×128 executor.
+#[derive(Debug, Clone, Serialize)]
+pub struct DynamicCase {
+    /// `dynamic/<kind>/p<position>`.
+    pub name: String,
+    /// `qk` (`position` key rows of 8 codes times a signed query) or `av`
+    /// (8 value rows of `position` codes times unsigned attention
+    /// weights).
+    pub kind: String,
+    /// Cached sequence positions the product spans.
+    pub position: usize,
+    /// Timed calls per run (after one warm-up call).
+    pub calls: usize,
+    /// Timed runs.
+    pub runs: usize,
+    /// Per-call wall time (µs).
+    pub call_us: Spread,
+}
+
 /// The full machine-readable snapshot (`BENCH_device_mvm.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct DeviceMvmReport {
@@ -110,6 +132,8 @@ pub struct DeviceMvmReport {
     pub cases: Vec<CaseResult>,
     /// Batched complex-gain kernel shapes, narrowest tiles first.
     pub kernels: Vec<KernelCase>,
+    /// Dynamic attention MVM shapes, `qk` then `av`, shortest first.
+    pub dynamic: Vec<DynamicCase>,
 }
 
 /// Times `f` over `runs` runs of `iterations` calls (after one warm-up),
@@ -311,6 +335,59 @@ fn batched_kernel_case(
     }
 }
 
+/// `llm_tiny`'s per-head width: the fixed side of both attention products.
+const HEAD_DIM: usize = 8;
+
+/// Dynamic shapes `(kind, position)`: one tile, a full 16-step decode
+/// window, a full array height, and a length that folds.
+const DYNAMIC_SHAPES: [(&str, usize); 8] = [
+    ("qk", 1),
+    ("qk", 16),
+    ("qk", 128),
+    ("qk", 300),
+    ("av", 1),
+    ("av", 16),
+    ("av", 128),
+    ("av", 300),
+];
+
+/// Times one dynamic attention MVM shape on a warm noisy 128×128
+/// executor (its first call programs the stage's draws; the timed calls
+/// repeat it).
+fn dynamic_case(kind: &str, position: usize, runs: usize, calls: usize) -> DynamicCase {
+    let exec = DeviceExecutor::new(SimConfig::noisy(128, 128).with_threads(1));
+    let code = |k: usize, span: usize| ((k.wrapping_mul(0x9E37_79B9) >> 7) % span) as i64;
+    let (stage, outputs, inputs, low) = match kind {
+        "qk" => (0, position, HEAD_DIM, -63),
+        _ => (1, HEAD_DIM, position, 0),
+    };
+    let rows: Vec<Vec<i8>> = (0..outputs)
+        .map(|o| {
+            (0..inputs)
+                .map(|i| (code(o * inputs + i, 63) - 31) as i8)
+                .collect()
+        })
+        .collect();
+    let drive: Vec<i64> = (0..inputs)
+        .map(|i| low + code(i + 7, (63 - low + 1) as usize))
+        .collect();
+    let call_ms = time_ms(runs, calls, || {
+        black_box(exec.dynamic_mv(stage, black_box(&rows), black_box(&drive)));
+    });
+    DynamicCase {
+        name: format!("dynamic/{kind}/p{position}"),
+        kind: kind.to_string(),
+        position,
+        calls,
+        runs,
+        call_us: Spread {
+            median: call_ms.median * 1e3,
+            p10: call_ms.p10 * 1e3,
+            p90: call_ms.p90 * 1e3,
+        },
+    }
+}
+
 /// Runs the snapshot. `quick` keeps the workloads small enough for a CI
 /// smoke step; the full mode times the LeNet-5 headline at 128×128.
 #[must_use]
@@ -330,6 +407,14 @@ pub fn generate(quick: bool) -> DeviceMvmReport {
         .iter()
         .map(|&shape| batched_kernel_case(shape, runs, macs_per_run))
         .collect();
+    let dynamic = if quick {
+        vec![dynamic_case("qk", 16, runs, 50)]
+    } else {
+        DYNAMIC_SHAPES
+            .iter()
+            .map(|&(kind, position)| dynamic_case(kind, position, runs, 200))
+            .collect()
+    };
     let achieved = cases
         .iter()
         .find(|c| c.name.starts_with("lenet5_forward"))
@@ -342,6 +427,7 @@ pub fn generate(quick: bool) -> DeviceMvmReport {
         achieved,
         cases,
         kernels,
+        dynamic,
     }
 }
 
@@ -397,6 +483,24 @@ pub fn render(report: &DeviceMvmReport) {
             k.ns_per_mac
         );
     }
+    println!();
+    println!(
+        "# dynamic attention MVM (DeviceExecutor::dynamic_mv, warm noisy 128x128), µs per call"
+    );
+    println!(
+        "{:<24} {:>11} {:>10} {:>10} {:>10}",
+        "shape", "runs×calls", "median", "p10", "p90"
+    );
+    for d in &report.dynamic {
+        println!(
+            "{:<24} {:>11} {:>10.2} {:>10.2} {:>10.2}",
+            d.name,
+            format!("{}×{}", d.runs, d.calls),
+            d.call_us.median,
+            d.call_us.p10,
+            d.call_us.p90
+        );
+    }
 }
 
 /// Generates the snapshot and writes `BENCH_device_mvm.json` at the
@@ -443,6 +547,11 @@ mod tests {
                 ordered(k.call_us) && k.calls > 0 && k.ns_per_mac > 0.0,
                 "{k:?}"
             );
+        }
+        assert!(!report.dynamic.is_empty());
+        for d in &report.dynamic {
+            assert_eq!(d.name, format!("dynamic/{}/p{}", d.kind, d.position));
+            assert!(ordered(d.call_us) && d.calls > 0, "{d:?}");
         }
     }
 }

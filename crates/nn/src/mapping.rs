@@ -32,6 +32,56 @@ impl WeightMapping {
             WeightMapping::Differential => 2,
         }
     }
+
+    /// The unipolar level signed code `s` programs on physical column
+    /// `k` (`0..columns_per_output`) of its output: `s + q` (offset), or
+    /// `max(s, 0)` then `max(−s, 0)` (differential).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `|s| > q`.
+    #[must_use]
+    #[inline]
+    pub fn unipolar_level(self, s: i8, q: i8, k: usize) -> u8 {
+        assert!(
+            i64::from(s).abs() <= i64::from(q),
+            "code {s} exceeds the ±{q} range"
+        );
+        match (self, k) {
+            (WeightMapping::Offset, _) => (i64::from(s) + i64::from(q)) as u8,
+            (WeightMapping::Differential, 0) => s.max(0) as u8,
+            (WeightMapping::Differential, _) => (-s.max(-127)).max(0) as u8,
+        }
+    }
+
+    /// Recovers the signed MAC results from unipolar column outputs
+    /// driven by `inputs`, into `out` (one value per logical column):
+    /// subtracts `q·Σv` (offset) or column pairs (differential).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outputs` is not `out.len() × columns_per_output` long.
+    pub fn recover_into(self, q: i64, outputs: &[i64], inputs: &[u8], out: &mut [i64]) {
+        assert_eq!(
+            outputs.len(),
+            out.len() * self.columns_per_output(),
+            "expected {} outputs",
+            out.len() * self.columns_per_output()
+        );
+        match self {
+            WeightMapping::Offset => {
+                let input_sum: i64 = inputs.iter().map(|&v| i64::from(v)).sum();
+                for (o, &y) in out.iter_mut().zip(outputs) {
+                    *o = y - q * input_sum;
+                }
+            }
+            WeightMapping::Differential => {
+                for (o, pair) in out.iter_mut().zip(outputs.chunks_exact(2)) {
+                    *o = pair[0] - pair[1];
+                }
+            }
+        }
+    }
 }
 
 /// A signed weight matrix mapped onto unipolar crossbar levels.
@@ -72,27 +122,17 @@ impl MappedWeights {
         let rows = signed.len();
         let logical_cols = signed[0].len();
         assert!(logical_cols > 0, "weight matrix must have columns");
-        let q64 = i64::from(q);
-        let mut unipolar =
-            vec![Vec::with_capacity(logical_cols * mapping.columns_per_output()); rows];
+        let per_output = mapping.columns_per_output();
+        let mut unipolar = vec![Vec::with_capacity(logical_cols * per_output); rows];
         for (i, row) in signed.iter().enumerate() {
             assert_eq!(row.len(), logical_cols, "row {i} is ragged");
             for &s in row {
-                assert!(i64::from(s).abs() <= q64, "code {s} exceeds the ±{q} range");
-                match mapping {
-                    WeightMapping::Offset => {
-                        unipolar[i].push((i64::from(s) + q64) as u8);
-                    }
-                    WeightMapping::Differential => {
-                        unipolar[i].push(s.max(0) as u8);
-                        unipolar[i].push((-s.max(-127)).max(0) as u8);
-                    }
-                }
+                unipolar[i].extend((0..per_output).map(|k| mapping.unipolar_level(s, q, k)));
             }
         }
         Self {
             mapping,
-            q: q64,
+            q: i64::from(q),
             rows,
             logical_cols,
             unipolar,
@@ -181,30 +221,12 @@ impl MappedWeights {
     /// Panics if `outputs` or `out` have the wrong length.
     pub fn recover_into(&self, outputs: &[i64], inputs: &[u8], out: &mut [i64]) {
         assert_eq!(
-            outputs.len(),
-            self.physical_cols(),
-            "expected {} outputs",
-            self.physical_cols()
-        );
-        assert_eq!(
             out.len(),
             self.logical_cols,
             "expected {} recovered columns",
             self.logical_cols
         );
-        match self.mapping {
-            WeightMapping::Offset => {
-                let input_sum: i64 = inputs.iter().map(|&v| i64::from(v)).sum();
-                for (o, &y) in out.iter_mut().zip(outputs) {
-                    *o = y - self.q * input_sum;
-                }
-            }
-            WeightMapping::Differential => {
-                for (o, pair) in out.iter_mut().zip(outputs.chunks_exact(2)) {
-                    *o = pair[0] - pair[1];
-                }
-            }
-        }
+        self.mapping.recover_into(self.q, outputs, inputs, out);
     }
 }
 

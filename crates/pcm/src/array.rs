@@ -4,7 +4,7 @@ use crate::cell::PcmCell;
 use crate::drift::DriftModel;
 use crate::levels::LevelTable;
 use crate::pulse::ProgramPulse;
-use crate::variation::DeviceVariation;
+use crate::variation::{standard_normal, DeviceVariation};
 use oxbar_units::{Energy, Time};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -203,83 +203,6 @@ impl PcmArray {
         })
     }
 
-    /// One-shot noise-free program-and-readout: the `(transmissions,
-    /// report)` a pristine array of `device` cells would produce after
-    /// [`PcmArray::program_codes`] followed by [`PcmArray::transmissions`],
-    /// computed per *code* instead of per cell (the whole chain
-    /// `code → fraction → 10^(−dB/20)` collapses into one ≤ 2^bits-entry
-    /// table), without materializing per-cell state.
-    ///
-    /// Value-identical to the two-step path; the device-level inference
-    /// pipeline uses it for every tile whose noise model disables
-    /// programming variation and drift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `codes` is not `rows × cols`, a code exceeds the table,
-    /// or `bits` is invalid for [`LevelTable::new`].
-    #[must_use]
-    pub fn noise_free_readout(
-        rows: usize,
-        cols: usize,
-        device: PcmCell,
-        bits: u8,
-        codes: &[Vec<u8>],
-        parallelism: Parallelism,
-    ) -> (Vec<Vec<f64>>, ProgramReport) {
-        assert_eq!(codes.len(), rows, "expected {rows} code rows");
-        assert_eq!(
-            device.crystalline_fraction(),
-            0.0,
-            "noise-free readout assumes a pristine (amorphous) device"
-        );
-        let table = LevelTable::new(bits, device);
-        // Per-code readout: written cells land exactly on the code's
-        // fraction; cells whose target equals the pristine fraction are
-        // skipped by delta programming and stay on the pristine device.
-        let pristine_transmission = device.transmission();
-        let per_code: Vec<(f64, bool)> = (0..table.levels() as u16)
-            .map(|code| {
-                let fraction = table.fraction_for_code(code);
-                let skipped = fraction.abs() < 1e-12;
-                let transmission = if skipped {
-                    pristine_transmission
-                } else {
-                    let mut cell = device;
-                    cell.set_crystalline_fraction(fraction);
-                    cell.transmission()
-                };
-                (transmission, skipped)
-            })
-            .collect();
-        let mut programmed = 0usize;
-        let mut skipped = 0usize;
-        let mut rows_touched = vec![false; rows];
-        let transmissions = codes
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                assert_eq!(row.len(), cols, "code row {i} must have {cols} cols");
-                row.iter()
-                    .map(|&code| {
-                        let (transmission, skip) = per_code[usize::from(code)];
-                        if skip {
-                            skipped += 1;
-                        } else {
-                            programmed += 1;
-                            rows_touched[i] = true;
-                        }
-                        transmission
-                    })
-                    .collect()
-            })
-            .collect();
-        (
-            transmissions,
-            Self::report(parallelism, programmed, skipped, &rows_touched),
-        )
-    }
-
     /// One-shot *noisy* program-and-readout: the `(transmissions,
     /// report)` a pristine array of `device` cells would produce after
     /// [`Self::program_codes_with_variation`] (or plain
@@ -291,9 +214,10 @@ impl PcmArray {
     /// Value-identical to the multi-step path: the RNG is consumed in the
     /// same written-cell order, the delta-programming skip rule is
     /// unchanged, and every per-cell float op runs in the same order on
-    /// the same inputs. What it removes is the `rows × cols` cell
-    /// allocation and the extra passes — the dominant non-stochastic cost
-    /// of programming a tile on the serving path.
+    /// the same inputs ([`CellWrite`]). What it removes is the
+    /// `rows × cols` cell allocation and the extra passes. Without
+    /// variation every cell of a code reads the same, so the pass costs
+    /// one read per code, not per cell.
     ///
     /// # Panics
     ///
@@ -312,53 +236,32 @@ impl PcmArray {
     ) -> (Vec<Vec<f64>>, ProgramReport) {
         assert_eq!(codes.len(), rows, "expected {rows} code rows");
         let table = LevelTable::new(bits, device);
-        let max_code = table.max_code();
-        let pristine_fraction = device.crystalline_fraction();
-        // The cell-independent drift factor is hoisted out of the loop;
-        // `None` (no drift, or drift inside the reference window) reads
-        // the undrifted transmission exactly like `transmissions()`.
-        let drift_factor =
-            drift.and_then(|(model, elapsed)| model.drift_factor(elapsed).map(|f| (*model, f)));
-        let mut variation = variation;
-        let mut programmed = 0usize;
-        let mut skipped = 0usize;
-        let mut rows_touched = vec![false; rows];
+        let (variation, mut rng) = match variation {
+            Some((variation, rng)) => (Some(*variation), Some(rng)),
+            None => (None, None),
+        };
+        let write = CellWrite::new(&table, variation, drift);
+        let mut tally = ProgramTally::default();
         let transmissions = codes
             .iter()
             .enumerate()
             .map(|(i, row)| {
                 assert_eq!(row.len(), cols, "code row {i} must have {cols} cols");
-                row.iter()
+                let row = row
+                    .iter()
                     .map(|&code| {
-                        assert!(
-                            u16::from(code) <= max_code,
-                            "code {code} exceeds the {max_code}-level table"
-                        );
-                        let target = table.fraction_for_code(u16::from(code));
-                        let mut cell = device;
-                        if (pristine_fraction - target).abs() < 1e-12 {
-                            skipped += 1;
-                        } else {
-                            let achieved = match &mut variation {
-                                Some((v, rng)) => v.apply_program(target, 0.0, *rng),
-                                None => target,
-                            };
-                            cell.set_crystalline_fraction(achieved);
-                            programmed += 1;
-                            rows_touched[i] = true;
-                        }
-                        match drift_factor {
-                            Some((model, factor)) => model.transmission_with_factor(cell, factor),
-                            None => cell.transmission(),
-                        }
+                        let (transmission, written) = write.read(code, || {
+                            standard_normal(rng.as_deref_mut().expect("variation has an rng"))
+                        });
+                        tally.cell(written);
+                        transmission
                     })
-                    .collect()
+                    .collect();
+                tally.end_row();
+                row
             })
             .collect();
-        (
-            transmissions,
-            Self::report(parallelism, programmed, skipped, &rows_touched),
-        )
+        (transmissions, tally.report(parallelism))
     }
 
     fn program_codes_impl(
@@ -369,9 +272,7 @@ impl PcmArray {
     ) -> ProgramReport {
         assert_eq!(codes.len(), self.rows, "expected {} code rows", self.rows);
         let max_code = self.table.max_code();
-        let mut programmed = 0usize;
-        let mut skipped = 0usize;
-        let mut rows_touched = vec![false; self.rows];
+        let mut tally = ProgramTally::default();
         for (i, row) in codes.iter().enumerate() {
             assert_eq!(
                 row.len(),
@@ -387,16 +288,15 @@ impl PcmArray {
                 let target_fraction = self.table.fraction_for_code(u16::from(code));
                 let cell = &mut self.cells[i * self.cols + j];
                 let unchanged = (cell.crystalline_fraction() - target_fraction).abs() < 1e-12;
-                if self.delta_programming && unchanged {
-                    skipped += 1;
-                } else {
+                let written = !(self.delta_programming && unchanged);
+                if written {
                     cell.set_crystalline_fraction(achieved(target_fraction));
-                    programmed += 1;
-                    rows_touched[i] = true;
                 }
+                tally.cell(written);
             }
+            tally.end_row();
         }
-        Self::report(parallelism, programmed, skipped, &rows_touched)
+        tally.report(parallelism)
     }
 
     /// Programs the array like [`PcmArray::program`], but each pulse lands
@@ -434,9 +334,7 @@ impl PcmArray {
             "expected {} weight rows",
             self.rows
         );
-        let mut programmed = 0usize;
-        let mut skipped = 0usize;
-        let mut rows_touched = vec![false; self.rows];
+        let mut tally = ProgramTally::default();
         for (i, row) in weights.iter().enumerate() {
             assert_eq!(
                 row.len(),
@@ -449,37 +347,15 @@ impl PcmArray {
                 let target_fraction = self.table.fraction_for_code(code);
                 let cell = &mut self.cells[i * self.cols + j];
                 let unchanged = (cell.crystalline_fraction() - target_fraction).abs() < 1e-12;
-                if self.delta_programming && unchanged {
-                    skipped += 1;
-                } else {
+                let written = !(self.delta_programming && unchanged);
+                if written {
                     cell.set_crystalline_fraction(achieved(target_fraction));
-                    programmed += 1;
-                    rows_touched[i] = true;
                 }
+                tally.cell(written);
             }
+            tally.end_row();
         }
-        Self::report(parallelism, programmed, skipped, &rows_touched)
-    }
-
-    /// Builds the pass report from the programming counters.
-    fn report(
-        parallelism: Parallelism,
-        programmed: usize,
-        skipped: usize,
-        rows_touched: &[bool],
-    ) -> ProgramReport {
-        let pulse = ProgramPulse::paper_default();
-        let groups: u64 = match parallelism {
-            Parallelism::FullArray => u64::from(programmed > 0),
-            Parallelism::PerRow => rows_touched.iter().filter(|&&t| t).count() as u64,
-            Parallelism::PerCell => programmed as u64,
-        };
-        ProgramReport {
-            cells_programmed: programmed,
-            cells_skipped: skipped,
-            time: pulse.duration() * groups as f64,
-            energy: pulse.energy() * programmed as f64,
-        }
+        tally.report(parallelism)
     }
 
     /// The field-transmission matrix after the stored weights have sat for
@@ -512,6 +388,143 @@ impl PcmArray {
             Parallelism::PerCell => self.rows * self.cols,
         };
         pulse.duration() * groups as f64
+    }
+}
+
+/// The program-and-read rule for one cell of a pristine array: write a
+/// level code (with optional programming variation) and read the cell's
+/// field transmission back (with optional drift). Every fused readout —
+/// [`PcmArray::noisy_readout`] and the device-level tile compile — writes
+/// its cells through this one rule, so they agree value for value.
+///
+/// Without variation a cell's read is a function of its code alone, so
+/// the rule precomputes one read per code and serves every cell from
+/// that table.
+#[derive(Debug, Clone)]
+pub struct CellWrite<'a> {
+    table: &'a LevelTable,
+    variation: Option<DeviceVariation>,
+    /// The drift model and its cell-independent factor, when drift
+    /// applies at the read time.
+    drift: Option<(DriftModel, f64)>,
+    /// Per-code reads when there is no variation (`table.levels()` long).
+    by_code: Option<[f64; 256]>,
+}
+
+impl<'a> CellWrite<'a> {
+    /// The rule for cells of `table`'s device, programmed with
+    /// `variation` (if any) and read after `drift` (model and elapsed
+    /// time, if any).
+    #[must_use]
+    pub fn new(
+        table: &'a LevelTable,
+        variation: Option<DeviceVariation>,
+        drift: Option<(&DriftModel, Time)>,
+    ) -> Self {
+        let drift =
+            drift.and_then(|(model, elapsed)| model.drift_factor(elapsed).map(|f| (*model, f)));
+        let mut write = Self {
+            table,
+            variation,
+            drift,
+            by_code: None,
+        };
+        if variation.is_none() {
+            let mut by_code = [0.0; 256];
+            for (code, read) in by_code.iter_mut().enumerate().take(table.levels()) {
+                *read = write
+                    .read(code as u8, || unreachable!("no variation, no draw"))
+                    .0;
+            }
+            write.by_code = Some(by_code);
+        }
+        write
+    }
+
+    /// Writes `code` into a pristine cell and reads it back: `(field
+    /// transmission, whether the cell was written)`. A cell whose target
+    /// equals the pristine state is skipped (delta programming). A
+    /// written cell under variation lands `normal()` standard deviations
+    /// off target, exactly as [`DeviceVariation::apply_program`] would
+    /// with that draw — `normal` is called once per written cell, never
+    /// for a skip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code` exceeds the table.
+    #[inline]
+    pub fn read(&self, code: u8, normal: impl FnOnce() -> f64) -> (f64, bool) {
+        let max_code = self.table.max_code();
+        assert!(
+            u16::from(code) <= max_code,
+            "code {code} exceeds the {max_code}-level table"
+        );
+        let target = self.table.fraction_for_code(u16::from(code));
+        let mut cell = self.table.device();
+        let written = (cell.crystalline_fraction() - target).abs() >= 1e-12;
+        if let Some(by_code) = &self.by_code {
+            return (by_code[usize::from(code)], written);
+        }
+        if written {
+            let achieved = match self.variation {
+                Some(variation) => variation.apply_normal(target, 0.0, normal()),
+                None => target,
+            };
+            cell.set_crystalline_fraction(achieved);
+        }
+        let transmission = match self.drift {
+            Some((model, factor)) => model.transmission_with_factor(cell, factor),
+            None => cell.transmission(),
+        };
+        (transmission, written)
+    }
+}
+
+/// Running counts of one programming pass, turned into its
+/// [`ProgramReport`] at the end: cells written and skipped, and the rows
+/// that saw a write (what [`Parallelism::PerRow`] charges).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ProgramTally {
+    programmed: usize,
+    skipped: usize,
+    rows_touched: usize,
+    row_written: bool,
+}
+
+impl ProgramTally {
+    /// Counts one cell of the current row.
+    pub fn cell(&mut self, written: bool) {
+        if written {
+            self.programmed += 1;
+            self.row_written = true;
+        } else {
+            self.skipped += 1;
+        }
+    }
+
+    /// Closes the current row.
+    pub fn end_row(&mut self) {
+        self.rows_touched += usize::from(self.row_written);
+        self.row_written = false;
+    }
+
+    /// The pass's time and energy under the driver `parallelism`: one
+    /// pulse duration per parallel group with a written cell, one pulse
+    /// energy per written cell.
+    #[must_use]
+    pub fn report(&self, parallelism: Parallelism) -> ProgramReport {
+        let pulse = ProgramPulse::paper_default();
+        let groups = match parallelism {
+            Parallelism::FullArray => usize::from(self.programmed > 0),
+            Parallelism::PerRow => self.rows_touched,
+            Parallelism::PerCell => self.programmed,
+        };
+        ProgramReport {
+            cells_programmed: self.programmed,
+            cells_skipped: self.skipped,
+            time: pulse.duration() * groups as f64,
+            energy: pulse.energy() * self.programmed as f64,
+        }
     }
 }
 
@@ -587,8 +600,16 @@ mod tests {
             codes[8][3] = 0;
             let mut array = PcmArray::with_device(9, 4, device, 6);
             let report = array.program_codes(&codes, Parallelism::FullArray);
-            let (fused_t, fused_r) =
-                PcmArray::noise_free_readout(9, 4, device, 6, &codes, Parallelism::FullArray);
+            let (fused_t, fused_r) = PcmArray::noisy_readout::<rand::rngs::StdRng>(
+                9,
+                4,
+                device,
+                6,
+                &codes,
+                Parallelism::FullArray,
+                None,
+                None,
+            );
             assert_eq!(report, fused_r);
             assert_eq!(array.transmissions(), fused_t);
         }

@@ -77,6 +77,13 @@ impl LevelTable {
         self.transmissions.len()
     }
 
+    /// The device the table was built for (the pristine cell every
+    /// programming pass starts from).
+    #[must_use]
+    pub(crate) fn device(&self) -> PcmCell {
+        self.device
+    }
+
     /// Resolution in bits.
     #[must_use]
     pub fn bits(&self) -> u8 {

@@ -68,7 +68,7 @@ impl DeviceVariation {
 
     /// Draws a static per-device offset.
     pub fn draw_device_offset<R: Rng + ?Sized>(self, rng: &mut R) -> f64 {
-        gaussian(rng) * self.sigma_device
+        standard_normal(rng) * self.sigma_device
     }
 
     /// The crystalline fraction actually achieved when programming toward
@@ -81,7 +81,17 @@ impl DeviceVariation {
         device_offset: f64,
         rng: &mut R,
     ) -> f64 {
-        (target + device_offset + gaussian(rng) * self.sigma_program).clamp(0.0, 1.0)
+        self.apply_normal(target, device_offset, standard_normal(rng))
+    }
+
+    /// [`Self::apply_program`] with its cycle-to-cycle draw supplied: the
+    /// fraction achieved when the pulse lands `normal` standard
+    /// deviations off `target`. Callers that replay a remembered
+    /// [`standard_normal`] stream get exactly the value `apply_program`
+    /// would have drawn.
+    #[must_use]
+    pub(crate) fn apply_normal(self, target: f64, device_offset: f64, normal: f64) -> f64 {
+        (target + device_offset + normal * self.sigma_program).clamp(0.0, 1.0)
     }
 }
 
@@ -91,8 +101,9 @@ impl Default for DeviceVariation {
     }
 }
 
-/// Standard-normal draw via Box-Muller.
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// One standard-normal draw via Box-Muller — the draw
+/// [`DeviceVariation::apply_program`] consumes per programmed cell.
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.random::<f64>().max(1e-300);
     let u2: f64 = rng.random();
     (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()

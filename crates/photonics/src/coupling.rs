@@ -15,6 +15,18 @@
 use crate::coupler::DirectionalCoupler;
 use serde::{Deserialize, Serialize};
 
+/// `κ_in[j] = 1 / (M − j)`: column `j`'s input coupler taps an equal share
+/// of what is left of the row.
+fn equalizing_kappa_in(m_cols: usize, j: usize) -> f64 {
+    1.0 / (m_cols - j) as f64
+}
+
+/// `κ_out[i] = 1 / (i + 1)`: row `i`'s output coupler weighs its cell
+/// equally against the `i` rows above it.
+fn equalizing_kappa_out(i: usize) -> f64 {
+    1.0 / (i + 1) as f64
+}
+
 /// The designed coupler ratios for an N×M array.
 ///
 /// # Examples
@@ -45,12 +57,29 @@ impl CouplingPlan {
             n_rows > 0 && m_cols > 0,
             "array dimensions must be non-zero"
         );
-        let kappa_in = (0..m_cols).map(|j| 1.0 / (m_cols - j) as f64).collect();
-        let kappa_out = (0..n_rows).map(|i| 1.0 / (i + 1) as f64).collect();
+        let kappa_in = (0..m_cols)
+            .map(|j| equalizing_kappa_in(m_cols, j))
+            .collect();
+        let kappa_out = (0..n_rows).map(equalizing_kappa_out).collect();
         Self {
             kappa_in,
             kappa_out,
         }
+    }
+
+    /// The equalizing plan's input coupler of column `j` in an
+    /// `m_cols`-wide array — what `equalizing(_, m_cols).input_coupler(j)`
+    /// builds, without materializing the plan.
+    #[must_use]
+    pub(crate) fn equalizing_input_coupler(m_cols: usize, j: usize) -> DirectionalCoupler {
+        DirectionalCoupler::new(equalizing_kappa_in(m_cols, j)).expect("designed ratio is valid")
+    }
+
+    /// The equalizing plan's output coupler of row `i` — what
+    /// `equalizing(..).output_coupler(i)` builds, without the plan.
+    #[must_use]
+    pub(crate) fn equalizing_output_coupler(i: usize) -> DirectionalCoupler {
+        DirectionalCoupler::new(equalizing_kappa_out(i)).expect("designed ratio is valid")
     }
 
     /// Number of columns in the plan.

@@ -143,6 +143,132 @@ impl CrossbarConfig {
     pub fn losses_enabled(&self) -> bool {
         self.include_losses
     }
+
+    /// Whether the systematic path-loss gradient is pre-compensated
+    /// (compensation needs losses to compensate).
+    fn compensated(&self) -> bool {
+        self.include_losses && self.compensate_path_loss
+    }
+
+    /// Relative power loss (dB) of the path through cell `(row, col)`
+    /// compared with a loss-free path: crossings plus waveguide
+    /// propagation.
+    #[must_use]
+    pub(crate) fn cell_path_loss(&self, row: usize, col: usize) -> Decibel {
+        if !self.include_losses {
+            return Decibel::ZERO;
+        }
+        // Row light passes `col` crossings before tapping; the product passes
+        // `rows − 1 − row` crossings descending the column.
+        let crossings = (col + (self.rows - 1 - row)) as f64;
+        let cells_traversed = (col + 1 + (self.rows - 1 - row)) as f64;
+        let path_cm = cells_traversed * self.cell_pitch_um * 1e-4;
+        Decibel::new(self.crossing_loss_db * crossings + self.waveguide_loss_db_per_cm * path_cm)
+    }
+
+    /// The worst (largest) per-cell path loss in the array.
+    #[must_use]
+    pub(crate) fn worst_cell_path_loss(&self) -> Decibel {
+        // The far corner (top row, last column) has max crossings + length.
+        self.cell_path_loss(0, self.cols - 1)
+    }
+
+    /// The per-element field factors of one crossing and one cell pitch of
+    /// waveguide routing, `(crossing, segment)`; both are 1 when losses are
+    /// disabled. These are the two unit attenuations the propagation walk
+    /// applies between cells, shared so the compiled transfer matrix
+    /// ([`crate::transfer::CompiledCrossbar`]) folds exactly the same values.
+    #[must_use]
+    pub(crate) fn unit_loss_factors(&self) -> (f64, f64) {
+        if self.include_losses {
+            (
+                Decibel::new(self.crossing_loss_db).attenuation_field(),
+                Decibel::new(self.waveguide_loss_db_per_cm * self.cell_pitch_um * 1e-4)
+                    .attenuation_field(),
+            )
+        } else {
+            (1.0, 1.0)
+        }
+    }
+
+    /// The amplitude divisor [`CrossbarSimulator::run_normalized`] applies
+    /// after the `√M` prefactor: the worst-path attenuation when
+    /// compensated losses are enabled (all cells then carry the
+    /// worst-path loss), 1 otherwise.
+    #[must_use]
+    pub(crate) fn normalization_scale(&self) -> f64 {
+        if self.compensated() {
+            self.worst_cell_path_loss().attenuation_field()
+        } else {
+            1.0
+        }
+    }
+
+    /// Writes the path-loss pre-compensation field factor of every cell
+    /// diagonal into `out` (cleared first; left empty when compensation
+    /// is off). A cell's path loss depends only on its diagonal index
+    /// `k = col + (rows − 1 − row)` (crossings = k, segments = k + 1), so
+    /// the `rows × cols` factor matrix has just `rows + cols − 1`
+    /// distinct values: the loss advantage of that path over the worst
+    /// one.
+    pub(crate) fn compensation_diagonals_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        if !self.compensated() {
+            return;
+        }
+        let worst = self.worst_cell_path_loss();
+        let (rows, cols) = (self.rows, self.cols);
+        out.extend((0..rows + cols - 1).map(|k| {
+            let (i, j) = if k < cols {
+                (rows - 1, k)
+            } else {
+                (rows - 1 - (k - (cols - 1)), cols - 1)
+            };
+            (worst - self.cell_path_loss(i, j)).attenuation_field()
+        }));
+    }
+}
+
+/// The trimmed residual phase error (rad) of successive crossbar cells,
+/// in row-major order, drawn from a seeded Gaussian stream: each cell's
+/// error `e = g·σ` from one Box-Muller draw `g`, minus the trimmer's
+/// correction `round(e / step)·step` when trimming is on. This is the
+/// stream [`CrossbarSimulator::new`] draws from
+/// [`CrossbarConfig::with_phase_error_seed`]; it never ends, so one
+/// prefix serves every tile size.
+#[derive(Debug, Clone)]
+pub struct ResidualPhases {
+    rng: StdRng,
+    sigma_rad: f64,
+    trim_rad: f64,
+}
+
+impl ResidualPhases {
+    /// The stream of `seed` at error sigma `sigma_rad`, trimmed to
+    /// `trim_rad` steps (`0.0` disables trimming).
+    #[must_use]
+    pub fn new(seed: u64, sigma_rad: f64, trim_rad: f64) -> Self {
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            sigma_rad,
+            trim_rad,
+        }
+    }
+}
+
+impl Iterator for ResidualPhases {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        let err = gaussian(&mut self.rng) * self.sigma_rad;
+        // The trimmer cancels the measured error up to its quantization.
+        let trim = if self.trim_rad > 0.0 {
+            -(err / self.trim_rad).round() * self.trim_rad
+        } else {
+            0.0
+        };
+        Some(err + trim)
+    }
 }
 
 /// The field-level crossbar simulator.
@@ -152,15 +278,14 @@ impl CrossbarConfig {
 pub struct CrossbarSimulator {
     config: CrossbarConfig,
     plan: CouplingPlan,
-    /// Per-cell phase errors (rad), rows × cols; empty when sigma = 0.
-    phase_errors: Vec<f64>,
-    /// Per-cell trim phases (rad); empty when trimming is off.
-    trims: Vec<f64>,
-    /// Per-cell path-loss pre-compensation field factors (the boost of each
-    /// weight relative to the worst-loss path); empty when compensation is
-    /// off. Precomputed once so `run` does not recompute `cell_path_loss`
-    /// for every cell on every call.
-    comp_factors: Vec<f64>,
+    /// Per-cell residual phase errors after trimming (rad), rows × cols;
+    /// empty when sigma = 0.
+    residuals: Vec<f64>,
+    /// Path-loss pre-compensation field factors per cell diagonal (the
+    /// boost of each weight relative to the worst-loss path); empty when
+    /// compensation is off. Precomputed once so `run` does not recompute
+    /// `cell_path_loss` for every cell on every call.
+    comp_by_diagonal: Vec<f64>,
     /// Reusable flat buffers (effective weights + cell fields) so `run`
     /// allocates nothing per call beyond its output vector.
     scratch: RefCell<Scratch>,
@@ -177,60 +302,26 @@ impl CrossbarSimulator {
     #[must_use]
     pub fn new(config: CrossbarConfig) -> Self {
         let plan = CouplingPlan::equalizing(config.rows, config.cols);
-        let n_cells = config.rows * config.cols;
-        let phase_errors = if config.phase_error_sigma_rad > 0.0 {
-            let mut rng = StdRng::seed_from_u64(config.phase_error_seed);
-            (0..n_cells)
-                .map(|_| gaussian(&mut rng) * config.phase_error_sigma_rad)
-                .collect()
+        let residuals = if config.phase_error_sigma_rad > 0.0 {
+            ResidualPhases::new(
+                config.phase_error_seed,
+                config.phase_error_sigma_rad,
+                config.trim_resolution_rad,
+            )
+            .take(config.rows * config.cols)
+            .collect()
         } else {
             Vec::new()
         };
-        let trims = if config.trim_resolution_rad > 0.0 && !phase_errors.is_empty() {
-            // The trimmer cancels the measured error up to its quantization.
-            phase_errors
-                .iter()
-                .map(|&e| -(e / config.trim_resolution_rad).round() * config.trim_resolution_rad)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut sim = Self {
+        let mut comp_by_diagonal = Vec::new();
+        config.compensation_diagonals_into(&mut comp_by_diagonal);
+        Self {
             config,
             plan,
-            phase_errors,
-            trims,
-            comp_factors: Vec::new(),
+            residuals,
+            comp_by_diagonal,
             scratch: RefCell::new(Scratch::default()),
-        };
-        if sim.config.include_losses && sim.config.compensate_path_loss {
-            let worst = sim.worst_cell_path_loss();
-            // A cell's path loss depends only on its diagonal index
-            // `k = col + (rows − 1 − row)` (crossings = k, segments =
-            // k + 1), so the `rows × cols` factor matrix has just
-            // `rows + cols − 1` distinct values. Computing each once
-            // through the same `cell_path_loss` call is bit-identical to
-            // the per-cell loop and drops O(N·M) `powf`s to O(N + M).
-            let (rows, cols) = (sim.config.rows, sim.config.cols);
-            let by_diagonal: Vec<f64> = (0..rows + cols - 1)
-                .map(|k| {
-                    let (i, j) = if k < cols {
-                        (rows - 1, k)
-                    } else {
-                        (rows - 1 - (k - (cols - 1)), cols - 1)
-                    };
-                    (worst - sim.cell_path_loss(i, j)).attenuation_field()
-                })
-                .collect();
-            let mut factors = Vec::with_capacity(n_cells);
-            for i in 0..rows {
-                for j in 0..cols {
-                    factors.push(by_diagonal[j + (rows - 1 - i)]);
-                }
-            }
-            sim.comp_factors = factors;
         }
-        sim
     }
 
     /// Shorthand for an ideal (lossless, phase-matched) simulator.
@@ -245,84 +336,20 @@ impl CrossbarSimulator {
         &self.config
     }
 
-    /// The coupling plan in use.
-    #[must_use]
-    pub fn plan(&self) -> &CouplingPlan {
-        &self.plan
-    }
-
     /// Whether any per-cell phase errors were drawn (residual phases may
     /// then be non-zero; without them every residual is exactly 0).
     #[must_use]
     pub fn has_phase_errors(&self) -> bool {
-        !self.phase_errors.is_empty()
+        !self.residuals.is_empty()
     }
 
     /// Residual phase error at a cell after trimming (rad).
     #[must_use]
     pub fn residual_phase(&self, row: usize, col: usize) -> f64 {
-        let idx = row * self.config.cols + col;
-        let err = self.phase_errors.get(idx).copied().unwrap_or(0.0);
-        let trim = self.trims.get(idx).copied().unwrap_or(0.0);
-        err + trim
-    }
-
-    /// Relative power loss (dB) of the path through cell `(row, col)`
-    /// compared with a loss-free path: crossings plus waveguide propagation.
-    #[must_use]
-    pub fn cell_path_loss(&self, row: usize, col: usize) -> Decibel {
-        if !self.config.include_losses {
-            return Decibel::ZERO;
-        }
-        // Row light passes `col` crossings before tapping; the product passes
-        // `rows − 1 − row` crossings descending the column.
-        let crossings = (col + (self.config.rows - 1 - row)) as f64;
-        let cells_traversed = (col + 1 + (self.config.rows - 1 - row)) as f64;
-        let path_cm = cells_traversed * self.config.cell_pitch_um * 1e-4;
-        Decibel::new(
-            self.config.crossing_loss_db * crossings
-                + self.config.waveguide_loss_db_per_cm * path_cm,
-        )
-    }
-
-    /// The worst (largest) per-cell path loss in the array.
-    #[must_use]
-    pub fn worst_cell_path_loss(&self) -> Decibel {
-        // The far corner (top row, last column) has max crossings + length.
-        self.cell_path_loss(0, self.config.cols - 1)
-    }
-
-    /// The path-loss pre-compensation field factor applied to the weight at
-    /// `(row, col)` (1 when compensation is off): the loss advantage of this
-    /// cell's path over the worst path, so that compensated weights all carry
-    /// the worst-path attenuation.
-    #[must_use]
-    pub fn compensation_factor(&self, row: usize, col: usize) -> f64 {
-        if self.comp_factors.is_empty() {
-            1.0
-        } else {
-            self.comp_factors[row * self.config.cols + col]
-        }
-    }
-
-    /// The per-element field factors of one crossing and one cell pitch of
-    /// waveguide routing, `(crossing, segment)`; both are 1 when losses are
-    /// disabled. These are the two unit attenuations the propagation walk
-    /// applies between cells, exposed so the compiled transfer matrix
-    /// ([`crate::transfer::CompiledCrossbar`]) folds exactly the same values.
-    #[must_use]
-    pub fn unit_loss_factors(&self) -> (f64, f64) {
-        if self.config.include_losses {
-            (
-                Decibel::new(self.config.crossing_loss_db).attenuation_field(),
-                Decibel::new(
-                    self.config.waveguide_loss_db_per_cm * self.config.cell_pitch_um * 1e-4,
-                )
-                .attenuation_field(),
-            )
-        } else {
-            (1.0, 1.0)
-        }
+        self.residuals
+            .get(row * self.config.cols + col)
+            .copied()
+            .unwrap_or(0.0)
     }
 
     /// Runs the full field propagation.
@@ -360,7 +387,7 @@ impl CrossbarSimulator {
         } = &mut *scratch;
         self.effective_weights_into(weights, flat);
 
-        let (crossing_field, segment_field) = self.unit_loss_factors();
+        let (crossing_field, segment_field) = self.config.unit_loss_factors();
 
         // Phase-matched layout assumption (§III.A.2): waveguide segments
         // contribute loss but their design phases cancel; only the residual
@@ -435,38 +462,11 @@ impl CrossbarSimulator {
     #[must_use]
     pub fn run_normalized(&self, inputs: &[f64], weights: &[Vec<f64>]) -> Vec<f64> {
         let m = self.config.cols as f64;
-        let scale = self.normalization_scale();
+        let scale = self.config.normalization_scale();
         self.run(inputs, weights)
             .iter()
             .map(|f| f.amplitude() * m.sqrt() / scale)
             .collect()
-    }
-
-    /// The amplitude divisor [`Self::run_normalized`] applies after the
-    /// `√M` prefactor: the worst-path attenuation when compensated losses
-    /// are enabled (all cells then carry the worst-path loss), 1 otherwise.
-    #[must_use]
-    pub fn normalization_scale(&self) -> f64 {
-        if self.config.include_losses && self.config.compensate_path_loss {
-            self.worst_cell_path_loss().attenuation_field()
-        } else {
-            1.0
-        }
-    }
-
-    /// The effective (possibly path-loss-compensated) transmission of the
-    /// weight programmed at `(row, col)` — exactly what the propagation walk
-    /// applies to that cell's tapped field.
-    #[must_use]
-    pub fn effective_weight(&self, row: usize, col: usize, weight: f64) -> f64 {
-        if self.comp_factors.is_empty() {
-            weight
-        } else {
-            // Boost each weight by its loss advantage over the worst path;
-            // the boost is ≤ 1 relative to the w=1 ceiling because
-            // worst ≥ cell loss.
-            (weight * self.comp_factors[row * self.config.cols + col]).min(1.0)
-        }
     }
 
     /// Applies path-loss pre-compensation to the weight matrix if enabled,
@@ -475,17 +475,37 @@ impl CrossbarSimulator {
         let (n, m) = (self.config.rows, self.config.cols);
         flat.clear();
         flat.reserve(n * m);
-        if self.comp_factors.is_empty() {
+        if self.comp_by_diagonal.is_empty() {
             for row in weights {
                 flat.extend(row.iter().copied());
             }
         } else {
             for (i, row) in weights.iter().enumerate().take(n) {
                 for (j, &w) in row.iter().enumerate().take(m) {
-                    flat.push(self.effective_weight(i, j, w));
+                    flat.push(compensated_weight(&self.comp_by_diagonal, n, i, j, w));
                 }
             }
         }
+    }
+}
+
+/// The path-loss-compensated transmission of `weight` at cell `(row,
+/// col)` of a `rows`-row array, given the per-diagonal compensation
+/// factors (`weight` itself when there are none): each weight is boosted
+/// by its loss advantage over the worst path, capped at 1 — the boost is
+/// ≤ 1 relative to the w=1 ceiling because worst ≥ cell loss.
+#[inline]
+pub(crate) fn compensated_weight(
+    comp_by_diagonal: &[f64],
+    rows: usize,
+    row: usize,
+    col: usize,
+    weight: f64,
+) -> f64 {
+    if comp_by_diagonal.is_empty() {
+        weight
+    } else {
+        (weight * comp_by_diagonal[col + (rows - 1 - row)]).min(1.0)
     }
 }
 
@@ -568,7 +588,8 @@ mod tests {
     fn path_loss_gradient_exists_without_compensation() {
         let sim = CrossbarSimulator::new(CrossbarConfig::new(16, 16).with_losses(true));
         // Far corner cell loses more than the near corner cell.
-        assert!(sim.cell_path_loss(0, 15).value() > sim.cell_path_loss(15, 0).value());
+        let config = sim.config();
+        assert!(config.cell_path_loss(0, 15).value() > config.cell_path_loss(15, 0).value());
     }
 
     #[test]

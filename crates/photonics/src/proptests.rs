@@ -218,7 +218,7 @@ proptest! {
         let gains: Vec<Vec<Complex>> = (0..n)
             .map(|i| (0..m).map(|j| compiled.gain(i, j)).collect())
             .collect();
-        let (sqrt_m, scale) = ((m as f64).sqrt(), sim.normalization_scale());
+        let (sqrt_m, scale) = ((m as f64).sqrt(), sim.config().normalization_scale());
         for (w, drive) in drives.chunks_exact(n).enumerate() {
             for j in 0..m {
                 let (mut re, mut im) = (0.0f64, 0.0f64);

@@ -87,7 +87,8 @@
 //! }
 //! ```
 
-use crate::crossbar::CrossbarSimulator;
+use crate::coupling::CouplingPlan;
+use crate::crossbar::{compensated_weight, CrossbarConfig, CrossbarSimulator};
 use crate::{Complex, Field};
 
 /// Width of the full column panels the gains are packed into.
@@ -116,13 +117,24 @@ fn panels(cols: usize) -> impl Iterator<Item = (usize, usize)> {
 ///
 /// Plain immutable data (`Send + Sync`), so executors can compile once
 /// and share the operator across worker threads and forward passes.
+/// [`Self::default`] is an empty operator: the rest state of a pooled
+/// compile target that [`Self::rebuild`] fills in place.
 ///
 /// See the [module docs](self) for the derivation and an example.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CompiledCrossbar {
     rows: usize,
     cols: usize,
-    gains: Gains,
+    /// Real parts of the gains, panel-major: the panel of width `w`
+    /// starting at column `c0` holds `gain[i][c0 + j]` at
+    /// `c0 · rows + i · w + j`.
+    re: Vec<f64>,
+    /// Imaginary parts, laid out like `re`; empty when every residual
+    /// phase is zero, so the gains lie on the real axis (exactly like the
+    /// field walk's outputs) and the MVM runs on `f64`. Otherwise a drive
+    /// vector is real, so the complex MVM is two independent real
+    /// accumulations, joined by one magnitude per output.
+    im: Vec<f64>,
     /// `√M`, the prefactor `run_normalized` multiplies amplitudes by.
     sqrt_cols: f64,
     /// The compensation divisor of `run_normalized` (worst-path
@@ -130,23 +142,57 @@ pub struct CompiledCrossbar {
     norm_scale: f64,
 }
 
-/// Panel-major per-cell gains: the panel of width `w` starting at column
-/// `c0` holds `gain[i][c0 + j]` at `c0 · rows + i · w + j`.
-#[derive(Debug, Clone)]
-enum Gains {
-    /// Every residual phase is zero: gains lie on the real axis, exactly
-    /// like the field walk's outputs, so the MVM runs on `f64`.
-    Real(Vec<f64>),
-    /// At least one non-zero residual phase. Stored as separate re/im
-    /// planes (structure-of-arrays): a drive vector is real, so the
-    /// complex MVM is two independent real accumulations, joined by one
-    /// magnitude per output.
-    Complex {
-        /// Real parts.
-        re: Vec<f64>,
-        /// Imaginary parts.
-        im: Vec<f64>,
-    },
+/// The input-independent half of a crossbar's gains, for one tile
+/// geometry: the per-column tap `A[j]` and per-row pickup `B[i]` of the
+/// [module docs](self), the path-loss compensation per cell diagonal,
+/// each column's slot in the panel-major planes, and the output
+/// normalization. A function of the [`CrossbarConfig`]'s geometry and
+/// losses only — no seed, no weights — so a pooled instance is reset per
+/// tile by [`Self::set`] without touching the heap once warm.
+#[derive(Debug, Clone, Default)]
+pub struct GainFactors {
+    /// `A[j]`: splitter share + input-coupler cascade + routing losses up
+    /// to the tap, + the tapped light's own cell pitch of routing.
+    col_tap: Vec<f64>,
+    /// `B[i]`: bus pickup + the bus's descent through the rows below.
+    row_pick: Vec<f64>,
+    /// Compensation field factor per cell diagonal; empty when off.
+    comp_by_diagonal: Vec<f64>,
+    /// `(panel base, panel width)` of each column: cell `(i, j)` lands
+    /// at `base + i · width`.
+    slot: Vec<(usize, usize)>,
+    norm_scale: f64,
+}
+
+impl GainFactors {
+    /// Recomputes the factors for `config`'s geometry and losses in
+    /// place — the same values, by the same float operations, that a
+    /// [`CrossbarSimulator`] of `config` applies in its field walk.
+    pub fn set(&mut self, config: &CrossbarConfig) {
+        let (n, m) = (config.rows(), config.cols());
+        let (crossing, segment) = config.unit_loss_factors();
+        self.col_tap.clear();
+        let mut prefix = 1.0 / (n as f64).sqrt();
+        for j in 0..m {
+            let dc = CouplingPlan::equalizing_input_coupler(m, j);
+            self.col_tap.push(prefix * dc.cross_amplitude() * segment);
+            prefix *= dc.through_amplitude() * crossing * segment;
+        }
+        self.row_pick.clear();
+        self.row_pick.resize(n, 0.0);
+        let mut suffix = 1.0;
+        for i in (0..n).rev() {
+            let dc = CouplingPlan::equalizing_output_coupler(i);
+            self.row_pick[i] = dc.cross_amplitude() * suffix;
+            suffix *= dc.through_amplitude() * crossing * segment;
+        }
+        config.compensation_diagonals_into(&mut self.comp_by_diagonal);
+        self.slot.clear();
+        for (c0, w) in panels(m) {
+            self.slot.extend((c0..c0 + w).map(|j| (c0 * n + j - c0, w)));
+        }
+        self.norm_scale = config.normalization_scale();
+    }
 }
 
 /// Reusable drive storage for [`CompiledCrossbar::run_normalized_batch_with`].
@@ -181,66 +227,75 @@ impl CompiledCrossbar {
             weights.iter().flatten().all(|w| (0.0..=1.0).contains(w)),
             "weights must lie in [0, 1]"
         );
+        let mut factors = GainFactors::default();
+        factors.set(sim.config());
+        let phasors: Vec<(f64, f64)> = if sim.has_phase_errors() {
+            (0..n * m)
+                .map(|idx| {
+                    let phase = sim.residual_phase(idx / m, idx % m);
+                    (phase.cos(), phase.sin())
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut compiled = Self::default();
+        compiled.rebuild(&factors, &phasors, |i, j| weights[i][j]);
+        compiled
+    }
 
-        let (crossing, segment) = sim.unit_loss_factors();
-        let plan = sim.plan();
-
-        // A[j]: splitter share + input-coupler cascade + routing losses up
-        // to the tap, + the tapped light's own cell pitch of routing.
-        let mut col_tap = vec![0.0; m];
-        let mut prefix = 1.0 / (n as f64).sqrt();
-        for (j, tap) in col_tap.iter_mut().enumerate() {
-            let dc = plan.input_coupler(j);
-            *tap = prefix * dc.cross_amplitude() * segment;
-            prefix *= dc.through_amplitude() * crossing * segment;
+    /// Compiles in place, reusing this operator's gain planes: the tile
+    /// `factors` was [`GainFactors::set`] for, with cell `(i, j)`'s PCM
+    /// transmission `transmission(i, j)` — called once per cell, in
+    /// row-major order — and its residual phasor `(cos φ, sin φ)` at
+    /// `phasors[i · cols + j]`. Empty `phasors` means every residual
+    /// phase is zero (real gains); a longer slice than the tile needs is
+    /// fine. The gains, and so every output, are bit-identical to
+    /// [`Self::new`] on a simulator with those transmissions and phases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phasors` is non-empty but shorter than the tile.
+    pub fn rebuild(
+        &mut self,
+        factors: &GainFactors,
+        phasors: &[(f64, f64)],
+        mut transmission: impl FnMut(usize, usize) -> f64,
+    ) {
+        let (n, m) = (factors.row_pick.len(), factors.col_tap.len());
+        let complex = !phasors.is_empty();
+        assert!(
+            !complex || phasors.len() >= n * m,
+            "phasors must cover the {n}×{m} tile"
+        );
+        self.rows = n;
+        self.cols = m;
+        self.sqrt_cols = (m as f64).sqrt();
+        self.norm_scale = factors.norm_scale;
+        self.re.clear();
+        self.re.resize(n * m, 0.0);
+        self.im.clear();
+        if complex {
+            self.im.resize(n * m, 0.0);
         }
-        // B[i]: bus pickup + the bus's descent through the rows below.
-        let mut row_pick = vec![0.0; n];
-        let mut suffix = 1.0;
-        for i in (0..n).rev() {
-            let dc = plan.output_coupler(i);
-            row_pick[i] = dc.cross_amplitude() * suffix;
-            suffix *= dc.through_amplitude() * crossing * segment;
-        }
-
-        // One pass in row order; cell (i, j) lands at `slot[j].0 + i · slot[j].1`
-        // of the panel-major planes.
-        let mut slot = vec![(0, 0); m];
-        for (c0, w) in panels(m) {
-            for (j, s) in slot.iter_mut().enumerate().skip(c0).take(w) {
-                *s = (c0 * n + j - c0, w);
-            }
-        }
-        let complex = sim.has_phase_errors();
-        let mut re = vec![0.0; n * m];
-        let mut im = vec![0.0; if complex { n * m } else { 0 }];
-        for (i, row) in weights.iter().enumerate() {
-            let pick = row_pick[i];
-            for (j, ((&w, &tap), &(base, width))) in row.iter().zip(&col_tap).zip(&slot).enumerate()
+        for i in 0..n {
+            let pick = factors.row_pick[i];
+            for (j, (&tap, &(base, width))) in factors.col_tap.iter().zip(&factors.slot).enumerate()
             {
-                let mag = tap * pick * sim.effective_weight(i, j, w);
+                let w = compensated_weight(&factors.comp_by_diagonal, n, i, j, transmission(i, j));
+                let mag = tap * pick * w;
                 let idx = base + i * width;
                 if complex {
-                    // The two coupler `j`s give the 180° propagation phase.
-                    let g = Complex::from_polar(mag, sim.residual_phase(i, j)).scale(-1.0);
-                    re[idx] = g.re;
-                    im[idx] = g.im;
+                    // The two coupler `j`s give the 180° propagation
+                    // phase: `from_polar(mag, φ).scale(-1.0)`, whose
+                    // `× −1` is exactly a negation.
+                    let (cos, sin) = phasors[i * m + j];
+                    self.re[idx] = -(mag * cos);
+                    self.im[idx] = -(mag * sin);
                 } else {
-                    re[idx] = -mag;
+                    self.re[idx] = -mag;
                 }
             }
-        }
-        let gains = if complex {
-            Gains::Complex { re, im }
-        } else {
-            Gains::Real(re)
-        };
-        Self {
-            rows: n,
-            cols: m,
-            gains,
-            sqrt_cols: (m as f64).sqrt(),
-            norm_scale: sim.normalization_scale(),
         }
     }
 
@@ -259,7 +314,7 @@ impl CompiledCrossbar {
     /// Whether the gain matrix is purely real (no residual phases).
     #[must_use]
     pub fn is_real(&self) -> bool {
-        matches!(self.gains, Gains::Real(_))
+        self.im.is_empty()
     }
 
     /// The compiled complex gain of cell `(row, col)`.
@@ -279,10 +334,7 @@ impl CompiledCrossbar {
             .find(|&(c0, w)| col < c0 + w)
             .expect("the panels cover every column");
         let idx = c0 * self.rows + row * w + col - c0;
-        match &self.gains {
-            Gains::Real(g) => Complex::new(g[idx], 0.0),
-            Gains::Complex { re, im } => Complex::new(re[idx], im[idx]),
-        }
+        Complex::new(self.re[idx], self.im.get(idx).copied().unwrap_or(0.0))
     }
 
     fn check_inputs(&self, inputs: &[f64]) {
@@ -422,10 +474,7 @@ impl CompiledCrossbar {
     where
         F: FnMut(usize, usize, &[f64], Option<&[f64]>),
     {
-        let (re, im) = match &self.gains {
-            Gains::Real(g) => (g.as_slice(), None),
-            Gains::Complex { re, im } => (re.as_slice(), Some(im.as_slice())),
-        };
+        let (re, im) = (&self.re[..], (!self.is_real()).then_some(&self.im[..]));
         for (c0, w) in panels(self.cols) {
             let span = c0 * self.rows..(c0 + w) * self.rows;
             let (re, im) = (&re[span.clone()], im.map(|im| &im[span]));

@@ -12,13 +12,17 @@
 //! property `crates/sim/tests/alloc_regression.rs` pins with a counting
 //! global allocator.
 //!
+//! The attention path's dynamic tiles are compiled into the arena too
+//! (gain planes and their geometry factors), so a warm dynamic MVM
+//! programs, compiles and executes without per-tile heap buffers.
+//!
 //! Arenas carry no results across calls: every buffer is fully rewritten
 //! by the execution that borrows it, so pooling can never change results
 //! — only where the bytes live.
 
 use crate::executor::Tap;
 use crate::tile::TileDrive;
-use oxbar_photonics::transfer::BatchScratch;
+use oxbar_photonics::transfer::{BatchScratch, CompiledCrossbar, GainFactors};
 
 /// Reusable scratch for one tile execution (and, at the executor level,
 /// one layer's digital accumulation).
@@ -62,6 +66,11 @@ pub struct ExecArena {
     /// extraction; see
     /// [`oxbar_electronics::accumulator::Accumulator::saturation_limit`]).
     pub(crate) lanes: Vec<i64>,
+    /// Gain planes a dynamic tile compiles into and executes from
+    /// (executor-level; never cached).
+    pub(crate) crossbar: CompiledCrossbar,
+    /// The seed-free gain factors of that dynamic tile's geometry.
+    pub(crate) factors: GainFactors,
 }
 
 impl Default for ExecArena {
@@ -80,6 +89,8 @@ impl Default for ExecArena {
             drive: TileDrive::empty(),
             taps: Vec::new(),
             lanes: Vec::new(),
+            crossbar: CompiledCrossbar::default(),
+            factors: GainFactors::default(),
         }
     }
 }

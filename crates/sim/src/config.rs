@@ -1,7 +1,7 @@
 //! Configuration for the device-level inference pipeline.
 
 use oxbar_nn::mapping::WeightMapping;
-use oxbar_pcm::PcmCell;
+use oxbar_pcm::{LevelTable, PcmCell};
 use oxbar_units::Time;
 use serde::{Deserialize, Serialize};
 
@@ -222,6 +222,13 @@ impl SimConfig {
         } else {
             PcmCell::pristine().with_loss_range(0.0, 320.0)
         }
+    }
+
+    /// The level table tiles program their unipolar codes against:
+    /// [`Self::weight_bits`] levels of [`Self::device`].
+    #[must_use]
+    pub fn level_table(&self) -> LevelTable {
+        LevelTable::new(self.weight_bits, self.device())
     }
 }
 

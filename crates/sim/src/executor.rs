@@ -4,9 +4,11 @@ use crate::arena::ExecArena;
 use crate::config::{tile_seed, SimConfig};
 use crate::fault::ExecError;
 use crate::snapshot::{ChipSnapshot, TileSnapshot};
-use crate::tile::{run_tile_with, CompiledTile, MvmEngine, TileDrive};
+use crate::tile::{
+    compile_into, execute_crossbar, run_tile_with, CompiledTile, MvmEngine, TileDrive, TileNoise,
+};
 use oxbar_core::dse::parallel_map;
-use oxbar_dataflow::tiles::{TileGeometry, WeightTile, WeightTiles};
+use oxbar_dataflow::tiles::{TileGeometry, WeightTiles};
 use oxbar_dataflow::FoldPlan;
 use oxbar_electronics::accumulator::Accumulator;
 use oxbar_nn::reference::{
@@ -14,13 +16,13 @@ use oxbar_nn::reference::{
 };
 use oxbar_nn::{Conv2d, Layer, Network, TensorShape};
 use oxbar_pcm::drift::DriftModel;
-use oxbar_pcm::ProgramReport;
+use oxbar_pcm::{LevelTable, ProgramReport};
 use oxbar_units::{Energy, Time};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// Aggregated device statistics for one crossbar-mapped layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -114,6 +116,14 @@ pub struct DeviceExecutor {
     /// only, never results, so pooling cannot change outputs — it removes
     /// the heap allocator from the warm serving path.
     arenas: Mutex<Vec<ExecArena>>,
+    /// The level table every tile's codes program against, built once.
+    levels: LevelTable,
+    /// Remembered noise draws of the dynamic stages, keyed by tile seed
+    /// (see [`Self::dynamic_mv`]); a key collision would only return
+    /// identical draws. Static tiles draw afresh per compile instead:
+    /// they recompile only on a miss or a recalibration, and holding a
+    /// catalog's draws would cost more memory than its tiles.
+    dynamic_noise: RwLock<HashMap<u64, Arc<TileNoise>>>,
     /// The executor's virtual clock, in scheduler dispatch ticks. Serving
     /// engines advance it at round boundaries (single-threaded, from the
     /// global dispatch counter — never wall clock), which makes tile age,
@@ -199,24 +209,6 @@ pub struct TileDriftInfo {
     pub projected_slip: f64,
 }
 
-/// Rebuilds a geometry-less [`WeightTile`] from stored column-major codes
-/// — only the codes matter for recompilation (snapshot restore and
-/// in-place re-derivation both re-derive compiled state this way).
-fn weight_tile_from_codes(values: &[i8], rows: usize) -> WeightTile {
-    let cols = values.len().checked_div(rows).unwrap_or(0);
-    let values: Vec<Vec<i8>> = (0..rows)
-        .map(|r| (0..cols).map(|c| values[c * rows + r]).collect())
-        .collect();
-    WeightTile {
-        group: 0,
-        row_fold: 0,
-        col_fold: 0,
-        row_offset: 0,
-        col_offset: 0,
-        values,
-    }
-}
-
 #[derive(Debug, Default)]
 struct TileCache {
     /// Keyed by `(layer index, tile index)`.
@@ -286,16 +278,12 @@ impl Drop for Claimed<'_> {
 
 impl Clone for DeviceExecutor {
     /// Clones the configuration; the clone starts with an empty tile
-    /// cache (entries are re-derived on demand, identically).
+    /// cache and noise memo (both re-derived on demand, identically).
     fn clone(&self) -> Self {
         Self {
-            config: self.config.clone(),
             engine: self.engine,
-            cache: Mutex::new(TileCache::default()),
-            compile_done: Condvar::new(),
             cache_budget: self.cache_budget,
-            arenas: Mutex::new(Vec::new()),
-            clock: AtomicU64::new(0),
+            ..Self::new(self.config.clone())
         }
     }
 }
@@ -306,12 +294,14 @@ impl DeviceExecutor {
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
         Self {
+            levels: config.level_table(),
             config,
             engine: MvmEngine::default(),
             cache: Mutex::new(TileCache::default()),
             compile_done: Condvar::new(),
             cache_budget: TILE_CACHE_CELL_BUDGET,
             arenas: Mutex::new(Vec::new()),
+            dynamic_noise: RwLock::new(HashMap::new()),
             clock: AtomicU64::new(0),
         }
     }
@@ -387,8 +377,9 @@ impl DeviceExecutor {
     /// concurrent callers single-flight: exactly one programs the key,
     /// the rest wait and judge the installed entry, and the counters are
     /// a deterministic function of the workload, not of thread timing.
-    /// **Compile:** program the codes `codes` builds (handed the resident
-    /// entry, if any) with the tile's seed at the claimed age.
+    /// **Compile:** program the column-major codes and row count `codes`
+    /// returns (handed the resident entry, if any) with fresh draws of
+    /// the tile's seed at the claimed age.
     /// **Install:** replace the resident entry, admit the new one while
     /// the cell budget allows, stamp its age, and wake the waiters.
     ///
@@ -398,7 +389,7 @@ impl DeviceExecutor {
         &self,
         key: (usize, usize),
         rule: impl FnOnce(Option<Resident<'_>>) -> Claim,
-        codes: impl FnOnce(Option<&CompiledTile>) -> WeightTile,
+        codes: impl FnOnce(Option<&CompiledTile>) -> (Vec<i8>, usize),
     ) -> Option<Arc<CompiledTile>> {
         let aging = self.aging_active();
         let clock = self.clock.load(Ordering::Relaxed);
@@ -433,10 +424,15 @@ impl DeviceExecutor {
             }
         };
         let claimed = Claimed { exec: self, key };
+        let (values, rows) = codes(resident.as_deref());
+        let cells = values.len() * self.config.mapping.columns_per_output();
+        let seed = tile_seed(self.config.seed, key.0, key.1);
         let compiled = Arc::new(CompiledTile::compile_at(
-            &codes(resident.as_deref()),
+            values,
+            rows,
             &self.config,
-            tile_seed(self.config.seed, key.0, key.1),
+            &TileNoise::for_tile(&self.config, seed, cells),
+            &self.levels,
             self.aged_elapsed(age),
         ));
         let mut cache = self.cache.lock().expect("tile cache");
@@ -484,7 +480,7 @@ impl DeviceExecutor {
                     .map_or_else(|| Claim::Hit(Arc::clone(r.tile)), Claim::Program),
                 _ => Claim::Program(0),
             },
-            |_| tiles.tile(tile_index),
+            |_| bank_codes(tiles, geom),
         )
         .expect("the forward rule never skips")
     }
@@ -717,7 +713,7 @@ impl DeviceExecutor {
             },
             |resident| {
                 let resident = resident.expect("a stale key is resident");
-                weight_tile_from_codes(resident.values(), resident.value_rows())
+                (resident.values().to_vec(), resident.value_rows())
             },
         );
         usize::from(rederived.is_some())
@@ -983,9 +979,8 @@ impl DeviceExecutor {
                             &mut arena,
                         );
                     } else {
-                        let tile = tiles.tile(tile_index);
                         let outcome =
-                            run_tile_with(&tile, &drive, &self.config, seed, MvmEngine::FieldWalk);
+                            run_tile_with(&tiles.tile(tile_index), &drive, &self.config, seed);
                         arena.partials.clear();
                         for per_col in &outcome.partials {
                             arena.partials.extend_from_slice(per_col);
@@ -1046,6 +1041,26 @@ impl DeviceExecutor {
     /// touched. `stage` seeds the per-tile device noise deterministically,
     /// in an index range disjoint from every static layer's.
     ///
+    /// Only the weights change between calls; the device noise does not.
+    /// Each tile's PCM-write normals and residual phasors are a pure
+    /// function of its seed, so the executor **remembers** them: one
+    /// [`TileNoise`] per dynamic tile seed, grown to the largest tile that
+    /// seed has programmed (the k-th written cell reads normal k, cell
+    /// `(i, j)` of a `rows × cols` tile phasor `i · cols + j`, for any
+    /// geometry). A call programs each tile's codes straight into pooled
+    /// gain planes and executes in a pooled arena, with exactly the
+    /// float operations of a fresh program and compile — remembering
+    /// cannot change a value, only skip redrawing it. The per-cell drift
+    /// read stays, since it depends on the achieved fraction. The memo
+    /// holds at most one `TileNoise` per dynamic seed, each at most
+    /// `array_rows × array_cols` draws: for `llm_tiny` at 1,024 positions
+    /// (8 stages × 8 tiles × 1,024 cells) about 1.6 MB. [`Clone`] and
+    /// [`Self::restore_at`] start with an empty memo; [`Self::clear_cache`]
+    /// leaves it, since it holds no chip state.
+    ///
+    /// The [`MvmEngine::FieldWalk`] oracle remembers nothing: each tile
+    /// draws afresh and walks its fields ([`run_tile_with`]).
+    ///
     /// # Panics
     ///
     /// Panics on empty or ragged `rows`, a `drive` length mismatch, drive
@@ -1072,44 +1087,71 @@ impl DeviceExecutor {
             self.config.array_cols,
             self.config.mapping.columns_per_output(),
         );
-        let weights = rows.to_vec();
-        let tiles = WeightTiles::new(&conv, &weights, &plan);
+        let tiles = WeightTiles::new(&conv, rows, &plan);
         let has_negative = drive.iter().any(|&v| v < 0);
         let layer_index = DYNAMIC_STAGE_BASE + stage;
-        let engine = match self.engine {
-            // Both compiled variants behave identically here: nothing is
-            // ever inserted into the cache on the dynamic path.
-            MvmEngine::Compiled | MvmEngine::CompiledNoCache => MvmEngine::CompiledNoCache,
-            MvmEngine::FieldWalk => MvmEngine::FieldWalk,
-        };
         let mut lanes = vec![0i64; rows.len()];
+        let mut arena = self.checkout_arena();
+        let mut crossbar = std::mem::take(&mut arena.crossbar);
+        let mut tile_drive = std::mem::replace(&mut arena.drive, TileDrive::empty());
         for (tile_index, geom) in tiles.geometries().enumerate() {
             let seed = tile_seed(self.config.seed, layer_index, tile_index);
-            let window = &drive[geom.row_offset..geom.row_offset + geom.rows];
-            let positive: Vec<u8> = window.iter().map(|&v| v.max(0) as u8).collect();
-            let negative: Option<Vec<u8>> =
-                has_negative.then(|| window.iter().map(|&v| (-v).max(0) as u8).collect());
-            let tile_drive = TileDrive::new(geom.rows, positive, negative);
-            let outcome = run_tile_with(
-                &tiles.tile(tile_index),
-                &tile_drive,
-                &self.config,
-                seed,
-                engine,
-            );
+            tile_drive.set_window(&drive[geom.row_offset..][..geom.rows], has_negative);
             let base = geom.group * conv.out_c_per_group() + geom.col_offset;
-            for (lane, &v) in lanes[base..][..geom.cols]
-                .iter_mut()
-                .zip(&outcome.partials[0])
-            {
+            if self.engine == MvmEngine::FieldWalk {
+                let outcome =
+                    run_tile_with(&tiles.tile(tile_index), &tile_drive, &self.config, seed);
+                arena.partials.clear();
+                arena.partials.extend_from_slice(&outcome.partials[0]);
+            } else {
+                let cells = geom.rows * geom.cols * self.config.mapping.columns_per_output();
+                compile_into(
+                    geom.rows,
+                    geom.cols,
+                    |r, c| rows[base + c][geom.row_offset + r],
+                    &self.config,
+                    &self.dynamic_noise(seed, cells),
+                    &self.levels,
+                    self.config.noise.drift_elapsed,
+                    &mut arena.factors,
+                    &mut crossbar,
+                );
+                // Both compiled engines behave identically here: one
+                // window per pass, nothing to dedupe, nothing cached.
+                execute_crossbar(&crossbar, &tile_drive, &self.config, false, &mut arena);
+            }
+            for (lane, &v) in lanes[base..][..geom.cols].iter_mut().zip(&arena.partials) {
                 *lane += v;
             }
         }
+        arena.crossbar = crossbar;
+        arena.drive = tile_drive;
+        self.return_arenas([arena]);
         let limit = Accumulator::saturation_limit(ACCUMULATOR_BITS);
         for lane in &mut lanes {
             *lane = (*lane).clamp(-limit - 1, limit);
         }
         lanes
+    }
+
+    /// The remembered draws of dynamic tile seed `seed`, covering a
+    /// `cells`-cell tile. A warm call holds the memo's read lock only to
+    /// clone the entry; the write lock is taken only to grow a prefix
+    /// (copying it if a concurrent call still holds the shorter one).
+    fn dynamic_noise(&self, seed: u64, cells: usize) -> Arc<TileNoise> {
+        if let Some(noise) = self.dynamic_noise.read().expect("noise memo").get(&seed) {
+            if noise.covers(cells) {
+                return Arc::clone(noise);
+            }
+        }
+        let mut memo = self.dynamic_noise.write().expect("noise memo");
+        let noise = memo
+            .entry(seed)
+            .or_insert_with(|| Arc::new(TileNoise::new(&self.config, seed)));
+        if !noise.covers(cells) {
+            Arc::make_mut(noise).grow(cells);
+        }
+        Arc::clone(noise)
     }
 
     /// The full weight-stationary footprint of a model on this
@@ -1196,7 +1238,7 @@ impl DeviceExecutor {
                         Some(r) if r.tile.matches_bank(&tiles, geom) => Claim::Skip,
                         _ => Claim::Program(0),
                     },
-                    |_| tiles.tile(tile_index),
+                    |_| bank_codes(&tiles, geom),
                 )
             })
             .iter()
@@ -1275,7 +1317,7 @@ impl DeviceExecutor {
                 .resolve_tile(
                     (snap.layer, snap.tile),
                     |_| Claim::Program(0),
-                    |_| weight_tile_from_codes(&snap.values, snap.rows),
+                    |_| (snap.values.clone(), snap.rows),
                 )
                 .expect("every snapshot tile is programmed");
             assert_eq!(
@@ -1413,6 +1455,16 @@ where
         }
     }
     Ok(walked)
+}
+
+/// The column-major codes and row count of the tile at `geom`: its
+/// filter columns, back to back — what a forward miss compiles.
+fn bank_codes(tiles: &WeightTiles<'_>, geom: &TileGeometry) -> (Vec<i8>, usize) {
+    let codes = (0..geom.cols)
+        .flat_map(|c| tiles.filter_column(geom, c))
+        .copied()
+        .collect();
+    (codes, geom.rows)
 }
 
 /// The one result of a batch call made with one input.
@@ -1776,6 +1828,37 @@ mod tests {
         let half_lsb = 0.5 / f64::from(exec.config().table_max());
         assert!(exec.projected_slip(budget) <= half_lsb * (1.0 + 1e-9));
         assert!(exec.projected_slip(budget.saturating_mul(4)) > half_lsb);
+    }
+
+    #[test]
+    fn dynamic_noise_memo_stops_growing_on_a_seen_shape() {
+        let exec = DeviceExecutor::new(SimConfig::noisy(32, 8).with_threads(1));
+        let memo_draws = |exec: &DeviceExecutor| -> usize {
+            let memo = exec.dynamic_noise.read().expect("noise memo");
+            memo.values().map(|noise| noise.draws()).sum()
+        };
+        // 40 inputs × 20 outputs folds into 2 × 3 tiles of ≤ 32 × 8.
+        let rows: Vec<Vec<i8>> = (0..20)
+            .map(|o| (0..40).map(|i| ((o * 40 + i) % 63) as i8 - 31).collect())
+            .collect();
+        let drive: Vec<i64> = (0..40).map(|i| (i * 7 % 127) - 63).collect();
+        let first = exec.dynamic_mv(0, &rows, &drive);
+        let draws = memo_draws(&exec);
+        let seeds = exec.dynamic_noise.read().expect("noise memo").len();
+        assert_eq!(seeds, 6, "one entry per dynamic tile seed");
+        // Each seed holds at most one array's worth of both streams.
+        assert!(draws > 0 && draws <= seeds * 2 * 32 * 8, "{draws} draws");
+        for _ in 0..100 {
+            assert_eq!(exec.dynamic_mv(0, &rows, &drive), first);
+        }
+        assert_eq!(memo_draws(&exec), draws, "a seen shape draws nothing new");
+        // The memo holds no chip state: eviction leaves it, a clone starts
+        // without it (and answers identically).
+        exec.clear_cache();
+        assert_eq!(memo_draws(&exec), draws);
+        let clone = exec.clone();
+        assert_eq!(memo_draws(&clone), 0);
+        assert_eq!(clone.dynamic_mv(0, &rows, &drive), first);
     }
 
     #[test]

@@ -12,6 +12,20 @@
 //! "weights" are the KV cache, different every token, so each tile is
 //! programmed, used once, and discarded without touching the cache.
 //!
+//! The device noise of those tiles does not change between tokens. A
+//! dynamic tile's seed fixes its PCM-write normals and its trimmed
+//! residual phases, as prefixes independent of the tile's shape, so the
+//! executor remembers them per seed ([`crate::tile::TileNoise`], grown to
+//! the largest tile the seed has programmed) and each call only maps the
+//! new codes, writes the cells and reads their drift straight into pooled
+//! gain planes. Remembering a draw cannot change a value: the same float
+//! operations run on the same numbers in the same order as a fresh
+//! program and compile (`crates/sim/tests/dynamic_noise.rs` pins the noisy
+//! path to recorded outputs and to the field-walk oracle). The memory is
+//! bounded by one array of draws per dynamic seed: about 1.6 MB per
+//! executor for `llm_tiny` at 1,024 positions (8 stages × 8 tiles ×
+//! 1,024 cells), about 25 KB for 16-step sequences.
+//!
 //! Layernorm, softmax, requantization, and the ReLU between the
 //! feed-forward projections stay digital (inside `generate_step`
 //! itself), mirroring how the CNN path keeps pooling and activation off

@@ -9,20 +9,25 @@
 //! flat row-major drive matrix, with a duplicate-window cache in front
 //! (padded convolutions produce many identical and all-zero windows). The
 //! cell-by-cell field walk ([`CrossbarSimulator::run`]) stays available as
-//! the oracle via [`MvmEngine::FieldWalk`].
+//! the oracle via [`MvmEngine::FieldWalk`] ([`run_tile_with`]).
+//!
+//! Every tile compiles by one route: its signed codes, its seed's
+//! [`TileNoise`] draws and the level table go in, and each cell is
+//! programmed and written into the compiled gain planes in a single
+//! row-major pass ([`CompiledTile::compile_at`]).
 
 use crate::arena::ExecArena;
 use crate::config::{Readout, SimConfig};
 use oxbar_dataflow::tiles::{TileGeometry, WeightTile, WeightTiles};
 use oxbar_electronics::tia::Tia;
 use oxbar_electronics::UnsignedQuantizer;
-use oxbar_nn::mapping::MappedWeights;
-use oxbar_pcm::array::Parallelism;
+use oxbar_nn::mapping::WeightMapping;
+use oxbar_pcm::array::{CellWrite, Parallelism, ProgramTally};
 use oxbar_pcm::drift::DriftModel;
-use oxbar_pcm::variation::DeviceVariation;
-use oxbar_pcm::{PcmArray, ProgramReport};
-use oxbar_photonics::crossbar::{CrossbarConfig, CrossbarSimulator};
-use oxbar_photonics::transfer::CompiledCrossbar;
+use oxbar_pcm::variation::{standard_normal, DeviceVariation};
+use oxbar_pcm::{LevelTable, ProgramReport};
+use oxbar_photonics::crossbar::{CrossbarConfig, CrossbarSimulator, ResidualPhases};
+use oxbar_photonics::transfer::{CompiledCrossbar, GainFactors};
 use oxbar_units::Time;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -183,6 +188,22 @@ impl TileDrive {
         self.has_negative
     }
 
+    /// Resets this drive to one window of signed `values`, with a negative
+    /// pass when `has_negative` (all dark if no value is negative) —
+    /// reusing the buffers.
+    pub(crate) fn set_window(&mut self, values: &[i64], has_negative: bool) {
+        self.rows = values.len();
+        self.pixels = 1;
+        self.has_negative = has_negative;
+        self.positive.clear();
+        self.positive.extend(values.iter().map(|&v| v.max(0) as u8));
+        self.negative.clear();
+        if has_negative {
+            self.negative
+                .extend(values.iter().map(|&v| (-v).max(0) as u8));
+        }
+    }
+
     /// Window `w` in execution order: the positive passes occupy
     /// `0..pixels`, the negative passes `pixels..2×pixels`.
     pub(crate) fn window(&self, w: usize) -> &[u8] {
@@ -212,83 +233,200 @@ pub enum MvmEngine {
     FieldWalk,
 }
 
-/// The per-tile device state after PCM programming: mapped codes, the
-/// programming report, the as-read transmissions, and the seeded crossbar
-/// simulator.
-struct ProgrammedTile {
-    mapped: MappedWeights,
-    program: ProgramReport,
-    transmissions: Vec<Vec<f64>>,
-    sim: CrossbarSimulator,
+/// Mixed into a tile seed to seed its PCM-write stream (the phase stream
+/// uses the seed itself), so the two streams never coincide.
+const WRITE_STREAM: u64 = 0xA5A5_5A5A_0F0F_F0F0;
+
+/// The seeded device-noise draws of one tile seed: the PCM-write
+/// stream's standard normals and the crossbar's trimmed residual phases
+/// as `(cos φ, sin φ)` phasors, each a prefix grown on demand.
+///
+/// Both streams are pure functions of the seed — the write stream is
+/// Box–Muller over `StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_0F0F_F0F0)`,
+/// the phase stream [`ResidualPhases`] of the seed — and neither depends
+/// on the tile's geometry or weights: the k-th *written* cell of a tile,
+/// in row-major order, reads normal k (skipped cells draw nothing), and
+/// cell `(i, j)` of a `rows × cols` tile reads phasor `i · cols + j`. So
+/// one prefix, grown to the largest tile the seed has programmed, serves
+/// every tile that seed programs, and a compile from remembered draws is
+/// bit-identical to one from fresh draws.
+#[derive(Debug, Clone)]
+pub struct TileNoise {
+    /// The write stream's generator; `None` without programming
+    /// variation.
+    write_rng: Option<StdRng>,
+    /// Normals drawn so far.
+    writes: Vec<f64>,
+    /// The phase stream; `None` without phase errors (real gains).
+    phases: Option<ResidualPhases>,
+    /// Phasors drawn so far.
+    phasors: Vec<(f64, f64)>,
 }
 
-/// Maps the tile weights, programs the PCM array at drift elapsed time
-/// `elapsed`, and builds the seeded tile-sized crossbar simulator. This is
-/// also the aging/recalibration entry point: an aged readout re-derives
-/// the *same* programming stream (the RNG is a pure function of the seed,
-/// independent of elapsed) at a later drift time, and a recalibration
-/// re-derives it at the baseline — making a recalibrated tile bit-exact to
-/// a freshly programmed one.
-fn program_tile(
-    values: &[Vec<i8>],
-    config: &SimConfig,
-    seed: u64,
-    elapsed: Time,
-) -> ProgrammedTile {
-    let rows = values.len();
-    let mapped = MappedWeights::map(values, config.mapping, config.q());
-    let pcols = mapped.physical_cols();
+impl TileNoise {
+    /// The undrawn streams of tile seed `seed` under `config`'s noise
+    /// model.
+    #[must_use]
+    pub(crate) fn new(config: &SimConfig, seed: u64) -> Self {
+        let noise = config.noise;
+        Self {
+            write_rng: (noise.pcm_sigma > 0.0).then(|| StdRng::seed_from_u64(seed ^ WRITE_STREAM)),
+            writes: Vec::new(),
+            phases: (noise.phase_sigma_rad > 0.0).then(|| {
+                ResidualPhases::new(seed, noise.phase_sigma_rad, noise.trim_resolution_rad)
+            }),
+            phasors: Vec::new(),
+        }
+    }
 
-    // The unipolar levels are already integer codes of the array's level
-    // table, so program directly from codes (value-identical to the float
-    // round trip: `quantize_weight(u / table_max) == u` exactly). With
-    // neither programming variation nor drift the whole program-and-read
-    // chain collapses into the per-code table (`noise_free_readout`).
-    let device = config.device();
-    let (transmissions, program) = if config.noise.pcm_sigma == 0.0 && config.noise.drift_nu == 0.0
-    {
-        PcmArray::noise_free_readout(
-            rows,
-            pcols,
-            device,
-            config.weight_bits,
-            mapped.unipolar(),
-            Parallelism::FullArray,
-        )
-    } else {
-        // Fused noisy program-and-readout: value-identical to
-        // program-codes → drift → transmissions, without materializing
-        // the array (the RNG stream and per-cell float ops are
-        // unchanged).
-        let variation = DeviceVariation::new(config.noise.pcm_sigma, 0.0);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_0F0F_F0F0);
-        let drift = (config.noise.drift_nu > 0.0)
-            .then(|| (DriftModel::new(config.noise.drift_nu), elapsed));
-        PcmArray::noisy_readout(
-            rows,
-            pcols,
-            device,
-            config.weight_bits,
-            mapped.unipolar(),
-            Parallelism::FullArray,
-            (config.noise.pcm_sigma > 0.0).then_some((&variation, &mut rng)),
-            drift.as_ref().map(|(model, elapsed)| (model, *elapsed)),
-        )
-    };
+    /// Fresh draws covering one `cells`-cell tile: what a static compile
+    /// programs from once and drops.
+    #[must_use]
+    pub fn for_tile(config: &SimConfig, seed: u64, cells: usize) -> Self {
+        let mut noise = Self::new(config, seed);
+        noise.grow(cells);
+        noise
+    }
 
-    let mut xbar = CrossbarConfig::new(rows, pcols)
+    /// Whether the drawn prefixes cover a `cells`-cell tile.
+    #[must_use]
+    pub(crate) fn covers(&self, cells: usize) -> bool {
+        (self.write_rng.is_none() || self.writes.len() >= cells)
+            && (self.phases.is_none() || self.phasors.len() >= cells)
+    }
+
+    /// Draws on until both prefixes cover a `cells`-cell tile (a tile
+    /// writes at most one normal per cell).
+    pub(crate) fn grow(&mut self, cells: usize) {
+        if let Some(rng) = &mut self.write_rng {
+            let missing = cells.saturating_sub(self.writes.len());
+            self.writes
+                .extend((0..missing).map(|_| standard_normal(rng)));
+        }
+        if let Some(phases) = &mut self.phases {
+            let missing = cells.saturating_sub(self.phasors.len());
+            self.phasors
+                .extend(phases.take(missing).map(|phase| (phase.cos(), phase.sin())));
+        }
+    }
+
+    /// Draws held, both streams together.
+    #[cfg(test)]
+    pub(crate) fn draws(&self) -> usize {
+        self.writes.len() + self.phasors.len()
+    }
+}
+
+/// The crossbar geometry and non-idealities of an `rows × pcols` tile
+/// under `config` (phase-error seed unset).
+fn crossbar_config(config: &SimConfig, rows: usize, pcols: usize) -> CrossbarConfig {
+    let xbar = CrossbarConfig::new(rows, pcols)
         .with_phase_error_sigma(config.noise.phase_sigma_rad)
-        .with_phase_error_seed(seed)
         .with_trim_resolution(config.noise.trim_resolution_rad);
     if config.noise.with_losses {
-        xbar = xbar.with_losses(true).with_path_loss_compensation(true);
+        xbar.with_losses(true).with_path_loss_compensation(true)
+    } else {
+        xbar
     }
-    ProgrammedTile {
-        mapped,
-        program,
-        transmissions,
-        sim: CrossbarSimulator::new(xbar),
+}
+
+/// One tile's PCM programming, cell by cell: each signed code (`code(row,
+/// logical col)`) is mapped to its unipolar level(s) and written through
+/// the level table's [`CellWrite`] rule, the k-th written cell landing
+/// normal k of the tile's write stream off target, then read back after
+/// drift at `elapsed`. Cells must come in row-major physical order — the
+/// order the unfused program-then-read chain consumed its draws in.
+///
+/// The drift clock is the only input that changes between an aged
+/// readout, a recalibration and a fresh program: every draw is a pure
+/// function of the tile seed, which makes a recalibrated tile bit-exact
+/// to a freshly programmed one.
+struct TileProgram<'a, C> {
+    code: C,
+    mapping: WeightMapping,
+    q: i8,
+    pcols: usize,
+    write: CellWrite<'a>,
+    normals: std::slice::Iter<'a, f64>,
+    tally: ProgramTally,
+}
+
+impl<'a, C: Fn(usize, usize) -> i8> TileProgram<'a, C> {
+    fn new(
+        code: C,
+        cols: usize,
+        config: &SimConfig,
+        noise: &'a TileNoise,
+        table: &'a LevelTable,
+        elapsed: Time,
+    ) -> Self {
+        let variation = (config.noise.pcm_sigma > 0.0)
+            .then(|| DeviceVariation::new(config.noise.pcm_sigma, 0.0));
+        let drift = DriftModel::new(config.noise.drift_nu);
+        Self {
+            code,
+            mapping: config.mapping,
+            q: config.q(),
+            pcols: cols * config.mapping.columns_per_output(),
+            write: CellWrite::new(
+                table,
+                variation,
+                (config.noise.drift_nu > 0.0).then_some((&drift, elapsed)),
+            ),
+            normals: noise.writes.iter(),
+            tally: ProgramTally::default(),
+        }
     }
+
+    /// Programs physical cell `(i, j)` and returns its as-read field
+    /// transmission.
+    fn cell(&mut self, i: usize, j: usize) -> f64 {
+        let per_output = self.mapping.columns_per_output();
+        let level =
+            self.mapping
+                .unipolar_level((self.code)(i, j / per_output), self.q, j % per_output);
+        let normals = &mut self.normals;
+        let (transmission, written) = self.write.read(level, || {
+            *normals
+                .next()
+                .expect("the tile's noise covers every written cell")
+        });
+        self.tally.cell(written);
+        if j + 1 == self.pcols {
+            self.tally.end_row();
+        }
+        transmission
+    }
+
+    fn report(&self) -> ProgramReport {
+        self.tally.report(Parallelism::FullArray)
+    }
+}
+
+/// The one compile route of every tile — forward misses, prewarm,
+/// recalibration, snapshot restore and the dynamic attention path:
+/// programs a `rows × cols` tile of signed codes and writes each cell's
+/// gain straight into `crossbar`'s panel-major planes in the same
+/// row-major pass, with `factors` reset for the tile's geometry. Both
+/// are reusable buffers; the result is bit-identical to programming a
+/// PCM array, reading its transmissions and compiling them with a seeded
+/// [`CrossbarSimulator`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn compile_into(
+    rows: usize,
+    cols: usize,
+    code: impl Fn(usize, usize) -> i8,
+    config: &SimConfig,
+    noise: &TileNoise,
+    table: &LevelTable,
+    elapsed: Time,
+    factors: &mut GainFactors,
+    crossbar: &mut CompiledCrossbar,
+) -> ProgramReport {
+    let mut program = TileProgram::new(code, cols, config, noise, table, elapsed);
+    factors.set(&crossbar_config(config, rows, program.pcols));
+    crossbar.rebuild(factors, &noise.phasors, |i, j| program.cell(i, j));
+    program.report()
 }
 
 /// The column readout chain: TIA + optional ADC, and the scale that undoes
@@ -358,23 +496,37 @@ pub struct CompiledTile {
     values: Vec<i8>,
     /// Rows of the value matrix (`values.len() / rows` columns).
     value_rows: usize,
-    mapped: MappedWeights,
     program: ProgramReport,
     compiled: CompiledCrossbar,
 }
 
 impl CompiledTile {
-    /// Programs the tile and compiles its transfer matrix.
+    /// Programs the tile with fresh draws of `seed` and compiles its
+    /// transfer matrix.
     ///
     /// # Panics
     ///
     /// Panics if the tile weights exceed the configured code range.
     #[must_use]
     pub fn compile(tile: &WeightTile, config: &SimConfig, seed: u64) -> Self {
-        Self::compile_at(tile, config, seed, config.noise.drift_elapsed)
+        let (rows, cols) = (tile.rows(), tile.cols());
+        let values = (0..cols)
+            .flat_map(|c| tile.values.iter().map(move |row| row[c]))
+            .collect();
+        let cells = rows * cols * config.mapping.columns_per_output();
+        Self::compile_at(
+            values,
+            rows,
+            config,
+            &TileNoise::for_tile(config, seed, cells),
+            &config.level_table(),
+            config.noise.drift_elapsed,
+        )
     }
 
-    /// [`Self::compile`] at an explicit drift elapsed time. Aged
+    /// Compiles a tile from its signed codes (`values`, column-major with
+    /// `rows` rows, as [`Self::values`] returns them), the draws of its
+    /// seed and the level table, at drift elapsed time `elapsed`. Aged
     /// readouts compile at `drift_elapsed + age · drift_tick`; a
     /// recalibration compiles at the baseline `drift_elapsed`, which is
     /// bit-exact to a fresh program because every stochastic draw is a
@@ -382,21 +534,39 @@ impl CompiledTile {
     ///
     /// # Panics
     ///
-    /// Panics if the tile weights exceed the configured code range.
+    /// Panics if `values` is not a whole number of `rows`-long columns,
+    /// `noise` does not cover the tile, or a code exceeds the configured
+    /// range.
     #[must_use]
-    pub fn compile_at(tile: &WeightTile, config: &SimConfig, seed: u64, elapsed: Time) -> Self {
-        let programmed = program_tile(&tile.values, config, seed, elapsed);
-        let (rows, cols) = (tile.rows(), tile.cols());
-        let mut values = Vec::with_capacity(rows * cols);
-        for c in 0..cols {
-            values.extend((0..rows).map(|r| tile.values[r][c]));
-        }
+    pub fn compile_at(
+        values: Vec<i8>,
+        rows: usize,
+        config: &SimConfig,
+        noise: &TileNoise,
+        table: &LevelTable,
+        elapsed: Time,
+    ) -> Self {
+        assert!(
+            rows > 0 && !values.is_empty() && values.len().is_multiple_of(rows),
+            "tile codes must be whole {rows}-row columns"
+        );
+        let mut compiled = CompiledCrossbar::default();
+        let program = compile_into(
+            rows,
+            values.len() / rows,
+            |r, c| values[c * rows + r],
+            config,
+            noise,
+            table,
+            elapsed,
+            &mut GainFactors::default(),
+            &mut compiled,
+        );
         Self {
             values,
             value_rows: rows,
-            compiled: CompiledCrossbar::new(&programmed.sim, &programmed.transmissions),
-            mapped: programmed.mapped,
-            program: programmed.program,
+            program,
+            compiled,
         }
     }
 
@@ -445,7 +615,7 @@ impl CompiledTile {
     /// partials this tile produces.
     #[must_use]
     pub fn logical_cols(&self) -> usize {
-        self.mapped.logical_cols()
+        self.values.len() / self.value_rows
     }
 
     /// Executes all pixel drives as one batched MVM (with the
@@ -464,7 +634,7 @@ impl CompiledTile {
         self.execute_into(drive, config, dedupe, &mut arena);
         TileOutcome {
             partials: arena
-                .partial_rows(self.mapped.logical_cols())
+                .partial_rows(self.logical_cols())
                 .map(<[i64]>::to_vec)
                 .collect(),
             program: self.program,
@@ -477,7 +647,7 @@ impl CompiledTile {
     /// of this size) is reused without touching the heap; the results
     /// land in [`ExecArena::partials`] as a flat `pixels × logical cols`
     /// matrix and are byte-identical to [`Self::execute`] for any arena
-    /// history.
+    /// history. `config` must be the one the tile was compiled under.
     ///
     /// # Panics
     ///
@@ -489,130 +659,146 @@ impl CompiledTile {
         dedupe: bool,
         arena: &mut ExecArena,
     ) {
-        let rows = self.compiled.rows();
-        let pcols = self.compiled.cols();
-        assert_eq!(drive.rows(), rows, "windows must match tile rows");
-        let readout = ReadoutChain::new(config, rows);
-        let v_max = config.v_max() as f64;
-        let pixels = drive.pixels();
+        execute_crossbar(&self.compiled, drive, config, dedupe, arena);
+    }
+}
 
-        // Index every drive window (all positive passes, then all negative
-        // passes) into a deduplicated window list, via the arena's
-        // open-addressing table (≤ 0.5 load factor, linear probing over
-        // the window bytes). The cache is adaptive: if the first windows
-        // show no duplicates at all (e.g. an unpadded conv), hashing is
-        // turned off for the rest — the result is identical either way,
-        // only the work differs.
-        const DEDUPE_PROBE: usize = 64;
-        let mut dedupe = dedupe;
-        let window_count = pixels * if drive.has_negative() { 2 } else { 1 };
-        arena.unique_of.clear();
-        arena.uniques.clear();
-        let table_len = (2 * window_count).next_power_of_two();
-        arena.table.clear();
-        arena.table.resize(table_len, u32::MAX);
-        let mask = table_len.wrapping_sub(1);
-        for w in 0..window_count {
-            let bytes = drive.window(w);
-            let id = if dedupe {
-                let mut idx = (hash_window(bytes) as usize) & mask;
-                let id = loop {
-                    let slot = arena.table[idx];
-                    if slot == u32::MAX {
-                        let id = u32::try_from(arena.uniques.len()).expect("window count fits u32");
-                        arena.table[idx] = id;
-                        arena.uniques.push(w as u32);
-                        break id;
-                    }
-                    if drive.window(arena.uniques[slot as usize] as usize) == bytes {
-                        break slot;
-                    }
-                    idx = (idx + 1) & mask;
-                };
-                if w + 1 == DEDUPE_PROBE && arena.uniques.len() == DEDUPE_PROBE {
-                    dedupe = false;
+/// The one execution path of a compiled tile, cached or dynamic: drives
+/// `drive`'s windows through `compiled` (compiled under `config`) as one
+/// batched MVM, digitizes, and recovers each pixel's signed partials into
+/// [`ExecArena::partials`].
+pub(crate) fn execute_crossbar(
+    compiled: &CompiledCrossbar,
+    drive: &TileDrive,
+    config: &SimConfig,
+    dedupe: bool,
+    arena: &mut ExecArena,
+) {
+    let rows = compiled.rows();
+    let pcols = compiled.cols();
+    assert_eq!(drive.rows(), rows, "windows must match tile rows");
+    let readout = ReadoutChain::new(config, rows);
+    let v_max = config.v_max() as f64;
+    let pixels = drive.pixels();
+
+    // Index every drive window (all positive passes, then all negative
+    // passes) into a deduplicated window list, via the arena's
+    // open-addressing table (≤ 0.5 load factor, linear probing over
+    // the window bytes). The cache is adaptive: if the first windows
+    // show no duplicates at all (e.g. an unpadded conv), hashing is
+    // turned off for the rest — the result is identical either way,
+    // only the work differs.
+    const DEDUPE_PROBE: usize = 64;
+    let mut dedupe = dedupe;
+    let window_count = pixels * if drive.has_negative() { 2 } else { 1 };
+    arena.unique_of.clear();
+    arena.uniques.clear();
+    let table_len = (2 * window_count).next_power_of_two();
+    arena.table.clear();
+    arena.table.resize(table_len, u32::MAX);
+    let mask = table_len.wrapping_sub(1);
+    for w in 0..window_count {
+        let bytes = drive.window(w);
+        let id = if dedupe {
+            let mut idx = (hash_window(bytes) as usize) & mask;
+            let id = loop {
+                let slot = arena.table[idx];
+                if slot == u32::MAX {
+                    let id = u32::try_from(arena.uniques.len()).expect("window count fits u32");
+                    arena.table[idx] = id;
+                    arena.uniques.push(w as u32);
+                    break id;
                 }
-                id
-            } else {
-                arena.uniques.push(w as u32);
-                (arena.uniques.len() - 1) as u32
+                if drive.window(arena.uniques[slot as usize] as usize) == bytes {
+                    break slot;
+                }
+                idx = (idx + 1) & mask;
             };
-            arena.unique_of.push(id);
-        }
+            if w + 1 == DEDUPE_PROBE && arena.uniques.len() == DEDUPE_PROBE {
+                dedupe = false;
+            }
+            id
+        } else {
+            arena.uniques.push(w as u32);
+            (arena.uniques.len() - 1) as u32
+        };
+        arena.unique_of.push(id);
+    }
 
-        // One batched MVM over the flat row-major drive matrix of the
-        // unique windows. All-dark windows skip the analog chain entirely
-        // (they produce exactly zero in every column). Every buffer is
-        // fully rewritten, so stale arena contents can never leak into
-        // results.
-        let n_uniques = arena.uniques.len();
-        arena.drives.resize(n_uniques * rows, 0.0);
-        arena.dark.clear();
-        arena.dark.resize(n_uniques, false);
-        for (u, &windex) in arena.uniques.iter().enumerate() {
-            let window = drive.window(windex as usize);
-            let dst = &mut arena.drives[u * rows..][..rows];
-            if window.iter().all(|&v| v == 0) {
-                arena.dark[u] = true;
-                dst.fill(0.0);
-                continue;
-            }
-            for (d, &v) in dst.iter_mut().zip(window) {
-                *d = f64::from(v) / v_max;
+    // One batched MVM over the flat row-major drive matrix of the
+    // unique windows. All-dark windows skip the analog chain entirely
+    // (they produce exactly zero in every column). Every buffer is
+    // fully rewritten, so stale arena contents can never leak into
+    // results.
+    let n_uniques = arena.uniques.len();
+    arena.drives.resize(n_uniques * rows, 0.0);
+    arena.dark.clear();
+    arena.dark.resize(n_uniques, false);
+    for (u, &windex) in arena.uniques.iter().enumerate() {
+        let window = drive.window(windex as usize);
+        let dst = &mut arena.drives[u * rows..][..rows];
+        if window.iter().all(|&v| v == 0) {
+            arena.dark[u] = true;
+            dst.fill(0.0);
+            continue;
+        }
+        for (d, &v) in dst.iter_mut().zip(window) {
+            *d = f64::from(v) / v_max;
+        }
+    }
+    arena.ys.resize(n_uniques * pcols, 0.0);
+    compiled.run_normalized_batch_with(&arena.drives, &mut arena.ys, &mut arena.scratch);
+
+    // Digitize the batched column outputs and recover each unique
+    // window's signed partials once, into a flat matrix.
+    let lcols = pcols / config.mapping.columns_per_output();
+    let q = i64::from(config.q());
+    arena.raw.resize(pcols, 0);
+    arena.recovered.resize(n_uniques * lcols, 0);
+    for (u, &windex) in arena.uniques.iter().enumerate() {
+        if arena.dark[u] {
+            arena.raw.fill(0);
+        } else {
+            for (r, &y) in arena.raw.iter_mut().zip(&arena.ys[u * pcols..][..pcols]) {
+                *r = readout.digitize(y);
             }
         }
-        arena.ys.resize(n_uniques * pcols, 0.0);
-        self.compiled
-            .run_normalized_batch_with(&arena.drives, &mut arena.ys, &mut arena.scratch);
+        config.mapping.recover_into(
+            q,
+            &arena.raw,
+            drive.window(windex as usize),
+            &mut arena.recovered[u * lcols..][..lcols],
+        );
+    }
 
-        // Digitize the batched column outputs and recover each unique
-        // window's signed partials once, into a flat matrix.
-        let lcols = self.mapped.logical_cols();
-        arena.raw.resize(pcols, 0);
-        arena.recovered.resize(n_uniques * lcols, 0);
-        for (u, &windex) in arena.uniques.iter().enumerate() {
-            if arena.dark[u] {
-                arena.raw.fill(0);
-            } else {
-                for (r, &y) in arena.raw.iter_mut().zip(&arena.ys[u * pcols..][..pcols]) {
-                    *r = readout.digitize(y);
-                }
+    // Assemble per-pixel partials — positive pass minus (optional)
+    // negative pass — recovered straight into the flat partials
+    // matrix, no per-pixel buffers.
+    arena.partials.resize(pixels * lcols, 0);
+    let (unique_of, recovered, partials) =
+        (&arena.unique_of, &arena.recovered, &mut arena.partials);
+    for (p, out) in partials.chunks_exact_mut(lcols).enumerate() {
+        let pos = &recovered[unique_of[p] as usize * lcols..][..lcols];
+        if drive.has_negative() {
+            let neg = &recovered[unique_of[pixels + p] as usize * lcols..][..lcols];
+            for (o, (&a, &b)) in out.iter_mut().zip(pos.iter().zip(neg)) {
+                *o = a - b;
             }
-            self.mapped.recover_into(
-                &arena.raw,
-                drive.window(windex as usize),
-                &mut arena.recovered[u * lcols..][..lcols],
-            );
-        }
-
-        // Assemble per-pixel partials — positive pass minus (optional)
-        // negative pass — recovered straight into the flat partials
-        // matrix, no per-pixel buffers.
-        arena.partials.resize(pixels * lcols, 0);
-        let (unique_of, recovered, partials) =
-            (&arena.unique_of, &arena.recovered, &mut arena.partials);
-        for (p, out) in partials.chunks_exact_mut(lcols).enumerate() {
-            let pos = &recovered[unique_of[p] as usize * lcols..][..lcols];
-            if drive.has_negative() {
-                let neg = &recovered[unique_of[pixels + p] as usize * lcols..][..lcols];
-                for (o, (&a, &b)) in out.iter_mut().zip(pos.iter().zip(neg)) {
-                    *o = a - b;
-                }
-            } else {
-                out.copy_from_slice(pos);
-            }
+        } else {
+            out.copy_from_slice(pos);
         }
     }
 }
 
-/// Executes one weight tile against its input windows on `engine`,
-/// without caching anything.
+/// Executes one weight tile against its input windows on the field-walk
+/// oracle ([`MvmEngine::FieldWalk`]), caching nothing.
 ///
-/// The tile's signed weights are mapped to unipolar codes, programmed into
-/// a PCM array (with the config's variation/drift), propagated through a
-/// tile-sized crossbar (with the config's phase errors/losses, seeded from
-/// `seed`), read out per column, and recovered to signed integer partial
-/// sums.
+/// The tile is programmed through the same per-cell rule and write
+/// stream every compiled tile uses, but its crossbar is a seeded
+/// [`CrossbarSimulator`] that draws its own phase errors and walks each
+/// window's fields cell by cell — an independent check on the compiled
+/// gains and on remembered phase draws. Each column is read out and
+/// recovered to signed integer partial sums.
 ///
 /// # Panics
 ///
@@ -623,50 +809,57 @@ pub fn run_tile_with(
     drive: &TileDrive,
     config: &SimConfig,
     seed: u64,
-    engine: MvmEngine,
 ) -> TileOutcome {
-    match engine {
-        MvmEngine::Compiled | MvmEngine::CompiledNoCache => CompiledTile::compile(
-            tile, config, seed,
-        )
-        .execute(drive, config, engine == MvmEngine::Compiled),
-        MvmEngine::FieldWalk => {
-            let rows = tile.rows();
-            assert_eq!(drive.rows(), rows, "windows must match tile rows");
-            let programmed = program_tile(&tile.values, config, seed, config.noise.drift_elapsed);
-            let pcols = programmed.mapped.physical_cols();
-            let readout = ReadoutChain::new(config, rows);
-            let v_max = config.v_max() as f64;
-            let mvm = |codes: &[u8]| -> Vec<i64> {
-                if codes.iter().all(|&v| v == 0) {
-                    // An all-dark drive produces exactly zero in every column.
-                    return vec![0; pcols];
+    let (rows, cols) = (tile.rows(), tile.cols());
+    assert_eq!(drive.rows(), rows, "windows must match tile rows");
+    let pcols = cols * config.mapping.columns_per_output();
+    let noise = TileNoise::for_tile(config, seed, rows * pcols);
+    let table = config.level_table();
+    let mut program = TileProgram::new(
+        |r, c| tile.values[r][c],
+        cols,
+        config,
+        &noise,
+        &table,
+        config.noise.drift_elapsed,
+    );
+    let transmissions: Vec<Vec<f64>> = (0..rows)
+        .map(|i| (0..pcols).map(|j| program.cell(i, j)).collect())
+        .collect();
+    let sim =
+        CrossbarSimulator::new(crossbar_config(config, rows, pcols).with_phase_error_seed(seed));
+    let readout = ReadoutChain::new(config, rows);
+    let v_max = config.v_max() as f64;
+    let q = i64::from(config.q());
+    let recover = |codes: &[u8]| -> Vec<i64> {
+        let raw: Vec<i64> = if codes.iter().all(|&v| v == 0) {
+            // An all-dark drive produces exactly zero in every column.
+            vec![0; pcols]
+        } else {
+            let inputs: Vec<f64> = codes.iter().map(|&v| f64::from(v) / v_max).collect();
+            sim.run_normalized(&inputs, &transmissions)
+                .iter()
+                .map(|&y| readout.digitize(y))
+                .collect()
+        };
+        let mut out = vec![0; cols];
+        config.mapping.recover_into(q, &raw, codes, &mut out);
+        out
+    };
+    let partials = (0..drive.pixels())
+        .map(|p| {
+            let mut partial = recover(drive.positive(p));
+            if let Some(negative) = drive.negative(p) {
+                for (r, n) in partial.iter_mut().zip(recover(negative)) {
+                    *r -= n;
                 }
-                let inputs: Vec<f64> = codes.iter().map(|&v| f64::from(v) / v_max).collect();
-                let ys = programmed
-                    .sim
-                    .run_normalized(&inputs, &programmed.transmissions);
-                ys.iter().map(|&y| readout.digitize(y)).collect()
-            };
-            let pixels = drive.pixels();
-            let mut partials = Vec::with_capacity(pixels);
-            for p in 0..pixels {
-                let raw_pos = mvm(drive.positive(p));
-                let mut recovered = programmed.mapped.recover(&raw_pos, drive.positive(p));
-                if let Some(negative) = drive.negative(p) {
-                    let raw_neg = mvm(negative);
-                    let rec_neg = programmed.mapped.recover(&raw_neg, negative);
-                    for (r, n) in recovered.iter_mut().zip(rec_neg) {
-                        *r -= n;
-                    }
-                }
-                partials.push(recovered);
             }
-            TileOutcome {
-                partials,
-                program: programmed.program,
-            }
-        }
+            partial
+        })
+        .collect();
+    TileOutcome {
+        partials,
+        program: program.report(),
     }
 }
 
@@ -708,7 +901,8 @@ mod tests {
         for (t, tile) in tiles.iter().enumerate() {
             let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 7 % 64) as u8).collect();
             let drive = one_window(&window, None);
-            let out = run_tile_with(tile, &drive, &config, 99 + t as u64, MvmEngine::Compiled);
+            let out =
+                CompiledTile::compile(tile, &config, 99 + t as u64).execute(&drive, &config, true);
             let expected = signed_mac(
                 tile,
                 &window.iter().map(|&v| i64::from(v)).collect::<Vec<_>>(),
@@ -734,13 +928,8 @@ mod tests {
         let positive: Vec<u8> = window.iter().map(|&v| v.max(0) as u8).collect();
         let negative: Vec<u8> = window.iter().map(|&v| (-v).max(0) as u8).collect();
         let drive = one_window(&positive, Some(&negative));
-        let out = run_tile_with(
-            &tile,
-            &drive,
-            &SimConfig::ideal(32, 8),
-            5,
-            MvmEngine::Compiled,
-        );
+        let config = SimConfig::ideal(32, 8);
+        let out = CompiledTile::compile(&tile, &config, 5).execute(&drive, &config, true);
         assert_eq!(out.partials[0], signed_mac(&tile, &window));
     }
 
@@ -756,7 +945,7 @@ mod tests {
         let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 11 % 64) as u8).collect();
         let drive = one_window(&window, None);
         let config = SimConfig::ideal(32, 16).with_mapping(WeightMapping::Differential);
-        let out = run_tile_with(&tile, &drive, &config, 1, MvmEngine::Compiled);
+        let out = CompiledTile::compile(&tile, &config, 1).execute(&drive, &config, true);
         let expected = signed_mac(
             &tile,
             &window.iter().map(|&v| i64::from(v)).collect::<Vec<_>>(),
@@ -775,10 +964,11 @@ mod tests {
         let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 5 % 64) as u8).collect();
         let drive = one_window(&window, None);
         let config = SimConfig::noisy(64, 8);
-        let a = run_tile_with(&tile, &drive, &config, 77, MvmEngine::Compiled);
-        let b = run_tile_with(&tile, &drive, &config, 77, MvmEngine::Compiled);
+        let run = |seed| CompiledTile::compile(&tile, &config, seed).execute(&drive, &config, true);
+        let a = run(77);
+        let b = run(77);
         assert_eq!(a.partials, b.partials, "same seed, same result");
-        let c = run_tile_with(&tile, &drive, &config, 78, MvmEngine::Compiled);
+        let c = run(78);
         assert_ne!(a.partials, c.partials, "different seed perturbs");
         let exact = signed_mac(
             &tile,

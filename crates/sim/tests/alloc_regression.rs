@@ -1,8 +1,10 @@
 //! Allocation regression for the serving hot path: a warm
 //! [`CompiledTile::execute_into`] round performs **zero** heap
-//! allocations, and a warm whole-network forward performs a small,
-//! bounded number (job lists, output tensors — never per-pixel or
-//! per-window buffers), also per request of a warm batch.
+//! allocations, a warm whole-network forward performs a small, bounded
+//! number (job lists, output tensors — never per-pixel or per-window
+//! buffers), also per request of a warm batch, and a warm dynamic
+//! (attention) MVM performs a few, the same number at every sequence
+//! position.
 //!
 //! The whole file is one sequential test body behind a counting global
 //! allocator, so no concurrent test can contaminate the counters.
@@ -164,5 +166,43 @@ fn warm_rounds_do_not_touch_the_allocator() {
     assert!(
         warm_batch <= 4 * 400,
         "warm batch of 4 allocated {warm_batch} times (budget 400 per request)"
+    );
+
+    // --- A warm dynamic MVM: attention's QKᵀ (p key rows × 8) and AV
+    // (8 value rows × p). Its noise draws are remembered and its tiles
+    // compile into pooled gain planes, so a warm call allocates only its
+    // bookkeeping and output — the same count at every position p,
+    // however many tiles the product folds into.
+    let dynamic = DeviceExecutor::new(SimConfig::noisy(128, 128).with_threads(1));
+    let mut counts = Vec::new();
+    for position in [1usize, 16, 300] {
+        for (stage, outputs, inputs, low) in [(0, position, 8, -63), (1, 8, position, 0)] {
+            let rows: Vec<Vec<i8>> = (0..outputs)
+                .map(|o| {
+                    (0..inputs)
+                        .map(|i| ((o * inputs + i) * 37 % 63) as i8 - 31)
+                        .collect()
+                })
+                .collect();
+            let drive: Vec<i64> = (0..inputs)
+                .map(|i| low + (i as i64 * 17) % (64 - low))
+                .collect();
+            // Cold call: draws the stage's noise, grows the pooled buffers.
+            let cold = dynamic.dynamic_mv(stage, &rows, &drive);
+            let mut warm = Vec::new();
+            let allocs = allocations_in(|| {
+                warm = dynamic.dynamic_mv(stage, &rows, &drive);
+            });
+            assert_eq!(warm, cold, "stage {stage} p{position}: warm call diverged");
+            assert!(
+                allocs <= 8,
+                "warm dynamic MVM (stage {stage}, p{position}) allocated {allocs} times (budget 8)"
+            );
+            counts.push(allocs);
+        }
+    }
+    assert!(
+        counts.windows(2).all(|w| w[0] == w[1]),
+        "warm dynamic allocations vary with position: {counts:?}"
     );
 }
