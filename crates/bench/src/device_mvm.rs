@@ -10,14 +10,17 @@
 //! complex-gain MVM alone at the tile shapes and window counts warm CNN
 //! serving drives. The dynamic cases time one attention MVM
 //! ([`DeviceExecutor::dynamic_mv`]: `QKᵀ` and `AV` of one `llm_tiny`
-//! head) on a warm noisy 128×128 executor. Every timing is the median
-//! and p10/p90 over repeated runs.
+//! head) on a warm noisy 128×128 executor. The decode cases time one
+//! decode batch of eight `llm_tiny` sequences at a fixed position on a
+//! warm one-chip [`ServeEngine`], through its public API only. Every
+//! timing is the median and p10/p90 over repeated runs.
 
 use oxbar_nn::synthetic;
 use oxbar_nn::zoo::lenet5;
 use oxbar_nn::{Conv2d, TensorShape};
 use oxbar_photonics::crossbar::{CrossbarConfig, CrossbarSimulator};
 use oxbar_photonics::transfer::{BatchScratch, CompiledCrossbar};
+use oxbar_serve::{catalog, ServeConfig, ServeEngine};
 use oxbar_sim::{DeviceExecutor, MvmEngine, SimConfig};
 use serde::Serialize;
 use std::hint::black_box;
@@ -114,6 +117,22 @@ pub struct DynamicCase {
     pub call_us: Spread,
 }
 
+/// One warm decode batch, timed through a one-chip [`ServeEngine`].
+#[derive(Debug, Clone, Serialize)]
+pub struct DecodeCase {
+    /// `decode/p<position>`.
+    pub name: String,
+    /// `llm_tiny` sequences in the batch.
+    pub sequences: usize,
+    /// The position every sequence of the batch decodes at.
+    pub position: usize,
+    /// Timed runs, one batch each (after one warm-up drain).
+    pub runs: usize,
+    /// The batch's wall time as the engine measures it
+    /// (`DrainTrace::batch_ms`, ms).
+    pub batch_ms: Spread,
+}
+
 /// The full machine-readable snapshot (`BENCH_device_mvm.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct DeviceMvmReport {
@@ -134,6 +153,8 @@ pub struct DeviceMvmReport {
     pub kernels: Vec<KernelCase>,
     /// Dynamic attention MVM shapes, `qk` then `av`, shortest first.
     pub dynamic: Vec<DynamicCase>,
+    /// Warm decode batches, shortest position first.
+    pub decode: Vec<DecodeCase>,
 }
 
 /// Times `f` over `runs` runs of `iterations` calls (after one warm-up),
@@ -388,6 +409,48 @@ fn dynamic_case(kind: &str, position: usize, runs: usize, calls: usize) -> Dynam
     }
 }
 
+/// Sequences per timed decode batch.
+const DECODE_SEQUENCES: usize = 8;
+
+/// Decode positions: the second token, a full 16-step window, and the
+/// end of `llm_tiny`'s positional table.
+const DECODE_POSITIONS: [usize; 3] = [1, 16, 64];
+
+/// Times the decode batch at `position` of eight `llm_tiny` sequences on
+/// a warm one-chip engine (noisy 128×128, one worker): each run begins
+/// eight sequences together and drains them to idle, one batch per
+/// step, and records the batch at `position`. A warm-up drain first
+/// programs the tiles and the attention stages' noise draws.
+fn decode_case(position: usize, runs: usize) -> DecodeCase {
+    let device = SimConfig::noisy(128, 128).with_threads(1);
+    let mut engine = ServeEngine::new(ServeConfig::new(device).with_workers(1));
+    let model = engine.admit(catalog::llm_tiny()).expect("llm_tiny admits");
+    let batch_ms = |engine: &mut ServeEngine| {
+        for s in 0..DECODE_SEQUENCES {
+            let prompt = (s * 7 + 3) as u32 % 32;
+            engine
+                .begin_sequence(model, prompt, position + 1, 0, 1)
+                .expect("valid sequence");
+        }
+        let trace = engine.drain_traced();
+        assert_eq!(
+            trace.batch_ms.len(),
+            position + 1,
+            "one batch of every sequence per step"
+        );
+        trace.batch_ms[position]
+    };
+    batch_ms(&mut engine);
+    let times = (0..runs).map(|_| batch_ms(&mut engine)).collect();
+    DecodeCase {
+        name: format!("decode/p{position}"),
+        sequences: DECODE_SEQUENCES,
+        position,
+        runs,
+        batch_ms: Spread::of(times),
+    }
+}
+
 /// Runs the snapshot. `quick` keeps the workloads small enough for a CI
 /// smoke step; the full mode times the LeNet-5 headline at 128×128.
 #[must_use]
@@ -415,6 +478,14 @@ pub fn generate(quick: bool) -> DeviceMvmReport {
             .map(|&(kind, position)| dynamic_case(kind, position, runs, 200))
             .collect()
     };
+    let decode = if quick {
+        vec![decode_case(16, runs)]
+    } else {
+        DECODE_POSITIONS
+            .iter()
+            .map(|&position| decode_case(position, runs))
+            .collect()
+    };
     let achieved = cases
         .iter()
         .find(|c| c.name.starts_with("lenet5_forward"))
@@ -428,6 +499,7 @@ pub fn generate(quick: bool) -> DeviceMvmReport {
         cases,
         kernels,
         dynamic,
+        decode,
     }
 }
 
@@ -501,6 +573,25 @@ pub fn render(report: &DeviceMvmReport) {
             d.call_us.p90
         );
     }
+    render_decode(report);
+}
+
+/// Prints the warm decode batch table.
+fn render_decode(report: &DeviceMvmReport) {
+    println!();
+    println!(
+        "# warm decode batch ({DECODE_SEQUENCES} llm_tiny sequences, one-chip ServeEngine, noisy 128x128), ms per batch"
+    );
+    println!(
+        "{:<24} {:>6} {:>10} {:>10} {:>10}",
+        "shape", "runs", "median", "p10", "p90"
+    );
+    for d in &report.decode {
+        println!(
+            "{:<24} {:>6} {:>10.4} {:>10.4} {:>10.4}",
+            d.name, d.runs, d.batch_ms.median, d.batch_ms.p10, d.batch_ms.p90
+        );
+    }
 }
 
 /// Generates the snapshot and writes `BENCH_device_mvm.json` at the
@@ -552,6 +643,11 @@ mod tests {
         for d in &report.dynamic {
             assert_eq!(d.name, format!("dynamic/{}/p{}", d.kind, d.position));
             assert!(ordered(d.call_us) && d.calls > 0, "{d:?}");
+        }
+        assert_eq!(report.decode.len(), 1, "quick mode times decode/p16 only");
+        for d in &report.decode {
+            assert_eq!(d.name, format!("decode/p{}", d.position));
+            assert!(ordered(d.batch_ms) && d.runs > 0, "{d:?}");
         }
     }
 }

@@ -47,6 +47,35 @@ impl WeightMapping {
             i64::from(s).abs() <= i64::from(q),
             "code {s} exceeds the ±{q} range"
         );
+        self.level(s, q, k)
+    }
+
+    /// [`Self::unipolar_level`] of every code in `codes`, written in order
+    /// into `levels`, with the whole slice checked against `±q` once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a code exceeds `±q`.
+    pub fn unipolar_levels<'a>(
+        self,
+        codes: &[i8],
+        q: i8,
+        k: usize,
+        levels: impl Iterator<Item = &'a mut u8>,
+    ) {
+        let widest = codes.iter().map(|s| s.unsigned_abs()).max().unwrap_or(0);
+        assert!(
+            widest <= q.unsigned_abs(),
+            "code ±{widest} exceeds the ±{q} range"
+        );
+        for (level, &s) in levels.zip(codes) {
+            *level = self.level(s, q, k);
+        }
+    }
+
+    /// The level rule behind [`Self::unipolar_level`], for a code in range.
+    #[inline]
+    fn level(self, s: i8, q: i8, k: usize) -> u8 {
         match (self, k) {
             (WeightMapping::Offset, _) => (i64::from(s) + i64::from(q)) as u8,
             (WeightMapping::Differential, 0) => s.max(0) as u8,

@@ -19,7 +19,9 @@
 //! Everything is integer-exact: [`generate_step`] driven by the
 //! [`OracleEngine`] is the bit-for-bit ground truth the device-level
 //! pipeline is validated against (`oxbar-sim` implements the same
-//! [`MatmulEngine`] trait on the photonic executor).
+//! [`MatmulEngine`] trait on the photonic executor). A decode batch runs
+//! batch-major through [`generate_steps`]: each projection and attention
+//! stage is one engine call for all of the batch's sequences.
 
 use crate::layer::{Dense, Layer};
 use crate::reference::{requantize, FilterBank, Tensor3};
@@ -447,6 +449,12 @@ pub struct StepOutcome {
 /// (dense-stack layer `layer_index`, weight-stationary and cacheable),
 /// while [`MatmulEngine::dynamic_mv`] multiplies by freshly supplied
 /// signed rows (the K/V data of `QKᵀ` and `AV`, never cached).
+///
+/// [`generate_steps`] drives a whole decode batch through the batch
+/// methods, one call per projection or attention stage for all of the
+/// batch's sequences. Their default implementations call the
+/// one-sequence methods in batch order, so a backend that multiplies one
+/// drive at a time needs only those two.
 pub trait MatmulEngine {
     /// Backend failure (infallible for the oracle, device faults for the
     /// photonic executor).
@@ -474,6 +482,40 @@ pub trait MatmulEngine {
         rows: &[Vec<i8>],
         drive: &[i64],
     ) -> Result<Vec<i64>, Self::Error>;
+
+    /// [`Self::static_mv`] of one projection for every drive of a batch,
+    /// one output per drive.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backend execution failures.
+    fn static_mv_batch(
+        &mut self,
+        layer_index: usize,
+        drives: &[&[i64]],
+    ) -> Result<Vec<Vec<i64>>, Self::Error> {
+        drives
+            .iter()
+            .map(|drive| self.static_mv(layer_index, drive))
+            .collect()
+    }
+
+    /// [`Self::dynamic_mv`] at one stage for every `(rows, drive)`
+    /// product of a batch, one output per product.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backend execution failures.
+    fn dynamic_mv_batch(
+        &mut self,
+        stage: usize,
+        products: &[(&[Vec<i8>], &[i64])],
+    ) -> Result<Vec<Vec<i64>>, Self::Error> {
+        products
+            .iter()
+            .map(|&(rows, drive)| self.dynamic_mv(stage, rows, drive))
+            .collect()
+    }
 }
 
 fn requantize_vec(values: Vec<i64>, bits: u8) -> Vec<i64> {
@@ -490,11 +532,24 @@ fn to_codes(values: &[i64]) -> Vec<i8> {
         .collect()
 }
 
+/// One sequence's place in a decode batch: its read-only KV cache, the
+/// token it feeds and the position it decodes at (the cache length).
+#[derive(Debug, Clone, Copy)]
+pub struct StepInput<'a> {
+    /// The sequence's cache, read only during the step.
+    pub cache: &'a KvCache,
+    /// The token the step embeds.
+    pub token: u32,
+    /// The position the step decodes at.
+    pub pos: usize,
+}
+
 /// Runs one autoregressive decode step: embed `token` at `pos`, run
 /// every block (attention over `cache` plus the current position, then
 /// the feed-forward), and greedy-decode the next token from the LM-head
 /// logits. The cache is *read only* — apply the returned
-/// [`StepOutcome`] with [`KvCache::apply`] once the step is accepted.
+/// [`StepOutcome`] with [`KvCache::apply`] once the step is accepted. A
+/// one-sequence [`generate_steps`].
 ///
 /// # Errors
 ///
@@ -511,80 +566,177 @@ pub fn generate_step<E: MatmulEngine>(
     token: u32,
     pos: usize,
 ) -> Result<StepOutcome, E::Error> {
+    let mut outcomes = generate_steps(weights, engine, &[StepInput { cache, token, pos }])?;
+    Ok(outcomes.pop().expect("one sequence gives one outcome"))
+}
+
+/// Runs one decode step of every sequence in `batch`, **batch-major**:
+/// layer by layer, each static projection is one
+/// [`MatmulEngine::static_mv_batch`] over the batch's drives and each
+/// attention stage one [`MatmulEngine::dynamic_mv_batch`] over its
+/// products, while each sequence keeps its own cache, token and
+/// position. Returns one [`StepOutcome`] per sequence, in batch order,
+/// each equal to a [`generate_step`] of that sequence alone whenever the
+/// engine's batch methods equal their one-sequence calls (as the
+/// defaults do).
+///
+/// # Errors
+///
+/// Propagates engine execution failures (device faults).
+///
+/// # Panics
+///
+/// Panics if a token is outside the vocabulary or a cache length
+/// disagrees with its position.
+pub fn generate_steps<E: MatmulEngine>(
+    weights: &LmWeights,
+    engine: &mut E,
+    batch: &[StepInput<'_>],
+) -> Result<Vec<StepOutcome>, E::Error> {
     let config = &weights.config;
-    assert!(
-        (token as usize) < config.vocab,
-        "token {token} outside vocabulary {}",
-        config.vocab
-    );
-    assert_eq!(cache.len(), pos, "cache length disagrees with position");
+    for step in batch {
+        assert!(
+            (step.token as usize) < config.vocab,
+            "token {} outside vocabulary {}",
+            step.token,
+            config.vocab
+        );
+        assert_eq!(
+            step.cache.len(),
+            step.pos,
+            "cache length disagrees with position"
+        );
+    }
     let bits = config.bits;
     let v_max = config.v_max();
     let hd = config.head_dim();
-
-    let mut x = weights.embed(token, pos);
-    let mut k_rows = Vec::with_capacity(config.blocks);
-    let mut v_rows = Vec::with_capacity(config.blocks);
+    let mut xs: Vec<Vec<i64>> = batch
+        .iter()
+        .map(|step| weights.embed(step.token, step.pos))
+        .collect();
+    let mut k_rows = vec![Vec::with_capacity(config.blocks); batch.len()];
+    let mut v_rows = vec![Vec::with_capacity(config.blocks); batch.len()];
     for b in 0..config.blocks {
         let base = b * LAYERS_PER_BLOCK;
-        let h = layernorm_int(&x, v_max);
+        let hs: Vec<Vec<i64>> = xs.iter().map(|x| layernorm_int(x, v_max)).collect();
         // Three static projections share the normalized drive.
-        let q = requantize_vec(engine.static_mv(base, &h)?, bits);
-        let k = to_codes(&requantize_vec(engine.static_mv(base + 1, &h)?, bits - 1));
-        let v = to_codes(&requantize_vec(engine.static_mv(base + 2, &h)?, bits - 1));
+        let qs: Vec<Vec<i64>> = static_batch(engine, base, &hs)?
+            .into_iter()
+            .map(|q| requantize_vec(q, bits))
+            .collect();
+        let codes = |values: Vec<Vec<i64>>| -> Vec<Vec<i8>> {
+            values
+                .into_iter()
+                .map(|v| to_codes(&requantize_vec(v, bits - 1)))
+                .collect()
+        };
+        let ks = codes(static_batch(engine, base + 1, &hs)?);
+        let vs = codes(static_batch(engine, base + 2, &hs)?);
 
         // Attention: QKᵀ then AV, per head, over cache + current row.
-        let block_cache = &cache.blocks[b];
-        let positions = pos + 1;
-        let mut ctx = vec![0i64; config.d_model];
+        let mut ctxs = vec![vec![0i64; config.d_model]; batch.len()];
         for head in 0..config.heads {
             let span = head * hd..(head + 1) * hd;
-            let q_head = &q[span.clone()];
-            let k_head: Vec<Vec<i8>> = (0..positions)
-                .map(|j| {
-                    let row = if j < pos { &block_cache.k[j] } else { &k };
-                    row[span.clone()].to_vec()
-                })
-                .collect();
             let stage = (b * config.heads + head) * 2;
-            let scores = engine.dynamic_mv(stage, &k_head, q_head)?;
-            let attn = softmax_int(&scores, v_max);
-            // AV as a second folded MVM: row d holds V[j][d] over j.
-            let v_rows_t: Vec<Vec<i8>> = (0..hd)
-                .map(|d| {
-                    (0..positions)
+            let k_heads: Vec<Vec<Vec<i8>>> = batch
+                .iter()
+                .zip(&ks)
+                .map(|(step, k)| {
+                    let cached = &step.cache.blocks[b].k;
+                    (0..=step.pos)
                         .map(|j| {
-                            let row = if j < pos { &block_cache.v[j] } else { &v };
-                            row[head * hd + d]
+                            let row = if j < step.pos { &cached[j] } else { k };
+                            row[span.clone()].to_vec()
                         })
                         .collect()
                 })
                 .collect();
-            let head_ctx = engine.dynamic_mv(stage + 1, &v_rows_t, &attn)?;
-            ctx[span].copy_from_slice(&head_ctx);
+            let products: Vec<(&[Vec<i8>], &[i64])> = k_heads
+                .iter()
+                .zip(&qs)
+                .map(|(k_head, q)| (k_head.as_slice(), &q[span.clone()]))
+                .collect();
+            let attns: Vec<Vec<i64>> = engine
+                .dynamic_mv_batch(stage, &products)?
+                .iter()
+                .map(|scores| softmax_int(scores, v_max))
+                .collect();
+            // AV as a second folded MVM: row d holds V[j][d] over j.
+            let v_heads: Vec<Vec<Vec<i8>>> = batch
+                .iter()
+                .zip(&vs)
+                .map(|(step, v)| {
+                    let cached = &step.cache.blocks[b].v;
+                    (0..hd)
+                        .map(|d| {
+                            (0..=step.pos)
+                                .map(|j| {
+                                    let row = if j < step.pos { &cached[j] } else { v };
+                                    row[head * hd + d]
+                                })
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            let products: Vec<(&[Vec<i8>], &[i64])> = v_heads
+                .iter()
+                .zip(&attns)
+                .map(|(v_head, attn)| (v_head.as_slice(), attn.as_slice()))
+                .collect();
+            for (ctx, head_ctx) in ctxs
+                .iter_mut()
+                .zip(engine.dynamic_mv_batch(stage + 1, &products)?)
+            {
+                ctx[span.clone()].copy_from_slice(&head_ctx);
+            }
         }
-        let ctx_q = requantize_vec(ctx, bits);
-        let o = requantize_vec(engine.static_mv(base + 3, &ctx_q)?, bits);
-        x = requantize_vec(x.iter().zip(&o).map(|(&a, &b)| a + b).collect(), bits);
+        let ctx_qs: Vec<Vec<i64>> = ctxs.into_iter().map(|c| requantize_vec(c, bits)).collect();
+        let os = static_batch(engine, base + 3, &ctx_qs)?;
+        for (x, o) in xs.iter_mut().zip(os) {
+            let o = requantize_vec(o, bits);
+            *x = requantize_vec(x.iter().zip(&o).map(|(&a, &b)| a + b).collect(), bits);
+        }
 
         // Feed-forward with a digital ReLU between the two projections.
-        let h2 = layernorm_int(&x, v_max);
-        let up = engine.static_mv(base + 4, &h2)?;
-        let u = requantize_vec(up.into_iter().map(|v| v.max(0)).collect(), bits);
-        let down = requantize_vec(engine.static_mv(base + 5, &u)?, bits);
-        x = requantize_vec(x.iter().zip(&down).map(|(&a, &b)| a + b).collect(), bits);
+        let h2s: Vec<Vec<i64>> = xs.iter().map(|x| layernorm_int(x, v_max)).collect();
+        let us: Vec<Vec<i64>> = static_batch(engine, base + 4, &h2s)?
+            .into_iter()
+            .map(|up| requantize_vec(up.into_iter().map(|v| v.max(0)).collect(), bits))
+            .collect();
+        let downs = static_batch(engine, base + 5, &us)?;
+        for (x, down) in xs.iter_mut().zip(downs) {
+            let down = requantize_vec(down, bits);
+            *x = requantize_vec(x.iter().zip(&down).map(|(&a, &b)| a + b).collect(), bits);
+        }
 
-        k_rows.push(k);
-        v_rows.push(v);
+        for (((k_rows, v_rows), k), v) in k_rows.iter_mut().zip(&mut v_rows).zip(ks).zip(vs) {
+            k_rows.push(k);
+            v_rows.push(v);
+        }
     }
-    let logits = engine.static_mv(config.blocks * LAYERS_PER_BLOCK, &layernorm_int(&x, v_max))?;
-    let next_token = argmax(&logits) as u32;
-    Ok(StepOutcome {
-        next_token,
-        logits,
-        k_rows,
-        v_rows,
-    })
+    let finals: Vec<Vec<i64>> = xs.iter().map(|x| layernorm_int(x, v_max)).collect();
+    let logits = static_batch(engine, config.blocks * LAYERS_PER_BLOCK, &finals)?;
+    Ok(logits
+        .into_iter()
+        .zip(k_rows.into_iter().zip(v_rows))
+        .map(|(logits, (k_rows, v_rows))| StepOutcome {
+            next_token: argmax(&logits) as u32,
+            logits,
+            k_rows,
+            v_rows,
+        })
+        .collect())
+}
+
+/// One [`MatmulEngine::static_mv_batch`] over owned drives.
+fn static_batch<E: MatmulEngine>(
+    engine: &mut E,
+    layer_index: usize,
+    drives: &[Vec<i64>],
+) -> Result<Vec<Vec<i64>>, E::Error> {
+    let drives: Vec<&[i64]> = drives.iter().map(Vec::as_slice).collect();
+    engine.static_mv_batch(layer_index, &drives)
 }
 
 /// Runs a whole greedy decode of `steps` tokens starting from `prompt`,

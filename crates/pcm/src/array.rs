@@ -242,23 +242,15 @@ impl PcmArray {
         };
         let write = CellWrite::new(&table, variation, drift);
         let mut tally = ProgramTally::default();
+        let mut normal = || standard_normal(rng.as_deref_mut().expect("variation has an rng"));
         let transmissions = codes
             .iter()
             .enumerate()
             .map(|(i, row)| {
                 assert_eq!(row.len(), cols, "code row {i} must have {cols} cols");
-                let row = row
-                    .iter()
-                    .map(|&code| {
-                        let (transmission, written) = write.read(code, || {
-                            standard_normal(rng.as_deref_mut().expect("variation has an rng"))
-                        });
-                        tally.cell(written);
-                        transmission
-                    })
-                    .collect();
-                tally.end_row();
-                row
+                let mut reads = vec![0.0; cols];
+                write.read_block(row, cols, &mut normal, &mut tally, &mut reads);
+                reads
             })
             .collect();
         (transmissions, tally.report(parallelism))
@@ -391,92 +383,140 @@ impl PcmArray {
     }
 }
 
-/// The program-and-read rule for one cell of a pristine array: write a
+/// The program-and-read rule for the cells of a pristine array: write a
 /// level code (with optional programming variation) and read the cell's
 /// field transmission back (with optional drift). Every fused readout —
 /// [`PcmArray::noisy_readout`] and the device-level tile compile — writes
 /// its cells through this one rule, so they agree value for value.
 ///
-/// Without variation a cell's read is a function of its code alone, so
-/// the rule precomputes one read per code and serves every cell from
-/// that table.
+/// Everything about a cell that depends on its code alone is worked out
+/// once per code when the rule is built: the target fraction, whether
+/// the write changes the pristine cell (delta programming), and — for a
+/// skipped code, or any code without variation — the read itself. A cell
+/// then costs only its own draw and drifted read.
 #[derive(Debug, Clone)]
-pub struct CellWrite<'a> {
-    table: &'a LevelTable,
+pub struct CellWrite {
+    /// The pristine cell every write starts from.
+    device: PcmCell,
     variation: Option<DeviceVariation>,
     /// The drift model and its cell-independent factor, when drift
     /// applies at the read time.
     drift: Option<(DriftModel, f64)>,
-    /// Per-code reads when there is no variation (`table.levels()` long).
-    by_code: Option<[f64; 256]>,
+    /// Per code of the table, in code order.
+    codes: Vec<CodeWrite>,
 }
 
-impl<'a> CellWrite<'a> {
+/// What writing one level code does to a pristine cell.
+#[derive(Debug, Clone, Copy)]
+struct CodeWrite {
+    /// The code's target crystalline fraction.
+    target: f64,
+    /// Whether the target differs from the pristine state (a skipped
+    /// code is never written).
+    written: bool,
+    /// The cell's read when it takes no draw: `None` only for a written
+    /// code under variation.
+    read: Option<f64>,
+}
+
+impl CellWrite {
     /// The rule for cells of `table`'s device, programmed with
     /// `variation` (if any) and read after `drift` (model and elapsed
     /// time, if any).
     #[must_use]
     pub fn new(
-        table: &'a LevelTable,
+        table: &LevelTable,
         variation: Option<DeviceVariation>,
         drift: Option<(&DriftModel, Time)>,
     ) -> Self {
         let drift =
             drift.and_then(|(model, elapsed)| model.drift_factor(elapsed).map(|f| (*model, f)));
         let mut write = Self {
-            table,
+            device: table.device(),
             variation,
             drift,
-            by_code: None,
+            codes: Vec::with_capacity(table.levels()),
         };
-        if variation.is_none() {
-            let mut by_code = [0.0; 256];
-            for (code, read) in by_code.iter_mut().enumerate().take(table.levels()) {
-                *read = write
-                    .read(code as u8, || unreachable!("no variation, no draw"))
-                    .0;
-            }
-            write.by_code = Some(by_code);
+        for code in 0..=table.max_code() {
+            let target = table.fraction_for_code(code);
+            let written = (write.device.crystalline_fraction() - target).abs() >= 1e-12;
+            let read = (!written || variation.is_none()).then(|| {
+                let mut cell = write.device;
+                if written {
+                    cell.set_crystalline_fraction(target);
+                }
+                write.transmission(cell)
+            });
+            write.codes.push(CodeWrite {
+                target,
+                written,
+                read,
+            });
         }
         write
     }
 
-    /// Writes `code` into a pristine cell and reads it back: `(field
-    /// transmission, whether the cell was written)`. A cell whose target
+    /// The field transmission of `cell` at the read time.
+    #[inline]
+    fn transmission(&self, cell: PcmCell) -> f64 {
+        match self.drift {
+            Some((model, factor)) => model.transmission_with_factor(cell, factor),
+            None => cell.transmission(),
+        }
+    }
+
+    /// Writes a row-major block of level codes, `cols` per row, into
+    /// pristine cells and reads each back into `out`, counting every
+    /// cell (and closing every row) in `tally`. A cell whose target
     /// equals the pristine state is skipped (delta programming). A
     /// written cell under variation lands `normal()` standard deviations
     /// off target, exactly as [`DeviceVariation::apply_program`] would
-    /// with that draw — `normal` is called once per written cell, never
-    /// for a skip.
+    /// with that draw — `normal` is called once per written cell, in
+    /// block order, never for a skip. The codes are checked against the
+    /// table once per block.
     ///
     /// # Panics
     ///
-    /// Panics if `code` exceeds the table.
-    #[inline]
-    pub fn read(&self, code: u8, normal: impl FnOnce() -> f64) -> (f64, bool) {
-        let max_code = self.table.max_code();
-        assert!(
-            u16::from(code) <= max_code,
-            "code {code} exceeds the {max_code}-level table"
-        );
-        let target = self.table.fraction_for_code(u16::from(code));
-        let mut cell = self.table.device();
-        let written = (cell.crystalline_fraction() - target).abs() >= 1e-12;
-        if let Some(by_code) = &self.by_code {
-            return (by_code[usize::from(code)], written);
-        }
-        if written {
-            let achieved = match self.variation {
-                Some(variation) => variation.apply_normal(target, 0.0, normal()),
-                None => target,
-            };
-            cell.set_crystalline_fraction(achieved);
-        }
-        let transmission = match self.drift {
-            Some((model, factor)) => model.transmission_with_factor(cell, factor),
-            None => cell.transmission(),
+    /// Panics if a code exceeds the table, `out` differs in length from
+    /// `codes`, or a non-empty block is not whole `cols`-long rows.
+    pub fn read_block(
+        &self,
+        codes: &[u8],
+        cols: usize,
+        mut normal: impl FnMut() -> f64,
+        tally: &mut ProgramTally,
+        out: &mut [f64],
+    ) {
+        assert_eq!(out.len(), codes.len(), "one read per code");
+        let Some(&max) = codes.iter().max() else {
+            return;
         };
-        (transmission, written)
+        assert!(
+            usize::from(max) < self.codes.len(),
+            "code {max} exceeds the {}-level table",
+            self.codes.len() - 1
+        );
+        assert!(
+            cols > 0 && codes.len().is_multiple_of(cols),
+            "codes must be whole {cols}-cell rows"
+        );
+        for (row, reads) in codes.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
+            for (&code, read) in row.iter().zip(reads) {
+                let code = self.codes[usize::from(code)];
+                *read = code.read.unwrap_or_else(|| {
+                    let variation = self.variation.expect("only variation leaves a read open");
+                    let mut cell = self.device;
+                    cell.set_crystalline_fraction(variation.apply_normal(
+                        code.target,
+                        0.0,
+                        normal(),
+                    ));
+                    self.transmission(cell)
+                });
+                tally.cell(code.written);
+            }
+            tally.end_row();
+        }
     }
 }
 

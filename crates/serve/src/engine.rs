@@ -7,9 +7,9 @@ use crate::registry::{AdmitError, ModelCacheStats, ModelSpec};
 use crate::request::{Completion, InferRequest, ModelId, RequestId, SequenceId, TokenCompletion};
 use oxbar_core::dse::parallel_map;
 use oxbar_nn::reference::Tensor3;
-use oxbar_nn::transformer::{KvCache, StepOutcome};
+use oxbar_nn::transformer::{KvCache, StepInput, StepOutcome};
 use oxbar_nn::TensorShape;
-use oxbar_sim::llm::lm_step;
+use oxbar_sim::llm::lm_steps;
 use oxbar_sim::{DeviceExecutor, ExecError, FaultEvent, FaultPlan, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -406,8 +406,8 @@ struct Queued {
     request: InferRequest,
     /// Set when this queue entry is one decode step of an autoregressive
     /// sequence (index into `ServeEngine::sequences`); the entry then
-    /// executes as an [`lm_step`] against the sequence's KV cache instead
-    /// of a network forward.
+    /// executes as one decode step of its batch's [`lm_steps`] against
+    /// the sequence's KV cache instead of a network forward.
     sequence: Option<u64>,
 }
 
@@ -1442,10 +1442,11 @@ impl ServeEngine {
 
     /// Runs every non-shed member of a batch on one executor. The CNN
     /// members run as one batch-major
-    /// [`DeviceExecutor::try_forward_batch`], so each tile is programmed
-    /// at most once per batch; members carrying a sequence id run one
-    /// decode step each via [`lm_step`]. Reading `self.sequences` here is
-    /// safe because a sequence has at most one step in flight per pass.
+    /// [`DeviceExecutor::try_forward_batch`] and the members carrying a
+    /// sequence id as one batch-major [`lm_steps`] (one decode step per
+    /// sequence), so each static tile is looked up and programmed at most
+    /// once per batch. Reading `self.sequences` here is safe because a
+    /// sequence has at most one step in flight per pass.
     fn execute_on(
         &self,
         batch: &Batch,
@@ -1460,10 +1461,23 @@ impl ServeEngine {
             .filter(|s| !shed.contains(s))
             .map(|&s| &queue[s])
             .collect();
+        let sequence = |id: u64| &self.sequences[usize::try_from(id).expect("sequence id")];
         let inputs: Vec<&Tensor3> = survivors
             .iter()
             .filter(|q| q.sequence.is_none())
             .map(|q| &q.request.input)
+            .collect();
+        let steps: Vec<StepInput<'_>> = survivors
+            .iter()
+            .filter_map(|q| q.sequence)
+            .map(|id| {
+                let seq = sequence(id);
+                StepInput {
+                    cache: &seq.cache,
+                    token: seq.next_token,
+                    pos: seq.pos,
+                }
+            })
             .collect();
         let mut forwards = if inputs.is_empty() {
             Vec::new()
@@ -1471,21 +1485,19 @@ impl ServeEngine {
             executor.try_forward_batch(&spec.network, &inputs, &spec.filters)?
         }
         .into_iter();
+        let mut steps = if steps.is_empty() {
+            Vec::new()
+        } else {
+            let lm = spec.lm.as_ref().expect("sequence targets a language model");
+            lm_steps(executor, &spec.network, &spec.filters, lm, &steps)?
+        }
+        .into_iter();
         let mut out = Vec::with_capacity(survivors.len());
         for q in &survivors {
             let (output, token, outcome) = match q.sequence {
                 Some(id) => {
-                    let seq = &self.sequences[usize::try_from(id).expect("sequence id")];
-                    let lm = spec.lm.as_ref().expect("sequence targets a language model");
-                    let step = lm_step(
-                        executor,
-                        &spec.network,
-                        &spec.filters,
-                        lm,
-                        &seq.cache,
-                        seq.next_token,
-                        seq.pos,
-                    )?;
+                    let seq = sequence(id);
+                    let step = steps.next().expect("one decode step per sequence member");
                     let logits = TensorShape::flat(step.logits.len());
                     let token = TokenCompletion {
                         sequence: SequenceId(id),

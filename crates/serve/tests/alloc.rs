@@ -2,7 +2,8 @@
 //! same-model batch through a fully resident weight-stationary executor —
 //! performs a bounded number of heap allocations, independent of how
 //! many rounds came before it (the arena pool, not the allocator, backs
-//! the per-tile execution).
+//! the per-tile execution). The same holds for a warm decode batch of
+//! eight `llm_tiny` sequences.
 
 use oxbar_nn::reference::Tensor3;
 use oxbar_nn::synthetic;
@@ -10,6 +11,7 @@ use oxbar_serve::{catalog, BatchPolicy, InferRequest, ModelId, ServeConfig, Serv
 use oxbar_sim::SimConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -39,6 +41,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Held by every test for its whole body: the counter is process-wide,
+/// so tests on parallel threads would count each other's allocations.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
@@ -58,6 +64,7 @@ fn submit_at_zero(engine: &mut ServeEngine, model: ModelId, input: Tensor3) {
 
 #[test]
 fn warm_batch_round_allocations_are_bounded() {
+    let _serial = SERIAL.lock().expect("no test panicked holding the lock");
     let device = SimConfig::noisy(64, 64).with_threads(1);
     let mut engine = ServeEngine::new(
         ServeConfig::new(device)
@@ -101,4 +108,40 @@ fn warm_batch_round_allocations_are_bounded() {
     assert_eq!(budget_checked, 3);
     let stats = engine.stats();
     assert!(stats.hit_rate() > 0.5, "rounds after the first must hit");
+}
+
+#[test]
+fn warm_decode_batch_allocations_are_bounded() {
+    let _serial = SERIAL.lock().expect("no test panicked holding the lock");
+    const STEPS: usize = 4;
+    let device = SimConfig::noisy(128, 128).with_threads(1);
+    let mut engine = ServeEngine::new(ServeConfig::new(device).with_workers(1));
+    let llm = engine.admit(catalog::llm_tiny()).unwrap();
+    let begin = |engine: &mut ServeEngine| {
+        for prompt in [5, 20, 3, 31, 0, 17, 9, 26] {
+            engine.begin_sequence(llm, prompt, STEPS, 0, 1).unwrap();
+        }
+    };
+    // One drain to program the tiles, remember the attention stages'
+    // noise draws and settle the arena pool.
+    begin(&mut engine);
+    engine.drain_traced();
+
+    // Warm drains: each pass is one decode batch of all eight sequences,
+    // at positions 0..STEPS. Beginning the sequences happens outside the
+    // measured window; the drain allocates the digital glue's vectors,
+    // the batch's drives and outputs, and each stage's bookkeeping —
+    // never per-cell or per-window buffers.
+    for round in 0..3 {
+        begin(&mut engine);
+        let allocs = allocations_in(|| {
+            let trace = engine.drain_traced();
+            assert_eq!(trace.batch_ms.len(), STEPS, "one batch per decode step");
+        });
+        let per_batch = allocs / STEPS as u64;
+        assert!(
+            per_batch <= 1_150,
+            "round {round}: {per_batch} allocations per warm decode batch (budget 1150)"
+        );
+    }
 }

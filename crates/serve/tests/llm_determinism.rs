@@ -175,3 +175,108 @@ fn all_chips_failed_sheds_the_sequence_instead_of_hanging() {
         assert_eq!(engine.sequence_tokens(seq).len(), 8);
     }
 }
+
+/// Prompts of the eight sequences the decode-batch tests run.
+const BATCH_PROMPTS: [u32; 8] = [5, 20, 3, 31, 0, 17, 9, 26];
+
+/// What [`decode_together`] observed.
+struct Decoded {
+    /// Per sequence, its tokens.
+    tokens: Vec<Vec<u32>>,
+    /// Per sequence, each step's logits.
+    logits: Vec<Vec<Vec<i64>>>,
+    /// The size of every batch the drain ran, in dispatch order.
+    batch_sizes: Vec<usize>,
+}
+
+/// Begins one `steps`-step `llm_tiny` sequence per prompt, all arriving
+/// together, and drains to idle on a fresh one-chip engine.
+fn decode_together(device: &SimConfig, prompts: &[u32], steps: usize) -> Decoded {
+    let mut engine = ServeEngine::new(ServeConfig::new(device.clone()));
+    let llm = engine.admit(catalog::llm_tiny()).expect("llm_tiny admits");
+    let ids: Vec<_> = prompts
+        .iter()
+        .map(|&prompt| {
+            engine
+                .begin_sequence(llm, prompt, steps, 0, 1)
+                .expect("sequence")
+        })
+        .collect();
+    let trace = engine.drain_traced();
+    assert!(trace.sheds.is_empty(), "no sequence is shed");
+    let mut logits = vec![vec![Vec::new(); steps]; prompts.len()];
+    let mut sizes = BTreeMap::new();
+    for c in &trace.completions {
+        let token = c.sequence.as_ref().expect("only token steps run");
+        let s = ids
+            .iter()
+            .position(|&id| id == token.sequence)
+            .expect("known sequence");
+        logits[s][token.step] = c.output.data().to_vec();
+        sizes.insert(c.batch_seq, c.batch_size);
+    }
+    Decoded {
+        tokens: ids
+            .iter()
+            .map(|&id| engine.sequence_tokens(id).to_vec())
+            .collect(),
+        logits,
+        batch_sizes: sizes.into_values().collect(),
+    }
+}
+
+#[test]
+fn a_decode_batch_equals_each_sequence_decoded_alone() {
+    let device = SimConfig::noisy(128, 128).with_threads(1);
+    let steps = 6;
+    let together = decode_together(&device, &BATCH_PROMPTS, steps);
+    assert_eq!(
+        together.batch_sizes,
+        vec![8; steps],
+        "every pass decodes all eight sequences in one batch"
+    );
+    for (s, &prompt) in BATCH_PROMPTS.iter().enumerate() {
+        let alone = decode_together(&device, &[prompt], steps);
+        assert_eq!(alone.batch_sizes, vec![1; steps]);
+        assert_eq!(
+            together.tokens[s], alone.tokens[0],
+            "prompt {prompt}: tokens diverged"
+        );
+        assert_eq!(
+            together.logits[s], alone.logits[0],
+            "prompt {prompt}: logits diverged"
+        );
+    }
+}
+
+#[test]
+fn a_warm_decode_batch_looks_up_each_static_tile_once() {
+    let mut engine = ServeEngine::new(ServeConfig::new(SimConfig::noisy(128, 128).with_threads(1)));
+    let llm = engine.admit(catalog::llm_tiny()).expect("llm_tiny admits");
+    engine
+        .begin_sequence(llm, 1, 1, 0, 1)
+        .expect("warm-up sequence");
+    engine.drain_traced();
+    let cache = |engine: &ServeEngine| engine.stats().models[llm.0].cache;
+    let warm = cache(&engine);
+    // llm_tiny's seven projections each fit one 128×128 tile.
+    assert_eq!(
+        (warm.entries, warm.misses),
+        (7, 7),
+        "the warm-up programs every tile"
+    );
+    for &prompt in &BATCH_PROMPTS {
+        engine
+            .begin_sequence(llm, prompt, 4, 0, 1)
+            .expect("sequence");
+    }
+    let batches = engine.drain_traced().batch_ms.len();
+    assert_eq!(batches, 4, "one batch of eight per decode step");
+    let after = cache(&engine);
+    assert_eq!(after.misses, warm.misses, "a warm decode programs nothing");
+    assert_eq!(
+        after.hits - warm.hits,
+        7 * batches as u64,
+        "a decode batch looks each static tile up once, not once per sequence"
+    );
+}

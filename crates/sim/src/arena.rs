@@ -13,16 +13,17 @@
 //! global allocator.
 //!
 //! The attention path's dynamic tiles are compiled into the arena too
-//! (gain planes and their geometry factors), so a warm dynamic MVM
-//! programs, compiles and executes without per-tile heap buffers.
+//! (level codes, cell reads, geometry factors and gain planes), so a warm
+//! dynamic MVM programs, compiles and executes without per-tile heap
+//! buffers.
 //!
 //! Arenas carry no results across calls: every buffer is fully rewritten
 //! by the execution that borrows it, so pooling can never change results
 //! — only where the bytes live.
 
 use crate::executor::Tap;
-use crate::tile::TileDrive;
-use oxbar_photonics::transfer::{BatchScratch, CompiledCrossbar, GainFactors};
+use crate::tile::{CompileBuffers, TileDrive};
+use oxbar_photonics::transfer::BatchScratch;
 
 /// Reusable scratch for one tile execution (and, at the executor level,
 /// one layer's digital accumulation).
@@ -66,11 +67,9 @@ pub struct ExecArena {
     /// extraction; see
     /// [`oxbar_electronics::accumulator::Accumulator::saturation_limit`]).
     pub(crate) lanes: Vec<i64>,
-    /// Gain planes a dynamic tile compiles into and executes from
+    /// The buffers a dynamic tile compiles through, gain planes included
     /// (executor-level; never cached).
-    pub(crate) crossbar: CompiledCrossbar,
-    /// The seed-free gain factors of that dynamic tile's geometry.
-    pub(crate) factors: GainFactors,
+    pub(crate) compile: CompileBuffers,
 }
 
 impl Default for ExecArena {
@@ -89,8 +88,7 @@ impl Default for ExecArena {
             drive: TileDrive::empty(),
             taps: Vec::new(),
             lanes: Vec::new(),
-            crossbar: CompiledCrossbar::default(),
-            factors: GainFactors::default(),
+            compile: CompileBuffers::default(),
         }
     }
 }

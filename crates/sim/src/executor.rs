@@ -5,10 +5,10 @@ use crate::config::{tile_seed, SimConfig};
 use crate::fault::ExecError;
 use crate::snapshot::{ChipSnapshot, TileSnapshot};
 use crate::tile::{
-    compile_into, execute_crossbar, run_tile_with, CompiledTile, MvmEngine, TileDrive, TileNoise,
+    execute_crossbar, run_tile_with, CompiledTile, MvmEngine, TileDrive, TileNoise, TileWriter,
 };
 use oxbar_core::dse::parallel_map;
-use oxbar_dataflow::tiles::{TileGeometry, WeightTiles};
+use oxbar_dataflow::tiles::{tile_geometry, TileGeometry, WeightTiles};
 use oxbar_dataflow::FoldPlan;
 use oxbar_electronics::accumulator::Accumulator;
 use oxbar_nn::reference::{
@@ -16,7 +16,7 @@ use oxbar_nn::reference::{
 };
 use oxbar_nn::{Conv2d, Layer, Network, TensorShape};
 use oxbar_pcm::drift::DriftModel;
-use oxbar_pcm::{LevelTable, ProgramReport};
+use oxbar_pcm::ProgramReport;
 use oxbar_units::{Energy, Time};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -116,8 +116,10 @@ pub struct DeviceExecutor {
     /// only, never results, so pooling cannot change outputs — it removes
     /// the heap allocator from the warm serving path.
     arenas: Mutex<Vec<ExecArena>>,
-    /// The level table every tile's codes program against, built once.
-    levels: LevelTable,
+    /// The program-and-read rule at the baseline drift time, built once:
+    /// what fresh static compiles and every dynamic tile write through
+    /// (an aged re-derivation builds its own).
+    writer: TileWriter,
     /// Remembered noise draws of the dynamic stages, keyed by tile seed
     /// (see [`Self::dynamic_mv`]); a key collision would only return
     /// identical draws. Static tiles draw afresh per compile instead:
@@ -161,8 +163,10 @@ const DYNAMIC_STAGE_BASE: usize = 1 << 20;
 /// tile (the weight-stationary fast path); misses had to program the PCM
 /// array and compile the transfer matrix. A forward looks each tile up
 /// once for its whole batch ([`DeviceExecutor::try_forward_batch`]), so a
-/// batch of *n* counts one hit or miss per tile, not *n*. Counters
-/// accumulate from executor creation (or the last
+/// batch of *n* counts one hit or miss per tile, not *n*; a decode batch
+/// ([`crate::llm::lm_steps`]) follows the same rule for its static
+/// projections, and its dynamic attention tiles are never looked up.
+/// Counters accumulate from executor creation (or the last
 /// [`DeviceExecutor::clear_cache`], which resets occupancy but *not* the
 /// counters — eviction under a serving budget is itself a cache event
 /// worth measuring).
@@ -294,7 +298,7 @@ impl DeviceExecutor {
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
         Self {
-            levels: config.level_table(),
+            writer: TileWriter::new(&config, &config.level_table(), config.noise.drift_elapsed),
             config,
             engine: MvmEngine::default(),
             cache: Mutex::new(TileCache::default()),
@@ -312,6 +316,8 @@ impl DeviceExecutor {
     /// programmed once per batch, not once per input) and every input's
     /// windows are driven through it. Each result is byte-identical to a
     /// [`Self::forward`] of that input alone, [`LayerStats`] included.
+    /// A decode batch ([`crate::llm::lm_steps`]) drives each static
+    /// projection the same way, one lookup per tile per batch.
     ///
     /// # Errors
     ///
@@ -427,13 +433,20 @@ impl DeviceExecutor {
         let (values, rows) = codes(resident.as_deref());
         let cells = values.len() * self.config.mapping.columns_per_output();
         let seed = tile_seed(self.config.seed, key.0, key.1);
+        let elapsed = self.aged_elapsed(age);
+        let aged;
+        let writer = if elapsed == self.config.noise.drift_elapsed {
+            &self.writer
+        } else {
+            aged = TileWriter::new(&self.config, &self.config.level_table(), elapsed);
+            &aged
+        };
         let compiled = Arc::new(CompiledTile::compile_at(
             values,
             rows,
             &self.config,
             &TileNoise::for_tile(&self.config, seed, cells),
-            &self.levels,
-            self.aged_elapsed(age),
+            writer,
         ));
         let mut cache = self.cache.lock().expect("tile cache");
         if let Some(replaced) = cache.tiles.remove(&key) {
@@ -874,7 +887,7 @@ impl DeviceExecutor {
     /// at most one uncached compiled tile per worker is alive at a time.
     /// Returns one `(values, stats)` per input, each byte-identical to a
     /// lone [`Self::conv_pixels_flat`] of that input.
-    fn conv_pixels_batch(
+    pub(crate) fn conv_pixels_batch(
         &self,
         conv: &Conv2d,
         inputs: &[&Tensor3],
@@ -1039,7 +1052,9 @@ impl DeviceExecutor {
     /// whose "weights" are the KV cache and change on every token, so the
     /// weight-stationary tile cache (and its hit/miss counters) is never
     /// touched. `stage` seeds the per-tile device noise deterministically,
-    /// in an index range disjoint from every static layer's.
+    /// in an index range disjoint from every static layer's. It is the
+    /// one-product case of the decode batch's per-stage call, which runs
+    /// every sequence of one geometry under one plan per tile.
     ///
     /// Only the weights change between calls; the device noise does not.
     /// Each tile's PCM-write normals and residual phasors are a pure
@@ -1068,70 +1083,113 @@ impl DeviceExecutor {
     /// signed code range (caught during tile programming).
     #[must_use]
     pub fn dynamic_mv(&self, stage: usize, rows: &[Vec<i8>], drive: &[i64]) -> Vec<i64> {
-        assert!(
-            !rows.is_empty() && !drive.is_empty(),
-            "dynamic MVM needs at least one row and one drive value"
-        );
-        for (index, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), drive.len(), "row {index} length mismatch");
+        only(self.dynamic_mv_batch(stage, &[(rows, drive)]))
+    }
+
+    /// [`Self::dynamic_mv`] at one attention stage for every sequence of
+    /// a decode batch: `products[s]` is sequence `s`'s `(rows, drive)`.
+    /// Products of one geometry (row count and drive length) run under
+    /// one plan per tile — the fold, the gain factors, the readout chain
+    /// and the remembered draws of the tile's seed — and only their codes
+    /// are programmed and driven one by one. Sharing the plan is safe
+    /// because the stage's tile seed fixes the noise, not the sequence.
+    /// Returns one output per product, each byte-identical to a lone
+    /// [`Self::dynamic_mv`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on any product [`Self::dynamic_mv`] panics on.
+    #[must_use]
+    pub(crate) fn dynamic_mv_batch(
+        &self,
+        stage: usize,
+        products: &[(&[Vec<i8>], &[i64])],
+    ) -> Vec<Vec<i64>> {
+        for &(rows, drive) in products {
+            assert!(
+                !rows.is_empty() && !drive.is_empty(),
+                "dynamic MVM needs at least one row and one drive value"
+            );
+            for (index, row) in rows.iter().enumerate() {
+                assert_eq!(row.len(), drive.len(), "row {index} length mismatch");
+            }
+            assert!(
+                drive.iter().map(|v| v.abs()).max().unwrap_or(0) <= self.config.v_max(),
+                "drive exceeds the {}-bit range",
+                self.config.activation_bits
+            );
         }
-        assert!(
-            drive.iter().map(|v| v.abs()).max().unwrap_or(0) <= self.config.v_max(),
-            "drive exceeds the {}-bit range",
-            self.config.activation_bits
-        );
-        let conv = oxbar_dataflow::matmul::matmul_conv("dynamic_mv", drive.len(), rows.len());
-        let plan = FoldPlan::plan(
-            &conv,
-            self.config.array_rows,
-            self.config.array_cols,
-            self.config.mapping.columns_per_output(),
-        );
-        let tiles = WeightTiles::new(&conv, rows, &plan);
-        let has_negative = drive.iter().any(|&v| v < 0);
+        let shape = |s: usize| (products[s].0.len(), products[s].1.len());
+        let cpo = self.config.mapping.columns_per_output();
         let layer_index = DYNAMIC_STAGE_BASE + stage;
-        let mut lanes = vec![0i64; rows.len()];
+        let mut outputs: Vec<Vec<i64>> = products
+            .iter()
+            .map(|(rows, _)| vec![0; rows.len()])
+            .collect();
         let mut arena = self.checkout_arena();
-        let mut crossbar = std::mem::take(&mut arena.crossbar);
+        let mut buffers = std::mem::take(&mut arena.compile);
         let mut tile_drive = std::mem::replace(&mut arena.drive, TileDrive::empty());
-        for (tile_index, geom) in tiles.geometries().enumerate() {
-            let seed = tile_seed(self.config.seed, layer_index, tile_index);
-            tile_drive.set_window(&drive[geom.row_offset..][..geom.rows], has_negative);
-            let base = geom.group * conv.out_c_per_group() + geom.col_offset;
-            if self.engine == MvmEngine::FieldWalk {
-                let outcome =
-                    run_tile_with(&tiles.tile(tile_index), &tile_drive, &self.config, seed);
-                arena.partials.clear();
-                arena.partials.extend_from_slice(&outcome.partials[0]);
-            } else {
-                let cells = geom.rows * geom.cols * self.config.mapping.columns_per_output();
-                compile_into(
-                    geom.rows,
-                    geom.cols,
-                    |r, c| rows[base + c][geom.row_offset + r],
-                    &self.config,
-                    &self.dynamic_noise(seed, cells),
-                    &self.levels,
-                    self.config.noise.drift_elapsed,
-                    &mut arena.factors,
-                    &mut crossbar,
-                );
-                // Both compiled engines behave identically here: one
-                // window per pass, nothing to dedupe, nothing cached.
-                execute_crossbar(&crossbar, &tile_drive, &self.config, false, &mut arena);
-            }
-            for (lane, &v) in lanes[base..][..geom.cols].iter_mut().zip(&arena.partials) {
-                *lane += v;
+        // Each geometry is planned once, at its first product.
+        for first in (0..products.len()).filter(|&s| (0..s).all(|e| shape(e) != shape(s))) {
+            let (outputs_len, inputs_len) = shape(first);
+            let group = || (first..products.len()).filter(move |&s| shape(s) == shape(first));
+            let conv = oxbar_dataflow::matmul::matmul_conv("dynamic_mv", inputs_len, outputs_len);
+            let plan = FoldPlan::plan(&conv, self.config.array_rows, self.config.array_cols, cpo);
+            for tile_index in 0..plan.total_folds() {
+                let geom = tile_geometry(&conv, &plan, tile_index);
+                let seed = tile_seed(self.config.seed, layer_index, tile_index);
+                let base = geom.group * conv.out_c_per_group() + geom.col_offset;
+                let tile_plan = (self.engine != MvmEngine::FieldWalk).then(|| {
+                    let cells = geom.rows * geom.cols * cpo;
+                    let readout = buffers.shape(&self.config, geom.rows, geom.cols);
+                    (self.dynamic_noise(seed, cells), readout)
+                });
+                for s in group() {
+                    let (rows, drive) = products[s];
+                    let has_negative = drive.iter().any(|&v| v < 0);
+                    tile_drive.set_window(&drive[geom.row_offset..][..geom.rows], has_negative);
+                    if let Some((noise, readout)) = &tile_plan {
+                        self.writer.compile(
+                            geom.rows,
+                            geom.cols,
+                            |c| &rows[base + c][geom.row_offset..][..geom.rows],
+                            noise,
+                            &mut buffers,
+                        );
+                        // Both compiled engines behave identically here:
+                        // one window per pass, nothing to dedupe, nothing
+                        // cached.
+                        execute_crossbar(
+                            &buffers.crossbar,
+                            &tile_drive,
+                            &self.config,
+                            readout,
+                            false,
+                            &mut arena,
+                        );
+                    } else {
+                        let tile = WeightTiles::new(&conv, rows, &plan).tile(tile_index);
+                        let outcome = run_tile_with(&tile, &tile_drive, &self.config, seed);
+                        arena.partials.clear();
+                        arena.partials.extend_from_slice(&outcome.partials[0]);
+                    }
+                    for (lane, &v) in outputs[s][base..][..geom.cols]
+                        .iter_mut()
+                        .zip(&arena.partials)
+                    {
+                        *lane += v;
+                    }
+                }
             }
         }
-        arena.crossbar = crossbar;
+        arena.compile = buffers;
         arena.drive = tile_drive;
         self.return_arenas([arena]);
         let limit = Accumulator::saturation_limit(ACCUMULATOR_BITS);
-        for lane in &mut lanes {
+        for lane in outputs.iter_mut().flatten() {
             *lane = (*lane).clamp(-limit - 1, limit);
         }
-        lanes
+        outputs
     }
 
     /// The remembered draws of dynamic tile seed `seed`, covering a

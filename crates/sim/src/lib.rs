@@ -87,7 +87,7 @@ pub use executor::{
 };
 pub use fault::{ExecError, FaultEvent, FaultPlan};
 pub use fidelity::{device_forward, run_inference, InferenceFidelity, LayerFidelity};
-pub use llm::{lm_step, DeviceLmEngine};
+pub use llm::{lm_steps, DeviceLmEngine};
 pub use probe::{probe_conv, LayerProbe};
 pub use snapshot::{ChipSnapshot, TileSnapshot};
 pub use tile::MvmEngine;

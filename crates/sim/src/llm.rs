@@ -1,16 +1,24 @@
-//! Device-level **autoregressive transformer** execution: one decode
-//! step on the photonic crossbar, bit-exact against the integer oracle
-//! in [`SimConfig::ideal`] mode.
+//! Device-level **autoregressive transformer** execution: a decode batch
+//! on the photonic crossbar, bit-exact against the integer oracle in
+//! [`SimConfig::ideal`] mode.
 //!
-//! The transformer step ([`oxbar_nn::transformer::generate_step`]) is
-//! generic over a [`MatmulEngine`]; this module provides the device
+//! The transformer step ([`oxbar_nn::transformer::generate_steps`]) is
+//! generic over a [`MatmulEngine`] and runs a decode batch batch-major:
+//! every sequence goes through the stack layer by layer, each keeping its
+//! own KV cache, token and position. This module provides the device
 //! backend. The six projections of each block plus the LM head run as
-//! **static** MVMs through [`DeviceExecutor::conv_pixels_flat`] — the
-//! same weight-stationary path CNN layers use, sharing the tile cache
-//! and prewarm. The per-head `QKᵀ` and `AV` products
-//! run as **dynamic** MVMs through [`DeviceExecutor::dynamic_mv`]: their
-//! "weights" are the KV cache, different every token, so each tile is
-//! programmed, used once, and discarded without touching the cache.
+//! **static** MVMs, one executor call per projection for the whole
+//! decode batch (the batch form of [`DeviceExecutor::conv_pixels_flat`])
+//! — the same weight-stationary path CNN layers use, sharing the tile
+//! cache and prewarm, so each projection tile is looked up, validated
+//! and driven once per batch (one cache hit per tile per batch). The
+//! per-head `QKᵀ` and `AV` products run as **dynamic** MVMs, one
+//! executor call per attention stage for the whole batch (the batch
+//! form of [`DeviceExecutor::dynamic_mv`]): their "weights" are the KV
+//! cache, different every token, so each tile is programmed, used once,
+//! and discarded without touching the cache. All of a stage's sequences
+//! of one geometry share one plan per tile (fold, gain factors, readout
+//! chain, remembered draws); only their codes are programmed apart.
 //!
 //! The device noise of those tiles does not change between tokens. A
 //! dynamic tile's seed fixes its PCM-write normals and its trimmed
@@ -27,19 +35,21 @@
 //! 1,024 cells), about 25 KB for 16-step sequences.
 //!
 //! Layernorm, softmax, requantization, and the ReLU between the
-//! feed-forward projections stay digital (inside `generate_step`
+//! feed-forward projections stay digital (inside `generate_steps`
 //! itself), mirroring how the CNN path keeps pooling and activation off
 //! the analog array.
 //!
-//! [`lm_step`] is the serving entry point: it runs the step against a
-//! read-only KV cache and returns the rows to append, so the caller
-//! decides when the step is accepted and a step re-run on a replica
-//! decodes bit-identically.
+//! [`lm_steps`] is the serving entry point: it runs one decode step of
+//! every sequence in a batch against read-only KV caches and returns the
+//! rows to append, so the caller decides when a step is accepted and a
+//! step re-run on a replica decodes bit-identically. Each sequence's
+//! outcome is byte-identical to a one-sequence batch of it
+//! (`crates/sim/tests/llm_batch.rs`).
 
 use crate::executor::DeviceExecutor;
 use crate::fault::ExecError;
 use oxbar_nn::reference::{FilterBank, Tensor3};
-use oxbar_nn::transformer::{generate_step, KvCache, LmWeights, MatmulEngine, StepOutcome};
+use oxbar_nn::transformer::{generate_steps, LmWeights, MatmulEngine, StepInput, StepOutcome};
 use oxbar_nn::{Layer, Network, TensorShape};
 
 #[cfg(doc)]
@@ -47,7 +57,8 @@ use crate::config::SimConfig;
 
 /// The photonic-crossbar backend for [`oxbar_nn::transformer`]: static
 /// projections through the weight-stationary cached path, attention
-/// matmuls through the uncached dynamic path.
+/// matmuls through the uncached dynamic path, each one executor call per
+/// decode batch.
 #[derive(Debug)]
 pub struct DeviceLmEngine<'a> {
     executor: &'a DeviceExecutor,
@@ -94,19 +105,8 @@ impl MatmulEngine for DeviceLmEngine<'_> {
     type Error = ExecError;
 
     fn static_mv(&mut self, layer_index: usize, drive: &[i64]) -> Result<Vec<i64>, Self::Error> {
-        let Layer::Dense(dense) = &self.network.layers()[layer_index] else {
-            unreachable!("constructor enforces an all-dense stack");
-        };
-        let conv = dense.as_conv();
-        let input = Tensor3::new(TensorShape::flat(drive.len()), drive.to_vec());
-        let (values, _) = self.executor.conv_pixels_flat(
-            &conv,
-            &input,
-            &self.filters[layer_index],
-            layer_index,
-            &[0],
-        );
-        Ok(values)
+        let mut values = self.static_mv_batch(layer_index, &[drive])?;
+        Ok(values.pop().expect("one drive gives one output"))
     }
 
     fn dynamic_mv(
@@ -117,12 +117,50 @@ impl MatmulEngine for DeviceLmEngine<'_> {
     ) -> Result<Vec<i64>, Self::Error> {
         Ok(self.executor.dynamic_mv(stage, rows, drive))
     }
+
+    fn static_mv_batch(
+        &mut self,
+        layer_index: usize,
+        drives: &[&[i64]],
+    ) -> Result<Vec<Vec<i64>>, Self::Error> {
+        let Layer::Dense(dense) = &self.network.layers()[layer_index] else {
+            unreachable!("constructor enforces an all-dense stack");
+        };
+        let conv = dense.as_conv();
+        let inputs: Vec<Tensor3> = drives
+            .iter()
+            .map(|drive| Tensor3::new(TensorShape::flat(drive.len()), drive.to_vec()))
+            .collect();
+        let inputs: Vec<&Tensor3> = inputs.iter().collect();
+        Ok(self
+            .executor
+            .conv_pixels_batch(
+                &conv,
+                &inputs,
+                &self.filters[layer_index],
+                layer_index,
+                &[0],
+            )
+            .into_iter()
+            .map(|(values, _)| values)
+            .collect())
+    }
+
+    fn dynamic_mv_batch(
+        &mut self,
+        stage: usize,
+        products: &[(&[Vec<i8>], &[i64])],
+    ) -> Result<Vec<Vec<i64>>, Self::Error> {
+        Ok(self.executor.dynamic_mv_batch(stage, products))
+    }
 }
 
-/// One autoregressive decode step on the device: embed `token` at `pos`
-/// and run the full block stack against the read-only `cache`. Apply
-/// the returned [`StepOutcome`] with [`KvCache::apply`] once the step is
-/// accepted (the split makes a re-run idempotent).
+/// One autoregressive decode step on the device for every sequence of
+/// `batch`, batch-major ([`generate_steps`]): each sequence embeds its
+/// token at its position and runs the full block stack against its
+/// read-only cache. Apply each returned [`StepOutcome`] with
+/// [`oxbar_nn::transformer::KvCache::apply`] once the step is accepted
+/// (the split makes a re-run idempotent).
 ///
 /// # Errors
 ///
@@ -131,26 +169,24 @@ impl MatmulEngine for DeviceLmEngine<'_> {
 ///
 /// # Panics
 ///
-/// Panics if `token` is outside the vocabulary, the cache length
-/// disagrees with `pos`, or the network/filters don't match `weights`.
-pub fn lm_step(
+/// Panics if a token is outside the vocabulary, a cache length disagrees
+/// with its position, or the network/filters don't match `weights`.
+pub fn lm_steps(
     executor: &DeviceExecutor,
     network: &Network,
     filters: &[FilterBank],
     weights: &LmWeights,
-    cache: &KvCache,
-    token: u32,
-    pos: usize,
-) -> Result<StepOutcome, ExecError> {
+    batch: &[StepInput<'_>],
+) -> Result<Vec<StepOutcome>, ExecError> {
     let mut engine = DeviceLmEngine::new(executor, network, filters);
-    generate_step(weights, &mut engine, cache, token, pos)
+    generate_steps(weights, &mut engine, batch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use oxbar_nn::transformer::{generate, LmConfig, OracleEngine};
+    use oxbar_nn::transformer::{generate, KvCache, LmConfig, OracleEngine};
 
     fn tiny_weights(seed: u64) -> LmWeights {
         LmWeights::synthetic(LmConfig::tiny(), seed)
@@ -168,8 +204,14 @@ mod tests {
         let mut token = prompt;
         let mut outcomes = Vec::with_capacity(steps);
         for pos in 0..steps {
-            let outcome = lm_step(executor, &network, &filters, weights, &cache, token, pos)
-                .expect("healthy chip");
+            let step = StepInput {
+                cache: &cache,
+                token,
+                pos,
+            };
+            let outcome = lm_steps(executor, &network, &filters, weights, &[step])
+                .expect("healthy chip")
+                .remove(0);
             cache.apply(&outcome);
             token = outcome.next_token;
             outcomes.push(outcome);

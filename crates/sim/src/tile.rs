@@ -12,9 +12,12 @@
 //! the oracle via [`MvmEngine::FieldWalk`] ([`run_tile_with`]).
 //!
 //! Every tile compiles by one route: its signed codes, its seed's
-//! [`TileNoise`] draws and the level table go in, and each cell is
-//! programmed and written into the compiled gain planes in a single
-//! row-major pass ([`CompiledTile::compile_at`]).
+//! [`TileNoise`] draws and the program-and-read rule of its drift time go
+//! in; the codes are mapped to levels, every cell is programmed and read
+//! in one row-major pass ([`oxbar_pcm::array::CellWrite::read_block`]),
+//! and the reads are written into the compiled gain planes under the
+//! gain factors of the tile's geometry, which every tile of that
+//! geometry can share.
 
 use crate::arena::ExecArena;
 use crate::config::{Readout, SimConfig};
@@ -330,109 +333,159 @@ fn crossbar_config(config: &SimConfig, rows: usize, pcols: usize) -> CrossbarCon
     }
 }
 
-/// One tile's PCM programming, cell by cell: each signed code (`code(row,
-/// logical col)`) is mapped to its unipolar level(s) and written through
-/// the level table's [`CellWrite`] rule, the k-th written cell landing
-/// normal k of the tile's write stream off target, then read back after
-/// drift at `elapsed`. Cells must come in row-major physical order — the
-/// order the unfused program-then-read chain consumed its draws in.
+/// Reusable buffers one tile compiles through: the gain factors of its
+/// geometry, its cells' level codes and as-read transmissions, and the
+/// gain planes it compiles into. A pooled instance compiles without
+/// touching the heap once warm.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CompileBuffers {
+    /// The seed-free gain factors of the tile's geometry
+    /// ([`Self::shape`]).
+    factors: GainFactors,
+    /// Unipolar level code per physical cell, row-major.
+    levels: Vec<u8>,
+    /// As-read field transmission per physical cell, row-major.
+    reads: Vec<f64>,
+    /// The compiled gain planes.
+    pub(crate) crossbar: CompiledCrossbar,
+}
+
+impl CompileBuffers {
+    /// Sets the gain factors for a `rows × cols` tile (logical columns)
+    /// under `config` and returns its readout chain: everything about a
+    /// tile's compile and readout that depends on its geometry alone, so
+    /// every tile of that geometry can share it whatever its codes.
+    pub(crate) fn shape(&mut self, config: &SimConfig, rows: usize, cols: usize) -> ReadoutChain {
+        let pcols = cols * config.mapping.columns_per_output();
+        self.factors.set(&crossbar_config(config, rows, pcols));
+        ReadoutChain::new(config, rows)
+    }
+}
+
+/// How a tile's signed codes become as-read transmissions under one
+/// config at one drift time: the weight mapping and the level table's
+/// [`CellWrite`] rule. Every tile programmed at that time shares one;
+/// the executor keeps the one at its baseline drift time.
 ///
 /// The drift clock is the only input that changes between an aged
 /// readout, a recalibration and a fresh program: every draw is a pure
 /// function of the tile seed, which makes a recalibrated tile bit-exact
 /// to a freshly programmed one.
-struct TileProgram<'a, C> {
-    code: C,
+#[derive(Debug, Clone)]
+pub(crate) struct TileWriter {
     mapping: WeightMapping,
     q: i8,
-    pcols: usize,
-    write: CellWrite<'a>,
-    normals: std::slice::Iter<'a, f64>,
-    tally: ProgramTally,
+    write: CellWrite,
 }
 
-impl<'a, C: Fn(usize, usize) -> i8> TileProgram<'a, C> {
-    fn new(
-        code: C,
-        cols: usize,
-        config: &SimConfig,
-        noise: &'a TileNoise,
-        table: &'a LevelTable,
-        elapsed: Time,
-    ) -> Self {
+impl TileWriter {
+    /// The writer for `config`'s tiles, programmed against `table` and
+    /// read at drift time `elapsed`.
+    pub(crate) fn new(config: &SimConfig, table: &LevelTable, elapsed: Time) -> Self {
         let variation = (config.noise.pcm_sigma > 0.0)
             .then(|| DeviceVariation::new(config.noise.pcm_sigma, 0.0));
         let drift = DriftModel::new(config.noise.drift_nu);
         Self {
-            code,
             mapping: config.mapping,
             q: config.q(),
-            pcols: cols * config.mapping.columns_per_output(),
             write: CellWrite::new(
                 table,
                 variation,
                 (config.noise.drift_nu > 0.0).then_some((&drift, elapsed)),
             ),
-            normals: noise.writes.iter(),
-            tally: ProgramTally::default(),
         }
     }
 
-    /// Programs physical cell `(i, j)` and returns its as-read field
-    /// transmission.
-    fn cell(&mut self, i: usize, j: usize) -> f64 {
+    /// Programs a `rows × cols` tile of signed codes, column `c` being
+    /// `column(c)` (`rows` long), into `buffers`' reads: each code maps
+    /// to its unipolar level(s), and each physical cell is written
+    /// through the [`CellWrite`] rule in row-major order, the k-th
+    /// written cell landing normal k of `noise`'s write stream off
+    /// target — the order the unfused program-then-read chain consumed
+    /// its draws in. Codes are range-checked per column slice and levels
+    /// once per tile, never per cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column is not `rows` long, a code exceeds the
+    /// configured range, or `noise` does not cover the written cells.
+    fn program<'c>(
+        &self,
+        rows: usize,
+        cols: usize,
+        column: impl Fn(usize) -> &'c [i8],
+        noise: &TileNoise,
+        buffers: &mut CompileBuffers,
+    ) -> ProgramReport {
         let per_output = self.mapping.columns_per_output();
-        let level =
-            self.mapping
-                .unipolar_level((self.code)(i, j / per_output), self.q, j % per_output);
-        let normals = &mut self.normals;
-        let (transmission, written) = self.write.read(level, || {
-            *normals
-                .next()
-                .expect("the tile's noise covers every written cell")
-        });
-        self.tally.cell(written);
-        if j + 1 == self.pcols {
-            self.tally.end_row();
+        let pcols = cols * per_output;
+        buffers.levels.clear();
+        buffers.levels.resize(rows * pcols, 0);
+        for c in 0..cols {
+            let codes = column(c);
+            assert_eq!(codes.len(), rows, "tile columns must be {rows} codes long");
+            for k in 0..per_output {
+                let cells = buffers.levels[c * per_output + k..]
+                    .iter_mut()
+                    .step_by(pcols);
+                self.mapping.unipolar_levels(codes, self.q, k, cells);
+            }
         }
-        transmission
+        buffers.reads.clear();
+        buffers.reads.resize(rows * pcols, 0.0);
+        let mut normals = noise.writes.iter();
+        let mut tally = ProgramTally::default();
+        self.write.read_block(
+            &buffers.levels,
+            pcols,
+            || {
+                *normals
+                    .next()
+                    .expect("the tile's noise covers every written cell")
+            },
+            &mut tally,
+            &mut buffers.reads,
+        );
+        tally.report(Parallelism::FullArray)
     }
 
-    fn report(&self) -> ProgramReport {
-        self.tally.report(Parallelism::FullArray)
+    /// The one compile route of every tile — forward misses, prewarm,
+    /// recalibration, snapshot restore and the dynamic attention path:
+    /// programs the tile ([`Self::program`]) and writes each cell's gain
+    /// into `buffers.crossbar`'s panel-major planes, under the factors
+    /// [`CompileBuffers::shape`] last set (for this tile's geometry). The
+    /// result is bit-identical to programming a PCM array, reading its
+    /// transmissions and compiling them with a seeded
+    /// [`CrossbarSimulator`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on the conditions of [`Self::program`].
+    pub(crate) fn compile<'c>(
+        &self,
+        rows: usize,
+        cols: usize,
+        column: impl Fn(usize) -> &'c [i8],
+        noise: &TileNoise,
+        buffers: &mut CompileBuffers,
+    ) -> ProgramReport {
+        let program = self.program(rows, cols, column, noise, buffers);
+        let pcols = cols * self.mapping.columns_per_output();
+        let reads = &buffers.reads;
+        buffers
+            .crossbar
+            .rebuild(&buffers.factors, &noise.phasors, |i, j| {
+                reads[i * pcols + j]
+            });
+        program
     }
-}
-
-/// The one compile route of every tile — forward misses, prewarm,
-/// recalibration, snapshot restore and the dynamic attention path:
-/// programs a `rows × cols` tile of signed codes and writes each cell's
-/// gain straight into `crossbar`'s panel-major planes in the same
-/// row-major pass, with `factors` reset for the tile's geometry. Both
-/// are reusable buffers; the result is bit-identical to programming a
-/// PCM array, reading its transmissions and compiling them with a seeded
-/// [`CrossbarSimulator`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compile_into(
-    rows: usize,
-    cols: usize,
-    code: impl Fn(usize, usize) -> i8,
-    config: &SimConfig,
-    noise: &TileNoise,
-    table: &LevelTable,
-    elapsed: Time,
-    factors: &mut GainFactors,
-    crossbar: &mut CompiledCrossbar,
-) -> ProgramReport {
-    let mut program = TileProgram::new(code, cols, config, noise, table, elapsed);
-    factors.set(&crossbar_config(config, rows, program.pcols));
-    crossbar.rebuild(factors, &noise.phasors, |i, j| program.cell(i, j));
-    program.report()
 }
 
 /// The column readout chain: TIA + optional ADC, and the scale that undoes
 /// the architecture normalization — the exact integer column output is
 /// `y_norm · rows · v_max · table_max / t_max`.
-struct ReadoutChain {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReadoutChain {
     tia: Tia,
     /// The ADC's LSB step (analog volts); `None` for exact readout. The
     /// step is hoisted out of the per-column loop — the quantizer would
@@ -443,7 +496,7 @@ struct ReadoutChain {
 }
 
 impl ReadoutChain {
-    fn new(config: &SimConfig, rows: usize) -> Self {
+    pub(crate) fn new(config: &SimConfig, rows: usize) -> Self {
         let tia = Tia::paper_default();
         let full_scale_v = tia.output_voltage(FULL_SCALE_CURRENT_A);
         let adc_lsb = match config.readout {
@@ -510,23 +563,19 @@ impl CompiledTile {
     #[must_use]
     pub fn compile(tile: &WeightTile, config: &SimConfig, seed: u64) -> Self {
         let (rows, cols) = (tile.rows(), tile.cols());
-        let values = (0..cols)
-            .flat_map(|c| tile.values.iter().map(move |row| row[c]))
-            .collect();
         let cells = rows * cols * config.mapping.columns_per_output();
         Self::compile_at(
-            values,
+            column_major(tile),
             rows,
             config,
             &TileNoise::for_tile(config, seed, cells),
-            &config.level_table(),
-            config.noise.drift_elapsed,
+            &TileWriter::new(config, &config.level_table(), config.noise.drift_elapsed),
         )
     }
 
     /// Compiles a tile from its signed codes (`values`, column-major with
-    /// `rows` rows, as [`Self::values`] returns them), the draws of its
-    /// seed and the level table, at drift elapsed time `elapsed`. Aged
+    /// `rows` rows, as [`Self::values`] returns them) and the draws of its
+    /// seed through `writer`, whose drift time the readout ages to. Aged
     /// readouts compile at `drift_elapsed + age · drift_tick`; a
     /// recalibration compiles at the baseline `drift_elapsed`, which is
     /// bit-exact to a fresh program because every stochastic draw is a
@@ -538,35 +587,32 @@ impl CompiledTile {
     /// `noise` does not cover the tile, or a code exceeds the configured
     /// range.
     #[must_use]
-    pub fn compile_at(
+    pub(crate) fn compile_at(
         values: Vec<i8>,
         rows: usize,
         config: &SimConfig,
         noise: &TileNoise,
-        table: &LevelTable,
-        elapsed: Time,
+        writer: &TileWriter,
     ) -> Self {
         assert!(
             rows > 0 && !values.is_empty() && values.len().is_multiple_of(rows),
             "tile codes must be whole {rows}-row columns"
         );
-        let mut compiled = CompiledCrossbar::default();
-        let program = compile_into(
+        let cols = values.len() / rows;
+        let mut buffers = CompileBuffers::default();
+        buffers.shape(config, rows, cols);
+        let program = writer.compile(
             rows,
-            values.len() / rows,
-            |r, c| values[c * rows + r],
-            config,
+            cols,
+            |c| &values[c * rows..][..rows],
             noise,
-            table,
-            elapsed,
-            &mut GainFactors::default(),
-            &mut compiled,
+            &mut buffers,
         );
         Self {
             values,
             value_rows: rows,
             program,
-            compiled,
+            compiled: buffers.crossbar,
         }
     }
 
@@ -659,25 +705,27 @@ impl CompiledTile {
         dedupe: bool,
         arena: &mut ExecArena,
     ) {
-        execute_crossbar(&self.compiled, drive, config, dedupe, arena);
+        let readout = ReadoutChain::new(config, self.compiled.rows());
+        execute_crossbar(&self.compiled, drive, config, &readout, dedupe, arena);
     }
 }
 
 /// The one execution path of a compiled tile, cached or dynamic: drives
 /// `drive`'s windows through `compiled` (compiled under `config`) as one
-/// batched MVM, digitizes, and recovers each pixel's signed partials into
+/// batched MVM, digitizes through `readout` (the tile's readout chain),
+/// and recovers each pixel's signed partials into
 /// [`ExecArena::partials`].
 pub(crate) fn execute_crossbar(
     compiled: &CompiledCrossbar,
     drive: &TileDrive,
     config: &SimConfig,
+    readout: &ReadoutChain,
     dedupe: bool,
     arena: &mut ExecArena,
 ) {
     let rows = compiled.rows();
     let pcols = compiled.cols();
     assert_eq!(drive.rows(), rows, "windows must match tile rows");
-    let readout = ReadoutChain::new(config, rows);
     let v_max = config.v_max() as f64;
     let pixels = drive.pixels();
 
@@ -790,6 +838,14 @@ pub(crate) fn execute_crossbar(
     }
 }
 
+/// A tile's codes column-major (`cols × rows` flat), the layout every
+/// compile reads them in.
+fn column_major(tile: &WeightTile) -> Vec<i8> {
+    (0..tile.cols())
+        .flat_map(|c| tile.values.iter().map(move |row| row[c]))
+        .collect()
+}
+
 /// Executes one weight tile against its input windows on the field-walk
 /// oracle ([`MvmEngine::FieldWalk`]), caching nothing.
 ///
@@ -814,17 +870,20 @@ pub fn run_tile_with(
     assert_eq!(drive.rows(), rows, "windows must match tile rows");
     let pcols = cols * config.mapping.columns_per_output();
     let noise = TileNoise::for_tile(config, seed, rows * pcols);
-    let table = config.level_table();
-    let mut program = TileProgram::new(
-        |r, c| tile.values[r][c],
+    let writer = TileWriter::new(config, &config.level_table(), config.noise.drift_elapsed);
+    let values = column_major(tile);
+    let mut buffers = CompileBuffers::default();
+    let program = writer.program(
+        rows,
         cols,
-        config,
+        |c| &values[c * rows..][..rows],
         &noise,
-        &table,
-        config.noise.drift_elapsed,
+        &mut buffers,
     );
-    let transmissions: Vec<Vec<f64>> = (0..rows)
-        .map(|i| (0..pcols).map(|j| program.cell(i, j)).collect())
+    let transmissions: Vec<Vec<f64>> = buffers
+        .reads
+        .chunks_exact(pcols)
+        .map(<[f64]>::to_vec)
         .collect();
     let sim =
         CrossbarSimulator::new(crossbar_config(config, rows, pcols).with_phase_error_seed(seed));
@@ -857,10 +916,7 @@ pub fn run_tile_with(
             partial
         })
         .collect();
-    TileOutcome {
-        partials,
-        program: program.report(),
-    }
+    TileOutcome { partials, program }
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@
 //!   compiled one on every shape.
 
 use oxbar_nn::mapping::WeightMapping;
-use oxbar_nn::transformer::{KvCache, LmConfig, LmWeights};
-use oxbar_sim::{lm_step, DeviceExecutor, MvmEngine, SimConfig};
+use oxbar_nn::transformer::{KvCache, LmConfig, LmWeights, StepInput};
+use oxbar_sim::{lm_steps, DeviceExecutor, MvmEngine, SimConfig};
 
 /// Sequence positions the shapes are pinned at: one tile, a few rows,
 /// a full `llm_tiny` window, and two lengths that fold rows (AV) or
@@ -222,8 +222,14 @@ fn noisy_decode() -> Vec<(u32, u64)> {
     let mut token = 2;
     (0..16)
         .map(|pos| {
-            let outcome = lm_step(&exec, &network, &filters, &weights, &cache, token, pos)
-                .expect("healthy chip");
+            let step = StepInput {
+                cache: &cache,
+                token,
+                pos,
+            };
+            let outcome = lm_steps(&exec, &network, &filters, &weights, &[step])
+                .expect("healthy chip")
+                .remove(0);
             cache.apply(&outcome);
             token = outcome.next_token;
             let values = outcome

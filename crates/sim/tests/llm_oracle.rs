@@ -5,8 +5,8 @@
 //! logit vector, and the K/V rows appended to the cache.
 
 use oxbar_nn::mapping::WeightMapping;
-use oxbar_nn::transformer::{generate, KvCache, LmConfig, LmWeights, OracleEngine};
-use oxbar_sim::{lm_step, DeviceExecutor, SimConfig};
+use oxbar_nn::transformer::{generate, KvCache, LmConfig, LmWeights, OracleEngine, StepInput};
+use oxbar_sim::{lm_steps, DeviceExecutor, SimConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -51,8 +51,10 @@ proptest! {
         let mut cache = KvCache::new(&weights.config);
         let mut token = prompt;
         for (pos, want) in exact.iter().enumerate() {
-            let got = lm_step(&executor, &network, &filters, &weights, &cache, token, pos)
-                .expect("healthy chip");
+            let step = StepInput { cache: &cache, token, pos };
+            let got = lm_steps(&executor, &network, &filters, &weights, &[step])
+                .expect("healthy chip")
+                .remove(0);
             prop_assert!(
                 got.logits == want.logits,
                 "seed {} pos {} ({:?} {}x{}): logits diverged",
