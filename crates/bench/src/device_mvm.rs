@@ -250,14 +250,14 @@ fn conv_case(timing: (usize, usize)) -> CaseResult {
         "conv3x3_12x12x3/64x32/serial",
         timing,
         || {
-            black_box(walk.conv_pixels(&conv, &input, &bank, 0, &pixels));
+            black_box(walk.conv_pixels_flat(&conv, &input, &bank, 0, &pixels));
         },
         || {
             let fresh = DeviceExecutor::new(cold_config.clone());
-            black_box(fresh.conv_pixels(&conv, &input, &bank, 0, &pixels));
+            black_box(fresh.conv_pixels_flat(&conv, &input, &bank, 0, &pixels));
         },
         Some(|| {
-            black_box(warm.conv_pixels(&conv, &input, &bank, 0, &pixels));
+            black_box(warm.conv_pixels_flat(&conv, &input, &bank, 0, &pixels));
         }),
     )
 }

@@ -163,7 +163,7 @@ pub struct FaultCase {
     /// Requests that vanished without a completion *or* a shed notice.
     /// Anything but 0 is a correctness failure.
     pub lost: u64,
-    /// Fault-charged retries (failover re-routes + absorbed transients).
+    /// Fault-charged retries (batches re-routed off the killed chip).
     pub retried: u64,
     /// Snapshot-restore recoveries of unreplicated models.
     pub recoveries: u64,
@@ -235,9 +235,11 @@ pub struct DriftRecalReport {
     /// Budget breaches the health monitor flagged on the recalibrating
     /// run.
     pub breaches: u64,
-    /// Recalibration plans the scheduler dispatched.
+    /// Recalibration passes the scheduler ran (one per chip per drain
+    /// that marked tiles).
     pub recalibrations: u64,
-    /// Tiles reprogrammed by those plans.
+    /// Tiles those passes marked; each re-derives at fresh-program state
+    /// at its next read.
     pub recalibrated_tiles: u64,
     /// Requests that vanished without a completion or a shed notice on
     /// the recalibrating run. Anything but 0 is a correctness failure.
@@ -278,8 +280,8 @@ pub struct DriftRecalReport {
     /// p99 request latency with recalibration off (ms).
     pub p99_without_recal_ms: f64,
     /// `p99_with_recal_ms / p99_without_recal_ms` — the cost of
-    /// self-healing (acceptance: ≤ 2.0; recalibration rides the spare
-    /// stage slots, not the critical path).
+    /// self-healing (acceptance: ≤ 2.0; a marked tile re-derives once,
+    /// inside the first batch that reads it).
     pub p99_ratio_recal_vs_no_recal: f64,
 }
 
@@ -1519,7 +1521,7 @@ mod tests {
         assert!(dr.p99_with_recal_ms > 0.0 && dr.p99_without_recal_ms > 0.0);
         assert!(
             dr.p99_ratio_recal_vs_no_recal <= 2.0,
-            "recalibration must stay off the critical path: {:.2}x",
+            "re-deriving marked tiles must cost at most 2x p99: {:.2}x",
             dr.p99_ratio_recal_vs_no_recal
         );
     }

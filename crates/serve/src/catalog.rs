@@ -104,15 +104,32 @@ pub fn llm_tiny() -> ModelSpec {
     }
 }
 
+/// Builds one stock model.
+type Builder = fn() -> ModelSpec;
+
+/// Each stock model's name and builder, in the order the serving
+/// benchmarks admit them.
+const STOCK: [(&str, Builder); 4] = [
+    ("lenet5", lenet5_model),
+    ("alexnet_fc_sample", alexnet_fc_sample),
+    ("vgg16_conv_sample", vgg16_conv_sample),
+    ("mobilenet_dw_sample", mobilenet_sample),
+];
+
 /// The whole stock catalog, in the order the serving benchmarks admit it.
 #[must_use]
 pub fn stock_catalog() -> Vec<ModelSpec> {
-    vec![
-        lenet5_model(),
-        alexnet_fc_sample(),
-        vgg16_conv_sample(),
-        mobilenet_sample(),
-    ]
+    STOCK.iter().map(|(_, build)| build()).collect()
+}
+
+/// The stock model named `name`, building only that model (`None` for
+/// any other name, `llm_tiny` included).
+#[must_use]
+pub fn by_name(name: &str) -> Option<ModelSpec> {
+    STOCK
+        .iter()
+        .find(|(stock, _)| *stock == name)
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -143,6 +160,18 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 4);
+    }
+
+    #[test]
+    fn by_name_builds_exactly_the_named_stock_model() {
+        for spec in stock_catalog() {
+            let named = by_name(&spec.name).expect("every stock name resolves");
+            assert_eq!(named.name, spec.name);
+            assert_eq!(named.network, spec.network, "{}", spec.name);
+            assert_eq!(named.filters, spec.filters, "{}", spec.name);
+        }
+        assert!(by_name("llm_tiny").is_none(), "not a stock model");
+        assert!(by_name("resnet50").is_none());
     }
 
     #[test]

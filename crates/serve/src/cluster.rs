@@ -36,8 +36,9 @@ pub struct ChipId(pub usize);
 
 /// Operational health of one chip, tracked by the serving scheduler.
 ///
-/// `Healthy ⇄ Degraded` (drift marking and post-recalibration healing)
-/// and `{Healthy, Degraded} → Failed` (chip kill; terminal within a run).
+/// `Healthy ⇄ Degraded` (the aging monitor's accuracy-budget breach and
+/// post-recalibration heal) and `{Healthy, Degraded} → Failed` (chip
+/// kill; terminal within a run).
 /// `Failed` chips never serve; `Degraded` chips serve but the scheduler
 /// prefers healthy replicas when routing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,8 +46,8 @@ pub enum ChipHealth {
     /// Serving normally.
     #[default]
     Healthy,
-    /// Drift-degraded: still serving (results unchanged), deprioritized
-    /// by replica routing.
+    /// Drift-degraded: a resident tile is past the accuracy budget. Still
+    /// serving, deprioritized by replica routing.
     Degraded,
     /// Control plane down: the chip cannot execute. Its non-volatile
     /// programmed state remains snapshot-readable for recovery.
@@ -114,8 +115,8 @@ struct ChipRegistry {
     migrations_out: u64,
     /// Scheduler-visible health (see [`ChipHealth`]).
     health: ChipHealth,
-    /// Fault-charged retries: transients this chip's batches absorbed,
-    /// plus batches re-routed off it.
+    /// Fault-charged retries: batches re-routed off this chip after it
+    /// failed.
     retries: u64,
     /// Requests shed because this chip failed and no replica could meet
     /// their deadline.
@@ -160,8 +161,8 @@ pub struct ChipStats {
     pub misses: u64,
     /// The chip's scheduler-visible health.
     pub health: ChipHealth,
-    /// Fault-charged retries: transients this chip's batches absorbed,
-    /// plus batches re-routed off it.
+    /// Fault-charged retries: batches re-routed off this chip after it
+    /// failed.
     pub retries: u64,
     /// Requests shed while failing over away from this chip.
     pub sheds: u64,
@@ -656,9 +657,9 @@ impl Cluster {
         self.chips[chip.0].health = ChipHealth::Failed;
     }
 
-    /// Marks `chip` drift-degraded: it keeps serving (byte-identically),
-    /// but replica routing prefers healthy chips. A failed chip stays
-    /// failed.
+    /// Marks `chip` drift-degraded (the aging monitor found a resident
+    /// tile past the accuracy budget): it keeps serving, but replica
+    /// routing prefers healthy chips. A failed chip stays failed.
     ///
     /// # Panics
     ///

@@ -10,7 +10,7 @@ use oxbar_nn::reference::Tensor3;
 use oxbar_nn::transformer::{KvCache, StepInput, StepOutcome};
 use oxbar_nn::TensorShape;
 use oxbar_sim::llm::lm_steps;
-use oxbar_sim::{DeviceExecutor, ExecError, FaultEvent, FaultPlan, SimConfig};
+use oxbar_sim::{DeviceExecutor, ExecError, FaultPlan, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -18,13 +18,9 @@ use std::fmt;
 /// pin the engine in an unbounded token loop.
 pub const MAX_SEQUENCE_STEPS: usize = 1024;
 
-/// Tiles one drain plans for recalibration per chip — bounds the total
-/// off-path reprogramming a single drain commits to.
+/// Tiles one drain marks for recalibration per chip — bounds the
+/// re-derivation work a single drain commits its reads to.
 const MAX_RECALS_PER_DRAIN: usize = 16;
-
-/// Tiles one recalibration stage reprograms per chip per round, so the
-/// stage stays shorter than the round it hides behind.
-const MAX_RECAL_TILES_PER_ROUND: usize = 4;
 
 /// Full configuration of a [`ServeEngine`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,14 +45,14 @@ pub struct ServeConfig {
     pub prewarm: bool,
     /// Drift-aware online recalibration: when the device config ages
     /// resident tiles ([`oxbar_sim::NoiseModel::drift_tick`] and a drift
-    /// exponent both non-zero), the scheduler reprograms the oldest
-    /// tiles that crossed the accuracy budget back to fresh-program
-    /// state, off the critical path, during the same stage slots the
-    /// prewarmer uses. Decisions are keyed on the global dispatch
-    /// counter at single-threaded drain boundaries — never wall clock —
-    /// so outputs, eviction sequences, and stats are byte-identical
-    /// across worker counts; with aging disabled the flag is
-    /// structurally inert (on or off, nothing changes). On by default.
+    /// exponent both non-zero), the scheduler marks the oldest tiles
+    /// that crossed the accuracy budget, and each marked tile re-derives
+    /// at fresh-program state at its next read. Decisions are keyed on
+    /// the global dispatch counter at single-threaded drain boundaries —
+    /// never wall clock — so outputs, eviction sequences, and stats are
+    /// byte-identical across worker counts; with aging disabled the flag
+    /// is structurally inert (on or off, nothing changes). On by
+    /// default.
     pub recalibration: bool,
     /// Per-chip weight-stationary budgets, in cells. Empty (the default)
     /// means a single chip of `cache_budget_cells` — the pre-cluster
@@ -67,22 +63,14 @@ pub struct ServeConfig {
     pub chip_budgets: Vec<usize>,
     /// How admitted models place onto chips (ignored on a single chip).
     pub placement: PlacementPolicy,
-    /// Deterministic fault schedule, keyed on the engine's global batch
-    /// dispatch counter: an event with round `r` lands just before the
-    /// `r`-th batch dispatched since engine creation. Keying on dispatch
-    /// sequence — never wall clock — keeps failover, shedding, and
-    /// recovery decisions byte-identical across worker counts. Empty by
-    /// default: a no-fault engine is byte-identical to one without this
-    /// field.
+    /// Deterministic chip-kill schedule, keyed on the engine's global
+    /// batch dispatch counter: a kill with round `r` lands just before
+    /// the `r`-th batch dispatched since engine creation. Keying on
+    /// dispatch sequence — never wall clock — keeps failover, shedding,
+    /// and recovery decisions byte-identical across worker counts. Empty
+    /// by default: a no-fault engine is byte-identical to one without
+    /// this field.
     pub fault_plan: FaultPlan,
-    /// Ticks of schedule slip a failed-over batch is charged when the
-    /// deadline shedder decides whether a re-routed request can still
-    /// make its deadline: a member is shed iff its deadline precedes the
-    /// batch's latest arrival plus this penalty. Applies **only** to
-    /// batches re-routed off a failed chip — no-fault scheduling never
-    /// sheds. The default of 0 sheds only requests that provably could
-    /// not complete (deadline before arrival).
-    pub failover_penalty: u64,
 }
 
 impl ServeConfig {
@@ -101,7 +89,6 @@ impl ServeConfig {
             chip_budgets: Vec::new(),
             placement: PlacementPolicy::FirstFit,
             fault_plan: FaultPlan::new(),
-            failover_penalty: 0,
         }
     }
 
@@ -202,11 +189,10 @@ pub struct EngineStats {
     /// single-chip engine).
     pub chips: Vec<ChipStats>,
     /// Fault-charged retries, summed over [`Self::chips`]: one per
-    /// transient tile fault a batch absorbs (a charge, not a
-    /// re-execution) plus one per batch re-routed off a failed chip.
+    /// batch re-routed off a failed chip.
     pub retries: u64,
     /// Requests shed instead of served — re-routed members whose
-    /// deadline could not survive the failover penalty, or members with
+    /// deadline precedes their batch's latest arrival, or members with
     /// no healthy chip left to run on, summed over [`Self::chips`]. Shed
     /// requests complete with a structured notice, never silently.
     pub sheds: u64,
@@ -220,10 +206,11 @@ pub struct EngineStats {
     pub sequences: u64,
     /// Decode-step tokens emitted across all sequences.
     pub tokens: u64,
-    /// Recalibration stages planned (one per chip per drain that had
-    /// over-budget tiles to reprogram).
+    /// Recalibration passes: one per chip per drain that marked
+    /// over-budget tiles.
     pub recalibrations: u64,
-    /// Tiles reprogrammed back to fresh-program state by those stages.
+    /// Tiles those passes marked; each re-derives at fresh-program
+    /// state at its next read.
     pub recalibrated_tiles: u64,
     /// Chips promoted to [`ChipHealth::Degraded`] by the drift health
     /// monitor (one per Healthy→Degraded transition, not per tile).
@@ -231,8 +218,8 @@ pub struct EngineStats {
     /// Degraded→Healthy transitions made by the drift heal pass once a
     /// chip's resident tiles were all recalibrated back under budget.
     pub drift_heals: u64,
-    /// Prewarm/recalibration stage jobs that panicked. A panicked stage
-    /// is skipped — its work was advisory — and serving continues.
+    /// Prewarm jobs that panicked. A panicked prewarm is skipped — its
+    /// work was advisory — and serving continues.
     pub stage_panics: u64,
 }
 
@@ -376,8 +363,8 @@ pub struct DrainTrace {
 }
 
 /// A request the engine shed instead of served: its batch was re-routed
-/// off a failed chip and the member either could not meet its deadline
-/// under the failover penalty or had no healthy chip left to run on.
+/// off a failed chip and the member either had a deadline before its
+/// batch's latest arrival or had no healthy chip left to run on.
 /// Shedding a decode step ends its whole sequence, which `sequence`
 /// names.
 ///
@@ -460,42 +447,14 @@ struct Fate {
     shed: Vec<usize>,
     /// The failed chip this batch was re-routed away from, if any.
     failed_from: Option<usize>,
-    /// The batch absorbs one planned transient tile fault: one retry
-    /// charged to its chip, with unchanged outputs.
-    transient: bool,
 }
 
-/// One drain's planned recalibration work for one chip: the tiles whose
-/// programming age the drain boundary already reset, still awaiting
-/// their eager reprogram in a stage job.
-struct RecalPlan {
-    chip: usize,
-    tiles: Vec<(ModelId, usize, usize)>,
-}
-
-/// One step's slice of a chip's recalibration plan: `(chip, tiles)`.
-type RecalChunk = (usize, Vec<(ModelId, usize, usize)>);
-
-/// One step of a drain pass (see [`ServeEngine::drain_traced`]).
-enum Step<'a> {
-    /// Pipeline fill: program the first models' tiles before the first
-    /// round dispatches, so not even batch 0 stalls on programming.
-    Fill,
-    /// One dispatch round: the indices of its batches, ascending.
-    Round(&'a [usize]),
-    /// Recal flush: reprogram the planned recal tiles the rounds did not
-    /// reach and catch up fault state at the tail of the drain.
-    Flush,
-}
-
-/// One unit of step work handed to the pool.
+/// One unit of round work handed to the pool.
 enum Job<'a> {
     /// Execute a batch per its fate.
     Batch(&'a Batch, &'a Fate),
     /// Program a model's missing tiles off the critical path.
     Prewarm(ModelId),
-    /// Reprogram a chunk of tiles the recalibration plan marked.
-    Recal(RecalChunk),
 }
 
 /// What one [`Job`] produced.
@@ -503,8 +462,8 @@ enum Done {
     /// The batch's executions (or the error its executor refused with)
     /// and its wall-clock execution time in ms.
     Batch(Result<Vec<Executed>, ExecError>, f64),
-    /// Tiles a stage job programmed, or `None` if it panicked.
-    Stage(Option<usize>),
+    /// Tiles a prewarm job programmed, or `None` if it panicked.
+    Prewarm(Option<usize>),
 }
 
 /// A deterministic, multi-model, batched inference engine over the
@@ -558,24 +517,20 @@ pub struct ServeEngine {
     batches: u64,
     prewarms: u64,
     prewarmed_tiles: u64,
-    /// Transient tile faults armed on each chip but not yet absorbed by
-    /// a batch (events can outpace a chip's traffic within one drain):
-    /// per chip, the fault-plan rounds that armed them.
-    pending_transients: Vec<Vec<u64>>,
     /// Every sequence ever begun, indexed by [`SequenceId`]; a finished
     /// one keeps its tokens but not its KV cache.
     sequences: Vec<Sequence>,
     /// Decode steps completed across all sequences.
     tokens: u64,
-    /// Recalibration stages planned across all drains.
+    /// Recalibration passes across all drains.
     recalibrations: u64,
-    /// Tiles reprogrammed back to baseline by those stages.
+    /// Tiles those passes marked for re-derivation.
     recalibrated_tiles: u64,
     /// Healthy→Degraded promotions by the drift health monitor.
     drift_budget_breaches: u64,
     /// Degraded→Healthy transitions by the drift heal pass.
     drift_heals: u64,
-    /// Stage jobs (prewarm or recal) that panicked and were skipped.
+    /// Prewarm jobs that panicked and were skipped.
     stage_panics: u64,
     /// The accuracy budget in dispatch ticks, fixed by the device
     /// config at construction (`None` = aging inactive or unbounded —
@@ -599,7 +554,6 @@ impl ServeEngine {
             batches: 0,
             prewarms: 0,
             prewarmed_tiles: 0,
-            pending_transients: vec![Vec::new(); budgets.len()],
             sequences: Vec::new(),
             tokens: 0,
             recalibrations: 0,
@@ -721,8 +675,8 @@ impl ServeEngine {
     /// decode steps starting from `prompt`, the first arriving at
     /// `arrival` and each subsequent token `interval` ticks after the
     /// previous one completes. Token steps ride the ordinary queue — they
-    /// batch with CNN traffic, route across chips, absorb transient
-    /// faults, and fail over to replicas like any request — but
+    /// batch with CNN traffic, route across chips, and fail over to
+    /// replicas like any request — but
     /// step `t + 1` is submitted only when step `t` completes, so one
     /// sequence is a long-lived chain of requests rather than a burst.
     ///
@@ -846,15 +800,14 @@ impl ServeEngine {
         trace
     }
 
-    /// One scheduler pass over the current queue: a loop over steps — a
-    /// pipeline fill, one step per dispatch round, and a recal flush.
-    /// Each step (1) applies its fault marks, (2) resolves
+    /// One scheduler pass over the current queue: a pipeline fill (a
+    /// round with no batches), then one step per dispatch round. Each
+    /// step (1) marks the chip kills its batches reached, (2) resolves
     /// its batches' fates in dispatch order against where each model
-    /// lives now, (3) runs its batches and stage jobs (prewarm, recal)
-    /// through one pool, and (4) absorbs the results and enforces the
-    /// cell budgets. Token-step completions may submit follow-up
-    /// requests — the [`Self::drain_traced`] loop picks those up in the
-    /// next pass.
+    /// lives now, (3) runs its batches and prewarm jobs through one
+    /// pool, and (4) absorbs the results and enforces the cell budgets.
+    /// Token-step completions may submit follow-up requests — the
+    /// [`Self::drain_traced`] loop picks those up in the next pass.
     fn drain_pass(&mut self) -> DrainTrace {
         let queue = std::mem::take(&mut self.queue);
         let keys: Vec<(ModelId, u64)> = queue
@@ -870,18 +823,17 @@ impl ServeEngine {
         // counter — a pure function of the trace, identical for every
         // worker count — then chips recalibrated back under the
         // accuracy budget heal, chips whose resident tiles crossed it
-        // degrade, and the drain's recalibration plan is fixed. The
-        // plan marks its tiles immediately (resetting their programming
-        // age), so the compiled state every later readout derives is
-        // decided here; the stage jobs riding the steps below only move
-        // the reprogramming off the critical path. With aging disabled
-        // all three calls are structurally inert.
+        // degrade, and the oldest over-budget tiles are marked. A marked
+        // tile re-derives at fresh-program state at its next read, so
+        // the compiled state every later readout derives is decided
+        // here. With aging disabled all three calls are structurally
+        // inert.
         self.registry.set_clocks(seq_base);
         self.drift_health_pass();
-        let mut recal_plans = self.plan_recalibration();
+        self.plan_recalibration();
         // Every fate reads chip health at its batch's own dispatch
-        // sequence: this boundary's health plus the fault plan up to
-        // that sequence (`health_at`), whichever step carries the batch.
+        // sequence: this boundary's health plus the kills up to that
+        // sequence (`health_at`), whichever step carries the batch.
         let boundary: Vec<ChipHealth> = (0..self.registry.chip_count())
             .map(|c| self.registry.chip_health(ChipId(c)))
             .collect();
@@ -897,70 +849,47 @@ impl ServeEngine {
                 .1
                 .unwrap_or_else(|| self.registry.chip_of(b.model).0)
         });
-        // Transient faults this drain can absorb: those still armed from
-        // earlier drains plus this drain's planned ones.
-        let mut armed = std::mem::take(&mut self.pending_transients);
-        for event in self.config.fault_plan.events() {
-            if matches!(event, FaultEvent::TileTransient { .. })
-                && (seq_base..seq_end).contains(&event.round())
-                && event.chip() < armed.len()
-            {
-                armed[event.chip()].push(event.round());
-            }
-        }
         let mut pending = vec![true; batches.len()];
         let mut completions = Vec::with_capacity(queue.len());
         let mut timings = vec![0.0; batches.len()];
         let mut shed_notices: Vec<ShedNotice> = Vec::new();
         let mut marked = seq_base;
-        let steps = std::iter::once(Step::Fill)
-            .chain(rounds.iter().map(|round| Step::Round(round)))
-            .chain(std::iter::once(Step::Flush));
-        for step in steps {
-            // 1. Faults. Kill and drift marks land once the step's *last*
-            // batch reaches them, so recovery destinations and stats see
-            // the failure; each fate still reads health at its own batch's
-            // sequence (`health_at`).
-            let (round, marks_to, recal_tiles) = match step {
-                Step::Fill => (&[][..], seq_base, 0),
-                Step::Round(round) => (
-                    round,
-                    seq_base + round[round.len() - 1] as u64 + 1,
-                    MAX_RECAL_TILES_PER_ROUND,
-                ),
-                Step::Flush => (&[][..], seq_end, usize::MAX),
-            };
-            self.apply_faults(&mut marked, marks_to);
+        // The pipeline fill is a round with no batches: its prewarms
+        // program the first models' tiles before batch 0 dispatches.
+        for round in std::iter::once(&[][..]).chain(rounds.iter().map(Vec::as_slice)) {
+            // 1. Kills land once the round's *last* batch reaches them,
+            // so recovery destinations and stats see the failure; each
+            // fate still reads health at its own batch's sequence
+            // (`health_at`).
+            if let Some(&last) = round.last() {
+                self.apply_faults(&mut marked, seq_base + last as u64 + 1);
+            }
             // 2. Fates, in dispatch order. A fate only ever picks a chip
             // that is healthy at its batch's sequence, so no batch runs on
             // a failed chip.
             let mut fates = Vec::with_capacity(round.len());
             for &i in round {
                 pending[i] = false;
-                fates.push(self.resolve_fate(&batches[i], &queue, seq_base, &boundary, &mut armed));
+                fates.push(self.resolve_fate(&batches[i], &queue, seq_base, &boundary));
             }
-            // 3. One pool runs the step's batches, then its stage jobs:
-            // prewarms for upcoming models (at most one per chip) and
-            // the next slice of planned recal work (at most one chunk per
-            // chip; a chip that failed since the plan was fixed has its
-            // recals dropped). With one worker the pool is the calling
-            // thread, running them in that order; otherwise every job
-            // gets its own thread, so stages overlap the round. Either
-            // way every stage completes before the budget-enforcement
-            // point, and the per-chip guard in `prewarm_targets` means a
-            // stage never forces an eviction lazy compilation would not.
+            // 3. One pool runs the round's batches, then prewarms for
+            // upcoming models (at most one per chip). With one worker
+            // the pool is the calling thread, running them in that
+            // order; otherwise every job gets its own thread, so
+            // prewarms overlap the round. Either way every prewarm
+            // completes before the budget-enforcement point, and the
+            // per-chip guard in `prewarm_targets` means a prewarm never
+            // forces an eviction lazy compilation would not.
             let targets = if self.config.prewarm {
                 self.prewarm_targets(&batches, &pending, round)
             } else {
                 Vec::new()
             };
-            let chunks = self.take_recal_chunks(&mut recal_plans, recal_tiles);
             let jobs: Vec<Job> = round
                 .iter()
                 .zip(&fates)
                 .map(|(&i, fate)| Job::Batch(&batches[i], fate))
                 .chain(targets.into_iter().map(Job::Prewarm))
-                .chain(chunks.into_iter().map(Job::Recal))
                 .collect();
             let lanes = if workers > 1 { jobs.len() } else { 1 };
             let done = parallel_map(&jobs, lanes, |_, job| self.run_job(job, &queue));
@@ -978,11 +907,11 @@ impl ServeEngine {
                             &mut shed_notices,
                         );
                     }
-                    (Job::Prewarm(_), Done::Stage(Some(tiles))) => {
+                    (_, Done::Prewarm(Some(tiles))) => {
                         self.prewarms += 1;
                         self.prewarmed_tiles += tiles as u64;
                     }
-                    (_, Done::Stage(None)) => self.stage_panics += 1,
+                    (_, Done::Prewarm(None)) => self.stage_panics += 1,
                     _ => {}
                 }
             }
@@ -990,7 +919,8 @@ impl ServeEngine {
                 self.registry.enforce_budget();
             }
         }
-        self.pending_transients = armed;
+        // Kills past the last batch still land in this drain.
+        self.apply_faults(&mut marked, seq_end);
         self.requests += completions.len() as u64;
         self.batches = seq_end;
         DrainTrace {
@@ -1001,20 +931,21 @@ impl ServeEngine {
         }
     }
 
-    /// The health `chip` has at dispatch sequence `seq`: its drain
-    /// boundary health plus every planned kill or drift with a round in
-    /// `from..=seq`. A failed chip stays failed.
+    /// The health `chip` has at dispatch sequence `seq`: failed if a
+    /// planned kill on the chip lands in `from..=seq`, else its drain
+    /// boundary health.
     fn health_at(&self, boundary: &[ChipHealth], from: u64, seq: u64, chip: usize) -> ChipHealth {
-        self.config
+        let killed = self
+            .config
             .fault_plan
             .events()
             .iter()
-            .filter(|e| e.chip() == chip && (from..=seq).contains(&e.round()))
-            .fold(boundary[chip], |health, event| match event {
-                FaultEvent::ChipKill { .. } => ChipHealth::Failed,
-                FaultEvent::Drift { .. } if health != ChipHealth::Failed => ChipHealth::Degraded,
-                _ => health,
-            })
+            .any(|e| e.chip() == chip && (from..=seq).contains(&e.round()));
+        if killed {
+            ChipHealth::Failed
+        } else {
+            boundary[chip]
+        }
     }
 
     /// Resolves one batch's [`Fate`] at the start of its step, against
@@ -1022,17 +953,15 @@ impl ServeEngine {
     /// the drain are visible — and each chip's health at the batch's
     /// dispatch sequence. A batch whose nominal replica failed re-routes
     /// to the best surviving replica, else recovers the model from its
-    /// PCM snapshot right here, else sheds. Members whose deadline cannot
-    /// absorb the failover penalty shed too — the only path that ever
-    /// sheds. A batch that runs absorbs one transient fault armed on its
-    /// chip, which `absorb_batch` charges as a retry.
+    /// PCM snapshot right here, else sheds. A re-routed member whose
+    /// deadline precedes the batch's latest arrival sheds too — the only
+    /// path that ever sheds a member with a chip to run on.
     fn resolve_fate(
         &mut self,
         batch: &Batch,
         queue: &[Queued],
         seq_base: u64,
         boundary: &[ChipHealth],
-        armed: &mut [Vec<u64>],
     ) -> Fate {
         let seq = seq_base + batch.seq as u64;
         let homes = self.registry.residencies(batch.model);
@@ -1042,7 +971,6 @@ impl ServeEngine {
             chip: serving,
             shed: Vec::new(),
             failed_from: None,
-            transient: false,
         };
         if serving != Some(nominal) {
             fate.failed_from = Some(nominal);
@@ -1054,60 +982,35 @@ impl ServeEngine {
                     .map(|&s| queue[s].request.arrival)
                     .max()
                     .unwrap_or(0);
-                let horizon = max_arrival.saturating_add(self.config.failover_penalty);
                 batch
                     .members
                     .iter()
                     .copied()
-                    .filter(|&s| queue[s].request.deadline.is_some_and(|d| d < horizon))
+                    .filter(|&s| queue[s].request.deadline.is_some_and(|d| d < max_arrival))
                     .collect()
             } else {
                 batch.members.clone()
             };
         }
-        if let Some(chip) = fate.chip.filter(|_| fate.shed.len() < batch.members.len()) {
-            // Steps walk batches out of dispatch order when rounds
-            // interleave, so take the *latest* fault armed at or before
-            // this batch: that leaves earlier faults to earlier batches,
-            // and every chip absorbs as many as a walk in dispatch order.
-            let slots = &mut armed[chip];
-            if let Some(k) = (0..slots.len())
-                .filter(|&k| slots[k] <= seq)
-                .max_by_key(|&k| slots[k])
-            {
-                slots.swap_remove(k);
-                fate.transient = true;
-            }
-        }
         fate
     }
 
-    /// Marks the planned kill and drift events with rounds in
-    /// `*cursor..to` on chip health, advancing the cursor.
+    /// Marks the planned kills with rounds in `*cursor..to` on chip
+    /// health, advancing the cursor.
     fn apply_faults(&mut self, cursor: &mut u64, to: u64) {
         let chips = self.registry.chip_count();
         for event in self.config.fault_plan.events() {
-            if !(*cursor..to).contains(&event.round()) || event.chip() >= chips {
-                continue;
-            }
-            let chip = ChipId(event.chip());
-            match event {
-                FaultEvent::ChipKill { .. } => self.registry.mark_chip_failed(chip),
-                FaultEvent::Drift { .. } => self.registry.degrade_chip(chip),
-                FaultEvent::TileTransient { .. } => {}
+            if (*cursor..to).contains(&event.round()) && event.chip() < chips {
+                self.registry.mark_chip_failed(ChipId(event.chip()));
             }
         }
         *cursor = (*cursor).max(to);
     }
 
-    /// Runs one pool job. Stage work is advisory — a skipped prewarm or
-    /// recal only costs latency, never correctness — so a stage job
-    /// contains its own panic and reports it instead of unwinding the
-    /// drain.
+    /// Runs one pool job. A prewarm is advisory — a skipped one only
+    /// costs latency, never correctness — so a prewarm job contains its
+    /// own panic and reports it instead of unwinding the drain.
     fn run_job(&self, job: &Job<'_>, queue: &[Queued]) -> Done {
-        let stage = |work: &dyn Fn() -> usize| {
-            Done::Stage(std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).ok())
-        };
         match job {
             Job::Batch(batch, fate) => {
                 let start = std::time::Instant::now();
@@ -1123,23 +1026,18 @@ impl ServeEngine {
                 });
                 Done::Batch(result, start.elapsed().as_secs_f64() * 1e3)
             }
-            Job::Prewarm(model) => stage(&|| self.registry.prewarm(*model)),
-            Job::Recal((chip, tiles)) => stage(&|| {
-                tiles
-                    .iter()
-                    .filter_map(|&(model, layer, tile)| {
-                        let exec = self.registry.executor_on(model, ChipId(*chip))?;
-                        Some(exec.rederive_tile(layer, tile))
-                    })
-                    .sum()
-            }),
+            Job::Prewarm(model) => Done::Prewarm(
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.registry.prewarm(*model)
+                }))
+                .ok(),
+            ),
         }
     }
 
     /// Folds one executed batch into the drain: the LRU touch, the fault
-    /// accounting its fate planned (a transient retry charges the chip
-    /// that absorbed it, a re-route the chip it failed away from), the
-    /// shed notices, and its completions.
+    /// accounting its fate planned (a re-route charges a retry to the
+    /// chip it failed away from), the shed notices, and its completions.
     fn absorb_batch(
         &mut self,
         batch: &Batch,
@@ -1150,9 +1048,6 @@ impl ServeEngine {
         notices: &mut Vec<ShedNotice>,
     ) {
         self.registry.touch(batch.model);
-        if let (true, Some(chip)) = (fate.transient, fate.chip) {
-            self.registry.note_retry(ChipId(chip));
-        }
         if let Some(from) = fate.failed_from {
             // A re-route only counts as a retry if something actually
             // re-executes.
@@ -1161,11 +1056,7 @@ impl ServeEngine {
             }
             if !fate.shed.is_empty() {
                 let detail = if fate.chip.is_some() {
-                    format!(
-                        "deadline unreachable after chip {from} failed \
-                         (failover penalty {} ticks)",
-                        self.config.failover_penalty
-                    )
+                    format!("deadline unreachable after chip {from} failed")
                 } else {
                     format!("no healthy chip left after chip {from} failed")
                 };
@@ -1299,20 +1190,19 @@ impl ServeEngine {
         }
     }
 
-    /// Fixes this drain's recalibration plan: per serving chip, the
-    /// oldest over-budget tiles (bounded per drain), oldest first with a
-    /// stable `(model, layer, tile)` tiebreak. Every selected tile is
-    /// **marked** here — its programming age resets at this
-    /// single-threaded boundary, so the state later readouts derive is
-    /// decided by the plan alone; the returned plans only carry the
-    /// reprogramming work to the stage jobs. Chips already failed are
-    /// skipped structurally (a recal never targets a dead chip).
-    fn plan_recalibration(&mut self) -> Vec<RecalPlan> {
+    /// Marks this drain's recalibration: per serving chip, the oldest
+    /// over-budget tiles (bounded per drain), oldest first with a stable
+    /// `(model, layer, tile)` tiebreak. Marking resets a tile's
+    /// programming age at this single-threaded boundary, and the tile
+    /// re-derives at fresh-program state at its next read, so the state
+    /// later readouts derive is decided here alone, whichever worker
+    /// reads it. Chips already failed are skipped structurally (a recal
+    /// never targets a dead chip).
+    fn plan_recalibration(&mut self) {
         if !self.config.recalibration || !self.drift_aging_active() {
-            return Vec::new();
+            return;
         }
         let budget = self.drift_budget_ticks.unwrap_or(u64::MAX);
-        let mut plans = Vec::new();
         for chip in 0..self.registry.chip_count() {
             if !self.registry.chip_health(ChipId(chip)).serves() {
                 continue;
@@ -1329,50 +1219,23 @@ impl ServeEngine {
                     }
                 }
             }
-            if candidates.is_empty() {
-                continue;
-            }
             candidates.sort_unstable_by(|a, b| {
                 b.0.cmp(&a.0)
                     .then_with(|| (a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
             });
             candidates.truncate(MAX_RECALS_PER_DRAIN);
-            let mut tiles = Vec::with_capacity(candidates.len());
-            for &(_, model, layer, tile) in &candidates {
-                if let Some(exec) = self.registry.executor_on(ModelId(model), ChipId(chip)) {
-                    if exec.mark_recalibrated(layer, tile) > 0 {
-                        self.recalibrated_tiles += 1;
-                        tiles.push((ModelId(model), layer, tile));
-                    }
-                }
-            }
-            if !tiles.is_empty() {
+            let marked: usize = candidates
+                .iter()
+                .filter_map(|&(_, model, layer, tile)| {
+                    let exec = self.registry.executor_on(ModelId(model), ChipId(chip))?;
+                    Some(exec.mark_recalibrated(layer, tile))
+                })
+                .sum();
+            if marked > 0 {
                 self.recalibrations += 1;
-                plans.push(RecalPlan { chip, tiles });
+                self.recalibrated_tiles += marked as u64;
             }
         }
-        plans
-    }
-
-    /// Pops the next step's slice of recal work: up to `max_tiles` tiles
-    /// per chip. Plans whose chip failed since the drain boundary are
-    /// dropped structurally — their remaining tiles are cleared, never
-    /// dispatched or retried. Recal jobs re-derive tiles the plan already
-    /// marked: re-derivation is single-flight against the execution
-    /// path, and the resulting state is bit-identical whether a stage job
-    /// or a lazy read gets there first.
-    fn take_recal_chunks(&self, plans: &mut [RecalPlan], max_tiles: usize) -> Vec<RecalChunk> {
-        let mut chunks = Vec::new();
-        for plan in plans {
-            if !self.registry.chip_health(ChipId(plan.chip)).serves() {
-                plan.tiles.clear();
-            }
-            let take = plan.tiles.len().min(max_tiles);
-            if take > 0 {
-                chunks.push((plan.chip, plan.tiles.drain(..take).collect()));
-            }
-        }
-        chunks
     }
 
     /// Picks the prewarm targets to run alongside the current round: at

@@ -15,10 +15,10 @@
 //!    │                    │ drain_traced()
 //! batcher        form_batches(): same-model coalescing, size + window caps
 //!    │                    │
-//! scheduler      route_rounds(): chip-aware rounds; a step loop (fill,
-//!    │           one step per round, recal flush) runs each step's
-//!    │           batches and per-chip prewarm/recal jobs through one
-//!    │           order-preserving parallel_map pool
+//! scheduler      route_rounds(): chip-aware rounds; a batchless fill
+//!    │           round, then each round's batches and per-chip prewarm
+//!    │           jobs, run through one order-preserving parallel_map
+//!    │           pool
 //!    │                    │
 //! cluster        model→chip placement, per-chip cell budgets (LRU model
 //!    │           eviction; snapshot migration before evicting); a 1-chip

@@ -315,7 +315,7 @@ pub enum ServerFrame {
         occupancy_cells: u64,
         /// Global cache budget, cells.
         budget_cells: u64,
-        /// Fault-driven retries (transient tile faults + failovers).
+        /// Fault-driven retries (batches re-routed off a failed chip).
         retries: u64,
         /// Requests shed by the fault handler.
         sheds: u64,
@@ -327,10 +327,10 @@ pub enum ServerFrame {
         failed_chips: u64,
     },
     /// The request was shed by the fault handler instead of served: its
-    /// batch was re-routed off a failed chip and the request either
-    /// could not meet its deadline under the failover penalty or had no
-    /// healthy chip left to run on. A terminal answer for its tag — the
-    /// client never hangs on a shed request.
+    /// batch was re-routed off a failed chip and the request either had
+    /// a deadline before its batch's latest arrival or had no healthy
+    /// chip left to run on. A terminal answer for its tag — the client
+    /// never hangs on a shed request.
     Shed {
         /// The client's correlation tag.
         tag: u64,

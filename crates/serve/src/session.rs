@@ -210,6 +210,10 @@ fn handle(frame: ClientFrame, conn: &Arc<Conn>, shared: &Arc<Shared>) -> Flow {
             })
         }
         ClientFrame::Admit { name } => {
+            // Build the named model before taking the core lock: it
+            // synthesizes filter banks for milliseconds, and every
+            // submit and drain waits on that lock.
+            let spec = crate::catalog::by_name(&name);
             let response = {
                 let mut core = shared.core.lock().expect("core lock");
                 // Idempotent: an already-resident name answers with its
@@ -219,10 +223,7 @@ fn handle(frame: ClientFrame, conn: &Arc<Conn>, shared: &Arc<Shared>) -> Flow {
                 if let Some(model) = existing {
                     ServerFrame::Admitted { name, model }
                 } else {
-                    match crate::catalog::stock_catalog()
-                        .into_iter()
-                        .find(|s| s.name == name)
-                    {
+                    match spec {
                         None => ServerFrame::Error {
                             tag: None,
                             code: ErrorCode::UnknownCatalogName,

@@ -194,12 +194,12 @@ fn total_delta(run: &DriftRun, reference: &DriftRun, lo: u64, hi: u64) -> u64 {
 }
 
 /// With aging enabled, a trace long enough to breach the accuracy
-/// budget degrades the chip, recalibrates the oldest tiles off the
-/// critical path, and heals the chip — and the self-healing engine's
-/// divergence from an engine whose tiles never aged stays bounded by
-/// the accuracy budget (every tile serves within `budget` ticks of its
-/// last programming), while the unhealed engine's divergence grows
-/// with its unbounded tile age.
+/// budget degrades the chip, marks the oldest tiles for recalibration
+/// (each re-derives at fresh-program state at its next read), and heals
+/// the chip — and the self-healing engine's divergence from an engine
+/// whose tiles never aged stays bounded by the accuracy budget (every
+/// tile serves within `budget` ticks of its last programming), while
+/// the unhealed engine's divergence grows with its unbounded tile age.
 #[test]
 fn recalibration_restores_accuracy_and_heals() {
     let specs = random_specs(9);
@@ -276,8 +276,18 @@ fn recal_racing_chip_kill_is_worker_invariant() {
         24,
         "every request completes or sheds"
     );
+    // A marked tile re-derives at its next read, whichever worker
+    // reads it, so each chip's cache counters are worker-invariant too.
+    let cache = |run: &DriftRun| -> Vec<(u64, u64)> {
+        run.stats.chips.iter().map(|c| (c.hits, c.misses)).collect()
+    };
     for workers in [2usize, 4] {
         let run = drift_trace(base.clone().with_workers(workers), &specs, 4, 24, 12);
+        assert_eq!(
+            cache(&run),
+            cache(&reference),
+            "workers={workers}: per-chip (hits, misses)"
+        );
         assert_eq!(run.outputs, reference.outputs, "workers={workers}");
         assert_eq!(run.sheds, reference.sheds, "workers={workers}");
         assert_eq!(run.health, reference.health, "workers={workers}");

@@ -384,8 +384,7 @@ impl DeviceExecutor {
     /// the rest wait and judge the installed entry, and the counters are
     /// a deterministic function of the workload, not of thread timing.
     /// **Compile:** program the column-major codes and row count `codes`
-    /// returns (handed the resident entry, if any) with fresh draws of
-    /// the tile's seed at the claimed age.
+    /// returns with fresh draws of the tile's seed at the claimed age.
     /// **Install:** replace the resident entry, admit the new one while
     /// the cell budget allows, stamp its age, and wake the waiters.
     ///
@@ -395,11 +394,11 @@ impl DeviceExecutor {
         &self,
         key: (usize, usize),
         rule: impl FnOnce(Option<Resident<'_>>) -> Claim,
-        codes: impl FnOnce(Option<&CompiledTile>) -> (Vec<i8>, usize),
+        codes: impl FnOnce() -> (Vec<i8>, usize),
     ) -> Option<Arc<CompiledTile>> {
         let aging = self.aging_active();
         let clock = self.clock.load(Ordering::Relaxed);
-        let (age, resident) = {
+        let age = {
             let mut cache = self.cache.lock().expect("tile cache");
             while cache.in_flight.contains(&key) {
                 cache = self.compile_done.wait(cache).expect("tile cache");
@@ -425,12 +424,12 @@ impl DeviceExecutor {
                 Claim::Program(age) => {
                     cache.in_flight.insert(key);
                     cache.misses += 1;
-                    (age, cache.tiles.get(&key).cloned())
+                    age
                 }
             }
         };
         let claimed = Claimed { exec: self, key };
-        let (values, rows) = codes(resident.as_deref());
+        let (values, rows) = codes();
         let cells = values.len() * self.config.mapping.columns_per_output();
         let seed = tile_seed(self.config.seed, key.0, key.1);
         let elapsed = self.aged_elapsed(age);
@@ -493,7 +492,7 @@ impl DeviceExecutor {
                     .map_or_else(|| Claim::Hit(Arc::clone(r.tile)), Claim::Program),
                 _ => Claim::Program(0),
             },
-            |_| bank_codes(tiles, geom),
+            || bank_codes(tiles, geom),
         )
         .expect("the forward rule never skips")
     }
@@ -510,11 +509,11 @@ impl DeviceExecutor {
     /// A snapshot of the tile cache's counters and occupancy.
     ///
     /// Hit/miss counts are exact under serial *and* parallel execution:
-    /// every writer — forward passes, [`Self::prewarm`],
-    /// [`Self::rederive_tile`] and [`Self::restore_at`] — claims tiles
-    /// through one single-flight path, so a missing tile is one miss
-    /// however many workers race to it, and the counters are a
-    /// deterministic function of the workload.
+    /// every writer — forward passes, [`Self::prewarm`] and
+    /// [`Self::restore_at`] — claims tiles through one single-flight
+    /// path, so a missing tile is one miss however many workers race to
+    /// it, and the counters are a deterministic function of the
+    /// workload.
     ///
     /// # Panics
     ///
@@ -678,16 +677,14 @@ impl DeviceExecutor {
             .max()
     }
 
-    /// The deterministic half of online recalibration: resets a resident
-    /// tile's programming age to the current clock without touching its
-    /// compiled state. The next readout re-derives the age-0 (baseline)
-    /// transmissions lazily — every stochastic draw is a pure function of
-    /// the tile seed, so the result is bit-exact to a fresh program — and
-    /// a scheduler can commit the decision at a single-threaded boundary
-    /// and hand the reprogramming work ([`Self::rederive_tile`]) to a
-    /// concurrent stage without the outcome depending on when (or
-    /// whether) that stage runs first. Returns 1 if the tile was marked,
-    /// 0 when it has no age record.
+    /// Online recalibration: resets a resident tile's programming age to
+    /// the current clock without touching its compiled state. The next
+    /// readout finds the tile stale and re-derives it at age 0, the
+    /// baseline transmissions. Every stochastic draw is a pure function
+    /// of the tile seed, so the result is bit-exact to a fresh program,
+    /// and a scheduler that marks at a single-threaded boundary gets the
+    /// same outcome whichever worker reads the tile first. Returns 1 if
+    /// the tile was marked, 0 when it has no age record.
     ///
     /// # Panics
     ///
@@ -702,34 +699,6 @@ impl DeviceExecutor {
             }
             None => 0,
         }
-    }
-
-    /// The work half of online recalibration: eagerly re-derives a
-    /// resident tile at its current age from its stored codes, exactly as
-    /// the next readout would lazily. The claim waits out a compile of
-    /// the key in flight and skips a key already current, so a stale key
-    /// is re-derived exactly once — eagerly here or lazily at first read
-    /// — and the cache counters stay a deterministic function of the
-    /// workload. Returns 1 if the tile was re-derived, else 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned.
-    pub fn rederive_tile(&self, layer: usize, tile: usize) -> usize {
-        let rederived = self.resolve_tile(
-            (layer, tile),
-            |resident| match resident {
-                Some(Resident {
-                    stale: Some(age), ..
-                }) => Claim::Program(age),
-                _ => Claim::Skip,
-            },
-            |resident| {
-                let resident = resident.expect("a stale key is resident");
-                (resident.values().to_vec(), resident.value_rows())
-            },
-        );
-        usize::from(rederived.is_some())
     }
 
     /// Overrides the crossbar MVM engine (e.g. [`MvmEngine::FieldWalk`]
@@ -835,7 +804,9 @@ impl DeviceExecutor {
 
     /// Runs one conv-like layer at device level for a subset of output
     /// pixels, returning the raw (pre-activation, pre-requantization)
-    /// accumulator values `[pixel_slot][out_channel]` plus device stats.
+    /// accumulator values as one flat slot-major matrix
+    /// (`pixel_slots × out_channels`; `chunks_exact(conv.out_c)` yields
+    /// one pixel's row) plus device stats.
     ///
     /// This is the entry point for layer-probing on networks too large to
     /// execute end to end (e.g. residual nets): sampled pixels of a single
@@ -845,30 +816,6 @@ impl DeviceExecutor {
     ///
     /// Panics if the input does not match the conv spec, a pixel id is out
     /// of range, or activations exceed the configured bit range.
-    #[must_use]
-    pub fn conv_pixels(
-        &self,
-        conv: &Conv2d,
-        input: &Tensor3,
-        bank: &FilterBank,
-        layer_index: usize,
-        pixel_ids: &[usize],
-    ) -> (Vec<Vec<i64>>, LayerStats) {
-        let (flat, stats) = self.conv_pixels_flat(conv, input, bank, layer_index, pixel_ids);
-        (
-            flat.chunks_exact(conv.out_c).map(<[i64]>::to_vec).collect(),
-            stats,
-        )
-    }
-
-    /// [`Self::conv_pixels`] returning the accumulator values as one flat
-    /// slot-major matrix (`pixel_slots × out_channels`) — the
-    /// allocation-lean variant the forward pass and the serving engine
-    /// run on.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`Self::conv_pixels`].
     #[must_use]
     pub fn conv_pixels_flat(
         &self,
@@ -985,12 +932,7 @@ impl DeviceExecutor {
                         &mut drive,
                     );
                     if let Some(compiled) = &compiled {
-                        compiled.execute_into(
-                            &drive,
-                            &self.config,
-                            self.engine == MvmEngine::Compiled,
-                            &mut arena,
-                        );
+                        compiled.execute_into(&drive, &self.config, true, &mut arena);
                     } else {
                         let outcome =
                             run_tile_with(&tiles.tile(tile_index), &drive, &self.config, seed);
@@ -1296,7 +1238,7 @@ impl DeviceExecutor {
                         Some(r) if r.tile.matches_bank(&tiles, geom) => Claim::Skip,
                         _ => Claim::Program(0),
                     },
-                    |_| bank_codes(&tiles, geom),
+                    || bank_codes(&tiles, geom),
                 )
             })
             .iter()
@@ -1375,7 +1317,7 @@ impl DeviceExecutor {
                 .resolve_tile(
                     (snap.layer, snap.tile),
                     |_| Claim::Program(0),
-                    |_| (snap.values.clone(), snap.rows),
+                    || (snap.values.clone(), snap.rows),
                 )
                 .expect("every snapshot tile is programmed");
             assert_eq!(
@@ -1674,8 +1616,8 @@ mod tests {
         let exec = DeviceExecutor::new(SimConfig::ideal(32, 8));
         let out = conv.output_shape();
         let pixels: Vec<usize> = (0..out.h * out.w).collect();
-        let (values, stats) = exec.conv_pixels(&conv, &input, &bank, 0, &pixels);
-        for (pid, per_oc) in pixels.iter().zip(&values) {
+        let (values, stats) = exec.conv_pixels_flat(&conv, &input, &bank, 0, &pixels);
+        for (pid, per_oc) in pixels.iter().zip(values.chunks_exact(conv.out_c)) {
             for (oc, &v) in per_oc.iter().enumerate() {
                 assert_eq!(v, exact.data()[pid * out.c + oc], "pixel {pid} oc {oc}");
             }
@@ -1694,8 +1636,8 @@ mod tests {
         let exec = DeviceExecutor::new(SimConfig::ideal(16, 16));
         let out = conv.output_shape();
         let pixels: Vec<usize> = (0..out.h * out.w).collect();
-        let (values, _) = exec.conv_pixels(&conv, &input, &bank, 0, &pixels);
-        for (pid, per_oc) in pixels.iter().zip(&values) {
+        let (values, _) = exec.conv_pixels_flat(&conv, &input, &bank, 0, &pixels);
+        for (pid, per_oc) in pixels.iter().zip(values.chunks_exact(conv.out_c)) {
             for (oc, &v) in per_oc.iter().enumerate() {
                 assert_eq!(v, exact.data()[pid * out.c + oc], "pixel {pid} oc {oc}");
             }
@@ -1784,13 +1726,13 @@ mod tests {
         cfg
     }
 
-    fn probe_conv_forward(exec: &DeviceExecutor) -> Vec<Vec<i64>> {
+    fn probe_conv_forward(exec: &DeviceExecutor) -> Vec<i64> {
         let conv = Conv2d::new("probe", TensorShape::new(7, 7, 3), 3, 3, 5, 1, 1);
         let input = synthetic::activations(conv.input, 6, 4);
         let bank = synthetic::filter_bank(&conv, 6, 5);
         let out = conv.output_shape();
         let pixels: Vec<usize> = (0..out.h * out.w).collect();
-        exec.conv_pixels(&conv, &input, &bank, 0, &pixels).0
+        exec.conv_pixels_flat(&conv, &input, &bank, 0, &pixels).0
     }
 
     #[test]
@@ -1830,36 +1772,6 @@ mod tests {
         // fresh-program accuracy, bit-exact.
         assert_eq!(probe_conv_forward(&exec), fresh);
         assert!(exec.tile_ages().iter().all(|i| i.age_ticks == 0));
-    }
-
-    #[test]
-    fn split_recalibration_matches_the_one_shot_path() {
-        // mark + eager rederive and mark + lazy read converge to the same
-        // compiled state and the same counters.
-        let eager = DeviceExecutor::new(aging_config(1e8));
-        let lazy = DeviceExecutor::new(aging_config(1e8));
-        let fresh = probe_conv_forward(&eager);
-        assert_eq!(probe_conv_forward(&lazy), fresh);
-        for exec in [&eager, &lazy] {
-            exec.set_clock(1000);
-            // Derive the aged state so there is something to reset.
-            assert_ne!(probe_conv_forward(exec), fresh);
-        }
-        let infos = eager.tile_ages();
-        assert!(!infos.is_empty());
-        for info in &infos {
-            assert_eq!(eager.mark_recalibrated(info.layer, info.tile), 1);
-            // Marking alone resets the age record, not the derivation.
-            assert_eq!(eager.rederive_tile(info.layer, info.tile), 1);
-            // Re-deriving again is a no-op: the state is current.
-            assert_eq!(eager.rederive_tile(info.layer, info.tile), 0);
-            lazy.mark_recalibrated(info.layer, info.tile);
-        }
-        assert_eq!(probe_conv_forward(&eager), fresh);
-        assert_eq!(probe_conv_forward(&lazy), fresh);
-        // Every path pays exactly one re-derivation miss per tile,
-        // whether eager or lazy.
-        assert_eq!(eager.cache_stats().misses, lazy.cache_stats().misses);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Deterministic fault schedules for a serving fleet.
 //!
 //! Real PCM crossbar fleets run with partial failure as the steady
-//! state: a chip's control plane dies, a tile execute glitches
-//! transiently, or accumulated drift degrades a chip's accuracy until it
-//! is re-programmed. This module models those events **deterministically**
-//! — every fault is keyed on the serving scheduler's *dispatch round*
-//! (a logical tick), never on wall clock — so a fixed [`FaultPlan`]
-//! produces the same failure sequence on every run, across worker
-//! counts, and in CI.
+//! state: a chip's control plane dies while its programmed arrays
+//! survive. This module models chip kills **deterministically** — every
+//! kill is keyed on the serving scheduler's *dispatch round* (a logical
+//! tick), never on wall clock — so a fixed [`FaultPlan`] produces the
+//! same failure sequence on every run, across worker counts, and in CI.
+//! Accuracy loss from PCM drift is not a scheduled event: tile aging
+//! derives it from the drift law, and the serving engine's aging monitor
+//! reports it.
 //!
 //! A [`FaultPlan`] is a schedule only: a list of [`FaultEvent`]s, each
 //! naming a dispatch round and a chip. Executors carry no fault state;
-//! the serving engine reads the plan to decide where each batch runs,
-//! which batch absorbs a transient, and what it sheds.
+//! the serving engine reads the plan to decide where each batch runs and
+//! what it sheds.
 //!
 //! PCM non-volatility matters here: a **killed** chip's programmed
 //! array state survives, so [`crate::DeviceExecutor::snapshot`] still
@@ -40,31 +41,15 @@ impl core::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// One scheduled fault: what happens, to which chip, at which dispatch
-/// round. Rounds are the serving engine's global dispatch counter —
-/// round `r` is the `r`-th batch round dispatched since the engine was
-/// built, across all drains.
+/// One scheduled fault: which chip dies at which dispatch round. Rounds
+/// are the serving engine's global dispatch counter — round `r` is the
+/// `r`-th batch round dispatched since the engine was built, across all
+/// drains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultEvent {
     /// Kill chip `chip` just before round `round` dispatches.
     ChipKill {
         /// Dispatch round the kill lands on.
-        round: u64,
-        /// Cluster chip index.
-        chip: usize,
-    },
-    /// A one-shot transient tile fault on chip `chip` at round `round`:
-    /// the first batch the chip runs at or after that round absorbs it,
-    /// at the cost of one retry and with unchanged output.
-    TileTransient {
-        /// Dispatch round the transient lands on.
-        round: u64,
-        /// Cluster chip index.
-        chip: usize,
-    },
-    /// Mark chip `chip` drift-degraded from round `round` onward.
-    Drift {
-        /// Dispatch round the degradation lands on.
         round: u64,
         /// Cluster chip index.
         chip: usize,
@@ -75,21 +60,15 @@ impl FaultEvent {
     /// The dispatch round this event fires on.
     #[must_use]
     pub fn round(&self) -> u64 {
-        match self {
-            Self::ChipKill { round, .. }
-            | Self::TileTransient { round, .. }
-            | Self::Drift { round, .. } => *round,
-        }
+        let Self::ChipKill { round, .. } = self;
+        *round
     }
 
     /// The chip this event targets.
     #[must_use]
     pub fn chip(&self) -> usize {
-        match self {
-            Self::ChipKill { chip, .. }
-            | Self::TileTransient { chip, .. }
-            | Self::Drift { chip, .. } => *chip,
-        }
+        let Self::ChipKill { chip, .. } = self;
+        *chip
     }
 }
 
@@ -106,11 +85,10 @@ impl FaultEvent {
 /// use oxbar_sim::FaultPlan;
 ///
 /// let plan = FaultPlan::new()
-///     .kill_chip(3, 1)        // round 3: chip 1 dies
-///     .tile_transient(5, 0)   // round 5: one execute on chip 0 glitches
-///     .drift(7, 2);           // round 7: chip 2 marked degraded
-/// assert_eq!(plan.events().len(), 3);
-/// assert_eq!(plan.events()[1].round(), 5);
+///     .kill_chip(3, 1)   // round 3: chip 1 dies
+///     .kill_chip(7, 2);  // round 7: chip 2 dies
+/// assert_eq!(plan.events().len(), 2);
+/// assert_eq!(plan.events()[1].round(), 7);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -135,18 +113,6 @@ impl FaultPlan {
     #[must_use]
     pub fn kill_chip(self, round: u64, chip: usize) -> Self {
         self.with(FaultEvent::ChipKill { round, chip })
-    }
-
-    /// Schedules a one-shot transient tile fault on `chip` for `round`.
-    #[must_use]
-    pub fn tile_transient(self, round: u64, chip: usize) -> Self {
-        self.with(FaultEvent::TileTransient { round, chip })
-    }
-
-    /// Marks `chip` drift-degraded from `round` onward.
-    #[must_use]
-    pub fn drift(self, round: u64, chip: usize) -> Self {
-        self.with(FaultEvent::Drift { round, chip })
     }
 
     /// Whether the plan schedules nothing.
@@ -177,8 +143,8 @@ mod tests {
     fn events_filter_by_round() {
         let plan = FaultPlan::new()
             .kill_chip(2, 0)
-            .tile_transient(2, 1)
-            .drift(4, 0);
+            .kill_chip(2, 1)
+            .kill_chip(4, 0);
         let at = |round| plan.events().iter().filter(|e| e.round() == round).count();
         assert_eq!(at(2), 2);
         assert_eq!(at(3), 0);
@@ -188,7 +154,7 @@ mod tests {
 
     #[test]
     fn plan_round_trips_through_serde() {
-        let plan = FaultPlan::new().kill_chip(7, 3).drift(9, 1);
+        let plan = FaultPlan::new().kill_chip(7, 3).kill_chip(9, 1);
         let json = serde_json::to_string(&plan).expect("serialize");
         let back: FaultPlan = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, plan);

@@ -2,7 +2,7 @@
 //! reference, per layer and per network.
 
 use crate::config::SimConfig;
-use crate::executor::{walk_network, DeviceExecutor, DeviceForward};
+use crate::executor::{walk_network, DeviceExecutor};
 use oxbar_nn::reference::{conv2d_exact, FilterBank, Tensor3, UnsupportedLayer};
 use oxbar_nn::Network;
 use serde::{Deserialize, Serialize};
@@ -143,20 +143,6 @@ pub fn run_inference(
         program_energy_nj: energy_nj,
         exact,
     })
-}
-
-/// Convenience accessor: the device forward pass alone (no comparison).
-///
-/// # Errors
-///
-/// Returns [`UnsupportedLayer`] for residual networks.
-pub fn device_forward(
-    network: &Network,
-    config: &SimConfig,
-    image: &Tensor3,
-    filters: &[FilterBank],
-) -> Result<DeviceForward, UnsupportedLayer> {
-    DeviceExecutor::new(config.clone()).forward(network, image, filters)
 }
 
 /// Exact per-layer reference outputs (the reference executor only returns

@@ -86,7 +86,7 @@ pub use executor::{
     CacheStats, DeviceExecutor, DeviceForward, LayerExecution, LayerStats, TileDriftInfo,
 };
 pub use fault::{ExecError, FaultEvent, FaultPlan};
-pub use fidelity::{device_forward, run_inference, InferenceFidelity, LayerFidelity};
+pub use fidelity::{run_inference, InferenceFidelity, LayerFidelity};
 pub use llm::{lm_steps, DeviceLmEngine};
 pub use probe::{probe_conv, LayerProbe};
 pub use snapshot::{ChipSnapshot, TileSnapshot};

@@ -65,14 +65,14 @@ pub fn probe_conv(
         .clone()
         .with_seed(config.seed ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let executor = DeviceExecutor::new(config);
-    let (values, stats) = executor.conv_pixels(conv, &input, &bank, 0, &pixels);
+    let (values, stats) = executor.conv_pixels_flat(conv, &input, &bank, 0, &pixels);
 
     let mut mismatches = 0usize;
     let mut max_abs_delta = 0i64;
     let mut elements = 0usize;
-    for (slot, &pid) in pixels.iter().enumerate() {
+    for (&pid, row) in pixels.iter().zip(values.chunks_exact(conv.out_c)) {
         let exact = exact_pixel(conv, &input, &bank, pid);
-        for (oc, &got) in values[slot].iter().enumerate() {
+        for (oc, &got) in row.iter().enumerate() {
             let want = exact[oc];
             elements += 1;
             if got != want {

@@ -2,7 +2,7 @@
 //! device pipeline (PCM → photonics → readout) equals the exact integer
 //! reference executor, exactly.
 
-use crate::{run_inference, SimConfig};
+use crate::{run_inference, DeviceExecutor, SimConfig};
 use oxbar_nn::mapping::WeightMapping;
 use oxbar_nn::reference::Executor;
 use oxbar_nn::synthetic::{self, small_network};
@@ -47,7 +47,7 @@ proptest! {
         prop_assert_eq!(report.output_max_abs_delta, 0);
 
         // And the device forward output itself is the reference tensor.
-        let fwd = crate::device_forward(&net, &config, &input, &filters).unwrap();
+        let fwd = DeviceExecutor::new(config).forward(&net, &input, &filters).unwrap();
         prop_assert_eq!(fwd.output, ref_out);
     }
 }

@@ -227,9 +227,6 @@ pub enum MvmEngine {
     /// default fast path).
     #[default]
     Compiled,
-    /// The compiled transfer matrix without the duplicate-window cache
-    /// (every window recomputed; used to pin the cache's transparency).
-    CompiledNoCache,
     /// The cell-by-cell field-propagation oracle
     /// ([`CrossbarSimulator::run`]) — the reference the compiled path is
     /// validated against, and the baseline the `device_mvm` bench times.

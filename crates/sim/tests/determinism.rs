@@ -4,28 +4,20 @@
 
 use oxbar_nn::synthetic;
 use oxbar_nn::zoo::lenet5;
-use oxbar_sim::{device_forward, run_inference, SimConfig};
+use oxbar_sim::{run_inference, DeviceExecutor, SimConfig};
 
 #[test]
 fn parallel_equals_serial_ideal_mode() {
     let net = lenet5();
     let input = synthetic::activations(net.input(), 6, 3);
     let filters = synthetic::filter_banks(&net, 6, 4);
-    let serial = device_forward(
-        &net,
-        &SimConfig::ideal(128, 128).with_threads(1),
-        &input,
-        &filters,
-    )
-    .unwrap();
-    for threads in [2, 4, 0] {
-        let parallel = device_forward(
-            &net,
-            &SimConfig::ideal(128, 128).with_threads(threads),
-            &input,
-            &filters,
-        )
+    let serial = DeviceExecutor::new(SimConfig::ideal(128, 128).with_threads(1))
+        .forward(&net, &input, &filters)
         .unwrap();
+    for threads in [2, 4, 0] {
+        let parallel = DeviceExecutor::new(SimConfig::ideal(128, 128).with_threads(threads))
+            .forward(&net, &input, &filters)
+            .unwrap();
         assert_eq!(parallel, serial, "threads={threads}");
     }
 }

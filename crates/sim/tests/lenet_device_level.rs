@@ -6,7 +6,7 @@
 use oxbar_nn::reference::Executor;
 use oxbar_nn::synthetic;
 use oxbar_nn::zoo::lenet5;
-use oxbar_sim::{device_forward, run_inference, SimConfig};
+use oxbar_sim::{run_inference, DeviceExecutor, SimConfig};
 use std::time::Instant;
 
 #[test]
@@ -31,7 +31,9 @@ fn lenet5_ideal_mode_is_bit_exact() {
     let (ref_out, _) = Executor::new(6)
         .forward(&net, &images[0], &filters)
         .unwrap();
-    let fwd = device_forward(&net, &SimConfig::ideal(128, 128), &images[0], &filters).unwrap();
+    let fwd = DeviceExecutor::new(SimConfig::ideal(128, 128))
+        .forward(&net, &images[0], &filters)
+        .unwrap();
     assert_eq!(fwd.output, ref_out);
 }
 
@@ -65,7 +67,9 @@ fn device_level_tests_stay_fast() {
     let input = synthetic::activations(net.input(), 6, 5);
     let filters = synthetic::filter_banks(&net, 6, 6);
     let start = Instant::now();
-    let fwd = device_forward(&net, &SimConfig::ideal(128, 128), &input, &filters).unwrap();
+    let fwd = DeviceExecutor::new(SimConfig::ideal(128, 128))
+        .forward(&net, &input, &filters)
+        .unwrap();
     assert_eq!(fwd.output.shape().elements(), 10);
     let elapsed = start.elapsed();
     // Generous bound (debug builds are ~20× slower than release).
