@@ -2,7 +2,8 @@
 //! prewarm scheduler) vs cold per-request execution on the same trace.
 //!
 //! Writes `BENCH_serve.json` at the workspace root. Pass `--quick` for
-//! the CI smoke variant (small trace, same schema).
+//! the CI smoke variant (small trace, same schema), written to
+//! `results/BENCH_serve.json` instead.
 //!
 //! The binary installs a counting global allocator so the snapshot can
 //! report the allocation count of a warm serving round (the

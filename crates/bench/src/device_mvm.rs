@@ -595,7 +595,7 @@ fn render_decode(report: &DeviceMvmReport) {
 }
 
 /// Generates the snapshot and writes `BENCH_device_mvm.json` at the
-/// workspace root.
+/// workspace root (under `results/` in quick mode).
 ///
 /// # Panics
 ///
@@ -603,7 +603,7 @@ fn render_decode(report: &DeviceMvmReport) {
 #[must_use]
 pub fn run(quick: bool) -> DeviceMvmReport {
     let report = generate(quick);
-    let path = crate::workspace_root().join("BENCH_device_mvm.json");
+    let path = crate::snapshot_path("BENCH_device_mvm.json", quick);
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&path, json + "\n").expect("write BENCH_device_mvm.json");
     println!("[written] {}", path.display());

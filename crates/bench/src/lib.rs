@@ -74,6 +74,19 @@ pub fn results_dir() -> PathBuf {
     results
 }
 
+/// Where a benchmark snapshot named `file` is written: the committed
+/// copy at the workspace root for a full run, or `results/` (gitignored)
+/// for a `--quick` smoke run, so a smoke run never replaces the
+/// committed trajectory.
+#[must_use]
+pub fn snapshot_path(file: &str, quick: bool) -> PathBuf {
+    if quick {
+        results_dir().join(file)
+    } else {
+        workspace_root().join(file)
+    }
+}
+
 /// Writes CSV rows (first row = header) to `results/<name>.csv` and echoes
 /// the path.
 pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {

@@ -1351,7 +1351,7 @@ pub fn render(report: &ServeReport) {
 }
 
 /// Generates the snapshot and writes `BENCH_serve.json` at the workspace
-/// root.
+/// root (under `results/` in quick mode).
 ///
 /// # Panics
 ///
@@ -1359,7 +1359,7 @@ pub fn render(report: &ServeReport) {
 #[must_use]
 pub fn run(quick: bool) -> ServeReport {
     let report = generate(quick);
-    let path = crate::workspace_root().join("BENCH_serve.json");
+    let path = crate::snapshot_path("BENCH_serve.json", quick);
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&path, json + "\n").expect("write BENCH_serve.json");
     println!("[written] {}", path.display());

@@ -105,30 +105,21 @@ pub fn form_batches(queue: &[(ModelId, u64)], policy: BatchPolicy) -> Vec<Batch>
 /// Routes formed batches into dispatch rounds of at most `round_size`,
 /// preferring to spread each round across distinct chips.
 ///
-/// Every round is built in two passes over the remaining batches, both in
-/// queue order: a **preference** pass takes batches whose chip
-/// (`chip_of(batch)` — per *batch*, so replicated models can spread
-/// successive batches across their replicas) is not yet represented in
-/// the round — so
-/// concurrent workers land on different chips and cross-chip parallelism
-/// is real parallelism — then a **fill** pass tops the round up with the
-/// earliest remaining batches regardless of chip. Within a round the
-/// original batch order is preserved.
+/// Every round is built in two scans over the remaining batches, both in
+/// queue order: a **preference** scan takes the earliest batch of each
+/// chip (`chip_of(batch)` — per *batch*, so replicated models can spread
+/// successive batches across their replicas) not yet represented in the
+/// round, so concurrent workers land on different chips and cross-chip
+/// parallelism is real parallelism; then a **fill** scan tops the round
+/// up with the earliest remaining batches regardless of chip. Within a
+/// round the original batch order is preserved.
 ///
-/// On a single chip the preference pass degenerates to "take the first
+/// On a single chip the preference scan degenerates to "take the first
 /// remaining batch", so the rounds are exactly
 /// `batches.chunks(round_size)` — the pre-cluster schedule, byte for
 /// byte. Deterministic in all cases: a pure function of the batch list,
-/// the round size, and the placement.
-///
-/// The implementation is cursor-based — O(n · chips) over `n` batches —
-/// rather than rescanning the full list per round: batches are grouped
-/// into per-chip FIFO lanes up front, the preference pass repeatedly
-/// takes the minimum queue-head index among chips not yet represented in
-/// the round (the same increasing pick sequence a forward scan with chip
-/// uniqueness produces), and the fill pass runs a single monotone cursor
-/// over the whole list. Output is byte-identical to the scan-per-round
-/// formulation; `tests/routing.rs` pins the equivalence with a proptest.
+/// the round size, and the placement. The scans cost O(batches² /
+/// round_size); a drain pass holds at most a few hundred batches.
 ///
 /// # Panics
 ///
@@ -140,66 +131,31 @@ pub fn route_rounds(
     chip_of: impl Fn(&Batch) -> usize,
 ) -> Vec<Vec<usize>> {
     assert!(round_size >= 1, "a round dispatches at least one batch");
-    // Per-chip FIFO lanes of batch indices, in queue order. Chip ids may
-    // be sparse, so lanes are keyed by first appearance.
-    let mut chip_ids: Vec<usize> = Vec::new();
-    let mut lanes: Vec<Vec<usize>> = Vec::new();
-    for (idx, batch) in batches.iter().enumerate() {
-        let chip = chip_of(batch);
-        let lane = chip_ids.iter().position(|&c| c == chip).unwrap_or_else(|| {
-            chip_ids.push(chip);
-            lanes.push(Vec::new());
-            lanes.len() - 1
-        });
-        lanes[lane].push(idx);
-    }
+    let chips: Vec<usize> = batches.iter().map(chip_of).collect();
     let mut taken = vec![false; batches.len()];
-    let mut heads = vec![0usize; lanes.len()];
-    let mut fill = 0usize;
     let mut remaining = batches.len();
     let mut rounds = Vec::new();
     while remaining > 0 {
         let mut round: Vec<usize> = Vec::with_capacity(round_size.min(remaining));
-        let mut used = vec![false; lanes.len()];
-        // Preference pass: one batch per not-yet-served chip, earliest
-        // first. Each pick is the minimum lane head over unused chips;
-        // the picks are strictly increasing, so this reproduces the
-        // forward scan exactly.
-        while round.len() < round_size {
-            let mut best: Option<(usize, usize)> = None;
-            for lane in 0..lanes.len() {
-                if used[lane] {
-                    continue;
-                }
-                // Skip entries the fill pass already consumed.
-                while heads[lane] < lanes[lane].len() && taken[lanes[lane][heads[lane]]] {
-                    heads[lane] += 1;
-                }
-                if heads[lane] < lanes[lane].len() {
-                    let idx = lanes[lane][heads[lane]];
-                    if best.is_none_or(|(b, _)| idx < b) {
-                        best = Some((idx, lane));
-                    }
-                }
-            }
-            let Some((idx, lane)) = best else { break };
-            taken[idx] = true;
-            used[lane] = true;
-            heads[lane] += 1;
-            round.push(idx);
-        }
-        // Fill pass: earliest remaining batches, any chip. Anything the
-        // cursor passes is taken forever, so it never moves backwards —
-        // O(n) across the whole routing, not per round.
-        while round.len() < round_size {
-            while fill < batches.len() && taken[fill] {
-                fill += 1;
-            }
-            if fill == batches.len() {
+        let mut used: Vec<usize> = Vec::new();
+        for (idx, (slot, &chip)) in taken.iter_mut().zip(&chips).enumerate() {
+            if round.len() == round_size {
                 break;
             }
-            taken[fill] = true;
-            round.push(fill);
+            if !*slot && !used.contains(&chip) {
+                *slot = true;
+                used.push(chip);
+                round.push(idx);
+            }
+        }
+        for (idx, slot) in taken.iter_mut().enumerate() {
+            if round.len() == round_size {
+                break;
+            }
+            if !*slot {
+                *slot = true;
+                round.push(idx);
+            }
         }
         round.sort_unstable();
         remaining -= round.len();

@@ -21,11 +21,14 @@
 //! A 1-chip cluster is the classic single-registry engine — same
 //! outputs, same eviction sequence (`tests/cluster_equivalence.rs` pins
 //! it).
+//!
+//! Chip failure has one rule, [`Cluster::chip_health`]: every question
+//! about a chip's health passes the dispatch count it is asked at.
 
 use crate::registry::{AdmitError, ModelCacheStats, ModelSpec};
 use crate::request::ModelId;
 use oxbar_nn::{Layer, TensorShape};
-use oxbar_sim::{DeviceExecutor, SimConfig};
+use oxbar_sim::{DeviceExecutor, FaultPlan, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -34,13 +37,13 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ChipId(pub usize);
 
-/// Operational health of one chip, tracked by the serving scheduler.
+/// Operational health of one chip at a dispatch count.
 ///
 /// `Healthy ⇄ Degraded` (the aging monitor's accuracy-budget breach and
-/// post-recalibration heal) and `{Healthy, Degraded} → Failed` (chip
-/// kill; terminal within a run).
-/// `Failed` chips never serve; `Degraded` chips serve but the scheduler
-/// prefers healthy replicas when routing.
+/// post-recalibration heal) and `{Healthy, Degraded} → Failed` (a
+/// planned chip kill the dispatch count has passed; terminal within a
+/// run). `Failed` chips never serve; `Degraded` chips serve but the
+/// scheduler prefers healthy replicas when routing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChipHealth {
     /// Serving normally.
@@ -103,8 +106,8 @@ pub enum PlacementPolicy {
 }
 
 /// Per-chip bookkeeping of a [`Cluster`]: the chip's cell budget, the
-/// footprint committed to it by placement, and its health and counters
-/// (reported through [`ChipStats`]).
+/// footprint committed to it by placement, its drift health and its
+/// counters (reported through [`ChipStats`]).
 struct ChipRegistry {
     budget: usize,
     /// Summed full footprints of the models placed on this chip (what
@@ -113,8 +116,9 @@ struct ChipRegistry {
     evictions: u64,
     migrations_in: u64,
     migrations_out: u64,
-    /// Scheduler-visible health (see [`ChipHealth`]).
-    health: ChipHealth,
+    /// Set by the aging monitor while a resident tile is past the
+    /// accuracy budget. Failure is not stored: the fault plan decides it.
+    degraded: bool,
     /// Fault-charged retries: batches re-routed off this chip after it
     /// failed.
     retries: u64,
@@ -131,7 +135,7 @@ impl ChipRegistry {
             evictions: 0,
             migrations_in: 0,
             migrations_out: 0,
-            health: ChipHealth::Healthy,
+            degraded: false,
             retries: 0,
             sheds: 0,
         }
@@ -159,7 +163,7 @@ pub struct ChipStats {
     pub hits: u64,
     /// Tile-cache misses summed over the chip's models.
     pub misses: u64,
-    /// The chip's scheduler-visible health.
+    /// The chip's health at the dispatch count the stats were taken at.
     pub health: ChipHealth,
     /// Fault-charged retries: batches re-routed off this chip after it
     /// failed.
@@ -222,7 +226,13 @@ pub struct Cluster {
     placement: PlacementPolicy,
     chips: Vec<ChipRegistry>,
     entries: Vec<ModelEntry>,
-    clock: u64,
+    /// The chip-kill schedule every health question reads.
+    faults: FaultPlan,
+    /// LRU use stamp: +1 per [`Self::touch`].
+    lru: u64,
+    /// The virtual tick [`Self::set_clocks`] last set; a restored
+    /// executor starts there.
+    tick: u64,
     recoveries: u64,
     /// Wall-clock milliseconds spent in snapshot/restore recoveries
     /// (observational only — never feeds back into scheduling).
@@ -245,10 +255,19 @@ impl Cluster {
             placement,
             chips: chip_budgets.iter().map(|&b| ChipRegistry::new(b)).collect(),
             entries: Vec::new(),
-            clock: 0,
+            faults: FaultPlan::new(),
+            lru: 0,
+            tick: 0,
             recoveries: 0,
             recovery_ms: 0.0,
         }
+    }
+
+    /// Kills chips on `plan`'s schedule (see [`Self::chip_health`]).
+    #[must_use]
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = plan;
+        self
     }
 
     /// Validates a spec (residual layers, filter coverage) without
@@ -470,8 +489,8 @@ impl Cluster {
 
     /// Marks `id` as the most recently used model (LRU bookkeeping).
     pub fn touch(&mut self, id: ModelId) {
-        self.clock += 1;
-        self.entries[id.0].last_use = self.clock;
+        self.lru += 1;
+        self.entries[id.0].last_use = self.lru;
     }
 
     /// The model's full weight-stationary footprint in crossbar cells.
@@ -508,25 +527,24 @@ impl Cluster {
         compiled
     }
 
-    /// Enforces every chip's cell budget, returning how many models were
-    /// evicted. The pass repeatedly takes the lowest-indexed over-budget
-    /// chip, selects its least-recently-used resident model (ties to the
-    /// lowest admission index), and first offers it to a sibling chip
-    /// with occupancy room — **migration**, via a bit-exact executor
-    /// snapshot — falling back to eviction (tile cache cleared) when no
-    /// sibling can take it. A model migrates at most once per pass: a hot
+    /// Enforces every chip's cell budget at dispatch count `dispatched`,
+    /// returning how many models were evicted. The pass repeatedly takes
+    /// the lowest-indexed over-budget chip, selects its
+    /// least-recently-used resident model (ties to the lowest admission
+    /// index), and first offers it to a sibling chip with occupancy room
+    /// — **migration**, via a bit-exact executor snapshot — falling back
+    /// to eviction (tile cache cleared) when no sibling can take it. A model migrates at most once per pass: a hot
     /// potato that lands on another over-budget chip is evicted there
     /// rather than bounced again, so the pass terminates with *every*
     /// chip within budget. On a 1-chip cluster there is never a migration
     /// target, so the eviction sequence is exactly the single-registry
-    /// one. Failed chips are skipped entirely: they serve nothing, and
-    /// their non-volatile state is left intact for recovery.
-    pub fn enforce_budget(&mut self) -> usize {
+    /// one. Chips failed at `dispatched` are skipped entirely: they serve
+    /// nothing, and their non-volatile state is left intact for recovery.
+    pub fn enforce_budget(&mut self, dispatched: u64) -> usize {
         let mut evicted = 0;
         let mut moved: HashSet<(usize, usize)> = HashSet::new();
         while let Some(chip) = (0..self.chips.len()).find(|&c| {
-            self.chips[c].health != ChipHealth::Failed
-                && self.chip_occupancy(ChipId(c)) > self.chips[c].budget
+            self.serves(c, dispatched) && self.chip_occupancy(ChipId(c)) > self.chips[c].budget
         }) {
             let (victim, slot) = self
                 .entries
@@ -542,7 +560,7 @@ impl Cluster {
                 .min_by_key(|&(idx, slot, last_use)| (last_use, idx, slot))
                 .map(|(idx, slot, _)| (idx, slot))
                 .expect("occupancy > 0 implies a resident model");
-            match self.migration_target(victim, slot, chip) {
+            match self.migration_target(victim, slot, dispatched) {
                 Some(dest) if !moved.contains(&(victim, slot)) => {
                     self.migrate_residency(victim, slot, dest);
                     moved.insert((victim, slot));
@@ -567,17 +585,16 @@ impl Cluster {
     /// every hot-spot into an eviction. Occupancy room suffices: moving
     /// the resident state cannot push the destination over budget *now*,
     /// and if the destination's own models later return, its enforcement
-    /// pass resolves the pressure the same way. Failed chips and chips
-    /// already hosting another replica of the same model are never
-    /// targets. Deterministic: the least-occupied eligible sibling,
-    /// lowest index on ties.
-    fn migration_target(&self, victim: usize, slot: usize, from: usize) -> Option<usize> {
+    /// pass resolves the pressure the same way. Chips failed at
+    /// `dispatched` and chips holding a copy of the model (the victim's
+    /// own included) are never targets. Deterministic: the least-occupied
+    /// eligible sibling, lowest index on ties.
+    fn migration_target(&self, victim: usize, slot: usize, dispatched: u64) -> Option<usize> {
         let entry = &self.entries[victim];
         let resident = entry.residencies[slot].executor.cache_stats().cells;
-        let sibling_chips: Vec<usize> = entry.residencies.iter().map(|r| r.chip).collect();
+        let copies: Vec<usize> = entry.residencies.iter().map(|r| r.chip).collect();
         (0..self.chips.len())
-            .filter(|&c| c != from && !sibling_chips.contains(&c))
-            .filter(|&c| self.chips[c].health != ChipHealth::Failed)
+            .filter(|&c| !copies.contains(&c) && self.serves(c, dispatched))
             .map(|c| (self.chip_occupancy(ChipId(c)), c))
             .filter(|&(occ, c)| occ + resident <= self.chips[c].budget)
             .min()
@@ -599,7 +616,7 @@ impl Cluster {
         let mut snap = self.entries[victim].residencies[slot].executor.snapshot();
         snap.cache_budget = self.chips[dest].budget;
         self.entries[victim].residencies[slot].executor =
-            DeviceExecutor::restore_at(&snap, self.clock);
+            DeviceExecutor::restore_at(&snap, self.tick);
         self.entries[victim].residencies[slot].chip = dest;
         let footprint = self.entries[victim].footprint_cells;
         self.chips[from].committed_cells -= footprint;
@@ -635,63 +652,66 @@ impl Cluster {
         self.recovery_ms
     }
 
-    /// The scheduler-visible health of `chip`.
+    /// The health of `chip` at dispatch count `dispatched`: failed when
+    /// the fault plan kills it at a round below `dispatched` (its
+    /// programmed state stays snapshot-readable), else as the aging
+    /// monitor last left it.
     ///
     /// # Panics
     ///
     /// Panics if the chip index is out of range.
     #[must_use]
-    pub fn chip_health(&self, chip: ChipId) -> ChipHealth {
-        self.chips[chip.0].health
+    pub fn chip_health(&self, chip: ChipId, dispatched: u64) -> ChipHealth {
+        let killed = self
+            .faults
+            .events()
+            .iter()
+            .any(|e| e.chip() == chip.0 && e.round() < dispatched);
+        if killed {
+            ChipHealth::Failed
+        } else if self.chips[chip.0].degraded {
+            ChipHealth::Degraded
+        } else {
+            ChipHealth::Healthy
+        }
     }
 
-    /// Marks `chip` [`ChipHealth::Failed`]: routing, migration and
-    /// recovery stop considering it. Its programmed state stays
-    /// snapshot-readable (PCM non-volatility), which is what
-    /// [`Self::recover`] relies on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chip index is out of range.
-    pub fn mark_chip_failed(&mut self, chip: ChipId) {
-        self.chips[chip.0].health = ChipHealth::Failed;
+    /// Whether `chip` can execute at dispatch count `dispatched`.
+    fn serves(&self, chip: usize, dispatched: u64) -> bool {
+        self.chip_health(ChipId(chip), dispatched).serves()
     }
 
     /// Marks `chip` drift-degraded (the aging monitor found a resident
     /// tile past the accuracy budget): it keeps serving, but replica
-    /// routing prefers healthy chips. A failed chip stays failed.
+    /// routing prefers healthy chips. A failed chip still reports failed.
     ///
     /// # Panics
     ///
     /// Panics if the chip index is out of range.
     pub fn degrade_chip(&mut self, chip: ChipId) {
-        if self.chips[chip.0].health != ChipHealth::Failed {
-            self.chips[chip.0].health = ChipHealth::Degraded;
-        }
+        self.chips[chip.0].degraded = true;
     }
 
     /// Heals a drift-degraded chip back to [`ChipHealth::Healthy`] — the
     /// scheduler calls this after recalibration brings all of the chip's
-    /// resident tiles back under the accuracy budget. A failed chip stays
-    /// failed.
+    /// resident tiles back under the accuracy budget. A failed chip still
+    /// reports failed.
     ///
     /// # Panics
     ///
     /// Panics if the chip index is out of range.
     pub fn heal_chip(&mut self, chip: ChipId) {
-        if self.chips[chip.0].health == ChipHealth::Degraded {
-            self.chips[chip.0].health = ChipHealth::Healthy;
-        }
+        self.chips[chip.0].degraded = false;
     }
 
     /// Advances every residency executor's virtual clock to `tick` (the
     /// global dispatch counter). Called at single-threaded drain
     /// boundaries so tile aging is a deterministic function of the
-    /// workload, independent of worker count and wall clock. The cluster
-    /// remembers the tick so a mid-drain recovery can stamp its restored
-    /// (freshly reprogrammed) tiles at the current time.
+    /// workload, independent of worker count and wall clock. Migrations
+    /// and recoveries until the next call restore their executors at
+    /// this tick, whatever point of the drain they run at.
     pub fn set_clocks(&mut self, tick: u64) {
-        self.clock = self.clock.max(tick);
+        self.tick = self.tick.max(tick);
         for entry in &self.entries {
             for r in &entry.residencies {
                 r.executor.set_clock(tick);
@@ -710,23 +730,23 @@ impl Cluster {
         self.chips[chip.0].sheds += 1;
     }
 
-    /// Recovers a model with **no serving residency** onto the
-    /// least-occupied non-failed chip (lowest index on ties) by
-    /// snapshot/restore of its richest residency — readable even on a
-    /// killed chip, because PCM state is non-volatile. All old
-    /// residencies are dropped; the model continues as a single healthy
-    /// copy whose outputs are byte-identical to before the failure.
-    /// Returns the destination, or `None` when every chip is failed.
+    /// Recovers a model with **no serving residency** at dispatch count
+    /// `dispatched` onto the serving chip with the fewest committed cells
+    /// (lowest index on ties; unlike occupancy, commitment does not
+    /// change with how far execution has got) by snapshot/restore of its
+    /// richest residency — readable even on a killed chip, because PCM
+    /// state is non-volatile. All old residencies are dropped; the model
+    /// continues as a single copy whose outputs are byte-identical to
+    /// before the failure. Returns the destination, or `None` when every
+    /// chip is failed.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not issued by this cluster.
-    pub fn recover(&mut self, id: ModelId) -> Option<ChipId> {
+    pub fn recover(&mut self, id: ModelId, dispatched: u64) -> Option<ChipId> {
         let dest = (0..self.chips.len())
-            .filter(|&c| self.chips[c].health != ChipHealth::Failed)
-            .map(|c| (self.chip_occupancy(ChipId(c)), c))
-            .min()
-            .map(|(_, c)| c)?;
+            .filter(|&c| self.serves(c, dispatched))
+            .min_by_key(|&c| (self.chips[c].committed_cells, c))?;
         let started = std::time::Instant::now();
         let entry = &self.entries[id.0];
         // Snapshot the residency with the most compiled state so the
@@ -740,7 +760,7 @@ impl Cluster {
             .expect("every entry has at least one residency");
         let mut snap = source.executor.snapshot();
         snap.cache_budget = self.chips[dest].budget;
-        let restored = DeviceExecutor::restore_at(&snap, self.clock);
+        let restored = DeviceExecutor::restore_at(&snap, self.tick);
         let footprint = self.entries[id.0].footprint_cells;
         for r in &self.entries[id.0].residencies {
             self.chips[r.chip].committed_cells -= footprint;
@@ -801,9 +821,10 @@ impl Cluster {
             .collect()
     }
 
-    /// Per-chip serving statistics, in chip-index order.
+    /// Per-chip serving statistics at dispatch count `dispatched`, in
+    /// chip-index order.
     #[must_use]
-    pub fn chip_stats(&self) -> Vec<ChipStats> {
+    pub fn chip_stats(&self, dispatched: u64) -> Vec<ChipStats> {
         self.chips
             .iter()
             .enumerate()
@@ -831,7 +852,7 @@ impl Cluster {
                     migrations_out: chip.migrations_out,
                     hits,
                     misses,
-                    health: chip.health,
+                    health: self.chip_health(ChipId(c), dispatched),
                     retries: chip.retries,
                     sheds: chip.sheds,
                 }
@@ -968,7 +989,7 @@ mod tests {
         make_resident(&mut cluster, b);
         // `make_resident` re-ran `a`'s forward; `a` is LRU after `b`.
         cluster.touch(b);
-        let evicted = cluster.enforce_budget();
+        let evicted = cluster.enforce_budget(0);
         assert_eq!(evicted, 0, "a sibling had room: migration, not eviction");
         assert_eq!(cluster.migrations(), 2, "setup drag + enforcement");
         assert_eq!(cluster.chip_of(a), ChipId(1), "LRU model moved");
@@ -982,7 +1003,7 @@ mod tests {
             .forward(&net_a, &input, &filt_a)
             .unwrap();
         assert_eq!(after, before, "migration must not change outputs");
-        let stats = cluster.chip_stats();
+        let stats = cluster.chip_stats(0);
         assert_eq!(stats[0].migrations_in, 1, "the setup drag onto chip 0");
         assert_eq!(stats[1].migrations_in, 1, "the enforcement move of `a`");
         assert_eq!(stats[0].evictions, 0);
@@ -1035,12 +1056,34 @@ mod tests {
     }
 
     #[test]
+    fn a_chip_is_failed_exactly_past_its_planned_kill() {
+        let cluster = Cluster::new(
+            SimConfig::ideal(64, 64),
+            &[100_000, 100_000],
+            PlacementPolicy::FirstFit,
+        )
+        .with_faults(FaultPlan::new().kill_chip(3, 1).kill_chip(5, 7));
+        let health = |dispatched| {
+            cluster
+                .chip_stats(dispatched)
+                .iter()
+                .map(|c| c.health)
+                .collect::<Vec<_>>()
+        };
+        let (ok, dead) = (ChipHealth::Healthy, ChipHealth::Failed);
+        assert_eq!(health(3), [ok, ok], "the kill lands before round 3");
+        assert_eq!(health(4), [ok, dead], "round 3 runs without chip 1");
+        assert_eq!(health(9), [ok, dead], "a kill of chip 7 names no chip");
+    }
+
+    #[test]
     fn killed_chip_fails_over_to_the_surviving_replica() {
         let mut cluster = Cluster::new(
             SimConfig::noisy(128, 128).with_threads(1),
             &[100_000, 100_000],
             PlacementPolicy::Replicated(2),
-        );
+        )
+        .with_faults(FaultPlan::new().kill_chip(0, 0));
         let a = cluster.admit_strict(lenet_spec(1)).unwrap();
         let spec = cluster.spec(a);
         let input = synthetic::activations(spec.network.input(), 6, 7);
@@ -1051,8 +1094,7 @@ mod tests {
             .forward(&net, &input, &filt)
             .unwrap();
 
-        cluster.mark_chip_failed(ChipId(0));
-        assert_eq!(cluster.chip_health(ChipId(0)), ChipHealth::Failed);
+        assert_eq!(cluster.chip_health(ChipId(0), 1), ChipHealth::Failed);
         let after = cluster
             .executor_on(a, ChipId(1))
             .unwrap()
@@ -1067,7 +1109,8 @@ mod tests {
             SimConfig::noisy(128, 128).with_threads(1),
             &[100_000, 100_000],
             PlacementPolicy::FirstFit,
-        );
+        )
+        .with_faults(FaultPlan::new().kill_chip(0, 0));
         let a = cluster.admit(lenet_spec(1)).unwrap();
         make_resident(&mut cluster, a);
         let spec = cluster.spec(a);
@@ -1075,9 +1118,8 @@ mod tests {
         let (net, filt) = (spec.network.clone(), spec.filters.clone());
         let before = cluster.executor(a).forward(&net, &input, &filt).unwrap();
 
-        cluster.mark_chip_failed(ChipId(0));
-        assert!(!cluster.chip_health(cluster.chip_of(a)).serves());
-        let dest = cluster.recover(a).expect("a healthy chip remains");
+        assert!(!cluster.chip_health(cluster.chip_of(a), 1).serves());
+        let dest = cluster.recover(a, 1).expect("a healthy chip remains");
         assert_eq!(dest, ChipId(1));
         assert_eq!(cluster.chip_of(a), ChipId(1));
         assert_eq!(cluster.recoveries(), 1);
@@ -1098,19 +1140,37 @@ mod tests {
             SimConfig::ideal(128, 128),
             &[100_000, 100_000],
             PlacementPolicy::Replicated(2),
-        );
+        )
+        .with_faults(FaultPlan::new().kill_chip(0, 1));
         cluster.admit_strict(lenet_spec(1)).unwrap();
         cluster.degrade_chip(ChipId(0));
-        assert_eq!(cluster.chip_health(ChipId(0)), ChipHealth::Degraded);
-        let stats = cluster.chip_stats();
+        assert_eq!(cluster.chip_health(ChipId(0), 1), ChipHealth::Degraded);
+        let stats = cluster.chip_stats(0);
         assert_eq!(stats[0].health, ChipHealth::Degraded);
         assert_eq!(stats[1].health, ChipHealth::Healthy);
         cluster.heal_chip(ChipId(0));
-        assert_eq!(cluster.chip_health(ChipId(0)), ChipHealth::Healthy);
-        cluster.mark_chip_failed(ChipId(1));
+        assert_eq!(cluster.chip_health(ChipId(0), 1), ChipHealth::Healthy);
         cluster.degrade_chip(ChipId(1));
+        assert_eq!(cluster.chip_health(ChipId(1), 1), ChipHealth::Failed);
         cluster.heal_chip(ChipId(1));
-        assert_eq!(cluster.chip_health(ChipId(1)), ChipHealth::Failed);
+        assert_eq!(cluster.chip_health(ChipId(1), 1), ChipHealth::Failed);
+    }
+
+    #[test]
+    fn a_restore_starts_at_the_tick_set_clocks_set_not_the_lru_stamp() {
+        let mut cluster = Cluster::new(
+            SimConfig::ideal(128, 128).with_threads(1),
+            &[100_000, 100_000],
+            PlacementPolicy::FirstFit,
+        )
+        .with_faults(FaultPlan::new().kill_chip(0, 0));
+        let a = cluster.admit(lenet_spec(1)).unwrap();
+        cluster.set_clocks(5);
+        for _ in 0..3 {
+            make_resident(&mut cluster, a);
+        }
+        assert_eq!(cluster.recover(a, 1), Some(ChipId(1)));
+        assert_eq!(cluster.executor(a).clock(), 5);
     }
 
     #[test]
@@ -1173,7 +1233,7 @@ mod tests {
         make_resident(&mut cluster, a);
         make_resident(&mut cluster, b);
         assert!(cluster.occupancy() > cluster.budget());
-        let evicted = cluster.enforce_budget();
+        let evicted = cluster.enforce_budget(0);
         assert_eq!(evicted, 1, "no sibling: eviction, not migration");
         assert_eq!(cluster.evictions(), 1);
         assert_eq!(cluster.migrations(), 0);

@@ -34,7 +34,9 @@ pub struct ServeConfig {
     /// admitted models (the hardware's finite PCM tile capacity).
     pub cache_budget_cells: usize,
     /// Worker threads for batch dispatch (0 = all cores, 1 = serial).
-    /// Results are byte-identical regardless of the worker count.
+    /// Without drift aging every answer and every shed is byte-identical
+    /// whatever the worker count (see [`ServeEngine`]'s determinism
+    /// notes for what else is).
     pub workers: usize,
     /// Pipelined tile programming: while a batch round executes, a
     /// scheduler stage prewarms the tile cache of the next distinct model
@@ -49,10 +51,10 @@ pub struct ServeConfig {
     /// that crossed the accuracy budget, and each marked tile re-derives
     /// at fresh-program state at its next read. Decisions are keyed on
     /// the global dispatch counter at single-threaded drain boundaries —
-    /// never wall clock — so outputs, eviction sequences, and stats are
-    /// byte-identical across worker counts; with aging disabled the flag
-    /// is structurally inert (on or off, nothing changes). On by
-    /// default.
+    /// never wall clock — so which tiles are marked does not depend on
+    /// the worker count, only on the tile ages the drain inherits; with
+    /// aging disabled the flag is structurally inert (on or off, nothing
+    /// changes). On by default.
     pub recalibration: bool,
     /// Per-chip weight-stationary budgets, in cells. Empty (the default)
     /// means a single chip of `cache_budget_cells` — the pre-cluster
@@ -65,11 +67,12 @@ pub struct ServeConfig {
     pub placement: PlacementPolicy,
     /// Deterministic chip-kill schedule, keyed on the engine's global
     /// batch dispatch counter: a kill with round `r` lands just before
-    /// the `r`-th batch dispatched since engine creation. Keying on
-    /// dispatch sequence — never wall clock — keeps failover, shedding,
-    /// and recovery decisions byte-identical across worker counts. Empty
-    /// by default: a no-fault engine is byte-identical to one without
-    /// this field.
+    /// the `r`-th batch dispatched since engine creation, so the chip is
+    /// failed at every dispatch count above `r`. Every fault decision
+    /// reads health at its own dispatch count — never wall clock, never
+    /// how far other batches have run — so the shed set does not depend
+    /// on the worker count. Empty by default: a no-fault engine is
+    /// byte-identical to one without this field.
     pub fault_plan: FaultPlan,
 }
 
@@ -489,6 +492,21 @@ enum Done {
 /// the same trace — the property `crates/serve/tests/determinism.rs`
 /// pins down.
 ///
+/// Faults follow one rule: a chip is failed at dispatch count `n`
+/// exactly when [`ServeConfig::fault_plan`] kills it at a round below
+/// `n`, and every decision asks the cluster at its own count. Fates
+/// resolve in dispatch order whatever the round width, so the shed set
+/// never depends on the worker count, and with roomy budgets neither do
+/// the retry, shed and recovery counts. Budgets are enforced once per
+/// round, so with tight budgets wider rounds can migrate or evict at
+/// other points and those counts can move. Under drift aging, a tile's
+/// age decides its readout, so outputs stay worker-invariant only while
+/// every worker count reprograms the same tiles at the same ticks:
+/// prewarm warms a replicated model's primary rather than the replica
+/// its batch is routed to, and a recovery can hand an earlier batch the
+/// freshly restored copy. `crates/serve/tests/scenarios/` states and
+/// checks these invariants at one to four workers.
+///
 /// # Examples
 ///
 /// ```
@@ -543,7 +561,8 @@ impl ServeEngine {
     #[must_use]
     pub fn new(config: ServeConfig) -> Self {
         let budgets = config.effective_chip_budgets();
-        let registry = Cluster::new(config.device.clone(), &budgets, config.placement);
+        let registry = Cluster::new(config.device.clone(), &budgets, config.placement)
+            .with_faults(config.fault_plan.clone());
         let drift_budget_ticks = DeviceExecutor::new(config.device.clone()).drift_budget_ticks();
         Self {
             config,
@@ -760,7 +779,8 @@ impl ServeEngine {
     /// `batch_seq`, and the dispatch rounds the scheduler ran.
     ///
     /// Dispatch order is a pure function of the queue and the policy;
-    /// outputs are byte-identical for any worker count.
+    /// outputs are byte-identical for any worker count (under drift
+    /// aging, see the determinism notes on [`ServeEngine`]).
     ///
     /// The timings are observational only — nothing in the engine
     /// branches on them. A batch's time measures its *execution* (window
@@ -802,12 +822,12 @@ impl ServeEngine {
 
     /// One scheduler pass over the current queue: a pipeline fill (a
     /// round with no batches), then one step per dispatch round. Each
-    /// step (1) marks the chip kills its batches reached, (2) resolves
-    /// its batches' fates in dispatch order against where each model
-    /// lives now, (3) runs its batches and prewarm jobs through one
-    /// pool, and (4) absorbs the results and enforces the cell budgets.
-    /// Token-step completions may submit follow-up requests — the
-    /// [`Self::drain_traced`] loop picks those up in the next pass.
+    /// step (1) resolves its batches' fates in dispatch order against
+    /// where each model lives now, (2) runs its batches and prewarm jobs
+    /// through one pool, and (3) absorbs the results and enforces the
+    /// cell budgets. Token-step completions may submit follow-up
+    /// requests — the [`Self::drain_traced`] loop picks those up in the
+    /// next pass.
     fn drain_pass(&mut self) -> DrainTrace {
         let queue = std::mem::take(&mut self.queue);
         let keys: Vec<(ModelId, u64)> = queue
@@ -817,7 +837,6 @@ impl ServeEngine {
         let batches = form_batches(&keys, self.config.policy);
         let workers = effective_workers(self.config.workers);
         let seq_base = self.batches;
-        let seq_end = seq_base + batches.len() as u64;
         // Drift bookkeeping at the drain boundary (single-threaded):
         // the virtual tile clock advances to the global dispatch
         // counter — a pure function of the trace, identical for every
@@ -831,12 +850,6 @@ impl ServeEngine {
         self.registry.set_clocks(seq_base);
         self.drift_health_pass();
         self.plan_recalibration();
-        // Every fate reads chip health at its batch's own dispatch
-        // sequence: this boundary's health plus the kills up to that
-        // sequence (`health_at`), whichever step carries the batch.
-        let boundary: Vec<ChipHealth> = (0..self.registry.chip_count())
-            .map(|c| self.registry.chip_health(ChipId(c)))
-            .collect();
         // Batches route into rounds chip-aware: each round prefers
         // batches on distinct chips, so concurrent workers drive
         // different arrays. Replicated models spread successive batches
@@ -845,34 +858,36 @@ impl ServeEngine {
         let rounds = route_rounds(&batches, workers, |b| {
             let seq = seq_base + b.seq as u64;
             let homes = self.registry.residencies(b.model);
-            pick_replica(&homes, seq, |c| self.health_at(&boundary, seq_base, seq, c))
-                .1
-                .unwrap_or_else(|| self.registry.chip_of(b.model).0)
+            pick_replica(&homes, seq, |c| {
+                self.registry.chip_health(ChipId(c), seq + 1)
+            })
+            .1
+            .unwrap_or_else(|| self.registry.chip_of(b.model).0)
         });
         let mut pending = vec![true; batches.len()];
         let mut completions = Vec::with_capacity(queue.len());
         let mut timings = vec![0.0; batches.len()];
         let mut shed_notices: Vec<ShedNotice> = Vec::new();
-        let mut marked = seq_base;
+        let mut fates: Vec<Fate> = Vec::with_capacity(batches.len());
         // The pipeline fill is a round with no batches: its prewarms
         // program the first models' tiles before batch 0 dispatches.
         for round in std::iter::once(&[][..]).chain(rounds.iter().map(Vec::as_slice)) {
-            // 1. Kills land once the round's *last* batch reaches them,
-            // so recovery destinations and stats see the failure; each
-            // fate still reads health at its own batch's sequence
-            // (`health_at`).
-            if let Some(&last) = round.last() {
-                self.apply_faults(&mut marked, seq_base + last as u64 + 1);
+            // 1. Fates resolve in dispatch order whatever the round
+            // width: every batch up to the round's last, including those
+            // a later round runs. A fate only ever picks a chip that
+            // serves at its batch's sequence, so no batch runs on a
+            // failed chip.
+            let end = round.last().map_or(0, |&last| last + 1);
+            while fates.len() < end {
+                fates.push(self.resolve_fate(&batches[fates.len()], &queue, seq_base));
             }
-            // 2. Fates, in dispatch order. A fate only ever picks a chip
-            // that is healthy at its batch's sequence, so no batch runs on
-            // a failed chip.
-            let mut fates = Vec::with_capacity(round.len());
+            // Prewarm targets and budget enforcement read chip health
+            // one past the last resolved batch.
+            let reached = seq_base + fates.len() as u64;
             for &i in round {
                 pending[i] = false;
-                fates.push(self.resolve_fate(&batches[i], &queue, seq_base, &boundary));
             }
-            // 3. One pool runs the round's batches, then prewarms for
+            // 2. One pool runs the round's batches, then prewarms for
             // upcoming models (at most one per chip). With one worker
             // the pool is the calling thread, running them in that
             // order; otherwise every job gets its own thread, so
@@ -881,19 +896,18 @@ impl ServeEngine {
             // per-chip guard in `prewarm_targets` means a prewarm never
             // forces an eviction lazy compilation would not.
             let targets = if self.config.prewarm {
-                self.prewarm_targets(&batches, &pending, round)
+                self.prewarm_targets(&batches, &pending, round, reached)
             } else {
                 Vec::new()
             };
             let jobs: Vec<Job> = round
                 .iter()
-                .zip(&fates)
-                .map(|(&i, fate)| Job::Batch(&batches[i], fate))
+                .map(|&i| Job::Batch(&batches[i], &fates[i]))
                 .chain(targets.into_iter().map(Job::Prewarm))
                 .collect();
             let lanes = if workers > 1 { jobs.len() } else { 1 };
-            let done = parallel_map(&jobs, lanes, |_, job| self.run_job(job, &queue));
-            // 4. Absorb in dispatch order, then enforce the budgets.
+            let done = parallel_map(&jobs, lanes, |_, job| self.run_job(job, &queue, seq_base));
+            // 3. Absorb in dispatch order, then enforce the budgets.
             for (job, done) in jobs.iter().zip(done) {
                 match (job, done) {
                     (Job::Batch(batch, fate), Done::Batch(result, ms)) => {
@@ -916,13 +930,11 @@ impl ServeEngine {
                 }
             }
             if !round.is_empty() {
-                self.registry.enforce_budget();
+                self.registry.enforce_budget(reached);
             }
         }
-        // Kills past the last batch still land in this drain.
-        self.apply_faults(&mut marked, seq_end);
         self.requests += completions.len() as u64;
-        self.batches = seq_end;
+        self.batches = seq_base + batches.len() as u64;
         DrainTrace {
             completions,
             batch_ms: timings,
@@ -931,42 +943,20 @@ impl ServeEngine {
         }
     }
 
-    /// The health `chip` has at dispatch sequence `seq`: failed if a
-    /// planned kill on the chip lands in `from..=seq`, else its drain
-    /// boundary health.
-    fn health_at(&self, boundary: &[ChipHealth], from: u64, seq: u64, chip: usize) -> ChipHealth {
-        let killed = self
-            .config
-            .fault_plan
-            .events()
-            .iter()
-            .any(|e| e.chip() == chip && (from..=seq).contains(&e.round()));
-        if killed {
-            ChipHealth::Failed
-        } else {
-            boundary[chip]
-        }
-    }
-
-    /// Resolves one batch's [`Fate`] at the start of its step, against
-    /// where its model lives *now* — recoveries and migrations earlier in
-    /// the drain are visible — and each chip's health at the batch's
-    /// dispatch sequence. A batch whose nominal replica failed re-routes
-    /// to the best surviving replica, else recovers the model from its
-    /// PCM snapshot right here, else sheds. A re-routed member whose
-    /// deadline precedes the batch's latest arrival sheds too — the only
-    /// path that ever sheds a member with a chip to run on.
-    fn resolve_fate(
-        &mut self,
-        batch: &Batch,
-        queue: &[Queued],
-        seq_base: u64,
-        boundary: &[ChipHealth],
-    ) -> Fate {
+    /// Resolves one batch's [`Fate`], in dispatch order, against where
+    /// its model lives *now* — recoveries and migrations earlier in the
+    /// drain are visible — and each chip's health at the batch's dispatch
+    /// sequence + 1. A batch whose nominal replica failed re-routes to
+    /// the best surviving replica, else recovers the model from its PCM
+    /// snapshot right here, else sheds. A re-routed member whose deadline
+    /// precedes the batch's latest arrival sheds too — the only path that
+    /// ever sheds a member with a chip to run on.
+    fn resolve_fate(&mut self, batch: &Batch, queue: &[Queued], seq_base: u64) -> Fate {
         let seq = seq_base + batch.seq as u64;
         let homes = self.registry.residencies(batch.model);
-        let (nominal, serving) =
-            pick_replica(&homes, seq, |c| self.health_at(boundary, seq_base, seq, c));
+        let (nominal, serving) = pick_replica(&homes, seq, |c| {
+            self.registry.chip_health(ChipId(c), seq + 1)
+        });
         let mut fate = Fate {
             chip: serving,
             shed: Vec::new(),
@@ -974,7 +964,8 @@ impl ServeEngine {
         };
         if serving != Some(nominal) {
             fate.failed_from = Some(nominal);
-            fate.chip = serving.or_else(|| self.registry.recover(batch.model).map(|c| c.0));
+            fate.chip =
+                serving.or_else(|| self.registry.recover(batch.model, seq + 1).map(|c| c.0));
             fate.shed = if fate.chip.is_some() {
                 let max_arrival = batch
                     .members
@@ -995,33 +986,30 @@ impl ServeEngine {
         fate
     }
 
-    /// Marks the planned kills with rounds in `*cursor..to` on chip
-    /// health, advancing the cursor.
-    fn apply_faults(&mut self, cursor: &mut u64, to: u64) {
-        let chips = self.registry.chip_count();
-        for event in self.config.fault_plan.events() {
-            if (*cursor..to).contains(&event.round()) && event.chip() < chips {
-                self.registry.mark_chip_failed(ChipId(event.chip()));
-            }
-        }
-        *cursor = (*cursor).max(to);
-    }
-
     /// Runs one pool job. A prewarm is advisory — a skipped one only
     /// costs latency, never correctness — so a prewarm job contains its
     /// own panic and reports it instead of unwinding the drain.
-    fn run_job(&self, job: &Job<'_>, queue: &[Queued]) -> Done {
+    fn run_job(&self, job: &Job<'_>, queue: &[Queued], seq_base: u64) -> Done {
         match job {
             Job::Batch(batch, fate) => {
                 let start = std::time::Instant::now();
                 let result = fate.chip.map_or(Ok(Vec::new()), |chip| {
-                    // A recovery later in this step may have moved the
-                    // model off `chip`; its restored copy answers
+                    // A recovery or migration since the fate was resolved
+                    // may have moved the model off `chip`; a copy on a
+                    // chip that serves at the batch's sequence answers
                     // identically.
                     let executor = self
                         .registry
                         .executor_on(batch.model, ChipId(chip))
-                        .unwrap_or_else(|| self.registry.executor(batch.model));
+                        .unwrap_or_else(|| {
+                            let n = seq_base + batch.seq as u64 + 1;
+                            let homes = self.registry.residencies(batch.model);
+                            homes
+                                .into_iter()
+                                .filter(|&c| self.registry.chip_health(c, n).serves())
+                                .find_map(|c| self.registry.executor_on(batch.model, c))
+                                .expect("a moved model lives on a chip that serves")
+                        });
                     self.execute_on(batch, queue, executor, &fate.shed)
                 });
                 Done::Batch(result, start.elapsed().as_secs_f64() * 1e3)
@@ -1176,7 +1164,7 @@ impl ServeEngine {
         }
         for chip in 0..self.registry.chip_count() {
             let over = self.chip_over_budget(chip);
-            match self.registry.chip_health(ChipId(chip)) {
+            match self.registry.chip_health(ChipId(chip), self.batches) {
                 ChipHealth::Degraded if !over => {
                     self.drift_heals += 1;
                     self.registry.heal_chip(ChipId(chip));
@@ -1202,9 +1190,9 @@ impl ServeEngine {
         if !self.config.recalibration || !self.drift_aging_active() {
             return;
         }
-        let budget = self.drift_budget_ticks.unwrap_or(u64::MAX);
+        let (budget, now) = (self.drift_budget_ticks.unwrap_or(u64::MAX), self.batches);
         for chip in 0..self.registry.chip_count() {
-            if !self.registry.chip_health(ChipId(chip)).serves() {
+            if !self.registry.chip_health(ChipId(chip), now).serves() {
                 continue;
             }
             // (age, model, layer, tile) over-budget candidates.
@@ -1247,14 +1235,15 @@ impl ServeEngine {
     /// eligible candidate per chip decides — if it does not fit, the chip
     /// gets no stage this round. The guard is conservative on purpose: a
     /// skipped prewarm only costs speed, while an over-eager one could
-    /// evict (or migrate) and change the engine's eviction sequence. On a
-    /// single chip this reproduces the pre-cluster single-target stage
-    /// exactly.
+    /// evict (or migrate) and change the engine's eviction sequence. A
+    /// chip failed at dispatch count `reached` gets no stage. On a single
+    /// chip this reproduces the pre-cluster single-target stage exactly.
     fn prewarm_targets(
         &self,
         batches: &[Batch],
         pending: &[bool],
         round: &[usize],
+        reached: u64,
     ) -> Vec<ModelId> {
         let chips = self.registry.chip_count();
         let in_round = |m: ModelId| round.iter().any(|&i| batches[i].model == m);
@@ -1285,7 +1274,7 @@ impl ServeEngine {
                 continue;
             }
             let chip = self.registry.chip_of(model).0;
-            if decided[chip] || self.registry.chip_health(ChipId(chip)) == ChipHealth::Failed {
+            if decided[chip] || !self.registry.chip_health(ChipId(chip), reached).serves() {
                 continue;
             }
             let missing = self
@@ -1399,7 +1388,7 @@ impl ServeEngine {
     /// Aggregate statistics since engine creation.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        let chips = self.registry.chip_stats();
+        let chips = self.registry.chip_stats(self.batches);
         EngineStats {
             requests: self.requests,
             batches: self.batches,

@@ -57,7 +57,7 @@
 //!   handled by ordered insertion in [`ServeEngine::try_submit`] — a
 //!   misbehaving client can be *refused*, never crash the server.
 
-use crate::cluster::{ChipHealth, ChipId};
+use crate::cluster::ChipHealth;
 use crate::engine::ServeEngine;
 use crate::protocol::{self, ErrorCode, ServerFrame, WireToken};
 use crate::request::{RequestId, SequenceId};
@@ -399,10 +399,8 @@ fn dispatch_loop(shared: &Arc<Shared>, conns: &Arc<Mutex<Vec<Arc<Conn>>>>) {
                     replies.push((p.conn, frame));
                 }
             }
-            let registry = core.engine.registry();
-            let health: Vec<ChipHealth> = (0..registry.chip_count())
-                .map(|c| registry.chip_health(ChipId(c)))
-                .collect();
+            let health: Vec<ChipHealth> =
+                core.engine.stats().chips.iter().map(|c| c.health).collect();
             if last_health.is_empty() {
                 last_health = vec![ChipHealth::Healthy; health.len()];
             }

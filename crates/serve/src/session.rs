@@ -210,17 +210,17 @@ fn handle(frame: ClientFrame, conn: &Arc<Conn>, shared: &Arc<Shared>) -> Flow {
             })
         }
         ClientFrame::Admit { name } => {
-            // Build the named model before taking the core lock: it
-            // synthesizes filter banks for milliseconds, and every
-            // submit and drain waits on that lock.
-            let spec = crate::catalog::by_name(&name);
+            // Only an unadmitted stock name is built, outside the core
+            // lock: it synthesizes filter banks for milliseconds, and
+            // every submit and drain waits on that lock.
+            let admitted = resident(&shared.core.lock().expect("core lock").engine, &name);
+            let spec = admitted.map_or_else(|| crate::catalog::by_name(&name), |_| None);
             let response = {
                 let mut core = shared.core.lock().expect("core lock");
                 // Idempotent: an already-resident name answers with its
-                // existing id instead of admitting a duplicate.
-                let existing = (0..core.engine.registry().len())
-                    .find(|&i| core.engine.registry().spec(ModelId(i)).name == name);
-                if let Some(model) = existing {
+                // existing id instead of admitting a duplicate. Checked
+                // again: another session may have admitted it meanwhile.
+                if let Some(model) = resident(&core.engine, &name) {
                     ServerFrame::Admitted { name, model }
                 } else {
                     match spec {
@@ -337,6 +337,11 @@ fn submit(
         }
         Some((code, detail)) => refuse(conn, tag, code, detail),
     }
+}
+
+/// The id of the admitted model named `name`, if any.
+fn resident(engine: &ServeEngine, name: &str) -> Option<usize> {
+    (0..engine.registry().len()).find(|&i| engine.registry().spec(ModelId(i)).name == name)
 }
 
 /// Answers `tag` with a refusal; a dead peer closes the session.
