@@ -385,16 +385,14 @@ fn workload(requests: usize) -> OpenLoop {
     }
 }
 
-/// Builds an engine over the stock catalog. A non-empty `chips` list
-/// serves a multi-chip cluster with those per-chip budgets (least-loaded
-/// placement, so the catalog spreads); empty is the classic single chip
-/// of `budget` cells.
-fn engine_with(policy: BatchPolicy, budget: usize, prewarm: bool, chips: &[usize]) -> ServeEngine {
+/// Builds an engine over the stock catalog on one chip per entry of
+/// `chips`, with those cell budgets (least-loaded placement, so the
+/// catalog spreads over several).
+fn engine_with(policy: BatchPolicy, chips: &[usize], prewarm: bool) -> ServeEngine {
     let device = SimConfig::noisy(128, 128).with_threads(1);
     let mut engine = ServeEngine::new(
         ServeConfig::new(device)
             .with_policy(policy)
-            .with_cache_budget(budget)
             .with_workers(1)
             .with_prewarm(prewarm)
             .with_chips(chips.to_vec())
@@ -411,11 +409,10 @@ fn run_case(
     name: &str,
     requests: usize,
     policy: BatchPolicy,
-    budget: usize,
-    prewarm: bool,
     chips: &[usize],
+    prewarm: bool,
 ) -> CaseResult {
-    let mut engine = engine_with(policy, budget, prewarm, chips);
+    let mut engine = engine_with(policy, chips, prewarm);
     let load = workload(requests);
     for request in load.trace(|m| engine.input_shape(m)) {
         engine.try_submit(request).expect("valid request");
@@ -454,7 +451,7 @@ fn run_case(
         max_batch: policy.max_batch,
         max_wait: policy.max_wait,
         budget_cells: stats.budget_cells,
-        chip_budgets: engine.config().effective_chip_budgets(),
+        chip_budgets: engine.config().chip_budgets.clone(),
         prewarm,
         wall_ms,
         elapsed_ms,
@@ -497,7 +494,7 @@ fn run_closed_loop(quick: bool) -> ClosedLoopReport {
     let waves = if quick { 3 } else { 10 };
     let connections = CLOSED_LOOP_CONNECTIONS;
     let requests = connections * waves;
-    let engine = engine_with(BatchPolicy::new(16, 8), 4_000_000, true, &[]);
+    let engine = engine_with(BatchPolicy::new(16, 8), &[4_000_000], true);
     let shapes: Vec<oxbar_nn::TensorShape> =
         (0..4).map(|i| engine.input_shape(ModelId(i))).collect();
     let server = Server::start(engine, ServerConfig::default()).expect("server binds loopback");
@@ -549,7 +546,7 @@ fn run_closed_loop(quick: bool) -> ClosedLoopReport {
     // In-process oracle on the identical trace. RequestId counts
     // submission order, so sorting completions by id maps completion
     // `c * waves + w` back to connection `c`, wave `w`.
-    let mut oracle = engine_with(BatchPolicy::new(16, 8), 4_000_000, true, &[]);
+    let mut oracle = engine_with(BatchPolicy::new(16, 8), &[4_000_000], true);
     for c in 0..connections {
         for w in 0..waves {
             let (model, seed) = closed_loop_entry(c, w, waves);
@@ -1025,7 +1022,7 @@ fn warm_round_allocations() -> Option<u64> {
     if !crate::alloc_counter::active() {
         return None;
     }
-    let mut engine = engine_with(BatchPolicy::new(8, 8), 4_000_000, true, &[]);
+    let mut engine = engine_with(BatchPolicy::new(8, 8), &[4_000_000], true);
     let inputs: Vec<_> = (0..4u64)
         .map(|i| {
             oxbar_nn::synthetic::activations(engine.input_shape(oxbar_serve::ModelId(0)), 6, i)
@@ -1050,7 +1047,7 @@ fn warm_round_allocations() -> Option<u64> {
 /// an unconstrained engine) and the analytic chip-model IPS.
 fn model_reports() -> Vec<ModelReport> {
     let chip = Chip::new(ChipConfig::paper_optimal());
-    let mut engine = engine_with(BatchPolicy::SINGLE, usize::MAX, false, &[]);
+    let mut engine = engine_with(BatchPolicy::SINGLE, &[usize::MAX], false);
     catalog::stock_catalog()
         .into_iter()
         .enumerate()
@@ -1083,9 +1080,8 @@ pub fn generate(quick: bool) -> ServeReport {
         "open_loop/cold_serial",
         requests,
         BatchPolicy::SINGLE,
-        0,
+        &[0],
         false,
-        &[],
     );
     let mut cases = vec![cold];
     // The headline: batched weight-stationary serving with the pipelined
@@ -1094,9 +1090,8 @@ pub fn generate(quick: bool) -> ServeReport {
         "open_loop/batched_weight_stationary",
         requests,
         BatchPolicy::new(16, 8),
-        4_000_000,
+        &[4_000_000],
         true,
-        &[],
     );
     batched.speedup_vs_cold = Some(cases[0].wall_ms / batched.wall_ms);
     cases.push(batched);
@@ -1107,9 +1102,8 @@ pub fn generate(quick: bool) -> ServeReport {
         "open_loop/dual_chip_least_loaded",
         requests,
         BatchPolicy::new(16, 8),
-        4_000_000,
-        true,
         &[2_000_000, 2_000_000],
+        true,
     );
     dual.speedup_vs_cold = Some(cases[0].wall_ms / dual.wall_ms);
     cases.push(dual);
@@ -1120,9 +1114,8 @@ pub fn generate(quick: bool) -> ServeReport {
             "open_loop/batched_no_prewarm",
             requests,
             BatchPolicy::new(16, 8),
-            4_000_000,
+            &[4_000_000],
             false,
-            &[],
         );
         no_prewarm.speedup_vs_cold = Some(cases[0].wall_ms / no_prewarm.wall_ms);
         cases.push(no_prewarm);
@@ -1130,7 +1123,7 @@ pub fn generate(quick: bool) -> ServeReport {
             ("open_loop/tight_budget_interleaved", BatchPolicy::SINGLE),
             ("open_loop/tight_budget_batched", BatchPolicy::new(16, 8)),
         ] {
-            let mut case = run_case(name, requests, policy, tight, true, &[]);
+            let mut case = run_case(name, requests, policy, &[tight], true);
             case.speedup_vs_cold = Some(cases[0].wall_ms / case.wall_ms);
             cases.push(case);
         }
@@ -1141,9 +1134,8 @@ pub fn generate(quick: bool) -> ServeReport {
             "open_loop/tight_budget_dual_chip",
             requests,
             BatchPolicy::new(16, 8),
-            tight,
-            true,
             &[tight, tight],
+            true,
         );
         tight_dual.speedup_vs_cold = Some(cases[0].wall_ms / tight_dual.wall_ms);
         cases.push(tight_dual);

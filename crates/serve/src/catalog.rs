@@ -10,7 +10,7 @@
 //! programming-dominated dense head (AlexNet's classifier), a
 //! square-channel conv block (VGG), and a many-tiny-tile depthwise +
 //! pointwise pair (MobileNet). Their summed tile footprint is what the
-//! global cache budget is measured against.
+//! chip cache budgets are measured against.
 
 use crate::registry::ModelSpec;
 use oxbar_nn::synthetic;

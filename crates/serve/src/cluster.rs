@@ -22,16 +22,23 @@
 //! outputs, same eviction sequence (`tests/cluster_equivalence.rs` pins
 //! it).
 //!
-//! Chip failure has one rule, [`Cluster::chip_health`]: every question
-//! about a chip's health passes the dispatch count it is asked at.
+//! Chip health has one owner, the cluster. Failure has one rule,
+//! [`Cluster::chip_health`]: every question about a chip's health passes
+//! the dispatch count it is asked at. Drift degradation has one scan,
+//! `Cluster::begin_pass`, at each drain boundary.
 
 use crate::registry::{AdmitError, ModelCacheStats, ModelSpec};
 use crate::request::ModelId;
 use oxbar_nn::{Layer, TensorShape};
 use oxbar_sim::{DeviceExecutor, FaultPlan, SimConfig};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::fmt;
+
+/// Tiles one drain boundary marks for recalibration per chip — bounds
+/// the re-derivation work a single drain commits its reads to.
+const MAX_RECALS_PER_DRAIN: usize = 16;
 
 /// Handle to one chip of a [`Cluster`], in chip-index order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -39,11 +46,12 @@ pub struct ChipId(pub usize);
 
 /// Operational health of one chip at a dispatch count.
 ///
-/// `Healthy ⇄ Degraded` (the aging monitor's accuracy-budget breach and
-/// post-recalibration heal) and `{Healthy, Degraded} → Failed` (a
-/// planned chip kill the dispatch count has passed; terminal within a
-/// run). `Failed` chips never serve; `Degraded` chips serve but the
-/// scheduler prefers healthy replicas when routing.
+/// `Healthy ⇄ Degraded` (an accuracy-budget breach and the
+/// post-recalibration heal, both found by the drain-boundary scan) and
+/// `{Healthy, Degraded} → Failed` (a planned chip kill the dispatch count
+/// has passed; terminal within a run). `Failed` chips never serve;
+/// `Degraded` chips serve but the scheduler prefers healthy replicas
+/// when routing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChipHealth {
     /// Serving normally.
@@ -116,7 +124,7 @@ struct ChipRegistry {
     evictions: u64,
     migrations_in: u64,
     migrations_out: u64,
-    /// Set by the aging monitor while a resident tile is past the
+    /// Set by [`Cluster::begin_pass`] while a resident tile is past the
     /// accuracy budget. Failure is not stored: the fault plan decides it.
     degraded: bool,
     /// Fault-charged retries: batches re-routed off this chip after it
@@ -185,6 +193,21 @@ impl ChipStats {
     }
 }
 
+/// What the drain-boundary scan ([`Cluster::begin_pass`]) has done since
+/// the cluster was created, summed over chips.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DriftStats {
+    /// Recalibration passes: one per chip per boundary that marked tiles.
+    pub recalibrations: u64,
+    /// Tiles those passes marked; each re-derives at fresh-program state
+    /// at its next read.
+    pub recalibrated_tiles: u64,
+    /// Healthy→Degraded transitions (a resident tile past the budget).
+    pub drift_budget_breaches: u64,
+    /// Degraded→Healthy transitions (no resident tile past the budget).
+    pub drift_heals: u64,
+}
+
 /// One chip's copy of a model: where it lives and the executor that
 /// serves it there. Replicated models hold several residencies; slot 0
 /// is the *primary* (what [`Cluster::chip_of`] / [`Cluster::executor`]
@@ -233,6 +256,11 @@ pub struct Cluster {
     /// The virtual tick [`Self::set_clocks`] last set; a restored
     /// executor starts there.
     tick: u64,
+    /// The accuracy budget in dispatch ticks, fixed by the base device
+    /// config (`None`: tiles do not age, or never slip half an LSB — the
+    /// boundary scan then only sets clocks).
+    drift_budget: Option<u64>,
+    drift: DriftStats,
     recoveries: u64,
     /// Wall-clock milliseconds spent in snapshot/restore recoveries
     /// (observational only — never feeds back into scheduling).
@@ -251,6 +279,7 @@ impl Cluster {
     pub fn new(base: SimConfig, chip_budgets: &[usize], placement: PlacementPolicy) -> Self {
         assert!(!chip_budgets.is_empty(), "a cluster has at least one chip");
         Self {
+            drift_budget: DeviceExecutor::new(base.clone()).drift_budget_ticks(),
             base,
             placement,
             chips: chip_budgets.iter().map(|&b| ChipRegistry::new(b)).collect(),
@@ -258,6 +287,7 @@ impl Cluster {
             faults: FaultPlan::new(),
             lru: 0,
             tick: 0,
+            drift: DriftStats::default(),
             recoveries: 0,
             recovery_ms: 0.0,
         }
@@ -654,8 +684,8 @@ impl Cluster {
 
     /// The health of `chip` at dispatch count `dispatched`: failed when
     /// the fault plan kills it at a round below `dispatched` (its
-    /// programmed state stays snapshot-readable), else as the aging
-    /// monitor last left it.
+    /// programmed state stays snapshot-readable), else as the last
+    /// drain-boundary scan left it.
     ///
     /// # Panics
     ///
@@ -681,42 +711,80 @@ impl Cluster {
         self.chip_health(ChipId(chip), dispatched).serves()
     }
 
-    /// Marks `chip` drift-degraded (the aging monitor found a resident
-    /// tile past the accuracy budget): it keeps serving, but replica
-    /// routing prefers healthy chips. A failed chip still reports failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chip index is out of range.
-    pub fn degrade_chip(&mut self, chip: ChipId) {
-        self.chips[chip.0].degraded = true;
-    }
-
-    /// Heals a drift-degraded chip back to [`ChipHealth::Healthy`] — the
-    /// scheduler calls this after recalibration brings all of the chip's
-    /// resident tiles back under the accuracy budget. A failed chip still
-    /// reports failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chip index is out of range.
-    pub fn heal_chip(&mut self, chip: ChipId) {
-        self.chips[chip.0].degraded = false;
-    }
-
     /// Advances every residency executor's virtual clock to `tick` (the
     /// global dispatch counter). Called at single-threaded drain
     /// boundaries so tile aging is a deterministic function of the
     /// workload, independent of worker count and wall clock. Migrations
     /// and recoveries until the next call restore their executors at
     /// this tick, whatever point of the drain they run at.
-    pub fn set_clocks(&mut self, tick: u64) {
+    fn set_clocks(&mut self, tick: u64) {
         self.tick = self.tick.max(tick);
         for entry in &self.entries {
             for r in &entry.residencies {
                 r.executor.set_clock(tick);
             }
         }
+    }
+
+    /// The drain boundary at dispatch count `n`: advances every clock to
+    /// `n`, then lists once, per chip that serves at `n`, the resident
+    /// tiles older than the accuracy budget. A healthy chip with any
+    /// degrades (one breach), a degraded chip with none heals (one heal),
+    /// and with `recalibrate` the oldest [`MAX_RECALS_PER_DRAIN`] are
+    /// marked (ties to `(model, layer, tile)`), each re-deriving at
+    /// fresh-program state at its next read. A chip failed at `n` is left
+    /// alone, so a recal never targets a dead chip. The engine calls this
+    /// single-threaded before each pass, so every decision is a function
+    /// of the trace, whatever the worker count; without aging only the
+    /// clocks move.
+    pub(crate) fn begin_pass(&mut self, n: u64, recalibrate: bool) {
+        self.set_clocks(n);
+        let Some(budget) = self.drift_budget else {
+            return;
+        };
+        for chip in 0..self.chips.len() {
+            if !self.serves(chip, n) {
+                continue;
+            }
+            let mut over = Vec::new();
+            for (model, entry) in self.entries.iter().enumerate() {
+                for r in entry.residencies.iter().filter(|r| r.chip == chip) {
+                    for t in r.executor.tile_ages() {
+                        if t.age_ticks > budget {
+                            let oldest_first = (Reverse(t.age_ticks), model, t.layer, t.tile);
+                            over.push((oldest_first, &r.executor));
+                        }
+                    }
+                }
+            }
+            let registry = &mut self.chips[chip];
+            if registry.degraded == over.is_empty() {
+                registry.degraded = !over.is_empty();
+                if registry.degraded {
+                    self.drift.drift_budget_breaches += 1;
+                } else {
+                    self.drift.drift_heals += 1;
+                }
+            }
+            if !recalibrate {
+                continue;
+            }
+            over.sort_unstable_by_key(|&(key, _)| key);
+            over.truncate(MAX_RECALS_PER_DRAIN);
+            let marked: usize = over
+                .iter()
+                .map(|&((.., layer, tile), exec)| exec.mark_recalibrated(layer, tile))
+                .sum();
+            if marked > 0 {
+                self.drift.recalibrations += 1;
+                self.drift.recalibrated_tiles += marked as u64;
+            }
+        }
+    }
+
+    /// The drift scan's counters since the cluster was created.
+    pub(crate) fn drift_stats(&self) -> DriftStats {
+        self.drift
     }
 
     /// Records one fault-driven batch retry against `chip`.
@@ -807,16 +875,28 @@ impl Cluster {
             .sum()
     }
 
-    /// Per-model cache statistics (primary residency), in admission
-    /// order.
+    /// Per-model cache statistics, in admission order: hits, misses,
+    /// entries and cells summed over every residency, so they reconcile
+    /// with [`Self::chip_stats`]; `chip` and the cache budget are the
+    /// primary's.
     #[must_use]
     pub fn cache_stats(&self) -> Vec<ModelCacheStats> {
         self.entries
             .iter()
-            .map(|e| ModelCacheStats {
-                name: e.spec.name.clone(),
-                chip: e.primary().chip,
-                cache: e.primary().executor.cache_stats(),
+            .map(|e| {
+                let mut cache = e.primary().executor.cache_stats();
+                for r in &e.residencies[1..] {
+                    let copy = r.executor.cache_stats();
+                    cache.hits += copy.hits;
+                    cache.misses += copy.misses;
+                    cache.entries += copy.entries;
+                    cache.cells += copy.cells;
+                }
+                ModelCacheStats {
+                    name: e.spec.name.clone(),
+                    chip: e.primary().chip,
+                    cache,
+                }
             })
             .collect()
     }
@@ -877,8 +957,8 @@ impl fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oxbar_nn::synthetic;
     use oxbar_nn::zoo::{lenet5, resnet18};
+    use oxbar_nn::{synthetic, Dense, Network};
 
     fn lenet_spec(seed: u64) -> ModelSpec {
         let network = lenet5();
@@ -1143,17 +1223,164 @@ mod tests {
         )
         .with_faults(FaultPlan::new().kill_chip(0, 1));
         cluster.admit_strict(lenet_spec(1)).unwrap();
-        cluster.degrade_chip(ChipId(0));
+        cluster.chips[0].degraded = true;
         assert_eq!(cluster.chip_health(ChipId(0), 1), ChipHealth::Degraded);
         let stats = cluster.chip_stats(0);
         assert_eq!(stats[0].health, ChipHealth::Degraded);
         assert_eq!(stats[1].health, ChipHealth::Healthy);
-        cluster.heal_chip(ChipId(0));
+        cluster.chips[0].degraded = false;
         assert_eq!(cluster.chip_health(ChipId(0), 1), ChipHealth::Healthy);
-        cluster.degrade_chip(ChipId(1));
+        cluster.chips[1].degraded = true;
         assert_eq!(cluster.chip_health(ChipId(1), 1), ChipHealth::Failed);
-        cluster.heal_chip(ChipId(1));
+        cluster.chips[1].degraded = false;
         assert_eq!(cluster.chip_health(ChipId(1), 1), ChipHealth::Failed);
+    }
+
+    /// The scenario runner's aging device: noisy 32×16 tiles with a
+    /// 4-tick accuracy budget.
+    fn aging_device() -> SimConfig {
+        SimConfig::noisy(32, 16)
+            .with_threads(1)
+            .with_drift_tick(oxbar_units::Time::from_seconds(1e4))
+    }
+
+    /// A dense stack through the given widths; on 32×16 tiles a
+    /// `rows → cols` layer takes `⌈rows/32⌉·⌈cols/16⌉` tiles.
+    fn dense_spec(widths: &[usize], seed: u64) -> ModelSpec {
+        let mut net = Network::new(format!("dense_{seed}"), TensorShape::flat(widths[0]));
+        for (l, pair) in widths.windows(2).enumerate() {
+            net.push(Layer::Dense(Dense::new(format!("fc{l}"), pair[0], pair[1])));
+        }
+        crate::catalog::spec_from_network(net, seed)
+    }
+
+    /// `(model, layer, tile, age)` of every resident tile on `chip`.
+    fn ages(cluster: &Cluster, chip: usize) -> Vec<(usize, usize, usize, u64)> {
+        (0..cluster.len())
+            .filter_map(|m| Some((m, cluster.executor_on(ModelId(m), ChipId(chip))?)))
+            .flat_map(|(m, exec)| {
+                let ages = exec.tile_ages().into_iter();
+                ages.map(move |t| (m, t.layer, t.tile, t.age_ticks))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_boundary_scan_marks_the_sixteen_oldest_tiles_in_model_layer_tile_order() {
+        let mut cluster = Cluster::new(aging_device(), &[1_000_000], PlacementPolicy::FirstFit);
+        let budget = cluster.drift_budget.expect("the aging device has a budget");
+        let young = cluster.admit(dense_spec(&[64, 64, 64], 1)).unwrap(); // 8 + 8 tiles
+        let old = cluster.admit(dense_spec(&[32, 48], 2)).unwrap(); // 3 tiles
+        let tied = cluster.admit(dense_spec(&[64, 32], 3)).unwrap(); // 4 tiles
+        make_resident(&mut cluster, old);
+        cluster.begin_pass(1, true);
+        assert!(
+            ages(&cluster, 0).iter().all(|&(.., age)| age == 1),
+            "none past"
+        );
+        make_resident(&mut cluster, young);
+        make_resident(&mut cluster, tied);
+        let n = budget + 2;
+        cluster.begin_pass(n, true);
+        // 23 tiles are past the budget: the old model's 3 go first, then
+        // 13 of the 20 tied ones — model 0 before model 2, layer 0
+        // before layer 1, tile by tile.
+        let marked: Vec<(usize, usize, usize)> = ages(&cluster, 0)
+            .into_iter()
+            .filter(|&(.., age)| age == 0)
+            .map(|(m, layer, tile, _)| (m, layer, tile))
+            .collect();
+        let want: Vec<(usize, usize, usize)> = (0..8)
+            .map(|t| (young.0, 0, t))
+            .chain((0..5).map(|t| (young.0, 1, t)))
+            .chain((0..3).map(|t| (old.0, 0, t)))
+            .collect();
+        assert_eq!(marked, want);
+        assert_eq!(cluster.chip_health(ChipId(0), n), ChipHealth::Degraded);
+        let one_pass = DriftStats {
+            recalibrations: 1,
+            recalibrated_tiles: 16,
+            drift_budget_breaches: 1,
+            drift_heals: 0,
+        };
+        assert_eq!(cluster.drift_stats(), one_pass);
+    }
+
+    #[test]
+    fn without_recalibration_the_boundary_scan_degrades_and_marks_nothing() {
+        let mut cluster = Cluster::new(aging_device(), &[1_000_000], PlacementPolicy::FirstFit);
+        let n = cluster.drift_budget.expect("the aging device has a budget") + 1;
+        let a = cluster.admit(dense_spec(&[64, 64], 1)).unwrap();
+        make_resident(&mut cluster, a);
+        cluster.begin_pass(n, false);
+        assert_eq!(cluster.chip_health(ChipId(0), n), ChipHealth::Degraded);
+        assert!(
+            ages(&cluster, 0).iter().all(|&(.., age)| age == n),
+            "none marked"
+        );
+        let breach = DriftStats {
+            drift_budget_breaches: 1,
+            ..DriftStats::default()
+        };
+        assert_eq!(cluster.drift_stats(), breach);
+    }
+
+    #[test]
+    fn a_chip_failed_at_the_boundary_is_neither_degraded_healed_nor_marked() {
+        // Chip 0 has no room, so the model lands on chip 1; chips 1 and
+        // 2 are failed from dispatch 1 on.
+        let mut cluster = Cluster::new(
+            aging_device(),
+            &[0, 1_000_000, 1_000_000],
+            PlacementPolicy::FirstFit,
+        )
+        .with_faults(FaultPlan::new().kill_chip(0, 1).kill_chip(0, 2));
+        let n = cluster.drift_budget.expect("the aging device has a budget") + 1;
+        let a = cluster.admit(dense_spec(&[64, 64], 1)).unwrap();
+        assert_eq!(cluster.chip_of(a), ChipId(1));
+        make_resident(&mut cluster, a);
+        cluster.chips[2].degraded = true;
+        cluster.begin_pass(n, true);
+        assert!(
+            !cluster.chips[1].degraded,
+            "past the budget, yet not degraded"
+        );
+        assert!(
+            cluster.chips[2].degraded,
+            "nothing past the budget, yet not healed"
+        );
+        assert!(
+            ages(&cluster, 1).iter().all(|&(.., age)| age == n),
+            "none marked"
+        );
+        assert_eq!(cluster.drift_stats(), DriftStats::default());
+    }
+
+    #[test]
+    fn a_degraded_chip_heals_at_the_first_boundary_with_no_tile_past_the_budget() {
+        let mut cluster = Cluster::new(aging_device(), &[1_000_000], PlacementPolicy::FirstFit);
+        let budget = cluster.drift_budget.expect("the aging device has a budget");
+        assert!(budget >= 2, "a marked tile stays in budget for two ticks");
+        let a = cluster.admit(dense_spec(&[64, 64, 64, 32], 1)).unwrap(); // 20 tiles
+        make_resident(&mut cluster, a);
+        let health = |cluster: &Cluster, n| cluster.chip_health(ChipId(0), n);
+        // 16 tiles marked, 4 still past the budget.
+        cluster.begin_pass(budget + 1, true);
+        assert_eq!(health(&cluster, budget + 1), ChipHealth::Degraded);
+        // The other 4 are still past the budget: the chip stays degraded
+        // while they are marked.
+        cluster.begin_pass(budget + 2, true);
+        assert_eq!(health(&cluster, budget + 2), ChipHealth::Degraded);
+        // Every tile is 1 or 2 ticks old.
+        cluster.begin_pass(budget + 3, true);
+        assert_eq!(health(&cluster, budget + 3), ChipHealth::Healthy);
+        let healed = DriftStats {
+            recalibrations: 2,
+            recalibrated_tiles: 20,
+            drift_budget_breaches: 1,
+            drift_heals: 1,
+        };
+        assert_eq!(cluster.drift_stats(), healed);
     }
 
     #[test]

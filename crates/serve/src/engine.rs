@@ -18,10 +18,6 @@ use std::fmt;
 /// pin the engine in an unbounded token loop.
 pub const MAX_SEQUENCE_STEPS: usize = 1024;
 
-/// Tiles one drain marks for recalibration per chip — bounds the
-/// re-derivation work a single drain commits its reads to.
-const MAX_RECALS_PER_DRAIN: usize = 16;
-
 /// Full configuration of a [`ServeEngine`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeConfig {
@@ -30,9 +26,6 @@ pub struct ServeConfig {
     pub device: SimConfig,
     /// How the batcher coalesces the queue.
     pub policy: BatchPolicy,
-    /// Global weight-stationary budget, in crossbar cells, shared by all
-    /// admitted models (the hardware's finite PCM tile capacity).
-    pub cache_budget_cells: usize,
     /// Worker threads for batch dispatch (0 = all cores, 1 = serial).
     /// Without drift aging every answer and every shed is byte-identical
     /// whatever the worker count (see [`ServeEngine`]'s determinism
@@ -43,25 +36,25 @@ pub struct ServeConfig {
     /// in the queue, so a model switch no longer stalls its first batch
     /// on PCM programming. Outputs and eviction sequences are identical
     /// with it on or off — the stage is skipped whenever prewarming could
-    /// not fit the global cell budget.
+    /// not fit the model's chip budget.
     pub prewarm: bool,
     /// Drift-aware online recalibration: when the device config ages
     /// resident tiles ([`oxbar_sim::NoiseModel::drift_tick`] and a drift
-    /// exponent both non-zero), the scheduler marks the oldest tiles
-    /// that crossed the accuracy budget, and each marked tile re-derives
-    /// at fresh-program state at its next read. Decisions are keyed on
-    /// the global dispatch counter at single-threaded drain boundaries —
-    /// never wall clock — so which tiles are marked does not depend on
-    /// the worker count, only on the tile ages the drain inherits; with
-    /// aging disabled the flag is structurally inert (on or off, nothing
-    /// changes). On by default.
+    /// exponent both non-zero), each drain boundary marks the oldest
+    /// tiles that crossed the accuracy budget (`Cluster::begin_pass`),
+    /// and each marked tile re-derives at fresh-program state at its
+    /// next read. Decisions are keyed on the global dispatch counter at
+    /// single-threaded drain boundaries — never wall clock — so which
+    /// tiles are marked does not depend on the worker count, only on the
+    /// tile ages the drain inherits; with aging disabled the flag is
+    /// structurally inert (on or off, nothing changes). On by default.
     pub recalibration: bool,
-    /// Per-chip weight-stationary budgets, in cells. Empty (the default)
-    /// means a single chip of `cache_budget_cells` — the pre-cluster
-    /// configuration, byte-identical to it. With two or more entries the
-    /// engine serves a multi-chip [`Cluster`]: models place onto chips at
-    /// admission, rounds route across chips, and over-budget chips
-    /// migrate models to siblings before evicting.
+    /// Per-chip weight-stationary budgets, in crossbar cells (the
+    /// hardware's finite PCM tile capacity): one chip per entry, at
+    /// least one. The default is one chip of 4M cells. With two or more
+    /// entries the engine serves a multi-chip [`Cluster`]: models place
+    /// onto chips at admission, rounds route across chips, and
+    /// over-budget chips migrate models to siblings before evicting.
     pub chip_budgets: Vec<usize>,
     /// How admitted models place onto chips (ignored on a single chip).
     pub placement: PlacementPolicy,
@@ -78,18 +71,17 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A serving configuration with the default batching policy (batches
-    /// of up to 16 within an 8-tick window), the simulator's 4M-cell
-    /// weight-stationary budget, and serial dispatch.
+    /// of up to 16 within an 8-tick window), one chip of the simulator's
+    /// 4M-cell weight-stationary budget, and serial dispatch.
     #[must_use]
     pub fn new(device: SimConfig) -> Self {
         Self {
             device,
             policy: BatchPolicy::new(16, 8),
-            cache_budget_cells: 4_000_000,
             workers: 1,
             prewarm: true,
             recalibration: true,
-            chip_budgets: Vec::new(),
+            chip_budgets: vec![4_000_000],
             placement: PlacementPolicy::FirstFit,
             fault_plan: FaultPlan::new(),
         }
@@ -102,10 +94,10 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the global weight-stationary cell budget.
+    /// Serves one chip of `cells` weight-stationary cells.
     #[must_use]
     pub fn with_cache_budget(mut self, cells: usize) -> Self {
-        self.cache_budget_cells = cells;
+        self.chip_budgets = vec![cells];
         self
     }
 
@@ -131,8 +123,9 @@ impl ServeConfig {
         self
     }
 
-    /// Serves a multi-chip cluster with the given per-chip cell budgets
-    /// (an empty list falls back to one chip of the global budget).
+    /// Serves one chip per entry of `chip_budgets`, with those cell
+    /// budgets. The list must not be empty ([`ServeEngine::new`] panics
+    /// on an empty one).
     #[must_use]
     pub fn with_chips(mut self, chip_budgets: Vec<usize>) -> Self {
         self.chip_budgets = chip_budgets;
@@ -152,17 +145,6 @@ impl ServeConfig {
         self.fault_plan = plan;
         self
     }
-
-    /// The effective per-chip budgets: `chip_budgets`, or one chip of
-    /// `cache_budget_cells` when empty.
-    #[must_use]
-    pub fn effective_chip_budgets(&self) -> Vec<usize> {
-        if self.chip_budgets.is_empty() {
-            vec![self.cache_budget_cells]
-        } else {
-            self.chip_budgets.clone()
-        }
-    }
 }
 
 /// Aggregate serving statistics since engine creation.
@@ -172,7 +154,7 @@ pub struct EngineStats {
     pub requests: u64,
     /// Batches dispatched across all drains.
     pub batches: u64,
-    /// Whole-model cache evictions forced by the global budget.
+    /// Whole-model cache evictions forced by the chip budgets.
     pub evictions: u64,
     /// Pipelined prewarm stages dispatched (one per round that had a
     /// budget-safe next-model target).
@@ -181,7 +163,7 @@ pub struct EngineStats {
     pub prewarmed_tiles: u64,
     /// Summed cache occupancy across models, in cells.
     pub occupancy_cells: usize,
-    /// The global cell budget.
+    /// The cell budgets summed over chips.
     pub budget_cells: usize,
     /// Per-model tile-cache statistics, in admission order.
     pub models: Vec<ModelCacheStats>,
@@ -210,16 +192,17 @@ pub struct EngineStats {
     /// Decode-step tokens emitted across all sequences.
     pub tokens: u64,
     /// Recalibration passes: one per chip per drain that marked
-    /// over-budget tiles.
+    /// over-budget tiles (`Cluster::begin_pass`).
     pub recalibrations: u64,
     /// Tiles those passes marked; each re-derives at fresh-program
     /// state at its next read.
     pub recalibrated_tiles: u64,
-    /// Chips promoted to [`ChipHealth::Degraded`] by the drift health
-    /// monitor (one per Healthy→Degraded transition, not per tile).
+    /// Chips the drain-boundary scan promoted to
+    /// [`ChipHealth::Degraded`] (one per Healthy→Degraded transition,
+    /// not per tile).
     pub drift_budget_breaches: u64,
-    /// Degraded→Healthy transitions made by the drift heal pass once a
-    /// chip's resident tiles were all recalibrated back under budget.
+    /// Degraded→Healthy transitions the scan made once a chip's resident
+    /// tiles were all recalibrated back under budget.
     pub drift_heals: u64,
     /// Prewarm jobs that panicked. A panicked prewarm is skipped — its
     /// work was advisory — and serving continues.
@@ -540,30 +523,24 @@ pub struct ServeEngine {
     sequences: Vec<Sequence>,
     /// Decode steps completed across all sequences.
     tokens: u64,
-    /// Recalibration passes across all drains.
-    recalibrations: u64,
-    /// Tiles those passes marked for re-derivation.
-    recalibrated_tiles: u64,
-    /// Healthy→Degraded promotions by the drift health monitor.
-    drift_budget_breaches: u64,
-    /// Degraded→Healthy transitions by the drift heal pass.
-    drift_heals: u64,
     /// Prewarm jobs that panicked and were skipped.
     stage_panics: u64,
-    /// The accuracy budget in dispatch ticks, fixed by the device
-    /// config at construction (`None` = aging inactive or unbounded —
-    /// either way the drift machinery is structurally inert).
-    drift_budget_ticks: Option<u64>,
 }
 
 impl ServeEngine {
     /// Creates an empty engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.chip_budgets` is empty.
     #[must_use]
     pub fn new(config: ServeConfig) -> Self {
-        let budgets = config.effective_chip_budgets();
-        let registry = Cluster::new(config.device.clone(), &budgets, config.placement)
-            .with_faults(config.fault_plan.clone());
-        let drift_budget_ticks = DeviceExecutor::new(config.device.clone()).drift_budget_ticks();
+        let registry = Cluster::new(
+            config.device.clone(),
+            &config.chip_budgets,
+            config.placement,
+        )
+        .with_faults(config.fault_plan.clone());
         Self {
             config,
             registry,
@@ -575,12 +552,7 @@ impl ServeEngine {
             prewarmed_tiles: 0,
             sequences: Vec::new(),
             tokens: 0,
-            recalibrations: 0,
-            recalibrated_tiles: 0,
-            drift_budget_breaches: 0,
-            drift_heals: 0,
             stage_panics: 0,
-            drift_budget_ticks,
         }
     }
 
@@ -837,19 +809,11 @@ impl ServeEngine {
         let batches = form_batches(&keys, self.config.policy);
         let workers = effective_workers(self.config.workers);
         let seq_base = self.batches;
-        // Drift bookkeeping at the drain boundary (single-threaded):
-        // the virtual tile clock advances to the global dispatch
-        // counter — a pure function of the trace, identical for every
-        // worker count — then chips recalibrated back under the
-        // accuracy budget heal, chips whose resident tiles crossed it
-        // degrade, and the oldest over-budget tiles are marked. A marked
-        // tile re-derives at fresh-program state at its next read, so
-        // the compiled state every later readout derives is decided
-        // here. With aging disabled all three calls are structurally
-        // inert.
-        self.registry.set_clocks(seq_base);
-        self.drift_health_pass();
-        self.plan_recalibration();
+        // The drain boundary (single-threaded): the tile clocks advance
+        // to the global dispatch counter, and the cluster settles drift
+        // health and recalibration marks in one scan.
+        self.registry
+            .begin_pass(seq_base, self.config.recalibration);
         // Batches route into rounds chip-aware: each round prefers
         // batches on distinct chips, so concurrent workers drive
         // different arrays. Replicated models spread successive batches
@@ -1129,103 +1093,6 @@ impl ServeEngine {
         }
     }
 
-    /// Whether the device config ages resident tiles with a bounded
-    /// accuracy budget — the master gate on the drift machinery. False
-    /// keeps every drift pass structurally inert.
-    fn drift_aging_active(&self) -> bool {
-        self.drift_budget_ticks.is_some()
-    }
-
-    /// Whether any resident tile on `chip` is older than the accuracy
-    /// budget (its worst-case transmission may have slipped past half an
-    /// LSB since programming).
-    fn chip_over_budget(&self, chip: usize) -> bool {
-        let Some(budget) = self.drift_budget_ticks else {
-            return false;
-        };
-        (0..self.registry.len()).any(|m| {
-            self.registry
-                .executor_on(ModelId(m), ChipId(chip))
-                .and_then(DeviceExecutor::max_tile_age)
-                .is_some_and(|age| age > budget)
-        })
-    }
-
-    /// The drift health pass at the drain boundary, per chip: heals a
-    /// [`ChipHealth::Degraded`] chip whose resident tiles are all back
-    /// under the accuracy budget (recalibrated in an earlier drain), and
-    /// promotes a healthy chip to Degraded when any resident tile's
-    /// projected error crossed it, counting one breach per promotion.
-    /// Both transitions are visible between drains (the wire server
-    /// broadcasts them like any other health change).
-    fn drift_health_pass(&mut self) {
-        if !self.drift_aging_active() {
-            return;
-        }
-        for chip in 0..self.registry.chip_count() {
-            let over = self.chip_over_budget(chip);
-            match self.registry.chip_health(ChipId(chip), self.batches) {
-                ChipHealth::Degraded if !over => {
-                    self.drift_heals += 1;
-                    self.registry.heal_chip(ChipId(chip));
-                }
-                ChipHealth::Healthy if over => {
-                    self.drift_budget_breaches += 1;
-                    self.registry.degrade_chip(ChipId(chip));
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Marks this drain's recalibration: per serving chip, the oldest
-    /// over-budget tiles (bounded per drain), oldest first with a stable
-    /// `(model, layer, tile)` tiebreak. Marking resets a tile's
-    /// programming age at this single-threaded boundary, and the tile
-    /// re-derives at fresh-program state at its next read, so the state
-    /// later readouts derive is decided here alone, whichever worker
-    /// reads it. Chips already failed are skipped structurally (a recal
-    /// never targets a dead chip).
-    fn plan_recalibration(&mut self) {
-        if !self.config.recalibration || !self.drift_aging_active() {
-            return;
-        }
-        let (budget, now) = (self.drift_budget_ticks.unwrap_or(u64::MAX), self.batches);
-        for chip in 0..self.registry.chip_count() {
-            if !self.registry.chip_health(ChipId(chip), now).serves() {
-                continue;
-            }
-            // (age, model, layer, tile) over-budget candidates.
-            let mut candidates: Vec<(u64, usize, usize, usize)> = Vec::new();
-            for model in 0..self.registry.len() {
-                let Some(exec) = self.registry.executor_on(ModelId(model), ChipId(chip)) else {
-                    continue;
-                };
-                for info in exec.tile_ages() {
-                    if info.age_ticks > budget {
-                        candidates.push((info.age_ticks, model, info.layer, info.tile));
-                    }
-                }
-            }
-            candidates.sort_unstable_by(|a, b| {
-                b.0.cmp(&a.0)
-                    .then_with(|| (a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
-            });
-            candidates.truncate(MAX_RECALS_PER_DRAIN);
-            let marked: usize = candidates
-                .iter()
-                .filter_map(|&(_, model, layer, tile)| {
-                    let exec = self.registry.executor_on(ModelId(model), ChipId(chip))?;
-                    Some(exec.mark_recalibrated(layer, tile))
-                })
-                .sum();
-            if marked > 0 {
-                self.recalibrations += 1;
-                self.recalibrated_tiles += marked as u64;
-            }
-        }
-    }
-
     /// Picks the prewarm targets to run alongside the current round: at
     /// most one model per chip, chosen as the first pending
     /// (not-yet-dispatched) model in queue order that is not executing in
@@ -1389,6 +1256,7 @@ impl ServeEngine {
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         let chips = self.registry.chip_stats(self.batches);
+        let drift = self.registry.drift_stats();
         EngineStats {
             requests: self.requests,
             batches: self.batches,
@@ -1406,10 +1274,10 @@ impl ServeEngine {
             recovery_ms: self.registry.recovery_ms(),
             sequences: self.sequences.len() as u64,
             tokens: self.tokens,
-            recalibrations: self.recalibrations,
-            recalibrated_tiles: self.recalibrated_tiles,
-            drift_budget_breaches: self.drift_budget_breaches,
-            drift_heals: self.drift_heals,
+            recalibrations: drift.recalibrations,
+            recalibrated_tiles: drift.recalibrated_tiles,
+            drift_budget_breaches: drift.drift_budget_breaches,
+            drift_heals: drift.drift_heals,
             stage_panics: self.stage_panics,
         }
     }

@@ -313,7 +313,7 @@ pub enum ServerFrame {
         queued: u64,
         /// Resident cache occupancy, cells.
         occupancy_cells: u64,
-        /// Global cache budget, cells.
+        /// Cache budgets summed over chips, cells.
         budget_cells: u64,
         /// Fault-driven retries (batches re-routed off a failed chip).
         retries: u64,

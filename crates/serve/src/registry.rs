@@ -106,9 +106,11 @@ impl std::error::Error for AdmitError {}
 pub struct ModelCacheStats {
     /// Model name.
     pub name: String,
-    /// The chip the model is placed on (always 0 on a single chip).
+    /// The chip the model's primary copy is placed on (always 0 on a
+    /// single chip).
     pub chip: usize,
-    /// The model's tile-cache counters and occupancy.
+    /// The model's tile-cache counters and occupancy, summed over every
+    /// chip copy (the budget is the primary's).
     pub cache: CacheStats,
 }
 

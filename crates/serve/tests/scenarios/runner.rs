@@ -346,8 +346,9 @@ impl Scenario {
     ///
     /// - **every trace:** every inference completes or sheds, never
     ///   both; every sequence ends `done` or shed; per-chip counters
-    ///   reconcile with the totals; no shed says "refused"; the shed
-    ///   set is the same at every worker count;
+    ///   reconcile with the totals, and the chips' cache hits and misses
+    ///   with the models'; no shed says "refused"; the shed set is the
+    ///   same at every worker count;
     /// - **roomy budgets** (every chip could hold every model): retries,
     ///   sheds, recoveries, evictions and migrations are the same at every
     ///   worker count, and so is occupancy unless prewarm could fill a
@@ -376,11 +377,7 @@ impl Scenario {
             .iter()
             .map(|s| device.model_footprint_cells(&s.network) * replicas)
             .sum();
-        let roomy = self
-            .config
-            .effective_chip_budgets()
-            .iter()
-            .all(|&b| b >= all);
+        let roomy = self.config.chip_budgets.iter().all(|&b| b >= all);
         let runs: Vec<Run> = (1..=4).map(|w| self.run(|c| c.with_workers(w))).collect();
         let one = &runs[0];
         let infers = self.ops.iter().filter(|op| matches!(op, Op::Infer { .. }));
@@ -413,6 +410,14 @@ impl Scenario {
                 |f: fn(&oxbar_serve::ChipStats) -> u64| st.chips.iter().map(f).sum::<u64>();
             prop_assert_eq!(chip_sum(|c| c.retries), st.retries);
             prop_assert_eq!(chip_sum(|c| c.sheds), st.sheds);
+            let model_sum = |f: fn(&oxbar_sim::CacheStats) -> u64| {
+                st.models.iter().map(|m| f(&m.cache)).sum::<u64>()
+            };
+            prop_assert!(
+                (chip_sum(|c| c.hits), chip_sum(|c| c.misses))
+                    == (model_sum(|c| c.hits), model_sum(|c| c.misses)),
+                "{ctx}: chip and model cache counters differ"
+            );
             prop_assert_eq!(st.sheds, run.sheds.len() as u64);
             prop_assert_eq!(st.requests, run.completions.len() as u64);
             prop_assert_eq!(

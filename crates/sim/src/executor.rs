@@ -197,9 +197,10 @@ impl CacheStats {
     }
 }
 
-/// One resident tile's programming age and projected drift error, as
-/// reported by [`DeviceExecutor::tile_ages`] — the observability surface a
-/// serving scheduler ranks recalibration candidates with.
+/// One resident tile's programming age, as reported by
+/// [`DeviceExecutor::tile_ages`] — the observability surface a serving
+/// scheduler compares against [`DeviceExecutor::drift_budget_ticks`] to
+/// rank recalibration candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TileDriftInfo {
     /// Layer index of the tile.
@@ -208,9 +209,6 @@ pub struct TileDriftInfo {
     pub tile: usize,
     /// Dispatch ticks since the tile's PCM array was last programmed.
     pub age_ticks: u64,
-    /// Worst-case transmission slip (full-scale fraction) at this age,
-    /// relative to the baseline programming, across the device's levels.
-    pub projected_slip: f64,
 }
 
 #[derive(Debug, Default)]
@@ -606,27 +604,8 @@ impl DeviceExecutor {
             .min()
     }
 
-    /// Worst-case transmission slip (full-scale fraction) of a tile `age`
-    /// ticks old, relative to its baseline programming: the largest
-    /// drop across the device's programmable levels.
-    fn projected_slip(&self, age: u64) -> f64 {
-        let model = DriftModel::new(self.config.noise.drift_nu);
-        let table = f64::from(self.config.table_max());
-        let baseline = self.config.noise.drift_elapsed;
-        let aged = self.aged_elapsed(age);
-        (0..=self.config.table_max())
-            .map(|code| {
-                let mut cell = self.config.device();
-                cell.set_crystalline_fraction(f64::from(code) / table);
-                (model.transmission_after(cell, baseline) - model.transmission_after(cell, aged))
-                    .max(0.0)
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// Per-tile programming ages and projected worst-case drift error for
-    /// every resident tile, in `(layer, tile)` order. Empty when
-    /// aging is inactive.
+    /// The programming age of every resident tile, in `(layer, tile)`
+    /// order. Empty when aging is inactive.
     ///
     /// # Panics
     ///
@@ -641,40 +620,14 @@ impl DeviceExecutor {
         let mut out: Vec<TileDriftInfo> = cache
             .ages
             .iter()
-            .map(|(&(layer, tile), age)| {
-                let age_ticks = clock.saturating_sub(age.programmed_at);
-                TileDriftInfo {
-                    layer,
-                    tile,
-                    age_ticks,
-                    projected_slip: self.projected_slip(age_ticks),
-                }
+            .map(|(&(layer, tile), age)| TileDriftInfo {
+                layer,
+                tile,
+                age_ticks: clock.saturating_sub(age.programmed_at),
             })
             .collect();
         out.sort_unstable_by_key(|info| (info.layer, info.tile));
         out
-    }
-
-    /// The oldest resident tile's programming age, in dispatch ticks.
-    /// `None` when aging is inactive or nothing is resident — the cheap
-    /// probe a drift health monitor polls every round without paying for
-    /// the per-tile slip projections of [`Self::tile_ages`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned.
-    #[must_use]
-    pub fn max_tile_age(&self) -> Option<u64> {
-        if !self.aging_active() {
-            return None;
-        }
-        let clock = self.clock.load(Ordering::Relaxed);
-        let cache = self.cache.lock().expect("tile cache");
-        cache
-            .ages
-            .values()
-            .map(|age| clock.saturating_sub(age.programmed_at))
-            .max()
     }
 
     /// Online recalibration: resets a resident tile's programming age to
@@ -1603,6 +1556,29 @@ pub fn sample_pixels(shape: TensorShape, max_pixels: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DeviceExecutor {
+        /// Worst-case transmission slip (full-scale fraction) of a tile
+        /// `age` ticks old, relative to its baseline programming: the
+        /// largest drop across the device's programmable levels. The
+        /// independent reference [`Self::drift_budget_ticks`] is checked
+        /// against.
+        fn projected_slip(&self, age: u64) -> f64 {
+            let model = DriftModel::new(self.config.noise.drift_nu);
+            let table = f64::from(self.config.table_max());
+            let baseline = self.config.noise.drift_elapsed;
+            let aged = self.aged_elapsed(age);
+            (0..=self.config.table_max())
+                .map(|code| {
+                    let mut cell = self.config.device();
+                    cell.set_crystalline_fraction(f64::from(code) / table);
+                    (model.transmission_after(cell, baseline)
+                        - model.transmission_after(cell, aged))
+                    .max(0.0)
+                })
+                .fold(0.0, f64::max)
+        }
+    }
     use oxbar_nn::reference::{conv2d_exact, Executor};
     use oxbar_nn::synthetic;
     use oxbar_nn::zoo::lenet5;
@@ -1761,7 +1737,7 @@ mod tests {
         let infos = exec.tile_ages();
         assert!(!infos.is_empty());
         assert!(infos.iter().all(|i| i.age_ticks == 1000));
-        assert!(infos.iter().all(|i| i.projected_slip > 0.0));
+        assert!(infos.iter().all(|i| exec.projected_slip(i.age_ticks) > 0.0));
         let mut recalibrated = 0;
         for info in &infos {
             recalibrated += exec.mark_recalibrated(info.layer, info.tile);
