@@ -12,15 +12,19 @@
 //! ([`DeviceExecutor::dynamic_mv`]: `QKᵀ` and `AV` of one `llm_tiny`
 //! head) on a warm noisy 128×128 executor. The decode cases time one
 //! decode batch of eight `llm_tiny` sequences at a fixed position on a
-//! warm one-chip [`ServeEngine`], through its public API only. Every
+//! warm one-chip [`ServeEngine`], through its public API only. The
+//! overflow cases time one warm batch of a model on an executor whose
+//! cell budget holds half of it, so the tiles the budget refuses are
+//! programmed again at every batch (from remembered noise draws). Every
 //! timing is the median and p10/p90 over repeated runs.
 
+use oxbar_nn::reference::Tensor3;
 use oxbar_nn::synthetic;
 use oxbar_nn::zoo::lenet5;
 use oxbar_nn::{Conv2d, TensorShape};
 use oxbar_photonics::crossbar::{CrossbarConfig, CrossbarSimulator};
 use oxbar_photonics::transfer::{BatchScratch, CompiledCrossbar};
-use oxbar_serve::{catalog, ServeConfig, ServeEngine};
+use oxbar_serve::{catalog, ModelSpec, ServeConfig, ServeEngine};
 use oxbar_sim::{DeviceExecutor, MvmEngine, SimConfig};
 use serde::Serialize;
 use std::hint::black_box;
@@ -133,6 +137,25 @@ pub struct DecodeCase {
     pub batch_ms: Spread,
 }
 
+/// One warm batch through an executor whose budget holds half the model.
+#[derive(Debug, Clone, Serialize)]
+pub struct OverflowCase {
+    /// `overflow/<model>/b<batch>`.
+    pub name: String,
+    /// The catalog model.
+    pub model: String,
+    /// Inputs per batch.
+    pub batch: usize,
+    /// The executor's cell budget: half the model's footprint.
+    pub budget_cells: usize,
+    /// Timed runs, one batch each (after one untimed batch).
+    pub runs: usize,
+    /// Tiles programmed per timed batch: the tiles the budget refused.
+    pub misses_per_batch: u64,
+    /// Wall time of one `try_forward_batch` (ms).
+    pub batch_ms: Spread,
+}
+
 /// The full machine-readable snapshot (`BENCH_device_mvm.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct DeviceMvmReport {
@@ -155,6 +178,8 @@ pub struct DeviceMvmReport {
     pub dynamic: Vec<DynamicCase>,
     /// Warm decode batches, shortest position first.
     pub decode: Vec<DecodeCase>,
+    /// Warm batches of models that overflow their executor's budget.
+    pub overflow: Vec<OverflowCase>,
 }
 
 /// Times `f` over `runs` runs of `iterations` calls (after one warm-up),
@@ -451,6 +476,44 @@ fn decode_case(position: usize, runs: usize) -> DecodeCase {
     }
 }
 
+/// Inputs per overflow batch.
+const OVERFLOW_BATCH: usize = 4;
+
+/// Times a warm batch of `spec` through `try_forward_batch` on a noisy
+/// 128×128 one-thread executor whose budget holds half the model's
+/// footprint, after one untimed batch that programs every tile.
+fn overflow_case(spec: &ModelSpec, runs: usize) -> OverflowCase {
+    let config = SimConfig::noisy(128, 128).with_threads(1);
+    let budget_cells = DeviceExecutor::new(config.clone()).model_footprint_cells(&spec.network) / 2;
+    let exec = DeviceExecutor::new(config).with_cache_budget(budget_cells);
+    let images: Vec<Tensor3> = (0..OVERFLOW_BATCH as u64)
+        .map(|k| synthetic::activations(spec.network.input(), 6, 90 + k))
+        .collect();
+    let batch: Vec<&Tensor3> = images.iter().collect();
+    let forward = || {
+        let outputs = exec.try_forward_batch(&spec.network, &batch, &spec.filters);
+        black_box(outputs.expect("a sequential model"));
+    };
+    forward();
+    let before = exec.cache_stats().misses;
+    let times = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            forward();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    OverflowCase {
+        name: format!("overflow/{}/b{OVERFLOW_BATCH}", spec.name),
+        model: spec.name.clone(),
+        batch: OVERFLOW_BATCH,
+        budget_cells,
+        runs,
+        misses_per_batch: (exec.cache_stats().misses - before) / runs as u64,
+        batch_ms: Spread::of(times),
+    }
+}
+
 /// Runs the snapshot. `quick` keeps the workloads small enough for a CI
 /// smoke step; the full mode times the LeNet-5 headline at 128×128.
 #[must_use]
@@ -486,6 +549,12 @@ pub fn generate(quick: bool) -> DeviceMvmReport {
             .map(|&position| decode_case(position, runs))
             .collect()
     };
+    let overflow_model = if quick {
+        catalog::lenet5_model()
+    } else {
+        catalog::alexnet_fc_sample()
+    };
+    let overflow = vec![overflow_case(&overflow_model, runs)];
     let achieved = cases
         .iter()
         .find(|c| c.name.starts_with("lenet5_forward"))
@@ -500,6 +569,7 @@ pub fn generate(quick: bool) -> DeviceMvmReport {
         kernels,
         dynamic,
         decode,
+        overflow,
     }
 }
 
@@ -573,11 +643,11 @@ pub fn render(report: &DeviceMvmReport) {
             d.call_us.p90
         );
     }
-    render_decode(report);
+    render_batches(report);
 }
 
-/// Prints the warm decode batch table.
-fn render_decode(report: &DeviceMvmReport) {
+/// Prints the warm decode and overflow batch tables.
+fn render_batches(report: &DeviceMvmReport) {
     println!();
     println!(
         "# warm decode batch ({DECODE_SEQUENCES} llm_tiny sequences, one-chip ServeEngine, noisy 128x128), ms per batch"
@@ -590,6 +660,20 @@ fn render_decode(report: &DeviceMvmReport) {
         println!(
             "{:<24} {:>6} {:>10.4} {:>10.4} {:>10.4}",
             d.name, d.runs, d.batch_ms.median, d.batch_ms.p10, d.batch_ms.p90
+        );
+    }
+    println!();
+    println!(
+        "# warm batch over half a model's footprint (noisy 128x128, one thread), ms per batch"
+    );
+    println!(
+        "{:<32} {:>6} {:>12} {:>10} {:>10} {:>10}",
+        "case", "runs", "misses/batch", "median", "p10", "p90"
+    );
+    for o in &report.overflow {
+        println!(
+            "{:<32} {:>6} {:>12} {:>10.3} {:>10.3} {:>10.3}",
+            o.name, o.runs, o.misses_per_batch, o.batch_ms.median, o.batch_ms.p10, o.batch_ms.p90
         );
     }
 }
@@ -648,6 +732,19 @@ mod tests {
         for d in &report.decode {
             assert_eq!(d.name, format!("decode/p{}", d.position));
             assert!(ordered(d.batch_ms) && d.runs > 0, "{d:?}");
+        }
+        assert_eq!(
+            report.overflow.len(),
+            1,
+            "quick mode times one overflow case"
+        );
+        for o in &report.overflow {
+            assert_eq!(o.name, format!("overflow/{}/b{}", o.model, o.batch));
+            assert!(ordered(o.batch_ms) && o.runs > 0, "{o:?}");
+            assert!(
+                o.misses_per_batch > 0,
+                "half the footprint overflows: {o:?}"
+            );
         }
     }
 }

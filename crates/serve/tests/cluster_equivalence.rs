@@ -2,10 +2,12 @@
 //!
 //! Three invariants make the multi-chip refactor safe to ship:
 //!
-//! 1. a **1-chip cluster configuration is byte-identical** to the classic
-//!    single-registry engine — outputs and the full stats block, eviction
-//!    sequence included — across random policies, budgets, worker counts,
-//!    and the pipelined prewarm stage;
+//! 1. **a chip too small for a model answers like an unbounded one**: on
+//!    a noisy device, a chip whose budget is half the larger model's
+//!    footprint (so that model's overflow tiles are reprogrammed every
+//!    batch, from remembered noise draws) answers byte-identically to a
+//!    `usize::MAX` chip, across random policies, worker counts and the
+//!    pipelined prewarm stage;
 //! 2. **multi-chip serving changes work, not results**: the same trace on
 //!    a 2-chip cluster answers byte-identically to one big chip, and is
 //!    itself invariant under the dispatch worker count (the chip-aware
@@ -21,7 +23,7 @@ use oxbar_serve::{
     catalog, BatchPolicy, ChipId, EngineStats, InferRequest, ModelId, ModelSpec, PlacementPolicy,
     ServeConfig, ServeEngine,
 };
-use oxbar_sim::SimConfig;
+use oxbar_sim::{DeviceExecutor, SimConfig};
 use proptest::prelude::*;
 
 /// Queues a deadline-free request at tick 0.
@@ -117,21 +119,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn one_chip_cluster_is_byte_identical_to_the_classic_engine(seed in 0u64..10_000) {
+    fn an_overflowing_chip_answers_like_an_unbounded_one(seed in 0u64..10_000) {
         let specs = random_specs(seed);
-        let device = SimConfig::ideal(32, 16).with_seed(seed).with_threads(1);
-        let budget = if seed % 2 == 0 { usize::MAX } else { 4_000 };
+        let device = SimConfig::noisy(16, 8).with_seed(seed).with_threads(1);
+        let footprint = specs
+            .iter()
+            .map(|s| DeviceExecutor::new(device.clone()).model_footprint_cells(&s.network))
+            .max()
+            .expect("two models");
         let base = ServeConfig::new(device)
             .with_policy(BatchPolicy::new(1 + (seed % 5) as usize, seed % 7))
             .with_workers(1 + (seed % 3) as usize)
-            .with_cache_budget(budget)
             .with_prewarm(seed % 2 == 0);
-        let classic = serve_trace(base.clone(), &specs, seed);
-        let explicit = serve_trace(base.with_chips(vec![budget]), &specs, seed);
-        // Outputs byte for byte, and the full stats block — eviction
-        // sequence included.
-        prop_assert_eq!(&classic.0, &explicit.0);
-        prop_assert_eq!(&classic.1, &explicit.1);
+        let tight = serve_trace(base.clone().with_chips(vec![footprint / 2]), &specs, seed);
+        let unbounded = serve_trace(base.with_chips(vec![usize::MAX]), &specs, seed);
+        prop_assert_eq!(&tight.0, &unbounded.0);
     }
 
     #[test]

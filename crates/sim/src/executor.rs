@@ -20,6 +20,7 @@ use oxbar_pcm::ProgramReport;
 use oxbar_units::{Energy, Time};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -120,12 +121,18 @@ pub struct DeviceExecutor {
     /// what fresh static compiles and every dynamic tile write through
     /// (an aged re-derivation builds its own).
     writer: TileWriter,
-    /// Remembered noise draws of the dynamic stages, keyed by tile seed
-    /// (see [`Self::dynamic_mv`]); a key collision would only return
-    /// identical draws. Static tiles draw afresh per compile instead:
-    /// they recompile only on a miss or a recalibration, and holding a
-    /// catalog's draws would cost more memory than its tiles.
-    dynamic_noise: RwLock<HashMap<u64, Arc<TileNoise>>>,
+    /// Remembered noise draws, keyed by tile seed (a key collision would
+    /// only return identical draws). One rule: remember the draws of
+    /// every tile that will be programmed again at its next use. That is
+    /// every dynamic tile ([`Self::dynamic_mv`]), and every *overflow*
+    /// tile: a static tile whose compile the cell budget refused, which
+    /// [`Self::resolve_tile`] programs again at each batch that reads it.
+    /// The remembered overflow cells stay within the cell budget, so a
+    /// budget-0 executor remembers no static draws. A tile the cache
+    /// admits draws afresh: it recompiles only after an eviction or a
+    /// recalibration, and holding a catalog's draws would cost more
+    /// memory than its tiles.
+    noise: RwLock<NoiseMemo>,
     /// The executor's virtual clock, in scheduler dispatch ticks. Serving
     /// engines advance it at round boundaries (single-threaded, from the
     /// global dispatch counter — never wall clock), which makes tile age,
@@ -242,6 +249,16 @@ struct TileAge {
     derived_age: u64,
 }
 
+/// The noise-draw memo ([`DeviceExecutor::noise`]).
+#[derive(Debug, Default)]
+struct NoiseMemo {
+    /// Remembered draws by tile seed.
+    draws: HashMap<u64, Arc<TileNoise>>,
+    /// Cells of the overflow tiles whose draws `draws` holds; at most
+    /// the executor's cell budget.
+    overflow_cells: usize,
+}
+
 /// A resident cache entry, as a claim rule in
 /// [`DeviceExecutor::resolve_tile`] sees it.
 struct Resident<'a> {
@@ -303,7 +320,7 @@ impl DeviceExecutor {
             compile_done: Condvar::new(),
             cache_budget: TILE_CACHE_CELL_BUDGET,
             arenas: Mutex::new(Vec::new()),
-            dynamic_noise: RwLock::new(HashMap::new()),
+            noise: RwLock::new(NoiseMemo::default()),
             clock: AtomicU64::new(0),
         }
     }
@@ -382,9 +399,13 @@ impl DeviceExecutor {
     /// the rest wait and judge the installed entry, and the counters are
     /// a deterministic function of the workload, not of thread timing.
     /// **Compile:** program the column-major codes and row count `codes`
-    /// returns with fresh draws of the tile's seed at the claimed age.
+    /// returns at the claimed age, with the remembered draws of the
+    /// tile's seed when the memo holds them and fresh draws otherwise
+    /// (the same numbers either way).
     /// **Install:** replace the resident entry, admit the new one while
-    /// the cell budget allows, stamp its age, and wake the waiters.
+    /// the cell budget allows, and stamp its age. When the budget refuses
+    /// a compile from fresh draws, remember them: the tile overflows, so
+    /// its next read programs it again. Then wake the waiters.
     ///
     /// Returns the hit or the fresh compile (admitted or not), or `None`
     /// when the rule skips the key.
@@ -438,11 +459,18 @@ impl DeviceExecutor {
             aged = TileWriter::new(&self.config, &self.config.level_table(), elapsed);
             &aged
         };
+        let (noise, fresh) = match self.remembered_noise(seed, cells) {
+            Some(noise) => (noise, false),
+            None => (
+                Arc::new(TileNoise::for_tile(&self.config, seed, cells)),
+                true,
+            ),
+        };
         let compiled = Arc::new(CompiledTile::compile_at(
             values,
             rows,
             &self.config,
-            &TileNoise::for_tile(&self.config, seed, cells),
+            &noise,
             writer,
         ));
         let mut cache = self.cache.lock().expect("tile cache");
@@ -450,7 +478,8 @@ impl DeviceExecutor {
             cache.cells -= replaced.cells();
         }
         cache.ages.remove(&key);
-        if cache.cells + compiled.cells() <= self.cache_budget {
+        let admitted = cache.cells + compiled.cells() <= self.cache_budget;
+        if admitted {
             cache.tiles.insert(key, Arc::clone(&compiled));
             cache.cells += compiled.cells();
             if aging {
@@ -464,6 +493,9 @@ impl DeviceExecutor {
             }
         }
         drop(cache);
+        if !admitted && fresh {
+            self.remember_overflow(seed, cells, noise);
+        }
         drop(claimed);
         Some(compiled)
     }
@@ -953,20 +985,24 @@ impl DeviceExecutor {
     ///
     /// Only the weights change between calls; the device noise does not.
     /// Each tile's PCM-write normals and residual phasors are a pure
-    /// function of its seed, so the executor **remembers** them: one
-    /// [`TileNoise`] per dynamic tile seed, grown to the largest tile that
-    /// seed has programmed (the k-th written cell reads normal k, cell
-    /// `(i, j)` of a `rows × cols` tile phasor `i · cols + j`, for any
-    /// geometry). A call programs each tile's codes straight into pooled
-    /// gain planes and executes in a pooled arena, with exactly the
-    /// float operations of a fresh program and compile — remembering
-    /// cannot change a value, only skip redrawing it. The per-cell drift
-    /// read stays, since it depends on the achieved fraction. The memo
-    /// holds at most one `TileNoise` per dynamic seed, each at most
-    /// `array_rows × array_cols` draws: for `llm_tiny` at 1,024 positions
-    /// (8 stages × 8 tiles × 1,024 cells) about 1.6 MB. [`Clone`] and
-    /// [`Self::restore_at`] start with an empty memo; [`Self::clear_cache`]
-    /// leaves it, since it holds no chip state.
+    /// function of its seed, and the executor **remembers** the draws of
+    /// every tile that will be programmed again at its next use: every
+    /// dynamic tile, and every static tile the cell budget refuses (an
+    /// overflow tile, reprogrammed at each batch). A dynamic seed keeps
+    /// one [`TileNoise`], grown to the largest tile that seed has
+    /// programmed (the k-th written cell reads normal k, cell `(i, j)` of
+    /// a `rows × cols` tile phasor `i · cols + j`, for any geometry). A
+    /// call programs each tile's codes straight into pooled gain planes
+    /// and executes in a pooled arena, with exactly the float operations
+    /// of a fresh program and compile — remembering cannot change a
+    /// value, only skip redrawing it. The per-cell drift read stays,
+    /// since it depends on the achieved fraction. The memo holds at most
+    /// one `TileNoise` per dynamic seed, each at most `array_rows ×
+    /// array_cols` draws: for `llm_tiny` at 1,024 positions (8 stages × 8
+    /// tiles × 1,024 cells) about 1.6 MB. Overflow draws add at most the
+    /// cell budget's worth of cells. [`Clone`] and [`Self::restore_at`]
+    /// start with an empty memo; [`Self::clear_cache`] leaves it, since it
+    /// holds no chip state.
     ///
     /// The [`MvmEngine::FieldWalk`] oracle remembers nothing: each tile
     /// draws afresh and walks its fields ([`run_tile_with`]).
@@ -1087,24 +1123,46 @@ impl DeviceExecutor {
         outputs
     }
 
+    /// The draws the memo holds for tile seed `seed`, if they cover a
+    /// `cells`-cell tile. Holds the memo's read lock only to clone the
+    /// entry.
+    fn remembered_noise(&self, seed: u64, cells: usize) -> Option<Arc<TileNoise>> {
+        let memo = self.noise.read().expect("noise memo");
+        memo.draws
+            .get(&seed)
+            .filter(|noise| noise.covers(cells))
+            .map(Arc::clone)
+    }
+
     /// The remembered draws of dynamic tile seed `seed`, covering a
-    /// `cells`-cell tile. A warm call holds the memo's read lock only to
-    /// clone the entry; the write lock is taken only to grow a prefix
+    /// `cells`-cell tile. The write lock is taken only to grow a prefix
     /// (copying it if a concurrent call still holds the shorter one).
     fn dynamic_noise(&self, seed: u64, cells: usize) -> Arc<TileNoise> {
-        if let Some(noise) = self.dynamic_noise.read().expect("noise memo").get(&seed) {
-            if noise.covers(cells) {
-                return Arc::clone(noise);
-            }
+        if let Some(noise) = self.remembered_noise(seed, cells) {
+            return noise;
         }
-        let mut memo = self.dynamic_noise.write().expect("noise memo");
+        let mut memo = self.noise.write().expect("noise memo");
         let noise = memo
+            .draws
             .entry(seed)
             .or_insert_with(|| Arc::new(TileNoise::new(&self.config, seed)));
         if !noise.covers(cells) {
             Arc::make_mut(noise).grow(cells);
         }
         Arc::clone(noise)
+    }
+
+    /// Remembers the fresh draws of an overflow tile of `cells` cells
+    /// while the remembered overflow cells stay within the cell budget.
+    fn remember_overflow(&self, seed: u64, cells: usize, noise: Arc<TileNoise>) {
+        let mut memo = self.noise.write().expect("noise memo");
+        let memo = &mut *memo;
+        if memo.overflow_cells + cells <= self.cache_budget {
+            if let Entry::Vacant(slot) = memo.draws.entry(seed) {
+                slot.insert(noise);
+                memo.overflow_cells += cells;
+            }
+        }
     }
 
     /// The full weight-stationary footprint of a model on this
@@ -1780,8 +1838,8 @@ mod tests {
     fn dynamic_noise_memo_stops_growing_on_a_seen_shape() {
         let exec = DeviceExecutor::new(SimConfig::noisy(32, 8).with_threads(1));
         let memo_draws = |exec: &DeviceExecutor| -> usize {
-            let memo = exec.dynamic_noise.read().expect("noise memo");
-            memo.values().map(|noise| noise.draws()).sum()
+            let memo = exec.noise.read().expect("noise memo");
+            memo.draws.values().map(|noise| noise.draws()).sum()
         };
         // 40 inputs × 20 outputs folds into 2 × 3 tiles of ≤ 32 × 8.
         let rows: Vec<Vec<i8>> = (0..20)
@@ -1790,7 +1848,7 @@ mod tests {
         let drive: Vec<i64> = (0..40).map(|i| (i * 7 % 127) - 63).collect();
         let first = exec.dynamic_mv(0, &rows, &drive);
         let draws = memo_draws(&exec);
-        let seeds = exec.dynamic_noise.read().expect("noise memo").len();
+        let seeds = exec.noise.read().expect("noise memo").draws.len();
         assert_eq!(seeds, 6, "one entry per dynamic tile seed");
         // Each seed holds at most one array's worth of both streams.
         assert!(draws > 0 && draws <= seeds * 2 * 32 * 8, "{draws} draws");
@@ -1805,6 +1863,54 @@ mod tests {
         let clone = exec.clone();
         assert_eq!(memo_draws(&clone), 0);
         assert_eq!(clone.dynamic_mv(0, &rows, &drive), first);
+    }
+
+    #[test]
+    fn overflow_tiles_reprogram_from_remembered_draws() {
+        let net = lenet5();
+        let filters = synthetic::filter_banks(&net, 6, 11);
+        let images: Vec<Tensor3> = (0..3)
+            .map(|seed| synthetic::activations(net.input(), 6, 20 + seed))
+            .collect();
+        let batch: Vec<&Tensor3> = images.iter().collect();
+        let config = SimConfig::noisy(32, 32).with_threads(1);
+        let half = DeviceExecutor::new(config.clone()).model_footprint_cells(&net) / 2;
+        let with_budget = |cells| DeviceExecutor::new(config.clone()).with_cache_budget(cells);
+        let (tight, roomy, cold) = (with_budget(half), with_budget(usize::MAX), with_budget(0));
+        let remembered =
+            |exec: &DeviceExecutor| exec.noise.read().expect("noise memo").overflow_cells;
+        let mut misses = Vec::new();
+        let mut memo = Vec::new();
+        for call in 0..3 {
+            let before = tight.cache_stats().misses;
+            let out = tight.try_forward_batch(&net, &batch, &filters).unwrap();
+            assert_eq!(
+                out,
+                roomy.try_forward_batch(&net, &batch, &filters).unwrap(),
+                "call {call}"
+            );
+            assert_eq!(
+                out,
+                cold.try_forward_batch(&net, &batch, &filters).unwrap(),
+                "call {call}"
+            );
+            misses.push(tight.cache_stats().misses - before);
+            memo.push(remembered(&tight));
+        }
+        // The first call programs every tile; each later one reprograms
+        // exactly the tiles the budget refused, and remembers nothing new.
+        let tiles = roomy.cache_stats().misses;
+        let overflow = tiles - tight.cache_stats().entries as u64;
+        assert!(overflow > 0, "half the footprint must overflow");
+        assert_eq!(misses, [tiles, overflow, overflow]);
+        assert!(
+            memo[0] > 0 && memo[0] <= half,
+            "{} of {half} cells",
+            memo[0]
+        );
+        assert_eq!(memo, [memo[0]; 3]);
+        assert_eq!(remembered(&cold), 0, "budget 0 remembers nothing");
+        assert_eq!(remembered(&roomy), 0, "a model that fits remembers nothing");
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //! executor remembers them per seed ([`crate::tile::TileNoise`], grown to
 //! the largest tile the seed has programmed) and each call only maps the
 //! new codes, writes the cells and reads their drift straight into pooled
-//! gain planes. Remembering a draw cannot change a value: the same float
+//! gain planes. This is the executor's one memo rule: it remembers the
+//! draws of every tile that will be programmed again at its next use,
+//! which is every dynamic tile and every static projection tile the cell
+//! budget refuses (within that budget). Remembering a draw cannot change a value: the same float
 //! operations run on the same numbers in the same order as a fresh
 //! program and compile (`crates/sim/tests/dynamic_noise.rs` pins the noisy
 //! path to recorded outputs and to the field-walk oracle). The memory is

@@ -280,7 +280,8 @@ impl TileNoise {
     }
 
     /// Fresh draws covering one `cells`-cell tile: what a static compile
-    /// programs from once and drops.
+    /// programs from (the executor keeps them only for a tile its cell
+    /// budget refuses).
     #[must_use]
     pub fn for_tile(config: &SimConfig, seed: u64, cells: usize) -> Self {
         let mut noise = Self::new(config, seed);
