@@ -233,6 +233,25 @@ impl core::fmt::Display for UnsupportedLayer {
 
 impl std::error::Error for UnsupportedLayer {}
 
+impl UnsupportedLayer {
+    /// Refuses a network the sequential executors cannot run: one with a
+    /// residual `Add` layer, whose skip wiring the flattened layer list
+    /// does not carry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnsupportedLayer`] naming the network's first `Add`
+    /// layer.
+    pub fn check(network: &Network) -> Result<(), Self> {
+        network.layers().iter().try_for_each(|l| match l {
+            Layer::Add(a) => Err(Self {
+                layer: a.name.clone(),
+            }),
+            _ => Ok(()),
+        })
+    }
+}
+
 impl Executor {
     /// Creates an executor with the given activation precision.
     #[must_use]
@@ -258,24 +277,13 @@ impl Executor {
         input: &Tensor3,
         filters: &[FilterBank],
     ) -> Result<(Tensor3, Vec<LayerTrace>), UnsupportedLayer> {
-        // Reject residual networks up front: the flattened list does not
-        // carry the skip wiring needed to execute them.
-        if let Some(add) = network.layers().iter().find_map(|l| match l {
-            Layer::Add(a) => Some(a.name.clone()),
-            _ => None,
-        }) {
-            return Err(UnsupportedLayer { layer: add });
-        }
+        UnsupportedLayer::check(network)?;
         let mut conv_idx = 0;
         let mut current = input.clone();
         let mut traces = Vec::new();
         for layer in network.layers() {
             match layer {
-                Layer::Add(a) => {
-                    return Err(UnsupportedLayer {
-                        layer: a.name.clone(),
-                    })
-                }
+                Layer::Add(_) => unreachable!("Add layers rejected by the check"),
                 Layer::Pool(p) => {
                     current = pool_exact(&current, p);
                     traces.push(LayerTrace {

@@ -116,9 +116,8 @@ pub fn form_batches(queue: &[(ModelId, u64)], policy: BatchPolicy) -> Vec<Batch>
 ///
 /// On a single chip the preference scan degenerates to "take the first
 /// remaining batch", so the rounds are exactly
-/// `batches.chunks(round_size)` — the pre-cluster schedule, byte for
-/// byte. Deterministic in all cases: a pure function of the batch list,
-/// the round size, and the placement. The scans cost O(batches² /
+/// `batches.chunks(round_size)`. Deterministic in all cases: a pure
+/// function of the batch list, the round size, and the placement. The scans cost O(batches² /
 /// round_size); a drain pass holds at most a few hundred batches.
 ///
 /// # Panics

@@ -18,19 +18,20 @@
 //!   its programmed tile state bit-exactly, so migration changes *where*
 //!   a model serves from, never *what* it answers.
 //!
-//! A 1-chip cluster is the classic single-registry engine — same
-//! outputs, same eviction sequence (`tests/cluster_equivalence.rs` pins
-//! it).
+//! A 1-chip cluster has no migration target, so its budget pass only
+//! evicts, least recently used first.
 //!
 //! Chip health has one owner, the cluster. Failure has one rule,
 //! [`Cluster::chip_health`]: every question about a chip's health passes
-//! the dispatch count it is asked at. Drift degradation has one scan,
+//! the dispatch count it is asked at, and a chip is failed once its
+//! [`FaultPlan`] kill has passed. Drift degradation has one scan,
 //! `Cluster::begin_pass`, at each drain boundary.
 
 use crate::registry::{AdmitError, ModelCacheStats, ModelSpec};
 use crate::request::ModelId;
-use oxbar_nn::{Layer, TensorShape};
-use oxbar_sim::{DeviceExecutor, FaultPlan, SimConfig};
+use oxbar_nn::reference::UnsupportedLayer;
+use oxbar_nn::TensorShape;
+use oxbar_sim::{DeviceExecutor, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::HashSet;
@@ -86,6 +87,40 @@ impl ChipHealth {
 impl fmt::Display for ChipHealth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// A deterministic chip-kill schedule: the chips a run loses and when,
+/// keyed on the serving engine's global batch dispatch counter (a
+/// logical tick, never wall clock), so a fixed plan fails the same chips
+/// at the same points on every run and at every worker count. A kill at
+/// round `r` lands just before the `r`-th dispatched batch. PCM is
+/// non-volatile, so a killed chip's programmed state stays readable for
+/// [`Cluster::recover`]. The [`Default`] plan kills nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FaultPlan {
+    kills: Vec<ChipKill>,
+}
+
+/// One scheduled kill: `chip` dies just before round `round` dispatches.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct ChipKill {
+    round: u64,
+    chip: usize,
+}
+
+impl FaultPlan {
+    /// An empty plan: no faults.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedules chip `chip` to die just before round `round` dispatches.
+    #[must_use]
+    pub fn kill_chip(mut self, round: u64, chip: usize) -> Self {
+        self.kills.push(ChipKill { round, chip });
+        self
     }
 }
 
@@ -242,8 +277,7 @@ impl ModelEntry {
 /// Admission pins each model to one chip (see [`PlacementPolicy`]) and
 /// seeds its executor from `(base seed, admission index)` — the *global*
 /// admission index, not a per-chip one, so a model's device noise is
-/// independent of the cluster layout and a 1-chip cluster reproduces the
-/// single-registry engine byte for byte.
+/// independent of the cluster layout.
 pub struct Cluster {
     base: SimConfig,
     placement: PlacementPolicy,
@@ -303,12 +337,7 @@ impl Cluster {
     /// Validates a spec (residual layers, filter coverage) without
     /// placing it.
     fn validate(spec: &ModelSpec) -> Result<(), AdmitError> {
-        if let Some(add) = spec.network.layers().iter().find_map(|l| match l {
-            Layer::Add(a) => Some(a.name.clone()),
-            _ => None,
-        }) {
-            return Err(AdmitError::Residual(add));
-        }
+        UnsupportedLayer::check(&spec.network).map_err(|e| AdmitError::Residual(e.layer))?;
         let expected = spec.network.conv_like_layers().count();
         if spec.filters.len() != expected {
             return Err(AdmitError::FilterCount {
@@ -365,10 +394,9 @@ impl Cluster {
     ///
     /// Placement is permissive: when no chip's committed footprint leaves
     /// room, the model still lands on the least-committed chip (lowest
-    /// index on ties) and the chip's LRU eviction absorbs the pressure —
-    /// matching the single-registry behavior where over-budget admission
-    /// thrashes rather than fails. Use [`Self::admit_strict`] to refuse
-    /// instead.
+    /// index on ties) and the chip's LRU eviction absorbs the pressure:
+    /// over-budget admission thrashes rather than fails. Use
+    /// [`Self::admit_strict`] to refuse instead.
     ///
     /// # Errors
     ///
@@ -567,9 +595,9 @@ impl Cluster {
     /// potato that lands on another over-budget chip is evicted there
     /// rather than bounced again, so the pass terminates with *every*
     /// chip within budget. On a 1-chip cluster there is never a migration
-    /// target, so the eviction sequence is exactly the single-registry
-    /// one. Chips failed at `dispatched` are skipped entirely: they serve
-    /// nothing, and their non-volatile state is left intact for recovery.
+    /// target, so the pass only evicts. Chips failed at `dispatched` are
+    /// skipped entirely: they serve nothing, and their non-volatile state
+    /// is left intact for recovery.
     pub fn enforce_budget(&mut self, dispatched: u64) -> usize {
         let mut evicted = 0;
         let mut moved: HashSet<(usize, usize)> = HashSet::new();
@@ -694,9 +722,9 @@ impl Cluster {
     pub fn chip_health(&self, chip: ChipId, dispatched: u64) -> ChipHealth {
         let killed = self
             .faults
-            .events()
+            .kills
             .iter()
-            .any(|e| e.chip() == chip.0 && e.round() < dispatched);
+            .any(|k| k.chip == chip.0 && k.round < dispatched);
         if killed {
             ChipHealth::Failed
         } else if self.chips[chip.0].degraded {
@@ -958,7 +986,7 @@ impl fmt::Debug for Cluster {
 mod tests {
     use super::*;
     use oxbar_nn::zoo::{lenet5, resnet18};
-    use oxbar_nn::{synthetic, Dense, Network};
+    use oxbar_nn::{synthetic, Dense, Layer, Network};
 
     fn lenet_spec(seed: u64) -> ModelSpec {
         let network = lenet5();
@@ -1154,6 +1182,14 @@ mod tests {
         assert_eq!(health(3), [ok, ok], "the kill lands before round 3");
         assert_eq!(health(4), [ok, dead], "round 3 runs without chip 1");
         assert_eq!(health(9), [ok, dead], "a kill of chip 7 names no chip");
+    }
+
+    #[test]
+    fn plan_round_trips_through_serde() {
+        let plan = FaultPlan::new().kill_chip(7, 3).kill_chip(9, 1);
+        let json = serde_json::to_string(&plan).expect("serialize");
+        let back: FaultPlan = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(back, plan);
     }
 
     #[test]
@@ -1430,10 +1466,11 @@ mod tests {
             network: resnet18(),
             lm: None,
         };
-        assert!(matches!(
+        assert_eq!(
             cluster.admit(residual),
-            Err(AdmitError::Residual(_))
-        ));
+            Err(AdmitError::Residual("conv2_1_add".into())),
+            "the refusal names the first residual layer"
+        );
         let mut short = lenet_spec(4);
         short.filters.pop();
         assert!(matches!(

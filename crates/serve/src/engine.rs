@@ -2,7 +2,7 @@
 //! deterministic parallel scheduler over a cluster of chips.
 
 use crate::batcher::{form_batches, route_rounds, Batch, BatchPolicy};
-use crate::cluster::{ChipHealth, ChipId, ChipStats, Cluster, PlacementPolicy};
+use crate::cluster::{ChipHealth, ChipId, ChipStats, Cluster, FaultPlan, PlacementPolicy};
 use crate::registry::{AdmitError, ModelCacheStats, ModelSpec};
 use crate::request::{Completion, InferRequest, ModelId, RequestId, SequenceId, TokenCompletion};
 use oxbar_core::dse::parallel_map;
@@ -10,7 +10,7 @@ use oxbar_nn::reference::Tensor3;
 use oxbar_nn::transformer::{KvCache, StepInput, StepOutcome};
 use oxbar_nn::TensorShape;
 use oxbar_sim::llm::lm_steps;
-use oxbar_sim::{DeviceExecutor, ExecError, FaultPlan, SimConfig};
+use oxbar_sim::{DeviceExecutor, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -445,9 +445,8 @@ enum Job<'a> {
 
 /// What one [`Job`] produced.
 enum Done {
-    /// The batch's executions (or the error its executor refused with)
-    /// and its wall-clock execution time in ms.
-    Batch(Result<Vec<Executed>, ExecError>, f64),
+    /// The batch's executions and its wall-clock execution time in ms.
+    Batch(Vec<Executed>, f64),
     /// Tiles a prewarm job programmed, or `None` if it panicked.
     Prewarm(Option<usize>),
 }
@@ -874,12 +873,12 @@ impl ServeEngine {
             // 3. Absorb in dispatch order, then enforce the budgets.
             for (job, done) in jobs.iter().zip(done) {
                 match (job, done) {
-                    (Job::Batch(batch, fate), Done::Batch(result, ms)) => {
+                    (Job::Batch(batch, fate), Done::Batch(executed, ms)) => {
                         timings[batch.seq] = ms;
                         self.absorb_batch(
                             batch,
                             fate,
-                            result,
+                            executed,
                             &queue,
                             &mut completions,
                             &mut shed_notices,
@@ -957,7 +956,7 @@ impl ServeEngine {
         match job {
             Job::Batch(batch, fate) => {
                 let start = std::time::Instant::now();
-                let result = fate.chip.map_or(Ok(Vec::new()), |chip| {
+                let executed = fate.chip.map_or(Vec::new(), |chip| {
                     // A recovery or migration since the fate was resolved
                     // may have moved the model off `chip`; a copy on a
                     // chip that serves at the batch's sequence answers
@@ -976,7 +975,7 @@ impl ServeEngine {
                         });
                     self.execute_on(batch, queue, executor, &fate.shed)
                 });
-                Done::Batch(result, start.elapsed().as_secs_f64() * 1e3)
+                Done::Batch(executed, start.elapsed().as_secs_f64() * 1e3)
             }
             Job::Prewarm(model) => Done::Prewarm(
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -994,7 +993,7 @@ impl ServeEngine {
         &mut self,
         batch: &Batch,
         fate: &Fate,
-        result: Result<Vec<Executed>, ExecError>,
+        executed: Vec<Executed>,
         queue: &[Queued],
         completions: &mut Vec<Completion>,
         notices: &mut Vec<ShedNotice>,
@@ -1015,28 +1014,11 @@ impl ServeEngine {
                 self.shed_members(batch, queue, &fate.shed, from, &detail, notices);
             }
         }
-        match result {
-            Ok(executed) => {
-                for e in executed {
-                    if let Some((seq_id, outcome)) = e.outcome {
-                        self.advance_sequence(seq_id, &outcome);
-                    }
-                    completions.push(e.completion);
-                }
+        for e in executed {
+            if let Some((seq_id, outcome)) = e.outcome {
+                self.advance_sequence(seq_id, &outcome);
             }
-            // Only a model-level refusal (`ExecError::Unsupported`) lands
-            // here: the members still complete structurally, as sheds.
-            Err(e) => {
-                let chip = fate.chip.unwrap_or_default();
-                let survivors: Vec<usize> = batch
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|s| !fate.shed.contains(s))
-                    .collect();
-                let detail = format!("chip {chip} refused execution: {e}");
-                self.shed_members(batch, queue, &survivors, chip, &detail, notices);
-            }
+            completions.push(e.completion);
         }
     }
 
@@ -1103,8 +1085,7 @@ impl ServeEngine {
     /// gets no stage this round. The guard is conservative on purpose: a
     /// skipped prewarm only costs speed, while an over-eager one could
     /// evict (or migrate) and change the engine's eviction sequence. A
-    /// chip failed at dispatch count `reached` gets no stage. On a single
-    /// chip this reproduces the pre-cluster single-target stage exactly.
+    /// chip failed at dispatch count `reached` gets no stage.
     fn prewarm_targets(
         &self,
         batches: &[Batch],
@@ -1172,7 +1153,7 @@ impl ServeEngine {
         queue: &[Queued],
         executor: &DeviceExecutor,
         shed: &[usize],
-    ) -> Result<Vec<Executed>, ExecError> {
+    ) -> Vec<Executed> {
         let spec = self.registry.spec(batch.model);
         let survivors: Vec<&Queued> = batch
             .members
@@ -1201,14 +1182,16 @@ impl ServeEngine {
         let mut forwards = if inputs.is_empty() {
             Vec::new()
         } else {
-            executor.try_forward_batch(&spec.network, &inputs, &spec.filters)?
+            executor
+                .try_forward_batch(&spec.network, &inputs, &spec.filters)
+                .expect("`Cluster::validate` admits no residual network")
         }
         .into_iter();
         let mut steps = if steps.is_empty() {
             Vec::new()
         } else {
             let lm = spec.lm.as_ref().expect("sequence targets a language model");
-            lm_steps(executor, &spec.network, &spec.filters, lm, &steps)?
+            lm_steps(executor, &spec.network, &spec.filters, lm, &steps)
         }
         .into_iter();
         let mut out = Vec::with_capacity(survivors.len());
@@ -1249,7 +1232,7 @@ impl ServeEngine {
                 outcome,
             });
         }
-        Ok(out)
+        out
     }
 
     /// Aggregate statistics since engine creation.

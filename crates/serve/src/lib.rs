@@ -21,8 +21,8 @@
 //!    │           pool
 //!    │                    │
 //! cluster        model→chip placement, per-chip cell budgets (LRU model
-//!    │           eviction; snapshot migration before evicting); a 1-chip
-//!    │           cluster IS the classic single-registry engine
+//!    │           eviction; snapshot migration before evicting), chip
+//!    │           health and the chip-kill FaultPlan
 //!    │                    │
 //! oxbar-sim      device-level forward per request (PCM → photonics → ADC)
 //!    └──────────▶ Completion { output, batch_seq, batch_size }
@@ -88,7 +88,7 @@ pub mod server;
 mod session;
 
 pub use batcher::{form_batches, route_rounds, Batch, BatchPolicy};
-pub use cluster::{ChipHealth, ChipId, ChipStats, Cluster, PlacementPolicy};
+pub use cluster::{ChipHealth, ChipId, ChipStats, Cluster, FaultPlan, PlacementPolicy};
 pub use engine::{
     DrainTrace, EngineStats, ServeConfig, ServeEngine, ShedNotice, SubmitError, MAX_SEQUENCE_STEPS,
 };
@@ -101,6 +101,5 @@ pub use request::{Completion, InferRequest, ModelId, RequestId, SequenceId, Toke
 pub use server::{Server, ServerConfig};
 
 // Re-exported so doctests and downstream callers can name the device
-// configuration and fault plans without importing `oxbar-sim`
-// separately.
-pub use oxbar_sim::{ExecError, FaultEvent, FaultPlan, SimConfig};
+// configuration without importing `oxbar-sim` separately.
+pub use oxbar_sim::SimConfig;

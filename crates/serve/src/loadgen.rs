@@ -137,12 +137,10 @@ impl LatencySummary {
 /// after `deadline × tick_ms`.
 ///
 /// With one batch per round (`rounds == [[0], [1], ..]`, the serial
-/// `workers = 1` schedule) this degenerates to the classic single-pipeline
-/// replay. The previous implementation *always* assumed that serial
-/// pipeline, which overstated p50/p99 whenever the engine dispatched
-/// rounds concurrently (`workers > 1`, multi-chip routing) — pass the
-/// `rounds` the drain actually ran and the replay is faithful in every
-/// configuration.
+/// `workers = 1` schedule) this degenerates to a single-pipeline replay.
+/// Pass the `rounds` the drain actually ran: a serial replay of
+/// concurrent rounds (`workers > 1`, multi-chip routing) would overstate
+/// p50/p99.
 ///
 /// # Panics
 ///

@@ -470,7 +470,6 @@ impl From<io::Error> for ClientError {
 pub struct Client<S: Read + Write> {
     stream: S,
     models: Vec<WireModel>,
-    queue_capacity: u64,
     buffered: Vec<ServerFrame>,
 }
 
@@ -484,14 +483,9 @@ impl<S: Read + Write> Client<S> {
     /// frame is not a `Hello`.
     pub fn connect(mut stream: S) -> Result<Self, ClientError> {
         match read_message::<ServerFrame>(&mut stream)? {
-            ServerFrame::Hello {
-                models,
-                queue_capacity,
-                ..
-            } => Ok(Self {
+            ServerFrame::Hello { models, .. } => Ok(Self {
                 stream,
                 models,
-                queue_capacity,
                 buffered: Vec::new(),
             }),
             other => Err(ClientError::Frame(FrameError::Malformed(format!(
@@ -504,12 +498,6 @@ impl<S: Read + Write> Client<S> {
     #[must_use]
     pub fn models(&self) -> &[WireModel] {
         &self.models
-    }
-
-    /// The server's submission-queue capacity (backpressure threshold).
-    #[must_use]
-    pub fn queue_capacity(&self) -> u64 {
-        self.queue_capacity
     }
 
     /// Sends one frame.

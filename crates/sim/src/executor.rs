@@ -2,7 +2,6 @@
 
 use crate::arena::ExecArena;
 use crate::config::{tile_seed, SimConfig};
-use crate::fault::ExecError;
 use crate::snapshot::{ChipSnapshot, TileSnapshot};
 use crate::tile::{
     execute_crossbar, run_tile_with, CompiledTile, MvmEngine, TileDrive, TileNoise, TileWriter,
@@ -336,8 +335,8 @@ impl DeviceExecutor {
     ///
     /// # Errors
     ///
-    /// [`ExecError::Unsupported`] when the network cannot run on the
-    /// device.
+    /// Returns [`UnsupportedLayer`] for networks with residual `Add`
+    /// layers, like [`Self::forward`].
     ///
     /// # Panics
     ///
@@ -371,9 +370,56 @@ impl DeviceExecutor {
         network: &Network,
         inputs: &[&Tensor3],
         filters: &[FilterBank],
-    ) -> Result<Vec<DeviceForward>, ExecError> {
-        self.forward_batch(network, inputs, filters)
-            .map_err(ExecError::Unsupported)
+    ) -> Result<Vec<DeviceForward>, UnsupportedLayer> {
+        // Per input, its mac layers' stats in execution order.
+        let mut stats: Vec<Vec<LayerStats>> = vec![Vec::new(); inputs.len()];
+        let walked = walk_network(
+            network,
+            inputs,
+            self.config.activation_bits,
+            |layer_idx, conv_idx, conv, conv_inputs| {
+                assert!(
+                    conv_idx < filters.len(),
+                    "missing filter bank for `{}`",
+                    conv.name
+                );
+                let out = conv.output_shape();
+                let pixel_ids: Vec<usize> = (0..out.h * out.w).collect();
+                // With every pixel present in order, each input's flat
+                // slot-major values ARE its output tensor's data.
+                self.conv_pixels_batch(conv, conv_inputs, &filters[conv_idx], layer_idx, &pixel_ids)
+                    .into_iter()
+                    .zip(&mut stats)
+                    .map(|((values, layer_stats), input_stats)| {
+                        input_stats.push(layer_stats);
+                        Tensor3::new(out, values)
+                    })
+                    .collect()
+            },
+        )?;
+        Ok(walked
+            .into_iter()
+            .zip(stats)
+            .zip(inputs)
+            .map(|((walked, stats), input)| {
+                let mut stats = stats.into_iter();
+                let layers: Vec<LayerExecution> = walked
+                    .into_iter()
+                    .map(|w| LayerExecution {
+                        stats: if w.is_mac { stats.next() } else { None },
+                        name: w.name,
+                        shift: w.shift,
+                        output: w.output,
+                    })
+                    .collect();
+                DeviceForward {
+                    output: layers
+                        .last()
+                        .map_or_else(|| (*input).clone(), |l| l.output.clone()),
+                    layers,
+                }
+            })
+            .collect())
     }
 
     /// Checks one reusable arena out of the pool (or starts a fresh one).
@@ -700,12 +746,6 @@ impl DeviceExecutor {
         &self.config
     }
 
-    /// The MVM engine in use.
-    #[must_use]
-    pub fn engine(&self) -> MvmEngine {
-        self.engine
-    }
-
     /// Runs a forward pass with per-conv-layer filter banks (indexed in
     /// [`Network::conv_like_layers`] order), like the reference executor.
     ///
@@ -724,67 +764,7 @@ impl DeviceExecutor {
         input: &Tensor3,
         filters: &[FilterBank],
     ) -> Result<DeviceForward, UnsupportedLayer> {
-        self.forward_batch(network, &[input], filters).map(only)
-    }
-
-    /// The batch-major forward pass behind [`Self::forward`] and
-    /// [`Self::try_forward_batch`]: one [`walk_network`] over the batch,
-    /// each conv-like layer one [`Self::conv_pixels_batch`].
-    fn forward_batch(
-        &self,
-        network: &Network,
-        inputs: &[&Tensor3],
-        filters: &[FilterBank],
-    ) -> Result<Vec<DeviceForward>, UnsupportedLayer> {
-        // Per input, its mac layers' stats in execution order.
-        let mut stats: Vec<Vec<LayerStats>> = vec![Vec::new(); inputs.len()];
-        let walked = walk_network(
-            network,
-            inputs,
-            self.config.activation_bits,
-            |layer_idx, conv_idx, conv, conv_inputs| {
-                assert!(
-                    conv_idx < filters.len(),
-                    "missing filter bank for `{}`",
-                    conv.name
-                );
-                let out = conv.output_shape();
-                let pixel_ids: Vec<usize> = (0..out.h * out.w).collect();
-                // With every pixel present in order, each input's flat
-                // slot-major values ARE its output tensor's data.
-                self.conv_pixels_batch(conv, conv_inputs, &filters[conv_idx], layer_idx, &pixel_ids)
-                    .into_iter()
-                    .zip(&mut stats)
-                    .map(|((values, layer_stats), input_stats)| {
-                        input_stats.push(layer_stats);
-                        Tensor3::new(out, values)
-                    })
-                    .collect()
-            },
-        )?;
-        Ok(walked
-            .into_iter()
-            .zip(stats)
-            .zip(inputs)
-            .map(|((walked, stats), input)| {
-                let mut stats = stats.into_iter();
-                let layers: Vec<LayerExecution> = walked
-                    .into_iter()
-                    .map(|w| LayerExecution {
-                        stats: if w.is_mac { stats.next() } else { None },
-                        name: w.name,
-                        shift: w.shift,
-                        output: w.output,
-                    })
-                    .collect();
-                DeviceForward {
-                    output: layers
-                        .last()
-                        .map_or_else(|| (*input).clone(), |l| l.output.clone()),
-                    layers,
-                }
-            })
-            .collect())
+        self.try_forward_batch(network, &[input], filters).map(only)
     }
 
     /// Runs one conv-like layer at device level for a subset of output
@@ -1391,14 +1371,7 @@ pub fn walk_network<F>(
 where
     F: FnMut(usize, usize, &Conv2d, &[&Tensor3]) -> Vec<Tensor3>,
 {
-    // Reject residual networks up front: the flattened list does not carry
-    // the skip wiring needed to execute them.
-    if let Some(add) = network.layers().iter().find_map(|l| match l {
-        Layer::Add(a) => Some(a.name.clone()),
-        _ => None,
-    }) {
-        return Err(UnsupportedLayer { layer: add });
-    }
+    UnsupportedLayer::check(network)?;
     let mut conv_idx = 0;
     let mut walked: Vec<Vec<WalkedLayer>> = inputs.iter().map(|_| Vec::new()).collect();
     // Each input's previous layer output is read in place from its walk
@@ -1408,7 +1381,7 @@ where
     }
     for (layer_idx, layer) in network.layers().iter().enumerate() {
         match layer {
-            Layer::Add(_) => unreachable!("Add layers rejected by the pre-scan"),
+            Layer::Add(_) => unreachable!("Add layers rejected by the check"),
             Layer::Pool(p) => {
                 for (walk, &input) in walked.iter_mut().zip(inputs) {
                     let output = pool_exact(current(walk, input), p);
@@ -1703,6 +1676,11 @@ mod tests {
         let exec = DeviceExecutor::new(SimConfig::ideal(128, 128));
         let err = exec.forward(&net, &input, &filters).unwrap_err();
         assert!(err.to_string().contains("add"));
+        assert_eq!(
+            exec.try_forward_batch(&net, &[&input, &input], &filters),
+            Err(err),
+            "a batch is refused like one forward"
+        );
     }
 
     #[test]

@@ -73,7 +73,6 @@
 pub mod arena;
 pub mod config;
 pub mod executor;
-pub mod fault;
 pub mod fidelity;
 pub mod llm;
 pub mod probe;
@@ -85,9 +84,8 @@ pub use config::{NoiseModel, Readout, SimConfig};
 pub use executor::{
     CacheStats, DeviceExecutor, DeviceForward, LayerExecution, LayerStats, TileDriftInfo,
 };
-pub use fault::{ExecError, FaultEvent, FaultPlan};
 pub use fidelity::{run_inference, InferenceFidelity, LayerFidelity};
-pub use llm::{lm_steps, DeviceLmEngine};
+pub use llm::{lm_steps, DeviceLmEngine, ExecError};
 pub use probe::{probe_conv, LayerProbe};
 pub use snapshot::{ChipSnapshot, TileSnapshot};
 pub use tile::MvmEngine;

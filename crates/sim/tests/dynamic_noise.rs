@@ -227,9 +227,7 @@ fn noisy_decode() -> Vec<(u32, u64)> {
                 token,
                 pos,
             };
-            let outcome = lm_steps(&exec, &network, &filters, &weights, &[step])
-                .expect("healthy chip")
-                .remove(0);
+            let outcome = lm_steps(&exec, &network, &filters, &weights, &[step]).remove(0);
             cache.apply(&outcome);
             token = outcome.next_token;
             let values = outcome
