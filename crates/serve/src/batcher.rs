@@ -103,22 +103,23 @@ pub fn form_batches(queue: &[(ModelId, u64)], policy: BatchPolicy) -> Vec<Batch>
 }
 
 /// Routes formed batches into dispatch rounds of at most `round_size`,
-/// preferring to spread each round across distinct chips.
+/// preferring to spread each round across distinct chips. The engine
+/// passes its chip count, so a round is as wide as the cluster.
 ///
 /// Every round is built in two scans over the remaining batches, both in
 /// queue order: a **preference** scan takes the earliest batch of each
 /// chip (`chip_of(batch)` — per *batch*, so replicated models can spread
 /// successive batches across their replicas) not yet represented in the
-/// round, so concurrent workers land on different chips and cross-chip
-/// parallelism is real parallelism; then a **fill** scan tops the round
-/// up with the earliest remaining batches regardless of chip. Within a
-/// round the original batch order is preserved.
+/// round, so the chips compute side by side; then a **fill** scan tops
+/// the round up with the earliest remaining batches regardless of chip.
+/// Within a round the original batch order is preserved.
 ///
 /// On a single chip the preference scan degenerates to "take the first
 /// remaining batch", so the rounds are exactly
 /// `batches.chunks(round_size)`. Deterministic in all cases: a pure
-/// function of the batch list, the round size, and the placement. The scans cost O(batches² /
-/// round_size); a drain pass holds at most a few hundred batches.
+/// function of the batch list, the round size, and the placement. The
+/// scans cost O(batches² / round_size); a drain pass holds at most a few
+/// hundred batches.
 ///
 /// # Panics
 ///

@@ -359,24 +359,18 @@ impl Cluster {
 
     /// The chips the placement policy picks for a `footprint`-cell
     /// model, primary first, or `None` when committed footprints leave
-    /// room for fewer copies than the policy demands.
+    /// room for fewer copies than the policy demands: the chips with
+    /// room, in index order under first fit and least-committed first
+    /// (lowest index on ties) otherwise, as many as the policy keeps.
     fn place(&self, footprint: usize) -> Option<Vec<usize>> {
-        let fits = |c: &&(usize, &ChipRegistry)| c.1.committed_cells + footprint <= c.1.budget;
-        let indexed: Vec<(usize, &ChipRegistry)> = self.chips.iter().enumerate().collect();
-        match self.placement {
-            PlacementPolicy::FirstFit => indexed.iter().find(fits).map(|(i, _)| vec![*i]),
-            PlacementPolicy::LeastLoaded => indexed
-                .iter()
-                .filter(fits)
-                .min_by_key(|(i, c)| (c.committed_cells, *i))
-                .map(|(i, _)| vec![*i]),
-            PlacementPolicy::Replicated(_) => {
-                let mut order: Vec<usize> = indexed.iter().filter(fits).map(|(i, _)| *i).collect();
-                order.sort_by_key(|&i| (self.chips[i].committed_cells, i));
-                order.truncate(self.replica_count());
-                (order.len() == self.replica_count()).then_some(order)
-            }
+        let mut order: Vec<usize> = (0..self.chips.len())
+            .filter(|&i| self.chips[i].committed_cells + footprint <= self.chips[i].budget)
+            .collect();
+        if self.placement != PlacementPolicy::FirstFit {
+            order.sort_by_key(|&i| (self.chips[i].committed_cells, i));
         }
+        order.truncate(self.replica_count());
+        (order.len() == self.replica_count()).then_some(order)
     }
 
     /// Permissive fallback when strict placement has no room: the
@@ -1027,15 +1021,23 @@ mod tests {
 
     #[test]
     fn least_loaded_spreads_models() {
-        let mut cluster = Cluster::new(
-            SimConfig::ideal(128, 128),
-            &[1_000_000, 1_000_000],
-            PlacementPolicy::LeastLoaded,
-        );
-        let a = cluster.admit(lenet_spec(1)).unwrap();
-        let b = cluster.admit(lenet_spec(2)).unwrap();
-        assert_eq!(cluster.chip_of(a), ChipId(0));
-        assert_eq!(cluster.chip_of(b), ChipId(1), "second model balances");
+        // `Replicated(1)` places like `LeastLoaded`.
+        for placement in [PlacementPolicy::LeastLoaded, PlacementPolicy::Replicated(1)] {
+            let mut cluster = Cluster::new(
+                SimConfig::ideal(128, 128),
+                &[1_000_000, 1_000_000],
+                placement,
+            );
+            let a = cluster.admit(lenet_spec(1)).unwrap();
+            let b = cluster.admit(lenet_spec(2)).unwrap();
+            assert_eq!(cluster.chip_of(a), ChipId(0), "{placement:?}");
+            assert_eq!(
+                cluster.chip_of(b),
+                ChipId(1),
+                "{placement:?}: second model balances"
+            );
+            assert_eq!(cluster.residencies(b), [ChipId(1)], "{placement:?}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The serving engine: a submission queue, the dynamic batcher, and a
-//! deterministic parallel scheduler over a cluster of chips.
+//! deterministic scheduler whose rounds are as wide as the cluster.
 
 use crate::batcher::{form_batches, route_rounds, Batch, BatchPolicy};
 use crate::cluster::{ChipHealth, ChipId, ChipStats, Cluster, FaultPlan, PlacementPolicy};
@@ -26,10 +26,10 @@ pub struct ServeConfig {
     pub device: SimConfig,
     /// How the batcher coalesces the queue.
     pub policy: BatchPolicy,
-    /// Worker threads for batch dispatch (0 = all cores, 1 = serial).
-    /// Without drift aging every answer and every shed is byte-identical
-    /// whatever the worker count (see [`ServeEngine`]'s determinism
-    /// notes for what else is).
+    /// How a round's jobs run: with 1 on the calling thread, with any
+    /// other value each on its own thread. It picks threads only: a round
+    /// is as wide as the cluster has chips whatever this is, so every
+    /// completion, shed and counter is the same at any worker count.
     pub workers: usize,
     /// Pipelined tile programming: while a batch round executes, a
     /// scheduler stage prewarms the tile cache of the next distinct model
@@ -63,9 +63,8 @@ pub struct ServeConfig {
     /// the `r`-th batch dispatched since engine creation, so the chip is
     /// failed at every dispatch count above `r`. Every fault decision
     /// reads health at its own dispatch count — never wall clock, never
-    /// how far other batches have run — so the shed set does not depend
-    /// on the worker count. Empty by default: a no-fault engine is
-    /// byte-identical to one without this field.
+    /// how far other batches have run. Empty by default: a no-fault
+    /// engine is byte-identical to one without this field.
     pub fault_plan: FaultPlan,
 }
 
@@ -101,7 +100,7 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the dispatch worker count (0 = all cores, 1 = serial).
+    /// Overrides [`Self::workers`].
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -328,23 +327,25 @@ impl std::error::Error for SubmitError {}
 /// Everything one [`ServeEngine::drain_traced`] call observed: the
 /// completions, each batch's measured wall time, and the dispatch rounds
 /// the scheduler actually ran — the inputs
-/// [`crate::loadgen::replay_latencies`] needs to replay the concurrent
-/// queueing timeline faithfully.
+/// [`crate::loadgen::replay_latencies`] needs to replay the queueing
+/// timeline of chips that compute side by side.
 #[derive(Debug, Clone)]
 pub struct DrainTrace {
-    /// One completion per request, in dispatch order.
+    /// One completion per request, in round order: batch by batch as
+    /// [`Self::rounds`] lists them, flattened, and ascending
+    /// [`RequestId`] within a batch.
     pub completions: Vec<Completion>,
     /// Measured wall-clock execution time of each batch (ms), indexed by
     /// `batch_seq`.
     pub batch_ms: Vec<f64>,
-    /// The dispatch rounds: `rounds[k]` holds the `batch_seq` values that
-    /// executed concurrently in round `k` (ascending). Every batch
-    /// appears in exactly one round.
+    /// The dispatch rounds: `rounds[k]` holds the `batch_seq` values
+    /// dispatched together in round `k` (ascending), never more than the
+    /// cluster has chips. Every batch appears in exactly one round.
     pub rounds: Vec<Vec<usize>>,
-    /// Requests shed by the fault handler instead of completed, in
-    /// dispatch order. Empty on a no-fault drain. Every queued request
-    /// lands in exactly one of `completions` or `sheds` — nothing is
-    /// silently lost.
+    /// Requests shed by the fault handler instead of completed, in the
+    /// same round order as `completions`. Empty on a no-fault drain.
+    /// Every queued request lands in exactly one of `completions` or
+    /// `sheds` — nothing is silently lost.
     pub sheds: Vec<ShedNotice>,
 }
 
@@ -456,38 +457,35 @@ enum Done {
 ///
 /// The life of a request: [`ServeEngine::try_submit`] appends it to the
 /// queue; [`ServeEngine::drain_traced`] coalesces the queue into
-/// same-model batches ([`form_batches`]), dispatches batch rounds across
-/// workers with the order-preserving [`parallel_map`], executes every
-/// request on its model's weight-stationary [`oxbar_sim::DeviceExecutor`],
-/// and enforces the per-chip cell budgets between rounds (snapshot
-/// migration, then LRU whole-model eviction).
+/// same-model batches ([`form_batches`]), routes them into rounds as wide
+/// as the cluster has chips, runs each round's jobs through the
+/// order-preserving [`parallel_map`], executes every request on its
+/// model's weight-stationary [`oxbar_sim::DeviceExecutor`], and enforces
+/// the per-chip cell budgets between rounds (snapshot migration, then LRU
+/// whole-model eviction).
 ///
 /// # Determinism
 ///
-/// Outputs are byte-identical across worker counts and batching policies
-/// because every stochastic quantity is pinned to a stable key, never to
-/// execution order: a model's PCM programming and phase noise derive from
-/// its admission seed ([`oxbar_sim::config::tile_seed`] per tile), and a
+/// Outputs are byte-identical across batching policies because every
+/// stochastic quantity is pinned to a stable key, never to execution
+/// order: a model's PCM programming and phase noise derive from its
+/// admission seed ([`oxbar_sim::config::tile_seed`] per tile), and a
 /// trace's inputs derive from per-request seeds
 /// ([`crate::request::request_seed`]). Caching and eviction change only
-/// *work*, not results, so a concurrent drain equals a serial replay of
-/// the same trace — the property `crates/serve/tests/determinism.rs`
-/// pins down.
+/// *work*, not results, so a batched drain equals a serial replay of the
+/// same trace — the property `crates/serve/tests/determinism.rs` pins
+/// down.
 ///
-/// Faults follow one rule: a chip is failed at dispatch count `n`
-/// exactly when [`ServeConfig::fault_plan`] kills it at a round below
-/// `n`, and every decision asks the cluster at its own count. Fates
-/// resolve in dispatch order whatever the round width, so the shed set
-/// never depends on the worker count, and with roomy budgets neither do
-/// the retry, shed and recovery counts. Budgets are enforced once per
-/// round, so with tight budgets wider rounds can migrate or evict at
-/// other points and those counts can move. Under drift aging, a tile's
-/// age decides its readout, so outputs stay worker-invariant only while
-/// every worker count reprograms the same tiles at the same ticks:
-/// prewarm warms a replicated model's primary rather than the replica
-/// its batch is routed to, and a recovery can hand an earlier batch the
-/// freshly restored copy. `crates/serve/tests/scenarios/` states and
-/// checks these invariants at one to four workers.
+/// The worker count changes nothing a caller can observe: rounds are as
+/// wide as the cluster, and every decision (fates, recoveries, prewarm
+/// targets, budgets, LRU touches, completion order) is made between
+/// rounds, on the calling thread, in job order. Inside a round only
+/// batches of one model share an executor, and they claim its tiles in
+/// the same order, single-flight, so hits and misses do not depend on
+/// which finishes first (at [`SimConfig::threads`] = 1). A chip is
+/// failed at dispatch count `n` exactly when [`ServeConfig::fault_plan`]
+/// kills it at a round below `n`. `crates/serve/tests/scenarios/` checks
+/// completions, outputs, sheds, tokens and stats at one to four workers.
 ///
 /// # Examples
 ///
@@ -743,15 +741,17 @@ impl ServeEngine {
     }
 
     /// Processes the whole queue: forms batches, dispatches them in
-    /// rounds of `workers`, enforces the cell budgets between rounds, and
-    /// returns everything the drain observed — one [`Completion`] per
-    /// request in dispatch order (batch by batch; ascending [`RequestId`]
+    /// rounds of at most as many batches as the cluster has chips,
+    /// enforces the cell budgets between rounds, and returns everything
+    /// the drain observed — one [`Completion`] per request in round order
+    /// (batch by batch as the rounds list them; ascending [`RequestId`]
     /// within a batch), each batch's measured wall time in ms indexed by
     /// `batch_seq`, and the dispatch rounds the scheduler ran.
     ///
-    /// Dispatch order is a pure function of the queue and the policy;
-    /// outputs are byte-identical for any worker count (under drift
-    /// aging, see the determinism notes on [`ServeEngine`]).
+    /// The round schedule is a pure function of the queue, the policy,
+    /// the placement and chip health, so everything but the timings is
+    /// the same for any worker count (see the determinism notes on
+    /// [`ServeEngine`]).
     ///
     /// The timings are observational only — nothing in the engine
     /// branches on them. A batch's time measures its *execution* (window
@@ -759,9 +759,9 @@ impl ServeEngine {
     /// scheduler on ([`ServeConfig::prewarm`]) PCM programming for
     /// upcoming models runs in stage jobs and is deliberately not part of
     /// any batch's time, so callers that want the end-to-end figure
-    /// should time the whole call. Batches in one round run *in
-    /// parallel*, so a serial sum of their times overstates the
-    /// pipeline's occupancy: feed `batch_ms` and `rounds` to
+    /// should time the whole call. The batches of one round model chips
+    /// computing side by side, so a serial sum of their times overstates
+    /// the pipeline's occupancy: feed `batch_ms` and `rounds` to
     /// [`crate::loadgen::replay_latencies`] to recover per-request
     /// latencies under a tick schedule.
     ///
@@ -806,19 +806,17 @@ impl ServeEngine {
             .map(|q| (q.request.model, q.request.arrival))
             .collect();
         let batches = form_batches(&keys, self.config.policy);
-        let workers = effective_workers(self.config.workers);
         let seq_base = self.batches;
         // The drain boundary (single-threaded): the tile clocks advance
         // to the global dispatch counter, and the cluster settles drift
         // health and recalibration marks in one scan.
         self.registry
             .begin_pass(seq_base, self.config.recalibration);
-        // Batches route into rounds chip-aware: each round prefers
-        // batches on distinct chips, so concurrent workers drive
-        // different arrays. Replicated models spread successive batches
-        // across their replicas; on one chip this is exactly
-        // `batches.chunks(workers)`.
-        let rounds = route_rounds(&batches, workers, |b| {
+        // A round is as wide as the cluster: it prefers batches on
+        // distinct chips, so the chips compute side by side, and
+        // replicated models spread successive batches across their
+        // replicas. On one chip every round is one batch.
+        let rounds = route_rounds(&batches, self.registry.chip_count(), |b| {
             let seq = seq_base + b.seq as u64;
             let homes = self.registry.residencies(b.model);
             pick_replica(&homes, seq, |c| {
@@ -868,7 +866,11 @@ impl ServeEngine {
                 .map(|&i| Job::Batch(&batches[i], &fates[i]))
                 .chain(targets.into_iter().map(Job::Prewarm))
                 .collect();
-            let lanes = if workers > 1 { jobs.len() } else { 1 };
+            let lanes = if self.config.workers == 1 {
+                1
+            } else {
+                jobs.len()
+            };
             let done = parallel_map(&jobs, lanes, |_, job| self.run_job(job, &queue, seq_base));
             // 3. Absorb in dispatch order, then enforce the budgets.
             for (job, done) in jobs.iter().zip(done) {
@@ -1319,17 +1321,6 @@ fn token_request(model: ModelId, token: u32, arrival: u64) -> InferRequest {
     }
 }
 
-/// Resolves a worker count (0 = all cores).
-fn effective_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-    } else {
-        workers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1530,12 +1521,17 @@ mod tests {
                     })
                     .unwrap();
             }
-            let done = engine.drain_traced().completions;
+            let trace = engine.drain_traced();
+            // Completions arrive round by round, as `rounds` lists the
+            // batches.
+            let mut order: Vec<usize> = trace.completions.iter().map(|c| c.batch_seq).collect();
+            order.dedup();
+            assert_eq!(order, trace.rounds.concat(), "{workers} workers");
             let tokens = (
                 engine.sequence_tokens(a).to_vec(),
                 engine.sequence_tokens(b).to_vec(),
             );
-            (done, tokens)
+            (trace.completions, tokens)
         };
         let (done1, tokens1) = run(1);
         let (done4, tokens4) = run(4);

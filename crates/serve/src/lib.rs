@@ -15,10 +15,10 @@
 //!    │                    │ drain_traced()
 //! batcher        form_batches(): same-model coalescing, size + window caps
 //!    │                    │
-//! scheduler      route_rounds(): chip-aware rounds; a batchless fill
-//!    │           round, then each round's batches and per-chip prewarm
-//!    │           jobs, run through one order-preserving parallel_map
-//!    │           pool
+//! scheduler      route_rounds(): chip-aware rounds as wide as the
+//!    │           cluster; a batchless fill round, then each round's
+//!    │           batches and per-chip prewarm jobs, run through one
+//!    │           order-preserving parallel_map pool
 //!    │                    │
 //! cluster        model→chip placement, per-chip cell budgets (LRU model
 //!    │           eviction; snapshot migration before evicting), chip
@@ -34,10 +34,13 @@
 //! stochastic quantity hangs off a stable key (model admission seeds for
 //! device noise, [`request::request_seed`] for trace synthesis), and
 //! caching/eviction/batching change only *work*, never results. A
-//! concurrent drain with any worker count and batch policy is
-//! byte-identical to a serial one-request-at-a-time replay — including
-//! under [`SimConfig::noisy`] device physics. `tests/determinism.rs` and
-//! the proptest in `tests/oracle.rs` pin this down.
+//! batched drain with any batch policy is byte-identical to a serial
+//! one-request-at-a-time replay — including under [`SimConfig::noisy`]
+//! device physics. Rounds are as wide as the cluster, so the worker
+//! count only picks threads: every completion, shed and counter is the
+//! same at any worker count. `tests/determinism.rs`, the proptest in
+//! `tests/oracle.rs` and the scenario property in `tests/scenarios/`
+//! pin this down.
 //!
 //! # Examples
 //!

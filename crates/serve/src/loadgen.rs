@@ -127,8 +127,8 @@ impl LatencySummary {
 ///
 /// The model mirrors what the scheduler actually does
 /// ([`crate::engine::ServeEngine::drain_traced`]): batches execute in
-/// dispatch *rounds*, and every batch within a round runs **concurrently**
-/// across the worker pool. Round `k` starts when round `k − 1` has
+/// dispatch *rounds*, and every batch within a round runs **concurrently**,
+/// as the chips compute side by side. Round `k` starts when round `k − 1` has
 /// finished and every member of round `k`'s batches has arrived (the
 /// batcher held those batches open); each batch then completes at the
 /// round's start plus *its own* wall time, and the round finishes when its
@@ -136,11 +136,10 @@ impl LatencySummary {
 /// minus its own arrival time; a deadline is missed when completion lands
 /// after `deadline × tick_ms`.
 ///
-/// With one batch per round (`rounds == [[0], [1], ..]`, the serial
-/// `workers = 1` schedule) this degenerates to a single-pipeline replay.
-/// Pass the `rounds` the drain actually ran: a serial replay of
-/// concurrent rounds (`workers > 1`, multi-chip routing) would overstate
-/// p50/p99.
+/// With one batch per round (`rounds == [[0], [1], ..]`, the one-chip
+/// schedule) this degenerates to a single-pipeline replay. Pass the
+/// `rounds` the drain actually ran: a serial replay of multi-chip rounds
+/// would overstate p50/p99.
 ///
 /// # Panics
 ///

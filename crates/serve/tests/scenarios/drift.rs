@@ -110,19 +110,11 @@ fn recal_racing_chip_kill_is_worker_invariant() {
         "every request completes or sheds"
     );
     // A marked tile re-derives at its next read, whichever worker
-    // reads it, so each chip's cache counters are worker-invariant too.
-    let cache = |run: &Run| -> Vec<(u64, u64)> {
-        run.stats.chips.iter().map(|c| (c.hits, c.misses)).collect()
-    };
+    // reads it, so every run observes what one worker does, each chip's
+    // cache counters included.
     for workers in [2usize, 4] {
         let run = serve(base.clone().with_workers(workers), &specs, 4, &ops);
-        let case = format!("workers={workers}");
-        assert_eq!(cache(&run), cache(&reference), "{case}: (hits, misses)");
-        assert_eq!(run.outputs, reference.outputs, "{case}");
-        assert_eq!(run.sheds, reference.sheds, "{case}");
-        assert_eq!(run.health(), reference.health(), "{case}");
-        assert_eq!(run.drift()[0], reference.drift()[0], "{case}: recals");
-        assert_eq!(run.drift()[2], reference.drift()[2], "{case}: breaches");
+        assert_eq!(run.first_difference(&reference), None, "workers={workers}");
     }
 }
 

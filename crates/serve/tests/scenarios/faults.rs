@@ -163,22 +163,25 @@ fn a_kill_on_a_recovery_destination_recovers_again_for_any_worker_count() {
     // so the model is restored onto chip 1; chip 1 — the recovery
     // destination — dies at dispatch 4, so it is restored again, onto
     // chip 2. Each kill re-routes exactly one batch and charges it to
-    // the chip that died, whatever the worker count.
+    // the chip that died, and three workers observe exactly what one
+    // does.
     let specs = &random_specs(7)[..1];
     let base = one_per_batch(ideal(7), vec![200_000; 3], PlacementPolicy::FirstFit);
     let ops = infers(7, 8, 1, |i| i, |_, _| None);
     let oracle = serve(base.clone(), specs, 7, &ops);
-    for workers in [1, 3] {
-        let plan = FaultPlan::new().kill_chip(1, 0).kill_chip(4, 1);
-        let config = base.clone().with_workers(workers).with_faults(plan);
-        let run = serve(config, specs, 7, &ops);
-        assert_eq!(run.outputs, oracle.outputs, "{workers} workers: outputs");
-        assert!(run.sheds.is_empty(), "{workers} workers: nothing sheds");
-        assert_eq!(run.stats.recoveries, 2, "{workers} workers: recoveries");
-        assert_eq!(run.stats.retries, 2, "{workers} workers: retries");
-        let per_chip: Vec<u64> = run.stats.chips.iter().map(|c| c.retries).collect();
-        assert_eq!(per_chip, [1, 1, 0], "{workers} workers: per-chip retries");
-    }
+    let plan = FaultPlan::new().kill_chip(1, 0).kill_chip(4, 1);
+    let run = |workers| {
+        let config = base.clone().with_workers(workers).with_faults(plan.clone());
+        serve(config, specs, 7, &ops)
+    };
+    let one = run(1);
+    assert_eq!(one.outputs, oracle.outputs, "outputs");
+    assert!(one.sheds.is_empty(), "nothing sheds");
+    assert_eq!(one.stats.recoveries, 2, "recoveries");
+    assert_eq!(one.stats.retries, 2, "retries");
+    let per_chip: Vec<u64> = one.stats.chips.iter().map(|c| c.retries).collect();
+    assert_eq!(per_chip, [1, 1, 0], "per-chip retries");
+    assert_eq!(run(3).first_difference(&one), None, "3 workers");
 }
 
 #[test]
@@ -187,8 +190,7 @@ fn a_kill_on_a_migration_destination_loses_nothing() {
     // overflows onto chip 0, so alternating traffic on models 0 and 3
     // makes chip 0 migrate one of them to an idle sibling. A kill of
     // chip 1 anywhere in the trace must find the models that live there
-    // now. Which model migrates depends on the worker count (budgets are
-    // enforced once per round), so worker invariance is not asserted.
+    // now, and three workers observe exactly what one does.
     let network = small_network(7);
     let footprint = DeviceExecutor::new(ideal(7)).model_footprint_cells(&network);
     let specs: Vec<ModelSpec> = (100..104)
@@ -204,24 +206,26 @@ fn a_kill_on_a_migration_destination_loses_nothing() {
         .collect();
     let oracle = serve(base.clone(), &specs, 7, &ops);
     assert_eq!(oracle.outputs.len(), 12);
-    for workers in [1, 3] {
-        for kill in 2..10 {
+    for kill in 2..10 {
+        let run = |workers| {
             let config = base
                 .clone()
                 .with_workers(workers)
                 .with_faults(FaultPlan::new().kill_chip(kill, 1));
-            let run = serve(config, &specs, 7, &ops);
-            let case = format!("{workers} workers, kill at {kill}");
-            assert_eq!(
-                run.outputs.len() + run.sheds.len(),
-                12,
-                "{case}: conservation"
-            );
-            for (ask, output) in &run.outputs {
-                assert_eq!(Some(output), oracle.outputs.get(ask), "{case}: {ask:?}");
-            }
-            let per_chip: u64 = run.stats.chips.iter().map(|c| c.retries).sum();
-            assert_eq!(per_chip, run.stats.retries, "{case}: retries reconcile");
+            serve(config, &specs, 7, &ops)
+        };
+        let one = run(1);
+        let case = format!("kill at {kill}");
+        assert_eq!(
+            one.outputs.len() + one.sheds.len(),
+            12,
+            "{case}: conservation"
+        );
+        for (ask, output) in &one.outputs {
+            assert_eq!(Some(output), oracle.outputs.get(ask), "{case}: {ask:?}");
         }
+        let per_chip: u64 = one.stats.chips.iter().map(|c| c.retries).sum();
+        assert_eq!(per_chip, one.stats.retries, "{case}: retries reconcile");
+        assert_eq!(run(3).first_difference(&one), None, "{case}: 3 workers");
     }
 }

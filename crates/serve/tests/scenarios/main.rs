@@ -5,12 +5,12 @@
 //! counter decides every chip kill: a chip is failed at dispatch count
 //! `n` exactly when the plan kills it at a round below `n`, and every
 //! fault decision asks at its own count. Drift decisions are keyed on the
-//! same counter at drain boundaries. So a scenario's shed set is the
-//! same at every worker count; with roomy budgets so are its fault
-//! counters; without aging every survivor answers what a never-faulted
-//! one-worker cluster answers; and with aging and prewarm off, tokens,
-//! health and drift counters match too. [`runner::Scenario::check`]
-//! lists exactly what is asserted where.
+//! same counter at drain boundaries. A dispatch round is as wide as the
+//! cluster has chips, so the worker count only picks the threads a round
+//! runs on: a scenario observes the same completions, outputs, sheds,
+//! tokens and stats at every worker count, and without aging every
+//! survivor answers what a never-faulted one-worker cluster answers.
+//! [`runner::Scenario::check`] lists exactly what is asserted.
 //!
 //! - `faults`: failover, recovery and shedding on hand-built traces.
 //! - `drift`: aging, recalibration and healing, alone and beside kills.
@@ -28,7 +28,7 @@ use proptest::prelude::*;
 use runner::Scenario;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     // Random scenarios: 2–4 small CNN models, optional llm_tiny
     // sequences, 1–3 kills, every placement, prewarm on or off, roomy or
@@ -42,8 +42,8 @@ proptest! {
 /// The fault mix of seed 5: two chips with room for one model each,
 /// chip 0 killed at dispatch 7 and chip 1 at 13. A recovery must read
 /// chip health at its own batch: read as far as its round's last batch,
-/// a wide round sees both chips dead at dispatch 7 and sheds requests
-/// 7–15 where one worker sheds 13–15.
+/// a round of two sees both chips dead at dispatch 7 and sheds requests
+/// 7–15 instead of 13–15.
 #[test]
 fn fault_mix_seed_5_sheds_the_same_requests_at_every_worker_count() {
     let scenario = Scenario::fault_mix(5);

@@ -6,11 +6,11 @@
 //! ([`Ask`]), so runs at different worker counts, or with and without
 //! faults, compare request by request. [`Scenario::draw`] generates a
 //! random trace and cluster; [`Scenario::check`] runs it at 1–4 workers
-//! and asserts the invariants that hold there.
+//! and asserts its invariants, among them that every worker count
+//! observes exactly what one worker does ([`Run::first_difference`]).
 
 use oxbar_nn::synthetic::{self, small_network};
 use oxbar_serve::request::request_seed;
-use oxbar_serve::ChipHealth::Failed;
 use oxbar_serve::{
     catalog, BatchPolicy, Completion, EngineStats, FaultPlan, InferRequest, ModelId, ModelSpec,
     PlacementPolicy, ServeConfig, ServeEngine,
@@ -165,6 +165,24 @@ impl Run {
             recovery_ms: 0.0,
             ..self.stats.clone()
         }
+    }
+
+    /// The first of outputs, sheds (with their details), tokens,
+    /// completions (in order) and stats without wall clock in which two
+    /// runs differ, or `None` when they observed the same.
+    pub fn first_difference(&self, other: &Run) -> Option<&'static str> {
+        [
+            ("outputs", self.outputs == other.outputs),
+            ("sheds", self.sheds == other.sheds),
+            ("tokens", self.tokens == other.tokens),
+            ("completion order", self.completions == other.completions),
+            (
+                "stats",
+                self.stats_without_wall_clock() == other.stats_without_wall_clock(),
+            ),
+        ]
+        .into_iter()
+        .find_map(|(what, same)| (!same).then_some(what))
     }
 }
 
@@ -347,134 +365,97 @@ impl Scenario {
     /// - **every trace:** every inference completes or sheds, never
     ///   both; every sequence ends `done` or shed; per-chip counters
     ///   reconcile with the totals, and the chips' cache hits and misses
-    ///   with the models'; no shed says "refused"; the shed set is the
-    ///   same at every worker count;
-    /// - **roomy budgets** (every chip could hold every model): retries,
-    ///   sheds, recoveries, evictions and migrations are the same at every
-    ///   worker count, and so is occupancy unless prewarm could fill a
-    ///   chip no batch then runs on;
+    ///   with the models'; no shed says "refused";
+    /// - **every worker count:** the run observes exactly what the
+    ///   one-worker run does, wall clock aside: the same completions in
+    ///   the same order, outputs, sheds with their details, tokens and
+    ///   stats. A round is as wide as the cluster, so the worker count
+    ///   only picks threads;
     /// - **without aging:** every survivor answers what the fault-free
     ///   one-worker run answers, every sequence emits a prefix of its
-    ///   tokens there, the drift machinery stays idle, and the stats are
-    ///   identical with recalibration on or off;
-    /// - **aging, roomy budgets, prewarm off:** tokens, final health and
-    ///   the four drift counters are the same at every worker count, and
-    ///   so are the outputs when no run recovered a model.
-    ///
-    /// Tight budgets are enforced once per round, so the round width moves
-    /// evictions and migrations, and with them the tiles that reprogram
-    /// fresh; aging outcomes then differ too.
+    ///   tokens there, the drift machinery stays idle, and every run is
+    ///   the same with recalibration on or off.
     pub fn check(&self) -> Result<(), TestCaseError> {
         let ctx = |w: usize| format!("seed {} at {w} workers", self.seed);
-        let device = DeviceExecutor::new(self.config.device.clone());
-        let aging = device.drift_budget_ticks().is_some();
-        let replicas = match self.config.placement {
-            PlacementPolicy::Replicated(k) => k.max(1),
-            _ => 1,
-        };
-        let all: usize = self
-            .specs
-            .iter()
-            .map(|s| device.model_footprint_cells(&s.network) * replicas)
-            .sum();
-        let roomy = self.config.chip_budgets.iter().all(|&b| b >= all);
         let runs: Vec<Run> = (1..=4).map(|w| self.run(|c| c.with_workers(w))).collect();
         let one = &runs[0];
         let infers = self.ops.iter().filter(|op| matches!(op, Op::Infer { .. }));
-        let infers = infers.count() as u64;
-        for (w, run) in (1..).zip(&runs) {
-            let ctx = ctx(w);
-            for i in 0..infers {
-                let (done, shed) = (&run.outputs, &run.sheds);
-                let ask = Ask::Infer(i);
-                prop_assert!(
-                    done.contains_key(&ask) != shed.contains_key(&ask),
-                    "{ctx}: inference {i} must complete or shed"
-                );
-            }
-            for (s, tokens) in (0..).zip(&run.tokens) {
-                let done = run.completions.iter().any(|c| {
-                    c.sequence
-                        .as_ref()
-                        .is_some_and(|t| t.sequence.0 == s && t.done)
-                });
-                let shed = run.sheds.contains_key(&Ask::Step(s, tokens.len()));
-                prop_assert!(done != shed, "{ctx}: sequence {s} must end done or shed");
-            }
-            prop_assert!(run.outputs.keys().all(|a| !run.sheds.contains_key(a)));
-            for detail in run.sheds.values() {
-                prop_assert!(!detail.contains("refused"), "{ctx}: {detail}");
-            }
-            let st = &run.stats;
-            let chip_sum =
-                |f: fn(&oxbar_serve::ChipStats) -> u64| st.chips.iter().map(f).sum::<u64>();
-            prop_assert_eq!(chip_sum(|c| c.retries), st.retries);
-            prop_assert_eq!(chip_sum(|c| c.sheds), st.sheds);
-            let model_sum = |f: fn(&oxbar_sim::CacheStats) -> u64| {
-                st.models.iter().map(|m| f(&m.cache)).sum::<u64>()
-            };
+        for i in 0..infers.count() as u64 {
+            let ask = Ask::Infer(i);
             prop_assert!(
-                (chip_sum(|c| c.hits), chip_sum(|c| c.misses))
-                    == (model_sum(|c| c.hits), model_sum(|c| c.misses)),
-                "{ctx}: chip and model cache counters differ"
+                one.outputs.contains_key(&ask) != one.sheds.contains_key(&ask),
+                "seed {}: inference {i} must complete or shed",
+                self.seed
             );
-            prop_assert_eq!(st.sheds, run.sheds.len() as u64);
-            prop_assert_eq!(st.requests, run.completions.len() as u64);
-            prop_assert_eq!(
-                st.tokens,
-                run.tokens.iter().map(Vec::len).sum::<usize>() as u64
+        }
+        for (s, tokens) in (0..).zip(&one.tokens) {
+            let done = one.completions.iter().any(|c| {
+                c.sequence
+                    .as_ref()
+                    .is_some_and(|t| t.sequence.0 == s && t.done)
+            });
+            let shed = one.sheds.contains_key(&Ask::Step(s, tokens.len()));
+            prop_assert!(
+                done != shed,
+                "seed {}: sequence {s} must end done or shed",
+                self.seed
             );
-            let keys = |r: &Run| r.sheds.keys().copied().collect::<Vec<_>>();
-            prop_assert!(keys(run) == keys(one), "{ctx}: shed set moved");
-            if roomy {
-                let faults = |r: &Run| {
-                    let s = &r.stats;
-                    (s.retries, s.sheds, s.recoveries, s.evictions, s.migrations)
-                };
-                prop_assert!(faults(run) == faults(one), "{ctx}: fault counters moved");
-                // Whether a prewarm ran depends on the round width, and
-                // it can fill a chip no batch then runs on: an idle
-                // replica's primary, or a chip that dies.
-                let cells = |r: &Run| r.stats.occupancy_cells;
-                let idle_warm =
-                    self.config.prewarm && (replicas > 1 || one.health().contains(&Failed));
-                prop_assert!(idle_warm || cells(run) == cells(one), "{ctx}: occupancy");
-            }
-            if aging && roomy && !self.config.prewarm {
-                prop_assert!(run.tokens == one.tokens, "{ctx}: tokens moved");
-                prop_assert!(run.health() == one.health(), "{ctx}: health moved");
-                prop_assert!(run.drift() == one.drift(), "{ctx}: drift counters moved");
-                if run.stats.recoveries + one.stats.recoveries == 0 {
-                    prop_assert!(run.outputs == one.outputs, "{ctx}: outputs moved");
-                }
+        }
+        prop_assert!(one.outputs.keys().all(|a| !one.sheds.contains_key(a)));
+        for detail in one.sheds.values() {
+            prop_assert!(!detail.contains("refused"), "seed {}: {detail}", self.seed);
+        }
+        let st = &one.stats;
+        let chip_sum = |f: fn(&oxbar_serve::ChipStats) -> u64| st.chips.iter().map(f).sum::<u64>();
+        prop_assert_eq!(chip_sum(|c| c.retries), st.retries);
+        prop_assert_eq!(chip_sum(|c| c.sheds), st.sheds);
+        let model_sum = |f: fn(&oxbar_sim::CacheStats) -> u64| {
+            st.models.iter().map(|m| f(&m.cache)).sum::<u64>()
+        };
+        prop_assert!(
+            (chip_sum(|c| c.hits), chip_sum(|c| c.misses))
+                == (model_sum(|c| c.hits), model_sum(|c| c.misses)),
+            "seed {}: chip and model cache counters differ",
+            self.seed
+        );
+        prop_assert_eq!(st.sheds, one.sheds.len() as u64);
+        prop_assert_eq!(st.requests, one.completions.len() as u64);
+        prop_assert_eq!(
+            st.tokens,
+            one.tokens.iter().map(Vec::len).sum::<usize>() as u64
+        );
+        for (w, run) in (1..).zip(&runs).skip(1) {
+            if let Some(what) = run.first_difference(one) {
+                prop_assert!(false, "{}: {what} moved", ctx(w));
             }
         }
+        let aging = DeviceExecutor::new(self.config.device.clone())
+            .drift_budget_ticks()
+            .is_some();
         if !aging {
             let oracle = self.run(|c| c.with_workers(1).with_faults(FaultPlan::new()));
             prop_assert!(oracle.sheds.is_empty(), "no faults, nothing sheds");
-            for (w, run) in (1..).zip(&runs) {
-                let ctx = ctx(w);
-                for (ask, output) in &run.outputs {
-                    let want = oracle.outputs.get(ask);
-                    prop_assert!(
-                        Some(output) == want,
-                        "{ctx}: {ask:?} differs from the oracle"
-                    );
-                }
-                for (got, want) in run.tokens.iter().zip(&oracle.tokens) {
-                    prop_assert!(
-                        want.starts_with(got),
-                        "{ctx}: tokens differ from the oracle"
-                    );
-                }
-                prop_assert_eq!(run.drift(), [0; 4]);
-                prop_assert_eq!(run.stats.stage_panics, 0);
-                let off = self.run(|c| c.with_workers(w).with_recalibration(false));
+            for (ask, output) in &one.outputs {
                 prop_assert!(
-                    off.stats_without_wall_clock() == run.stats_without_wall_clock()
-                        && off.outputs == run.outputs,
-                    "{ctx}: recalibration off changed the run"
+                    Some(output) == oracle.outputs.get(ask),
+                    "seed {}: {ask:?} differs from the oracle",
+                    self.seed
                 );
+            }
+            for (got, want) in one.tokens.iter().zip(&oracle.tokens) {
+                prop_assert!(
+                    want.starts_with(got),
+                    "seed {}: tokens differ from the oracle",
+                    self.seed
+                );
+            }
+            prop_assert_eq!(one.drift(), [0; 4]);
+            prop_assert_eq!(one.stats.stage_panics, 0);
+            for (w, run) in (1..).zip(&runs) {
+                let off = self.run(|c| c.with_workers(w).with_recalibration(false));
+                if let Some(what) = off.first_difference(run) {
+                    prop_assert!(false, "{}: recalibration off moved {what}", ctx(w));
+                }
             }
         }
         Ok(())
