@@ -1,5 +1,6 @@
-//! Perf snapshot: batched weight-stationary serving (with the pipelined
-//! prewarm scheduler) vs cold per-request execution on the same trace.
+//! Perf snapshot: batched weight-stationary serving (every model
+//! programmed ahead of traffic) vs cold per-request execution on the same
+//! trace.
 //!
 //! Writes `BENCH_serve.json` at the workspace root. Pass `--quick` for
 //! the CI smoke variant (small trace, same schema), written to

@@ -73,15 +73,17 @@ pub struct CaseResult {
     /// Per-chip cell budgets of the serving cluster; a single entry is
     /// the classic one-chip engine.
     pub chip_budgets: Vec<usize>,
-    /// Whether the pipelined prewarm scheduler stage was on.
+    /// Whether every model was programmed before the drain
+    /// ([`oxbar_serve::Cluster::prewarm`], a deployment step) instead of
+    /// by the first batch that reads it.
     pub prewarm: bool,
     /// Summed batch *execution* time of the drain (ms) — what the
-    /// dispatch pipeline spends serving requests. With the pipelined
-    /// scheduler on, PCM programming runs on the prewarm stage and is
-    /// not on this path (see `elapsed_ms` for the end-to-end figure).
+    /// dispatch pipeline spends serving requests, including the PCM
+    /// programming of every tile a batch is the first to read. A
+    /// prewarmed case programmed its models before the drain, off this
+    /// path and off `elapsed_ms`.
     pub wall_ms: f64,
-    /// End-to-end drain time (ms), including off-path prewarm
-    /// programming and scheduler overhead.
+    /// End-to-end drain time (ms), including scheduler overhead.
     pub elapsed_ms: f64,
     /// Saturated throughput: `requests / wall_ms`, in requests/s.
     pub throughput_rps: f64,
@@ -90,7 +92,7 @@ pub struct CaseResult {
     /// 99th-percentile request latency at 80% offered load (ms).
     pub p99_ms: f64,
     /// 99th-percentile latency over each model's *first* batch — the
-    /// cold-start tail the pipelined prewarm stage exists to remove.
+    /// cold-start tail that programming ahead of traffic removes.
     pub p99_cold_start_ms: f64,
     /// Mean request latency at 80% offered load (ms).
     pub mean_ms: f64,
@@ -103,9 +105,7 @@ pub struct CaseResult {
     /// Cross-chip snapshot migrations an over-budget chip made instead of
     /// evicting (always 0 on a single chip).
     pub migrations: u64,
-    /// Prewarm stages dispatched by the pipelined scheduler.
-    pub prewarms: u64,
-    /// Tiles programmed + compiled off the critical path.
+    /// Tiles programmed + compiled before the drain.
     pub prewarmed_tiles: u64,
     /// Mean requests per dispatched batch.
     pub mean_batch_size: f64,
@@ -303,8 +303,8 @@ pub struct LlmReport {
     /// Steady-state decode throughput on the warm engine, tokens/s.
     pub tokens_per_sec: f64,
     /// Wall time of the cold first-token batch (pays PCM tile
-    /// programming and transfer-matrix compilation — prewarm is off on
-    /// purpose so the cost is visible), ms.
+    /// programming and transfer-matrix compilation — nothing is
+    /// prewarmed, on purpose, so the cost is visible), ms.
     pub first_token_ms: f64,
     /// Mean wall time of a steady-state token batch, ms.
     pub steady_token_ms: f64,
@@ -388,13 +388,12 @@ fn workload(requests: usize) -> OpenLoop {
 /// Builds an engine over the stock catalog on one chip per entry of
 /// `chips`, with those cell budgets (least-loaded placement, so the
 /// catalog spreads over several).
-fn engine_with(policy: BatchPolicy, chips: &[usize], prewarm: bool) -> ServeEngine {
+fn engine_with(policy: BatchPolicy, chips: &[usize]) -> ServeEngine {
     let device = SimConfig::noisy(128, 128).with_threads(1);
     let mut engine = ServeEngine::new(
         ServeConfig::new(device)
             .with_policy(policy)
             .with_workers(1)
-            .with_prewarm(prewarm)
             .with_chips(chips.to_vec())
             .with_placement(PlacementPolicy::LeastLoaded),
     );
@@ -404,7 +403,8 @@ fn engine_with(policy: BatchPolicy, chips: &[usize], prewarm: bool) -> ServeEngi
     engine
 }
 
-/// Replays the shared trace through one engine configuration.
+/// Replays the shared trace through one engine configuration; with
+/// `prewarm`, every model is programmed before the timed drain.
 fn run_case(
     name: &str,
     requests: usize,
@@ -412,7 +412,12 @@ fn run_case(
     chips: &[usize],
     prewarm: bool,
 ) -> CaseResult {
-    let mut engine = engine_with(policy, chips, prewarm);
+    let mut engine = engine_with(policy, chips);
+    if prewarm {
+        for m in 0..engine.registry().len() {
+            engine.registry().prewarm(ModelId(m));
+        }
+    }
     let load = workload(requests);
     for request in load.trace(|m| engine.input_shape(m)) {
         engine.try_submit(request).expect("valid request");
@@ -464,7 +469,6 @@ fn run_case(
         hit_rate: stats.hit_rate(),
         evictions: stats.evictions,
         migrations: stats.migrations,
-        prewarms: stats.prewarms,
         prewarmed_tiles: stats.prewarmed_tiles,
         mean_batch_size: stats.mean_batch_size(),
         speedup_vs_cold: None,
@@ -494,7 +498,7 @@ fn run_closed_loop(quick: bool) -> ClosedLoopReport {
     let waves = if quick { 3 } else { 10 };
     let connections = CLOSED_LOOP_CONNECTIONS;
     let requests = connections * waves;
-    let engine = engine_with(BatchPolicy::new(16, 8), &[4_000_000], true);
+    let engine = engine_with(BatchPolicy::new(16, 8), &[4_000_000]);
     let shapes: Vec<oxbar_nn::TensorShape> =
         (0..4).map(|i| engine.input_shape(ModelId(i))).collect();
     let server = Server::start(engine, ServerConfig::default()).expect("server binds loopback");
@@ -546,7 +550,7 @@ fn run_closed_loop(quick: bool) -> ClosedLoopReport {
     // In-process oracle on the identical trace. RequestId counts
     // submission order, so sorting completions by id maps completion
     // `c * waves + w` back to connection `c`, wave `w`.
-    let mut oracle = engine_with(BatchPolicy::new(16, 8), &[4_000_000], true);
+    let mut oracle = engine_with(BatchPolicy::new(16, 8), &[4_000_000]);
     for c in 0..connections {
         for w in 0..waves {
             let (model, seed) = closed_loop_entry(c, w, waves);
@@ -617,7 +621,6 @@ fn run_fault_trace(
         ServeConfig::new(device)
             .with_policy(BatchPolicy::new(16, 8))
             .with_workers(1)
-            .with_prewarm(true)
             .with_chips(vec![4_000_000, 4_000_000])
             .with_placement(placement)
             .with_faults(plan),
@@ -739,7 +742,6 @@ fn run_drift_trace(
             .with_policy(BatchPolicy::new(16, 8))
             .with_cache_budget(4_000_000)
             .with_workers(1)
-            .with_prewarm(true)
             .with_recalibration(recal),
     );
     for spec in catalog::stock_catalog() {
@@ -876,9 +878,9 @@ fn run_drift_recal(quick: bool) -> DriftRecalReport {
 
 /// The LLM section. Three measurements:
 ///
-/// 1. **Cold first token vs steady tokens** — a fresh engine (prewarm
-///    off) decodes one sequence; the step-0 batch pays PCM programming
-///    and compilation, every later step reuses the resident tiles.
+/// 1. **Cold first token vs steady tokens** — a fresh engine decodes
+///    one sequence; the step-0 batch pays PCM programming and
+///    compilation, every later step reuses the resident tiles.
 /// 2. **Steady-state throughput + hit rate** — the now-warm engine
 ///    decodes `sequences` more; the dense stack's cache-stat delta over
 ///    exactly this phase gives the post-warmup hit rate.
@@ -891,8 +893,7 @@ fn run_llm(quick: bool) -> LlmReport {
     let config = ServeConfig::new(SimConfig::noisy(128, 128).with_threads(1))
         .with_policy(BatchPolicy::new(16, 8))
         .with_cache_budget(4_000_000)
-        .with_workers(1)
-        .with_prewarm(false);
+        .with_workers(1);
 
     // Phase 1: cold sequence on a fresh engine.
     let mut engine = ServeEngine::new(config.clone());
@@ -1016,13 +1017,13 @@ fn submit_at_zero(engine: &mut ServeEngine, model: ModelId, input: Tensor3) {
 }
 
 /// Heap allocations of one warm serving round: a 4-request same-model
-/// batch through a fully resident pipelined engine. Requires the
+/// batch through a fully resident engine. Requires the
 /// `bench_serve` binary's counting allocator; returns `None` elsewhere.
 fn warm_round_allocations() -> Option<u64> {
     if !crate::alloc_counter::active() {
         return None;
     }
-    let mut engine = engine_with(BatchPolicy::new(8, 8), &[4_000_000], true);
+    let mut engine = engine_with(BatchPolicy::new(8, 8), &[4_000_000]);
     let inputs: Vec<_> = (0..4u64)
         .map(|i| {
             oxbar_nn::synthetic::activations(engine.input_shape(oxbar_serve::ModelId(0)), 6, i)
@@ -1047,7 +1048,7 @@ fn warm_round_allocations() -> Option<u64> {
 /// an unconstrained engine) and the analytic chip-model IPS.
 fn model_reports() -> Vec<ModelReport> {
     let chip = Chip::new(ChipConfig::paper_optimal());
-    let mut engine = engine_with(BatchPolicy::SINGLE, &[usize::MAX], false);
+    let mut engine = engine_with(BatchPolicy::SINGLE, &[usize::MAX]);
     catalog::stock_catalog()
         .into_iter()
         .enumerate()
@@ -1084,8 +1085,8 @@ pub fn generate(quick: bool) -> ServeReport {
         false,
     );
     let mut cases = vec![cold];
-    // The headline: batched weight-stationary serving with the pipelined
-    // prewarm scheduler (the engine's default configuration).
+    // The headline: batched weight-stationary serving, every model
+    // programmed at deployment, before the traffic.
     let mut batched = run_case(
         "open_loop/batched_weight_stationary",
         requests,
@@ -1096,8 +1097,9 @@ pub fn generate(quick: bool) -> ServeReport {
     batched.speedup_vs_cold = Some(cases[0].wall_ms / batched.wall_ms);
     cases.push(batched);
     // Multi-chip: the same total budget sharded across two chips with
-    // least-loaded placement — the catalog spreads, and the per-chip
-    // breakdown lands in the report.
+    // least-loaded placement — the catalog spreads (each model programmed
+    // on its chip at deployment), and the per-chip breakdown lands in the
+    // report.
     let mut dual = run_case(
         "open_loop/dual_chip_least_loaded",
         requests,
@@ -1108,8 +1110,9 @@ pub fn generate(quick: bool) -> ServeReport {
     dual.speedup_vs_cold = Some(cases[0].wall_ms / dual.wall_ms);
     cases.push(dual);
     if !quick {
-        // Ablation: the same batched engine without the pipelined stage
-        // (every model's first batch stalls on PCM programming).
+        // Ablation: the same batched engine without deployment-time
+        // programming (every model's first batch stalls on PCM
+        // programming).
         let mut no_prewarm = run_case(
             "open_loop/batched_no_prewarm",
             requests,
@@ -1119,11 +1122,13 @@ pub fn generate(quick: bool) -> ServeReport {
         );
         no_prewarm.speedup_vs_cold = Some(cases[0].wall_ms / no_prewarm.wall_ms);
         cases.push(no_prewarm);
+        // The tight-budget cases serve lazily: the catalog does not fit,
+        // so programming it all ahead of traffic would only overfill.
         for (name, policy) in [
             ("open_loop/tight_budget_interleaved", BatchPolicy::SINGLE),
             ("open_loop/tight_budget_batched", BatchPolicy::new(16, 8)),
         ] {
-            let mut case = run_case(name, requests, policy, &[tight], true);
+            let mut case = run_case(name, requests, policy, &[tight], false);
             case.speedup_vs_cold = Some(cases[0].wall_ms / case.wall_ms);
             cases.push(case);
         }
@@ -1135,7 +1140,7 @@ pub fn generate(quick: bool) -> ServeReport {
             requests,
             BatchPolicy::new(16, 8),
             &[tight, tight],
-            true,
+            false,
         );
         tight_dual.speedup_vs_cold = Some(cases[0].wall_ms / tight_dual.wall_ms);
         cases.push(tight_dual);
@@ -1390,15 +1395,16 @@ mod tests {
             assert_eq!(c.budget_cells, c.chip_budgets.iter().sum::<usize>());
         }
         assert_eq!(report.cases[0].speedup_vs_cold, None);
-        assert!(!report.cases[0].prewarm, "cold baseline stays unpipelined");
+        assert!(!report.cases[0].prewarm, "cold baseline programs lazily");
+        assert_eq!(report.cases[0].prewarmed_tiles, 0);
         assert!(report.cases[1].speedup_vs_cold.is_some());
         assert!(
             report.cases[1].prewarm,
-            "the smoke case exercises the pipelined path"
+            "the smoke case programs its models at deployment"
         );
         assert!(
-            report.cases[1].prewarms > 0,
-            "the pipelined scheduler must dispatch prewarm stages"
+            report.cases[1].prewarmed_tiles > 0,
+            "deployment-time prewarm must program tiles"
         );
         assert_eq!(report.cases[0].hit_rate, 0.0, "budget 0 never hits");
         let dual = &report.cases[2];

@@ -36,6 +36,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tiles one drain boundary marks for recalibration per chip — bounds
 /// the re-derivation work a single drain commits its reads to.
@@ -299,6 +300,8 @@ pub struct Cluster {
     /// Wall-clock milliseconds spent in snapshot/restore recoveries
     /// (observational only — never feeds back into scheduling).
     recovery_ms: f64,
+    /// Tiles [`Self::prewarm`] has compiled, over every residency.
+    prewarmed_tiles: AtomicU64,
 }
 
 impl Cluster {
@@ -324,6 +327,7 @@ impl Cluster {
             drift: DriftStats::default(),
             recoveries: 0,
             recovery_ms: 0.0,
+            prewarmed_tiles: AtomicU64::new(0),
         }
     }
 
@@ -480,16 +484,6 @@ impl Cluster {
         self.chips.len()
     }
 
-    /// The weight-stationary cell budget of `chip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chip index is out of range.
-    #[must_use]
-    pub fn chip_budget(&self, chip: ChipId) -> usize {
-        self.chips[chip.0].budget
-    }
-
     /// The chip `id`'s *primary* residency is currently placed on.
     #[must_use]
     pub fn chip_of(&self, id: ModelId) -> ChipId {
@@ -545,38 +539,44 @@ impl Cluster {
         self.entries[id.0].last_use = self.lru;
     }
 
-    /// The model's full weight-stationary footprint in crossbar cells.
-    #[must_use]
-    pub fn footprint_cells(&self, id: ModelId) -> usize {
-        self.entries[id.0].footprint_cells
-    }
-
-    /// The crossbar cells of `id`'s primary residency currently in its
-    /// tile cache.
-    #[must_use]
-    pub fn resident_cells(&self, id: ModelId) -> usize {
-        self.entries[id.0].primary().executor.cache_stats().cells
-    }
-
-    /// Eagerly programs + compiles the primary residency's missing tiles
-    /// ([`DeviceExecutor::prewarm`]), returning how many were compiled.
-    /// Never evicts: callers budget-check against the model's *chip*
-    /// first, so prewarming cannot change any chip's eviction sequence.
+    /// Programs + compiles the missing tiles of every residency of `id`
+    /// ([`DeviceExecutor::prewarm`]) ahead of the traffic that would
+    /// otherwise program them batch by batch, and returns how many it
+    /// compiled (also counted in [`crate::EngineStats::prewarmed_tiles`]).
+    /// A deployment step: the engine never calls it. It does not check
+    /// any chip's budget, so warming more than a chip holds leaves that
+    /// chip over budget until the budget pass after the next dispatched
+    /// round migrates or evicts.
     pub fn prewarm(&self, id: ModelId) -> usize {
-        let entry = &self.entries[id.0];
-        let executor = &entry.primary().executor;
-        let compiled = executor.prewarm(&entry.spec.network, &entry.spec.filters);
-        if compiled > 0 {
-            // One discarded zero-input forward warms the executor's
-            // arena pool and pages the freshly compiled gain matrices
-            // in, so the model's first real batch runs at steady-state
-            // speed. Executions are pure functions of their inputs —
-            // a discarded one cannot change any later result.
-            let shape = entry.spec.network.input();
-            let zeros = oxbar_nn::reference::Tensor3::new(shape, vec![0; shape.elements()]);
-            let _ = executor.forward(&entry.spec.network, &zeros, &entry.spec.filters);
-        }
+        let spec = &self.entries[id.0].spec;
+        let compiled: usize = self.entries[id.0]
+            .residencies
+            .iter()
+            .map(|r| {
+                let compiled = r.executor.prewarm(&spec.network, &spec.filters);
+                if compiled > 0 {
+                    // One discarded zero-input forward warms the
+                    // executor's arena pool and pages the freshly
+                    // compiled gain matrices in, so the model's first
+                    // real batch runs at steady-state speed. Executions
+                    // are pure functions of their inputs — a discarded
+                    // one cannot change any later result.
+                    let shape = spec.network.input();
+                    let zeros = oxbar_nn::reference::Tensor3::new(shape, vec![0; shape.elements()]);
+                    let _ = r.executor.forward(&spec.network, &zeros, &spec.filters);
+                }
+                compiled
+            })
+            .sum();
+        self.prewarmed_tiles
+            .fetch_add(compiled as u64, Ordering::Relaxed);
         compiled
+    }
+
+    /// Tiles [`Self::prewarm`] has compiled since the cluster was
+    /// created, summed over every residency it warmed.
+    pub(crate) fn prewarmed_tiles(&self) -> u64 {
+        self.prewarmed_tiles.load(Ordering::Relaxed)
     }
 
     /// Enforces every chip's cell budget at dispatch count `dispatched`,
@@ -887,7 +887,7 @@ impl Cluster {
     ///
     /// Panics if the chip index is out of range.
     #[must_use]
-    pub fn chip_occupancy(&self, chip: ChipId) -> usize {
+    fn chip_occupancy(&self, chip: ChipId) -> usize {
         assert!(chip.0 < self.chips.len(), "chip {chip:?} out of range");
         self.entries
             .iter()
@@ -1105,7 +1105,7 @@ mod tests {
         assert_eq!(cluster.chip_of(a), ChipId(1), "LRU model moved");
         assert!(cluster.chip_occupancy(ChipId(0)) <= 100_000);
         assert!(
-            cluster.resident_cells(a) > 0,
+            cluster.executor(a).cache_stats().cells > 0,
             "migration keeps state resident"
         );
         let after = cluster
@@ -1145,6 +1145,43 @@ mod tests {
             .forward(&net, &input, &filt)
             .unwrap();
         assert_eq!(replica, primary, "replicas answer byte-identically");
+    }
+
+    #[test]
+    fn prewarm_programs_every_replica() {
+        let cluster_of = || {
+            let mut cluster = Cluster::new(
+                SimConfig::noisy(128, 128).with_threads(1),
+                &[100_000, 100_000],
+                PlacementPolicy::Replicated(2),
+            );
+            let a = cluster.admit_strict(lenet_spec(1)).unwrap();
+            (cluster, a)
+        };
+        let (cluster, a) = cluster_of();
+        let compiled = cluster.prewarm(a);
+        let cache = |chip| cluster.executor_on(a, ChipId(chip)).unwrap().cache_stats();
+        assert!(cache(0).cells > 0, "the primary holds the model");
+        assert_eq!(cache(1).cells, cache(0).cells, "so does the replica");
+        assert_eq!(compiled, cache(0).entries + cache(1).entries);
+        assert_eq!(cluster.prewarmed_tiles(), compiled as u64);
+        assert_eq!(cluster.prewarm(a), 0, "a warm model programs nothing");
+        assert_eq!(cluster.prewarmed_tiles(), compiled as u64);
+        // Warming first only moves the programming: the first batch on
+        // either copy answers as on a cold cluster.
+        let (cold, _) = cluster_of();
+        let spec = cluster.spec(a);
+        let input = synthetic::activations(spec.network.input(), 6, 3);
+        for chip in [ChipId(0), ChipId(1)] {
+            let run = |c: &Cluster| {
+                c.executor_on(a, chip)
+                    .unwrap()
+                    .forward(&spec.network, &input, &spec.filters)
+                    .unwrap()
+                    .output
+            };
+            assert_eq!(run(&cluster), run(&cold), "{chip:?}");
+        }
     }
 
     #[test]
@@ -1242,14 +1279,17 @@ mod tests {
         assert_eq!(cluster.chip_of(a), ChipId(1));
         assert_eq!(cluster.recoveries(), 1);
         assert!(
-            cluster.resident_cells(a) > 0,
+            cluster.executor(a).cache_stats().cells > 0,
             "recovery restores the warm tile state"
         );
         let after = cluster.executor(a).forward(&net, &input, &filt).unwrap();
         assert_eq!(after, before, "recovery is byte-exact");
         // Committed bookkeeping followed the model off the dead chip.
         assert_eq!(cluster.chips[0].committed_cells, 0);
-        assert_eq!(cluster.chips[1].committed_cells, cluster.footprint_cells(a));
+        assert_eq!(
+            cluster.chips[1].committed_cells,
+            cluster.entries[a.0].footprint_cells
+        );
     }
 
     #[test]

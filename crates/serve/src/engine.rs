@@ -26,18 +26,11 @@ pub struct ServeConfig {
     pub device: SimConfig,
     /// How the batcher coalesces the queue.
     pub policy: BatchPolicy,
-    /// How a round's jobs run: with 1 on the calling thread, with any
+    /// How a round's batches run: with 1 on the calling thread, with any
     /// other value each on its own thread. It picks threads only: a round
     /// is as wide as the cluster has chips whatever this is, so every
     /// completion, shed and counter is the same at any worker count.
     pub workers: usize,
-    /// Pipelined tile programming: while a batch round executes, a
-    /// scheduler stage prewarms the tile cache of the next distinct model
-    /// in the queue, so a model switch no longer stalls its first batch
-    /// on PCM programming. Outputs and eviction sequences are identical
-    /// with it on or off — the stage is skipped whenever prewarming could
-    /// not fit the model's chip budget.
-    pub prewarm: bool,
     /// Drift-aware online recalibration: when the device config ages
     /// resident tiles ([`oxbar_sim::NoiseModel::drift_tick`] and a drift
     /// exponent both non-zero), each drain boundary marks the oldest
@@ -78,7 +71,6 @@ impl ServeConfig {
             device,
             policy: BatchPolicy::new(16, 8),
             workers: 1,
-            prewarm: true,
             recalibration: true,
             chip_budgets: vec![4_000_000],
             placement: PlacementPolicy::FirstFit,
@@ -107,10 +99,12 @@ impl ServeConfig {
         self
     }
 
-    /// Enables/disables the pipelined prewarm stage (on by default).
+    /// Does nothing, whatever `prewarm` is: a drain programs every tile
+    /// in the batch that reads it, on the chip that batch runs on, and
+    /// programming ahead of traffic is one explicit [`Cluster::prewarm`]
+    /// call. Kept only because the `servebench` workloads still call it.
     #[must_use]
-    pub fn with_prewarm(mut self, prewarm: bool) -> Self {
-        self.prewarm = prewarm;
+    pub fn with_prewarm(self, _prewarm: bool) -> Self {
         self
     }
 
@@ -155,10 +149,8 @@ pub struct EngineStats {
     pub batches: u64,
     /// Whole-model cache evictions forced by the chip budgets.
     pub evictions: u64,
-    /// Pipelined prewarm stages dispatched (one per round that had a
-    /// budget-safe next-model target).
-    pub prewarms: u64,
-    /// Tiles programmed + compiled off the critical path by those stages.
+    /// Tiles [`Cluster::prewarm`] programmed and compiled ahead of
+    /// traffic, summed over every residency it warmed.
     pub prewarmed_tiles: u64,
     /// Summed cache occupancy across models, in cells.
     pub occupancy_cells: usize,
@@ -203,9 +195,6 @@ pub struct EngineStats {
     /// Degraded→Healthy transitions the scan made once a chip's resident
     /// tiles were all recalibrated back under budget.
     pub drift_heals: u64,
-    /// Prewarm jobs that panicked. A panicked prewarm is skipped — its
-    /// work was advisory — and serving continues.
-    pub stage_panics: u64,
 }
 
 impl EngineStats {
@@ -436,33 +425,20 @@ struct Fate {
     failed_from: Option<usize>,
 }
 
-/// One unit of round work handed to the pool.
-enum Job<'a> {
-    /// Execute a batch per its fate.
-    Batch(&'a Batch, &'a Fate),
-    /// Program a model's missing tiles off the critical path.
-    Prewarm(ModelId),
-}
-
-/// What one [`Job`] produced.
-enum Done {
-    /// The batch's executions and its wall-clock execution time in ms.
-    Batch(Vec<Executed>, f64),
-    /// Tiles a prewarm job programmed, or `None` if it panicked.
-    Prewarm(Option<usize>),
-}
-
 /// A deterministic, multi-model, batched inference engine over the
 /// device-level simulator.
 ///
 /// The life of a request: [`ServeEngine::try_submit`] appends it to the
 /// queue; [`ServeEngine::drain_traced`] coalesces the queue into
 /// same-model batches ([`form_batches`]), routes them into rounds as wide
-/// as the cluster has chips, runs each round's jobs through the
+/// as the cluster has chips, runs each round's batches through the
 /// order-preserving [`parallel_map`], executes every request on its
-/// model's weight-stationary [`oxbar_sim::DeviceExecutor`], and enforces
-/// the per-chip cell budgets between rounds (snapshot migration, then LRU
-/// whole-model eviction).
+/// model's weight-stationary [`oxbar_sim::DeviceExecutor`] (a tile is
+/// programmed by the first batch that reads it, on the chip that batch
+/// runs on), and enforces the per-chip cell budgets between rounds
+/// (snapshot migration, then LRU whole-model eviction). Programming
+/// ahead of traffic is a deployment step, [`Cluster::prewarm`], which
+/// the engine never takes on its own.
 ///
 /// # Determinism
 ///
@@ -477,12 +453,12 @@ enum Done {
 /// down.
 ///
 /// The worker count changes nothing a caller can observe: rounds are as
-/// wide as the cluster, and every decision (fates, recoveries, prewarm
-/// targets, budgets, LRU touches, completion order) is made between
-/// rounds, on the calling thread, in job order. Inside a round only
-/// batches of one model share an executor, and they claim its tiles in
-/// the same order, single-flight, so hits and misses do not depend on
-/// which finishes first (at [`SimConfig::threads`] = 1). A chip is
+/// wide as the cluster, and every decision (fates, recoveries, budgets,
+/// LRU touches, completion order) is made between rounds, on the calling
+/// thread, in dispatch order. Inside a round only batches of one model
+/// share an executor, and they claim its tiles in the same order,
+/// single-flight, so hits and misses do not depend on which finishes
+/// first (at [`SimConfig::threads`] = 1). A chip is
 /// failed at dispatch count `n` exactly when [`ServeConfig::fault_plan`]
 /// kills it at a round below `n`. `crates/serve/tests/scenarios/` checks
 /// completions, outputs, sheds, tokens and stats at one to four workers.
@@ -513,15 +489,11 @@ pub struct ServeEngine {
     /// Batches dispatched across all drains — also the global dispatch
     /// sequence number the next batch gets, which keys the fault plan.
     batches: u64,
-    prewarms: u64,
-    prewarmed_tiles: u64,
     /// Every sequence ever begun, indexed by [`SequenceId`]; a finished
     /// one keeps its tokens but not its KV cache.
     sequences: Vec<Sequence>,
     /// Decode steps completed across all sequences.
     tokens: u64,
-    /// Prewarm jobs that panicked and were skipped.
-    stage_panics: u64,
 }
 
 impl ServeEngine {
@@ -545,11 +517,8 @@ impl ServeEngine {
             next_id: 0,
             requests: 0,
             batches: 0,
-            prewarms: 0,
-            prewarmed_tiles: 0,
             sequences: Vec::new(),
             tokens: 0,
-            stage_panics: 0,
         }
     }
 
@@ -754,14 +723,12 @@ impl ServeEngine {
     /// [`ServeEngine`]).
     ///
     /// The timings are observational only — nothing in the engine
-    /// branches on them. A batch's time measures its *execution* (window
-    /// dedupe, batched MVMs, readout, accumulation); with the pipelined
-    /// scheduler on ([`ServeConfig::prewarm`]) PCM programming for
-    /// upcoming models runs in stage jobs and is deliberately not part of
-    /// any batch's time, so callers that want the end-to-end figure
-    /// should time the whole call. The batches of one round model chips
-    /// computing side by side, so a serial sum of their times overstates
-    /// the pipeline's occupancy: feed `batch_ms` and `rounds` to
+    /// branches on them. A batch's time measures its execution, including
+    /// the PCM programming of every tile it is the first to read (none,
+    /// for a model [`Cluster::prewarm`] warmed and no budget pass has
+    /// evicted since). The batches of one round model chips computing side
+    /// by side, so a serial sum of their times overstates the pipeline's
+    /// occupancy: feed `batch_ms` and `rounds` to
     /// [`crate::loadgen::replay_latencies`] to recover per-request
     /// latencies under a tick schedule.
     ///
@@ -791,14 +758,12 @@ impl ServeEngine {
         trace
     }
 
-    /// One scheduler pass over the current queue: a pipeline fill (a
-    /// round with no batches), then one step per dispatch round. Each
-    /// step (1) resolves its batches' fates in dispatch order against
-    /// where each model lives now, (2) runs its batches and prewarm jobs
-    /// through one pool, and (3) absorbs the results and enforces the
-    /// cell budgets. Token-step completions may submit follow-up
-    /// requests — the [`Self::drain_traced`] loop picks those up in the
-    /// next pass.
+    /// One scheduler pass over the current queue, one step per dispatch
+    /// round. Each step (1) resolves its batches' fates in dispatch order
+    /// against where each model lives now, (2) runs its batches through
+    /// one pool, and (3) absorbs the results and enforces the cell
+    /// budgets. Token-step completions may submit follow-up requests —
+    /// the [`Self::drain_traced`] loop picks those up in the next pass.
     fn drain_pass(&mut self) -> DrainTrace {
         let queue = std::mem::take(&mut self.queue);
         let keys: Vec<(ModelId, u64)> = queue
@@ -825,14 +790,11 @@ impl ServeEngine {
             .1
             .unwrap_or_else(|| self.registry.chip_of(b.model).0)
         });
-        let mut pending = vec![true; batches.len()];
         let mut completions = Vec::with_capacity(queue.len());
         let mut timings = vec![0.0; batches.len()];
         let mut shed_notices: Vec<ShedNotice> = Vec::new();
         let mut fates: Vec<Fate> = Vec::with_capacity(batches.len());
-        // The pipeline fill is a round with no batches: its prewarms
-        // program the first models' tiles before batch 0 dispatches.
-        for round in std::iter::once(&[][..]).chain(rounds.iter().map(Vec::as_slice)) {
+        for round in &rounds {
             // 1. Fates resolve in dispatch order whatever the round
             // width: every batch up to the round's last, including those
             // a later round runs. A fate only ever picks a chip that
@@ -842,61 +804,31 @@ impl ServeEngine {
             while fates.len() < end {
                 fates.push(self.resolve_fate(&batches[fates.len()], &queue, seq_base));
             }
-            // Prewarm targets and budget enforcement read chip health
-            // one past the last resolved batch.
-            let reached = seq_base + fates.len() as u64;
-            for &i in round {
-                pending[i] = false;
-            }
-            // 2. One pool runs the round's batches, then prewarms for
-            // upcoming models (at most one per chip). With one worker
-            // the pool is the calling thread, running them in that
-            // order; otherwise every job gets its own thread, so
-            // prewarms overlap the round. Either way every prewarm
-            // completes before the budget-enforcement point, and the
-            // per-chip guard in `prewarm_targets` means a prewarm never
-            // forces an eviction lazy compilation would not.
-            let targets = if self.config.prewarm {
-                self.prewarm_targets(&batches, &pending, round, reached)
-            } else {
-                Vec::new()
-            };
-            let jobs: Vec<Job> = round
-                .iter()
-                .map(|&i| Job::Batch(&batches[i], &fates[i]))
-                .chain(targets.into_iter().map(Job::Prewarm))
-                .collect();
+            // 2. One pool runs the round's batches: with one worker on
+            // the calling thread, in dispatch order; otherwise each on
+            // its own thread.
             let lanes = if self.config.workers == 1 {
                 1
             } else {
-                jobs.len()
+                round.len()
             };
-            let done = parallel_map(&jobs, lanes, |_, job| self.run_job(job, &queue, seq_base));
-            // 3. Absorb in dispatch order, then enforce the budgets.
-            for (job, done) in jobs.iter().zip(done) {
-                match (job, done) {
-                    (Job::Batch(batch, fate), Done::Batch(executed, ms)) => {
-                        timings[batch.seq] = ms;
-                        self.absorb_batch(
-                            batch,
-                            fate,
-                            executed,
-                            &queue,
-                            &mut completions,
-                            &mut shed_notices,
-                        );
-                    }
-                    (_, Done::Prewarm(Some(tiles))) => {
-                        self.prewarms += 1;
-                        self.prewarmed_tiles += tiles as u64;
-                    }
-                    (_, Done::Prewarm(None)) => self.stage_panics += 1,
-                    _ => {}
-                }
+            let done = parallel_map(round, lanes, |_, &i| {
+                self.run_batch(&batches[i], &fates[i], &queue, seq_base)
+            });
+            // 3. Absorb in dispatch order, then enforce the budgets at
+            // chip health one past the last resolved batch.
+            for (&i, (executed, ms)) in round.iter().zip(done) {
+                timings[i] = ms;
+                self.absorb_batch(
+                    &batches[i],
+                    &fates[i],
+                    executed,
+                    &queue,
+                    &mut completions,
+                    &mut shed_notices,
+                );
             }
-            if !round.is_empty() {
-                self.registry.enforce_budget(reached);
-            }
+            self.registry.enforce_budget(seq_base + fates.len() as u64);
         }
         self.requests += completions.len() as u64;
         self.batches = seq_base + batches.len() as u64;
@@ -951,41 +883,35 @@ impl ServeEngine {
         fate
     }
 
-    /// Runs one pool job. A prewarm is advisory — a skipped one only
-    /// costs latency, never correctness — so a prewarm job contains its
-    /// own panic and reports it instead of unwinding the drain.
-    fn run_job(&self, job: &Job<'_>, queue: &[Queued], seq_base: u64) -> Done {
-        match job {
-            Job::Batch(batch, fate) => {
-                let start = std::time::Instant::now();
-                let executed = fate.chip.map_or(Vec::new(), |chip| {
-                    // A recovery or migration since the fate was resolved
-                    // may have moved the model off `chip`; a copy on a
-                    // chip that serves at the batch's sequence answers
-                    // identically.
-                    let executor = self
-                        .registry
-                        .executor_on(batch.model, ChipId(chip))
-                        .unwrap_or_else(|| {
-                            let n = seq_base + batch.seq as u64 + 1;
-                            let homes = self.registry.residencies(batch.model);
-                            homes
-                                .into_iter()
-                                .filter(|&c| self.registry.chip_health(c, n).serves())
-                                .find_map(|c| self.registry.executor_on(batch.model, c))
-                                .expect("a moved model lives on a chip that serves")
-                        });
-                    self.execute_on(batch, queue, executor, &fate.shed)
+    /// Runs one batch per its fate, returning its executions and its
+    /// wall-clock execution time in ms.
+    fn run_batch(
+        &self,
+        batch: &Batch,
+        fate: &Fate,
+        queue: &[Queued],
+        seq_base: u64,
+    ) -> (Vec<Executed>, f64) {
+        let start = std::time::Instant::now();
+        let executed = fate.chip.map_or(Vec::new(), |chip| {
+            // A recovery or migration since the fate was resolved may
+            // have moved the model off `chip`; a copy on a chip that
+            // serves at the batch's sequence answers identically.
+            let executor = self
+                .registry
+                .executor_on(batch.model, ChipId(chip))
+                .unwrap_or_else(|| {
+                    let n = seq_base + batch.seq as u64 + 1;
+                    let homes = self.registry.residencies(batch.model);
+                    homes
+                        .into_iter()
+                        .filter(|&c| self.registry.chip_health(c, n).serves())
+                        .find_map(|c| self.registry.executor_on(batch.model, c))
+                        .expect("a moved model lives on a chip that serves")
                 });
-                Done::Batch(executed, start.elapsed().as_secs_f64() * 1e3)
-            }
-            Job::Prewarm(model) => Done::Prewarm(
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.registry.prewarm(*model)
-                }))
-                .ok(),
-            ),
-        }
+            self.execute_on(batch, queue, executor, &fate.shed)
+        });
+        (executed, start.elapsed().as_secs_f64() * 1e3)
     }
 
     /// Folds one executed batch into the drain: the LRU touch, the fault
@@ -1075,71 +1001,6 @@ impl ServeEngine {
                 detail: detail.to_string(),
             });
         }
-    }
-
-    /// Picks the prewarm targets to run alongside the current round: at
-    /// most one model per chip, chosen as the first pending
-    /// (not-yet-dispatched) model in queue order that is not executing in
-    /// the round, is not fully resident, and whose missing tiles are
-    /// guaranteed to fit its *chip's* cell budget even after every round
-    /// model on that chip finishes compiling its own tiles. The first
-    /// eligible candidate per chip decides — if it does not fit, the chip
-    /// gets no stage this round. The guard is conservative on purpose: a
-    /// skipped prewarm only costs speed, while an over-eager one could
-    /// evict (or migrate) and change the engine's eviction sequence. A
-    /// chip failed at dispatch count `reached` gets no stage.
-    fn prewarm_targets(
-        &self,
-        batches: &[Batch],
-        pending: &[bool],
-        round: &[usize],
-        reached: u64,
-    ) -> Vec<ModelId> {
-        let chips = self.registry.chip_count();
-        let in_round = |m: ModelId| round.iter().any(|&i| batches[i].model == m);
-        // Worst-case per-chip occupancy once this round's own lazy
-        // compiles land.
-        let mut projected: Vec<usize> = (0..chips)
-            .map(|c| self.registry.chip_occupancy(ChipId(c)))
-            .collect();
-        let mut counted: Vec<ModelId> = Vec::new();
-        for &i in round {
-            let model = batches[i].model;
-            if !counted.contains(&model) {
-                counted.push(model);
-                projected[self.registry.chip_of(model).0] += self
-                    .registry
-                    .footprint_cells(model)
-                    .saturating_sub(self.registry.resident_cells(model));
-            }
-        }
-        let mut decided = vec![false; chips];
-        let mut targets = Vec::new();
-        for (idx, batch) in batches.iter().enumerate() {
-            if decided.iter().all(|&d| d) {
-                break;
-            }
-            let model = batch.model;
-            if !pending[idx] || in_round(model) {
-                continue;
-            }
-            let chip = self.registry.chip_of(model).0;
-            if decided[chip] || !self.registry.chip_health(ChipId(chip), reached).serves() {
-                continue;
-            }
-            let missing = self
-                .registry
-                .footprint_cells(model)
-                .saturating_sub(self.registry.resident_cells(model));
-            if missing == 0 {
-                continue;
-            }
-            decided[chip] = true;
-            if projected[chip] + missing <= self.registry.chip_budget(ChipId(chip)) {
-                targets.push(model);
-            }
-        }
-        targets
     }
 
     /// Runs every non-shed member of a batch on one executor. The CNN
@@ -1246,8 +1107,7 @@ impl ServeEngine {
             requests: self.requests,
             batches: self.batches,
             evictions: self.registry.evictions(),
-            prewarms: self.prewarms,
-            prewarmed_tiles: self.prewarmed_tiles,
+            prewarmed_tiles: self.registry.prewarmed_tiles(),
             occupancy_cells: self.registry.occupancy(),
             budget_cells: self.registry.budget(),
             models: self.registry.cache_stats(),
@@ -1263,7 +1123,6 @@ impl ServeEngine {
             recalibrated_tiles: drift.recalibrated_tiles,
             drift_budget_breaches: drift.drift_budget_breaches,
             drift_heals: drift.drift_heals,
-            stage_panics: self.stage_panics,
         }
     }
 }

@@ -16,15 +16,16 @@
 //! batcher        form_batches(): same-model coalescing, size + window caps
 //!    │                    │
 //! scheduler      route_rounds(): chip-aware rounds as wide as the
-//!    │           cluster; a batchless fill round, then each round's
-//!    │           batches and per-chip prewarm jobs, run through one
+//!    │           cluster; each round's batches run through one
 //!    │           order-preserving parallel_map pool
 //!    │                    │
 //! cluster        model→chip placement, per-chip cell budgets (LRU model
 //!    │           eviction; snapshot migration before evicting), chip
-//!    │           health and the chip-kill FaultPlan
+//!    │           health and the chip-kill FaultPlan; prewarm() programs
+//!    │           a model ahead of traffic, when a deployment asks
 //!    │                    │
-//! oxbar-sim      device-level forward per request (PCM → photonics → ADC)
+//! oxbar-sim      device-level forward per request (PCM → photonics → ADC;
+//!    │           a tile is programmed by the first batch that reads it)
 //!    └──────────▶ Completion { output, batch_seq, batch_size }
 //! ```
 //!

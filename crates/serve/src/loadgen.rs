@@ -128,13 +128,15 @@ impl LatencySummary {
 /// The model mirrors what the scheduler actually does
 /// ([`crate::engine::ServeEngine::drain_traced`]): batches execute in
 /// dispatch *rounds*, and every batch within a round runs **concurrently**,
-/// as the chips compute side by side. Round `k` starts when round `k − 1` has
-/// finished and every member of round `k`'s batches has arrived (the
-/// batcher held those batches open); each batch then completes at the
-/// round's start plus *its own* wall time, and the round finishes when its
-/// slowest batch does. A request's latency is its batch's completion time
-/// minus its own arrival time; a deadline is missed when completion lands
-/// after `deadline × tick_ms`.
+/// as the chips compute side by side. No batch of round `k` starts before
+/// round `k − 1` has finished (the engine absorbs a whole round before it
+/// dispatches the next); within that bound each batch starts once its own
+/// members have all arrived (the batcher held it open for them), whatever
+/// the other batches of its round wait for, and completes *its own* wall
+/// time later. The round finishes when its slowest batch does. A
+/// request's latency is its batch's completion time minus its own arrival
+/// time; a deadline is missed when completion lands after
+/// `deadline × tick_ms`.
 ///
 /// With one batch per round (`rounds == [[0], [1], ..]`, the one-chip
 /// schedule) this degenerates to a single-pipeline replay. Pass the
@@ -172,11 +174,10 @@ pub fn replay_latencies(
     let mut finish_ms = vec![0.0f64; batches];
     let mut clock = 0.0f64;
     for round in rounds {
-        let start = round.iter().map(|&b| ready_ms[b]).fold(clock, f64::max);
         for &b in round {
-            finish_ms[b] = start + batch_wall_ms[b];
-            clock = clock.max(finish_ms[b]);
+            finish_ms[b] = clock.max(ready_ms[b]) + batch_wall_ms[b];
         }
+        clock = round.iter().map(|&b| finish_ms[b]).fold(clock, f64::max);
     }
     let mut misses = 0;
     let latencies = completions
@@ -293,14 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn replay_round_start_waits_for_all_member_arrivals() {
+    fn replay_batch_start_waits_only_for_its_own_members() {
         // Round 0 holds batches 0 and 1; batch 1's member arrives at tick
-        // 6, so the whole round starts at 6 ms even though batch 0 was
-        // ready at 0. Batch 0 finishes at 6 + 2 = 8 ms.
+        // 6, but batch 0 was ready at 0 and does not wait for it: batch 0
+        // finishes at 2 ms, batch 1 at 6 + 3 = 9 ms.
         let completions = vec![completion(0, 0, None, 0), completion(1, 6, None, 1)];
         let rounds = vec![vec![0, 1]];
         let (lat, misses) = replay_latencies(&completions, &[2.0, 3.0], &rounds, 1.0);
-        assert_eq!(lat, vec![8.0, 3.0]);
+        assert_eq!(lat, vec![2.0, 3.0]);
         assert_eq!(misses, 0);
     }
 

@@ -6,8 +6,7 @@
 //!    a noisy device, a chip whose budget is half the larger model's
 //!    footprint (so that model's overflow tiles are reprogrammed every
 //!    batch, from remembered noise draws) answers byte-identically to a
-//!    `usize::MAX` chip, across random policies, worker counts and the
-//!    pipelined prewarm stage;
+//!    `usize::MAX` chip, across random policies and worker counts;
 //! 2. **multi-chip serving changes work, not results**: the same trace on
 //!    a 2-chip cluster answers byte-identically to one big chip, and at
 //!    any worker count observes the same completions, in the same order,
@@ -99,8 +98,7 @@ proptest! {
             .expect("two models");
         let base = ServeConfig::new(device)
             .with_policy(BatchPolicy::new(1 + (seed % 5) as usize, seed % 7))
-            .with_workers(1 + (seed % 3) as usize)
-            .with_prewarm(seed % 2 == 0);
+            .with_workers(1 + (seed % 3) as usize);
         let tight = serve_trace(base.clone().with_chips(vec![footprint / 2]), &specs, seed);
         let unbounded = serve_trace(base.with_chips(vec![usize::MAX]), &specs, seed);
         prop_assert_eq!(outputs(&tight.0), outputs(&unbounded.0));
@@ -121,13 +119,12 @@ proptest! {
         let dual = ServeConfig::new(device.clone())
             .with_policy(BatchPolicy::new(1 + (seed % 5) as usize, seed % 7))
             .with_chips(vec![per_chip, per_chip])
-            .with_placement(placement)
-            .with_prewarm(seed % 3 == 0);
+            .with_placement(placement);
         let serial = serve_trace(dual.clone().with_workers(1), &specs, seed);
         let wide = serve_trace(dual.clone().with_workers(3), &specs, seed);
         // The worker count only picks threads: completions, their order
-        // and every counter (evictions, migrations, placement, prewarms)
-        // are the same.
+        // and every counter (evictions, migrations, placement) are the
+        // same.
         prop_assert_eq!(&serial, &wide);
         // The same trace on one big chip answers identically: sharding
         // (and any migration/eviction it causes) never touches results.

@@ -54,24 +54,17 @@ fn outputs(completions: &[Completion]) -> Vec<(u64, Vec<i64>)> {
 
 #[test]
 fn concurrent_batched_equals_serial_replay_noisy() {
-    let serial = run_trace(|c| {
-        c.with_policy(BatchPolicy::SINGLE)
-            .with_workers(1)
-            .with_prewarm(false)
-    });
+    let serial = run_trace(|c| c.with_policy(BatchPolicy::SINGLE).with_workers(1));
     for (workers, max_batch, max_wait) in [(1, 16, 8), (2, 4, 2), (4, 16, 16), (0, 8, 4)] {
-        for prewarm in [false, true] {
-            let concurrent = run_trace(|c| {
-                c.with_policy(BatchPolicy::new(max_batch, max_wait))
-                    .with_workers(workers)
-                    .with_prewarm(prewarm)
-            });
-            assert_eq!(
-                outputs(&concurrent),
-                outputs(&serial),
-                "workers={workers} batch={max_batch} wait={max_wait} prewarm={prewarm}"
-            );
-        }
+        let concurrent = run_trace(|c| {
+            c.with_policy(BatchPolicy::new(max_batch, max_wait))
+                .with_workers(workers)
+        });
+        assert_eq!(
+            outputs(&concurrent),
+            outputs(&serial),
+            "workers={workers} batch={max_batch} wait={max_wait}"
+        );
     }
 }
 
@@ -79,80 +72,11 @@ fn concurrent_batched_equals_serial_replay_noisy() {
 fn eviction_pressure_never_changes_results() {
     let roomy = run_trace(|c| c.with_workers(2));
     // 80k cells hold roughly one resident model of the three: every model
-    // switch evicts and reprograms, results must not move — with the
-    // pipelined prewarm stage on or off, serial or concurrent.
-    for prewarm in [false, true] {
-        for workers in [1, 2] {
-            let tight = run_trace(|c| {
-                c.with_workers(workers)
-                    .with_cache_budget(80_000)
-                    .with_prewarm(prewarm)
-            });
-            assert_eq!(
-                outputs(&tight),
-                outputs(&roomy),
-                "workers={workers} prewarm={prewarm}"
-            );
-        }
-    }
-}
-
-/// The pipelined prewarm stage may only move programming work off the
-/// execution path — the engine's eviction sequence (count and final
-/// occupancy) must be identical with it on or off, for roomy and tight
-/// budgets alike.
-#[test]
-fn prewarm_preserves_eviction_sequence() {
-    for budget in [usize::MAX, 200_000, 80_000] {
-        let mut evictions = Vec::new();
-        let mut occupancy = Vec::new();
-        for prewarm in [false, true] {
-            let device = SimConfig::noisy(64, 64).with_seed(77).with_threads(1);
-            let mut engine = ServeEngine::new(
-                ServeConfig::new(device)
-                    .with_cache_budget(budget)
-                    .with_prewarm(prewarm)
-                    .with_workers(1),
-            );
-            let lenet = engine.admit(catalog::lenet5_model()).unwrap();
-            let vgg = engine.admit(catalog::vgg16_conv_sample()).unwrap();
-            let mobile = engine.admit(catalog::mobilenet_sample()).unwrap();
-            let load = OpenLoop {
-                mix: vec![
-                    MixEntry {
-                        model: lenet,
-                        weight: 1,
-                    },
-                    MixEntry {
-                        model: vgg,
-                        weight: 1,
-                    },
-                    MixEntry {
-                        model: mobile,
-                        weight: 2,
-                    },
-                ],
-                requests: 12,
-                interarrival: 1,
-                seed: 5,
-                deadline_slack: None,
-            };
-            for request in load.trace(|m| engine.input_shape(m)) {
-                engine.try_submit(request).expect("valid request");
-            }
-            engine.drain_traced();
-            let stats = engine.stats();
-            evictions.push(stats.evictions);
-            occupancy.push(stats.occupancy_cells);
-        }
-        assert_eq!(
-            evictions[0], evictions[1],
-            "budget={budget}: prewarm changed the eviction count"
-        );
-        assert_eq!(
-            occupancy[0], occupancy[1],
-            "budget={budget}: prewarm changed the final occupancy"
-        );
+    // switch evicts and reprograms, results must not move — serial or
+    // concurrent.
+    for workers in [1, 2] {
+        let tight = run_trace(|c| c.with_workers(workers).with_cache_budget(80_000));
+        assert_eq!(outputs(&tight), outputs(&roomy), "workers={workers}");
     }
 }
 

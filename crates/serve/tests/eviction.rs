@@ -66,41 +66,17 @@ fn budget_exactly_at_joint_footprint_keeps_both_models_resident() {
 
     // One cell short: the models can no longer coexist. Round 1 evicts A
     // when B lands; every later round recompiles each model and evicts
-    // the other — two evictions per round. The pipelined prewarm stage
-    // must not change that eviction sequence: under the tight budget its
-    // guard refuses every prewarm except the very first fill (nothing
-    // else is resident yet), so only the *attribution* of A's first
-    // compile moves (off-path fill → A's first round hits instead of
-    // missing). Work and evictions are identical.
-    for prewarm in [false, true] {
-        let device = SimConfig::ideal(64, 64).with_threads(1);
-        let mut engine = ServeEngine::new(
-            ServeConfig::new(device)
-                .with_cache_budget(fa + fb - 1)
-                .with_policy(BatchPolicy::SINGLE)
-                .with_prewarm(prewarm),
-        );
-        let a = engine.admit(catalog::vgg16_conv_sample()).unwrap();
-        let b = engine.admit(catalog::mobilenet_sample()).unwrap();
-        serve_three_rounds(&mut engine, a, b);
-        let stats = engine.stats();
-        assert_eq!(
-            stats.evictions, 5,
-            "prewarm={prewarm}: 1 eviction in round 1, then 2 per round"
-        );
-        assert!(stats.occupancy_cells < fa + fb);
-        if prewarm {
-            assert!(
-                stats.models[a.0].cache.hits > 0,
-                "the fill stage programs A off-path, so its first round hits"
-            );
-            assert_eq!(stats.prewarms, 1, "the budget guard blocks later stages");
-        } else {
-            assert_eq!(stats.models[a.0].cache.hits, 0, "A never survives to hit");
-            assert_eq!(stats.prewarms, 0);
-        }
-        assert_eq!(stats.models[b.0].cache.hits, 0, "B never survives to hit");
-    }
+    // the other — two evictions per round.
+    let (mut engine, a, b) = engine_with(fa + fb - 1, BatchPolicy::SINGLE);
+    serve_three_rounds(&mut engine, a, b);
+    let stats = engine.stats();
+    assert_eq!(
+        stats.evictions, 5,
+        "1 eviction in round 1, then 2 per round"
+    );
+    assert!(stats.occupancy_cells < fa + fb);
+    assert_eq!(stats.models[a.0].cache.hits, 0, "A never survives to hit");
+    assert_eq!(stats.models[b.0].cache.hits, 0, "B never survives to hit");
 }
 
 #[test]
@@ -144,7 +120,10 @@ fn batching_amortizes_reprogramming_under_a_tight_budget() {
         "batched dispatch amortizes: {} evictions",
         batched.evictions
     );
-    assert!(batched.hit_rate() > thrash.hit_rate());
+    // Under this budget every batch is its model's first since an
+    // eviction, so neither policy ever hits: batching saves lookups, not
+    // hit rate.
+    assert_eq!((thrash.hit_rate(), batched.hit_rate()), (0.0, 0.0));
     let thrash_misses: u64 = thrash.models.iter().map(|m| m.cache.misses).sum();
     let batched_misses: u64 = batched.models.iter().map(|m| m.cache.misses).sum();
     assert!(

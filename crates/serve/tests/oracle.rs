@@ -20,19 +20,16 @@ proptest! {
         ];
         let device = SimConfig::ideal(32, 16).with_seed(seed).with_threads(1);
 
-        // Random policy, worker count, budget pressure, and pipelined
-        // prewarm stage.
+        // Random policy, worker count and budget pressure.
         let max_batch = 1 + (seed % 5) as usize;
         let max_wait = seed % 7;
         let workers = 1 + (seed % 3) as usize;
         let budget = if seed % 2 == 0 { usize::MAX } else { 4_000 };
-        let prewarm = seed % 3 == 0;
         let mut engine = ServeEngine::new(
             ServeConfig::new(device.clone())
                 .with_policy(BatchPolicy::new(max_batch, max_wait))
                 .with_workers(workers)
-                .with_cache_budget(budget)
-                .with_prewarm(prewarm),
+                .with_cache_budget(budget),
         );
         let ids: Vec<ModelId> = specs
             .iter()

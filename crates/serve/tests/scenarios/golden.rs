@@ -11,6 +11,12 @@
 //! Cache hits and misses are deliberately not pinned: they count work
 //! (when a marked tile is re-derived), not decisions.
 //!
+//! Recal racing a kill was re-recorded when the drain's prewarm stage
+//! was deleted: that stage programmed a replicated model's primary ahead
+//! of its batches, not the replica they ran on, so the ages it pinned
+//! were the stage's. Every tile is now programmed by the batch that
+//! reads it.
+//!
 //! - **Healed / unhealed:** one aging chip, one request per drain,
 //!   recalibration on and off.
 //! - **Recal racing a kill:** three aging chips, models replicated
@@ -131,10 +137,10 @@ fn recal_racing_a_kill_matches_the_golden() {
     assert_eq!(
         aging_run(config, 4, 24, 2),
         pinned(
-            (24, 6093489138107957716),
+            (24, 9833097536056051968),
             &[],
-            &[Failed, Healthy, Healthy],
-            [8, 16, 7, 6, 0, 0, 8, 0]
+            &[Failed, Healthy, Degraded],
+            [8, 16, 7, 5, 0, 0, 8, 0]
         )
     );
 }

@@ -15,8 +15,8 @@
 //! - `faults`: failover, recovery and shedding on hand-built traces.
 //! - `drift`: aging, recalibration and healing, alone and beside kills.
 //! - `golden`: drift and fault decisions pinned to recorded values.
-//! - `llm`: token streams under worker counts, prewarm and kills, and
-//!   batch-major decode.
+//! - `llm`: token streams under worker counts and kills, and batch-major
+//!   decode.
 
 mod drift;
 mod faults;
@@ -31,8 +31,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     // Random scenarios: 2–4 small CNN models, optional llm_tiny
-    // sequences, 1–3 kills, every placement, prewarm on or off, roomy or
-    // one-model budgets, drift aging on or off, 1–3 drains.
+    // sequences, 1–3 kills, every placement, roomy or one-model budgets,
+    // drift aging on or off, 1–3 drains.
     #[test]
     fn every_scenario_keeps_its_invariants_at_one_to_four_workers(seed in 0u64..10_000) {
         Scenario::draw(seed).check()?;

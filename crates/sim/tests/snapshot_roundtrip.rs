@@ -52,12 +52,12 @@ fn snapshot_restore_forward_is_bit_exact_under_noise() {
     );
 }
 
-/// A snapshot captured *while* the pipelined prewarm stage is
-/// programming tiles on the same executor must still be a consistent
-/// image: unique tile keys, cell accounting that matches what a restore
-/// actually admits (never double-counted), and bit-exact replays. This
-/// is the recovery scenario — a failed chip's snapshot is restored onto
-/// a sibling whose prewarm pipeline is live.
+/// A snapshot captured *while* a prewarm is programming tiles on the
+/// same executor must still be a consistent image: unique tile keys,
+/// cell accounting that matches what a restore actually admits (never
+/// double-counted), and bit-exact replays. This is the recovery
+/// scenario — a snapshot taken of an executor that is still being
+/// programmed is restored onto a sibling.
 fn check_snapshot_under_concurrent_prewarm(seed: u64) -> Result<(), TestCaseError> {
     let net_a = small_network(seed);
     let net_b = small_network(seed ^ 0x5A5A);
