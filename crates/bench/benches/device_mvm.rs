@@ -10,7 +10,7 @@ use oxbar_nn::{Conv2d, TensorShape};
 use oxbar_photonics::crossbar::{CrossbarConfig, CrossbarSimulator};
 use oxbar_photonics::transfer::CompiledCrossbar;
 use oxbar_sim::tile::{run_tile_with, CompiledTile, TileDrive};
-use oxbar_sim::SimConfig;
+use oxbar_sim::{ExecArena, SimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -63,15 +63,18 @@ fn bench_full_tile(c: &mut Criterion) {
         .collect();
     let drive = TileDrive::new(tile.rows(), positive, None);
     let config = SimConfig::noisy(32, 8);
+    let mut arena = ExecArena::default();
     let mut group = c.benchmark_group("device_mvm/tile_noisy");
     group.sample_size(10);
     group.bench_function(BenchmarkId::from_parameter("field_walk"), |b| {
-        b.iter(|| black_box(run_tile_with(&tile, &drive, &config, 9)));
+        b.iter(|| black_box(run_tile_with(&tile, &drive, &config, 9, &mut arena)));
     });
     for (label, dedupe) in [("compiled", true), ("compiled_no_cache", false)] {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
-                black_box(CompiledTile::compile(&tile, &config, 9).execute(&drive, &config, dedupe))
+                let compiled = CompiledTile::compile(&tile, &config, 9);
+                compiled.execute_into(&drive, &config, dedupe, &mut arena);
+                black_box(arena.partials()[0])
             });
         });
     }

@@ -181,43 +181,49 @@ impl PcmArray {
     /// Panics if `codes` does not match the array dimensions or a code
     /// exceeds the level table.
     pub fn program_codes(&mut self, codes: &[Vec<u8>], parallelism: Parallelism) -> ProgramReport {
-        self.program_codes_impl(codes, parallelism, &mut |target| target)
-    }
-
-    /// [`PcmArray::program_codes`] with stochastic [`DeviceVariation`],
-    /// consuming `rng` in row-major written-cell order exactly like
-    /// [`PcmArray::program_with_variation`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`PcmArray::program_codes`].
-    pub fn program_codes_with_variation<R: Rng + ?Sized>(
-        &mut self,
-        codes: &[Vec<u8>],
-        parallelism: Parallelism,
-        variation: &DeviceVariation,
-        rng: &mut R,
-    ) -> ProgramReport {
-        self.program_codes_impl(codes, parallelism, &mut |target| {
-            variation.apply_program(target, 0.0, rng)
-        })
+        assert_eq!(codes.len(), self.rows, "expected {} code rows", self.rows);
+        let max_code = self.table.max_code();
+        let mut tally = ProgramTally::default();
+        for (i, row) in codes.iter().enumerate() {
+            assert_eq!(
+                row.len(),
+                self.cols,
+                "code row {i} must have {} cols",
+                self.cols
+            );
+            for (j, &code) in row.iter().enumerate() {
+                assert!(
+                    u16::from(code) <= max_code,
+                    "code {code} exceeds the {max_code}-level table"
+                );
+                let target_fraction = self.table.fraction_for_code(u16::from(code));
+                let cell = &mut self.cells[i * self.cols + j];
+                let unchanged = (cell.crystalline_fraction() - target_fraction).abs() < 1e-12;
+                let written = !(self.delta_programming && unchanged);
+                if written {
+                    cell.set_crystalline_fraction(target_fraction);
+                }
+                tally.cell(written);
+            }
+            tally.end_row();
+        }
+        tally.report(parallelism)
     }
 
     /// One-shot *noisy* program-and-readout: the `(transmissions,
-    /// report)` a pristine array of `device` cells would produce after
-    /// [`Self::program_codes_with_variation`] (or plain
-    /// [`Self::program_codes`] without `variation`) followed by
-    /// [`Self::drifted_transmissions`] (or [`Self::transmissions`]
-    /// without `drift`), computed in one row-major pass without
-    /// materializing any per-cell array state.
+    /// report)` of a pristine array of `device` cells programmed to
+    /// `codes` (each written cell with a `variation` draw, if given) and
+    /// read back (after `drift`, if given), computed in one row-major
+    /// pass without materializing any per-cell array state.
     ///
-    /// Value-identical to the multi-step path: the RNG is consumed in the
-    /// same written-cell order, the delta-programming skip rule is
-    /// unchanged, and every per-cell float op runs in the same order on
-    /// the same inputs ([`CellWrite`]). What it removes is the
-    /// `rows × cols` cell allocation and the extra passes. Without
-    /// variation every cell of a code reads the same, so the pass costs
-    /// one read per code, not per cell.
+    /// Every cell is written and read through the [`CellWrite`] rule the
+    /// device-level tile compile shares: the RNG is consumed in
+    /// row-major written-cell order, and a code whose target is the
+    /// pristine state is skipped (delta programming). Without variation
+    /// or drift the result equals [`Self::program_codes`] on a pristine
+    /// array of `device` followed by [`Self::transmissions`], report
+    /// included. Without variation every cell of a code reads the same,
+    /// so the pass costs one read per code, not per cell.
     ///
     /// # Panics
     ///
@@ -254,41 +260,6 @@ impl PcmArray {
             })
             .collect();
         (transmissions, tally.report(parallelism))
-    }
-
-    fn program_codes_impl(
-        &mut self,
-        codes: &[Vec<u8>],
-        parallelism: Parallelism,
-        achieved: &mut dyn FnMut(f64) -> f64,
-    ) -> ProgramReport {
-        assert_eq!(codes.len(), self.rows, "expected {} code rows", self.rows);
-        let max_code = self.table.max_code();
-        let mut tally = ProgramTally::default();
-        for (i, row) in codes.iter().enumerate() {
-            assert_eq!(
-                row.len(),
-                self.cols,
-                "code row {i} must have {} cols",
-                self.cols
-            );
-            for (j, &code) in row.iter().enumerate() {
-                assert!(
-                    u16::from(code) <= max_code,
-                    "code {code} exceeds the {max_code}-level table"
-                );
-                let target_fraction = self.table.fraction_for_code(u16::from(code));
-                let cell = &mut self.cells[i * self.cols + j];
-                let unchanged = (cell.crystalline_fraction() - target_fraction).abs() < 1e-12;
-                let written = !(self.delta_programming && unchanged);
-                if written {
-                    cell.set_crystalline_fraction(achieved(target_fraction));
-                }
-                tally.cell(written);
-            }
-            tally.end_row();
-        }
-        tally.report(parallelism)
     }
 
     /// Programs the array like [`PcmArray::program`], but each pulse lands

@@ -97,7 +97,8 @@ impl fmt::Display for ChipHealth {
 /// at the same points on every run and at every worker count. A kill at
 /// round `r` lands just before the `r`-th dispatched batch. PCM is
 /// non-volatile, so a killed chip's programmed state stays readable for
-/// [`Cluster::recover`]. The [`Default`] plan kills nothing.
+/// the snapshot/restore recovery of its models. The [`Default`] plan
+/// kills nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     kills: Vec<ChipKill>,
@@ -300,7 +301,7 @@ pub struct Cluster {
     /// Wall-clock milliseconds spent in snapshot/restore recoveries
     /// (observational only — never feeds back into scheduling).
     recovery_ms: f64,
-    /// Tiles [`Self::prewarm`] has compiled, over every residency.
+    /// Tiles [`Self::prewarm`] has programmed, over every residency.
     prewarmed_tiles: AtomicU64,
 }
 
@@ -313,7 +314,7 @@ impl Cluster {
     ///
     /// Panics if `chip_budgets` is empty.
     #[must_use]
-    pub fn new(base: SimConfig, chip_budgets: &[usize], placement: PlacementPolicy) -> Self {
+    pub(crate) fn new(base: SimConfig, chip_budgets: &[usize], placement: PlacementPolicy) -> Self {
         assert!(!chip_budgets.is_empty(), "a cluster has at least one chip");
         Self {
             drift_budget: DeviceExecutor::new(base.clone()).drift_budget_ticks(),
@@ -333,7 +334,7 @@ impl Cluster {
 
     /// Kills chips on `plan`'s schedule (see [`Self::chip_health`]).
     #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+    pub(crate) fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
     }
@@ -400,7 +401,7 @@ impl Cluster {
     ///
     /// Returns [`AdmitError`] if the network is residual or the filter
     /// banks do not cover its conv-like layers.
-    pub fn admit(&mut self, spec: ModelSpec) -> Result<ModelId, AdmitError> {
+    pub(crate) fn admit(&mut self, spec: ModelSpec) -> Result<ModelId, AdmitError> {
         Self::validate(&spec)?;
         let footprint = self.footprint_of(&spec);
         let chips = self
@@ -417,7 +418,7 @@ impl Cluster {
     ///
     /// Returns [`AdmitError`] for residual networks, uncovered filter
     /// banks, or a footprint no chip can commit to.
-    pub fn admit_strict(&mut self, spec: ModelSpec) -> Result<ModelId, AdmitError> {
+    pub(crate) fn admit_strict(&mut self, spec: ModelSpec) -> Result<ModelId, AdmitError> {
         Self::validate(&spec)?;
         let footprint = self.footprint_of(&spec);
         match self.place(footprint) {
@@ -534,46 +535,42 @@ impl Cluster {
     }
 
     /// Marks `id` as the most recently used model (LRU bookkeeping).
-    pub fn touch(&mut self, id: ModelId) {
+    pub(crate) fn touch(&mut self, id: ModelId) {
         self.lru += 1;
         self.entries[id.0].last_use = self.lru;
     }
 
-    /// Programs + compiles the missing tiles of every residency of `id`
-    /// ([`DeviceExecutor::prewarm`]) ahead of the traffic that would
-    /// otherwise program them batch by batch, and returns how many it
-    /// compiled (also counted in [`crate::EngineStats::prewarmed_tiles`]).
-    /// A deployment step: the engine never calls it. It does not check
-    /// any chip's budget, so warming more than a chip holds leaves that
-    /// chip over budget until the budget pass after the next dispatched
-    /// round migrates or evicts.
+    /// Programs every residency of `id` ahead of its traffic with one
+    /// discarded zero-input forward each, which claims every tile through
+    /// the forward's single-flight path and warms the executor's arena
+    /// pool (a discarded execution changes no later result). Returns the
+    /// tiles programmed, the misses those forwards add (also counted in
+    /// [`crate::EngineStats::prewarmed_tiles`]): each missing, stale or
+    /// overflow tile once, none for a warm residency. A deployment step:
+    /// the engine never calls it. It checks no budget, so warming more
+    /// than a chip holds leaves that chip over budget until the budget
+    /// pass after the next dispatched round migrates or evicts.
     pub fn prewarm(&self, id: ModelId) -> usize {
         let spec = &self.entries[id.0].spec;
-        let compiled: usize = self.entries[id.0]
+        let shape = spec.network.input();
+        let zeros = oxbar_nn::reference::Tensor3::new(shape, vec![0; shape.elements()]);
+        let programmed: u64 = self.entries[id.0]
             .residencies
             .iter()
             .map(|r| {
-                let compiled = r.executor.prewarm(&spec.network, &spec.filters);
-                if compiled > 0 {
-                    // One discarded zero-input forward warms the
-                    // executor's arena pool and pages the freshly
-                    // compiled gain matrices in, so the model's first
-                    // real batch runs at steady-state speed. Executions
-                    // are pure functions of their inputs — a discarded
-                    // one cannot change any later result.
-                    let shape = spec.network.input();
-                    let zeros = oxbar_nn::reference::Tensor3::new(shape, vec![0; shape.elements()]);
-                    let _ = r.executor.forward(&spec.network, &zeros, &spec.filters);
-                }
-                compiled
+                let before = r.executor.cache_stats().misses;
+                r.executor
+                    .try_forward_batch(&spec.network, &[&zeros], &spec.filters)
+                    .expect("`Cluster::validate` admits no residual network");
+                r.executor.cache_stats().misses - before
             })
             .sum();
         self.prewarmed_tiles
-            .fetch_add(compiled as u64, Ordering::Relaxed);
-        compiled
+            .fetch_add(programmed, Ordering::Relaxed);
+        programmed as usize
     }
 
-    /// Tiles [`Self::prewarm`] has compiled since the cluster was
+    /// Tiles [`Self::prewarm`] has programmed since the cluster was
     /// created, summed over every residency it warmed.
     pub(crate) fn prewarmed_tiles(&self) -> u64 {
         self.prewarmed_tiles.load(Ordering::Relaxed)
@@ -592,7 +589,7 @@ impl Cluster {
     /// target, so the pass only evicts. Chips failed at `dispatched` are
     /// skipped entirely: they serve nothing, and their non-volatile state
     /// is left intact for recovery.
-    pub fn enforce_budget(&mut self, dispatched: u64) -> usize {
+    pub(crate) fn enforce_budget(&mut self, dispatched: u64) -> usize {
         let mut evicted = 0;
         let mut moved: HashSet<(usize, usize)> = HashSet::new();
         while let Some(chip) = (0..self.chips.len()).find(|&c| {
@@ -810,13 +807,13 @@ impl Cluster {
     }
 
     /// Records one fault-driven batch retry against `chip`.
-    pub fn note_retry(&mut self, chip: ChipId) {
+    pub(crate) fn note_retry(&mut self, chip: ChipId) {
         self.chips[chip.0].retries += 1;
     }
 
     /// Records one shed request against `chip` (the chip whose failure
     /// forced the shed).
-    pub fn note_shed(&mut self, chip: ChipId) {
+    pub(crate) fn note_shed(&mut self, chip: ChipId) {
         self.chips[chip.0].sheds += 1;
     }
 
@@ -833,7 +830,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `id` was not issued by this cluster.
-    pub fn recover(&mut self, id: ModelId, dispatched: u64) -> Option<ChipId> {
+    pub(crate) fn recover(&mut self, id: ModelId, dispatched: u64) -> Option<ChipId> {
         let dest = (0..self.chips.len())
             .filter(|&c| self.serves(c, dispatched))
             .min_by_key(|&c| (self.chips[c].committed_cells, c))?;
@@ -1181,6 +1178,37 @@ mod tests {
                     .output
             };
             assert_eq!(run(&cluster), run(&cold), "{chip:?}");
+        }
+    }
+
+    #[test]
+    fn prewarm_misses_each_tile_once_and_hits_nothing() {
+        let config = SimConfig::noisy(128, 128).with_threads(1);
+        let spec = lenet_spec(1);
+        let lone = DeviceExecutor::new(config.clone());
+        let input = synthetic::activations(spec.network.input(), 6, 3);
+        lone.forward(&spec.network, &input, &spec.filters).unwrap();
+        let tiles = lone.cache_stats().misses;
+        let footprint = lone.model_footprint_cells(&spec.network);
+        // Chips that hold the model, then chips that hold half of it: an
+        // overflow tile the budget refuses is still programmed once.
+        for budget in [100_000, footprint / 2] {
+            let mut cluster = Cluster::new(
+                config.clone(),
+                &[budget, budget],
+                PlacementPolicy::Replicated(2),
+            );
+            let a = cluster.admit(lenet_spec(1)).unwrap();
+            assert_eq!(cluster.prewarm(a), 2 * tiles as usize, "budget {budget}");
+            assert_eq!(cluster.prewarmed_tiles(), 2 * tiles, "budget {budget}");
+            for chip in [ChipId(0), ChipId(1)] {
+                let cache = cluster.executor_on(a, chip).unwrap().cache_stats();
+                assert_eq!(
+                    (cache.hits, cache.misses),
+                    (0, tiles),
+                    "budget {budget}, {chip:?}: prewarm adds no hit"
+                );
+            }
         }
     }
 

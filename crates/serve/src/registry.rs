@@ -46,7 +46,7 @@ pub enum AdmitError {
     /// Strict placement found too few chips with committed room for the
     /// model — replicated policies need `replicas` *distinct* chips, each
     /// with room for a full copy (see
-    /// [`Cluster::admit_strict`](crate::cluster::Cluster::admit_strict)).
+    /// [`ServeEngine::admit_strict`](crate::ServeEngine::admit_strict)).
     Capacity {
         /// The model's full weight-stationary footprint, in cells
         /// (per chip copy).

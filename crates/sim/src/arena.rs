@@ -95,15 +95,11 @@ impl Default for ExecArena {
 
 impl ExecArena {
     /// The per-pixel signed partials the last
-    /// [`crate::tile::CompiledTile::execute_into`] wrote, as a flat
-    /// `pixels × cols` row-major matrix.
+    /// [`crate::tile::CompiledTile::execute_into`] (or field-walk
+    /// [`crate::tile::run_tile_with`]) wrote, as a flat `pixels × cols`
+    /// row-major matrix.
     #[must_use]
     pub fn partials(&self) -> &[i64] {
         &self.partials
-    }
-
-    /// Rows of [`Self::partials`], one `cols`-long slice per pixel.
-    pub fn partial_rows(&self, cols: usize) -> impl Iterator<Item = &[i64]> {
-        self.partials.chunks_exact(cols)
     }
 }

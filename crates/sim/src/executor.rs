@@ -172,6 +172,8 @@ const DYNAMIC_STAGE_BASE: usize = 1 << 20;
 /// batch of *n* counts one hit or miss per tile, not *n*; a decode batch
 /// ([`crate::llm::lm_steps`]) follows the same rule for its static
 /// projections, and its dynamic attention tiles are never looked up.
+/// Programming ahead of traffic is one such forward, so it counts one
+/// miss per tile it programs and no hit on a fresh executor.
 /// Counters accumulate from executor creation (or the last
 /// [`DeviceExecutor::clear_cache`], which resets occupancy but *not* the
 /// counters — eviction under a serving budget is itself a cache event
@@ -256,25 +258,6 @@ struct NoiseMemo {
     /// Cells of the overflow tiles whose draws `draws` holds; at most
     /// the executor's cell budget.
     overflow_cells: usize,
-}
-
-/// A resident cache entry, as a claim rule in
-/// [`DeviceExecutor::resolve_tile`] sees it.
-struct Resident<'a> {
-    tile: &'a Arc<CompiledTile>,
-    /// The tile's current age when its compiled state was derived at
-    /// another one (aging active only): the age a re-derivation targets.
-    stale: Option<u64>,
-}
-
-/// A claim rule's verdict on one key.
-enum Claim {
-    /// Serve the resident entry (counts a hit).
-    Hit(Arc<CompiledTile>),
-    /// Program the tile at this age in ticks (counts a miss).
-    Program(u64),
-    /// Leave the key as it is (counts nothing).
-    Skip,
 }
 
 /// A key this thread claimed for programming. Dropping it — after the
@@ -439,11 +422,15 @@ impl DeviceExecutor {
     /// The one path that programs a tile or writes the tile cache.
     ///
     /// **Claim:** under the cache lock, wait out any in-flight compile of
-    /// `key`, then let `rule` judge what is resident. A
-    /// [`Claim::Program`] marks the key in flight and counts the miss, so
-    /// concurrent callers single-flight: exactly one programs the key,
-    /// the rest wait and judge the installed entry, and the counters are
-    /// a deterministic function of the workload, not of thread timing.
+    /// `key`, then judge what is resident. A resident tile that `matches`
+    /// (a forward's slice compare against the filter bank, no tile
+    /// materialization) and is not stale is a hit. Otherwise the key is
+    /// marked in flight and the miss counted: a stale tile re-derives at
+    /// its current age, an absent (or differently weighted) one programs
+    /// at age 0. Concurrent callers single-flight: exactly one programs
+    /// the key, the rest wait and judge the installed entry, and the
+    /// counters are a deterministic function of the workload, not of
+    /// thread timing.
     /// **Compile:** program the column-major codes and row count `codes`
     /// returns at the claimed age, with the remembered draws of the
     /// tile's seed when the memo holds them and fresh draws otherwise
@@ -451,16 +438,17 @@ impl DeviceExecutor {
     /// **Install:** replace the resident entry, admit the new one while
     /// the cell budget allows, and stamp its age. When the budget refuses
     /// a compile from fresh draws, remember them: the tile overflows, so
-    /// its next read programs it again. Then wake the waiters.
+    /// its next read programs it again (a zero-budget cache retains
+    /// nothing, so its waiters re-miss, like the serial cold path). Then
+    /// wake the waiters.
     ///
-    /// Returns the hit or the fresh compile (admitted or not), or `None`
-    /// when the rule skips the key.
+    /// Returns the hit or the fresh compile, admitted or not.
     fn resolve_tile(
         &self,
         key: (usize, usize),
-        rule: impl FnOnce(Option<Resident<'_>>) -> Claim,
+        matches: impl FnOnce(&CompiledTile) -> bool,
         codes: impl FnOnce() -> (Vec<i8>, usize),
-    ) -> Option<Arc<CompiledTile>> {
+    ) -> Arc<CompiledTile> {
         let aging = self.aging_active();
         let clock = self.clock.load(Ordering::Relaxed);
         let age = {
@@ -471,27 +459,24 @@ impl DeviceExecutor {
             // The INT6 codes cannot reveal a stale drift derivation — the
             // array state is unchanged — so staleness is tracked per key,
             // as a pure function of the round clock.
-            let resident = cache.tiles.get(&key).map(|tile| Resident {
-                tile,
-                stale: cache
-                    .ages
-                    .get(&key)
-                    .map(|a| (a.derived_age, clock.saturating_sub(a.programmed_at)))
-                    .filter(|&(derived, current)| aging && derived != current)
-                    .map(|(_, current)| current),
-            });
-            match rule(resident) {
-                Claim::Hit(hit) => {
+            let stale = cache
+                .ages
+                .get(&key)
+                .map(|a| (a.derived_age, clock.saturating_sub(a.programmed_at)))
+                .filter(|&(derived, current)| aging && derived != current)
+                .map(|(_, current)| current);
+            let age = match (cache.tiles.get(&key).filter(|tile| matches(tile)), stale) {
+                (Some(tile), None) => {
+                    let hit = Arc::clone(tile);
                     cache.hits += 1;
-                    return Some(hit);
+                    return hit;
                 }
-                Claim::Skip => return None,
-                Claim::Program(age) => {
-                    cache.in_flight.insert(key);
-                    cache.misses += 1;
-                    age
-                }
-            }
+                (Some(_), Some(current)) => current,
+                (None, _) => 0,
+            };
+            cache.in_flight.insert(key);
+            cache.misses += 1;
+            age
         };
         let claimed = Claimed { exec: self, key };
         let (values, rows) = codes();
@@ -543,34 +528,7 @@ impl DeviceExecutor {
             self.remember_overflow(seed, cells, noise);
         }
         drop(claimed);
-        Some(compiled)
-    }
-
-    /// The compiled state a forward pass drives one tile through: a
-    /// validated cache hit (a straight slice compare against the filter
-    /// bank, no tile materialization), a re-derivation of a stale
-    /// resident tile at its current age, or a fresh program of an absent
-    /// (or differently weighted) tile. A zero-budget cache cannot retain
-    /// the compiled entry; its waiters re-miss by design, matching the
-    /// serial cold path.
-    fn compiled_tile(
-        &self,
-        layer_index: usize,
-        tile_index: usize,
-        tiles: &WeightTiles<'_>,
-        geom: &TileGeometry,
-    ) -> Arc<CompiledTile> {
-        self.resolve_tile(
-            (layer_index, tile_index),
-            |resident| match resident {
-                Some(r) if r.tile.matches_bank(tiles, geom) => r
-                    .stale
-                    .map_or_else(|| Claim::Hit(Arc::clone(r.tile)), Claim::Program),
-                _ => Claim::Program(0),
-            },
-            || bank_codes(tiles, geom),
-        )
-        .expect("the forward rule never skips")
+        compiled
     }
 
     /// Overrides the weight-stationary cache's cell budget (the default is
@@ -585,11 +543,10 @@ impl DeviceExecutor {
     /// A snapshot of the tile cache's counters and occupancy.
     ///
     /// Hit/miss counts are exact under serial *and* parallel execution:
-    /// every writer — forward passes, [`Self::prewarm`] and
-    /// [`Self::restore_at`] — claims tiles through one single-flight
-    /// path, so a missing tile is one miss however many workers race to
-    /// it, and the counters are a deterministic function of the
-    /// workload.
+    /// both writers — forward passes and [`Self::restore_at`] — claim
+    /// tiles through one single-flight path, so a missing tile is one
+    /// miss however many workers race to it, and the counters are a
+    /// deterministic function of the workload.
     ///
     /// # Panics
     ///
@@ -794,7 +751,7 @@ impl DeviceExecutor {
     }
 
     /// [`Self::conv_pixels_flat`] for a batch of inputs, tile-major: each
-    /// tile job resolves its tile once ([`Self::compiled_tile`]) and
+    /// tile job resolves its tile once ([`Self::resolve_tile`]) and
     /// drives every input's windows through it before the next tile, so
     /// at most one uncached compiled tile per worker is alive at a time.
     /// Returns one `(values, stats)` per input, each byte-identical to a
@@ -875,8 +832,13 @@ impl DeviceExecutor {
                 let seed = tile_seed(self.config.seed, layer_index, tile_index);
                 // The oracle engine stays cache-free: it is the baseline
                 // the compiled path is benchmarked and validated against.
-                let compiled = (self.engine != MvmEngine::FieldWalk)
-                    .then(|| self.compiled_tile(layer_index, tile_index, &tiles, geom));
+                let compiled = (self.engine != MvmEngine::FieldWalk).then(|| {
+                    self.resolve_tile(
+                        (layer_index, tile_index),
+                        |tile| tile.matches_bank(&tiles, geom),
+                        || bank_codes(&tiles, geom),
+                    )
+                });
                 let mut program = compiled.as_ref().map(|c| c.program());
                 let mut arena = self.checkout_arena();
                 let mut drive = std::mem::replace(&mut arena.drive, TileDrive::empty());
@@ -899,13 +861,9 @@ impl DeviceExecutor {
                     if let Some(compiled) = &compiled {
                         compiled.execute_into(&drive, &self.config, true, &mut arena);
                     } else {
-                        let outcome =
-                            run_tile_with(&tiles.tile(tile_index), &drive, &self.config, seed);
-                        arena.partials.clear();
-                        for per_col in &outcome.partials {
-                            arena.partials.extend_from_slice(per_col);
-                        }
-                        program = Some(outcome.program);
+                        let tile = tiles.tile(tile_index);
+                        program =
+                            Some(run_tile_with(&tile, &drive, &self.config, seed, &mut arena));
                     }
                     // Partial rows are input-major, so this call's rows
                     // continue the lanes' slot numbering.
@@ -1080,9 +1038,7 @@ impl DeviceExecutor {
                         );
                     } else {
                         let tile = WeightTiles::new(&conv, rows, &plan).tile(tile_index);
-                        let outcome = run_tile_with(&tile, &tile_drive, &self.config, seed);
-                        arena.partials.clear();
-                        arena.partials.extend_from_slice(&outcome.partials[0]);
+                        run_tile_with(&tile, &tile_drive, &self.config, seed, &mut arena);
                     }
                     for (lane, &v) in outputs[s][base..][..geom.cols]
                         .iter_mut()
@@ -1146,10 +1102,11 @@ impl DeviceExecutor {
     }
 
     /// The full weight-stationary footprint of a model on this
-    /// executor's array geometry, in crossbar cells — what
-    /// [`Self::prewarm`] makes resident. Computed from the fold plans
-    /// alone (no weights touched), so serving schedulers can budget-check
-    /// a prewarm before spending any programming work.
+    /// executor's array geometry, in crossbar cells — what a forward
+    /// pass leaves resident when the cell budget holds it all. Computed
+    /// from the fold plans alone (no weights touched), so serving
+    /// schedulers can budget-check a placement before spending any
+    /// programming work.
     #[must_use]
     pub fn model_footprint_cells(&self, network: &Network) -> usize {
         let cpo = self.config.mapping.columns_per_output();
@@ -1174,69 +1131,6 @@ impl DeviceExecutor {
                 )
             })
             .sum()
-    }
-
-    /// Eagerly programs and compiles a model's full tile set into the
-    /// weight-stationary cache — the programming work a cold forward pass
-    /// would otherwise pay on its blocking path. Each layer's tiles are
-    /// claimed across the config's worker threads
-    /// ([`oxbar_core::dse::parallel_map`]) through the same single-flight
-    /// path and cell budget as a forward pass, so a prewarm racing a
-    /// forward still programs each tile once. A tile is programmed only
-    /// when it is absent or holds other weights; a resident tile, stale
-    /// or not, is left to the forward path and not counted. Returns the
-    /// number of tiles compiled (zero when the model is already
-    /// resident).
-    ///
-    /// Serving engines call this for the *next* model in the queue while
-    /// the current batch executes, which moves PCM programming off the
-    /// serving critical path entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `filters` does not cover every conv-like layer.
-    pub fn prewarm(&self, network: &Network, filters: &[FilterBank]) -> usize {
-        let mut compiled = 0;
-        let mut conv_idx = 0;
-        for (layer_idx, layer) in network.layers().iter().enumerate() {
-            let dense_conv;
-            let conv: &Conv2d = match layer {
-                Layer::Conv2d(c) => c,
-                Layer::Dense(d) => {
-                    dense_conv = d.as_conv();
-                    &dense_conv
-                }
-                _ => continue,
-            };
-            assert!(
-                conv_idx < filters.len(),
-                "missing filter bank for `{}`",
-                conv.name
-            );
-            let plan = FoldPlan::plan(
-                conv,
-                self.config.array_rows,
-                self.config.array_cols,
-                self.config.mapping.columns_per_output(),
-            );
-            let tiles = WeightTiles::new(conv, &filters[conv_idx].weights, &plan);
-            conv_idx += 1;
-            let geoms: Vec<TileGeometry> = tiles.geometries().collect();
-            compiled += parallel_map(&geoms, self.config.threads, |tile_index, geom| {
-                self.resolve_tile(
-                    (layer_idx, tile_index),
-                    |resident| match resident {
-                        Some(r) if r.tile.matches_bank(&tiles, geom) => Claim::Skip,
-                        _ => Claim::Program(0),
-                    },
-                    || bank_codes(&tiles, geom),
-                )
-            })
-            .iter()
-            .flatten()
-            .count();
-        }
-        compiled
     }
 
     /// Captures the executor's programmed tile state as a serializable
@@ -1304,13 +1198,12 @@ impl DeviceExecutor {
         let exec = Self::new(snapshot.config.clone()).with_cache_budget(snapshot.cache_budget);
         exec.set_clock(clock);
         for snap in &snapshot.tiles {
-            let compiled = exec
-                .resolve_tile(
-                    (snap.layer, snap.tile),
-                    |_| Claim::Program(0),
-                    || (snap.values.clone(), snap.rows),
-                )
-                .expect("every snapshot tile is programmed");
+            // A fresh executor holds nothing, so every tile programs.
+            let compiled = exec.resolve_tile(
+                (snap.layer, snap.tile),
+                |_| false,
+                || (snap.values.clone(), snap.rows),
+            );
             assert_eq!(
                 (snap.seed, snap.program),
                 (

@@ -46,10 +46,10 @@
 //! speedup).
 //!
 //! The warm path is **allocation-free**: every per-execution buffer lives
-//! in a pooled [`ExecArena`] (see [`arena`]), and serving layers can move
-//! PCM programming off their critical path entirely with
-//! [`DeviceExecutor::prewarm`], which compiles a model's full tile set
-//! eagerly (parallel across tiles, deterministic per-tile seeds).
+//! in a pooled [`ExecArena`] (see [`arena`]). A tile is programmed by the
+//! first forward that reads it (parallel across tiles, deterministic
+//! per-tile seeds), so a serving layer moves PCM programming off its
+//! critical path by running one forward of a model before its traffic.
 //!
 //! # Examples
 //!

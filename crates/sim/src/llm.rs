@@ -10,8 +10,9 @@
 //! **static** MVMs, one executor call per projection for the whole
 //! decode batch (the batch form of [`DeviceExecutor::conv_pixels_flat`])
 //! — the same weight-stationary path CNN layers use, sharing the tile
-//! cache and prewarm, so each projection tile is looked up, validated
-//! and driven once per batch (one cache hit per tile per batch). The
+//! cache, so each projection tile is looked up, validated and driven
+//! once per batch (one cache hit per tile per batch); one forward of
+//! the dense stack programs them all ahead of a decode. The
 //! per-head `QKᵀ` and `AV` products run as **dynamic** MVMs, one
 //! executor call per attention stage for the whole batch (the batch
 //! form of [`DeviceExecutor::dynamic_mv`]): their "weights" are the KV
@@ -241,12 +242,13 @@ mod tests {
         let executor = DeviceExecutor::new(SimConfig::ideal(128, 128));
         let network = weights.network("lm");
         let filters = weights.filters();
-        executor.prewarm(&network, &filters);
+        let zeros = Tensor3::new(network.input(), vec![0; network.input().elements()]);
+        executor.forward(&network, &zeros, &filters).unwrap();
         let warm = executor.cache_stats();
         device_generate(&executor, &weights, 1, 4);
         let after = executor.cache_stats();
-        // Every static MVM hits the prewarmed cache; dynamic matmuls add
-        // neither entries nor misses.
+        // Every static MVM hits the tiles the forward programmed; dynamic
+        // matmuls add neither entries nor misses.
         assert_eq!(after.entries, warm.entries);
         assert_eq!(after.misses, warm.misses);
         assert!(after.hits > warm.hits);

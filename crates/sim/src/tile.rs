@@ -78,16 +78,6 @@ fn hash_window(bytes: &[u8]) -> u64 {
 /// normalized transfer function and only anchors the analog chain.
 const FULL_SCALE_CURRENT_A: f64 = 100e-6;
 
-/// The signed partial sums one tile contributes.
-#[derive(Debug, Clone)]
-pub struct TileOutcome {
-    /// `partials[pixel][c]` for the tile's logical columns `c` (output
-    /// channels `col_offset + c` within the tile's group).
-    pub partials: Vec<Vec<i64>>,
-    /// PCM programming statistics for this tile.
-    pub program: ProgramReport,
-}
-
 /// The per-pixel crossbar drive for one tile: unsigned input codes for the
 /// tile's row slice, split into positive and negative passes (signed
 /// activations run as `v = v⁺ − v⁻`, two unipolar crossbar cycles).
@@ -447,7 +437,7 @@ impl TileWriter {
         tally.report(Parallelism::FullArray)
     }
 
-    /// The one compile route of every tile — forward misses, prewarm,
+    /// The one compile route of every tile — forward misses,
     /// recalibration, snapshot restore and the dynamic attention path:
     /// programs the tile ([`Self::program`]) and writes each cell's gain
     /// into `buffers.crossbar`'s panel-major planes, under the factors
@@ -535,7 +525,7 @@ impl ReadoutChain {
 
 /// A weight tile after PCM programming and transfer-matrix compilation:
 /// the weight-stationary device state. Compiling is `O(N × M)` and happens
-/// once; every [`CompiledTile::execute`] afterwards is a batched dense MVM
+/// once; every [`CompiledTile::execute_into`] afterwards is a batched dense MVM
 /// — executors cache these across pixel batches and images, mirroring the
 /// hardware, where a programmed PCM tile serves many inferences.
 #[derive(Debug, Clone)]
@@ -655,42 +645,15 @@ impl CompiledTile {
         self.program
     }
 
-    /// Logical (signed) output columns per pixel — the width of the
-    /// partials this tile produces.
-    #[must_use]
-    pub fn logical_cols(&self) -> usize {
-        self.values.len() / self.value_rows
-    }
-
     /// Executes all pixel drives as one batched MVM (with the
-    /// duplicate-window cache unless `dedupe` is off) and recovers signed
-    /// partial sums.
-    ///
-    /// Allocating convenience wrapper over [`Self::execute_into`]; hot
-    /// paths pool an [`ExecArena`] and call that directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the drive's window length disagrees with the tile rows.
-    #[must_use]
-    pub fn execute(&self, drive: &TileDrive, config: &SimConfig, dedupe: bool) -> TileOutcome {
-        let mut arena = ExecArena::default();
-        self.execute_into(drive, config, dedupe, &mut arena);
-        TileOutcome {
-            partials: arena
-                .partial_rows(self.logical_cols())
-                .map(<[i64]>::to_vec)
-                .collect(),
-            program: self.program,
-        }
-    }
-
-    /// [`Self::execute`] writing every intermediate and the per-pixel
-    /// partials into a caller-owned [`ExecArena`] — the allocation-free
-    /// serving hot path. A warm arena (one that has already served a tile
-    /// of this size) is reused without touching the heap; the results
-    /// land in [`ExecArena::partials`] as a flat `pixels × logical cols`
-    /// matrix and are byte-identical to [`Self::execute`] for any arena
+    /// duplicate-window cache unless `dedupe` is off), recovers signed
+    /// partial sums and writes every intermediate into a caller-owned
+    /// [`ExecArena`] — the allocation-free serving hot path. A warm arena
+    /// (one that has already served a tile of this size) is reused
+    /// without touching the heap; the results land in
+    /// [`ExecArena::partials`] as a flat `pixels × logical cols` matrix
+    /// (the tile's logical columns `c` are output channels
+    /// `col_offset + c` within its group), byte-identical for any arena
     /// history. `config` must be the one the tile was compiled under.
     ///
     /// # Panics
@@ -852,18 +815,20 @@ fn column_major(tile: &WeightTile) -> Vec<i8> {
 /// [`CrossbarSimulator`] that draws its own phase errors and walks each
 /// window's fields cell by cell — an independent check on the compiled
 /// gains and on remembered phase draws. Each column is read out and
-/// recovered to signed integer partial sums.
+/// recovered to signed integer partial sums, which land in
+/// [`ExecArena::partials`] as [`CompiledTile::execute_into`] leaves
+/// them. Returns the tile's programming report.
 ///
 /// # Panics
 ///
 /// Panics if the drive's window lengths disagree with the tile geometry.
-#[must_use]
 pub fn run_tile_with(
     tile: &WeightTile,
     drive: &TileDrive,
     config: &SimConfig,
     seed: u64,
-) -> TileOutcome {
+    arena: &mut ExecArena,
+) -> ProgramReport {
     let (rows, cols) = (tile.rows(), tile.cols());
     assert_eq!(drive.rows(), rows, "windows must match tile rows");
     let pcols = cols * config.mapping.columns_per_output();
@@ -888,7 +853,7 @@ pub fn run_tile_with(
     let readout = ReadoutChain::new(config, rows);
     let v_max = config.v_max() as f64;
     let q = i64::from(config.q());
-    let recover = |codes: &[u8]| -> Vec<i64> {
+    let recover = |codes: &[u8], out: &mut [i64]| {
         let raw: Vec<i64> = if codes.iter().all(|&v| v == 0) {
             // An all-dark drive produces exactly zero in every column.
             vec![0; pcols]
@@ -899,22 +864,21 @@ pub fn run_tile_with(
                 .map(|&y| readout.digitize(y))
                 .collect()
         };
-        let mut out = vec![0; cols];
-        config.mapping.recover_into(q, &raw, codes, &mut out);
-        out
+        config.mapping.recover_into(q, &raw, codes, out);
     };
-    let partials = (0..drive.pixels())
-        .map(|p| {
-            let mut partial = recover(drive.positive(p));
-            if let Some(negative) = drive.negative(p) {
-                for (r, n) in partial.iter_mut().zip(recover(negative)) {
-                    *r -= n;
-                }
+    let mut negative_pass = vec![0; cols];
+    arena.partials.clear();
+    arena.partials.resize(drive.pixels() * cols, 0);
+    for (p, partial) in arena.partials.chunks_exact_mut(cols).enumerate() {
+        recover(drive.positive(p), partial);
+        if let Some(negative) = drive.negative(p) {
+            recover(negative, &mut negative_pass);
+            for (r, n) in partial.iter_mut().zip(&negative_pass) {
+                *r -= n;
             }
-            partial
-        })
-        .collect();
-    TileOutcome { partials, program }
+        }
+    }
+    program
 }
 
 #[cfg(test)]
@@ -932,6 +896,20 @@ mod tests {
             positive.to_vec(),
             negative.map(<[u8]>::to_vec),
         )
+    }
+
+    /// Compiles `tile` at `seed` and executes `drive` through it: the
+    /// per-pixel partials and the tile's programming report.
+    fn run(
+        tile: &WeightTile,
+        drive: &TileDrive,
+        config: &SimConfig,
+        seed: u64,
+    ) -> (Vec<i64>, ProgramReport) {
+        let compiled = CompiledTile::compile(tile, config, seed);
+        let mut arena = ExecArena::default();
+        compiled.execute_into(drive, config, true, &mut arena);
+        (arena.partials().to_vec(), compiled.program())
     }
 
     fn signed_mac(tile: &WeightTile, window: &[i64]) -> Vec<i64> {
@@ -955,15 +933,14 @@ mod tests {
         for (t, tile) in tiles.iter().enumerate() {
             let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 7 % 64) as u8).collect();
             let drive = one_window(&window, None);
-            let out =
-                CompiledTile::compile(tile, &config, 99 + t as u64).execute(&drive, &config, true);
+            let (partials, program) = run(tile, &drive, &config, 99 + t as u64);
             let expected = signed_mac(
                 tile,
                 &window.iter().map(|&v| i64::from(v)).collect::<Vec<_>>(),
             );
-            assert_eq!(out.partials[0], expected, "tile {t}");
+            assert_eq!(partials, expected, "tile {t}");
             assert_eq!(
-                out.program.cells_programmed,
+                program.cells_programmed,
                 tile.rows() * tile.cols(),
                 "offset mapping programs one cell per weight"
             );
@@ -983,8 +960,7 @@ mod tests {
         let negative: Vec<u8> = window.iter().map(|&v| (-v).max(0) as u8).collect();
         let drive = one_window(&positive, Some(&negative));
         let config = SimConfig::ideal(32, 8);
-        let out = CompiledTile::compile(&tile, &config, 5).execute(&drive, &config, true);
-        assert_eq!(out.partials[0], signed_mac(&tile, &window));
+        assert_eq!(run(&tile, &drive, &config, 5).0, signed_mac(&tile, &window));
     }
 
     #[test]
@@ -999,12 +975,11 @@ mod tests {
         let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 11 % 64) as u8).collect();
         let drive = one_window(&window, None);
         let config = SimConfig::ideal(32, 16).with_mapping(WeightMapping::Differential);
-        let out = CompiledTile::compile(&tile, &config, 1).execute(&drive, &config, true);
         let expected = signed_mac(
             &tile,
             &window.iter().map(|&v| i64::from(v)).collect::<Vec<_>>(),
         );
-        assert_eq!(out.partials[0], expected);
+        assert_eq!(run(&tile, &drive, &config, 1).0, expected);
     }
 
     #[test]
@@ -1018,20 +993,18 @@ mod tests {
         let window: Vec<u8> = (0..tile.rows()).map(|r| (r * 5 % 64) as u8).collect();
         let drive = one_window(&window, None);
         let config = SimConfig::noisy(64, 8);
-        let run = |seed| CompiledTile::compile(&tile, &config, seed).execute(&drive, &config, true);
-        let a = run(77);
-        let b = run(77);
-        assert_eq!(a.partials, b.partials, "same seed, same result");
-        let c = run(78);
-        assert_ne!(a.partials, c.partials, "different seed perturbs");
+        let partials = |seed| run(&tile, &drive, &config, seed).0;
+        let a = partials(77);
+        assert_eq!(a, partials(77), "same seed, same result");
+        assert_ne!(a, partials(78), "different seed perturbs");
         let exact = signed_mac(
             &tile,
             &window.iter().map(|&v| i64::from(v)).collect::<Vec<_>>(),
         );
-        assert_ne!(a.partials[0], exact, "noise shifts the MAC");
+        assert_ne!(a, exact, "noise shifts the MAC");
         // ... but not catastrophically: within a few percent of full scale.
         let full_scale = tile.rows() as f64 * 63.0 * 31.0;
-        for (got, want) in a.partials[0].iter().zip(&exact) {
+        for (got, want) in a.iter().zip(&exact) {
             assert!(((got - want).abs() as f64) < 0.05 * full_scale);
         }
     }

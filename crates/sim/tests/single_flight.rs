@@ -1,7 +1,7 @@
 //! Every writer of the weight-stationary tile cache claims its keys
-//! through one single-flight path: a `prewarm` racing a `forward` on the
-//! same fresh executor programs each tile exactly once, and the forward
-//! answers exactly as it would alone.
+//! through one single-flight path: two forwards racing on the same fresh
+//! executor program each tile exactly once, and each answers exactly as
+//! it would alone.
 
 use oxbar_nn::synthetic;
 use oxbar_nn::zoo::lenet5;
@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Barrier;
 
 #[test]
-fn prewarm_racing_a_forward_programs_each_tile_once() {
+fn racing_forwards_program_each_tile_once() {
     let net = lenet5();
     let input = synthetic::activations(net.input(), 6, 1);
     let filters = synthetic::filter_banks(&net, 6, 2);
@@ -22,21 +22,22 @@ fn prewarm_racing_a_forward_programs_each_tile_once() {
     for race in 0..20 {
         let exec = DeviceExecutor::new(config.clone());
         let start = Barrier::new(2);
-        let (prewarmed, forward) = std::thread::scope(|scope| {
-            let prewarm = scope.spawn(|| {
+        let (first, second) = std::thread::scope(|scope| {
+            let other = scope.spawn(|| {
                 start.wait();
-                exec.prewarm(&net, &filters)
+                exec.forward(&net, &input, &filters).unwrap()
             });
             start.wait();
             let forward = exec.forward(&net, &input, &filters).unwrap();
-            (prewarm.join().expect("prewarm thread"), forward)
+            (other.join().expect("forward thread"), forward)
         });
+        // Each tile is programmed by whichever forward claims it first,
+        // and the other forward hits it.
         let stats = exec.cache_stats();
         assert_eq!(stats.misses, tiles, "race {race}: one miss per tile");
-        // Each tile is programmed by whichever side claims it first; the
-        // forward hits every tile the prewarm programmed.
-        assert_eq!(stats.hits, prewarmed as u64, "race {race}");
-        assert_eq!(forward, expected, "race {race}: forward differs");
+        assert_eq!(stats.hits, tiles, "race {race}: one hit per tile");
+        assert_eq!(first, expected, "race {race}: first forward differs");
+        assert_eq!(second, expected, "race {race}: second forward differs");
     }
 }
 
@@ -46,14 +47,14 @@ fn a_panicking_compile_releases_its_claim() {
     let input = synthetic::activations(net.input(), 6, 1);
     let filters = synthetic::filter_banks(&net, 6, 2);
     // 8-bit weights overflow the 6-bit device's code range, so the first
-    // tile the prewarm claims panics while compiling.
+    // tile the forward claims panics while compiling.
     let too_wide = synthetic::filter_banks(&net, 8, 2);
     let config = SimConfig::noisy(32, 16).with_threads(1);
     let exec = DeviceExecutor::new(config.clone());
-    let prewarm = catch_unwind(AssertUnwindSafe(|| exec.prewarm(&net, &too_wide)));
-    assert!(prewarm.is_err(), "out-of-range weights must not program");
-    // The claimed key was released: the forward programs it instead of
-    // waiting forever for the failed compile.
+    let failed = catch_unwind(AssertUnwindSafe(|| exec.forward(&net, &input, &too_wide)));
+    assert!(failed.is_err(), "out-of-range weights must not program");
+    // The claimed key was released: the next forward programs it instead
+    // of waiting forever for the failed compile.
     let forward = exec.forward(&net, &input, &filters).unwrap();
     let alone = DeviceExecutor::new(config).forward(&net, &input, &filters);
     assert_eq!(forward, alone.unwrap());

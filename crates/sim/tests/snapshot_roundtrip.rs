@@ -52,13 +52,13 @@ fn snapshot_restore_forward_is_bit_exact_under_noise() {
     );
 }
 
-/// A snapshot captured *while* a prewarm is programming tiles on the
+/// A snapshot captured *while* a forward is programming tiles on the
 /// same executor must still be a consistent image: unique tile keys,
 /// cell accounting that matches what a restore actually admits (never
 /// double-counted), and bit-exact replays. This is the recovery
 /// scenario — a snapshot taken of an executor that is still being
 /// programmed is restored onto a sibling.
-fn check_snapshot_under_concurrent_prewarm(seed: u64) -> Result<(), TestCaseError> {
+fn check_snapshot_under_concurrent_forward(seed: u64) -> Result<(), TestCaseError> {
     let net_a = small_network(seed);
     let net_b = small_network(seed ^ 0x5A5A);
     let input_a = synthetic::activations(net_a.input(), 6, seed ^ 1);
@@ -70,16 +70,15 @@ fn check_snapshot_under_concurrent_prewarm(seed: u64) -> Result<(), TestCaseErro
 
     // Model A is fully resident before the race starts.
     let out_a = exec.forward(&net_a, &input_a, &filters_a).unwrap();
-    let snaps = std::thread::scope(|scope| {
-        // The concurrent prewarm: model B's tile set programs in the
+    let (snaps, out_b) = std::thread::scope(|scope| {
+        // The concurrent forward: model B's tile set programs in the
         // background while snapshots are being captured.
-        let warmer = scope.spawn(|| exec.prewarm(&net_b, &filters_b));
+        let forward = scope.spawn(|| exec.forward(&net_b, &input_b, &filters_b).unwrap());
         let mut snaps: Vec<ChipSnapshot> = Vec::new();
-        while !warmer.is_finished() || snaps.is_empty() {
+        while !forward.is_finished() || snaps.is_empty() {
             snaps.push(exec.snapshot());
         }
-        warmer.join().expect("prewarm thread");
-        snaps
+        (snaps, forward.join().expect("forward thread"))
     });
 
     for snap in &snaps {
@@ -88,7 +87,7 @@ fn check_snapshot_under_concurrent_prewarm(seed: u64) -> Result<(), TestCaseErro
         for t in &snap.tiles {
             prop_assert!(
                 keys.insert((t.layer, t.tile, t.seed)),
-                "duplicate tile in a mid-prewarm snapshot"
+                "duplicate tile in a mid-forward snapshot"
             );
         }
         // The snapshot's own cell accounting is what a restore admits.
@@ -101,7 +100,6 @@ fn check_snapshot_under_concurrent_prewarm(seed: u64) -> Result<(), TestCaseErro
         let replay_a = restored.forward(&net_a, &input_a, &filters_a).unwrap();
         prop_assert_eq!(&replay_a, &out_a);
     }
-    let out_b = exec.forward(&net_b, &input_b, &filters_b).unwrap();
     let last = DeviceExecutor::restore_at(snaps.last().expect("at least one capture"), 0);
     let replay_b = last.forward(&net_b, &input_b, &filters_b).unwrap();
     prop_assert_eq!(&replay_b, &out_b);
@@ -112,8 +110,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn snapshot_under_concurrent_prewarm_is_consistent(seed in 0u64..10_000) {
-        check_snapshot_under_concurrent_prewarm(seed)?;
+    fn snapshot_under_concurrent_forward_is_consistent(seed in 0u64..10_000) {
+        check_snapshot_under_concurrent_forward(seed)?;
     }
 }
 
