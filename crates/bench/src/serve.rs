@@ -102,8 +102,8 @@ pub struct CaseResult {
     pub hit_rate: f64,
     /// Whole-model cache evictions forced by the budget.
     pub evictions: u64,
-    /// Cross-chip snapshot migrations an over-budget chip made instead of
-    /// evicting (always 0 on a single chip).
+    /// Cross-chip migrations an over-budget chip made instead of evicting
+    /// (always 0 on a single chip).
     pub migrations: u64,
     /// Tiles programmed + compiled before the drain.
     pub prewarmed_tiles: u64,
@@ -165,10 +165,9 @@ pub struct FaultCase {
     pub lost: u64,
     /// Fault-charged retries (batches re-routed off the killed chip).
     pub retried: u64,
-    /// Snapshot-restore recoveries of unreplicated models.
+    /// Recoveries of unreplicated models: each moved its programmed
+    /// tiles off the killed chip onto the survivor.
     pub recoveries: u64,
-    /// Wall time spent restoring snapshots onto surviving chips (ms).
-    pub recovery_ms: f64,
     /// 99th-percentile request latency at the no-fault case's offered
     /// load (ms) — directly comparable to `no_fault_p99_ms`.
     pub p99_ms: f64,
@@ -194,8 +193,8 @@ pub struct FaultInjectionReport {
     pub no_fault_p99_ms: f64,
     /// `Replicated(2)`: the kill fails over to live replicas.
     pub replicated: FaultCase,
-    /// `LeastLoaded` single residency: the kill forces snapshot
-    /// recovery onto the survivor.
+    /// `LeastLoaded` single residency: the kill forces recovery onto
+    /// the survivor.
     pub unreplicated: FaultCase,
     /// `replicated.p99_ms / no_fault_p99_ms` — the degradation budget
     /// (acceptance: ≤ 2.0).
@@ -651,8 +650,8 @@ fn run_fault_trace(
 
 /// The fault-injection section: chip 1 killed halfway through the
 /// no-fault run's dispatch sequence, once with every model replicated on
-/// both chips (failover) and once with single residency (snapshot
-/// recovery), graded against the no-fault baseline.
+/// both chips (failover) and once with single residency (recovery),
+/// graded against the no-fault baseline.
 fn run_fault_injection(requests: usize) -> FaultInjectionReport {
     let baseline = run_fault_trace(
         requests,
@@ -674,7 +673,6 @@ fn run_fault_injection(requests: usize) -> FaultInjectionReport {
             lost: (requests as u64).saturating_sub(run.outputs.len() as u64 + run.sheds),
             retried: run.stats.retries,
             recoveries: run.stats.recoveries,
-            recovery_ms: run.stats.recovery_ms,
             p99_ms: run.p99_ms,
             survivors_byte_identical,
             per_chip: run.stats.chips,
@@ -1248,7 +1246,7 @@ pub fn render(report: &ServeReport) {
         ("unreplicated", &fi.unreplicated),
     ] {
         println!(
-            "  {:<14} {} done, {} shed, {} lost, {} retried, {} recoveries ({:.2} ms), \
+            "  {:<14} {} done, {} shed, {} lost, {} retried, {} recoveries, \
              p99 {:.2} ms, survivors byte-identical: {}",
             name,
             case.completions,
@@ -1256,7 +1254,6 @@ pub fn render(report: &ServeReport) {
             case.lost,
             case.retried,
             case.recoveries,
-            case.recovery_ms,
             case.p99_ms,
             if case.survivors_byte_identical {
                 "yes"
@@ -1455,7 +1452,7 @@ mod tests {
         );
         assert!(
             fi.unreplicated.recoveries >= 1,
-            "single residency must recover via snapshot restore"
+            "single residency must recover by moving to the survivor"
         );
         assert!(fi.no_fault_p99_ms > 0.0);
         assert!(fi.p99_ratio_replicated_vs_no_fault.is_finite());

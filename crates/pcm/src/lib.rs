@@ -21,11 +21,11 @@
 //! # Non-volatility is the system-level contract
 //!
 //! Higher layers lean on the fact that a GST patch holds its state with
-//! zero standby power: a chip is fully described by its INT6 codes plus
-//! noise seeds, so `oxbar-sim` serializes and restores programmed chips
-//! bit-exactly (`ChipSnapshot`), and `oxbar-serve` migrates whole models
-//! between chips instead of paying the ~100 pJ / ~100 ns-per-cell
-//! reprogramming cost modeled here.
+//! zero standby power: a model's state on a chip is its programmed INT6
+//! codes, so `oxbar-sim` moves an executor's programmed tiles to another
+//! chip unchanged (`DeviceExecutor::rehome`), and `oxbar-serve` migrates
+//! and recovers whole models that way instead of paying the ~100 pJ /
+//! ~100 ns-per-cell reprogramming cost modeled here.
 //!
 //! # Examples
 //!

@@ -13,10 +13,10 @@
 //!   with the same LRU whole-model eviction the single-chip registry
 //!   used;
 //! - **migration** — before evicting, an over-budget chip offers its LRU
-//!   victim to any sibling chip with room; the model moves via
-//!   [`oxbar_sim::DeviceExecutor::snapshot`] / `restore`, which rebuilds
-//!   its programmed tile state bit-exactly, so migration changes *where*
-//!   a model serves from, never *what* it answers.
+//!   victim to any sibling chip with room; the model's executor moves
+//!   there with its programmed tiles
+//!   ([`oxbar_sim::DeviceExecutor::rehome`]), so migration changes
+//!   *where* a model serves from, never *what* it answers.
 //!
 //! A 1-chip cluster has no migration target, so its budget pass only
 //! evicts, least recently used first.
@@ -63,7 +63,8 @@ pub enum ChipHealth {
     /// serving, deprioritized by replica routing.
     Degraded,
     /// Control plane down: the chip cannot execute. Its non-volatile
-    /// programmed state remains snapshot-readable for recovery.
+    /// programmed state stays readable, so its models recover by moving
+    /// it to a serving chip.
     Failed,
 }
 
@@ -96,9 +97,9 @@ impl fmt::Display for ChipHealth {
 /// logical tick, never wall clock), so a fixed plan fails the same chips
 /// at the same points on every run and at every worker count. A kill at
 /// round `r` lands just before the `r`-th dispatched batch. PCM is
-/// non-volatile, so a killed chip's programmed state stays readable for
-/// the snapshot/restore recovery of its models. The [`Default`] plan
-/// kills nothing.
+/// non-volatile, so a killed chip's programmed state stays readable, and
+/// its models recover by moving it to a serving chip. The [`Default`]
+/// plan kills nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     kills: Vec<ChipKill>,
@@ -289,8 +290,8 @@ pub struct Cluster {
     faults: FaultPlan,
     /// LRU use stamp: +1 per [`Self::touch`].
     lru: u64,
-    /// The virtual tick [`Self::set_clocks`] last set; a restored
-    /// executor starts there.
+    /// The virtual tick [`Self::set_clocks`] last set; a moved executor
+    /// starts there.
     tick: u64,
     /// The accuracy budget in dispatch ticks, fixed by the base device
     /// config (`None`: tiles do not age, or never slip half an LSB — the
@@ -298,9 +299,6 @@ pub struct Cluster {
     drift_budget: Option<u64>,
     drift: DriftStats,
     recoveries: u64,
-    /// Wall-clock milliseconds spent in snapshot/restore recoveries
-    /// (observational only — never feeds back into scheduling).
-    recovery_ms: f64,
     /// Tiles [`Self::prewarm`] has programmed, over every residency.
     prewarmed_tiles: AtomicU64,
 }
@@ -327,7 +325,6 @@ impl Cluster {
             tick: 0,
             drift: DriftStats::default(),
             recoveries: 0,
-            recovery_ms: 0.0,
             prewarmed_tiles: AtomicU64::new(0),
         }
     }
@@ -540,29 +537,36 @@ impl Cluster {
         self.entries[id.0].last_use = self.lru;
     }
 
-    /// Programs every residency of `id` ahead of its traffic with one
-    /// discarded zero-input forward each, which claims every tile through
-    /// the forward's single-flight path and warms the executor's arena
-    /// pool (a discarded execution changes no later result). Returns the
-    /// tiles programmed, the misses those forwards add (also counted in
+    /// Programs every residency of `id` its chip holds ahead of its
+    /// traffic, with one discarded zero-input forward each, which claims
+    /// every tile through the forward's single-flight path and warms the
+    /// executor's arena pool (a discarded execution changes no later
+    /// result). A residency is skipped when its chip's occupancy, less
+    /// its own cells, plus the model's footprint exceeds the chip's
+    /// budget: warming it would only program tiles the next budget pass
+    /// migrates or evicts unread. Returns the tiles programmed, the
+    /// misses those forwards add (also counted in
     /// [`crate::EngineStats::prewarmed_tiles`]): each missing, stale or
-    /// overflow tile once, none for a warm residency. A deployment step:
-    /// the engine never calls it. It checks no budget, so warming more
-    /// than a chip holds leaves that chip over budget until the budget
-    /// pass after the next dispatched round migrates or evicts.
+    /// overflow tile once, none for a warm or skipped residency. A
+    /// deployment step: the engine never calls it.
     pub fn prewarm(&self, id: ModelId) -> usize {
-        let spec = &self.entries[id.0].spec;
+        let entry = &self.entries[id.0];
+        let spec = &entry.spec;
         let shape = spec.network.input();
         let zeros = oxbar_nn::reference::Tensor3::new(shape, vec![0; shape.elements()]);
-        let programmed: u64 = self.entries[id.0]
+        let programmed: u64 = entry
             .residencies
             .iter()
             .map(|r| {
-                let before = r.executor.cache_stats().misses;
+                let before = r.executor.cache_stats();
+                let others = self.chip_occupancy(ChipId(r.chip)) - before.cells;
+                if others + entry.footprint_cells > self.chips[r.chip].budget {
+                    return 0;
+                }
                 r.executor
                     .try_forward_batch(&spec.network, &[&zeros], &spec.filters)
                     .expect("`Cluster::validate` admits no residual network");
-                r.executor.cache_stats().misses - before
+                r.executor.cache_stats().misses - before.misses
             })
             .sum();
         self.prewarmed_tiles
@@ -581,14 +585,15 @@ impl Cluster {
     /// the lowest-indexed over-budget chip, selects its
     /// least-recently-used resident model (ties to the lowest admission
     /// index), and first offers it to a sibling chip with occupancy room
-    /// — **migration**, via a bit-exact executor snapshot — falling back
-    /// to eviction (tile cache cleared) when no sibling can take it. A model migrates at most once per pass: a hot
-    /// potato that lands on another over-budget chip is evicted there
-    /// rather than bounced again, so the pass terminates with *every*
-    /// chip within budget. On a 1-chip cluster there is never a migration
-    /// target, so the pass only evicts. Chips failed at `dispatched` are
-    /// skipped entirely: they serve nothing, and their non-volatile state
-    /// is left intact for recovery.
+    /// — **migration**: the residency moves there with its programmed
+    /// tiles ([`Self::move_residency`]) — falling back to eviction (tile
+    /// cache cleared) when no sibling can take it. A model migrates at
+    /// most once per pass: a hot potato that lands on another over-budget
+    /// chip is evicted there rather than bounced again, so the pass
+    /// terminates with *every* chip within budget. On a 1-chip cluster
+    /// there is never a migration target, so the pass only evicts. Chips
+    /// failed at `dispatched` are skipped entirely: they serve nothing,
+    /// and their non-volatile state is left intact for recovery.
     pub(crate) fn enforce_budget(&mut self, dispatched: u64) -> usize {
         let mut evicted = 0;
         let mut moved: HashSet<(usize, usize)> = HashSet::new();
@@ -658,20 +663,29 @@ impl Cluster {
         self.migrate_residency(victim, 0, dest);
     }
 
-    /// Moves one residency to another chip by snapshot/restore of its
-    /// programmed tile state — bit-exact, so outputs never change.
+    /// Migrates one residency to another chip ([`Self::move_residency`]),
+    /// counting the move on both chips.
     fn migrate_residency(&mut self, victim: usize, slot: usize, dest: usize) {
-        let from = self.entries[victim].residencies[slot].chip;
-        let mut snap = self.entries[victim].residencies[slot].executor.snapshot();
-        snap.cache_budget = self.chips[dest].budget;
-        self.entries[victim].residencies[slot].executor =
-            DeviceExecutor::restore_at(&snap, self.tick);
-        self.entries[victim].residencies[slot].chip = dest;
-        let footprint = self.entries[victim].footprint_cells;
-        self.chips[from].committed_cells -= footprint;
-        self.chips[dest].committed_cells += footprint;
+        let from = self.move_residency(victim, slot, dest);
         self.chips[from].migrations_out += 1;
         self.chips[dest].migrations_in += 1;
+    }
+
+    /// Moves residency `slot` of model `model` to chip `dest` and returns
+    /// the chip it left. PCM is non-volatile, so the executor keeps its
+    /// programmed tiles, as many as `dest`'s budget admits
+    /// ([`DeviceExecutor::rehome`] at the tick [`Self::set_clocks`] last
+    /// set), and answers exactly as before; the model's committed
+    /// footprint moves with it.
+    fn move_residency(&mut self, model: usize, slot: usize, dest: usize) -> usize {
+        let budget = self.chips[dest].budget;
+        let entry = &mut self.entries[model];
+        let residency = &mut entry.residencies[slot];
+        residency.executor.rehome(budget, self.tick);
+        let from = std::mem::replace(&mut residency.chip, dest);
+        self.chips[from].committed_cells -= entry.footprint_cells;
+        self.chips[dest].committed_cells += entry.footprint_cells;
+        from
     }
 
     /// Total model evictions since the cluster was created, summed over
@@ -688,22 +702,16 @@ impl Cluster {
         self.chips.iter().map(|c| c.migrations_in).sum()
     }
 
-    /// Total snapshot/restore recoveries since the cluster was created.
+    /// Total recoveries since the cluster was created: models moved off
+    /// chips that all failed.
     #[must_use]
     pub fn recoveries(&self) -> u64 {
         self.recoveries
     }
 
-    /// Wall-clock milliseconds spent in snapshot/restore recoveries
-    /// (observational; never feeds back into scheduling decisions).
-    #[must_use]
-    pub fn recovery_ms(&self) -> f64 {
-        self.recovery_ms
-    }
-
     /// The health of `chip` at dispatch count `dispatched`: failed when
     /// the fault plan kills it at a round below `dispatched` (its
-    /// programmed state stays snapshot-readable), else as the last
+    /// programmed state stays readable), else as the last
     /// drain-boundary scan left it.
     ///
     /// # Panics
@@ -734,8 +742,8 @@ impl Cluster {
     /// global dispatch counter). Called at single-threaded drain
     /// boundaries so tile aging is a deterministic function of the
     /// workload, independent of worker count and wall clock. Migrations
-    /// and recoveries until the next call restore their executors at
-    /// this tick, whatever point of the drain they run at.
+    /// and recoveries until the next call move their executors at this
+    /// tick, whatever point of the drain they run at.
     fn set_clocks(&mut self, tick: u64) {
         self.tick = self.tick.max(tick);
         for entry in &self.entries {
@@ -820,12 +828,12 @@ impl Cluster {
     /// Recovers a model with **no serving residency** at dispatch count
     /// `dispatched` onto the serving chip with the fewest committed cells
     /// (lowest index on ties; unlike occupancy, commitment does not
-    /// change with how far execution has got) by snapshot/restore of its
-    /// richest residency — readable even on a killed chip, because PCM
-    /// state is non-volatile. All old residencies are dropped; the model
-    /// continues as a single copy whose outputs are byte-identical to
-    /// before the failure. Returns the destination, or `None` when every
-    /// chip is failed.
+    /// change with how far execution has got) by moving its richest
+    /// residency there ([`Self::move_residency`]) — readable even on a
+    /// killed chip, because PCM state is non-volatile. The other
+    /// residencies are dropped; the model continues as a single copy
+    /// whose outputs are byte-identical to before the failure. Returns
+    /// the destination, or `None` when every chip is failed.
     ///
     /// # Panics
     ///
@@ -834,31 +842,21 @@ impl Cluster {
         let dest = (0..self.chips.len())
             .filter(|&c| self.serves(c, dispatched))
             .min_by_key(|&c| (self.chips[c].committed_cells, c))?;
-        let started = std::time::Instant::now();
-        let entry = &self.entries[id.0];
-        // Snapshot the residency with the most compiled state so the
+        let entry = &mut self.entries[id.0];
+        // Move the residency with the most compiled state so the
         // recovered chip starts as warm as possible; ties to slot order.
-        let source = entry
-            .residencies
-            .iter()
-            .enumerate()
-            .max_by_key(|(slot, r)| (r.executor.cache_stats().cells, usize::MAX - slot))
-            .map(|(_, r)| r)
+        let slot = (0..entry.residencies.len())
+            .max_by_key(|&slot| {
+                let cells = entry.residencies[slot].executor.cache_stats().cells;
+                (cells, usize::MAX - slot)
+            })
             .expect("every entry has at least one residency");
-        let mut snap = source.executor.snapshot();
-        snap.cache_budget = self.chips[dest].budget;
-        let restored = DeviceExecutor::restore_at(&snap, self.tick);
-        let footprint = self.entries[id.0].footprint_cells;
-        for r in &self.entries[id.0].residencies {
-            self.chips[r.chip].committed_cells -= footprint;
+        let kept = entry.residencies.swap_remove(slot);
+        for dropped in std::mem::replace(&mut entry.residencies, vec![kept]) {
+            self.chips[dropped.chip].committed_cells -= entry.footprint_cells;
         }
-        self.chips[dest].committed_cells += footprint;
-        self.entries[id.0].residencies = vec![Residency {
-            chip: dest,
-            executor: restored,
-        }];
+        self.move_residency(id.0, 0, dest);
         self.recoveries += 1;
-        self.recovery_ms += started.elapsed().as_secs_f64() * 1e3;
         Some(ChipId(dest))
     }
 
@@ -1190,26 +1188,43 @@ mod tests {
         lone.forward(&spec.network, &input, &spec.filters).unwrap();
         let tiles = lone.cache_stats().misses;
         let footprint = lone.model_footprint_cells(&spec.network);
-        // Chips that hold the model, then chips that hold half of it: an
-        // overflow tile the budget refuses is still programmed once.
-        for budget in [100_000, footprint / 2] {
+        // Chips that hold the model are warmed, one miss per tile; chips
+        // that hold half of it are skipped, so nothing is programmed.
+        for (budget, warmed) in [(100_000, tiles), (footprint / 2, 0)] {
             let mut cluster = Cluster::new(
                 config.clone(),
                 &[budget, budget],
                 PlacementPolicy::Replicated(2),
             );
             let a = cluster.admit(lenet_spec(1)).unwrap();
-            assert_eq!(cluster.prewarm(a), 2 * tiles as usize, "budget {budget}");
-            assert_eq!(cluster.prewarmed_tiles(), 2 * tiles, "budget {budget}");
+            assert_eq!(cluster.prewarm(a), 2 * warmed as usize, "budget {budget}");
+            assert_eq!(cluster.prewarmed_tiles(), 2 * warmed, "budget {budget}");
             for chip in [ChipId(0), ChipId(1)] {
                 let cache = cluster.executor_on(a, chip).unwrap().cache_stats();
                 assert_eq!(
                     (cache.hits, cache.misses),
-                    (0, tiles),
+                    (0, warmed),
                     "budget {budget}, {chip:?}: prewarm adds no hit"
                 );
             }
         }
+    }
+
+    #[test]
+    fn prewarm_skips_a_model_its_chip_has_no_room_left_for() {
+        // One 100k chip holds one resident LeNet-5 (~61k cells), not two.
+        let mut cluster = Cluster::new(
+            SimConfig::ideal(128, 128).with_threads(1),
+            &[100_000],
+            PlacementPolicy::FirstFit,
+        );
+        let a = cluster.admit(lenet_spec(1)).unwrap();
+        let b = cluster.admit(lenet_spec(2)).unwrap();
+        assert!(cluster.prewarm(a) > 0);
+        assert_eq!(cluster.prewarm(b), 0, "a's tiles leave no room for b");
+        assert_eq!(cluster.executor(b).cache_stats().misses, 0);
+        assert!(cluster.occupancy() <= cluster.budget());
+        assert_eq!(cluster.enforce_budget(0), 0, "nothing to evict");
     }
 
     #[test]
@@ -1287,7 +1302,7 @@ mod tests {
     }
 
     #[test]
-    fn unreplicated_model_recovers_by_snapshot_restore() {
+    fn unreplicated_model_recovers_by_a_move() {
         let mut cluster = Cluster::new(
             SimConfig::noisy(128, 128).with_threads(1),
             &[100_000, 100_000],
@@ -1308,7 +1323,7 @@ mod tests {
         assert_eq!(cluster.recoveries(), 1);
         assert!(
             cluster.executor(a).cache_stats().cells > 0,
-            "recovery restores the warm tile state"
+            "recovery keeps the warm tile state"
         );
         let after = cluster.executor(a).forward(&net, &input, &filt).unwrap();
         assert_eq!(after, before, "recovery is byte-exact");
@@ -1490,7 +1505,7 @@ mod tests {
     }
 
     #[test]
-    fn a_restore_starts_at_the_tick_set_clocks_set_not_the_lru_stamp() {
+    fn a_move_starts_at_the_tick_set_clocks_set_not_the_lru_stamp() {
         let mut cluster = Cluster::new(
             SimConfig::ideal(128, 128).with_threads(1),
             &[100_000, 100_000],

@@ -158,8 +158,9 @@ pub struct EngineStats {
     pub budget_cells: usize,
     /// Per-model tile-cache statistics, in admission order.
     pub models: Vec<ModelCacheStats>,
-    /// Cross-chip model migrations (snapshot-based moves an over-budget
-    /// chip made instead of evicting; always 0 on a single chip).
+    /// Cross-chip model migrations: residencies an over-budget chip moved
+    /// to a sibling, programmed tiles and all, instead of evicting them
+    /// (always 0 on a single chip).
     pub migrations: u64,
     /// Per-chip statistics, in chip-index order (one entry on a
     /// single-chip engine).
@@ -172,12 +173,10 @@ pub struct EngineStats {
     /// no healthy chip left to run on, summed over [`Self::chips`]. Shed
     /// requests complete with a structured notice, never silently.
     pub sheds: u64,
-    /// Models recovered by snapshot/restore after losing every serving
-    /// residency (the PCM-non-volatility path).
+    /// Models recovered after losing every serving residency: the
+    /// richest residency moved, programmed tiles and all, off its failed
+    /// chip onto a serving one (PCM is non-volatile).
     pub recoveries: u64,
-    /// Total wall-clock milliseconds spent inside those recoveries
-    /// (observational only; nothing branches on it).
-    pub recovery_ms: f64,
     /// Autoregressive sequences begun (finished or not).
     pub sequences: u64,
     /// Decode-step tokens emitted across all sequences.
@@ -436,9 +435,9 @@ struct Fate {
 /// model's weight-stationary [`oxbar_sim::DeviceExecutor`] (a tile is
 /// programmed by the first batch that reads it, on the chip that batch
 /// runs on), and enforces the per-chip cell budgets between rounds
-/// (snapshot migration, then LRU whole-model eviction). Programming
-/// ahead of traffic is a deployment step, [`Cluster::prewarm`], which
-/// the engine never takes on its own.
+/// (migration, then LRU whole-model eviction). Programming ahead of
+/// traffic is a deployment step, [`Cluster::prewarm`], which the engine
+/// never takes on its own.
 ///
 /// # Determinism
 ///
@@ -844,10 +843,11 @@ impl ServeEngine {
     /// its model lives *now* — recoveries and migrations earlier in the
     /// drain are visible — and each chip's health at the batch's dispatch
     /// sequence + 1. A batch whose nominal replica failed re-routes to
-    /// the best surviving replica, else recovers the model from its PCM
-    /// snapshot right here, else sheds. A re-routed member whose deadline
-    /// precedes the batch's latest arrival sheds too — the only path that
-    /// ever sheds a member with a chip to run on.
+    /// the best surviving replica, else recovers the model right here by
+    /// moving its programmed tiles to a serving chip, else sheds. A
+    /// re-routed member whose deadline precedes the batch's latest
+    /// arrival sheds too — the only path that ever sheds a member with a
+    /// chip to run on.
     fn resolve_fate(&mut self, batch: &Batch, queue: &[Queued], seq_base: u64) -> Fate {
         let seq = seq_base + batch.seq as u64;
         let homes = self.registry.residencies(batch.model);
@@ -1116,7 +1116,6 @@ impl ServeEngine {
             sheds: chips.iter().map(|c| c.sheds).sum(),
             chips,
             recoveries: self.registry.recoveries(),
-            recovery_ms: self.registry.recovery_ms(),
             sequences: self.sequences.len() as u64,
             tokens: self.tokens,
             recalibrations: drift.recalibrations,

@@ -20,9 +20,9 @@
 //!    │           order-preserving parallel_map pool
 //!    │                    │
 //! cluster        model→chip placement, per-chip cell budgets (LRU model
-//!    │           eviction; snapshot migration before evicting), chip
-//!    │           health and the chip-kill FaultPlan; prewarm() programs
-//!    │           a model ahead of traffic, when a deployment asks
+//!    │           eviction; migration before evicting), chip health and
+//!    │           the chip-kill FaultPlan; prewarm() programs a model
+//!    │           ahead of traffic where its chip holds it
 //!    │                    │
 //! oxbar-sim      device-level forward per request (PCM → photonics → ADC;
 //!    │           a tile is programmed by the first batch that reads it)

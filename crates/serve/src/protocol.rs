@@ -319,7 +319,8 @@ pub enum ServerFrame {
         retries: u64,
         /// Requests shed by the fault handler.
         sheds: u64,
-        /// Models recovered by snapshot/restore.
+        /// Models recovered by moving their programmed tiles off failed
+        /// chips.
         recoveries: u64,
         /// Chips currently drift-degraded (serving, deprioritized).
         degraded_chips: u64,

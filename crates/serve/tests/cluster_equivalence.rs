@@ -13,8 +13,8 @@
 //!    and the same stats (a round is as wide as the cluster, so the
 //!    worker count only picks threads);
 //! 3. an **over-budget hot spot migrates** models between chips during
-//!    serving — snapshot-based, bit-exact, no eviction — when a sibling
-//!    has occupancy room.
+//!    serving — programmed tiles and all, bit-exact, no eviction — when
+//!    a sibling has occupancy room.
 
 use oxbar_nn::reference::Tensor3;
 use oxbar_nn::synthetic::{self, small_network};
@@ -47,8 +47,7 @@ fn random_specs(seed: u64) -> [ModelSpec; 2] {
 
 /// Runs the same random 8-request trace through an engine built from
 /// `config`, returning the completions in drain order and the final
-/// stats. The trace records no wall clock: `recovery_ms` moves only with
-/// a fault plan.
+/// stats.
 fn serve_trace(
     config: ServeConfig,
     specs: &[ModelSpec],

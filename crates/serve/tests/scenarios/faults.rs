@@ -1,8 +1,8 @@
 //! Failover, recovery and shedding on hand-built traces. Replicas share
-//! each model's admission seed and recovery restores programmed state
-//! bit-exactly from the PCM snapshot, so every survivor answers what a
-//! never-faulted cluster answers, and every request ends as exactly one
-//! completion or one structured shed notice.
+//! each model's admission seed and recovery moves a model's programmed
+//! (non-volatile) PCM state to a surviving chip, so every survivor
+//! answers what a never-faulted cluster answers, and every request ends
+//! as exactly one completion or one structured shed notice.
 
 use crate::runner::{infers, random_specs, serve, Ask, Op};
 use oxbar_nn::synthetic::small_network;
@@ -31,7 +31,7 @@ fn one_per_batch(
 #[test]
 fn replicated_cluster_survives_a_mid_trace_chip_kill_without_recovery() {
     // One model replicated on both chips; chip 1 dies mid-trace. Requests
-    // whose turn fell on chip 1 fail over to its replica — no snapshot
+    // whose turn fell on chip 1 fail over to its replica — no
     // recovery, no sheds, zero lost — and answer exactly what the
     // no-fault cluster answers.
     let specs = random_specs(42);
@@ -62,11 +62,11 @@ fn replicated_cluster_survives_a_mid_trace_chip_kill_without_recovery() {
 }
 
 #[test]
-fn unreplicated_model_recovers_from_its_snapshot_after_a_chip_kill() {
+fn unreplicated_model_recovers_by_a_move_after_a_chip_kill() {
     // Single-residency placement: when the home chip dies there is no
-    // replica, so the engine restores the model's programmed state from
-    // its PCM snapshot onto the surviving chip. Zero lost, one recovery,
-    // outputs unchanged.
+    // replica, so the engine moves the model, with its programmed PCM
+    // state, onto the surviving chip. Zero lost, one recovery, outputs
+    // unchanged.
     let specs = [catalog::lenet5_model()];
     let device = SimConfig::ideal(128, 128).with_threads(1);
     let base = one_per_batch(device, vec![100_000; 2], PlacementPolicy::FirstFit);
@@ -80,11 +80,10 @@ fn unreplicated_model_recovers_from_its_snapshot_after_a_chip_kill() {
     assert_eq!(run.completions.len(), 6, "zero lost");
     assert!(run.sheds.is_empty());
     let stats = &run.stats;
-    assert_eq!(stats.recoveries, 1, "snapshot restore onto the survivor");
-    assert!(stats.recovery_ms >= 0.0);
+    assert_eq!(stats.recoveries, 1, "a move onto the survivor");
     assert_eq!(stats.chips[0].health, Failed);
     assert_eq!(stats.models[0].chip, 1, "model now lives on the survivor");
-    // The pre-kill cache state came along with the snapshot: replaying a
+    // The pre-kill cache state came along with the move: replaying a
     // warm request after recovery must not reprogram tiles.
     assert!(stats.models[0].cache.hits > 0);
     let oracle = serve(base, &specs, 0, &ops);

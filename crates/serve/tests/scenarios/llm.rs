@@ -109,7 +109,7 @@ fn token_steps_under_a_fault_mix_are_invariant_across_workers() {
 #[test]
 fn all_chips_failed_sheds_the_sequence_instead_of_hanging() {
     // A single chip killed mid-sequence leaves no replica and nothing to
-    // recover onto once its snapshot path also runs out; the engine must
+    // recover onto once every chip is failed; the engine must
     // terminate the sequence with a structured shed, not loop forever.
     let device = SimConfig::ideal(64, 64).with_seed(3).with_threads(1);
     let plan = FaultPlan::new()
@@ -132,7 +132,7 @@ fn all_chips_failed_sheds_the_sequence_instead_of_hanging() {
         // sequence, which stops early.
         assert!(emitted < 8, "a shed sequence stops early");
     } else {
-        // Snapshot recovery may legitimately save the sequence; then
+        // A recovery may legitimately save the sequence; then
         // every token must be present.
         assert_eq!(emitted, 8);
     }

@@ -159,27 +159,16 @@ impl Run {
         ]
     }
 
-    /// The stats with the one wall-clock field zeroed.
-    pub fn stats_without_wall_clock(&self) -> EngineStats {
-        EngineStats {
-            recovery_ms: 0.0,
-            ..self.stats.clone()
-        }
-    }
-
     /// The first of outputs, sheds (with their details), tokens,
-    /// completions (in order) and stats without wall clock in which two
-    /// runs differ, or `None` when they observed the same.
+    /// completions (in order) and stats in which two runs differ, or
+    /// `None` when they observed the same.
     pub fn first_difference(&self, other: &Run) -> Option<&'static str> {
         [
             ("outputs", self.outputs == other.outputs),
             ("sheds", self.sheds == other.sheds),
             ("tokens", self.tokens == other.tokens),
             ("completion order", self.completions == other.completions),
-            (
-                "stats",
-                self.stats_without_wall_clock() == other.stats_without_wall_clock(),
-            ),
+            ("stats", self.stats == other.stats),
         ]
         .into_iter()
         .find_map(|(what, same)| (!same).then_some(what))
@@ -366,7 +355,7 @@ impl Scenario {
     ///   reconcile with the totals, and the chips' cache hits and misses
     ///   with the models'; no shed says "refused";
     /// - **every worker count:** the run observes exactly what the
-    ///   one-worker run does, wall clock aside: the same completions in
+    ///   one-worker run does: the same completions in
     ///   the same order, outputs, sheds with their details, tokens and
     ///   stats. A round is as wide as the cluster, so the worker count
     ///   only picks threads;

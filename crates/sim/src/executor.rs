@@ -2,7 +2,6 @@
 
 use crate::arena::ExecArena;
 use crate::config::{tile_seed, SimConfig};
-use crate::snapshot::{ChipSnapshot, TileSnapshot};
 use crate::tile::{
     execute_crossbar, run_tile_with, CompiledTile, MvmEngine, TileDrive, TileNoise, TileWriter,
 };
@@ -224,7 +223,7 @@ struct TileCache {
     /// Keyed by `(layer index, tile index)`.
     tiles: HashMap<(usize, usize), Arc<CompiledTile>>,
     /// Keys some thread has claimed and is compiling right now. Every
-    /// writer single-flights through this set
+    /// forward single-flights through this set
     /// ([`DeviceExecutor::resolve_tile`]): the first claim programs the
     /// tile, later claimants wait on [`DeviceExecutor::compile_done`] and
     /// then judge the installed entry. One missing tile is exactly one
@@ -274,18 +273,6 @@ impl Drop for Claimed<'_> {
             cache.in_flight.remove(&self.key);
         }
         self.exec.compile_done.notify_all();
-    }
-}
-
-impl Clone for DeviceExecutor {
-    /// Clones the configuration; the clone starts with an empty tile
-    /// cache and noise memo (both re-derived on demand, identically).
-    fn clone(&self) -> Self {
-        Self {
-            engine: self.engine,
-            cache_budget: self.cache_budget,
-            ..Self::new(self.config.clone())
-        }
     }
 }
 
@@ -419,22 +406,23 @@ impl DeviceExecutor {
         self.arenas.lock().expect("arena pool").extend(arenas);
     }
 
-    /// The one path that programs a tile or writes the tile cache.
+    /// The one path that programs a cacheable tile: a forward's lookup
+    /// of the bank tile at `geom`, cached under `key`.
     ///
     /// **Claim:** under the cache lock, wait out any in-flight compile of
-    /// `key`, then judge what is resident. A resident tile that `matches`
-    /// (a forward's slice compare against the filter bank, no tile
-    /// materialization) and is not stale is a hit. Otherwise the key is
-    /// marked in flight and the miss counted: a stale tile re-derives at
-    /// its current age, an absent (or differently weighted) one programs
-    /// at age 0. Concurrent callers single-flight: exactly one programs
-    /// the key, the rest wait and judge the installed entry, and the
-    /// counters are a deterministic function of the workload, not of
-    /// thread timing.
-    /// **Compile:** program the column-major codes and row count `codes`
-    /// returns at the claimed age, with the remembered draws of the
-    /// tile's seed when the memo holds them and fresh draws otherwise
-    /// (the same numbers either way).
+    /// `key`, then judge what is resident. A resident tile that matches
+    /// the bank ([`CompiledTile::matches_bank`], a slice compare with no
+    /// tile materialization) and is not stale is a hit. Otherwise the
+    /// key is marked in flight and the miss counted: a stale tile
+    /// re-derives at its current age, an absent (or differently
+    /// weighted) one programs at age 0. Concurrent callers single-flight:
+    /// exactly one programs the key, the rest wait and judge the
+    /// installed entry, and the counters are a deterministic function of
+    /// the workload, not of thread timing.
+    /// **Compile:** program the tile's filter columns, back to back
+    /// (column-major codes), at the claimed age, with the remembered
+    /// draws of the tile's seed when the memo holds them and fresh draws
+    /// otherwise (the same numbers either way).
     /// **Install:** replace the resident entry, admit the new one while
     /// the cell budget allows, and stamp its age. When the budget refuses
     /// a compile from fresh draws, remember them: the tile overflows, so
@@ -446,8 +434,8 @@ impl DeviceExecutor {
     fn resolve_tile(
         &self,
         key: (usize, usize),
-        matches: impl FnOnce(&CompiledTile) -> bool,
-        codes: impl FnOnce() -> (Vec<i8>, usize),
+        tiles: &WeightTiles<'_>,
+        geom: &TileGeometry,
     ) -> Arc<CompiledTile> {
         let aging = self.aging_active();
         let clock = self.clock.load(Ordering::Relaxed);
@@ -465,7 +453,11 @@ impl DeviceExecutor {
                 .map(|a| (a.derived_age, clock.saturating_sub(a.programmed_at)))
                 .filter(|&(derived, current)| aging && derived != current)
                 .map(|(_, current)| current);
-            let age = match (cache.tiles.get(&key).filter(|tile| matches(tile)), stale) {
+            let resident = cache
+                .tiles
+                .get(&key)
+                .filter(|t| t.matches_bank(tiles, geom));
+            let age = match (resident, stale) {
                 (Some(tile), None) => {
                     let hit = Arc::clone(tile);
                     cache.hits += 1;
@@ -479,7 +471,10 @@ impl DeviceExecutor {
             age
         };
         let claimed = Claimed { exec: self, key };
-        let (values, rows) = codes();
+        let values: Vec<i8> = (0..geom.cols)
+            .flat_map(|c| tiles.filter_column(geom, c))
+            .copied()
+            .collect();
         let cells = values.len() * self.config.mapping.columns_per_output();
         let seed = tile_seed(self.config.seed, key.0, key.1);
         let elapsed = self.aged_elapsed(age);
@@ -499,7 +494,7 @@ impl DeviceExecutor {
         };
         let compiled = Arc::new(CompiledTile::compile_at(
             values,
-            rows,
+            geom.rows,
             &self.config,
             &noise,
             writer,
@@ -543,10 +538,10 @@ impl DeviceExecutor {
     /// A snapshot of the tile cache's counters and occupancy.
     ///
     /// Hit/miss counts are exact under serial *and* parallel execution:
-    /// both writers — forward passes and [`Self::restore_at`] — claim
-    /// tiles through one single-flight path, so a missing tile is one
-    /// miss however many workers race to it, and the counters are a
-    /// deterministic function of the workload.
+    /// a forward is the only writer, and it claims tiles through one
+    /// single-flight path, so a missing tile is one miss however many
+    /// workers race to it, and the counters are a deterministic function
+    /// of the workload.
     ///
     /// # Panics
     ///
@@ -832,13 +827,8 @@ impl DeviceExecutor {
                 let seed = tile_seed(self.config.seed, layer_index, tile_index);
                 // The oracle engine stays cache-free: it is the baseline
                 // the compiled path is benchmarked and validated against.
-                let compiled = (self.engine != MvmEngine::FieldWalk).then(|| {
-                    self.resolve_tile(
-                        (layer_index, tile_index),
-                        |tile| tile.matches_bank(&tiles, geom),
-                        || bank_codes(&tiles, geom),
-                    )
-                });
+                let compiled = (self.engine != MvmEngine::FieldWalk)
+                    .then(|| self.resolve_tile((layer_index, tile_index), &tiles, geom));
                 let mut program = compiled.as_ref().map(|c| c.program());
                 let mut arena = self.checkout_arena();
                 let mut drive = std::mem::replace(&mut arena.drive, TileDrive::empty());
@@ -938,9 +928,9 @@ impl DeviceExecutor {
     /// one `TileNoise` per dynamic seed, each at most `array_rows ×
     /// array_cols` draws: for `llm_tiny` at 1,024 positions (8 stages × 8
     /// tiles × 1,024 cells) about 1.6 MB. Overflow draws add at most the
-    /// cell budget's worth of cells. [`Clone`] and [`Self::restore_at`]
-    /// start with an empty memo; [`Self::clear_cache`] leaves it, since it
-    /// holds no chip state.
+    /// cell budget's worth of cells. [`Self::clear_cache`] leaves the
+    /// memo, since it holds no chip state, and so does [`Self::rehome`]
+    /// while the overflow draws fit the new budget.
     ///
     /// The [`MvmEngine::FieldWalk`] oracle remembers nothing: each tile
     /// draws afresh and walks its fields ([`run_tile_with`]).
@@ -1133,93 +1123,49 @@ impl DeviceExecutor {
             .sum()
     }
 
-    /// Captures the executor's programmed tile state as a serializable
-    /// [`ChipSnapshot`]: the non-volatile weight codes of every resident
-    /// tile plus the per-tile seed and configuration that reconstruct its
-    /// compiled state deterministically. Tiles are recorded in
-    /// `(layer, tile)` order, so equal cache contents always
-    /// produce equal snapshots.
+    /// Moves the executor to another chip, whose cell budget is
+    /// `budget`, at dispatch tick `clock`. PCM is non-volatile, so the
+    /// model's programmed tiles move with it and nothing is recompiled:
+    /// in `(layer, tile)` order, each resident tile is kept while the
+    /// kept cells fit `budget`, and a tile an install in that order would
+    /// refuse is dropped (its next read programs it again). The clock
+    /// advances to `clock`, and with aging every kept tile counts as
+    /// programmed there, as a recalibrated tile does
+    /// ([`Self::mark_recalibrated`]): it re-derives at its next read
+    /// unless its drift was already derived at the age that read finds.
+    /// The hit and miss counters carry over. The noise memo holds no
+    /// chip state and stays, unless its overflow draws exceed `budget`;
+    /// then it starts empty. Every compiled tile is a pure function of
+    /// its codes, seed and age, so the moved executor answers exactly
+    /// what the unmoved one would.
     ///
     /// # Panics
     ///
-    /// Panics if the cache mutex was poisoned.
-    #[must_use]
-    pub fn snapshot(&self) -> ChipSnapshot {
-        let cache = self.cache.lock().expect("tile cache");
-        let mut keys: Vec<&(usize, usize)> = cache.tiles.keys().collect();
+    /// Panics if the cache mutex or the noise memo lock was poisoned.
+    pub fn rehome(&mut self, budget: usize, clock: u64) {
+        self.cache_budget = budget;
+        self.set_clock(clock);
+        let clock = self.clock();
+        let cache = self.cache.get_mut().expect("tile cache");
+        let mut keys: Vec<(usize, usize)> = cache.tiles.keys().copied().collect();
         keys.sort_unstable();
-        let tiles = keys
-            .into_iter()
-            .map(|&(layer, tile)| {
-                let compiled = &cache.tiles[&(layer, tile)];
-                TileSnapshot {
-                    layer,
-                    tile,
-                    seed: tile_seed(self.config.seed, layer, tile),
-                    rows: compiled.value_rows(),
-                    values: compiled.values().to_vec(),
-                    program: compiled.program(),
-                }
-            })
-            .collect();
-        ChipSnapshot {
-            config: self.config.clone(),
-            cache_budget: self.cache_budget,
-            hits: cache.hits,
-            misses: cache.misses,
-            tiles,
+        cache.cells = 0;
+        for key in keys {
+            let cells = cache.tiles[&key].cells();
+            if cache.cells + cells <= budget {
+                cache.cells += cells;
+            } else {
+                cache.tiles.remove(&key);
+                cache.ages.remove(&key);
+            }
         }
-    }
-
-    /// Reconstructs an executor from a [`ChipSnapshot`] onto a running
-    /// cluster: every recorded tile is recompiled from its codes with its
-    /// original seed, producing a chip whose forward passes are
-    /// **byte-identical** to the source chip's (programming variation,
-    /// drift, and phase streams all re-derive from the stored seeds).
-    /// Tiles are installed in snapshot order under the snapshot's cell
-    /// budget, through the same path a forward pass programs them by,
-    /// and the restored cache then carries the snapshot's hit/miss
-    /// counters. The executor's virtual clock starts at `clock`, and every
-    /// restored tile's programming age is stamped there — restoration
-    /// reprograms the destination's PCM arrays, so the tiles are fresh at
-    /// the moment of recovery, not as old as the source chip's copies
-    /// were.
-    ///
-    /// This is the migration primitive of multi-chip serving: a hot model
-    /// moves between chips by snapshotting its executor and restoring it
-    /// under the destination chip's budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tile's recorded seed or programming report disagrees
-    /// with its recompile (a corrupted or cross-version snapshot).
-    #[must_use]
-    pub fn restore_at(snapshot: &ChipSnapshot, clock: u64) -> Self {
-        let exec = Self::new(snapshot.config.clone()).with_cache_budget(snapshot.cache_budget);
-        exec.set_clock(clock);
-        for snap in &snapshot.tiles {
-            // A fresh executor holds nothing, so every tile programs.
-            let compiled = exec.resolve_tile(
-                (snap.layer, snap.tile),
-                |_| false,
-                || (snap.values.clone(), snap.rows),
-            );
-            assert_eq!(
-                (snap.seed, snap.program),
-                (
-                    tile_seed(exec.config.seed, snap.layer, snap.tile),
-                    compiled.program()
-                ),
-                "restored tile ({}, {}) must recompile to its recorded state",
-                snap.layer,
-                snap.tile
-            );
+        for age in cache.ages.values_mut() {
+            age.programmed_at = clock;
         }
-        let mut cache = exec.cache.lock().expect("tile cache");
-        cache.hits = snapshot.hits;
-        cache.misses = snapshot.misses;
-        drop(cache);
-        exec
+        let memo = self.noise.get_mut().expect("noise memo");
+        if memo.overflow_cells > budget {
+            *memo = NoiseMemo::default();
+        }
     }
 }
 
@@ -1332,16 +1278,6 @@ where
         }
     }
     Ok(walked)
-}
-
-/// The column-major codes and row count of the tile at `geom`: its
-/// filter columns, back to back — what a forward miss compiles.
-fn bank_codes(tiles: &WeightTiles<'_>, geom: &TileGeometry) -> (Vec<i8>, usize) {
-    let codes = (0..geom.cols)
-        .flat_map(|c| tiles.filter_column(geom, c))
-        .copied()
-        .collect();
-    (codes, geom.rows)
 }
 
 /// The one result of a batch call made with one input.
@@ -1727,13 +1663,9 @@ mod tests {
             assert_eq!(exec.dynamic_mv(0, &rows, &drive), first);
         }
         assert_eq!(memo_draws(&exec), draws, "a seen shape draws nothing new");
-        // The memo holds no chip state: eviction leaves it, a clone starts
-        // without it (and answers identically).
+        // The memo holds no chip state: eviction leaves it.
         exec.clear_cache();
         assert_eq!(memo_draws(&exec), draws);
-        let clone = exec.clone();
-        assert_eq!(memo_draws(&clone), 0);
-        assert_eq!(clone.dynamic_mv(0, &rows, &drive), first);
     }
 
     #[test]
@@ -1747,7 +1679,7 @@ mod tests {
         let config = SimConfig::noisy(32, 32).with_threads(1);
         let half = DeviceExecutor::new(config.clone()).model_footprint_cells(&net) / 2;
         let with_budget = |cells| DeviceExecutor::new(config.clone()).with_cache_budget(cells);
-        let (tight, roomy, cold) = (with_budget(half), with_budget(usize::MAX), with_budget(0));
+        let (mut tight, roomy, cold) = (with_budget(half), with_budget(usize::MAX), with_budget(0));
         let remembered =
             |exec: &DeviceExecutor| exec.noise.read().expect("noise memo").overflow_cells;
         let mut misses = Vec::new();
@@ -1782,6 +1714,12 @@ mod tests {
         assert_eq!(memo, [memo[0]; 3]);
         assert_eq!(remembered(&cold), 0, "budget 0 remembers nothing");
         assert_eq!(remembered(&roomy), 0, "a model that fits remembers nothing");
+        // A move keeps the memo while its overflow draws fit the new
+        // budget, and forgets them otherwise.
+        tight.rehome(half, 0);
+        assert_eq!(remembered(&tight), memo[0]);
+        tight.rehome(memo[0] - 1, 0);
+        assert_eq!(remembered(&tight), 0);
     }
 
     #[test]

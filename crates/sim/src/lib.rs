@@ -50,6 +50,10 @@
 //! first forward that reads it (parallel across tiles, deterministic
 //! per-tile seeds), so a serving layer moves PCM programming off its
 //! critical path by running one forward of a model before its traffic.
+//! PCM is non-volatile, so the compiled tiles *are* a model's chip state:
+//! [`DeviceExecutor::rehome`] moves an executor to another chip's cell
+//! budget with its tiles, recompiling nothing, and it answers byte for
+//! byte as before.
 //!
 //! # Examples
 //!
@@ -76,7 +80,6 @@ pub mod executor;
 pub mod fidelity;
 pub mod llm;
 pub mod probe;
-pub mod snapshot;
 pub mod tile;
 
 pub use arena::ExecArena;
@@ -87,7 +90,6 @@ pub use executor::{
 pub use fidelity::{run_inference, InferenceFidelity, LayerFidelity};
 pub use llm::{lm_steps, DeviceLmEngine, ExecError};
 pub use probe::{probe_conv, LayerProbe};
-pub use snapshot::{ChipSnapshot, TileSnapshot};
 pub use tile::MvmEngine;
 
 #[cfg(test)]

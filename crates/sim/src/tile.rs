@@ -437,8 +437,8 @@ impl TileWriter {
         tally.report(Parallelism::FullArray)
     }
 
-    /// The one compile route of every tile — forward misses,
-    /// recalibration, snapshot restore and the dynamic attention path:
+    /// The one compile route of every tile — forward misses (aged and
+    /// recalibrated re-derivations included) and the dynamic attention path:
     /// programs the tile ([`Self::program`]) and writes each cell's gain
     /// into `buffers.crossbar`'s panel-major planes, under the factors
     /// [`CompileBuffers::shape`] last set (for this tile's geometry). The
@@ -562,7 +562,7 @@ impl CompiledTile {
     }
 
     /// Compiles a tile from its signed codes (`values`, column-major with
-    /// `rows` rows, as [`Self::values`] returns them) and the draws of its
+    /// `rows` rows: column `c` is filter column `c`) and the draws of its
     /// seed through `writer`, whose drift time the readout ages to. Aged
     /// readouts compile at `drift_elapsed + age · drift_tick`; a
     /// recalibration compiles at the baseline `drift_elapsed`, which is
@@ -602,20 +602,6 @@ impl CompiledTile {
             program,
             compiled: buffers.crossbar,
         }
-    }
-
-    /// The signed weight codes this state was compiled from, as a flat
-    /// column-major (`cols × rows`) matrix — the non-volatile PCM codes a
-    /// chip snapshot serializes.
-    #[must_use]
-    pub fn values(&self) -> &[i8] {
-        &self.values
-    }
-
-    /// Rows of [`Self::values`] (the tile's logical row count).
-    #[must_use]
-    pub fn value_rows(&self) -> usize {
-        self.value_rows
     }
 
     /// Whether this compiled state was built from exactly the weights of
